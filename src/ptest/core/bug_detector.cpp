@@ -1,5 +1,6 @@
 #include "ptest/core/bug_detector.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace ptest::core {
@@ -15,29 +16,30 @@ std::vector<pcore::TaskId> BugDetector::find_deadlock_cycle(
     const pcore::KMutex& mutex = kernel.mutex(*tcb.waiting_on);
     if (mutex.owner) wait_for[t] = *mutex.owner;
   }
-  // Floyd-style walk from every blocked task; cycles are tiny (<= 16).
+  // Walk from every blocked task; a path visits each task at most once,
+  // so it fits a fixed array of kMaxTasks.
+  std::array<pcore::TaskId, pcore::kMaxTasks> path{};
   for (pcore::TaskId start = 0; start < pcore::kMaxTasks; ++start) {
     if (wait_for[start] == pcore::kInvalidTask) continue;
-    std::vector<pcore::TaskId> path;
+    std::size_t length = 0;
     std::array<bool, pcore::kMaxTasks> on_path{};
     pcore::TaskId cursor = start;
     while (cursor != pcore::kInvalidTask && !on_path[cursor]) {
       on_path[cursor] = true;
-      path.push_back(cursor);
+      path[length++] = cursor;
       cursor = wait_for[cursor];
     }
     if (cursor == pcore::kInvalidTask) continue;
     // `cursor` starts the cycle; trim the leading tail.
-    const auto cycle_start =
-        std::find(path.begin(), path.end(), cursor);
-    return {cycle_start, path.end()};
+    const auto end = path.begin() + length;
+    return {std::find(path.begin(), end, cursor), end};
   }
   return {};
 }
 
-void BugDetector::file_report(sim::Soc& soc, BugKind kind,
-                              std::string description,
-                              std::vector<pcore::TaskId> culprits) {
+BugReport& BugDetector::file_report(sim::Soc& soc, BugKind kind,
+                                    std::string description,
+                                    std::vector<pcore::TaskId> culprits) {
   BugReport report;
   report.kind = kind;
   report.detected_at = soc.now();
@@ -49,6 +51,7 @@ void BugDetector::file_report(sim::Soc& soc, BugKind kind,
   report_ = std::move(report);
   soc.record(sim::TraceCategory::kDetector,
              std::string("bug detected: ") + to_string(report_->kind));
+  return *report_;
 }
 
 bool BugDetector::tick(sim::Soc& soc) {
@@ -61,13 +64,19 @@ bool BugDetector::tick(sim::Soc& soc) {
     return false;
   }
 
-  // 2. Deadlock.
-  if (auto cycle = find_deadlock_cycle(*kernel_); !cycle.empty()) {
-    std::ostringstream desc;
-    desc << "wait-for cycle:";
-    for (const auto t : cycle) desc << " task" << static_cast<int>(t);
-    file_report(soc, BugKind::kDeadlock, desc.str(), std::move(cycle));
-    return false;
+  // 2. Deadlock.  The scan is a pure function of the wait-for graph and a
+  // cycle is reported the tick it is found, so while the kernel's epoch
+  // stands still the last scan's empty result still holds.
+  if (const std::uint64_t epoch = kernel_->wait_graph_epoch();
+      scanned_epoch_ != epoch) {
+    scanned_epoch_ = epoch;
+    if (auto cycle = find_deadlock_cycle(*kernel_); !cycle.empty()) {
+      std::ostringstream desc;
+      desc << "wait-for cycle:";
+      for (const auto t : cycle) desc << " task" << static_cast<int>(t);
+      file_report(soc, BugKind::kDeadlock, desc.str(), std::move(cycle));
+      return false;
+    }
   }
 
   // 3. Unresponsive slave (command timeout).
@@ -92,29 +101,30 @@ bool BugDetector::tick(sim::Soc& soc) {
       return false;
     }
     if (soc.now() - *committer_finished_at_ > config_.termination_horizon) {
-      std::vector<pcore::TaskId> culprits;
-      for (const auto& task : kernel_->snapshot().tasks) {
-        culprits.push_back(task.id);
+      BugReport& report = file_report(
+          soc, BugKind::kNoTermination,
+          std::to_string(live) +
+              " task(s) did not terminate within the horizon",
+          {});
+      for (const auto& task : report.kernel.tasks) {
+        report.culprits.push_back(task.id);
       }
-      file_report(soc, BugKind::kNoTermination,
-                  std::to_string(live) +
-                      " task(s) did not terminate within the horizon",
-                  std::move(culprits));
       return false;
     }
   }
 
   // 5. Starvation (optional).
   if (config_.starvation_horizon != 0) {
-    for (const auto& task : kernel_->snapshot().tasks) {
+    for (pcore::TaskId id = 0; id < pcore::kMaxTasks; ++id) {
+      const pcore::Tcb& task = kernel_->tcb(id);
       if (task.state != pcore::TaskState::kReady) continue;
       if (soc.now() - task.last_progress > config_.starvation_horizon) {
         file_report(soc, BugKind::kStarvation,
-                    "task " + std::to_string(task.id) +
+                    "task " + std::to_string(id) +
                         " ready but unscheduled for " +
                         std::to_string(soc.now() - task.last_progress) +
                         " ticks",
-                    {task.id});
+                    {id});
         return false;
       }
     }

@@ -5,8 +5,11 @@
 // Implemented as a sim::Device stepped after the master and slave stacks
 // each tick.  In the paper it runs as a separate process on the master;
 // here the deterministic tick loop gives it the same observational power
-// (kernel snapshot via the debug port, committer protocol state, CP
-// records) without racing the system under test.
+// (kernel state via the debug port, committer protocol state, CP records)
+// without racing the system under test.  The per-tick checks read the
+// kernel's TCBs in place; the wait-for graph is rescanned only when the
+// kernel's wait_graph_epoch() moved, and a full KernelSnapshot is taken
+// once, when a report is filed.
 //
 // Detections:
 //   * slave crash      — kernel panic flag (case study 1's GC failure);
@@ -57,8 +60,9 @@ class BugDetector : public sim::Device {
       const pcore::PcoreKernel& kernel);
 
  private:
-  void file_report(sim::Soc& soc, BugKind kind, std::string description,
-                   std::vector<pcore::TaskId> culprits);
+  BugReport& file_report(sim::Soc& soc, BugKind kind,
+                         std::string description,
+                         std::vector<pcore::TaskId> culprits);
 
   DetectorConfig config_;
   pcore::PcoreKernel* kernel_;
@@ -67,6 +71,8 @@ class BugDetector : public sim::Device {
   std::optional<BugReport> report_;
   bool passed_ = false;
   std::optional<sim::Tick> committer_finished_at_;
+  /// Kernel wait-graph epoch of the last deadlock scan.
+  std::optional<std::uint64_t> scanned_epoch_;
 };
 
 }  // namespace ptest::core

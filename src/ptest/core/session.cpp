@@ -83,10 +83,9 @@ SessionResult TestSession::run() {
   result.stats.commands_issued = committer_->issued();
   result.stats.commands_acked = committer_->acked();
   result.stats.commands_failed = committer_->failed();
-  const auto snapshot = kernel_->snapshot();
-  result.stats.kernel_service_calls = snapshot.service_calls;
-  result.stats.context_switches = snapshot.context_switches;
-  result.stats.gc_runs = snapshot.heap.gc_runs;
+  result.stats.kernel_service_calls = kernel_->service_calls();
+  result.stats.context_switches = kernel_->context_switches();
+  result.stats.gc_runs = kernel_->gc_runs();
   return result;
 }
 

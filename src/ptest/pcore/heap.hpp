@@ -78,6 +78,10 @@ class KernelHeap {
   }
 
   [[nodiscard]] HeapStats stats() const;
+  /// stats().gc_runs without the O(blocks) free-byte walk.
+  [[nodiscard]] std::uint64_t gc_runs() const noexcept {
+    return stats_.gc_runs;
+  }
 
   /// Verifies all block headers; returns false (and sets panic) on
   /// corruption.  Runs in O(blocks).

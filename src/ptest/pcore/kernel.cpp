@@ -168,10 +168,7 @@ Status PcoreKernel::task_create(std::uint32_t program_id, std::uint32_t arg,
 
 void PcoreKernel::release_held_mutexes(TaskId task) {
   for (MutexId id = 0; id < mutex_count_; ++id) {
-    if (mutexes_[id].owner == task) {
-      mutexes_[id].owner.reset();
-      wake_next_waiter(id);
-    }
+    if (mutexes_[id].owner == task) release_mutex(id);
     auto& waiters = mutexes_[id].waiters;
     waiters.erase(std::remove(waiters.begin(), waiters.end(), task),
                   waiters.end());
@@ -180,6 +177,7 @@ void PcoreKernel::release_held_mutexes(TaskId task) {
 
 void PcoreKernel::reclaim(TaskId task, TaskState final_state) {
   Tcb& tcb = tcbs_[task];
+  if (tcb.state == TaskState::kBlocked) ++wait_graph_epoch_;
   release_held_mutexes(task);
   heap_.defer_free(tcb.tcb_block);
   heap_.defer_free(tcb.stack_block);
@@ -250,9 +248,11 @@ MutexId PcoreKernel::mutex_create() {
   return id;
 }
 
-void PcoreKernel::wake_next_waiter(MutexId id) {
+void PcoreKernel::release_mutex(MutexId id) {
   KMutex& mutex = mutexes_[id];
-  if (mutex.owner || mutex.waiters.empty()) return;
+  mutex.owner.reset();
+  ++wait_graph_epoch_;
+  if (mutex.waiters.empty()) return;
   // Highest priority first; ties by arrival order.
   const auto best = std::max_element(
       mutex.waiters.begin(), mutex.waiters.end(),
@@ -341,6 +341,7 @@ void PcoreKernel::run_scheduler(sim::Soc& soc) {
       if (!mutex.owner) {
         mutex.owner = next;
         ++mutex.acquisitions;
+        ++wait_graph_epoch_;
       } else if (mutex.owner == next) {
         // Recursive lock is a program bug; treat as no-op with trace.
         soc.record(sim::TraceCategory::kKernel,
@@ -352,6 +353,7 @@ void PcoreKernel::run_scheduler(sim::Soc& soc) {
         tcb.state = TaskState::kBlocked;
         tcb.waiting_on = static_cast<MutexId>(id);
         running_ = kInvalidTask;
+        ++wait_graph_epoch_;
       }
       break;
     }
@@ -362,8 +364,7 @@ void PcoreKernel::run_scheduler(sim::Soc& soc) {
               std::to_string(id) + " it does not own");
         return;
       }
-      mutexes_[id].owner.reset();
-      wake_next_waiter(id);
+      release_mutex(id);
       break;
     }
     case StepKind::kExit:

@@ -150,6 +150,24 @@ class PcoreKernel : public sim::Device {
   }
   [[nodiscard]] KernelHeap& heap() noexcept { return heap_; }
   [[nodiscard]] sim::Tick current_tick() const noexcept { return tick_; }
+  /// The snapshot's counters without building a snapshot.
+  [[nodiscard]] std::uint64_t service_calls() const noexcept {
+    return service_calls_;
+  }
+  [[nodiscard]] std::uint64_t context_switches() const noexcept {
+    return scheduler_.context_switches();
+  }
+  [[nodiscard]] std::uint64_t gc_runs() const noexcept {
+    return heap_.gc_runs();
+  }
+  /// Advances whenever an input of the wait-for graph changes: a task
+  /// enters or leaves kBlocked, or a mutex changes owner.  Between two
+  /// equal readings every blocked task waits on the same mutex held by the
+  /// same owner, so an observer that scanned the graph at the first
+  /// reading need not rescan at the second.
+  [[nodiscard]] std::uint64_t wait_graph_epoch() const noexcept {
+    return wait_graph_epoch_;
+  }
   /// Shared user words, also reachable from master threads through the
   /// kernel (models the Fig. 1 shared-memory flags).
   [[nodiscard]] std::int32_t shared_word(std::size_t index) const;
@@ -165,7 +183,8 @@ class PcoreKernel : public sim::Device {
   void release_held_mutexes(TaskId task);
   void reclaim(TaskId task, TaskState final_state);
   Status check_live(TaskId task) const;
-  void wake_next_waiter(MutexId id);
+  /// Clears `id`'s owner and hands it to the best waiter, if any.
+  void release_mutex(MutexId id);
   void run_scheduler(sim::Soc& soc);
   void maybe_collect(sim::Soc& soc);
 
@@ -186,6 +205,7 @@ class PcoreKernel : public sim::Device {
   sim::Tick tick_ = 0;
   sim::Tick last_gc_ = 0;
   std::uint64_t service_calls_ = 0;
+  std::uint64_t wait_graph_epoch_ = 0;
 };
 
 }  // namespace ptest::pcore

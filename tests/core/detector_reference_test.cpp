@@ -1,0 +1,499 @@
+// Reference oracle for the event-gated bug detector.
+//
+// ReferenceDetector below is the per-tick detector BugDetector replaced:
+// it rebuilds the wait-for graph every tick and reads the kernel through a
+// full snapshot().  The production detector must file the same report at
+// the same tick.  Every catalog scenario, bug and benign variant, runs
+// over a seed sweep twice: once through core::execute (the production
+// detector inside TestSession) and once wired as core/session.cpp wires
+// it, with the reference detector in its place.
+//
+// The reference wiring also carries an EpochWitness: after every tick it
+// checks that the kernel's wait_graph_epoch() moved whenever the
+// wait-for graph's inputs (blocked set, waiting_on, mutex owners) did —
+// the contract the production detector's scan gate relies on.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <set>
+#include <sstream>
+#include <string>
+
+#include "ptest/core/adaptive_test.hpp"
+#include "ptest/core/bug_detector.hpp"
+#include "ptest/core/session.hpp"
+#include "ptest/pcore/programs.hpp"
+#include "ptest/scenario/registry.hpp"
+#include "ptest/support/rng.hpp"
+
+namespace ptest::core {
+namespace {
+
+// --- the per-tick detector, kept as the oracle -------------------------------
+
+class ReferenceDetector : public sim::Device {
+ public:
+  ReferenceDetector(const DetectorConfig& config, pcore::PcoreKernel& kernel,
+                    const master::Committer& committer,
+                    const StateRecorder& recorder)
+      : config_(config),
+        kernel_(&kernel),
+        committer_(&committer),
+        recorder_(&recorder) {}
+
+  bool tick(sim::Soc& soc) override;
+
+  [[nodiscard]] bool bug_found() const noexcept {
+    return report_.has_value();
+  }
+  [[nodiscard]] const std::optional<BugReport>& report() const noexcept {
+    return report_;
+  }
+  [[nodiscard]] bool passed() const noexcept { return passed_; }
+
+  static std::vector<pcore::TaskId> find_deadlock_cycle(
+      const pcore::PcoreKernel& kernel);
+
+ private:
+  void file_report(sim::Soc& soc, BugKind kind, std::string description,
+                   std::vector<pcore::TaskId> culprits);
+
+  DetectorConfig config_;
+  pcore::PcoreKernel* kernel_;
+  const master::Committer* committer_;
+  const StateRecorder* recorder_;
+  std::optional<BugReport> report_;
+  bool passed_ = false;
+  std::optional<sim::Tick> committer_finished_at_;
+};
+
+std::vector<pcore::TaskId> ReferenceDetector::find_deadlock_cycle(
+    const pcore::PcoreKernel& kernel) {
+  // wait_for[t] = owner of the mutex t is blocked on (if blocked).
+  std::array<pcore::TaskId, pcore::kMaxTasks> wait_for;
+  wait_for.fill(pcore::kInvalidTask);
+  for (pcore::TaskId t = 0; t < pcore::kMaxTasks; ++t) {
+    const pcore::Tcb& tcb = kernel.tcb(t);
+    if (tcb.state != pcore::TaskState::kBlocked || !tcb.waiting_on) continue;
+    const pcore::KMutex& mutex = kernel.mutex(*tcb.waiting_on);
+    if (mutex.owner) wait_for[t] = *mutex.owner;
+  }
+  // Floyd-style walk from every blocked task; cycles are tiny (<= 16).
+  for (pcore::TaskId start = 0; start < pcore::kMaxTasks; ++start) {
+    if (wait_for[start] == pcore::kInvalidTask) continue;
+    std::vector<pcore::TaskId> path;
+    std::array<bool, pcore::kMaxTasks> on_path{};
+    pcore::TaskId cursor = start;
+    while (cursor != pcore::kInvalidTask && !on_path[cursor]) {
+      on_path[cursor] = true;
+      path.push_back(cursor);
+      cursor = wait_for[cursor];
+    }
+    if (cursor == pcore::kInvalidTask) continue;
+    // `cursor` starts the cycle; trim the leading tail.
+    const auto cycle_start =
+        std::find(path.begin(), path.end(), cursor);
+    return {cycle_start, path.end()};
+  }
+  return {};
+}
+
+void ReferenceDetector::file_report(sim::Soc& soc, BugKind kind,
+                                    std::string description,
+                                    std::vector<pcore::TaskId> culprits) {
+  BugReport report;
+  report.kind = kind;
+  report.detected_at = soc.now();
+  report.description = std::move(description);
+  report.culprits = std::move(culprits);
+  report.kernel = kernel_->snapshot();
+  report.state_records = recorder_->render();
+  report.trace_tail = soc.trace().render(config_.report_trace_lines);
+  report_ = std::move(report);
+  soc.record(sim::TraceCategory::kDetector,
+             std::string("bug detected: ") + to_string(report_->kind));
+}
+
+bool ReferenceDetector::tick(sim::Soc& soc) {
+  if (report_ || passed_) return false;
+
+  // 1. Slave crash.
+  if (kernel_->panicked()) {
+    file_report(soc, BugKind::kSlaveCrash,
+                "slave kernel panicked: " + kernel_->panic_reason(), {});
+    return false;
+  }
+
+  // 2. Deadlock.
+  if (auto cycle = find_deadlock_cycle(*kernel_); !cycle.empty()) {
+    std::ostringstream desc;
+    desc << "wait-for cycle:";
+    for (const auto t : cycle) desc << " task" << static_cast<int>(t);
+    file_report(soc, BugKind::kDeadlock, desc.str(), std::move(cycle));
+    return false;
+  }
+
+  // 3. Unresponsive slave (command timeout).
+  for (const auto& [seq, issue] : committer_->outstanding()) {
+    if (soc.now() - issue.issued_at > config_.command_timeout) {
+      file_report(soc, BugKind::kUnresponsive,
+                  "command seq=" + std::to_string(seq) + " (" +
+                      bridge::mnemonic(issue.service) +
+                      ") unacknowledged for " +
+                      std::to_string(soc.now() - issue.issued_at) + " ticks",
+                  {});
+      return false;
+    }
+  }
+
+  // 4. Post-pattern termination watchdog / pass detection.
+  if (committer_->finished()) {
+    if (!committer_finished_at_) committer_finished_at_ = soc.now();
+    const std::size_t live = kernel_->live_task_count();
+    if (live == 0) {
+      passed_ = true;
+      return false;
+    }
+    if (soc.now() - *committer_finished_at_ > config_.termination_horizon) {
+      std::vector<pcore::TaskId> culprits;
+      for (const auto& task : kernel_->snapshot().tasks) {
+        culprits.push_back(task.id);
+      }
+      file_report(soc, BugKind::kNoTermination,
+                  std::to_string(live) +
+                      " task(s) did not terminate within the horizon",
+                  std::move(culprits));
+      return false;
+    }
+  }
+
+  // 5. Starvation (optional).
+  if (config_.starvation_horizon != 0) {
+    for (const auto& task : kernel_->snapshot().tasks) {
+      if (task.state != pcore::TaskState::kReady) continue;
+      if (soc.now() - task.last_progress > config_.starvation_horizon) {
+        file_report(soc, BugKind::kStarvation,
+                    "task " + std::to_string(task.id) +
+                        " ready but unscheduled for " +
+                        std::to_string(soc.now() - task.last_progress) +
+                        " ticks",
+                    {task.id});
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// --- the epoch contract ------------------------------------------------------
+
+/// Everything find_deadlock_cycle reads from the kernel.
+struct WaitGraphInputs {
+  std::array<bool, pcore::kMaxTasks> blocked{};
+  std::array<std::optional<std::uint8_t>, pcore::kMaxTasks> waiting_on{};
+  std::array<std::optional<pcore::TaskId>, pcore::kMaxMutexes> owners{};
+
+  static WaitGraphInputs read(const pcore::PcoreKernel& kernel) {
+    WaitGraphInputs inputs;
+    for (pcore::TaskId t = 0; t < pcore::kMaxTasks; ++t) {
+      const pcore::Tcb& tcb = kernel.tcb(t);
+      inputs.blocked[t] = tcb.state == pcore::TaskState::kBlocked;
+      inputs.waiting_on[t] = tcb.waiting_on;
+    }
+    for (pcore::MutexId m = 0; m < pcore::kMaxMutexes; ++m) {
+      inputs.owners[m] = kernel.mutex(m).owner;
+    }
+    return inputs;
+  }
+  bool operator==(const WaitGraphInputs&) const = default;
+};
+
+/// Counts ticks where the wait-for graph's inputs changed but the kernel's
+/// epoch did not.
+class EpochWitness : public sim::Device {
+ public:
+  explicit EpochWitness(const pcore::PcoreKernel& kernel)
+      : kernel_(&kernel),
+        last_(WaitGraphInputs::read(kernel)),
+        last_epoch_(kernel.wait_graph_epoch()) {}
+
+  bool tick(sim::Soc&) override {
+    const WaitGraphInputs now = WaitGraphInputs::read(*kernel_);
+    const std::uint64_t epoch = kernel_->wait_graph_epoch();
+    if (now != last_ && epoch == last_epoch_) ++missed_;
+    last_ = now;
+    last_epoch_ = epoch;
+    return true;
+  }
+
+  [[nodiscard]] std::size_t missed() const noexcept { return missed_; }
+
+ private:
+  const pcore::PcoreKernel* kernel_;
+  WaitGraphInputs last_;
+  std::uint64_t last_epoch_;
+  std::size_t missed_ = 0;
+};
+
+// --- sessions ------------------------------------------------------------------
+
+struct ReferenceRun {
+  SessionResult result;
+  std::size_t epoch_misses = 0;
+};
+
+/// One session wired as core/session.cpp wires TestSession, with the
+/// reference detector (and the epoch witness) observing, and its stats
+/// read from a kernel snapshot as TestSession::run once did.
+ReferenceRun run_reference(const CompiledTestPlan& plan, std::uint64_t seed,
+                           const WorkloadSetup& setup) {
+  const AdaptiveTestResult generated = generate_and_merge(plan, seed);
+  PtestConfig config = plan.config;
+  config.seed = seed;
+
+  sim::Soc soc;
+  pcore::PcoreKernel kernel(config.kernel);
+  if (setup) setup(kernel);
+  bridge::Channel channel(soc);
+  bridge::Committee committee(channel, kernel);
+  master::MasterScheduler master(channel);
+  StateRecorder recorder(plan.alphabet);
+  for (pattern::SlotIndex slot = 0; slot < generated.patterns.size();
+       ++slot) {
+    recorder.assign(slot, generated.patterns[slot].symbols);
+  }
+
+  master::CommitterOptions committer_options;
+  committer_options.program_id = config.program_id;
+  committer_options.program_arg = [](pattern::SlotIndex slot) {
+    return static_cast<std::uint32_t>(slot);
+  };
+  if (config.noise_max_delay > 0 || config.command_spacing > 0) {
+    auto noise_rng =
+        std::make_shared<support::Rng>(config.seed ^ 0x6e6f697365ULL);
+    const sim::Tick max_delay = config.noise_max_delay;
+    const sim::Tick spacing = config.command_spacing;
+    committer_options.issue_delay =
+        [noise_rng, max_delay, spacing](const pattern::MergedElement&) {
+          const sim::Tick jitter =
+              max_delay > 0
+                  ? static_cast<sim::Tick>(noise_rng->below(max_delay + 1))
+                  : 0;
+          return spacing + jitter;
+        };
+  }
+  auto owned_committer = std::make_unique<master::Committer>(
+      generated.merged, plan.alphabet, std::move(committer_options),
+      &recorder);
+  const master::Committer& committer = *owned_committer;
+  master.add(std::move(owned_committer));
+  ReferenceDetector detector(config.detector, kernel, committer, recorder);
+  EpochWitness witness(kernel);
+
+  soc.attach(master);
+  soc.attach(committee);
+  soc.attach(kernel);
+  soc.attach(detector);
+  soc.attach(witness);
+
+  ReferenceRun run;
+  SessionResult& result = run.result;
+  result.stats.ticks = soc.run(config.max_ticks);
+  if (detector.bug_found()) {
+    result.outcome = Outcome::kBug;
+    result.report = *detector.report();
+    result.report->seed = config.seed;
+    result.report->merged = generated.merged;
+  } else if (detector.passed()) {
+    result.outcome = Outcome::kPassed;
+  } else {
+    result.outcome = Outcome::kTickLimit;
+  }
+  result.stats.commands_issued = committer.issued();
+  result.stats.commands_acked = committer.acked();
+  result.stats.commands_failed = committer.failed();
+  const auto snapshot = kernel.snapshot();
+  result.stats.kernel_service_calls = snapshot.service_calls;
+  result.stats.context_switches = snapshot.context_switches;
+  result.stats.gc_runs = snapshot.heap.gc_runs;
+  run.epoch_misses = witness.missed();
+  return run;
+}
+
+void expect_same_session(const SessionResult& production,
+                         const SessionResult& reference,
+                         const pfa::Alphabet& alphabet) {
+  EXPECT_EQ(production.stats.ticks, reference.stats.ticks);
+  EXPECT_EQ(production.outcome, reference.outcome);
+  EXPECT_EQ(production.stats.commands_issued,
+            reference.stats.commands_issued);
+  EXPECT_EQ(production.stats.commands_acked, reference.stats.commands_acked);
+  EXPECT_EQ(production.stats.commands_failed,
+            reference.stats.commands_failed);
+  EXPECT_EQ(production.stats.kernel_service_calls,
+            reference.stats.kernel_service_calls);
+  EXPECT_EQ(production.stats.context_switches,
+            reference.stats.context_switches);
+  EXPECT_EQ(production.stats.gc_runs, reference.stats.gc_runs);
+  ASSERT_EQ(production.report.has_value(), reference.report.has_value());
+  if (!production.report) return;
+  const BugReport& a = *production.report;
+  const BugReport& b = *reference.report;
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.detected_at, b.detected_at);
+  EXPECT_EQ(a.description, b.description);
+  EXPECT_EQ(a.culprits, b.culprits);
+  EXPECT_EQ(a.state_records, b.state_records);
+  EXPECT_EQ(a.trace_tail, b.trace_tail);
+  EXPECT_EQ(a.signature(), b.signature());
+  // The rendering also covers the kernel snapshot, seed and pattern.
+  EXPECT_EQ(a.render(alphabet), b.render(alphabet));
+}
+
+constexpr std::uint64_t kSeedsPerVariant = 48;
+
+struct SweepTotals {
+  std::size_t sessions = 0;
+  std::size_t bugs = 0;
+  std::set<BugKind> kinds;
+};
+
+void sweep_variant(const std::string& label, const PtestConfig& config,
+                   const WorkloadSetup& setup, SweepTotals& totals) {
+  const CompiledTestPlanPtr plan = compile(config);
+  pfa::WalkScratch scratch;
+  for (std::uint64_t run = 0; run < kSeedsPerVariant; ++run) {
+    const std::uint64_t seed = support::derive_seed(config.seed, run);
+    SCOPED_TRACE(label + " seed " + std::to_string(seed));
+    const AdaptiveTestResult production =
+        execute(*plan, seed, setup, scratch);
+    const ReferenceRun reference = run_reference(*plan, seed, setup);
+    expect_same_session(production.session, reference.result,
+                        plan->alphabet);
+    EXPECT_EQ(reference.epoch_misses, 0u)
+        << "wait-for graph changed without an epoch bump";
+    ++totals.sessions;
+    if (production.session.report) {
+      ++totals.bugs;
+      totals.kinds.insert(production.session.report->kind);
+    }
+  }
+}
+
+TEST(DetectorReferenceTest, CatalogSweepMatchesPerTickDetector) {
+  SweepTotals totals;
+  for (const scenario::Scenario& entry :
+       scenario::ScenarioRegistry::builtin().all()) {
+    sweep_variant(entry.name, entry.config, entry.setup, totals);
+    if (entry.has_benign()) {
+      sweep_variant(entry.name + " (benign)", entry.benign_plan(),
+                    entry.benign_workload(), totals);
+    }
+  }
+  // The sweep must exercise the detector, not just clean passes.
+  EXPECT_GT(totals.bugs, totals.sessions / 4);
+  for (const BugKind kind : {BugKind::kSlaveCrash, BugKind::kDeadlock,
+                             BugKind::kNoTermination, BugKind::kStarvation}) {
+    EXPECT_TRUE(totals.kinds.count(kind)) << to_string(kind);
+  }
+}
+
+// --- direct kernel scenarios ---------------------------------------------------
+
+constexpr std::uint32_t kIdleId = 100;
+
+/// A kernel driven by hand, observed by both detectors.  The committer
+/// is never stepped, so only the crash, deadlock and starvation checks
+/// can fire.
+struct ObservedKernel {
+  explicit ObservedKernel(const DetectorConfig& config)
+      : committer(pattern::MergedPattern{}, alphabet, {}),
+        recorder(alphabet),
+        production(config, kernel, committer, recorder),
+        reference(config, kernel, committer, recorder),
+        witness(kernel) {
+    kernel.register_program(kIdleId, [](std::uint32_t) {
+      return std::make_unique<pcore::IdleProgram>();
+    });
+    soc.attach(kernel);
+    soc.attach(production);
+    soc.attach(reference);
+    soc.attach(witness);
+  }
+
+  pcore::TaskId create(pcore::Priority priority,
+                       std::uint32_t program = kIdleId) {
+    pcore::TaskId task = pcore::kInvalidTask;
+    EXPECT_EQ(kernel.task_create(program, 0, priority, task),
+              pcore::Status::kOk);
+    return task;
+  }
+
+  void expect_same_reports() {
+    ASSERT_EQ(production.report().has_value(),
+              reference.report().has_value());
+    if (!production.report()) return;
+    const BugReport& a = *production.report();
+    const BugReport& b = *reference.report();
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.detected_at, b.detected_at);
+    EXPECT_EQ(a.description, b.description);
+    EXPECT_EQ(a.culprits, b.culprits);
+    EXPECT_EQ(a.signature(), b.signature());
+  }
+
+  pfa::Alphabet alphabet;
+  sim::Soc soc;
+  pcore::PcoreKernel kernel;
+  master::Committer committer;
+  StateRecorder recorder;
+  BugDetector production;
+  ReferenceDetector reference;
+  EpochWitness witness;
+};
+
+TEST(DetectorReferenceTest, DeletingABlockedTaskKeepsTheEpochHonest) {
+  ObservedKernel observed(DetectorConfig{});
+  const pcore::MutexId m = observed.kernel.mutex_create();
+  observed.kernel.register_program(200, [m](std::uint32_t) {
+    return std::make_unique<pcore::LockHoldProgram>(m, 1000000);
+  });
+  const pcore::TaskId holder = observed.create(3, 200);
+  (void)observed.soc.run(3);
+  const pcore::TaskId waiter = observed.create(9, 200);
+  (void)observed.soc.run(10);
+  ASSERT_EQ(observed.kernel.tcb(waiter).state, pcore::TaskState::kBlocked);
+  ASSERT_EQ(observed.kernel.task_delete(waiter), pcore::Status::kOk);
+  (void)observed.soc.run(5);
+  ASSERT_EQ(observed.kernel.task_delete(holder), pcore::Status::kOk);
+  (void)observed.soc.run(5);
+  EXPECT_EQ(observed.witness.missed(), 0u);
+  EXPECT_FALSE(observed.production.bug_found());
+  observed.expect_same_reports();
+}
+
+TEST(DetectorReferenceTest, ResumedTaskStarvesOnFirstTickPastHorizon) {
+  // A task suspended for longer than the horizon comes back kReady with
+  // its pre-suspend last_progress; a higher-priority task keeps it off
+  // the CPU, so both detectors report it on the very next tick.
+  DetectorConfig config;
+  config.starvation_horizon = 20;
+  ObservedKernel observed(config);
+  const pcore::TaskId low = observed.create(3);
+  (void)observed.soc.run(2);  // low runs once, alone
+  ASSERT_EQ(observed.kernel.task_suspend(low), pcore::Status::kOk);
+  (void)observed.create(9);
+  (void)observed.soc.run(2 * config.starvation_horizon);
+  ASSERT_FALSE(observed.production.bug_found());
+  ASSERT_EQ(observed.kernel.task_resume(low), pcore::Status::kOk);
+  const sim::Tick resumed_at = observed.soc.now();
+  (void)observed.soc.run(3);
+  ASSERT_TRUE(observed.production.bug_found());
+  EXPECT_EQ(observed.production.report()->kind, BugKind::kStarvation);
+  EXPECT_EQ(observed.production.report()->detected_at, resumed_at);
+  observed.expect_same_reports();
+}
+
+}  // namespace
+}  // namespace ptest::core

@@ -11,12 +11,19 @@ TestPattern make(std::initializer_list<pfa::SymbolId> symbols) {
   return pattern;
 }
 
+/// Default options with `op` set.
+MergerOptions options_for(MergeOp op) {
+  MergerOptions options;
+  options.op = op;
+  return options;
+}
+
 std::vector<TestPattern> two_patterns() {
   return {make({0, 1, 2}), make({10, 11})};
 }
 
 TEST(MergerTest, SequentialConcatenates) {
-  PatternMerger merger({.op = MergeOp::kSequential}, support::Rng(1));
+  PatternMerger merger(options_for(MergeOp::kSequential), support::Rng(1));
   const MergedPattern merged = merger.merge(two_patterns());
   ASSERT_EQ(merged.size(), 5u);
   EXPECT_EQ(merged.elements[0], (MergedElement{0, 0}));
@@ -25,7 +32,7 @@ TEST(MergerTest, SequentialConcatenates) {
 }
 
 TEST(MergerTest, RoundRobinAlternates) {
-  PatternMerger merger({.op = MergeOp::kRoundRobin}, support::Rng(1));
+  PatternMerger merger(options_for(MergeOp::kRoundRobin), support::Rng(1));
   const MergedPattern merged = merger.merge(two_patterns());
   const std::vector<MergedElement> expected{
       {0, 0}, {1, 10}, {0, 1}, {1, 11}, {0, 2}};
@@ -37,7 +44,7 @@ TEST(MergerTest, AllOpsPreservePerSlotOrderAndMultiset) {
   for (const MergeOp op :
        {MergeOp::kSequential, MergeOp::kRoundRobin, MergeOp::kRandom,
         MergeOp::kCyclic, MergeOp::kShuffle}) {
-    PatternMerger merger({.op = op}, support::Rng(7));
+    PatternMerger merger(options_for(op), support::Rng(7));
     const MergedPattern merged = merger.merge(patterns);
     ASSERT_EQ(merged.size(), 5u) << to_string(op);
     EXPECT_EQ(merged.project(0), patterns[0].symbols) << to_string(op);
@@ -106,14 +113,14 @@ TEST(MergerTest, CyclicMaxChunkZeroStillBreaksAtBreakSymbols) {
 }
 
 TEST(MergerTest, ShuffleIsDeterministicPerSeed) {
-  PatternMerger a({.op = MergeOp::kShuffle}, support::Rng(42));
-  PatternMerger b({.op = MergeOp::kShuffle}, support::Rng(42));
+  PatternMerger a(options_for(MergeOp::kShuffle), support::Rng(42));
+  PatternMerger b(options_for(MergeOp::kShuffle), support::Rng(42));
   EXPECT_EQ(a.merge(two_patterns()).elements,
             b.merge(two_patterns()).elements);
 }
 
 TEST(MergerTest, EmptyInputsYieldEmptyMerge) {
-  PatternMerger merger({.op = MergeOp::kRoundRobin}, support::Rng(1));
+  PatternMerger merger(options_for(MergeOp::kRoundRobin), support::Rng(1));
   EXPECT_TRUE(merger.merge({}).empty());
   EXPECT_TRUE(merger.merge({make({}), make({})}).empty());
 }
@@ -163,7 +170,7 @@ TEST_P(MergerSweep, RandomAndShufflePreserveOrders) {
     patterns.push_back(std::move(pattern));
   }
   for (const MergeOp op : {MergeOp::kRandom, MergeOp::kShuffle}) {
-    PatternMerger merger({.op = op}, rng.fork());
+    PatternMerger merger(options_for(op), rng.fork());
     const MergedPattern merged = merger.merge(patterns);
     std::size_t total = 0;
     for (SlotIndex slot = 0; slot < patterns.size(); ++slot) {

@@ -183,6 +183,118 @@ TEST_F(KernelFixture, DeletingMutexHolderHandsLockToWaiter) {
   EXPECT_EQ(kernel_->tcb(waiter).state, TaskState::kReady);
 }
 
+// --- wait-graph epoch ---------------------------------------------------------
+//
+// Each test isolates one bump site: a lock (acquire or contention), a
+// release with hand-off, and task_delete of a blocked task / of an owner.
+
+class WaitGraphEpochTest : public KernelFixture {
+ protected:
+  static constexpr std::uint32_t kHoldId = 200;
+
+  void SetUp() override {
+    KernelFixture::SetUp();
+    mutex_ = kernel_->mutex_create();
+    kernel_->register_program(kHoldId, [m = mutex_](std::uint32_t hold) {
+      return std::make_unique<LockHoldProgram>(m, hold);
+    });
+  }
+
+  /// Steps until `done()` holds; returns false if it never does.
+  template <typename Pred>
+  bool step_until(Pred done, int limit = 100) {
+    for (int i = 0; i < limit && !done(); ++i) (void)soc_.step();
+    return done();
+  }
+
+  [[nodiscard]] bool owned() const {
+    return kernel_->mutex(mutex_).owner.has_value();
+  }
+
+  MutexId mutex_ = 0;
+};
+
+TEST_F(WaitGraphEpochTest, AdvancesOnAcquireAndOnContendedLock) {
+  const TaskId holder = create(3, kHoldId, /*hold=*/1000000);
+  std::uint64_t epoch = kernel_->wait_graph_epoch();
+  ASSERT_TRUE(step_until([&] { return owned(); }));
+  EXPECT_GT(kernel_->wait_graph_epoch(), epoch);
+
+  epoch = kernel_->wait_graph_epoch();
+  const TaskId waiter = create(9, kHoldId, /*hold=*/1);
+  ASSERT_TRUE(step_until(
+      [&] { return kernel_->tcb(waiter).state == TaskState::kBlocked; }));
+  EXPECT_GT(kernel_->wait_graph_epoch(), epoch);
+  EXPECT_EQ(kernel_->mutex(mutex_).owner, holder);
+}
+
+TEST_F(WaitGraphEpochTest, AdvancesOnUnlockHandOff) {
+  const TaskId holder = create(3, kHoldId, /*hold=*/20);
+  ASSERT_TRUE(step_until([&] { return owned(); }));
+  const TaskId waiter = create(9, kHoldId, /*hold=*/1000000);
+  ASSERT_TRUE(step_until(
+      [&] { return kernel_->tcb(waiter).state == TaskState::kBlocked; }));
+  const std::uint64_t epoch = kernel_->wait_graph_epoch();
+  ASSERT_TRUE(step_until(
+      [&] { return kernel_->mutex(mutex_).owner == waiter; }));
+  EXPECT_GT(kernel_->wait_graph_epoch(), epoch);
+  EXPECT_NE(kernel_->tcb(waiter).state, TaskState::kBlocked);
+  (void)holder;
+}
+
+TEST_F(WaitGraphEpochTest, AdvancesOnDeletingABlockedTask) {
+  (void)create(3, kHoldId, /*hold=*/1000000);
+  ASSERT_TRUE(step_until([&] { return owned(); }));
+  const TaskId waiter = create(9, kHoldId, /*hold=*/1);
+  ASSERT_TRUE(step_until(
+      [&] { return kernel_->tcb(waiter).state == TaskState::kBlocked; }));
+  const std::uint64_t epoch = kernel_->wait_graph_epoch();
+  ASSERT_EQ(kernel_->task_delete(waiter), Status::kOk);
+  EXPECT_GT(kernel_->wait_graph_epoch(), epoch);
+}
+
+TEST_F(WaitGraphEpochTest, AdvancesOnDeletingAMutexOwner) {
+  const TaskId holder = create(3, kHoldId, /*hold=*/1000000);
+  ASSERT_TRUE(step_until([&] { return owned(); }));
+  const std::uint64_t epoch = kernel_->wait_graph_epoch();
+  ASSERT_EQ(kernel_->task_delete(holder), Status::kOk);
+  EXPECT_GT(kernel_->wait_graph_epoch(), epoch);
+  EXPECT_FALSE(kernel_->mutex(mutex_).owner.has_value());
+}
+
+TEST_F(KernelFixture, WaitGraphEpochStaysPutAcrossComputeAndYield) {
+  kernel_->register_program(203, [](std::uint32_t) {
+    return std::make_unique<ScriptProgram>(
+        std::vector<StepResult>{StepResult::compute(), StepResult::yield()},
+        /*loop=*/true);
+  });
+  (void)create(5);
+  (void)create(5, 203);
+  (void)create(4, kComputeId, /*units=*/1000);
+  const std::uint64_t epoch = kernel_->wait_graph_epoch();
+  (void)soc_.run(200);
+  EXPECT_EQ(kernel_->wait_graph_epoch(), epoch);
+}
+
+TEST_F(KernelFixture, ResumeKeepsThePreSuspendLastProgress) {
+  // task_resume returns a task to kReady without touching last_progress,
+  // so a starvation check counts the suspended stretch as waiting and
+  // fires on the first tick past its horizon.  A deadline-based check
+  // must keep this behaviour.
+  const TaskId low = create(3);
+  (void)soc_.run(2);
+  const sim::Tick progressed_at = kernel_->tcb(low).last_progress;
+  ASSERT_EQ(kernel_->task_suspend(low), Status::kOk);
+  (void)create(9);
+  (void)soc_.run(50);
+  ASSERT_EQ(kernel_->task_resume(low), Status::kOk);
+  EXPECT_EQ(kernel_->tcb(low).state, TaskState::kReady);
+  EXPECT_EQ(kernel_->tcb(low).last_progress, progressed_at);
+  (void)soc_.step();  // the high-priority task keeps the CPU
+  EXPECT_EQ(kernel_->tcb(low).state, TaskState::kReady);
+  EXPECT_EQ(kernel_->tcb(low).last_progress, progressed_at);
+}
+
 TEST_F(KernelFixture, PanickedKernelRejectsServices) {
   kernel_->force_panic("test");
   TaskId task = kInvalidTask;
