@@ -1,7 +1,8 @@
 #include "ptest/core/bug_detector.hpp"
 
 #include <algorithm>
-#include <sstream>
+
+#include "ptest/support/strings.hpp"
 
 namespace ptest::core {
 
@@ -71,10 +72,12 @@ bool BugDetector::tick(sim::Soc& soc) {
       scanned_epoch_ != epoch) {
     scanned_epoch_ = epoch;
     if (auto cycle = find_deadlock_cycle(*kernel_); !cycle.empty()) {
-      std::ostringstream desc;
-      desc << "wait-for cycle:";
-      for (const auto t : cycle) desc << " task" << static_cast<int>(t);
-      file_report(soc, BugKind::kDeadlock, desc.str(), std::move(cycle));
+      std::string desc = "wait-for cycle:";
+      for (const auto t : cycle) {
+        desc += " task";
+        support::append_decimal(desc, t);
+      }
+      file_report(soc, BugKind::kDeadlock, std::move(desc), std::move(cycle));
       return false;
     }
   }

@@ -51,6 +51,10 @@ class BugDetector : public sim::Device {
   [[nodiscard]] const std::optional<BugReport>& report() const noexcept {
     return report_;
   }
+  /// Moves the filed report out; throws std::bad_optional_access when
+  /// none was filed.  bug_found() stays true (so nothing further is
+  /// filed) and report() is left holding a moved-from report.
+  [[nodiscard]] BugReport take_report() { return std::move(report_.value()); }
 
   /// True once the committer finished and every task exited cleanly.
   [[nodiscard]] bool passed() const noexcept { return passed_; }

@@ -103,7 +103,7 @@ Campaign::RunOutcome Campaign::execute_run(
   result.hit =
       outcome.session.outcome == Outcome::kBug && outcome.session.report &&
       (!options_.target || outcome.session.report->kind == *options_.target);
-  if (result.hit) result.report = outcome.session.report;
+  if (result.hit) result.report = std::move(outcome.session.report);
   return result;
 }
 
@@ -247,7 +247,7 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
     // every counter land identically for any jobs value.
     for (std::size_t i = 0; i < round_size; ++i) {
       ++result.total_runs;
-      const RunOutcome& outcome = round_outcomes[i];
+      RunOutcome& outcome = round_outcomes[i];
       metrics.add_sessions();
       metrics.add_patterns_generated(outcome.patterns);
       metrics.add_ticks(outcome.ticks);
@@ -267,8 +267,10 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
       if (!outcome.hit) continue;
       ++result.arm_stats[round_arms[i]].detections;
       ++result.total_detections;
-      result.distinct_failures.emplace(outcome.report->signature(),
-                                       *outcome.report);
+      // try_emplace only builds the entry when the signature is new, so
+      // the first report per signature wins without copying the rest.
+      result.distinct_failures.try_emplace(outcome.report->signature(),
+                                           std::move(*outcome.report));
     }
   }
 

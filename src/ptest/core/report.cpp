@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "ptest/support/strings.hpp"
+
 namespace ptest::core {
 
 const char* to_string(BugKind kind) noexcept {
@@ -52,13 +54,18 @@ std::string BugReport::render(const pfa::Alphabet& alphabet) const {
 }
 
 std::string BugReport::signature() const {
-  std::ostringstream out;
-  out << to_string(kind);
+  std::string out = to_string(kind);
   std::vector<pcore::TaskId> sorted = culprits;
   std::sort(sorted.begin(), sorted.end());
-  for (const auto t : sorted) out << ':' << static_cast<int>(t);
-  if (kind == BugKind::kSlaveCrash) out << '|' << kernel.panic_reason;
-  return out.str();
+  for (const auto t : sorted) {
+    out += ':';
+    support::append_decimal(out, t);
+  }
+  if (kind == BugKind::kSlaveCrash) {
+    out += '|';
+    out += kernel.panic_reason;
+  }
+  return out;
 }
 
 std::string render(const support::MetricsSnapshot& metrics) {

@@ -16,7 +16,10 @@ TestSession::TestSession(const PtestConfig& config,
                          pattern::MergedPattern merged,
                          const std::vector<pattern::TestPattern>& patterns,
                          const WorkloadSetup& setup)
-    : config_(config), alphabet_(&alphabet), merged_(std::move(merged)) {
+    : seed_(config.seed),
+      max_ticks_(config.max_ticks),
+      alphabet_(&alphabet),
+      merged_(std::move(merged)) {
   soc_ = std::make_unique<sim::Soc>();
   kernel_ = std::make_unique<pcore::PcoreKernel>(config.kernel);
   if (setup) setup(*kernel_);
@@ -67,13 +70,13 @@ TestSession::TestSession(const PtestConfig& config,
 
 SessionResult TestSession::run() {
   SessionResult result;
-  result.stats.ticks = soc_->run(config_.max_ticks);
+  result.stats.ticks = soc_->run(max_ticks_);
 
   if (detector_->bug_found()) {
     result.outcome = Outcome::kBug;
-    result.report = *detector_->report();
-    result.report->seed = config_.seed;
-    result.report->merged = merged_;
+    result.report = detector_->take_report();
+    result.report->seed = seed_;
+    result.report->merged = std::move(merged_);
   } else if (detector_->passed()) {
     result.outcome = Outcome::kPassed;
   } else {

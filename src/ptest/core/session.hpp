@@ -61,7 +61,8 @@ class TestSession {
               const std::vector<pattern::TestPattern>& patterns,
               const WorkloadSetup& setup);
 
-  /// Runs to completion/bug/limit.
+  /// Runs to completion/bug/limit.  Call once: a filed report takes the
+  /// detector's report and the merged pattern by move.
   SessionResult run();
 
   [[nodiscard]] sim::Soc& soc() noexcept { return *soc_; }
@@ -74,7 +75,9 @@ class TestSession {
   }
 
  private:
-  PtestConfig config_;
+  // The only config fields read after construction.
+  std::uint64_t seed_;
+  sim::Tick max_ticks_;
   const pfa::Alphabet* alphabet_;
   pattern::MergedPattern merged_;
   std::unique_ptr<sim::Soc> soc_;

@@ -1,6 +1,6 @@
 #include "ptest/core/state_record.hpp"
 
-#include <sstream>
+#include "ptest/support/strings.hpp"
 
 namespace ptest::core {
 
@@ -32,24 +32,35 @@ std::vector<pfa::SymbolId> CpRecord::delta() const {
 }
 
 std::string CpRecord::render(const pfa::Alphabet& alphabet) const {
-  std::ostringstream out;
-  out << '(' << to_string(qm) << ", " << to_string(qs) << ", ";
-  for (std::size_t i = 0; i < tp.size(); ++i) {
-    if (i != 0) out << "->";
-    out << alphabet.name(tp[i]);
-  }
-  out << ", " << sn << ", ";
-  const auto rest = delta();
-  if (rest.empty()) {
-    out << "-";
-  } else {
-    for (std::size_t i = 0; i < rest.size(); ++i) {
-      if (i != 0) out << "->";
-      out << alphabet.name(rest[i]);
+  std::string out;
+  append_to(out, alphabet);
+  return out;
+}
+
+void CpRecord::append_to(std::string& out,
+                         const pfa::Alphabet& alphabet) const {
+  const auto append_symbols = [&](std::size_t from) {
+    for (std::size_t i = from; i < tp.size(); ++i) {
+      if (i != from) out += "->";
+      out += alphabet.name(tp[i]);
     }
+  };
+  out += '(';
+  out += to_string(qm);
+  out += ", ";
+  out += to_string(qs);
+  out += ", ";
+  append_symbols(0);
+  out += ", ";
+  support::append_decimal(out, sn);
+  out += ", ";
+  // δS = tp[sn..], "-" when empty.
+  if (sn >= tp.size()) {
+    out += '-';
+  } else {
+    append_symbols(sn);
   }
-  out << ')';
-  return out.str();
+  out += ')';
 }
 
 void StateRecorder::assign(pattern::SlotIndex slot,
@@ -98,11 +109,15 @@ void StateRecorder::on_pattern_complete(sim::Tick) {
 }
 
 std::string StateRecorder::render() const {
-  std::ostringstream out;
+  std::string out;
   for (const auto& [slot, cp] : records_) {
-    out << "CP" << slot << "= " << cp.render(*alphabet_) << '\n';
+    out += "CP";
+    support::append_decimal(out, slot);
+    out += "= ";
+    cp.append_to(out, *alphabet_);
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 }  // namespace ptest::core

@@ -55,6 +55,8 @@ struct CpRecord {
 
   /// Fig. 4 rendering: "(m, s, p1->p2->p3, SN, pk->...)".
   [[nodiscard]] std::string render(const pfa::Alphabet& alphabet) const;
+  /// Appends render()'s text to `out`.
+  void append_to(std::string& out, const pfa::Alphabet& alphabet) const;
 };
 
 class StateRecorder final : public master::CommitterObserver {

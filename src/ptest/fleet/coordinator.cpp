@@ -55,10 +55,10 @@ core::CampaignResult merge_shards(const std::vector<ResultFrame>& shards) {
     merged.arm_stats[0].detections += shard.arm_stats[0].detections;
     merged.total_runs += shard.total_runs;
     merged.total_detections += shard.total_detections;
-    // Earlier shards hold earlier run indices, so emplace (first wins)
+    // Earlier shards hold earlier run indices, so try_emplace (first wins)
     // keeps exactly the report the serial run would have kept.
     for (const auto& [signature, report] : shard.distinct_failures) {
-      merged.distinct_failures.emplace(signature, report);
+      merged.distinct_failures.try_emplace(signature, report);
     }
     if (!shard.arm_coverage_state.empty()) {
       any_coverage = true;

@@ -260,7 +260,7 @@ GuidedResult GuidedCampaign::run() {
       ++result.campaign.arm_stats[0].detections;
       ++result.campaign.total_detections;
       ++epoch_stats.detections;
-      result.campaign.distinct_failures.emplace(report.signature(), report);
+      result.campaign.distinct_failures.try_emplace(report.signature(), report);
       if (!result.sessions_to_first_bug) {
         result.sessions_to_first_bug = result.campaign.total_runs;
       }

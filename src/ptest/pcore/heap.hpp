@@ -82,6 +82,10 @@ class KernelHeap {
   [[nodiscard]] std::uint64_t gc_runs() const noexcept {
     return stats_.gc_runs;
   }
+  /// stats().graveyard_blocks without the walk.
+  [[nodiscard]] std::size_t graveyard_blocks() const noexcept {
+    return graveyard_.size();
+  }
 
   /// Verifies all block headers; returns false (and sets panic) on
   /// corruption.  Runs in O(blocks).

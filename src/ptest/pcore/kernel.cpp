@@ -272,7 +272,7 @@ void PcoreKernel::release_mutex(MutexId id) {
 
 void PcoreKernel::maybe_collect(sim::Soc& soc) {
   const bool graveyard_full =
-      heap_.stats().graveyard_blocks >= config_.gc_graveyard_threshold;
+      heap_.graveyard_blocks() >= config_.gc_graveyard_threshold;
   const bool periodic = config_.gc_period != 0 &&
                         tick_ - last_gc_ >= config_.gc_period;
   if (!graveyard_full && !periodic) return;

@@ -1,6 +1,8 @@
 #include "ptest/sim/trace.hpp"
 
-#include <sstream>
+#include <algorithm>
+
+#include "ptest/support/strings.hpp"
 
 namespace ptest::sim {
 
@@ -34,12 +36,18 @@ void TraceLog::clear() {
 }
 
 std::string TraceLog::render(std::size_t count) const {
-  std::ostringstream out;
-  for (const TraceEvent& e : tail(count)) {
-    out << e.tick << " [" << to_string(e.category) << "] " << e.message
-        << '\n';
+  const std::size_t take = std::min(count, events_.size());
+  std::string out;
+  for (auto e = events_.end() - static_cast<std::ptrdiff_t>(take);
+       e != events_.end(); ++e) {
+    support::append_decimal(out, e->tick);
+    out += " [";
+    out += to_string(e->category);
+    out += "] ";
+    out += e->message;
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 }  // namespace ptest::sim

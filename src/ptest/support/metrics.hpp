@@ -63,7 +63,7 @@ struct MetricsSnapshot {
 
   // Timing counters (host-dependent, vary run to run).
   std::uint64_t wall_ns = 0;             ///< wall time of the measured region
-  std::uint64_t worker_idle_ns = 0;      ///< summed time workers parked idle
+  std::uint64_t worker_idle_ns = 0;      ///< summed time workers waited idle
   std::uint64_t worker_threads = 0;      ///< effective parallelism (incl. caller)
 
   // Fleet counters, filled by fleet::Coordinator when a campaign ran as

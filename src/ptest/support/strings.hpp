@@ -2,11 +2,21 @@
 // formatter.  Kept dependency-free.
 #pragma once
 
+#include <charconv>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace ptest::support {
+
+/// Appends `value` in decimal, as `std::ostream << value` prints it,
+/// without a temporary string.
+inline void append_decimal(std::string& out, std::uint64_t value) {
+  char digits[20];  // 2^64 - 1 has 20 digits
+  const auto end = std::to_chars(digits, digits + sizeof digits, value).ptr;
+  out.append(digits, end);
+}
 
 /// Splits `text` on `sep`, dropping empty fields when `keep_empty` is false.
 [[nodiscard]] std::vector<std::string> split(std::string_view text, char sep,

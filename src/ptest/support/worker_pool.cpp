@@ -8,6 +8,27 @@
 
 namespace ptest::support {
 
+namespace {
+
+std::int64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now() - since)
+      .count();
+}
+
+/// Spins until ready() holds or `limit_ns` passed; returns ready().
+template <typename Ready>
+bool spin_until(const Ready& ready, std::int64_t limit_ns) {
+  const auto start = std::chrono::steady_clock::now();
+  while (!ready()) {
+    if (elapsed_ns(start) >= limit_ns) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+}  // namespace
+
 std::size_t resolve_jobs(std::size_t jobs) {
   if (jobs != 0) return jobs;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -35,6 +56,7 @@ void WorkerPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(task));
+    queued_.store(queue_.size(), std::memory_order_release);
   }
   work_cv_.notify_one();
 }
@@ -47,24 +69,27 @@ void WorkerPool::wait_idle() {
 void WorkerPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
+    // Idle accounting: the spin and the park below are the worker's idle
+    // time.  The park is timed from when the lock is held, so mutex
+    // contention with a non-empty queue doesn't count as idle; waits
+    // that end in shutdown are discarded — the pool is being torn down,
+    // nobody is starved of that worker.
+    const auto spin_start = std::chrono::steady_clock::now();
+    spin_until(
+        [this] { return queued_.load(std::memory_order_acquire) != 0; },
+        kSpinNanos);
+    const std::int64_t spun = elapsed_ns(spin_start);
     {
-      // Idle accounting: the span parked in the wait below is the
-      // worker's idle time.  The clock starts after the lock is held so
-      // mutex contention with a non-empty queue doesn't count as idle;
-      // waits that end in shutdown are discarded — the pool is being
-      // torn down, nobody is starved of that worker.
       std::unique_lock<std::mutex> lock(mutex_);
       const auto wait_start = std::chrono::steady_clock::now();
       work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ set and nothing left to drain
       idle_ns_.fetch_add(
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - wait_start)
-                  .count()),
+          static_cast<std::uint64_t>(spun + elapsed_ns(wait_start)),
           std::memory_order_relaxed);
       task = std::move(queue_.front());
       queue_.pop_front();
+      queued_.store(queue_.size(), std::memory_order_relaxed);
       ++active_;
     }
     tasks_executed_.fetch_add(1, std::memory_order_relaxed);
@@ -133,13 +158,13 @@ void WorkerPool::parallel_for(
     submit([drain, participant = i + 1] { drain(participant); });
   }
 
-  // The caller participates too (as participant 0), then blocks until
-  // stragglers finish.
+  // The caller participates too (as participant 0), then waits for
+  // stragglers: a short spin, then parked.
   drain(0);
-  {
+  const auto all_done = [&] { return shared->done.load() == total; };
+  if (!spin_until(all_done, kSpinNanos)) {
     std::unique_lock<std::mutex> lock(shared->done_mutex);
-    shared->done_cv.wait(lock,
-                         [&] { return shared->done.load() == total; });
+    shared->done_cv.wait(lock, all_done);
   }
   if (shared->error) std::rethrow_exception(shared->error);
 }

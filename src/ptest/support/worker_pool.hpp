@@ -8,6 +8,13 @@
 // pre-chunking) so uneven session durations — a deadlock hit ends a
 // session early, a tick-limit run is the slow tail — still balance.
 //
+// Waits spin (yielding) before they park.  A campaign round of short
+// sessions lasts tens of microseconds, about as long as waking a parked
+// thread takes on a loaded host, so a pool that parked at every round
+// boundary would spend much of its time, and most of its run-to-run
+// spread, in wake-ups.  The spin is bounded (kSpinNanos), so a long
+// wait still parks and burns no CPU.
+//
 // Determinism contract: parallel_for(count, fn) invokes fn exactly once
 // for every index in [0, count), in unspecified order and thread
 // placement.  Callers that need reproducible results must make fn(i)
@@ -75,11 +82,11 @@ class WorkerPool {
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// Cumulative nanoseconds workers spent parked waiting for work (the
-  /// support::Metrics `worker_idle_ns` counter).  Monotone over the
-  /// pool's lifetime; sample it before/after a region to attribute idle
-  /// time to that region.  Time spent blocked in the final shutdown
-  /// wait (destructor) is not counted.
+  /// Cumulative nanoseconds workers spent spinning or parked waiting
+  /// for work (the support::Metrics `worker_idle_ns` counter).  Monotone
+  /// over the pool's lifetime; sample it before/after a region to
+  /// attribute idle time to that region.  Time spent blocked in the
+  /// final shutdown wait (destructor) is not counted.
   [[nodiscard]] std::uint64_t idle_nanos() const noexcept {
     return idle_ns_.load(std::memory_order_relaxed);
   }
@@ -91,10 +98,15 @@ class WorkerPool {
   }
 
  private:
+  /// How long a wait spins before it parks.
+  static constexpr std::int64_t kSpinNanos = 50'000;
+
   void worker_loop();
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
+  // queue_.size(), readable without the mutex by spinning workers.
+  std::atomic<std::size_t> queued_{0};
   std::mutex mutex_;
   std::condition_variable work_cv_;   // workers wait for tasks
   std::condition_variable idle_cv_;   // wait_idle waits for quiescence

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "ptest/support/worker_pool.hpp"
@@ -304,6 +306,34 @@ TEST(WorkerPoolTest, SubmitAndWaitIdleDrainTheQueue) {
   for (int i = 0; i < 16; ++i) pool.submit([&] { ++done; });
   pool.wait_idle();
   EXPECT_EQ(done.load(), 16);
+}
+
+TEST(WorkerPoolTest, WaitsThatOutlastTheSpinParkAndWake) {
+  // Waits spin for a bounded time, then park.  Work that arrives long
+  // after the spin still reaches the parked worker, and the idle counter
+  // covers the whole wait, spin and park.
+  support::WorkerPool pool(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::atomic<int> done{0};
+  pool.submit([&] { ++done; });
+  pool.wait_idle();
+  EXPECT_EQ(done.load(), 1);
+  EXPECT_GE(pool.idle_nanos(), 5'000'000u);
+
+  // The caller finishes its index first and waits on the helper's slow
+  // one past the spin, so it parks and must be woken.
+  std::atomic<bool> helper_started{false};
+  std::atomic<int> calls{0};
+  pool.parallel_for(2, [&](std::size_t participant, std::size_t) {
+    ++calls;
+    if (participant == 0) {
+      while (!helper_started.load()) std::this_thread::yield();
+    } else {
+      helper_started = true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+  EXPECT_EQ(calls.load(), 2);
 }
 
 TEST(CampaignTest, CleanWorkloadYieldsNoDetections) {

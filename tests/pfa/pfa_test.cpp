@@ -232,8 +232,8 @@ TEST(PfaPcoreTest, RestartAtAcceptReachesRequestedSize) {
         ASSERT_TRUE(f.pfa.accepts(lifecycle))
             << f.alphabet.render(lifecycle);
         lifecycle.clear();
-      } else {
-        if (lifecycle.size() == 1) ASSERT_EQ(lifecycle.front(), TC);
+      } else if (lifecycle.size() == 1) {
+        ASSERT_EQ(lifecycle.front(), TC);
       }
     }
     ASSERT_TRUE(lifecycle.empty());  // completion closed the last lifecycle
