@@ -119,17 +119,7 @@ bool identical(const core::CampaignResult& a, const core::CampaignResult& b) {
       a.arm_stats[0].runs != b.arm_stats[0].runs ||
       a.arm_stats[0].detections != b.arm_stats[0].detections ||
       a.distinct_failures.size() != b.distinct_failures.size() ||
-      a.metrics.sessions != b.metrics.sessions ||
-      a.metrics.patterns_generated != b.metrics.patterns_generated ||
-      a.metrics.dedup_accepted != b.metrics.dedup_accepted ||
-      a.metrics.dedup_rejected != b.metrics.dedup_rejected ||
-      a.metrics.ticks != b.metrics.ticks ||
-      a.metrics.plan_compiles != b.metrics.plan_compiles ||
-      a.metrics.pfa_transitions_covered != b.metrics.pfa_transitions_covered ||
-      // Work-class histogram: per-session kernel ticks are deterministic,
-      // so the shard-merged distribution must equal the serial one
-      // bucket for bucket (the timing-class histograms are exempt).
-      !(a.metrics.ticks_hist == b.metrics.ticks_hist) ||
+      !support::work_difference(a.metrics, b.metrics).empty() ||
       a.arm_coverage_state != b.arm_coverage_state) {
     return false;
   }

@@ -23,8 +23,8 @@
 // run as a single-arm campaign on J worker threads (0 = one per hardware
 // thread) and print a campaign summary; the summary is bit-identical for
 // every J, so `--jobs 8` can be diffed against `--jobs 1` to check the
-// parallel runner.  --metrics appends the support::Metrics perf counters
-// (sessions/sec, plan cache, dedup, worker idle time) after the run; the
+// parallel runner.  --metrics appends the support::MetricsSnapshot perf
+// counters (sessions/sec, plan cache, dedup, worker idle time); the
 // timing lines vary run-to-run, so diff-based determinism checks should
 // omit the flag.  Exit code: 0 = all passed, 2 = bug detected.
 //
@@ -238,7 +238,7 @@ int run_guided_mode(const std::string& name, std::size_t epochs,
                 corpus_out.fingerprints().size());
   }
   if (show_metrics) {
-    std::printf("%s", core::render(guided_result.campaign.metrics).c_str());
+    std::printf("%s", guided_result.campaign.metrics.render().c_str());
   }
   if (!trace_path.empty()) {
     if (const int code = write_trace_file(trace_path, "ptest", {})) {
@@ -346,7 +346,7 @@ int run_scenario_mode(const std::string& name, bool benign,
   std::printf("oracle [%s]: %s\n", entry->oracle.description.c_str(),
               ok ? "satisfied" : "NOT satisfied");
   if (show_metrics) {
-    std::printf("%s", core::render(campaign.metrics).c_str());
+    std::printf("%s", campaign.metrics.render().c_str());
   }
   if (!trace_path.empty()) {
     if (const int code = write_trace_file(trace_path, "ptest", {})) {
@@ -448,7 +448,7 @@ int run_fleet_mode(const std::string& name, std::size_t shards,
   std::printf("oracle [%s]: %s\n", entry->oracle.description.c_str(),
               ok ? "satisfied" : "NOT satisfied");
   if (show_metrics) {
-    std::printf("%s", core::render(campaign.metrics).c_str());
+    std::printf("%s", campaign.metrics.render().c_str());
   }
   if (!trace_path.empty()) {
     if (const int code = write_trace_file(trace_path, "coordinator",
@@ -873,7 +873,7 @@ int main(int argc, char** argv) {
       std::printf("  %s\n", entry.first.c_str());
     }
     if (show_metrics) {
-      std::printf("%s", core::render(result.metrics).c_str());
+      std::printf("%s", result.metrics.render().c_str());
     }
     if (!trace_path.empty()) {
       if (const int code = write_trace_file(trace_path, "ptest", {})) {
@@ -886,9 +886,9 @@ int main(int argc, char** argv) {
   // Compile the fixed artifact (alphabet, regex, PFA, distributions)
   // once; each run only re-seeds sampling and the session.
   const auto wall_start = std::chrono::steady_clock::now();
-  support::Metrics metrics;
+  support::MetricsSnapshot metrics;
   const core::CompiledTestPlanPtr plan = core::compile(config);
-  metrics.add_plan_compiles();
+  ++metrics.plan_compiles;
   const std::uint64_t base_seed = config.seed;
   int exit_code = 0;
   // One loop-lived sampling scratch: run 2 onward samples through warm
@@ -897,11 +897,7 @@ int main(int argc, char** argv) {
   for (std::uint64_t run = 0; run < runs; ++run) {
     const std::uint64_t seed = base_seed + run;
     const auto result = core::execute(*plan, seed, setup, scratch);
-    metrics.add_sessions();
-    metrics.add_plan_cache_hits();
-    metrics.add_patterns_generated(result.patterns.size());
-    metrics.add_scratch_reuse_hits(result.scratch_reuse_hits);
-    metrics.add_sample_alloc_bytes_saved(result.sample_alloc_bytes_saved);
+    core::add_session(metrics, core::tally(result), config.dedup_patterns);
     std::printf("run %llu seed=%llu: %s (%zu commands, %llu ticks)\n",
                 static_cast<unsigned long long>(run + 1),
                 static_cast<unsigned long long>(seed),
@@ -916,12 +912,12 @@ int main(int argc, char** argv) {
     }
   }
   if (show_metrics) {
-    metrics.set_worker_threads(1);
-    metrics.add_wall_ns(static_cast<std::uint64_t>(
+    metrics.worker_threads = 1;
+    metrics.wall_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - wall_start)
-            .count()));
-    std::printf("%s", core::render(metrics.snapshot()).c_str());
+            .count());
+    std::printf("%s", metrics.render().c_str());
   }
   if (!trace_path.empty()) {
     if (const int code = write_trace_file(trace_path, "ptest", {})) {

@@ -20,6 +20,50 @@ constexpr std::size_t kDefaultSyncInterval = 8;
 
 }  // namespace
 
+void CampaignResult::derive_coverage_metrics() {
+  metrics.pfa_states = 0;
+  metrics.pfa_states_covered = 0;
+  metrics.pfa_transitions = 0;
+  metrics.pfa_transitions_covered = 0;
+  metrics.pfa_ngrams = 0;
+  for (const pattern::CoverageReport& report : arm_coverage) {
+    metrics.pfa_states += report.states_total;
+    metrics.pfa_states_covered += report.states_covered;
+    metrics.pfa_transitions += report.transitions_total;
+    metrics.pfa_transitions_covered += report.transitions_covered;
+    metrics.pfa_ngrams += report.ngrams_observed;
+  }
+}
+
+SessionTally tally(const AdaptiveTestResult& outcome) {
+  SessionTally session;
+  session.patterns = outcome.patterns.size();
+  session.duplicates_rejected = outcome.duplicates_rejected;
+  session.ticks = outcome.session.stats.ticks;
+  session.scratch_reuse_hits = outcome.scratch_reuse_hits;
+  session.sample_alloc_bytes_saved = outcome.sample_alloc_bytes_saved;
+  return session;
+}
+
+void add_session(support::MetricsSnapshot& metrics,
+                 const SessionTally& session, bool dedup) {
+  ++metrics.sessions;
+  if (session.plan_cached) {
+    ++metrics.plan_cache_hits;
+  } else {
+    ++metrics.plan_compiles;  // compile-per-run path
+  }
+  metrics.patterns_generated += session.patterns;
+  if (dedup) {
+    metrics.dedup_accepted += session.patterns;
+    metrics.dedup_rejected += session.duplicates_rejected;
+  }
+  metrics.ticks += session.ticks;
+  metrics.ticks_hist.record(session.ticks);
+  metrics.scratch_reuse_hits += session.scratch_reuse_hits;
+  metrics.sample_alloc_bytes_saved += session.sample_alloc_bytes_saved;
+}
+
 Campaign::Campaign(PtestConfig base_config, std::vector<CampaignArm> arms,
                    WorkloadSetup setup, CampaignOptions options)
     : base_config_(std::move(base_config)),
@@ -69,10 +113,9 @@ Campaign::RunOutcome Campaign::execute_run(
   PTEST_OBS_SPAN("session");
   const auto session_start = std::chrono::steady_clock::now();
   AdaptiveTestResult outcome;
-  RunOutcome result;
-  if (arm_index < plans_.size() && plans_[arm_index]) {
+  const bool plan_cached = arm_index < plans_.size() && plans_[arm_index];
+  if (plan_cached) {
     outcome = execute(*plans_[arm_index], seed, setup_, scratch);
-    result.plan_cached = true;
   } else {
     // Legacy compile-per-run path (options_.precompile == false): kept
     // so bench_plan_cache can measure what the plan cache buys and the
@@ -83,16 +126,14 @@ Campaign::RunOutcome Campaign::execute_run(
     outcome = adaptive_test(config, alphabet, setup_);
   }
 
+  RunOutcome result;
   result.wall_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - session_start)
           .count());
-  result.patterns = outcome.patterns.size();
-  result.duplicates_rejected = outcome.duplicates_rejected;
-  result.ticks = outcome.session.stats.ticks;
-  result.scratch_reuse_hits = outcome.scratch_reuse_hits;
-  result.sample_alloc_bytes_saved = outcome.sample_alloc_bytes_saved;
-  if (tracker != nullptr && result.plan_cached) {
+  result.tally = tally(outcome);
+  result.tally.plan_cached = plan_cached;
+  if (tracker != nullptr && plan_cached) {
     // Coverage folds right here on the executing worker thread, into
     // that worker's private tracker — the merge phase never sees the
     // patterns, so nothing is retained or copied across the barrier.
@@ -140,7 +181,8 @@ CampaignResult Campaign::run_slice(const ShardSlice& slice) {
 
 CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
   const auto wall_start = std::chrono::steady_clock::now();
-  support::Metrics metrics;
+  CampaignResult result;
+  support::MetricsSnapshot& metrics = result.metrics;
 
   // Compile every arm's fixed artifact once, before any session runs:
   // the plans are immutable from here on, so the worker threads share
@@ -149,11 +191,10 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
   if (options_.precompile) {
     for (std::size_t i = 0; i < arms_.size(); ++i) {
       plans_[i] = compile(arm_config(i));
-      metrics.add_plan_compiles();
+      ++metrics.plan_compiles;
     }
   }
 
-  CampaignResult result;
   result.arm_stats.resize(arms_.size());
   support::Rng policy_rng(base_config_.seed ^ 0xada9717eULL);
 
@@ -200,14 +241,6 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
   // stay jobs-invariant even though the physical reuse is scheduled.
   std::vector<pfa::WalkScratch> scratches(participants);
 
-  // Per-session distributions, filled in the in-order merge phase below.
-  // ticks_hist is work class (insertion is commutative and the values
-  // are a pure function of seed/run index, so the buckets are identical
-  // for any jobs value or shard split); session_wall_hist times the
-  // host.
-  obs::Histogram ticks_hist;
-  obs::Histogram session_wall_hist;
-
   std::vector<std::size_t> round_arms;
   std::vector<RunOutcome> round_outcomes;
   for (std::size_t round_start = 0; round_start < budget;
@@ -248,22 +281,8 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
     for (std::size_t i = 0; i < round_size; ++i) {
       ++result.total_runs;
       RunOutcome& outcome = round_outcomes[i];
-      metrics.add_sessions();
-      metrics.add_patterns_generated(outcome.patterns);
-      metrics.add_ticks(outcome.ticks);
-      ticks_hist.record(outcome.ticks);
-      session_wall_hist.record(outcome.wall_ns);
-      metrics.add_scratch_reuse_hits(outcome.scratch_reuse_hits);
-      metrics.add_sample_alloc_bytes_saved(outcome.sample_alloc_bytes_saved);
-      if (outcome.plan_cached) {
-        metrics.add_plan_cache_hits();
-      } else {
-        metrics.add_plan_compiles();  // compile-per-run legacy path
-      }
-      if (base_config_.dedup_patterns) {
-        metrics.add_dedup_accepted(outcome.patterns);
-        metrics.add_dedup_rejected(outcome.duplicates_rejected);
-      }
+      add_session(metrics, outcome.tally, base_config_.dedup_patterns);
+      metrics.session_wall_hist.record(outcome.wall_ns);
       if (!outcome.hit) continue;
       ++result.arm_stats[round_arms[i]].detections;
       ++result.total_detections;
@@ -282,15 +301,12 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
     }
   }
 
-  metrics.set_worker_threads(pool ? pool->thread_count() + 1 : 1);
-  if (pool) metrics.add_worker_idle_ns(pool->idle_nanos());
-  metrics.add_wall_ns(static_cast<std::uint64_t>(
+  metrics.worker_threads = participants;
+  if (pool) metrics.worker_idle_ns = pool->idle_nanos();
+  metrics.wall_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - wall_start)
-          .count()));
-  result.metrics = metrics.snapshot();
-  result.metrics.ticks_hist = ticks_hist;
-  result.metrics.session_wall_hist = session_wall_hist;
+          .count());
   if (track_coverage) {
     // Fold the helpers' trackers into participant 0's — plain set
     // unions, so the fold order is irrelevant.
@@ -303,15 +319,10 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
     result.arm_coverage_state.reserve(arms_.size());
     for (std::size_t arm = 0; arm < arms_.size(); ++arm) {
       pattern::CoverageState state = trackers[0][arm].state();
-      const pattern::CoverageReport report = state.report();
-      result.arm_coverage.push_back(report);
+      result.arm_coverage.push_back(state.report());
       result.arm_coverage_state.push_back(std::move(state));
-      result.metrics.pfa_states += report.states_total;
-      result.metrics.pfa_states_covered += report.states_covered;
-      result.metrics.pfa_transitions += report.transitions_total;
-      result.metrics.pfa_transitions_covered += report.transitions_covered;
-      result.metrics.pfa_ngrams += report.ngrams_observed;
     }
+    result.derive_coverage_metrics();
   }
   return result;
 }

@@ -124,12 +124,33 @@ struct CampaignResult {
   /// rederives the reports/pfa_* counters from the merged sets, so they
   /// match a single-process run exactly instead of double-counting.
   std::vector<pattern::CoverageState> arm_coverage_state;
-  /// Hot-path perf counters for this run.  The work counters (sessions,
-  /// plan_cache_hits, plan_compiles, patterns_generated, dedup_*) are
-  /// deterministic given seed/config — identical for every jobs value;
-  /// the timing counters (wall_ns, worker_idle_ns) measure the host.
+  /// Perf counters for this run; support::kCounterFields gives each
+  /// row's class.  The work rows are deterministic given seed/config —
+  /// identical for every jobs value and shard split.
   support::MetricsSnapshot metrics;
+
+  /// Sets the pfa_* counters of `metrics` to the sum over arm_coverage.
+  void derive_coverage_metrics();
 };
+
+/// What one session adds to a campaign's counters: the pattern-free
+/// reduction of an AdaptiveTestResult that a merge phase folds in run
+/// order.
+struct SessionTally {
+  std::uint64_t patterns = 0;
+  std::uint64_t duplicates_rejected = 0;
+  std::uint64_t ticks = 0;  // kernel ticks the session simulated
+  std::uint64_t scratch_reuse_hits = 0;        // see pfa::WalkScratch
+  std::uint64_t sample_alloc_bytes_saved = 0;  // "
+  bool plan_cached = true;  // false on the compile-per-run path
+};
+
+[[nodiscard]] SessionTally tally(const AdaptiveTestResult& outcome);
+
+/// Folds one session into `metrics`.  `dedup` says whether the session
+/// ran pattern dedup (PtestConfig::dedup_patterns).
+void add_session(support::MetricsSnapshot& metrics,
+                 const SessionTally& session, bool dedup);
 
 class Campaign {
  public:
@@ -187,15 +208,10 @@ class Campaign {
   struct RunOutcome {
     bool hit = false;
     std::optional<BugReport> report;  // engaged only when hit
-    /// Counts folded into CampaignResult::metrics during the in-order
-    /// merge phase (keeping the totals deterministic for any jobs).
-    std::size_t patterns = 0;
-    std::size_t duplicates_rejected = 0;
-    std::uint64_t ticks = 0;   // kernel ticks the session simulated
-    std::uint64_t scratch_reuse_hits = 0;        // see pfa::WalkScratch
-    std::uint64_t sample_alloc_bytes_saved = 0;  // "
+    /// Folded into CampaignResult::metrics during the in-order merge
+    /// phase (keeping the totals deterministic for any jobs).
+    SessionTally tally;
     std::uint64_t wall_ns = 0;  // session wall time (timing class)
-    bool plan_cached = false;  // session ran off a precompiled plan
   };
 
   std::size_t pick_arm(support::Rng& rng,

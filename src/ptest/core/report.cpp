@@ -68,8 +68,4 @@ std::string BugReport::signature() const {
   return out;
 }
 
-std::string render(const support::MetricsSnapshot& metrics) {
-  return metrics.render();
-}
-
 }  // namespace ptest::core

@@ -64,41 +64,17 @@ core::CampaignResult merge_shards(const std::vector<ResultFrame>& shards) {
       any_coverage = true;
       coverage.merge(shard.arm_coverage_state[0]);
     }
-    support::MetricsSnapshot& m = merged.metrics;
-    const support::MetricsSnapshot& s = shard.metrics;
-    m.sessions += s.sessions;
-    m.plan_cache_hits += s.plan_cache_hits;
-    m.patterns_generated += s.patterns_generated;
-    m.dedup_accepted += s.dedup_accepted;
-    m.dedup_rejected += s.dedup_rejected;
-    m.ticks += s.ticks;
-    m.scratch_reuse_hits += s.scratch_reuse_hits;
-    m.sample_alloc_bytes_saved += s.sample_alloc_bytes_saved;
-    m.worker_idle_ns += s.worker_idle_ns;
-    m.worker_threads = std::max(m.worker_threads, s.worker_threads);
-    // Histograms fold bucket-wise; shard-index order is global run
-    // order, and the merge is commutative anyway, so the merged
-    // ticks_hist is bit-identical to the serial run's.
-    m.ticks_hist.merge(s.ticks_hist);
-    m.session_wall_hist.merge(s.session_wall_hist);
-    m.corpus_merge_hist.merge(s.corpus_merge_hist);
-    m.frame_rtt_hist.merge(s.frame_rtt_hist);
-    m.transport_send_hist.merge(s.transport_send_hist);
+    if (&frame == &shards.front()) {
+      merged.metrics = shard.metrics;
+    } else {
+      merged.metrics.merge(shard.metrics);
+    }
   }
-  // Every shard compiled the one shared plan; the serial run compiles
-  // it once.  Summing would break the counter identity, so the merged
-  // value is the (identical) per-shard value, not the sum.
-  merged.metrics.plan_compiles = shards.front().result.metrics.plan_compiles;
   if (any_coverage) {
-    const pattern::CoverageReport report = coverage.report();
-    merged.arm_coverage.push_back(report);
+    merged.arm_coverage.push_back(coverage.report());
     merged.arm_coverage_state.push_back(std::move(coverage));
-    merged.metrics.pfa_states = report.states_total;
-    merged.metrics.pfa_states_covered = report.states_covered;
-    merged.metrics.pfa_transitions = report.transitions_total;
-    merged.metrics.pfa_transitions_covered = report.transitions_covered;
-    merged.metrics.pfa_ngrams = report.ngrams_observed;
   }
+  merged.derive_coverage_metrics();
   return merged;
 }
 
@@ -338,7 +314,15 @@ support::Result<FleetResult, std::string> Coordinator::run_protocol(
   // fleet_corpus_merge_ms metric.
   std::vector<ResultFrame> ordered;
   ordered.reserve(slices.size());
-  for (auto& slot : shard_results) ordered.push_back(std::move(*slot));
+  for (auto& slot : shard_results) {
+    ordered.push_back(std::move(*slot));
+    // Each shard is a fleet of one; merge() sums, maxes and mins these
+    // into the whole fleet's counters.
+    support::MetricsSnapshot& shard = ordered.back().result.metrics;
+    shard.fleet_shards = 1;
+    shard.fleet_shard_wall_max_ns = ordered.back().wall_ns;
+    shard.fleet_shard_wall_min_ns = ordered.back().wall_ns;
+  }
 
   FleetResult fleet;
   fleet.result = merge_shards(ordered);
@@ -360,20 +344,8 @@ support::Result<FleetResult, std::string> Coordinator::run_protocol(
   const std::uint64_t merge_ns = elapsed_ns(merge_start);
 
   support::MetricsSnapshot& metrics = fleet.result.metrics;
-  metrics.fleet_shards = ordered.size();
   metrics.fleet_retries = retries_issued;
   metrics.fleet_corpus_merge_ns = merge_ns;
-  // Min tracked with a first-shard flag, not a 0 sentinel: a shard
-  // whose wall time rounds to 0ns is a genuine minimum, not "unset".
-  bool first_wall = true;
-  for (const ResultFrame& frame : ordered) {
-    metrics.fleet_shard_wall_max_ns =
-        std::max(metrics.fleet_shard_wall_max_ns, frame.wall_ns);
-    metrics.fleet_shard_wall_min_ns =
-        first_wall ? frame.wall_ns
-                   : std::min(metrics.fleet_shard_wall_min_ns, frame.wall_ns);
-    first_wall = false;
-  }
   metrics.frame_rtt_hist.merge(frame_rtt_hist);
   metrics.transport_send_hist.merge(transport_send_hist);
   metrics.corpus_merge_hist.merge(corpus_merge_hist);

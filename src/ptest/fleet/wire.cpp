@@ -35,19 +35,7 @@ std::optional<std::uint64_t> parse_hex64(std::string_view text) {
   return value;
 }
 
-/// Non-negative integral number; nullopt on anything else (frames are
-/// machine-written, so any deviation marks corruption).
-std::optional<std::uint64_t> as_count(const support::JsonValue* value) {
-  if (value == nullptr || !value->is_number()) return std::nullopt;
-  const double number = value->number;
-  if (!(number >= 0.0) || number >= 18446744073709551616.0) {
-    return std::nullopt;
-  }
-  if (number != static_cast<double>(static_cast<std::uint64_t>(number))) {
-    return std::nullopt;
-  }
-  return static_cast<std::uint64_t>(number);
-}
+using support::as_count;
 
 std::optional<std::string> as_string(const support::JsonValue* value) {
   if (value == nullptr || !value->is_string()) return std::nullopt;
@@ -65,57 +53,6 @@ void write_transition_array(
     out.end_array();
   }
   out.end_array();
-}
-
-// Histograms cross the wire as sparse [bucket_index, count] pairs — the
-// layout is fixed (obs::Histogram::kBuckets), so the pairs reconstruct
-// the exact bucket array and the merge algebra survives the round trip.
-void write_wire_histogram(support::JsonWriter& out,
-                          const obs::Histogram& hist) {
-  out.begin_array();
-  for (std::size_t i = 0; i < obs::Histogram::kBuckets; ++i) {
-    if (hist.bucket(i) == 0) continue;
-    out.begin_array();
-    out.value(static_cast<std::uint64_t>(i));
-    out.value(hist.bucket(i));
-    out.end_array();
-  }
-  out.end_array();
-}
-
-void write_metrics(support::JsonWriter& out,
-                   const support::MetricsSnapshot& metrics) {
-  out.begin_object();
-  out.key("sessions").value(metrics.sessions);
-  out.key("plan_cache_hits").value(metrics.plan_cache_hits);
-  out.key("plan_compiles").value(metrics.plan_compiles);
-  out.key("patterns_generated").value(metrics.patterns_generated);
-  out.key("dedup_accepted").value(metrics.dedup_accepted);
-  out.key("dedup_rejected").value(metrics.dedup_rejected);
-  out.key("ticks").value(metrics.ticks);
-  out.key("scratch_reuse_hits").value(metrics.scratch_reuse_hits);
-  out.key("sample_alloc_bytes_saved").value(metrics.sample_alloc_bytes_saved);
-  out.key("wall_ns").value(metrics.wall_ns);
-  out.key("worker_idle_ns").value(metrics.worker_idle_ns);
-  out.key("worker_threads").value(metrics.worker_threads);
-  out.key("fleet_shards").value(metrics.fleet_shards);
-  out.key("fleet_retries").value(metrics.fleet_retries);
-  out.key("fleet_corpus_merge_ns").value(metrics.fleet_corpus_merge_ns);
-  out.key("fleet_shard_wall_max_ns").value(metrics.fleet_shard_wall_max_ns);
-  out.key("fleet_shard_wall_min_ns").value(metrics.fleet_shard_wall_min_ns);
-  out.key("hist").begin_object();
-  out.key("ticks");
-  write_wire_histogram(out, metrics.ticks_hist);
-  out.key("session_wall_ns");
-  write_wire_histogram(out, metrics.session_wall_hist);
-  out.key("corpus_merge_ns");
-  write_wire_histogram(out, metrics.corpus_merge_hist);
-  out.key("frame_rtt_ns");
-  write_wire_histogram(out, metrics.frame_rtt_hist);
-  out.key("transport_send_ns");
-  write_wire_histogram(out, metrics.transport_send_hist);
-  out.end_object();
-  out.end_object();
 }
 
 void write_failure(support::JsonWriter& out, const core::BugReport& report) {
@@ -183,63 +120,6 @@ bool read_transition(const support::JsonValue& entry,
   out = {static_cast<std::uint32_t>(*state),
          static_cast<pfa::SymbolId>(*symbol)};
   return true;
-}
-
-bool read_histogram(const support::JsonValue* node, obs::Histogram& hist) {
-  if (node == nullptr || !node->is_array()) return false;
-  for (const support::JsonValue& entry : node->array) {
-    if (!entry.is_array() || entry.array.size() != 2) return false;
-    const auto index = as_count(&entry.array[0]);
-    const auto count = as_count(&entry.array[1]);
-    if (!index || *index >= obs::Histogram::kBuckets || !count) return false;
-    hist.add_bucket(static_cast<std::size_t>(*index), *count);
-  }
-  return true;
-}
-
-std::optional<std::string> read_metrics(const support::JsonValue* node,
-                                        support::MetricsSnapshot& metrics) {
-  if (node == nullptr || !node->is_object()) {
-    return std::string("wire: missing metrics object");
-  }
-  const auto read = [node](const char* name, std::uint64_t& field) {
-    const auto value = as_count(node->find(name));
-    if (!value) return false;
-    field = *value;
-    return true;
-  };
-  if (!read("sessions", metrics.sessions) ||
-      !read("plan_cache_hits", metrics.plan_cache_hits) ||
-      !read("plan_compiles", metrics.plan_compiles) ||
-      !read("patterns_generated", metrics.patterns_generated) ||
-      !read("dedup_accepted", metrics.dedup_accepted) ||
-      !read("dedup_rejected", metrics.dedup_rejected) ||
-      !read("ticks", metrics.ticks) ||
-      !read("scratch_reuse_hits", metrics.scratch_reuse_hits) ||
-      !read("sample_alloc_bytes_saved", metrics.sample_alloc_bytes_saved) ||
-      !read("wall_ns", metrics.wall_ns) ||
-      !read("worker_idle_ns", metrics.worker_idle_ns) ||
-      !read("worker_threads", metrics.worker_threads) ||
-      !read("fleet_shards", metrics.fleet_shards) ||
-      !read("fleet_retries", metrics.fleet_retries) ||
-      !read("fleet_corpus_merge_ns", metrics.fleet_corpus_merge_ns) ||
-      !read("fleet_shard_wall_max_ns", metrics.fleet_shard_wall_max_ns) ||
-      !read("fleet_shard_wall_min_ns", metrics.fleet_shard_wall_min_ns)) {
-    return std::string("wire: malformed metrics object");
-  }
-  const support::JsonValue* hist = node->find("hist");
-  if (hist == nullptr || !hist->is_object() ||
-      !read_histogram(hist->find("ticks"), metrics.ticks_hist) ||
-      !read_histogram(hist->find("session_wall_ns"),
-                      metrics.session_wall_hist) ||
-      !read_histogram(hist->find("corpus_merge_ns"),
-                      metrics.corpus_merge_hist) ||
-      !read_histogram(hist->find("frame_rtt_ns"), metrics.frame_rtt_hist) ||
-      !read_histogram(hist->find("transport_send_ns"),
-                      metrics.transport_send_hist)) {
-    return std::string("wire: malformed metrics histograms");
-  }
-  return std::nullopt;
 }
 
 std::optional<std::string> read_failure(const support::JsonValue& node,
@@ -379,19 +259,14 @@ std::optional<std::string> read_campaign_result(
     result.arm_coverage.push_back(state.report());
     result.arm_coverage_state.push_back(std::move(state));
   }
-  if (auto error = read_metrics(node->find("metrics"), result.metrics)) {
-    return error;
+  const support::JsonValue* metrics = node->find("metrics");
+  if (metrics == nullptr) return std::string("wire: missing metrics object");
+  if (auto error = result.metrics.read_json(*metrics)) {
+    return "wire: " + *error;
   }
-  // The pfa_* aggregates rederive from the shipped coverage states, the
-  // same way run_impl derives them — kept off the wire so they cannot
-  // drift from the sets.
-  for (const pattern::CoverageReport& report : result.arm_coverage) {
-    result.metrics.pfa_states += report.states_total;
-    result.metrics.pfa_states_covered += report.states_covered;
-    result.metrics.pfa_transitions += report.transitions_total;
-    result.metrics.pfa_transitions_covered += report.transitions_covered;
-    result.metrics.pfa_ngrams += report.ngrams_observed;
-  }
+  // The pfa_* counters stay off the wire: they rederive from the shipped
+  // coverage states, so they cannot drift from the sets.
+  result.derive_coverage_metrics();
   return std::nullopt;
 }
 
@@ -451,7 +326,7 @@ std::string encode(const ResultFrame& frame) {
     }
     out.end_array();
     out.key("metrics");
-    write_metrics(out, frame.result.metrics);
+    frame.result.metrics.write_json(out);
     out.end_object();
     out.key("corpus").value(frame.corpus_json);
   }

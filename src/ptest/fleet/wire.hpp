@@ -47,9 +47,11 @@ namespace ptest::fleet {
 /// v2 added the campaign-end frame and the reporting worker's node id
 /// on result frames.  v3 added the trace request flag on assigns, the
 /// shipped trace fragment on results, and the fleet counters +
-/// histogram distributions in the metrics block (read_metrics is
-/// strict, so the new fields force the bump).
-inline constexpr std::uint64_t kWireVersion = 3;
+/// histogram distributions in the metrics block.  v4 made the metrics
+/// block support::MetricsSnapshot::write_json — one key per counter row
+/// and histogram of the metrics table, so adding a counter changes the
+/// key set, and the strict decoder needs a version bump for it.
+inline constexpr std::uint64_t kWireVersion = 4;
 
 enum class FrameKind : std::uint8_t {
   kAssign,

@@ -91,7 +91,9 @@ GuidedCampaign::GuidedCampaign(core::PtestConfig config,
 
 GuidedResult GuidedCampaign::run() {
   const auto wall_start = std::chrono::steady_clock::now();
-  support::Metrics metrics;
+  GuidedResult result;
+  result.campaign.arm_stats.resize(1);
+  support::MetricsSnapshot& metrics = result.campaign.metrics;
 
   // The base plan; refined epochs recompile with a re-weighted spec but
   // share the regex/alphabet, so the automaton skeleton — and with it
@@ -100,7 +102,7 @@ GuidedResult GuidedCampaign::run() {
   // against ITS automaton while `plan` advances to refined recompiles.
   const core::CompiledTestPlanPtr base_plan = core::compile(config_);
   core::CompiledTestPlanPtr plan = base_plan;
-  metrics.add_plan_compiles();
+  ++metrics.plan_compiles;
 
   // Cumulative structural coverage, seeded from the corpus: transitions
   // covered by an earlier invocation start covered, so refinement (and
@@ -112,9 +114,6 @@ GuidedResult GuidedCampaign::run() {
 
   const PlanRefiner refiner(options_.refiner);
   pfa::TraceEstimator estimator(options_.estimator_smoothing);
-
-  GuidedResult result;
-  result.campaign.arm_stats.resize(1);
 
   const std::size_t jobs = support::resolve_jobs(options_.jobs);
   const std::size_t useful_jobs =
@@ -166,17 +165,13 @@ GuidedResult GuidedCampaign::run() {
         pfa::DistributionSpec refined =
             refiner.refine(*plan, covered_so_far, nullptr);
         plan = core::compile_with_spec(config_, std::move(refined));
-        metrics.add_plan_compiles();
+        ++metrics.plan_compiles;
       }
       for (const auto& transition : corpus_.epochs()[g].transitions) {
         covered_so_far.insert(transition);
       }
     }
   }
-
-  // Per-session tick distribution, recorded in the in-order merge loop
-  // (work class: the same buckets for any jobs value).
-  obs::Histogram ticks_hist;
 
   std::vector<scenario::TracedRun> batch(options_.sessions_per_epoch);
   bool stopped = false;
@@ -201,7 +196,7 @@ GuidedResult GuidedCampaign::run() {
         return refiner.refine(*plan, tracker.transitions_seen(), learned_ptr);
       }();
       plan = core::compile_with_spec(config_, std::move(refined));
-      metrics.add_plan_compiles();
+      ++metrics.plan_compiles;
       ++result.refinements;
     }
 
@@ -232,17 +227,7 @@ GuidedResult GuidedCampaign::run() {
       const core::AdaptiveTestResult& outcome = traced.result;
       ++result.campaign.total_runs;
       ++result.campaign.arm_stats[0].runs;
-      metrics.add_sessions();
-      metrics.add_plan_cache_hits();
-      metrics.add_patterns_generated(outcome.patterns.size());
-      metrics.add_ticks(outcome.session.stats.ticks);
-      ticks_hist.record(outcome.session.stats.ticks);
-      metrics.add_scratch_reuse_hits(outcome.scratch_reuse_hits);
-      metrics.add_sample_alloc_bytes_saved(outcome.sample_alloc_bytes_saved);
-      if (config_.dedup_patterns) {
-        metrics.add_dedup_accepted(outcome.patterns.size());
-        metrics.add_dedup_rejected(outcome.duplicates_rejected);
-      }
+      core::add_session(metrics, core::tally(outcome), config_.dedup_patterns);
       for (const pattern::TestPattern& sampled : outcome.patterns) {
         tracker.observe(sampled);
         estimator.observe(sampled.symbols);
@@ -307,22 +292,15 @@ GuidedResult GuidedCampaign::run() {
   result.campaign.best_arm = 0;
   result.campaign.arm_coverage.push_back(result.coverage);
 
-  metrics.set_worker_threads(pool ? pool->thread_count() + 1 : 1);
-  if (pool) metrics.add_worker_idle_ns(pool->idle_nanos());
-  metrics.add_wall_ns(static_cast<std::uint64_t>(
+  result.campaign.derive_coverage_metrics();
+  metrics.epochs = result.epochs.size();
+  metrics.plan_refinements = result.refinements;
+  metrics.worker_threads = participants;
+  if (pool) metrics.worker_idle_ns = pool->idle_nanos();
+  metrics.wall_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - wall_start)
-          .count()));
-  result.campaign.metrics = metrics.snapshot();
-  result.campaign.metrics.ticks_hist = ticks_hist;
-  result.campaign.metrics.epochs = result.epochs.size();
-  result.campaign.metrics.plan_refinements = result.refinements;
-  result.campaign.metrics.pfa_states = result.coverage.states_total;
-  result.campaign.metrics.pfa_states_covered = result.coverage.states_covered;
-  result.campaign.metrics.pfa_transitions = result.coverage.transitions_total;
-  result.campaign.metrics.pfa_transitions_covered =
-      result.coverage.transitions_covered;
-  result.campaign.metrics.pfa_ngrams = result.coverage.ngrams_observed;
+          .count());
   return result;
 }
 

@@ -37,22 +37,7 @@ std::optional<std::uint64_t> parse_hex64(std::string_view text) {
   return value;
 }
 
-/// Non-negative integral number (corpus counters are counts; a double
-/// that is not an exact integer marks a corrupt file).
-std::optional<std::uint64_t> as_count(const support::JsonValue* value) {
-  if (value == nullptr || !value->is_number()) return std::nullopt;
-  const double number = value->number;
-  // Range-check BEFORE the cast: float-to-integer conversion of a value
-  // outside [0, 2^64) — including NaN — is undefined behavior, and a
-  // hand-edited corpus can hold any number.  !(>= 0) also rejects NaN.
-  if (!(number >= 0.0) || number >= 18446744073709551616.0) {
-    return std::nullopt;
-  }
-  if (number != static_cast<double>(static_cast<std::uint64_t>(number))) {
-    return std::nullopt;
-  }
-  return static_cast<std::uint64_t>(number);
-}
+using support::as_count;
 
 /// One [state, symbol] pair; nullopt on any shape or range violation.
 std::optional<std::pair<std::uint32_t, pfa::SymbolId>> as_transition(

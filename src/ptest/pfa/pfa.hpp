@@ -72,7 +72,7 @@ struct WalkOptions;
 /// owns its own scratch exclusively.
 ///
 /// The scratch also keeps the jobs-invariant reuse accounting behind the
-/// support::Metrics `scratch_reuse_hits` / `sample_alloc_bytes_saved`
+/// support::MetricsSnapshot `scratch_reuse_hits` / `sample_alloc_bytes_saved`
 /// counters.  A call counts as a reuse hit when the emitted walk fits
 /// within the session high-water mark (the capacity a session-fresh
 /// scratch would already hold) — a pure function of the walk sequence,

@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -128,6 +129,11 @@ struct JsonValue {
   /// Checked member lookup; throws std::out_of_range when absent.
   [[nodiscard]] const JsonValue& at(std::string_view key) const;
 };
+
+/// `value` as a non-negative integral number below 2^64; nullopt for a
+/// null pointer or anything else.  Machine-written documents (fleet
+/// frames, metrics) use it so any deviation reads as corruption.
+[[nodiscard]] std::optional<std::uint64_t> as_count(const JsonValue* value);
 
 /// Parses one complete JSON document (trailing bytes beyond whitespace are
 /// an error).  Errors carry a byte offset and a short reason — corpus

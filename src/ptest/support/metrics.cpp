@@ -1,207 +1,132 @@
 #include "ptest/support/metrics.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace ptest::support {
-namespace {
-
-// Shared histogram rendering: one "name  n=.. p50=.. p95=.. p99=.." line
-// in the human block, one {"count", "p50", "p95", "p99", "buckets"}
-// object in the JSON (buckets sparse, as [index, count] pairs).
-void render_histogram_line(std::string& out, const char* name,
-                           const obs::Histogram& hist) {
-  if (hist.empty()) return;
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "  %-22s n=%llu p50=%llu p95=%llu p99=%llu\n", name,
-                static_cast<unsigned long long>(hist.count()),
-                static_cast<unsigned long long>(hist.p50()),
-                static_cast<unsigned long long>(hist.p95()),
-                static_cast<unsigned long long>(hist.p99()));
-  out += buffer;
-}
-
-void write_histogram_json(JsonWriter& out, const obs::Histogram& hist) {
-  out.begin_object();
-  out.key("count").value(hist.count());
-  out.key("p50").value(hist.p50());
-  out.key("p95").value(hist.p95());
-  out.key("p99").value(hist.p99());
-  out.key("buckets").begin_array();
-  for (std::size_t i = 0; i < obs::Histogram::kBuckets; ++i) {
-    if (hist.bucket(i) == 0) continue;
-    out.begin_array();
-    out.value(static_cast<std::uint64_t>(i));
-    out.value(hist.bucket(i));
-    out.end_array();
-  }
-  out.end_array();
-  out.end_object();
-}
-
-}  // namespace
 
 std::string MetricsSnapshot::render() const {
   char buffer[256];
-  std::string out;
-  const auto line = [&out, &buffer](const char* name, std::uint64_t value) {
-    std::snprintf(buffer, sizeof(buffer), "  %-22s %llu\n", name,
+  std::string out = "metrics:\n";
+  for (const CounterField& row : kCounterFields) {
+    const std::uint64_t value = this->*row.member;
+    if (value == 0 && row.cls != MetricClass::kWork) continue;
+    std::snprintf(buffer, sizeof(buffer), "  %-24s %llu\n", row.name,
                   static_cast<unsigned long long>(value));
     out += buffer;
+  }
+  for (const HistogramField& row : kHistogramFields) {
+    const obs::Histogram& hist = this->*row.member;
+    if (hist.empty()) continue;
+    std::snprintf(buffer, sizeof(buffer),
+                  "  %-24s n=%llu p50=%llu p95=%llu p99=%llu\n", row.name,
+                  static_cast<unsigned long long>(hist.count()),
+                  static_cast<unsigned long long>(hist.p50()),
+                  static_cast<unsigned long long>(hist.p95()),
+                  static_cast<unsigned long long>(hist.p99()));
+    out += buffer;
+  }
+  const auto rate = [&](const char* name, int precision, double value) {
+    std::snprintf(buffer, sizeof(buffer), "  %-24s %.*f\n", name, precision,
+                  value);
+    out += buffer;
   };
-  out += "metrics:\n";
-  line("sessions", sessions);
-  line("plan_cache_hits", plan_cache_hits);
-  line("plan_compiles", plan_compiles);
-  line("patterns_generated", patterns_generated);
-  line("dedup_accepted", dedup_accepted);
-  line("dedup_rejected", dedup_rejected);
-  line("ticks", ticks);
-  // Scratch-reuse counters only appear once a hot path reused a warm
-  // scratch, so legacy (cold-scratch) output stays unchanged.
-  if (scratch_reuse_hits != 0 || sample_alloc_bytes_saved != 0) {
-    line("scratch_reuse_hits", scratch_reuse_hits);
-    line("sample_alloc_bytes_saved", sample_alloc_bytes_saved);
-  }
-  // Coverage / guided counters only appear when something tracked them,
-  // so legacy output (and diffs against it) stay unchanged.
   if (pfa_states != 0 || pfa_transitions != 0) {
-    std::snprintf(buffer, sizeof(buffer), "  %-22s %llu/%llu (%.1f%%)\n",
-                  "pfa_state_coverage",
-                  static_cast<unsigned long long>(pfa_states_covered),
-                  static_cast<unsigned long long>(pfa_states),
-                  100.0 * state_coverage());
-    out += buffer;
-    std::snprintf(buffer, sizeof(buffer), "  %-22s %llu/%llu (%.1f%%)\n",
-                  "pfa_transition_coverage",
-                  static_cast<unsigned long long>(pfa_transitions_covered),
-                  static_cast<unsigned long long>(pfa_transitions),
-                  100.0 * transition_coverage());
-    out += buffer;
-    line("pfa_ngrams", pfa_ngrams);
-  }
-  if (epochs != 0) {
-    line("epochs", epochs);
-    line("plan_refinements", plan_refinements);
+    rate("state_coverage", 3, state_coverage());
+    rate("transition_coverage", 3, transition_coverage());
   }
   if (fleet_shards != 0) {
-    line("fleet_shards", fleet_shards);
-    line("fleet_retries", fleet_retries);
-    std::snprintf(buffer, sizeof(buffer), "  %-22s %.3f\n",
-                  "fleet_corpus_merge_ms",
-                  static_cast<double>(fleet_corpus_merge_ns) * 1e-6);
-    out += buffer;
-    std::snprintf(buffer, sizeof(buffer), "  %-22s %.3f\n",
-                  "fleet_shard_wall_max_ms",
-                  static_cast<double>(fleet_shard_wall_max_ns) * 1e-6);
-    out += buffer;
-    std::snprintf(buffer, sizeof(buffer), "  %-22s %.3f\n",
-                  "fleet_shard_wall_min_ms",
-                  static_cast<double>(fleet_shard_wall_min_ns) * 1e-6);
-    out += buffer;
-    std::snprintf(buffer, sizeof(buffer), "  %-22s %.2f\n",
-                  "fleet_shard_imbalance", fleet_shard_imbalance());
-    out += buffer;
+    rate("fleet_shard_imbalance", 2, fleet_shard_imbalance());
   }
-  // Histograms appear once something recorded into them, mirroring the
-  // conditional blocks above.
-  render_histogram_line(out, "ticks_hist", ticks_hist);
-  render_histogram_line(out, "session_wall_hist", session_wall_hist);
-  render_histogram_line(out, "corpus_merge_hist", corpus_merge_hist);
-  render_histogram_line(out, "frame_rtt_hist", frame_rtt_hist);
-  render_histogram_line(out, "transport_send_hist", transport_send_hist);
-  std::snprintf(buffer, sizeof(buffer), "  %-22s %.3f\n", "wall_seconds",
-                wall_seconds());
-  out += buffer;
-  std::snprintf(buffer, sizeof(buffer), "  %-22s %.1f\n",
-                "sessions_per_second", sessions_per_second());
-  out += buffer;
-  std::snprintf(buffer, sizeof(buffer), "  %-22s %.1f\n",
-                "interleavings_per_sec", interleavings_per_sec());
-  out += buffer;
-  std::snprintf(buffer, sizeof(buffer), "  %-22s %.3f\n",
-                "worker_idle_seconds", worker_idle_seconds());
-  out += buffer;
-  line("worker_threads", worker_threads);
+  rate("sessions_per_second", 1, sessions_per_second());
+  rate("interleavings_per_sec", 1, interleavings_per_sec());
   return out;
 }
 
 void MetricsSnapshot::write_json(JsonWriter& out) const {
   out.begin_object();
-  out.key("sessions").value(sessions);
-  out.key("plan_cache_hits").value(plan_cache_hits);
-  out.key("plan_compiles").value(plan_compiles);
-  out.key("patterns_generated").value(patterns_generated);
-  out.key("dedup_accepted").value(dedup_accepted);
-  out.key("dedup_rejected").value(dedup_rejected);
-  out.key("ticks").value(ticks);
-  out.key("scratch_reuse_hits").value(scratch_reuse_hits);
-  out.key("sample_alloc_bytes_saved").value(sample_alloc_bytes_saved);
-  out.key("pfa_states").value(pfa_states);
-  out.key("pfa_states_covered").value(pfa_states_covered);
-  out.key("pfa_transitions").value(pfa_transitions);
-  out.key("pfa_transitions_covered").value(pfa_transitions_covered);
-  out.key("pfa_ngrams").value(pfa_ngrams);
-  out.key("epochs").value(epochs);
-  out.key("plan_refinements").value(plan_refinements);
-  out.key("fleet_shards").value(fleet_shards);
-  out.key("fleet_retries").value(fleet_retries);
-  out.key("fleet_corpus_merge_ms")
-      .value(static_cast<double>(fleet_corpus_merge_ns) * 1e-6);
-  out.key("fleet_shard_wall_max_ns").value(fleet_shard_wall_max_ns);
-  out.key("fleet_shard_wall_min_ns").value(fleet_shard_wall_min_ns);
-  out.key("fleet_shard_imbalance").value(fleet_shard_imbalance());
-  out.key("ticks_hist");
-  write_histogram_json(out, ticks_hist);
-  out.key("session_wall_hist");
-  write_histogram_json(out, session_wall_hist);
-  out.key("corpus_merge_hist");
-  write_histogram_json(out, corpus_merge_hist);
-  out.key("frame_rtt_hist");
-  write_histogram_json(out, frame_rtt_hist);
-  out.key("transport_send_hist");
-  write_histogram_json(out, transport_send_hist);
-  out.key("wall_seconds").value(wall_seconds());
-  out.key("sessions_per_second").value(sessions_per_second());
-  out.key("interleavings_per_sec").value(interleavings_per_sec());
-  out.key("worker_idle_seconds").value(worker_idle_seconds());
-  out.key("worker_threads").value(worker_threads);
+  for (const CounterField& row : kCounterFields) {
+    if (row.merge == MetricMerge::kDerived) continue;
+    out.key(row.name).value(this->*row.member);
+  }
+  // The bucket layout is fixed (obs::Histogram::kBuckets), so sparse
+  // pairs reconstruct the exact bucket array and the merge algebra
+  // survives the round trip.
+  for (const HistogramField& row : kHistogramFields) {
+    const obs::Histogram& hist = this->*row.member;
+    out.key(row.name).begin_array();
+    for (std::size_t i = 0; i < obs::Histogram::kBuckets; ++i) {
+      if (hist.bucket(i) == 0) continue;
+      out.begin_array();
+      out.value(static_cast<std::uint64_t>(i));
+      out.value(hist.bucket(i));
+      out.end_array();
+    }
+    out.end_array();
+  }
   out.end_object();
 }
 
-MetricsSnapshot Metrics::snapshot() const noexcept {
-  MetricsSnapshot snap;
-  snap.sessions = sessions_.load(std::memory_order_relaxed);
-  snap.plan_cache_hits = plan_cache_hits_.load(std::memory_order_relaxed);
-  snap.plan_compiles = plan_compiles_.load(std::memory_order_relaxed);
-  snap.patterns_generated =
-      patterns_generated_.load(std::memory_order_relaxed);
-  snap.dedup_accepted = dedup_accepted_.load(std::memory_order_relaxed);
-  snap.dedup_rejected = dedup_rejected_.load(std::memory_order_relaxed);
-  snap.ticks = ticks_.load(std::memory_order_relaxed);
-  snap.scratch_reuse_hits =
-      scratch_reuse_hits_.load(std::memory_order_relaxed);
-  snap.sample_alloc_bytes_saved =
-      sample_alloc_bytes_saved_.load(std::memory_order_relaxed);
-  snap.wall_ns = wall_ns_.load(std::memory_order_relaxed);
-  snap.worker_idle_ns = worker_idle_ns_.load(std::memory_order_relaxed);
-  snap.worker_threads = worker_threads_.load(std::memory_order_relaxed);
-  return snap;
+std::optional<std::string> MetricsSnapshot::read_json(const JsonValue& node) {
+  if (!node.is_object()) return std::string("metrics: not an object");
+  for (const CounterField& row : kCounterFields) {
+    if (row.merge == MetricMerge::kDerived) continue;
+    const auto value = as_count(node.find(row.name));
+    if (!value) return std::string("metrics: bad or missing ") + row.name;
+    this->*row.member = *value;
+  }
+  for (const HistogramField& row : kHistogramFields) {
+    const JsonValue* pairs = node.find(row.name);
+    if (pairs == nullptr || !pairs->is_array()) {
+      return std::string("metrics: bad or missing ") + row.name;
+    }
+    obs::Histogram& hist = this->*row.member;
+    hist.reset();
+    for (const JsonValue& entry : pairs->array) {
+      if (!entry.is_array() || entry.array.size() != 2) {
+        return std::string("metrics: bad bucket in ") + row.name;
+      }
+      const auto index = as_count(&entry.array[0]);
+      const auto count = as_count(&entry.array[1]);
+      if (!index || *index >= obs::Histogram::kBuckets || !count) {
+        return std::string("metrics: bad bucket in ") + row.name;
+      }
+      hist.add_bucket(static_cast<std::size_t>(*index), *count);
+    }
+  }
+  return std::nullopt;
 }
 
-void Metrics::reset() noexcept {
-  sessions_.store(0, std::memory_order_relaxed);
-  plan_cache_hits_.store(0, std::memory_order_relaxed);
-  plan_compiles_.store(0, std::memory_order_relaxed);
-  patterns_generated_.store(0, std::memory_order_relaxed);
-  dedup_accepted_.store(0, std::memory_order_relaxed);
-  dedup_rejected_.store(0, std::memory_order_relaxed);
-  ticks_.store(0, std::memory_order_relaxed);
-  scratch_reuse_hits_.store(0, std::memory_order_relaxed);
-  sample_alloc_bytes_saved_.store(0, std::memory_order_relaxed);
-  wall_ns_.store(0, std::memory_order_relaxed);
-  worker_idle_ns_.store(0, std::memory_order_relaxed);
-  worker_threads_.store(0, std::memory_order_relaxed);
+void MetricsSnapshot::merge(const MetricsSnapshot& later) {
+  for (const CounterField& row : kCounterFields) {
+    std::uint64_t& into = this->*row.member;
+    const std::uint64_t from = later.*row.member;
+    switch (row.merge) {
+      case MetricMerge::kSum: into += from; break;
+      case MetricMerge::kMax: into = std::max(into, from); break;
+      case MetricMerge::kMin: into = std::min(into, from); break;
+      case MetricMerge::kFirst:
+      case MetricMerge::kDerived: break;
+    }
+  }
+  for (const HistogramField& row : kHistogramFields) {
+    (this->*row.member).merge(later.*row.member);
+  }
+}
+
+std::string_view work_difference(const MetricsSnapshot& a,
+                                 const MetricsSnapshot& b) {
+  for (const CounterField& row : kCounterFields) {
+    if (row.cls == MetricClass::kWork && a.*row.member != b.*row.member) {
+      return row.name;
+    }
+  }
+  for (const HistogramField& row : kHistogramFields) {
+    if (row.cls == MetricClass::kWork && !(a.*row.member == b.*row.member)) {
+      return row.name;
+    }
+  }
+  return {};
 }
 
 }  // namespace ptest::support

@@ -105,7 +105,10 @@ TEST(CampaignTest, DeterministicAcrossRuns) {
   }
 }
 
-void expect_identical(const CampaignResult& a, const CampaignResult& b) {
+/// `same_plan_path` = both runs compiled the same way (precompile on or
+/// off alike); see the metrics comparison below.
+void expect_identical(const CampaignResult& a, const CampaignResult& b,
+                      bool same_plan_path = true) {
   EXPECT_EQ(a.total_runs, b.total_runs);
   EXPECT_EQ(a.total_detections, b.total_detections);
   EXPECT_EQ(a.best_arm, b.best_arm);
@@ -123,25 +126,23 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
     EXPECT_EQ(report.signature(), it->second.signature());
     ++it;
   }
-  // The deterministic work counters are part of the identity too.
-  EXPECT_EQ(a.metrics.sessions, b.metrics.sessions);
-  EXPECT_EQ(a.metrics.patterns_generated, b.metrics.patterns_generated);
-  EXPECT_EQ(a.metrics.dedup_accepted, b.metrics.dedup_accepted);
-  EXPECT_EQ(a.metrics.dedup_rejected, b.metrics.dedup_rejected);
-  EXPECT_EQ(a.metrics.ticks, b.metrics.ticks);
-  // Coverage is only comparable when both runs tracked it (the
-  // compile-per-run legacy path reports none), and only then do the
-  // pfa_* counters and plan-cache counters line up by construction.
-  if (!a.arm_coverage_state.empty() && !b.arm_coverage_state.empty()) {
-    ASSERT_EQ(a.arm_coverage_state.size(), b.arm_coverage_state.size());
-    for (std::size_t i = 0; i < a.arm_coverage_state.size(); ++i) {
-      EXPECT_EQ(a.arm_coverage_state[i], b.arm_coverage_state[i])
-          << "arm " << i;
+  // Every deterministic work counter is part of the identity too.
+  support::MetricsSnapshot ma = a.metrics;
+  support::MetricsSnapshot mb = b.metrics;
+  if (!same_plan_path) {
+    // The compile-per-run path counts a compile per session instead of
+    // a cache hit, and tracks no coverage (it has no shared PFA to
+    // replay patterns against), so only those rows may differ.
+    for (support::MetricsSnapshot* m : {&ma, &mb}) {
+      m->plan_cache_hits = m->plan_compiles = 0;
+      m->pfa_states = m->pfa_states_covered = 0;
+      m->pfa_transitions = m->pfa_transitions_covered = 0;
+      m->pfa_ngrams = 0;
     }
-    EXPECT_EQ(a.metrics.pfa_states_covered, b.metrics.pfa_states_covered);
-    EXPECT_EQ(a.metrics.pfa_transitions_covered,
-              b.metrics.pfa_transitions_covered);
-    EXPECT_EQ(a.metrics.pfa_ngrams, b.metrics.pfa_ngrams);
+  }
+  EXPECT_EQ(support::work_difference(ma, mb), "");
+  if (same_plan_path) {
+    EXPECT_EQ(a.arm_coverage_state, b.arm_coverage_state);
   }
 }
 
@@ -202,7 +203,8 @@ TEST(CampaignTest, PlanCacheAndJobsCombinationsAreBitIdentical) {
       const CampaignResult result = campaign.run();
       SCOPED_TRACE("jobs=" + std::to_string(jobs) +
                    " precompile=" + (precompile ? "on" : "off"));
-      expect_identical(reference_result, result);
+      expect_identical(reference_result, result,
+                       precompile == reference_options.precompile);
     }
   }
 }
@@ -407,13 +409,7 @@ TEST(CampaignTest, MetricsWorkCountersIdenticalAcrossJobs) {
 
   // Work counters are pure functions of (seed, config); only the
   // timing counters may differ between jobs values.
-  EXPECT_EQ(serial.metrics.sessions, parallel.metrics.sessions);
-  EXPECT_EQ(serial.metrics.plan_cache_hits, parallel.metrics.plan_cache_hits);
-  EXPECT_EQ(serial.metrics.plan_compiles, parallel.metrics.plan_compiles);
-  EXPECT_EQ(serial.metrics.patterns_generated,
-            parallel.metrics.patterns_generated);
-  EXPECT_EQ(serial.metrics.dedup_accepted, parallel.metrics.dedup_accepted);
-  EXPECT_EQ(serial.metrics.dedup_rejected, parallel.metrics.dedup_rejected);
+  EXPECT_EQ(support::work_difference(serial.metrics, parallel.metrics), "");
   EXPECT_EQ(serial.metrics.dedup_accepted, 16u * config.n);
   EXPECT_EQ(serial.metrics.worker_threads, 1u);
   EXPECT_GT(parallel.metrics.worker_threads, 1u);

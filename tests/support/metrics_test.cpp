@@ -1,46 +1,41 @@
-// support::Metrics / MetricsSnapshot — the campaign perf counter set.
+// support::MetricsSnapshot and the metrics field table that drives its
+// render, JSON codec, merge and work-field equality.  Completeness of the
+// table (every member has a row) is a static_assert in metrics.hpp.
 #include "ptest/support/metrics.hpp"
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <algorithm>
 #include <string>
-#include <thread>
-#include <vector>
 
 namespace ptest::support {
 namespace {
 
-TEST(Metrics, SnapshotReflectsCounters) {
-  Metrics metrics;
-  metrics.add_sessions(3);
-  metrics.add_plan_cache_hits(2);
-  metrics.add_plan_compiles();
-  metrics.add_patterns_generated(12);
-  metrics.add_dedup_accepted(10);
-  metrics.add_dedup_rejected(5);
-  metrics.add_ticks(3'000'000);
-  metrics.add_scratch_reuse_hits(11);
-  metrics.add_sample_alloc_bytes_saved(4096);
-  metrics.add_wall_ns(2'000'000'000);  // 2 s
-  metrics.add_worker_idle_ns(500'000'000);
-  metrics.set_worker_threads(4);
+/// Every counter row set to a distinct nonzero value (row index + 1,
+/// scaled) and every histogram given a few samples.
+MetricsSnapshot filled(std::uint64_t scale) {
+  MetricsSnapshot snap;
+  std::uint64_t next = 1;
+  for (const CounterField& row : kCounterFields) {
+    snap.*row.member = scale * next++;
+  }
+  for (const HistogramField& row : kHistogramFields) {
+    (snap.*row.member).record(scale * next++);
+    (snap.*row.member).record(0);
+  }
+  return snap;
+}
 
-  const MetricsSnapshot snap = metrics.snapshot();
-  EXPECT_EQ(snap.sessions, 3u);
-  EXPECT_EQ(snap.plan_cache_hits, 2u);
-  EXPECT_EQ(snap.plan_compiles, 1u);
-  EXPECT_EQ(snap.patterns_generated, 12u);
-  EXPECT_EQ(snap.dedup_accepted, 10u);
-  EXPECT_EQ(snap.dedup_rejected, 5u);
-  EXPECT_EQ(snap.ticks, 3'000'000u);
-  EXPECT_EQ(snap.scratch_reuse_hits, 11u);
-  EXPECT_EQ(snap.sample_alloc_bytes_saved, 4096u);
-  EXPECT_EQ(snap.worker_threads, 4u);
-  EXPECT_DOUBLE_EQ(snap.wall_seconds(), 2.0);
-  EXPECT_DOUBLE_EQ(snap.sessions_per_second(), 1.5);
-  EXPECT_DOUBLE_EQ(snap.interleavings_per_sec(), 1'500'000.0);
-  EXPECT_DOUBLE_EQ(snap.worker_idle_seconds(), 0.5);
+std::string json_of(const MetricsSnapshot& snap) {
+  JsonWriter out(0);
+  snap.write_json(out);
+  return out.str();
+}
+
+JsonValue parsed(const std::string& text) {
+  auto doc = parse_json(text);
+  EXPECT_TRUE(doc.ok()) << doc.error();
+  return doc.ok() ? doc.value() : JsonValue{};
 }
 
 TEST(Metrics, ZeroWallTimeMeansZeroThroughput) {
@@ -49,82 +44,75 @@ TEST(Metrics, ZeroWallTimeMeansZeroThroughput) {
   EXPECT_DOUBLE_EQ(snap.interleavings_per_sec(), 0.0);
 }
 
-TEST(Metrics, ResetClearsEverything) {
-  Metrics metrics;
-  metrics.add_sessions(7);
-  metrics.add_ticks(99);
-  metrics.add_scratch_reuse_hits(3);
-  metrics.add_sample_alloc_bytes_saved(512);
-  metrics.add_wall_ns(123);
-  metrics.reset();
-  const MetricsSnapshot snap = metrics.snapshot();
-  EXPECT_EQ(snap.sessions, 0u);
-  EXPECT_EQ(snap.ticks, 0u);
-  EXPECT_EQ(snap.scratch_reuse_hits, 0u);
-  EXPECT_EQ(snap.sample_alloc_bytes_saved, 0u);
-  EXPECT_EQ(snap.wall_ns, 0u);
+TEST(Metrics, DerivedRatesFollowTheCounters) {
+  MetricsSnapshot snap;
+  snap.sessions = 3;
+  snap.ticks = 3'000'000;
+  snap.wall_ns = 2'000'000'000;  // 2 s
+  snap.worker_idle_ns = 500'000'000;
+  EXPECT_DOUBLE_EQ(snap.sessions_per_second(), 1.5);
+  EXPECT_DOUBLE_EQ(snap.interleavings_per_sec(), 1'500'000.0);
+  EXPECT_DOUBLE_EQ(snap.worker_idle_seconds(), 0.5);
 }
 
-TEST(Metrics, ConcurrentIncrementsAreExact) {
-  Metrics metrics;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&metrics] {
-      for (int i = 0; i < kPerThread; ++i) {
-        metrics.add_sessions();
-        metrics.add_patterns_generated(2);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  const MetricsSnapshot snap = metrics.snapshot();
-  EXPECT_EQ(snap.sessions, static_cast<std::uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(snap.patterns_generated,
-            static_cast<std::uint64_t>(2 * kThreads * kPerThread));
-}
-
-TEST(MetricsSnapshot, RenderListsEveryCounter) {
+TEST(MetricsSnapshot, RenderListsEveryWorkRowAndTheRates) {
   MetricsSnapshot snap;
   snap.sessions = 42;
-  snap.plan_cache_hits = 40;
   const std::string text = snap.render();
-  EXPECT_NE(text.find("sessions"), std::string::npos);
-  EXPECT_NE(text.find("42"), std::string::npos);
-  EXPECT_NE(text.find("plan_cache_hits"), std::string::npos);
+  EXPECT_NE(text.find(" 42\n"), std::string::npos) << text;
+  for (const CounterField& row : kCounterFields) {
+    if (row.cls != MetricClass::kWork) continue;
+    EXPECT_NE(text.find(std::string("  ") + row.name + " "),
+              std::string::npos)
+        << "render() is missing work row " << row.name;
+  }
+  EXPECT_NE(text.find("sessions_per_second"), std::string::npos);
   EXPECT_NE(text.find("interleavings_per_sec"), std::string::npos);
-  EXPECT_NE(text.find("worker_idle_seconds"), std::string::npos);
 }
 
-TEST(MetricsSnapshot, ScratchCountersRenderOnlyWhenNonzero) {
+TEST(MetricsSnapshot, NonWorkRowsRenderOnlyWhenNonzero) {
   MetricsSnapshot snap;
-  EXPECT_EQ(snap.render().find("scratch_reuse_hits"), std::string::npos);
-  snap.scratch_reuse_hits = 9;
-  snap.sample_alloc_bytes_saved = 1024;
+  EXPECT_EQ(snap.render().find("fleet_retries"), std::string::npos);
+  EXPECT_EQ(snap.render().find("worker_idle_ns"), std::string::npos);
+  EXPECT_EQ(snap.render().find("fleet_shard_imbalance"), std::string::npos);
+  snap.fleet_shards = 2;
+  snap.fleet_retries = 1;
+  snap.worker_idle_ns = 7;
   const std::string text = snap.render();
-  EXPECT_NE(text.find("scratch_reuse_hits"), std::string::npos);
-  EXPECT_NE(text.find("sample_alloc_bytes_saved"), std::string::npos);
-  // JSON always carries both fields so machine consumers need no probes.
-  JsonWriter out(0);
-  snap.write_json(out);
-  EXPECT_NE(out.str().find("\"scratch_reuse_hits\":9"), std::string::npos);
-  EXPECT_NE(out.str().find("\"sample_alloc_bytes_saved\":1024"),
-            std::string::npos);
+  EXPECT_NE(text.find("fleet_retries"), std::string::npos);
+  EXPECT_NE(text.find("worker_idle_ns"), std::string::npos);
+  EXPECT_NE(text.find("fleet_shard_imbalance"), std::string::npos);
+  // JSON always carries every row so machine consumers need no probes.
+  const std::string json = json_of(MetricsSnapshot{});
+  EXPECT_NE(json.find("\"fleet_retries\":0"), std::string::npos);
+  EXPECT_NE(json.find("\"scratch_reuse_hits\":0"), std::string::npos);
 }
 
-TEST(MetricsSnapshot, WriteJsonEmitsOneObject) {
+TEST(MetricsSnapshot, CoverageRatesRenderWhenTracked) {
+  MetricsSnapshot snap;
+  EXPECT_EQ(snap.render().find("transition_coverage"), std::string::npos);
+  snap.pfa_transitions = 4;
+  snap.pfa_transitions_covered = 3;
+  const std::string text = snap.render();
+  EXPECT_NE(text.find("transition_coverage"), std::string::npos) << text;
+  EXPECT_NE(text.find(" 0.750\n"), std::string::npos) << text;
+}
+
+TEST(MetricsSnapshot, WriteJsonEmitsOneObjectWithoutDerivedRows) {
   MetricsSnapshot snap;
   snap.sessions = 8;
-  snap.ticks = 16;
-  snap.wall_ns = 1'000'000'000;
-  JsonWriter out(0);
-  snap.write_json(out);
-  EXPECT_EQ(out.depth(), 0u);
-  EXPECT_NE(out.str().find("\"sessions\":8"), std::string::npos);
-  EXPECT_NE(out.str().find("\"sessions_per_second\":8"), std::string::npos);
-  EXPECT_NE(out.str().find("\"interleavings_per_sec\":16"),
-            std::string::npos);
+  snap.pfa_states = 5;
+  const std::string json = json_of(snap);
+  const JsonValue doc = parsed(json);
+  ASSERT_TRUE(doc.is_object());
+  EXPECT_NE(json.find("\"sessions\":8"), std::string::npos);
+  std::size_t expected_keys = std::size(kHistogramFields);
+  for (const CounterField& row : kCounterFields) {
+    const bool derived = row.merge == MetricMerge::kDerived;
+    expected_keys += derived ? 0 : 1;
+    EXPECT_EQ(doc.find(row.name) == nullptr, derived) << row.name;
+  }
+  EXPECT_EQ(doc.object.size(), expected_keys);
 }
 
 TEST(MetricsSnapshot, HistogramsRenderOnlyWhenPopulated) {
@@ -137,114 +125,101 @@ TEST(MetricsSnapshot, HistogramsRenderOnlyWhenPopulated) {
   EXPECT_NE(text.find("n=2"), std::string::npos);
   EXPECT_NE(text.find("p50="), std::string::npos);
   EXPECT_NE(text.find("p99="), std::string::npos);
-  // JSON always carries the histogram objects, sparse-bucketed.
-  JsonWriter out(0);
-  snap.write_json(out);
-  EXPECT_NE(out.str().find("\"ticks_hist\":{\"count\":2"), std::string::npos);
-  EXPECT_NE(out.str().find("\"buckets\":[[7,1],[8,1]]"), std::string::npos);
+  // JSON always carries every histogram, sparse-bucketed.
+  const std::string json = json_of(snap);
+  EXPECT_NE(json.find("\"ticks_hist\":[[7,1],[8,1]]"), std::string::npos);
+  EXPECT_NE(json.find("\"frame_rtt_hist\":[]"), std::string::npos);
 }
 
-// The audit: write_json's key set is pinned, and every key maps to a
-// line in render() (through an alias map where the human block uses a
-// different unit or a combined label).  Adding a MetricsSnapshot field
-// to one surface but not the other fails here, not in a downstream
-// dashboard.
-TEST(MetricsSnapshot, WriteJsonAndRenderStayInSync) {
+TEST(MetricsSnapshot, JsonRoundTripsEveryNonDerivedRow) {
+  const MetricsSnapshot original = filled(1000);
+  MetricsSnapshot expected = original;
+  for (const CounterField& row : kCounterFields) {
+    if (row.merge == MetricMerge::kDerived) expected.*row.member = 0;
+  }
+  MetricsSnapshot decoded;
+  const auto error = decoded.read_json(parsed(json_of(original)));
+  ASSERT_FALSE(error.has_value()) << *error;
+  EXPECT_TRUE(decoded == expected);
+  EXPECT_FALSE(decoded == original);  // derived rows stayed off the JSON
+}
+
+TEST(MetricsSnapshot, ReadJsonRequiresEveryFieldAndRejectsBadValues) {
+  const JsonValue good = parsed(json_of(filled(3)));
+  for (const auto& [key, value] : good.object) {
+    SCOPED_TRACE(key);
+    JsonValue missing = good;
+    missing.object.erase(std::find_if(
+        missing.object.begin(), missing.object.end(),
+        [&key = key](const auto& member) { return member.first == key; }));
+    MetricsSnapshot snap;
+    const auto error = snap.read_json(missing);
+    ASSERT_TRUE(error.has_value());
+    EXPECT_NE(error->find(key), std::string::npos) << *error;
+  }
+  const auto rejects = [&good](const char* key, const char* replacement) {
+    JsonValue doc = good;
+    for (auto& member : doc.object) {
+      if (member.first == key) member.second = parsed(replacement);
+    }
+    MetricsSnapshot snap;
+    return snap.read_json(doc).has_value();
+  };
+  EXPECT_TRUE(rejects("sessions", "-1"));
+  EXPECT_TRUE(rejects("sessions", "1.5"));
+  EXPECT_TRUE(rejects("sessions", "\"7\""));
+  EXPECT_TRUE(rejects("sessions", "1e20"));
+  EXPECT_TRUE(rejects("ticks_hist", "[[64,1]]"));  // bucket index bound
+  EXPECT_TRUE(rejects("ticks_hist", "[[1,2,3]]"));
+  EXPECT_TRUE(rejects("ticks_hist", "[[1,-2]]"));
+  EXPECT_TRUE(rejects("ticks_hist", "{}"));
+  EXPECT_FALSE(rejects("ticks_hist", "[[63,1]]"));
   MetricsSnapshot snap;
-  snap.sessions = 1;
-  snap.plan_cache_hits = 2;
-  snap.plan_compiles = 3;
-  snap.patterns_generated = 4;
-  snap.dedup_accepted = 5;
-  snap.dedup_rejected = 6;
-  snap.ticks = 7;
-  snap.scratch_reuse_hits = 8;
-  snap.sample_alloc_bytes_saved = 9;
-  snap.pfa_states = 10;
-  snap.pfa_states_covered = 10;
-  snap.pfa_transitions = 11;
-  snap.pfa_transitions_covered = 11;
-  snap.pfa_ngrams = 12;
-  snap.epochs = 13;
-  snap.plan_refinements = 14;
-  snap.wall_ns = 15;
-  snap.worker_idle_ns = 16;
-  snap.worker_threads = 17;
-  snap.fleet_shards = 18;
-  snap.fleet_retries = 19;
-  snap.fleet_corpus_merge_ns = 20;
-  snap.fleet_shard_wall_max_ns = 21;
-  snap.fleet_shard_wall_min_ns = 22;
-  snap.ticks_hist.record(1);
-  snap.session_wall_hist.record(2);
-  snap.corpus_merge_hist.record(3);
-  snap.frame_rtt_hist.record(4);
-  snap.transport_send_hist.record(5);
+  EXPECT_TRUE(snap.read_json(parsed("[]")).has_value());
+}
 
-  JsonWriter out(0);
-  snap.write_json(out);
-  auto parsed = parse_json(out.str());
-  ASSERT_TRUE(parsed.ok()) << parsed.error();
-  const JsonValue& doc = parsed.value();
-  ASSERT_TRUE(doc.is_object());
-
-  const std::vector<std::string> expected_keys = {
-      "sessions",
-      "plan_cache_hits",
-      "plan_compiles",
-      "patterns_generated",
-      "dedup_accepted",
-      "dedup_rejected",
-      "ticks",
-      "scratch_reuse_hits",
-      "sample_alloc_bytes_saved",
-      "pfa_states",
-      "pfa_states_covered",
-      "pfa_transitions",
-      "pfa_transitions_covered",
-      "pfa_ngrams",
-      "epochs",
-      "plan_refinements",
-      "fleet_shards",
-      "fleet_retries",
-      "fleet_corpus_merge_ms",
-      "fleet_shard_wall_max_ns",
-      "fleet_shard_wall_min_ns",
-      "fleet_shard_imbalance",
-      "ticks_hist",
-      "session_wall_hist",
-      "corpus_merge_hist",
-      "frame_rtt_hist",
-      "transport_send_hist",
-      "wall_seconds",
-      "sessions_per_second",
-      "interleavings_per_sec",
-      "worker_idle_seconds",
-      "worker_threads",
-  };
-  ASSERT_EQ(doc.object.size(), expected_keys.size());
-  for (std::size_t i = 0; i < expected_keys.size(); ++i) {
-    EXPECT_EQ(doc.object[i].first, expected_keys[i]) << "json key " << i;
+TEST(MetricsSnapshot, MergeAppliesEachRowsOp) {
+  const MetricsSnapshot first = filled(1);
+  const MetricsSnapshot later = filled(10);
+  MetricsSnapshot merged = first;
+  merged.merge(later);
+  for (const CounterField& row : kCounterFields) {
+    SCOPED_TRACE(row.name);
+    const std::uint64_t a = first.*row.member;
+    const std::uint64_t b = later.*row.member;
+    const std::uint64_t got = merged.*row.member;
+    switch (row.merge) {
+      case MetricMerge::kSum: EXPECT_EQ(got, a + b); break;
+      case MetricMerge::kMax: EXPECT_EQ(got, std::max(a, b)); break;
+      case MetricMerge::kMin: EXPECT_EQ(got, std::min(a, b)); break;
+      case MetricMerge::kFirst:
+      case MetricMerge::kDerived: EXPECT_EQ(got, a); break;
+    }
   }
-
-  // JSON key -> render label where they differ (unit conversions and
-  // the combined covered/total coverage lines).
-  const std::map<std::string, std::string> render_alias = {
-      {"pfa_states", "pfa_state_coverage"},
-      {"pfa_states_covered", "pfa_state_coverage"},
-      {"pfa_transitions", "pfa_transition_coverage"},
-      {"pfa_transitions_covered", "pfa_transition_coverage"},
-      {"fleet_shard_wall_max_ns", "fleet_shard_wall_max_ms"},
-      {"fleet_shard_wall_min_ns", "fleet_shard_wall_min_ms"},
-  };
-  const std::string text = snap.render();
-  for (const auto& [key, value] : doc.object) {
-    const auto alias = render_alias.find(key);
-    const std::string& label = alias == render_alias.end() ? key
-                                                           : alias->second;
-    EXPECT_NE(text.find(label), std::string::npos)
-        << "render() is missing a line for write_json key '" << key << "'";
+  for (const HistogramField& row : kHistogramFields) {
+    obs::Histogram expected = first.*row.member;
+    expected.merge(later.*row.member);
+    EXPECT_TRUE(merged.*row.member == expected) << row.name;
   }
+}
+
+TEST(MetricsSnapshot, WorkDifferenceComparesOnlyWorkFields) {
+  const MetricsSnapshot base = filled(2);
+  EXPECT_EQ(work_difference(base, base), "");
+  MetricsSnapshot other = base;
+  for (const CounterField& row : kCounterFields) {
+    if (row.cls != MetricClass::kWork) ++(other.*row.member);
+  }
+  other.session_wall_hist.record(5);
+  EXPECT_EQ(work_difference(base, other), "");
+  for (const CounterField& row : kCounterFields) {
+    if (row.cls != MetricClass::kWork) continue;
+    MetricsSnapshot changed = base;
+    ++(changed.*row.member);
+    EXPECT_EQ(work_difference(base, changed), row.name);
+  }
+  other.ticks_hist.record(5);
+  EXPECT_EQ(work_difference(base, other), "ticks_hist");
 }
 
 }  // namespace
