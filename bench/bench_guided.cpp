@@ -91,9 +91,10 @@ std::optional<std::size_t> static_stfb(const scenario::Scenario& s,
                                        const core::PtestConfig& config,
                                        std::size_t budget) {
   const core::CompiledTestPlanPtr plan = core::compile(config);
+  pfa::WalkScratch scratch;
   for (std::size_t i = 0; i < budget; ++i) {
-    const auto result =
-        core::execute(*plan, support::derive_seed(config.seed, i), s.setup);
+    const auto result = core::execute(
+        *plan, support::derive_seed(config.seed, i), s.setup, scratch);
     if (result.session.outcome == core::Outcome::kBug &&
         result.session.report && s.oracle.matches(*result.session.report)) {
       return i + 1;

@@ -40,8 +40,7 @@ core::PtestConfig base_config() {
   return config;
 }
 
-core::Campaign make_campaign(std::size_t budget, std::size_t jobs,
-                             bool precompile = true) {
+core::Campaign make_campaign(std::size_t budget, std::size_t jobs) {
   std::vector<core::CampaignArm> arms{
       {"sequential/uniform", pattern::MergeOp::kSequential, ""},
       {"round-robin/suspend-heavy", pattern::MergeOp::kRoundRobin,
@@ -55,7 +54,6 @@ core::Campaign make_campaign(std::size_t budget, std::size_t jobs,
   options.budget = budget;
   options.target = core::BugKind::kDeadlock;
   options.jobs = jobs;
-  options.precompile = precompile;
   return core::Campaign(base_config(), arms, setup, options);
 }
 
@@ -107,26 +105,6 @@ void print_table() {
                 result.metrics.worker_idle_seconds() * 1e3);
   }
 
-  // Reference row: the same serial campaign with the per-arm plan cache
-  // disabled, i.e. the pre-split compile-per-run behaviour.  The result
-  // must still be bit-identical; bench_plan_cache studies this axis in
-  // depth.
-  {
-    const auto start = std::chrono::steady_clock::now();
-    const core::CampaignResult result =
-        make_campaign(64, 1, /*precompile=*/false).run();
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-    if (!identical(reference, result)) {
-      std::fprintf(stderr,
-                   "FATAL: compile-per-run result differs from plan cache\n");
-      std::exit(1);
-    }
-    std::printf("jobs=1 (no plan cache): %8.1f ms  (plan cache saves "
-                "%.1f%%, identical: yes)\n",
-                ms, 100.0 * (ms - serial_ms) / ms);
-  }
   std::printf("\n");
 }
 

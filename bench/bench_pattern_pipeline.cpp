@@ -107,9 +107,11 @@ const int registered = [] {
           core::PtestConfig config;
           config.n = n;
           const core::CompiledTestPlanPtr plan = core::compile(config);
+          pfa::WalkScratch scratch;
           std::uint64_t seed = 0;
           ctx.measure([&] {
-            bench::do_not_optimize(core::generate_and_merge(*plan, ++seed));
+            bench::do_not_optimize(
+                core::generate_and_merge(*plan, ++seed, scratch));
           });
         });
   }

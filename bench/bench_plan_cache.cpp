@@ -1,30 +1,37 @@
 // Plan cache: what the compile/execute split (test_plan.hpp) buys.
 //
-// Before the split every campaign session re-ran the full
+// Before the split every session re-ran the full
 // regex -> NFA -> DFA -> PFA pipeline and re-parsed the distribution
 // text; the plan cache hoists that out of the per-run loop, compiling
-// one immutable CompiledTestPlan per arm that all worker threads share.
+// one immutable CompiledTestPlan per arm that every session shares.
+//
+// The campaign rows run the same sessions two ways — session i runs arm
+// i % 2 under seed derive_seed(base seed, i):
+//
+//   compile-per-run  one one-shot adaptive_test() per session;
+//   compile-once     one compiled plan per arm, execute() per session.
 //
 // Two claims measured here:
 //
-//   1. Correctness — CampaignResults with the plan cache on and off are
-//      bit-identical (checked in the report table; it aborts on
-//      mismatch).
-//   2. Speedup — a >= 64-run campaign is faster compiling once than
+//   1. Correctness — the two loops agree session by session (checked in
+//      the report table; it aborts on mismatch).
+//   2. Speedup — a >= 64-session loop is faster compiling once than
 //      compiling per run, and the pure pattern pipeline (no session)
 //      shows the raw compile overhead directly.
 //
-// The campaign benchmarks also export the new CampaignResult::metrics
-// counters (plan_cache_hits / plan_compiles / sessions_per_second), so
-// BENCH_results.json records *why* one configuration is faster.
+// The campaign benchmarks also export plan_cache_hits / plan_compiles /
+// sessions_per_sec counters, so BENCH_results.json records *why* one
+// configuration is faster.
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "harness.hpp"
-#include "ptest/core/campaign.hpp"
-#include "ptest/core/replay.hpp"
+#include "ptest/core/adaptive_test.hpp"
+#include "ptest/support/rng.hpp"
 #include "ptest/workload/quicksort.hpp"
 
 namespace {
@@ -47,54 +54,72 @@ core::PtestConfig base_config() {
   return config;
 }
 
-core::Campaign make_campaign(std::size_t budget, bool precompile,
-                             std::size_t jobs) {
-  std::vector<core::CampaignArm> arms{
-      {"rr/fig5", pattern::MergeOp::kRoundRobin, kFig5},
-      {"cyclic/uniform", pattern::MergeOp::kCyclic, ""},
-  };
-  core::CampaignOptions options;
-  options.budget = budget;
-  options.jobs = jobs;
-  options.precompile = precompile;
-  return core::Campaign(base_config(), arms, workload::register_quicksort,
-                        options);
+/// base_config() with arm `arm`'s (op, distributions): arm 0 is
+/// round-robin under Fig. 5, arm 1 cyclic under uniform weights.
+core::PtestConfig arm_config(std::size_t arm) {
+  core::PtestConfig config = base_config();
+  config.op = arm == 0 ? pattern::MergeOp::kRoundRobin
+                       : pattern::MergeOp::kCyclic;
+  config.distributions = arm == 0 ? kFig5 : "";
+  return config;
 }
 
-bool identical(const core::CampaignResult& a, const core::CampaignResult& b) {
-  if (a.total_runs != b.total_runs ||
-      a.total_detections != b.total_detections || a.best_arm != b.best_arm ||
-      a.arm_stats.size() != b.arm_stats.size() ||
-      a.distinct_failures.size() != b.distinct_failures.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.arm_stats.size(); ++i) {
-    if (a.arm_stats[i].runs != b.arm_stats[i].runs ||
-        a.arm_stats[i].detections != b.arm_stats[i].detections) {
-      return false;
+/// Runs `budget` sessions, alternating the two arms, and returns their
+/// results in session order.  `compile_once` executes one compiled plan
+/// per arm; otherwise every session compiles afresh via adaptive_test().
+std::vector<core::AdaptiveTestResult> run_sessions(std::size_t budget,
+                                                   bool compile_once) {
+  const std::uint64_t base_seed = base_config().seed;
+  std::vector<core::AdaptiveTestResult> results;
+  results.reserve(budget);
+  if (compile_once) {
+    const std::array<core::CompiledTestPlanPtr, 2> plans{
+        core::compile(arm_config(0)), core::compile(arm_config(1))};
+    pfa::WalkScratch scratch;
+    for (std::size_t i = 0; i < budget; ++i) {
+      results.push_back(core::execute(*plans[i % 2],
+                                      support::derive_seed(base_seed, i),
+                                      workload::register_quicksort, scratch));
+    }
+  } else {
+    for (std::size_t i = 0; i < budget; ++i) {
+      core::PtestConfig config = arm_config(i % 2);
+      config.seed = support::derive_seed(base_seed, i);
+      pfa::Alphabet alphabet;
+      results.push_back(
+          core::adaptive_test(config, alphabet, workload::register_quicksort));
     }
   }
-  auto it = b.distinct_failures.begin();
-  for (const auto& entry : a.distinct_failures) {
-    if (entry.first != it->first) return false;
-    ++it;
+  return results;
+}
+
+bool identical(const std::vector<core::AdaptiveTestResult>& a,
+               const std::vector<core::AdaptiveTestResult>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const core::SessionResult& sa = a[i].session;
+    const core::SessionResult& sb = b[i].session;
+    if (a[i].merged.elements != b[i].merged.elements ||
+        sa.outcome != sb.outcome || sa.stats.ticks != sb.stats.ticks ||
+        sa.report.has_value() != sb.report.has_value() ||
+        (sa.report && sa.report->signature() != sb.report->signature())) {
+      return false;
+    }
   }
   return true;
 }
 
-double time_campaign_ms(std::size_t budget, bool precompile,
-                        std::size_t jobs, int repetitions) {
+double time_sessions_ms(std::size_t budget, bool compile_once,
+                        int repetitions) {
   // Min of several repetitions: robust against scheduler noise, and the
   // honest number for "how fast can this go".
   double best = 1e300;
   for (int rep = 0; rep < repetitions; ++rep) {
-    core::Campaign campaign = make_campaign(budget, precompile, jobs);
     const auto start = std::chrono::steady_clock::now();
-    const core::CampaignResult result = campaign.run();
+    bench::do_not_optimize(run_sessions(budget, compile_once));
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - start)
                           .count();
-    bench::do_not_optimize(result);
     if (ms < best) best = ms;
   }
   return best;
@@ -104,29 +129,21 @@ void print_table() {
   constexpr std::size_t kBudget = 64;
   constexpr int kReps = 5;
 
-  const core::CampaignResult cached = make_campaign(kBudget, true, 1).run();
-  const core::CampaignResult uncached = make_campaign(kBudget, false, 1).run();
-  if (!identical(cached, uncached)) {
+  if (!identical(run_sessions(kBudget, true), run_sessions(kBudget, false))) {
     std::fprintf(stderr,
                  "FATAL: plan-cache result differs from compile-per-run\n");
     std::exit(1);
   }
 
-  std::printf("=== Plan cache: %zu-session campaign, 2 arms, quicksort "
+  std::printf("=== Plan cache: %zu sessions, 2 alternating arms, quicksort "
               "workload ===\n", kBudget);
-  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    const double per_run = time_campaign_ms(kBudget, false, jobs, kReps);
-    const double once = time_campaign_ms(kBudget, true, jobs, kReps);
-    std::printf("jobs=%zu: compile-per-run %8.2f ms | compile-once %8.2f ms "
-                "| speedup %.2fx (identical results: yes)\n",
-                jobs, per_run, once, per_run / once);
-  }
-  std::printf("plan_cache_hits=%llu plan_compiles=%llu (compile-once) vs "
-              "plan_compiles=%llu (compile-per-run)\n\n",
-              static_cast<unsigned long long>(cached.metrics.plan_cache_hits),
-              static_cast<unsigned long long>(cached.metrics.plan_compiles),
-              static_cast<unsigned long long>(
-                  uncached.metrics.plan_compiles));
+  const double per_run = time_sessions_ms(kBudget, false, kReps);
+  const double once = time_sessions_ms(kBudget, true, kReps);
+  std::printf("compile-per-run %8.2f ms | compile-once %8.2f ms | speedup "
+              "%.2fx (identical results: yes)\n",
+              per_run, once, per_run / once);
+  std::printf("plan_compiles=2 (compile-once) vs plan_compiles=%zu "
+              "(compile-per-run)\n\n", kBudget);
 }
 
 const int registered = [] {
@@ -146,9 +163,11 @@ const int registered = [] {
         core::PtestConfig config = base_config();
         config.distributions = kFig5;
         const core::CompiledTestPlanPtr plan = core::compile(config);
+        pfa::WalkScratch scratch;
         std::uint64_t seed = 0;
         ctx.measure([&] {
-          bench::do_not_optimize(core::generate_and_merge(*plan, ++seed));
+          bench::do_not_optimize(
+              core::generate_and_merge(*plan, ++seed, scratch));
         });
       });
 
@@ -156,32 +175,35 @@ const int registered = [] {
       "plan_cache/pipeline_compile_each_run", [](bench::Context& ctx) {
         core::PtestConfig config = base_config();
         config.distributions = kFig5;
+        pfa::WalkScratch scratch;
         ctx.measure([&] {
           config.seed++;
-          pfa::Alphabet alphabet;
-          bench::do_not_optimize(core::generate_and_merge(config, alphabet));
+          bench::do_not_optimize(core::generate_and_merge(
+              *core::compile(config), config.seed, scratch));
         });
       });
 
-  for (const bool precompile : {false, true}) {
+  for (const bool compile_once : {false, true}) {
     bench::register_benchmark(
         std::string("plan_cache/campaign/") +
-            (precompile ? "compile-once" : "compile-per-run"),
-        [precompile](bench::Context& ctx) {
+            (compile_once ? "compile-once" : "compile-per-run"),
+        [compile_once](bench::Context& ctx) {
           const std::size_t budget = ctx.scaled<std::size_t>(64, 8);
-          core::CampaignResult last;
+          double last_s = 0.0;
           ctx.measure([&] {
-            core::Campaign campaign = make_campaign(budget, precompile, 1);
-            last = campaign.run();
-            bench::do_not_optimize(last);
+            const auto start = std::chrono::steady_clock::now();
+            bench::do_not_optimize(run_sessions(budget, compile_once));
+            last_s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
           });
           ctx.set_items_per_call(static_cast<double>(budget));
           ctx.set_counter("sessions_per_sec",
-                          last.metrics.sessions_per_second());
+                          static_cast<double>(budget) / last_s);
           ctx.set_counter("plan_cache_hits",
-                          static_cast<double>(last.metrics.plan_cache_hits));
+                          compile_once ? static_cast<double>(budget) : 0.0);
           ctx.set_counter("plan_compiles",
-                          static_cast<double>(last.metrics.plan_compiles));
+                          compile_once ? 2.0 : static_cast<double>(budget));
         });
   }
   return 0;

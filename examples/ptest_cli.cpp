@@ -71,6 +71,7 @@
 // frame.
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -586,19 +587,26 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    // For budget flags where 0 is meaningless, 0 doubles internally as
-    // "not given" — so an explicit 0 or a non-numeric value must be a
-    // usage error, not a silent fall-through to the default.
-    const auto positive = [&](const char* text) -> std::size_t {
+    // Numeric flags parse whole or not at all: a non-numeric, partly
+    // numeric or out-of-range value is a usage error, never a silent 0.
+    // `lowest` is 1 for flags where 0 is meaningless (for budget flags 0
+    // doubles internally as "not given").
+    const auto number = [&](const char* text,
+                            unsigned long long lowest) -> std::uint64_t {
       char* end = nullptr;
+      errno = 0;
       const unsigned long long parsed = std::strtoull(text, &end, 10);
-      if (*text < '0' || *text > '9' || end == text || *end != '\0' ||
-          parsed == 0) {
-        std::fprintf(stderr, "%s needs a positive integer, got '%s'\n",
-                     flag.c_str(), text);
+      if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE ||
+          parsed < lowest) {
+        std::fprintf(stderr, "%s needs a %s integer, got '%s'\n",
+                     flag.c_str(), lowest > 0 ? "positive" : "non-negative",
+                     text);
         std::exit(64);
       }
-      return static_cast<std::size_t>(parsed);
+      return parsed;
+    };
+    const auto positive = [&](const char* text) -> std::size_t {
+      return static_cast<std::size_t>(number(text, 1));
     };
     if (flag == "--workload") {
       workload_name = value();
@@ -654,20 +662,20 @@ int main(int argc, char** argv) {
       }
       config.op = *op;
     } else if (flag == "--n") {
-      config.n = std::strtoull(value(), nullptr, 10);
+      config.n = positive(value());
     } else if (flag == "--s") {
-      config.s = std::strtoull(value(), nullptr, 10);
+      config.s = positive(value());
     } else if (flag == "--seed") {
-      config.seed = std::strtoull(value(), nullptr, 10);
+      config.seed = number(value(), 0);
       seed_given = true;
     } else if (flag == "--runs") {
-      runs = std::strtoull(value(), nullptr, 10);
+      runs = positive(value());
       runs_given = true;
     } else if (flag == "--jobs") {
       campaign_mode = true;
-      jobs = std::strtoull(value(), nullptr, 10);
+      jobs = static_cast<std::size_t>(number(value(), 0));
     } else if (flag == "--spacing") {
-      config.command_spacing = std::strtoull(value(), nullptr, 10);
+      config.command_spacing = number(value(), 0);
     } else if (flag == "--gc-fault") {
       config.kernel.fault_plan.gc_corruption = true;
       config.kernel.fault_plan.churn_threshold = 24;

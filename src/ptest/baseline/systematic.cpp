@@ -8,8 +8,11 @@ SystematicResult systematic_explore(const core::PtestConfig& config,
                                     pfa::Alphabet& alphabet,
                                     const core::WorkloadSetup& setup,
                                     const SystematicOptions& options) {
+  const core::CompiledTestPlanPtr plan = core::compile(config, alphabet);
+  alphabet = plan->alphabet;  // hand interned symbols back to the caller
+  pfa::WalkScratch scratch;
   core::AdaptiveTestResult generated =
-      core::generate_and_merge(config, alphabet);
+      core::generate_and_merge(*plan, config.seed, scratch);
 
   const std::vector<pattern::MergedPattern> interleavings =
       pattern::PatternMerger::enumerate_interleavings(

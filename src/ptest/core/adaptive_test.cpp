@@ -7,7 +7,8 @@ namespace ptest::core {
 
 // Sampling + merge phases of Algorithm 1 against a compiled plan.  All
 // randomness derives from `seed` via the same fork order the one-shot
-// API used, so wrappers and plan-based callers see identical streams.
+// API used, so adaptive_test() and plan-based callers see identical
+// streams.
 AdaptiveTestResult generate_and_merge(const CompiledTestPlan& plan,
                                       std::uint64_t seed,
                                       pfa::WalkScratch& scratch) {
@@ -71,31 +72,13 @@ AdaptiveTestResult execute(const CompiledTestPlan& plan, std::uint64_t seed,
   return result;
 }
 
-AdaptiveTestResult execute(const CompiledTestPlan& plan, std::uint64_t seed,
-                           const WorkloadSetup& setup) {
-  pfa::WalkScratch scratch;
-  return execute(plan, seed, setup, scratch);
-}
-
-AdaptiveTestResult generate_and_merge(const CompiledTestPlan& plan,
-                                      std::uint64_t seed) {
-  pfa::WalkScratch scratch;
-  return generate_and_merge(plan, seed, scratch);
-}
-
-AdaptiveTestResult generate_and_merge(const PtestConfig& config,
-                                      pfa::Alphabet& alphabet) {
-  const CompiledTestPlanPtr plan = compile(config, alphabet);
-  alphabet = plan->alphabet;  // hand interned symbols back to the caller
-  return generate_and_merge(*plan, config.seed);
-}
-
 AdaptiveTestResult adaptive_test(const PtestConfig& config,
                                  pfa::Alphabet& alphabet,
                                  const WorkloadSetup& setup) {
   const CompiledTestPlanPtr plan = compile(config, alphabet);
   alphabet = plan->alphabet;  // hand interned symbols back to the caller
-  return execute(*plan, config.seed, setup);
+  pfa::WalkScratch scratch;
+  return execute(*plan, config.seed, setup, scratch);
 }
 
 }  // namespace ptest::core

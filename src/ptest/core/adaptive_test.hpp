@@ -7,13 +7,13 @@
 //
 // The implementation is split into two stages (see test_plan.hpp):
 //
-//   compile(config, alphabet)  -> CompiledTestPlan   (once per config)
-//   execute(plan, seed, setup) -> AdaptiveTestResult (once per run)
+//   compile(config, alphabet)           -> CompiledTestPlan   (once per config)
+//   execute(plan, seed, setup, scratch) -> AdaptiveTestResult (once per run)
 //
 // so that campaigns build the PFA artifact once per arm and only the
 // seed-dependent sampling / merging / session work runs per session.
-// adaptive_test() and generate_and_merge() below keep the original
-// one-shot signatures as thin compile-then-execute wrappers.
+// adaptive_test() keeps the original one-shot signature as a thin
+// compile-then-execute wrapper for callers that run a single session.
 #pragma once
 
 #include "ptest/core/session.hpp"
@@ -54,26 +54,11 @@ struct AdaptiveTestResult {
     const CompiledTestPlan& plan, std::uint64_t seed,
     pfa::WalkScratch& scratch);
 
-/// execute() via a call-local scratch (thin wrapper; prefer the scratch
-/// overload on hot paths so buffers survive across sessions).
-[[nodiscard]] AdaptiveTestResult execute(const CompiledTestPlan& plan,
-                                         std::uint64_t seed,
-                                         const WorkloadSetup& setup);
-
-/// generate_and_merge() via a call-local scratch (thin wrapper; prefer
-/// the scratch overload on hot paths).
-[[nodiscard]] AdaptiveTestResult generate_and_merge(
-    const CompiledTestPlan& plan, std::uint64_t seed);
-
 /// One-shot wrapper: compile(config, alphabet) + execute(plan,
-/// config.seed, setup).  Interned symbols are copied back into
-/// `alphabet` so callers can render the result.
+/// config.seed, setup) through a call-local scratch.  Interned symbols
+/// are copied back into `alphabet` so callers can render the result.
 [[nodiscard]] AdaptiveTestResult adaptive_test(const PtestConfig& config,
                                                pfa::Alphabet& alphabet,
                                                const WorkloadSetup& setup);
-
-/// One-shot wrapper for the generation+merge phases only (no session).
-[[nodiscard]] AdaptiveTestResult generate_and_merge(const PtestConfig& config,
-                                                    pfa::Alphabet& alphabet);
 
 }  // namespace ptest::core

@@ -13,10 +13,12 @@ namespace ptest::core {
 
 namespace {
 
-/// Sessions per policy round when CampaignOptions::sync_interval is 0.
-/// Small enough that the epsilon-greedy policy still adapts quickly,
-/// large enough to keep a handful of workers busy between barriers.
-constexpr std::size_t kDefaultSyncInterval = 8;
+/// Sessions per policy round: arm picks within a round see detection
+/// counts frozen at the round boundary, so changing this changes a
+/// multi-arm campaign's schedule.  Small enough that the epsilon-greedy
+/// policy still adapts quickly, large enough to keep a handful of
+/// workers busy between barriers.
+constexpr std::size_t kSyncInterval = 8;
 
 }  // namespace
 
@@ -48,11 +50,7 @@ SessionTally tally(const AdaptiveTestResult& outcome) {
 void add_session(support::MetricsSnapshot& metrics,
                  const SessionTally& session, bool dedup) {
   ++metrics.sessions;
-  if (session.plan_cached) {
-    ++metrics.plan_cache_hits;
-  } else {
-    ++metrics.plan_compiles;  // compile-per-run path
-  }
+  ++metrics.plan_cache_hits;
   metrics.patterns_generated += session.patterns;
   if (dedup) {
     metrics.dedup_accepted += session.patterns;
@@ -104,7 +102,7 @@ PtestConfig Campaign::arm_config(std::size_t arm_index) const {
 
 Campaign::RunOutcome Campaign::execute_run(
     std::size_t run_index, std::size_t arm_index,
-    pattern::CoverageTracker* tracker, pfa::WalkScratch& scratch) const {
+    pattern::CoverageTracker& tracker, pfa::WalkScratch& scratch) const {
   // Distinct decorrelated seeds per run, a pure function of
   // (base seed, run index) so execution order never matters.
   const std::uint64_t seed =
@@ -112,19 +110,8 @@ Campaign::RunOutcome Campaign::execute_run(
 
   PTEST_OBS_SPAN("session");
   const auto session_start = std::chrono::steady_clock::now();
-  AdaptiveTestResult outcome;
-  const bool plan_cached = arm_index < plans_.size() && plans_[arm_index];
-  if (plan_cached) {
-    outcome = execute(*plans_[arm_index], seed, setup_, scratch);
-  } else {
-    // Legacy compile-per-run path (options_.precompile == false): kept
-    // so bench_plan_cache can measure what the plan cache buys and the
-    // determinism tests can check both paths agree.
-    PtestConfig config = arm_config(arm_index);
-    config.seed = seed;
-    pfa::Alphabet alphabet;
-    outcome = adaptive_test(config, alphabet, setup_);
-  }
+  AdaptiveTestResult outcome =
+      execute(*plans_[arm_index], seed, setup_, scratch);
 
   RunOutcome result;
   result.wall_ns = static_cast<std::uint64_t>(
@@ -132,14 +119,11 @@ Campaign::RunOutcome Campaign::execute_run(
           std::chrono::steady_clock::now() - session_start)
           .count());
   result.tally = tally(outcome);
-  result.tally.plan_cached = plan_cached;
-  if (tracker != nullptr && plan_cached) {
-    // Coverage folds right here on the executing worker thread, into
-    // that worker's private tracker — the merge phase never sees the
-    // patterns, so nothing is retained or copied across the barrier.
-    for (const pattern::TestPattern& sampled : outcome.patterns) {
-      tracker->observe(sampled);
-    }
+  // Coverage folds right here on the executing worker thread, into that
+  // worker's private tracker — the merge phase never sees the patterns,
+  // so nothing is retained or copied across the barrier.
+  for (const pattern::TestPattern& sampled : outcome.patterns) {
+    tracker.observe(sampled);
   }
   result.hit =
       outcome.session.outcome == Outcome::kBug && outcome.session.report &&
@@ -187,27 +171,21 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
   // Compile every arm's fixed artifact once, before any session runs:
   // the plans are immutable from here on, so the worker threads share
   // them without synchronization.
-  plans_.assign(arms_.size(), nullptr);
-  if (options_.precompile) {
-    for (std::size_t i = 0; i < arms_.size(); ++i) {
-      plans_[i] = compile(arm_config(i));
-      ++metrics.plan_compiles;
-    }
+  plans_.clear();
+  for (std::size_t i = 0; i < arms_.size(); ++i) {
+    plans_.push_back(compile(arm_config(i)));
+    ++metrics.plan_compiles;
   }
 
   result.arm_stats.resize(arms_.size());
   support::Rng policy_rng(base_config_.seed ^ 0xada9717eULL);
 
-  const std::size_t interval = options_.sync_interval == 0
-                                   ? kDefaultSyncInterval
-                                   : options_.sync_interval;
   const std::size_t jobs = support::resolve_jobs(options_.jobs);
   // The pool's caller thread participates in parallel_for, so jobs
   // workers would give jobs+1-way parallelism; spawn one fewer.  A
-  // round never holds more than `interval` sessions, which also bounds
-  // the useful parallelism — extra threads would just idle, so raise
-  // sync_interval together with jobs to scale past the default.
-  const std::size_t useful_jobs = std::min(jobs, interval);
+  // round never holds more than kSyncInterval sessions, which also
+  // bounds the useful parallelism — extra threads would just idle.
+  const std::size_t useful_jobs = std::min(jobs, kSyncInterval);
   std::unique_ptr<support::WorkerPool> pool;
   if (useful_jobs > 1) {
     pool = std::make_unique<support::WorkerPool>(useful_jobs - 1);
@@ -221,15 +199,11 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
   // round barrier — and either way the fold is order-insensitive, which
   // keeps coverage jobs-invariant even though the participant executing
   // a given slot is not deterministic.
-  std::vector<std::vector<pattern::CoverageTracker>> trackers;
-  const bool track_coverage = options_.track_coverage && options_.precompile;
-  if (track_coverage) {
-    trackers.resize(participants);
-    for (std::vector<pattern::CoverageTracker>& slot : trackers) {
-      slot.reserve(arms_.size());
-      for (const CompiledTestPlanPtr& plan : plans_) {
-        slot.emplace_back(plan->pfa);
-      }
+  std::vector<std::vector<pattern::CoverageTracker>> trackers(participants);
+  for (std::vector<pattern::CoverageTracker>& slot : trackers) {
+    slot.reserve(arms_.size());
+    for (const CompiledTestPlanPtr& plan : plans_) {
+      slot.emplace_back(plan->pfa);
     }
   }
 
@@ -245,7 +219,8 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
   std::vector<RunOutcome> round_outcomes;
   for (std::size_t round_start = 0; round_start < budget;
        round_start += round_arms.size()) {
-    const std::size_t round_size = std::min(interval, budget - round_start);
+    const std::size_t round_size =
+        std::min(kSyncInterval, budget - round_start);
 
     // Phase 1 — schedule: pick every arm of the round against the stats
     // frozen at the round boundary.  Run counts advance per pick (so the
@@ -264,11 +239,9 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
     // participant's tracker.
     round_outcomes.assign(round_size, RunOutcome{});
     auto execute_slot = [&](std::size_t participant, std::size_t i) {
-      pattern::CoverageTracker* tracker =
-          track_coverage ? &trackers[participant][round_arms[i]] : nullptr;
-      round_outcomes[i] = execute_run(run_base + round_start + i,
-                                      round_arms[i], tracker,
-                                      scratches[participant]);
+      round_outcomes[i] = execute_run(
+          run_base + round_start + i, round_arms[i],
+          trackers[participant][round_arms[i]], scratches[participant]);
     };
     if (pool) {
       pool->parallel_for(round_size, execute_slot);
@@ -307,23 +280,21 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - wall_start)
           .count());
-  if (track_coverage) {
-    // Fold the helpers' trackers into participant 0's — plain set
-    // unions, so the fold order is irrelevant.
-    for (std::size_t p = 1; p < trackers.size(); ++p) {
-      for (std::size_t arm = 0; arm < arms_.size(); ++arm) {
-        trackers[0][arm].absorb(trackers[p][arm].state());
-      }
-    }
-    result.arm_coverage.reserve(arms_.size());
-    result.arm_coverage_state.reserve(arms_.size());
+  // Fold the helpers' trackers into participant 0's — plain set unions,
+  // so the fold order is irrelevant.
+  for (std::size_t p = 1; p < trackers.size(); ++p) {
     for (std::size_t arm = 0; arm < arms_.size(); ++arm) {
-      pattern::CoverageState state = trackers[0][arm].state();
-      result.arm_coverage.push_back(state.report());
-      result.arm_coverage_state.push_back(std::move(state));
+      trackers[0][arm].absorb(trackers[p][arm].state());
     }
-    result.derive_coverage_metrics();
   }
+  result.arm_coverage.reserve(arms_.size());
+  result.arm_coverage_state.reserve(arms_.size());
+  for (std::size_t arm = 0; arm < arms_.size(); ++arm) {
+    pattern::CoverageState state = trackers[0][arm].state();
+    result.arm_coverage.push_back(state.report());
+    result.arm_coverage_state.push_back(std::move(state));
+  }
+  result.derive_coverage_metrics();
   return result;
 }
 

@@ -14,8 +14,8 @@
 // distinct failure signatures found (replayable reports are kept for each
 // new signature).
 //
-// Execution is organised in fixed-size policy rounds: arm picks for a
-// round are made up front — detection counts stay frozen at the round
+// Execution is organised in policy rounds of 8 sessions: arm picks for
+// a round are made up front — detection counts stay frozen at the round
 // boundary while run counts advance per pick (so warm-up keeps filling
 // within a round) — then the round's sessions — pure functions of
 // (arm, run index, seed) — run concurrently on a support::WorkerPool
@@ -80,31 +80,9 @@ struct CampaignOptions {
   /// Worker threads executing sessions.  1 = run on the calling thread;
   /// 0 = one per hardware thread.  The result is bit-identical for every
   /// value because the policy schedule does not depend on it.  The
-  /// effective thread count is capped at min(jobs, sync_interval): a
-  /// policy round never holds more than sync_interval sessions, so extra
-  /// threads would only idle — raise sync_interval together with jobs to
-  /// scale further.
+  /// effective thread count is capped at min(jobs, 8): a policy round
+  /// never holds more than 8 sessions, so extra threads would only idle.
   std::size_t jobs = 1;
-  /// Compile every arm's CompiledTestPlan once up front in run() and
-  /// share it read-only across the worker threads (the compile/execute
-  /// split of test_plan.hpp).  Off = rebuild the regex/PFA pipeline per
-  /// session, as the pre-split code did; results are bit-identical
-  /// either way (bench_plan_cache measures the difference).
-  bool precompile = true;
-  /// Policy feedback granularity: arm picks for a round of this many
-  /// sessions see detection counts frozen at the round boundary (run
-  /// counts still advance per pick), which is what lets a round execute
-  /// in parallel.  0 = default (8).  Changing
-  /// it changes the schedule (unlike `jobs`), so it is part of the
-  /// campaign's deterministic identity alongside the seed.
-  std::size_t sync_interval = 0;
-  /// Track structural PFA coverage of every generated pattern and report
-  /// it in CampaignResult::arm_coverage + the pfa_* metrics counters.
-  /// Requires `precompile` (the tracker replays against the arm's
-  /// compiled PFA); silently off on the compile-per-run legacy path.
-  /// Coverage is folded during the in-order merge phase, so it is
-  /// jobs-invariant like every other work counter.
-  bool track_coverage = true;
 };
 
 struct CampaignResult {
@@ -115,9 +93,8 @@ struct CampaignResult {
   std::size_t total_detections = 0;
   /// Index of the arm with the best detection rate.
   std::size_t best_arm = 0;
-  /// Structural coverage of each arm's compiled PFA (parallel to arms;
-  /// empty when CampaignOptions::track_coverage is off or precompile is
-  /// off).  The aggregate also lands in `metrics` (pfa_* counters).
+  /// Structural coverage of each arm's compiled PFA (parallel to arms).
+  /// The aggregate also lands in `metrics` (pfa_* counters).
   std::vector<pattern::CoverageReport> arm_coverage;
   /// The covered sets behind arm_coverage (parallel to it) — the
   /// mergeable form: the fleet coordinator unions shard states and
@@ -142,7 +119,6 @@ struct SessionTally {
   std::uint64_t ticks = 0;  // kernel ticks the session simulated
   std::uint64_t scratch_reuse_hits = 0;        // see pfa::WalkScratch
   std::uint64_t sample_alloc_bytes_saved = 0;  // "
-  bool plan_cached = true;  // false on the compile-per-run path
 };
 
 [[nodiscard]] SessionTally tally(const AdaptiveTestResult& outcome);
@@ -218,14 +194,14 @@ class Campaign {
                        const std::vector<ArmStats>& stats) const;
   /// base_config_ with arm `arm_index`'s (op, distributions) applied.
   [[nodiscard]] PtestConfig arm_config(std::size_t arm_index) const;
-  /// Runs one session.  `tracker` (nullable) receives the session's
-  /// sampled patterns via observe() on the executing worker thread —
+  /// Runs one session.  `tracker` receives the session's sampled
+  /// patterns via observe() on the executing worker thread —
   /// each worker gets its own tracker, so no pattern is retained or
   /// copied back to the merge phase.  `scratch` is the executing
   /// worker's private sampling scratch (same ownership rule), so
   /// steady-state sessions sample with zero walk allocations.
   RunOutcome execute_run(std::size_t run_index, std::size_t arm_index,
-                         pattern::CoverageTracker* tracker,
+                         pattern::CoverageTracker& tracker,
                          pfa::WalkScratch& scratch) const;
   /// Shared body of run() and run_slice(): executes `budget` sessions
   /// whose global run indices start at `run_base`.
@@ -236,8 +212,8 @@ class Campaign {
   std::vector<CampaignArm> arms_;
   WorkloadSetup setup_;
   CampaignOptions options_;
-  /// One immutable plan per arm, compiled at the top of run() when
-  /// options_.precompile; shared read-only by every worker thread.
+  /// One immutable plan per arm, compiled at the top of run_impl();
+  /// shared read-only by every worker thread.
   std::vector<CompiledTestPlanPtr> plans_;
 };
 

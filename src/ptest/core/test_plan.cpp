@@ -14,8 +14,9 @@ CompiledTestPlanPtr compile(const PtestConfig& config,
 CompiledTestPlanPtr compile_with_spec(
     const PtestConfig& config, std::optional<pfa::DistributionSpec> spec,
     const pfa::Alphabet& alphabet) {
-  // Every compile funnels through here (campaign precompile, guided
-  // recompile, one-shot wrappers), so this one span covers them all.
+  // Every compile funnels through here (campaign arms, guided
+  // recompile, the one-shot adaptive_test), so this one span covers
+  // them all.
   PTEST_OBS_SPAN("compile");
   auto plan = std::make_shared<CompiledTestPlan>();
   plan->config = config;

@@ -15,10 +15,11 @@
 // of WorkerPool threads may execute() against the same plan
 // concurrently without synchronization.
 //
-// Determinism: execute(plan, seed, setup) seeds every random stream
-// from `seed` exactly the way the old adaptive_test(config, ...) seeded
-// them from config.seed, so compile-once campaigns remain bit-identical
-// to compile-per-run ones (and to any jobs=N schedule).
+// Determinism: execute(plan, seed, setup, scratch) seeds every random
+// stream from `seed` exactly the way adaptive_test(config, ...) seeds
+// them from config.seed, so a compiled plan run under seed s is
+// bit-identical to a one-shot adaptive_test with config.seed = s (and
+// campaigns to any jobs=N schedule).
 #pragma once
 
 #include <cstdint>

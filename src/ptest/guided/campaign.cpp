@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "ptest/obs/trace.hpp"
-#include "ptest/pfa/estimator.hpp"
 #include "ptest/scenario/golden.hpp"
 #include "ptest/scenario/registry.hpp"
 #include "ptest/support/rng.hpp"
@@ -107,13 +106,12 @@ GuidedResult GuidedCampaign::run() {
   // Cumulative structural coverage, seeded from the corpus: transitions
   // covered by an earlier invocation start covered, so refinement (and
   // the plateau series) continue rather than restart.
-  pattern::CoverageTracker tracker(base_plan->pfa, options_.ngram);
+  pattern::CoverageTracker tracker(base_plan->pfa);
   for (const auto& [state, symbol] : corpus_.transitions()) {
     tracker.mark_transition(state, symbol);
   }
 
   const PlanRefiner refiner(options_.refiner);
-  pfa::TraceEstimator estimator(options_.estimator_smoothing);
 
   const std::size_t jobs = support::resolve_jobs(options_.jobs);
   const std::size_t useful_jobs =
@@ -156,14 +154,13 @@ GuidedResult GuidedCampaign::run() {
   // corpus records which transitions each epoch first covered, which is
   // exactly enough to replay that chain here: refine before global epoch
   // g re-applies against the covered set as of epoch g-1.  This is what
-  // keeps a resumed campaign bit-identical to the uninterrupted one
-  // (modulo estimator blend, which is in-process only).
+  // keeps a resumed campaign bit-identical to the uninterrupted one.
   if (prior_epochs > 0) {
     std::set<CoverageCorpus::Transition> covered_so_far;
     for (std::size_t g = 0; g < prior_epochs; ++g) {
       if (g > 0) {
         pfa::DistributionSpec refined =
-            refiner.refine(*plan, covered_so_far, nullptr);
+            refiner.refine(*plan, covered_so_far);
         plan = core::compile_with_spec(config_, std::move(refined));
         ++metrics.plan_compiles;
       }
@@ -174,26 +171,18 @@ GuidedResult GuidedCampaign::run() {
   }
 
   std::vector<scenario::TracedRun> batch(options_.sessions_per_epoch);
+  std::vector<std::uint64_t> batch_wall_ns(options_.sessions_per_epoch);
   bool stopped = false;
   for (std::size_t epoch = 0; epoch < options_.max_epochs && !stopped;
        ++epoch) {
     obs::TraceSpan epoch_span("epoch");
     if (epoch + prior_epochs > 0) {
-      // Refine toward what is still uncovered, optionally blended with
-      // the bigram law learned from this run's own patterns, and push
-      // the refined spec through the ordinary compile/execute split.
-      const pfa::DistributionSpec* learned_ptr = nullptr;
-      pfa::DistributionSpec learned;
-      if (options_.refiner.estimator_blend > 0.0 &&
-          estimator.trace_count() > 0) {
-        learned = estimator.estimate(base_plan->alphabet.size());
-        learned_ptr = &learned;
-      }
-      // The recompile below gets its own "compile" span inside
+      // Refine toward what is still uncovered and push the refined spec
+      // through the ordinary compile/execute split.  The recompile below gets its own "compile" span inside
       // compile_with_spec; this span isolates the refinement policy.
       pfa::DistributionSpec refined = [&] {
         PTEST_OBS_SPAN("refine");
-        return refiner.refine(*plan, tracker.transitions_seen(), learned_ptr);
+        return refiner.refine(*plan, tracker.transitions_seen());
       }();
       plan = core::compile_with_spec(config_, std::move(refined));
       ++metrics.plan_compiles;
@@ -207,9 +196,14 @@ GuidedResult GuidedCampaign::run() {
     const core::CompiledTestPlan& epoch_plan = *plan;
     auto execute_slot = [&](std::size_t participant, std::size_t i) {
       PTEST_OBS_SPAN("session");
+      const auto session_start = std::chrono::steady_clock::now();
       batch[i] = scenario::run_traced(
           epoch_plan, support::derive_seed(config_.seed, run_base + i),
           setup_, scratches[participant]);
+      batch_wall_ns[i] = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - session_start)
+              .count());
     };
     if (pool) {
       pool->parallel_for(batch_size, execute_slot);
@@ -228,9 +222,9 @@ GuidedResult GuidedCampaign::run() {
       ++result.campaign.total_runs;
       ++result.campaign.arm_stats[0].runs;
       core::add_session(metrics, core::tally(outcome), config_.dedup_patterns);
+      metrics.session_wall_hist.record(batch_wall_ns[i]);
       for (const pattern::TestPattern& sampled : outcome.patterns) {
         tracker.observe(sampled);
-        estimator.observe(sampled.symbols);
       }
       epoch_stats.new_fingerprints +=
           corpus_.add_fingerprint(traced.trace_hash) ? 1 : 0;

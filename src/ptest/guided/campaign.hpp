@@ -10,9 +10,7 @@
 //             -> fold structural coverage, trace fingerprints, and bug
 //                yield into the CoverageCorpus
 //             -> PlanRefiner re-weights the distributions toward the
-//                still-uncovered transitions (optionally blended with a
-//                TraceEstimator bigram law learned from the batch's own
-//                patterns)
+//                still-uncovered transitions
 //             -> recompile through the ordinary compile/execute split
 //   stop on:  oracle fire (the seeded bug was found), the epoch budget,
 //             or a plateau in the coverage-gain series — detected by an
@@ -30,11 +28,7 @@
 // corpus.sessions(), epochs count globally from corpus.epochs(), and
 // the corpus records which transitions each epoch first covered — just
 // enough to replay the refinement chain (each epoch refines the
-// previous refined plan) before the first resumed batch.  The one
-// exception is estimator_blend > 0 (off by default): learned bigram
-// counts live in-process only, so a blended resume is still a pure
-// function of (seed, jobs, corpus) but its blend restarts at the
-// process boundary.
+// previous refined plan) before the first resumed batch.
 #pragma once
 
 #include <functional>
@@ -58,11 +52,8 @@ struct GuidedOptions {
   /// Worker threads per epoch batch (Campaign semantics: 1 = caller
   /// thread, 0 = one per hardware thread; never changes results).
   std::size_t jobs = 1;
-  /// Re-weighting policy (exploration share, estimator blend, floor).
+  /// Re-weighting policy (exploration share, floor).
   RefinerOptions refiner;
-  /// Laplace smoothing of the in-run TraceEstimator feeding the blend
-  /// (only consulted when refiner.estimator_blend > 0).
-  double estimator_smoothing = 1.0;
   /// Plateau stop: the post-changepoint segment of the coverage-gain
   /// series must span at least `plateau_window` epochs with mean gain
   /// below `plateau_epsilon`.  window = 0 disables the plateau stop.
@@ -74,8 +65,6 @@ struct GuidedOptions {
   /// Which detections count (scenario oracles route through this);
   /// nullptr = any detected bug.
   std::function<bool(const core::BugReport&)> counts_as_bug;
-  /// n-gram window of the coverage tracker.
-  std::size_t ngram = 3;
 };
 
 enum class StopReason : std::uint8_t {

@@ -4,39 +4,10 @@
 
 namespace ptest::guided {
 
-namespace {
-
-/// Learned-weight lookup mirroring the PFA constructor's own resolution
-/// (per-state override, then the first context with an explicit bigram
-/// entry, then the fallback).  `informative` reports whether the spec
-/// actually knew anything about this edge — uniform fallbacks must not
-/// count, or an empty estimator would flatten every state it touches.
-double learned_weight(const pfa::DistributionSpec& learned, std::uint32_t id,
-                      const pfa::PfaState& state, pfa::SymbolId next,
-                      bool& informative) {
-  if (const auto w = learned.explicit_state_weight(id, next)) {
-    informative = true;
-    return *w;
-  }
-  for (const pfa::SymbolId context : state.contexts) {
-    if (const auto w = learned.explicit_bigram_weight(context, next)) {
-      informative = true;
-      return *w;
-    }
-  }
-  return learned.fallback_weight(next);
-}
-
-}  // namespace
-
 PlanRefiner::PlanRefiner(const RefinerOptions& options) : options_(options) {
   if (options.exploration_share < 0.0 || options.exploration_share >= 1.0) {
     throw std::invalid_argument(
         "PlanRefiner: exploration_share must be in [0, 1)");
-  }
-  if (options.estimator_blend < 0.0 || options.estimator_blend > 1.0) {
-    throw std::invalid_argument(
-        "PlanRefiner: estimator_blend must be in [0, 1]");
   }
   if (options.floor < 0.0 || options.floor >= 1.0) {
     throw std::invalid_argument("PlanRefiner: floor must be in [0, 1)");
@@ -45,8 +16,8 @@ PlanRefiner::PlanRefiner(const RefinerOptions& options) : options_(options) {
 
 pfa::DistributionSpec PlanRefiner::refine(
     const core::CompiledTestPlan& plan,
-    const std::set<std::pair<std::uint32_t, pfa::SymbolId>>& covered,
-    const pfa::DistributionSpec* learned) const {
+    const std::set<std::pair<std::uint32_t, pfa::SymbolId>>& covered)
+    const {
   pfa::DistributionSpec spec;
   const auto& states = plan.pfa.states();
   for (std::uint32_t state = 0; state < states.size(); ++state) {
@@ -58,36 +29,11 @@ pfa::DistributionSpec PlanRefiner::refine(
       if (!covered.contains({state, t.symbol})) ++uncovered;
     }
 
-    // blend(s, a): the plan's current probability, optionally pulled
-    // toward the learned bigram law.  Learned weights are relative, so
-    // normalize them over this state's edges before mixing; a state the
-    // estimator knows nothing about keeps its current probabilities
-    // (uniform fallbacks would otherwise flatten it).
-    double learned_total = 0.0;
-    bool learned_informative = false;
-    if (learned != nullptr && options_.estimator_blend > 0.0) {
-      for (const auto& t : transitions) {
-        learned_total += learned_weight(*learned, state, states[state],
-                                        t.symbol, learned_informative);
-      }
-    }
-    const bool blend = learned_informative && learned_total > 0.0;
-
     const double share = uncovered == 0 ? 0.0 : options_.exploration_share;
     const double floor =
         options_.floor / static_cast<double>(transitions.size());
     for (const auto& t : transitions) {
-      double base = t.probability;
-      if (blend) {
-        bool ignored = false;
-        const double learned_p =
-            learned_weight(*learned, state, states[state], t.symbol,
-                           ignored) /
-            learned_total;
-        base = (1.0 - options_.estimator_blend) * base +
-               options_.estimator_blend * learned_p;
-      }
-      double weight = (1.0 - share) * base;
+      double weight = (1.0 - share) * t.probability;
       if (share > 0.0 && !covered.contains({state, t.symbol})) {
         weight += share / static_cast<double>(uncovered);
       }

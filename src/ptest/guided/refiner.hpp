@@ -10,12 +10,10 @@
 // exploration share of each state's probability mass onto that state's
 // still-uncovered outgoing edges:
 //
-//   w(s, a) = (1 - e) * blend(s, a) + [uncovered(s, a)] * e / U(s)
+//   w(s, a) = (1 - e) * p(s, a) + [uncovered(s, a)] * e / U(s)
 //
 // where e = exploration_share, U(s) = number of uncovered edges at s,
-// and blend(s, a) mixes the plan's current probability with an optional
-// learned bigram spec (pfa::TraceEstimator output) by estimator_blend.
-// States with no uncovered edges keep their current distribution
+// and p(s, a) is the plan's current probability of the edge.  States with no uncovered edges keep their current distribution
 // verbatim.  A small floor keeps every edge samplable, and the PFA
 // constructor's per-state normalization (Eq. 1) restores probabilities.
 //
@@ -37,10 +35,6 @@ struct RefinerOptions {
   /// Share of each state's probability mass redistributed (uniformly)
   /// over that state's uncovered edges.  0 = no-op, must stay < 1.
   double exploration_share = 0.5;
-  /// Blend factor toward `learned` bigram weights (0 = ignore learned,
-  /// 1 = replace the plan's probabilities with the learned ones before
-  /// the exploration shift is applied).
-  double estimator_blend = 0.0;
   /// Minimum weight any edge keeps, as a fraction of its state's uniform
   /// share — refined plans may bias hard, but never starve an edge.
   double floor = 0.05;
@@ -51,13 +45,11 @@ class PlanRefiner {
   explicit PlanRefiner(const RefinerOptions& options);
 
   /// Builds the refined spec for `plan` given the covered (state,
-  /// symbol) pairs.  `learned` (optional) supplies profiling-derived
-  /// bigram weights to blend in — pass the TraceEstimator spec built
-  /// from the campaign's own traces.
+  /// symbol) pairs.
   [[nodiscard]] pfa::DistributionSpec refine(
       const core::CompiledTestPlan& plan,
-      const std::set<std::pair<std::uint32_t, pfa::SymbolId>>& covered,
-      const pfa::DistributionSpec* learned = nullptr) const;
+      const std::set<std::pair<std::uint32_t, pfa::SymbolId>>& covered)
+      const;
 
  private:
   RefinerOptions options_;

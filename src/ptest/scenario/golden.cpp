@@ -65,12 +65,6 @@ TracedRun run_traced(const core::CompiledTestPlan& plan, std::uint64_t seed,
   return traced;
 }
 
-TracedRun run_traced(const core::CompiledTestPlan& plan, std::uint64_t seed,
-                     const core::WorkloadSetup& setup) {
-  pfa::WalkScratch scratch;
-  return run_traced(plan, seed, setup, scratch);
-}
-
 TracedRun replay_traced(const core::BugReport& report,
                         const core::CompiledTestPlan& plan,
                         const core::WorkloadSetup& setup) {

@@ -8,7 +8,7 @@
 // comparing outcomes: any drift in scheduling, protocol timing, GC
 // cadence, or report content moves the hash.  tests/scenario/golden/
 // commits one (seed, hash) fixture per scenario and asserts the hash is
-// bit-identical across compile-once vs compile-per-run plans, campaign
+// bit-identical across a reused vs a freshly compiled plan, campaign
 // jobs=1 vs jobs=4, and replays of recorded failures.
 //
 // The hash is FNV-1a over integers and strings only (no floating point
@@ -41,7 +41,7 @@ struct TracedRun {
   std::uint64_t trace_hash = kFnvOffset;
 };
 
-/// execute(plan, seed, setup) with the session's Soc kept in scope long
+/// execute(plan, seed, setup, scratch) with the session's Soc kept in scope long
 /// enough to fingerprint: hashes outcome, session stats, the merged
 /// pattern, and every retained trace event.  Samples through the
 /// caller's scratch — pass each worker its own (see pfa::WalkScratch).
@@ -49,12 +49,6 @@ struct TracedRun {
                                    std::uint64_t seed,
                                    const core::WorkloadSetup& setup,
                                    pfa::WalkScratch& scratch);
-
-/// run_traced() via a call-local scratch (thin wrapper; prefer the
-/// scratch overload on hot paths).
-[[nodiscard]] TracedRun run_traced(const core::CompiledTestPlan& plan,
-                                   std::uint64_t seed,
-                                   const core::WorkloadSetup& setup);
 
 /// Replays `report`'s merged pattern under `plan` and fingerprints the
 /// replayed session the same way.

@@ -247,8 +247,9 @@ struct ReferenceRun {
 /// reference detector (and the epoch witness) observing, and its stats
 /// read from a kernel snapshot as TestSession::run once did.
 ReferenceRun run_reference(const CompiledTestPlan& plan, std::uint64_t seed,
-                           const WorkloadSetup& setup) {
-  const AdaptiveTestResult generated = generate_and_merge(plan, seed);
+                           const WorkloadSetup& setup,
+                           pfa::WalkScratch& scratch) {
+  const AdaptiveTestResult generated = generate_and_merge(plan, seed, scratch);
   PtestConfig config = plan.config;
   config.seed = seed;
 
@@ -368,7 +369,7 @@ void sweep_variant(const std::string& label, const PtestConfig& config,
     SCOPED_TRACE(label + " seed " + std::to_string(seed));
     const AdaptiveTestResult production =
         execute(*plan, seed, setup, scratch);
-    const ReferenceRun reference = run_reference(*plan, seed, setup);
+    const ReferenceRun reference = run_reference(*plan, seed, setup, scratch);
     expect_same_session(production.session, reference.result,
                         plan->alphabet);
     EXPECT_EQ(reference.epoch_misses, 0u)

@@ -191,8 +191,8 @@ TEST(IntegrationTest, DedupReducesReplicasInShortPatterns) {
   config.n = 8;
   config.s = 2;
   config.dedup_patterns = true;
-  pfa::Alphabet alphabet;
-  const auto result = generate_and_merge(config, alphabet);
+  pfa::WalkScratch scratch;
+  const auto result = generate_and_merge(*compile(config), config.seed, scratch);
   EXPECT_EQ(result.patterns.size(), 8u);
   EXPECT_GT(result.duplicates_rejected, 0u);
 }

@@ -243,7 +243,7 @@ TEST(PlanRefiner, RejectsBadOptions) {
   bad.exploration_share = 1.0;
   EXPECT_THROW(PlanRefiner{bad}, std::invalid_argument);
   bad = {};
-  bad.estimator_blend = -0.1;
+  bad.floor = 1.0;
   EXPECT_THROW(PlanRefiner{bad}, std::invalid_argument);
 }
 
@@ -309,6 +309,13 @@ TEST(GuidedCampaign, DeterministicAcrossJobs) {
   EXPECT_EQ(support::work_difference(results[0].campaign.metrics,
                                      results[1].campaign.metrics),
             "");
+  // Every session lands in the session-wall histogram (--guided
+  // --metrics prints it), whichever worker ran it.
+  for (const GuidedResult& result : results) {
+    const support::MetricsSnapshot& metrics = result.campaign.metrics;
+    EXPECT_GT(metrics.sessions, 0u);
+    EXPECT_EQ(metrics.session_wall_hist.count(), metrics.sessions);
+  }
 }
 
 TEST(GuidedCampaign, ResumingFromASavedCorpusIsDeterministic) {
@@ -353,8 +360,7 @@ TEST(GuidedCampaign, SplitRunIsBitIdenticalToTheUninterruptedRun) {
   // holds because session seeds continue from corpus.sessions(), epochs
   // count globally from corpus.epochs() (the resumed leg refines before
   // its first batch), and every refinement is recomputed from the base
-  // plan + the persisted covered set — nothing in-process-only feeds it
-  // while the estimator blend stays at its default 0.
+  // plan + the persisted covered set — nothing in-process-only feeds it.
   GuidedOptions uninterrupted_options = small_options();
   uninterrupted_options.max_epochs = 4;
   GuidedCampaign uninterrupted(small_config(), small_setup(),

@@ -8,9 +8,8 @@
 //
 //   * the single-session fingerprint, from a compiled plan and from a
 //     freshly compiled one (plan reuse must be invisible);
-//   * the campaign's distinct failures across jobs=1/jobs=4 and
-//     precompile on/off (all four combinations must retain identical
-//     reports);
+//   * the campaign's distinct failures at jobs=1 and jobs=4 (both must
+//     retain identical reports);
 //   * the replay of the recorded failure (replay_traced), whose
 //     fingerprint must match the committed one and reproduce the
 //     original signature.
@@ -82,7 +81,9 @@ GoldenRecord compute_record(const Scenario& scenario) {
   record.seed = support::derive_seed(scenario.config.seed, 0);
 
   const core::CompiledTestPlanPtr plan = core::compile(scenario.config);
-  const TracedRun session = run_traced(*plan, record.seed, scenario.setup);
+  pfa::WalkScratch scratch;
+  const TracedRun session =
+      run_traced(*plan, record.seed, scenario.setup, scratch);
   record.outcome = core::to_string(session.result.session.outcome);
   record.trace_hash = hex64(session.trace_hash);
 
@@ -90,47 +91,41 @@ GoldenRecord compute_record(const Scenario& scenario) {
   // identical fingerprint.
   const TracedRun fresh =
       run_traced(*core::compile(scenario.config), record.seed,
-                 scenario.setup);
+                 scenario.setup, scratch);
   EXPECT_EQ(fresh.trace_hash, session.trace_hash);
 
-  // The scenario campaign retains identical failures for every
-  // (jobs, precompile) combination; the first one replays to a stable
-  // fingerprint.
+  // The scenario campaign retains identical failures at jobs=1 and
+  // jobs=4; the first one replays to a stable fingerprint.
   std::optional<core::BugReport> first_failure;
   std::string first_signature;
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    for (const bool precompile : {true, false}) {
-      SCOPED_TRACE("jobs=" + std::to_string(jobs) +
-                   " precompile=" + (precompile ? "on" : "off"));
-      core::CampaignOptions options;
-      options.budget = 0;
-      options.jobs = jobs;
-      options.precompile = precompile;
-      const auto result = core::Campaign::run_scenario(scenario.name, options);
-      if (!result.ok()) {
-        ADD_FAILURE() << result.error();
-        continue;
-      }
-      const core::CampaignResult& campaign = result.value();
-      if (campaign.distinct_failures.empty()) {
-        EXPECT_FALSE(first_failure.has_value());
-        continue;
-      }
-      const auto& [signature, report] = *campaign.distinct_failures.begin();
-      if (!first_failure) {
-        first_failure = report;
-        first_signature = signature;
-        continue;
-      }
-      // Later combinations must retain the same first failure.
-      EXPECT_EQ(signature, first_signature);
-      EXPECT_EQ(report.seed, first_failure->seed);
-      EXPECT_EQ(report.merged.elements, first_failure->merged.elements);
-      const TracedRun a =
-          replay_traced(*first_failure, *plan, scenario.setup);
-      const TracedRun b = replay_traced(report, *plan, scenario.setup);
-      EXPECT_EQ(a.trace_hash, b.trace_hash);
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    core::CampaignOptions options;
+    options.budget = 0;
+    options.jobs = jobs;
+    const auto result = core::Campaign::run_scenario(scenario.name, options);
+    if (!result.ok()) {
+      ADD_FAILURE() << result.error();
+      continue;
     }
+    const core::CampaignResult& campaign = result.value();
+    if (campaign.distinct_failures.empty()) {
+      EXPECT_FALSE(first_failure.has_value());
+      continue;
+    }
+    const auto& [signature, report] = *campaign.distinct_failures.begin();
+    if (!first_failure) {
+      first_failure = report;
+      first_signature = signature;
+      continue;
+    }
+    // The parallel run must retain the same first failure.
+    EXPECT_EQ(signature, first_signature);
+    EXPECT_EQ(report.seed, first_failure->seed);
+    EXPECT_EQ(report.merged.elements, first_failure->merged.elements);
+    const TracedRun a = replay_traced(*first_failure, *plan, scenario.setup);
+    const TracedRun b = replay_traced(report, *plan, scenario.setup);
+    EXPECT_EQ(a.trace_hash, b.trace_hash);
   }
   if (first_failure) {
     record.failure_signature = first_signature;
@@ -194,10 +189,11 @@ TEST(ScenarioGoldenTest, FingerprintIsSensitiveToTheSeed) {
       ScenarioRegistry::builtin().find("philosophers-deadlock");
   ASSERT_NE(scenario, nullptr);
   const core::CompiledTestPlanPtr plan = core::compile(scenario->config);
-  const TracedRun a = run_traced(*plan, 1, scenario->setup);
-  const TracedRun b = run_traced(*plan, 2, scenario->setup);
+  pfa::WalkScratch scratch;
+  const TracedRun a = run_traced(*plan, 1, scenario->setup, scratch);
+  const TracedRun b = run_traced(*plan, 2, scenario->setup, scratch);
   EXPECT_NE(a.trace_hash, b.trace_hash);
-  const TracedRun again = run_traced(*plan, 1, scenario->setup);
+  const TracedRun again = run_traced(*plan, 1, scenario->setup, scratch);
   EXPECT_EQ(a.trace_hash, again.trace_hash);
 }
 
