@@ -1,6 +1,8 @@
-// Parallel campaign runner: the epsilon-greedy session budget shards
-// across a worker pool in fixed policy rounds, with per-session seeds
-// derived from (base seed, run index).  Two claims measured here:
+// Parallel campaign runner: the epsilon-greedy session budget of a
+// two-arm campaign runs through core::SessionBatchRunner in fixed
+// 8-session policy rounds (a single-arm campaign would run as one
+// batch), with per-session seeds derived from (base seed, run index) and
+// an order-free fold of each round.  Two claims measured here:
 //
 //   1. Correctness — the CampaignResult is bit-identical for every jobs
 //      value (checked in the report table; it aborts on mismatch).

@@ -1,5 +1,5 @@
 // WorkerPool dispatch overhead: parallel_for must stay cheap enough
-// that sharding a campaign round (a handful of multi-millisecond
+// that sharding a session batch (down to a policy round of a handful of
 // sessions) costs noise, and the dynamic cursor must balance skewed
 // task durations.
 #include <atomic>
@@ -34,7 +34,7 @@ const int registered = [] {
           const std::size_t count = ctx.scaled<std::size_t>(256, 64);
           ctx.measure([&] {
             std::atomic<std::uint64_t> sink{0};
-            pool.parallel_for(count, [&](std::size_t i) {
+            pool.parallel_for(count, [&](std::size_t, std::size_t i) {
               sink.fetch_add(i, std::memory_order_relaxed);
             });
             bench::do_not_optimize(sink.load());
@@ -51,7 +51,7 @@ const int registered = [] {
           const std::size_t count = ctx.scaled<std::size_t>(64, 16);
           const auto body = [&] {
             std::atomic<std::uint64_t> sink{0};
-            pool.parallel_for(count, [&](std::size_t i) {
+            pool.parallel_for(count, [&](std::size_t, std::size_t i) {
               sink.fetch_add(spin(i, 500 * (i + 1)),
                              std::memory_order_relaxed);
             });

@@ -905,7 +905,7 @@ int main(int argc, char** argv) {
   for (std::uint64_t run = 0; run < runs; ++run) {
     const std::uint64_t seed = base_seed + run;
     const auto result = core::execute(*plan, seed, setup, scratch);
-    core::add_session(metrics, core::tally(result), config.dedup_patterns);
+    core::add_session(metrics, result, config.dedup_patterns);
     std::printf("run %llu seed=%llu: %s (%zu commands, %llu ticks)\n",
                 static_cast<unsigned long long>(run + 1),
                 static_cast<unsigned long long>(seed),

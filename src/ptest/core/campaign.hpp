@@ -14,14 +14,16 @@
 // distinct failure signatures found (replayable reports are kept for each
 // new signature).
 //
-// Execution is organised in policy rounds of 8 sessions: arm picks for
-// a round are made up front — detection counts stay frozen at the round
-// boundary while run counts advance per pick (so warm-up keeps filling
-// within a round) — then the round's sessions — pure functions of
-// (arm, run index, seed) — run concurrently on a support::WorkerPool
-// and merge back in run order.
-// Because neither the schedule nor the merge depends on thread count or
-// completion order, `jobs = N` is bit-identical to the serial run.
+// Sessions run through a SessionBatchRunner (session_batch.hpp), and
+// every session's seed derives from (base seed, run index) alone.  A
+// single-arm campaign has no policy, so its whole slice is one batch.
+// With competing arms, execution is organised in policy rounds of 8
+// sessions: arm picks for a round are made up front — detection counts
+// stay frozen at the round boundary while run counts advance per pick
+// (so warm-up keeps filling within a round) — then the round runs as
+// one batch.  Batches fold with an order-free merge, so neither the
+// schedule nor the result depends on thread count or completion order:
+// `jobs = N` is bit-identical to the serial run.
 //
 // run() compiles each arm's CompiledTestPlan (regex -> PFA pipeline +
 // parsed distributions) exactly once up front and shares the immutable
@@ -60,8 +62,8 @@ struct ArmStats {
 /// A contiguous slice of a campaign's run-index space — the unit of work
 /// a fleet coordinator assigns to one worker.  Because every session's
 /// seed derives from (base seed, global run index) alone, executing the
-/// slices of plan_shards() on separate processes and merging the results
-/// in shard order reproduces the serial run bit for bit.
+/// slices of plan_shards() on separate processes and appending the
+/// results in shard order reproduces the serial run bit for bit.
 struct ShardSlice {
   std::size_t index = 0;     // shard id (merge order)
   std::size_t run_base = 0;  // first global run index of the slice
@@ -79,9 +81,9 @@ struct CampaignOptions {
   std::optional<BugKind> target;
   /// Worker threads executing sessions.  1 = run on the calling thread;
   /// 0 = one per hardware thread.  The result is bit-identical for every
-  /// value because the policy schedule does not depend on it.  The
-  /// effective thread count is capped at min(jobs, 8): a policy round
-  /// never holds more than 8 sessions, so extra threads would only idle.
+  /// value because neither the policy schedule nor the merge depends on
+  /// it.  Threads are capped at the batch size: the whole budget for a
+  /// single-arm campaign, 8 (one policy round) with competing arms.
   std::size_t jobs = 1;
 };
 
@@ -106,27 +108,22 @@ struct CampaignResult {
   /// identical for every jobs value and shard split.
   support::MetricsSnapshot metrics;
 
-  /// Sets the pfa_* counters of `metrics` to the sum over arm_coverage.
-  void derive_coverage_metrics();
+  /// Folds a later, disjoint part of the same campaign (a batch of later
+  /// run indices, or a later shard) into this one: runs and detections
+  /// sum, coverage sets union, metrics merge by row op, and a signature
+  /// already here keeps its earlier report.  arm_coverage, best_arm and
+  /// the pfa_* counters are left for the caller to rederive.
+  void append(CampaignResult later);
+
+  /// Rebuilds arm_coverage and the pfa_* counters of `metrics` from
+  /// arm_coverage_state.
+  void derive_coverage();
 };
 
-/// What one session adds to a campaign's counters: the pattern-free
-/// reduction of an AdaptiveTestResult that a merge phase folds in run
-/// order.
-struct SessionTally {
-  std::uint64_t patterns = 0;
-  std::uint64_t duplicates_rejected = 0;
-  std::uint64_t ticks = 0;  // kernel ticks the session simulated
-  std::uint64_t scratch_reuse_hits = 0;        // see pfa::WalkScratch
-  std::uint64_t sample_alloc_bytes_saved = 0;  // "
-};
-
-[[nodiscard]] SessionTally tally(const AdaptiveTestResult& outcome);
-
-/// Folds one session into `metrics`.  `dedup` says whether the session
-/// ran pattern dedup (PtestConfig::dedup_patterns).
+/// Folds one session's counters into `metrics`.  `dedup` says whether
+/// the session ran pattern dedup (PtestConfig::dedup_patterns).
 void add_session(support::MetricsSnapshot& metrics,
-                 const SessionTally& session, bool dedup);
+                 const AdaptiveTestResult& session, bool dedup);
 
 class Campaign {
  public:
@@ -135,9 +132,6 @@ class Campaign {
 
   /// Runs the whole budget; deterministic given base_config.seed — the
   /// same seed yields the same CampaignResult for any options.jobs.
-  /// Sessions within a policy round execute on a WorkerPool when
-  /// options.jobs != 1; each session's seed derives from
-  /// (base seed, run index) alone, and round results merge in run order.
   [[nodiscard]] CampaignResult run();
 
   [[nodiscard]] const std::vector<CampaignArm>& arms() const noexcept {
@@ -163,11 +157,12 @@ class Campaign {
   [[nodiscard]] static std::vector<ShardSlice> plan_shards(
       std::size_t budget, std::size_t shards);
 
-  /// Runs one slice of the run-index space through the same round
-  /// machinery as run() — this is what a fleet worker executes.  Only
-  /// single-arm campaigns shard bit-identically (the epsilon-greedy
-  /// policy feeds detections back sequentially, so a multi-arm schedule
-  /// depends on earlier slices); multi-arm campaigns throw.
+  /// Runs one slice of the run-index space as one batch, exactly as
+  /// run() runs a single-arm budget — this is what a fleet worker
+  /// executes.  Only single-arm campaigns shard bit-identically (the
+  /// epsilon-greedy policy feeds detections back sequentially, so a
+  /// multi-arm schedule depends on earlier slices); multi-arm campaigns
+  /// throw.
   [[nodiscard]] CampaignResult run_slice(const ShardSlice& slice);
 
   /// run_scenario's fleet-worker counterpart: builds the scenario's
@@ -179,30 +174,10 @@ class Campaign {
                      std::optional<std::uint64_t> seed_override = {});
 
  private:
-  /// Outcome of one session, reduced to what the policy, result, and
-  /// metrics need.
-  struct RunOutcome {
-    bool hit = false;
-    std::optional<BugReport> report;  // engaged only when hit
-    /// Folded into CampaignResult::metrics during the in-order merge
-    /// phase (keeping the totals deterministic for any jobs).
-    SessionTally tally;
-    std::uint64_t wall_ns = 0;  // session wall time (timing class)
-  };
-
   std::size_t pick_arm(support::Rng& rng,
                        const std::vector<ArmStats>& stats) const;
   /// base_config_ with arm `arm_index`'s (op, distributions) applied.
   [[nodiscard]] PtestConfig arm_config(std::size_t arm_index) const;
-  /// Runs one session.  `tracker` receives the session's sampled
-  /// patterns via observe() on the executing worker thread —
-  /// each worker gets its own tracker, so no pattern is retained or
-  /// copied back to the merge phase.  `scratch` is the executing
-  /// worker's private sampling scratch (same ownership rule), so
-  /// steady-state sessions sample with zero walk allocations.
-  RunOutcome execute_run(std::size_t run_index, std::size_t arm_index,
-                         pattern::CoverageTracker& tracker,
-                         pfa::WalkScratch& scratch) const;
   /// Shared body of run() and run_slice(): executes `budget` sessions
   /// whose global run indices start at `run_base`.
   [[nodiscard]] CampaignResult run_impl(std::size_t run_base,
@@ -212,9 +187,6 @@ class Campaign {
   std::vector<CampaignArm> arms_;
   WorkloadSetup setup_;
   CampaignOptions options_;
-  /// One immutable plan per arm, compiled at the top of run_impl();
-  /// shared read-only by every worker thread.
-  std::vector<CompiledTestPlanPtr> plans_;
 };
 
 }  // namespace ptest::core

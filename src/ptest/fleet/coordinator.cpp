@@ -38,43 +38,17 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
           .count());
 }
 
-/// Merges the shard results in shard-index order — which is global
-/// run-index order, so every first-wins and in-order rule of the serial
-/// merge phase is reproduced exactly.  An empty input merges to an
-/// empty (zero-run) result, not UB.
-core::CampaignResult merge_shards(const std::vector<ResultFrame>& shards) {
-  core::CampaignResult merged;
-  merged.arm_stats.resize(1);
-  merged.best_arm = 0;
-  if (shards.empty()) return merged;
-  pattern::CoverageState coverage;
-  bool any_coverage = false;
-  for (const ResultFrame& frame : shards) {
-    const core::CampaignResult& shard = frame.result;
-    merged.arm_stats[0].runs += shard.arm_stats[0].runs;
-    merged.arm_stats[0].detections += shard.arm_stats[0].detections;
-    merged.total_runs += shard.total_runs;
-    merged.total_detections += shard.total_detections;
-    // Earlier shards hold earlier run indices, so try_emplace (first wins)
-    // keeps exactly the report the serial run would have kept.
-    for (const auto& [signature, report] : shard.distinct_failures) {
-      merged.distinct_failures.try_emplace(signature, report);
-    }
-    if (!shard.arm_coverage_state.empty()) {
-      any_coverage = true;
-      coverage.merge(shard.arm_coverage_state[0]);
-    }
-    if (&frame == &shards.front()) {
-      merged.metrics = shard.metrics;
-    } else {
-      merged.metrics.merge(shard.metrics);
-    }
+/// Appends the shard results in shard-index order (global run-index
+/// order) through the CampaignResult::append that also folds a
+/// campaign's session batches, so earlier-wins keeps the serial run's
+/// report.  Moves the results out of `shards` (never empty); the fold
+/// starts from the first, as MetricsSnapshot::merge requires.
+core::CampaignResult merge_shards(std::vector<ResultFrame>& shards) {
+  core::CampaignResult merged = std::move(shards.front().result);
+  for (std::size_t i = 1; i < shards.size(); ++i) {
+    merged.append(std::move(shards[i].result));
   }
-  if (any_coverage) {
-    merged.arm_coverage.push_back(coverage.report());
-    merged.arm_coverage_state.push_back(std::move(coverage));
-  }
-  merged.derive_coverage_metrics();
+  merged.derive_coverage();
   return merged;
 }
 

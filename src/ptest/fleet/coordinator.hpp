@@ -8,7 +8,7 @@
 // over a fleet::Transport instead: shard slices of a single-arm
 // scenario campaign go out as AssignFrames, ResultFrames come back,
 // failed shards are re-issued under the retry budget, and the shard
-// results merge — in shard-index order, which is global run order — into
+// results fold (in shard order, through CampaignResult::append) into
 // one CampaignResult plus one CoverageCorpus that are bit-identical to
 // the single-process run of the same budget and seed.
 //

@@ -256,7 +256,6 @@ std::optional<std::string> read_campaign_result(
   for (const support::JsonValue& entry : coverage->array) {
     pattern::CoverageState state;
     if (auto error = read_coverage_state(entry, state)) return error;
-    result.arm_coverage.push_back(state.report());
     result.arm_coverage_state.push_back(std::move(state));
   }
   const support::JsonValue* metrics = node->find("metrics");
@@ -264,9 +263,10 @@ std::optional<std::string> read_campaign_result(
   if (auto error = result.metrics.read_json(*metrics)) {
     return "wire: " + *error;
   }
-  // The pfa_* counters stay off the wire: they rederive from the shipped
-  // coverage states, so they cannot drift from the sets.
-  result.derive_coverage_metrics();
+  // The coverage reports and pfa_* counters stay off the wire: they
+  // rederive from the shipped coverage states, so they cannot drift from
+  // the sets.
+  result.derive_coverage();
   return std::nullopt;
 }
 

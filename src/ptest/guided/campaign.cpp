@@ -1,16 +1,13 @@
 #include "ptest/guided/campaign.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
+#include "ptest/core/session_batch.hpp"
 #include "ptest/obs/trace.hpp"
 #include "ptest/scenario/golden.hpp"
 #include "ptest/scenario/registry.hpp"
 #include "ptest/support/rng.hpp"
-#include "ptest/support/worker_pool.hpp"
 
 namespace ptest::guided {
 
@@ -89,9 +86,8 @@ GuidedCampaign::GuidedCampaign(core::PtestConfig config,
 }
 
 GuidedResult GuidedCampaign::run() {
-  const auto wall_start = std::chrono::steady_clock::now();
+  const std::uint64_t wall_start = obs::TraceRecorder::now_ns();
   GuidedResult result;
-  result.campaign.arm_stats.resize(1);
   support::MetricsSnapshot& metrics = result.campaign.metrics;
 
   // The base plan; refined epochs recompile with a re-weighted spec but
@@ -113,19 +109,14 @@ GuidedResult GuidedCampaign::run() {
 
   const PlanRefiner refiner(options_.refiner);
 
-  const std::size_t jobs = support::resolve_jobs(options_.jobs);
-  const std::size_t useful_jobs =
-      std::min(jobs, options_.sessions_per_epoch);
-  std::unique_ptr<support::WorkerPool> pool;
-  if (useful_jobs > 1) {
-    pool = std::make_unique<support::WorkerPool>(useful_jobs - 1);
-  }
-  // One sampling scratch per pool participant (participant 0 is the
-  // caller), campaign-lived so epoch batches sample allocation-free once
-  // warm.  Reuse counters stay jobs-invariant — WalkScratch accounts per
-  // session, against its own high-water mark (see begin_session).
-  const std::size_t participants = pool ? pool->thread_count() + 1 : 1;
-  std::vector<pfa::WalkScratch> scratches(participants);
+  // Sessions replay their patterns against the base automaton: refined
+  // plans share its skeleton, so every epoch's coverage folds into the
+  // cumulative tracker.  counts_as_bug runs on the worker threads.
+  core::SessionBatchRunner runner(options_.jobs, options_.sessions_per_epoch,
+                                  {&base_plan->pfa}, config_.dedup_patterns,
+                                  options_.counts_as_bug);
+  // Each participant's trace fingerprints of the current epoch.
+  std::vector<std::vector<std::uint64_t>> fingerprints(runner.participants());
 
   // The coverage-gain series feeding the plateau detector.  A resumed
   // campaign reconstructs the persisted trajectory's gains so the
@@ -141,7 +132,7 @@ GuidedResult GuidedCampaign::run() {
   // Session seeds are a pure function of the global run index, which
   // continues from the corpus so a resumed campaign never replays the
   // seeds it already spent.
-  std::uint64_t run_base = corpus_.sessions();
+  const std::size_t first_run = corpus_.sessions();
 
   // Epochs count globally across the corpus: a resumed campaign's first
   // local epoch is global epoch `prior_epochs`, so it refines right away
@@ -170,8 +161,6 @@ GuidedResult GuidedCampaign::run() {
     }
   }
 
-  std::vector<scenario::TracedRun> batch(options_.sessions_per_epoch);
-  std::vector<std::uint64_t> batch_wall_ns(options_.sessions_per_epoch);
   bool stopped = false;
   for (std::size_t epoch = 0; epoch < options_.max_epochs && !stopped;
        ++epoch) {
@@ -189,62 +178,38 @@ GuidedResult GuidedCampaign::run() {
       ++result.refinements;
     }
 
-    // Execute the epoch batch exactly like a Campaign round: each slot
-    // is a pure function of its global run index, results merge in run
-    // order, so `jobs` is invisible in the outcome.
+    // The epoch is one batch: each session is a pure function of its
+    // global run index and the batch folds order-free, so `jobs` is
+    // invisible in the outcome.
     const std::size_t batch_size = options_.sessions_per_epoch;
-    const core::CompiledTestPlan& epoch_plan = *plan;
-    auto execute_slot = [&](std::size_t participant, std::size_t i) {
-      PTEST_OBS_SPAN("session");
-      const auto session_start = std::chrono::steady_clock::now();
-      batch[i] = scenario::run_traced(
-          epoch_plan, support::derive_seed(config_.seed, run_base + i),
-          setup_, scratches[participant]);
-      batch_wall_ns[i] = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - session_start)
-              .count());
-    };
-    if (pool) {
-      pool->parallel_for(batch_size, execute_slot);
-    } else {
-      for (std::size_t i = 0; i < batch_size; ++i) execute_slot(0, i);
-    }
-    run_base += batch_size;
+    const std::size_t run_base = first_run + epoch * batch_size;
+    core::SessionBatch batch = runner.run(
+        run_base, run_base + batch_size,
+        [&](std::size_t participant, std::size_t run,
+            pfa::WalkScratch& scratch) {
+          scenario::TracedRun traced = scenario::run_traced(
+              *plan, support::derive_seed(config_.seed, run), setup_,
+              scratch);
+          fingerprints[participant].push_back(traced.trace_hash);
+          return core::SessionRun{0, std::move(traced.result)};
+        });
 
     GuidedEpoch epoch_stats;
     epoch_stats.index = epoch;
     epoch_stats.sessions = batch_size;
-    bool bug_this_epoch = false;
-    for (std::size_t i = 0; i < batch_size; ++i) {
-      const scenario::TracedRun& traced = batch[i];
-      const core::AdaptiveTestResult& outcome = traced.result;
-      ++result.campaign.total_runs;
-      ++result.campaign.arm_stats[0].runs;
-      core::add_session(metrics, core::tally(outcome), config_.dedup_patterns);
-      metrics.session_wall_hist.record(batch_wall_ns[i]);
-      for (const pattern::TestPattern& sampled : outcome.patterns) {
-        tracker.observe(sampled);
+    epoch_stats.detections = batch.result.total_detections;
+    // Fingerprints are a set, so the count of new ones is order-free.
+    for (std::vector<std::uint64_t>& hashes : fingerprints) {
+      for (const std::uint64_t hash : hashes) {
+        epoch_stats.new_fingerprints += corpus_.add_fingerprint(hash) ? 1 : 0;
       }
-      epoch_stats.new_fingerprints +=
-          corpus_.add_fingerprint(traced.trace_hash) ? 1 : 0;
-
-      const bool bug = outcome.session.outcome == core::Outcome::kBug &&
-                       outcome.session.report.has_value();
-      if (!bug) continue;
-      const core::BugReport& report = *outcome.session.report;
-      const bool counted =
-          !options_.counts_as_bug || options_.counts_as_bug(report);
-      if (!counted) continue;
-      ++result.campaign.arm_stats[0].detections;
-      ++result.campaign.total_detections;
-      ++epoch_stats.detections;
-      result.campaign.distinct_failures.try_emplace(report.signature(), report);
-      if (!result.sessions_to_first_bug) {
-        result.sessions_to_first_bug = result.campaign.total_runs;
-      }
-      bug_this_epoch = true;
+      hashes.clear();
     }
+    if (batch.first_detection && !result.sessions_to_first_bug) {
+      result.sessions_to_first_bug = *batch.first_detection - first_run + 1;
+    }
+    result.campaign.append(std::move(batch.result));
+    tracker.absorb(runner.take_coverage()[0]);
 
     // Fold this epoch's coverage into the corpus and extend the
     // trajectory.
@@ -270,7 +235,7 @@ GuidedResult GuidedCampaign::run() {
 
     // Stop rules, most decisive first: oracle fire, coverage plateau,
     // epoch budget (the loop condition).
-    if (options_.stop_on_bug && bug_this_epoch) {
+    if (options_.stop_on_bug && epoch_stats.detections > 0) {
       result.stop_reason = StopReason::kBugFound;
       stopped = true;
     } else if (coverage_plateaued(gains, options_.plateau_window,
@@ -283,18 +248,11 @@ GuidedResult GuidedCampaign::run() {
   }
 
   result.coverage = tracker.report();
-  result.campaign.best_arm = 0;
-  result.campaign.arm_coverage.push_back(result.coverage);
-
-  result.campaign.derive_coverage_metrics();
+  result.campaign.arm_coverage_state.push_back(tracker.state());
+  result.campaign.derive_coverage();
   metrics.epochs = result.epochs.size();
   metrics.plan_refinements = result.refinements;
-  metrics.worker_threads = participants;
-  if (pool) metrics.worker_idle_ns = pool->idle_nanos();
-  metrics.wall_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count());
+  metrics.wall_ns = obs::TraceRecorder::now_ns() - wall_start;
   return result;
 }
 

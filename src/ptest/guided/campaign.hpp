@@ -20,15 +20,15 @@
 //             post-change segment is long and flat enough.
 //
 // Determinism: a guided run is a pure function of (config.seed, options,
-// seed corpus).  Epoch batches execute on a WorkerPool exactly like
-// Campaign rounds — session seeds derive from the global run index
-// alone and results merge in run order — so `jobs` can never change the
-// outcome.  A corpus saved mid-campaign resumes to the bit-identical
-// continuation of the uninterrupted run: run indices continue from
-// corpus.sessions(), epochs count globally from corpus.epochs(), and
-// the corpus records which transitions each epoch first covered — just
-// enough to replay the refinement chain (each epoch refines the
-// previous refined plan) before the first resumed batch.
+// seed corpus).  Each epoch is one core::SessionBatchRunner batch, like
+// a Campaign — session seeds derive from the global run index alone and
+// the batch folds order-free — so `jobs` can never change the outcome.
+// A corpus saved mid-campaign resumes to the bit-identical continuation
+// of the uninterrupted run: run indices continue from corpus.sessions(),
+// epochs count globally from corpus.epochs(), and the corpus records
+// which transitions each epoch first covered — just enough to replay
+// the refinement chain (each epoch refines the previous refined plan)
+// before the first resumed batch.
 #pragma once
 
 #include <functional>
@@ -49,8 +49,8 @@ struct GuidedOptions {
   /// Sessions per epoch batch (>= 1).  Total session budget is therefore
   /// at most max_epochs * sessions_per_epoch.
   std::size_t sessions_per_epoch = 8;
-  /// Worker threads per epoch batch (Campaign semantics: 1 = caller
-  /// thread, 0 = one per hardware thread; never changes results).
+  /// Worker threads per epoch batch (CampaignOptions::jobs semantics,
+  /// capped at sessions_per_epoch; never changes results).
   std::size_t jobs = 1;
   /// Re-weighting policy (exploration share, floor).
   RefinerOptions refiner;
@@ -63,7 +63,8 @@ struct GuidedOptions {
   /// mode).  Off = spend the full epoch budget mapping coverage.
   bool stop_on_bug = true;
   /// Which detections count (scenario oracles route through this);
-  /// nullptr = any detected bug.
+  /// nullptr = any detected bug.  Called on the worker threads that run
+  /// the sessions, possibly concurrently, so it must be pure.
   std::function<bool(const core::BugReport&)> counts_as_bug;
 };
 

@@ -34,8 +34,8 @@ struct CoverageReport {
 
 /// The full covered sets of one tracker, detached from its PFA — the
 /// mergeable/serializable form a campaign shard ships to the fleet
-/// coordinator (wire.cpp) and the per-worker trackers fold through at
-/// the round barrier.  All three sets are plain unions under merge(),
+/// coordinator (wire.cpp) and the session-batch runner's per-worker
+/// trackers fold through when their campaign or epoch asks.  All three sets are plain unions under merge(),
 /// which makes merging commutative, associative and idempotent; the
 /// totals are copied from the source PFA so report() works without it.
 struct CoverageState {
@@ -82,8 +82,9 @@ class CoverageTracker {
 
   /// Folds another tracker's (or a deserialized shard's) covered sets
   /// into this one.  No replay, no PFA validation: the state must come
-  /// from a tracker over the same automaton — campaign merge phases and
-  /// the fleet coordinator guarantee that by construction.
+  /// from a tracker over the same automaton — the session-batch runner,
+  /// guided epochs and the fleet coordinator guarantee that by
+  /// construction.
   void absorb(const CoverageState& other);
 
   /// Transitions never exercised, as (state, symbol) pairs.

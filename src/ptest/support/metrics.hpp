@@ -1,7 +1,7 @@
 // Campaign perf counters and the one table that describes them.
 //
-// MetricsSnapshot is the plain-value counter set that campaigns fill in
-// their single-threaded, in-order merge phase, and that results,
+// MetricsSnapshot is the plain-value counter set that campaigns fill per
+// worker and fold order-free with merge(), and that results,
 // `ptest_cli --metrics`, benches and the fleet wire carry — so claims
 // like "the plan cache is ~2x" or "jobs=4 keeps the workers busy" can be
 // checked from a run's artifacts.
@@ -55,7 +55,7 @@ struct MetricsSnapshot {
   /// PFA model coverage, summed over the campaign's arms (a single-arm
   /// campaign reads directly as its plan's coverage); zero when
   /// coverage tracking is off.  Derived from the coverage sets by
-  /// core::CampaignResult::derive_coverage_metrics, never merged or
+  /// core::CampaignResult::derive_coverage, never merged or
   /// shipped on their own.
   std::uint64_t pfa_states = 0;              ///< automaton states (total)
   std::uint64_t pfa_states_covered = 0;      ///< states some pattern visited

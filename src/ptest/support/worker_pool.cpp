@@ -1,10 +1,8 @@
 #include "ptest/support/worker_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <exception>
-#include <memory>
 
 namespace ptest::support {
 
@@ -29,6 +27,33 @@ bool spin_until(const Ready& ready, std::int64_t limit_ns) {
 
 }  // namespace
 
+/// One parallel_for's shared state.  It lives on the caller's stack:
+/// parallel_for does not return before every joined helper is done
+/// with it.
+struct WorkerPool::Call {
+  Call(Body body, std::size_t count) : fn(body), total(count) {}
+
+  Body fn;
+  std::size_t total;
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+
+  /// Claims and runs indices until the space is exhausted.
+  void drain(std::size_t participant) {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= total) return;
+      try {
+        fn(participant, i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (!error) error = std::current_exception();
+      }
+    }
+  }
+};
+
 std::size_t resolve_jobs(std::size_t jobs) {
   if (jobs != 0) return jobs;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -39,7 +64,9 @@ WorkerPool::WorkerPool(std::size_t threads) {
   threads = resolve_jobs(threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, participant = i + 1] {
+      worker_loop(participant);
+    });
   }
 }
 
@@ -52,121 +79,64 @@ WorkerPool::~WorkerPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void WorkerPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
-    queued_.store(queue_.size(), std::memory_order_release);
-  }
-  work_cv_.notify_one();
-}
-
-void WorkerPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-void WorkerPool::worker_loop() {
+void WorkerPool::worker_loop(std::size_t participant) {
+  std::uint64_t seen = 0;  // the last generation this helper looked at
+  // Idle accounting: the spin and the park are the helper's idle time,
+  // from the moment it finished its share of the previous call (so the
+  // caller cannot return before the wait started) until it joins the
+  // next one; a wait that ends in shutdown is discarded — the pool is
+  // being torn down, nobody is starved.
+  auto wait_start = std::chrono::steady_clock::now();
   for (;;) {
-    std::function<void()> task;
-    // Idle accounting: the spin and the park below are the worker's idle
-    // time.  The park is timed from when the lock is held, so mutex
-    // contention with a non-empty queue doesn't count as idle; waits
-    // that end in shutdown are discarded — the pool is being torn down,
-    // nobody is starved of that worker.
-    const auto spin_start = std::chrono::steady_clock::now();
-    spin_until(
-        [this] { return queued_.load(std::memory_order_acquire) != 0; },
-        kSpinNanos);
-    const std::int64_t spun = elapsed_ns(spin_start);
+    spin_until([&] { return generation_.load() != seen; }, kSpinNanos);
+    Call* call = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      const auto wait_start = std::chrono::steady_clock::now();
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to drain
-      idle_ns_.fetch_add(
-          static_cast<std::uint64_t>(spun + elapsed_ns(wait_start)),
-          std::memory_order_relaxed);
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      queued_.store(queue_.size(), std::memory_order_relaxed);
-      ++active_;
+      work_cv_.wait(lock, [&] { return stop_ || generation_.load() != seen; });
+      if (stop_) return;
+      seen = generation_.load();
+      // A call smaller than the team leaves the high-numbered helpers
+      // out; they never touch its state and go back to waiting.
+      if (participant > call_helpers_) continue;
+      call = call_;
     }
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-    task();
+    idle_ns_.fetch_add(static_cast<std::uint64_t>(elapsed_ns(wait_start)),
+                       std::memory_order_relaxed);
+    call->drain(participant);
+    wait_start = std::chrono::steady_clock::now();
+    // Last touch of the call: it publishes everything fn wrote to the
+    // caller, which returns once busy_ reads 0.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--busy_ == 0) done_cv_.notify_one();
+  }
+}
+
+void WorkerPool::parallel_for(std::size_t count, Body fn) {
+  if (count == 0) return;
+  Call call(fn, count);
+  const std::size_t helpers = std::min(workers_.size(), count - 1);
+  if (helpers > 0) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
+      call_ = &call;
+      call_helpers_ = helpers;
+      busy_.store(helpers);
+      generation_.fetch_add(1);
+    }
+    work_cv_.notify_all();
+  }
+
+  // The caller participates too (as participant 0), then waits for the
+  // joined helpers: a short spin, then parked.
+  call.drain(0);
+  if (helpers > 0) {
+    const auto helpers_done = [this] { return busy_.load() == 0; };
+    if (!spin_until(helpers_done, kSpinNanos)) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      done_cv_.wait(lock, helpers_done);
     }
   }
-}
-
-void WorkerPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& fn) {
-  parallel_for(count,
-               [&fn](std::size_t /*participant*/, std::size_t i) { fn(i); });
-}
-
-void WorkerPool::parallel_for(
-    std::size_t count,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (count == 0) return;
-
-  // Shared dynamic cursor; each participant claims the next unclaimed
-  // index until the space is exhausted.  The functor lives here too:
-  // a queued helper task can still run after parallel_for returned
-  // (when the caller drained every index itself), so the closure must
-  // own everything it might touch.
-  struct Shared {
-    explicit Shared(std::function<void(std::size_t, std::size_t)> f,
-                    std::size_t n)
-        : fn(std::move(f)), total(n) {}
-    std::function<void(std::size_t, std::size_t)> fn;
-    std::size_t total;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::exception_ptr error;
-    std::mutex error_mutex;
-    std::mutex done_mutex;
-    std::condition_variable done_cv;
-  };
-  auto shared = std::make_shared<Shared>(fn, count);
-  const std::size_t total = count;
-
-  auto drain = [shared](std::size_t participant) {
-    for (;;) {
-      const std::size_t i = shared->next.fetch_add(1);
-      if (i >= shared->total) return;
-      try {
-        shared->fn(participant, i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(shared->error_mutex);
-        if (!shared->error) shared->error = std::current_exception();
-      }
-      const std::size_t finished = shared->done.fetch_add(1) + 1;
-      if (finished == shared->total) {
-        std::lock_guard<std::mutex> lock(shared->done_mutex);
-        shared->done_cv.notify_all();
-      }
-    }
-  };
-
-  const std::size_t helpers =
-      count > 1 ? std::min(workers_.size(), count - 1) : 0;
-  for (std::size_t i = 0; i < helpers; ++i) {
-    submit([drain, participant = i + 1] { drain(participant); });
-  }
-
-  // The caller participates too (as participant 0), then waits for
-  // stragglers: a short spin, then parked.
-  drain(0);
-  const auto all_done = [&] { return shared->done.load() == total; };
-  if (!spin_until(all_done, kSpinNanos)) {
-    std::unique_lock<std::mutex> lock(shared->done_mutex);
-    shared->done_cv.wait(lock, all_done);
-  }
-  if (shared->error) std::rethrow_exception(shared->error);
+  if (call.error) std::rethrow_exception(call.error);
 }
 
 }  // namespace ptest::support

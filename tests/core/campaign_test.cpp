@@ -4,10 +4,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "ptest/core/session_batch.hpp"
 #include "ptest/support/rng.hpp"
 #include "ptest/support/worker_pool.hpp"
 #include "ptest/workload/philosophers.hpp"
@@ -122,6 +124,11 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
     EXPECT_EQ(signature, it->first);
     EXPECT_EQ(report.kind, it->second.kind);
     EXPECT_EQ(report.signature(), it->second.signature());
+    // The same report was kept, not just one with the same signature:
+    // the earliest run's seed and merged schedule.
+    EXPECT_EQ(report.seed, it->second.seed) << signature;
+    EXPECT_EQ(report.merged.elements, it->second.merged.elements)
+        << signature;
     ++it;
   }
   // Every deterministic work counter is part of the identity too.
@@ -224,20 +231,93 @@ TEST(CampaignTest, JobsZeroResolvesToHardwareConcurrency) {
   expect_identical(serial_result, auto_result);
 }
 
+// A single-arm campaign runs its whole budget as one batch, with no
+// round barrier; a budget that is not a multiple of the multi-arm round
+// size must still be identical for any jobs value, down to which report
+// each signature kept.
+TEST(CampaignTest, SingleArmBatchIsIdenticalForAnyJobs) {
+  const std::vector<CampaignArm> arms{
+      {"hot", pattern::MergeOp::kRoundRobin, kSuspendHeavy}};
+  CampaignOptions options;
+  options.budget = 37;
+  options.jobs = 1;
+  const CampaignResult serial =
+      Campaign(philosopher_config(), arms, buggy_setup(), options).run();
+  EXPECT_EQ(serial.total_runs, 37u);
+  // Several sessions per signature, or "which report was kept" is
+  // vacuous.
+  EXPECT_GT(serial.total_detections, serial.distinct_failures.size());
+  for (const std::size_t jobs : {2u, 3u, 0u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    options.jobs = jobs;
+    expect_identical(
+        serial,
+        Campaign(philosopher_config(), arms, buggy_setup(), options).run());
+  }
+}
+
+// The batch fold keeps the lowest run index per signature whichever
+// participant ran it.  The schedule is forced: the caller's first session
+// files nothing and holds until the helper has filed three reports, and
+// the helper then holds until the caller has filed one too — so the
+// earliest report sits in the helper's slot and a later one in the
+// caller's, and a fold that preferred either slot would keep the wrong
+// report.
+TEST(SessionBatchRunnerTest, KeepsTheLowestRunIndexPerSignature) {
+  const CompiledTestPlanPtr plan = compile(philosopher_config());
+  SessionBatchRunner runner(2, 64, {&plan->pfa}, false, nullptr);
+  ASSERT_EQ(runner.participants(), 2u);
+  std::atomic<int> helper_reports{0};
+  std::atomic<int> caller_reports{0};
+  std::atomic<std::size_t> lowest_reported{SIZE_MAX};
+  bool caller_started = false;
+  const std::size_t first = 100;
+  const SessionBatch batch = runner.run(
+      first, first + 64,
+      [&](std::size_t participant, std::size_t run, pfa::WalkScratch&) {
+        SessionRun session;
+        if (participant == 0 && !caller_started) {
+          caller_started = true;
+          while (helper_reports.load() < 3) std::this_thread::yield();
+          return session;  // passes: no report
+        }
+        if (participant != 0 && helper_reports.load() == 3) {
+          while (caller_reports.load() == 0) std::this_thread::yield();
+        }
+        ++(participant == 0 ? caller_reports : helper_reports);
+        std::size_t lowest = lowest_reported.load();
+        while (run < lowest &&
+               !lowest_reported.compare_exchange_weak(lowest, run)) {
+        }
+        session.result.session.outcome = Outcome::kBug;
+        session.result.session.report.emplace();
+        session.result.session.report->kind = BugKind::kDeadlock;
+        session.result.session.report->seed = run;
+        return session;
+      });
+  EXPECT_EQ(batch.result.total_runs, 64u);
+  EXPECT_EQ(batch.result.total_detections, 63u);
+  ASSERT_EQ(batch.result.distinct_failures.size(), 1u);
+  EXPECT_EQ(batch.result.distinct_failures.begin()->second.seed,
+            lowest_reported.load());
+  EXPECT_EQ(batch.first_detection, lowest_reported.load());
+}
+
 TEST(WorkerPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   support::WorkerPool pool(3);
   EXPECT_EQ(pool.thread_count(), 3u);
   std::vector<std::atomic<int>> hits(101);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  pool.parallel_for(hits.size(),
+                    [&](std::size_t, std::size_t i) { ++hits[i]; });
   for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
 }
 
 TEST(WorkerPoolTest, ParallelForHandlesEmptyAndTiny) {
   support::WorkerPool pool(2);
   std::atomic<int> calls{0};
-  pool.parallel_for(0, [&](std::size_t) { ++calls; });
+  pool.parallel_for(0, [&](std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
-  pool.parallel_for(1, [&](std::size_t) { ++calls; });
+  pool.parallel_for(1, [&](std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 1);
 }
 
@@ -246,7 +326,7 @@ TEST(WorkerPoolTest, ParallelForPropagatesExceptions) {
   std::atomic<int> completed{0};
   EXPECT_THROW(
       pool.parallel_for(32,
-                        [&](std::size_t i) {
+                        [&](std::size_t, std::size_t i) {
                           if (i == 7) throw std::runtime_error("boom");
                           ++completed;
                         }),
@@ -255,28 +335,18 @@ TEST(WorkerPoolTest, ParallelForPropagatesExceptions) {
   EXPECT_EQ(completed.load(), 31);
 }
 
-TEST(WorkerPoolTest, SubmitAndWaitIdleDrainTheQueue) {
-  support::WorkerPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 16; ++i) pool.submit([&] { ++done; });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 16);
-}
-
 TEST(WorkerPoolTest, WaitsThatOutlastTheSpinParkAndWake) {
-  // Waits spin for a bounded time, then park.  Work that arrives long
-  // after the spin still reaches the parked worker, and the idle counter
-  // covers the whole wait, spin and park.
+  // Waits spin for a bounded time, then park.  A call that arrives long
+  // after the spin still reaches the parked helper, and the idle counter
+  // covers the whole wait, spin and park.  Inside the same call, the
+  // caller finishes its index first and waits on the helper's slow one
+  // past the spin, so it parks too and must be woken.
   support::WorkerPool pool(1);
+  // A first call makes sure the helper is up: its wait for the next call
+  // starts before this one returns.
+  pool.parallel_for(2, [](std::size_t, std::size_t) {});
+  const std::uint64_t idle_before = pool.idle_nanos();
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  std::atomic<int> done{0};
-  pool.submit([&] { ++done; });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 1);
-  EXPECT_GE(pool.idle_nanos(), 5'000'000u);
-
-  // The caller finishes its index first and waits on the helper's slow
-  // one past the spin, so it parks and must be woken.
   std::atomic<bool> helper_started{false};
   std::atomic<int> calls{0};
   pool.parallel_for(2, [&](std::size_t participant, std::size_t) {
@@ -289,6 +359,23 @@ TEST(WorkerPoolTest, WaitsThatOutlastTheSpinParkAndWake) {
     }
   });
   EXPECT_EQ(calls.load(), 2);
+  EXPECT_GE(pool.idle_nanos() - idle_before, 5'000'000u);
+}
+
+TEST(WorkerPoolTest, BackToBackCallsReuseTheTeam) {
+  // Each call's state lives on the caller's stack; a helper that touched
+  // it after parallel_for returned would miscount here (and trip the
+  // sanitizers), as would one that joined a call twice or missed one.
+  support::WorkerPool pool(2);
+  for (std::size_t call = 0; call < 10'000; ++call) {
+    std::atomic<int> hits[3] = {0, 0, 0};
+    const std::size_t count = 1 + call % 3;
+    pool.parallel_for(count,
+                      [&](std::size_t, std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < 3; ++i) {
+      ASSERT_EQ(hits[i].load(), i < count ? 1 : 0) << "call " << call;
+    }
+  }
 }
 
 TEST(CampaignTest, CleanWorkloadYieldsNoDetections) {

@@ -177,8 +177,17 @@ TEST(SocketTransport, ListenerSurvivesReconnectingPeers) {
     ASSERT_TRUE(dialer.send(frame));
     EXPECT_EQ(receive_within(listener).value_or(""), frame);
   }  // dialer destructs: disconnect
-  EXPECT_FALSE(receive_within(listener).has_value());
+  // Poll until the listener has noticed the last disconnect; no frame
+  // may arrive meanwhile, nor after.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (listener.peers() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    EXPECT_FALSE(listener.receive().has_value());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_EQ(listener.peers(), 0u);
+  EXPECT_FALSE(listener.receive().has_value());
 }
 
 TEST(SocketTransport, RotatesSendsAcrossPeersSoBroadcastsCoverEveryone) {

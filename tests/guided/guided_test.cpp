@@ -303,6 +303,10 @@ TEST(GuidedCampaign, DeterministicAcrossJobs) {
   for (const auto& [signature, report] :
        results[0].campaign.distinct_failures) {
     EXPECT_EQ(signature, it->first);
+    // The same (earliest) report was kept, not just its signature.
+    EXPECT_EQ(report.seed, it->second.seed) << signature;
+    EXPECT_EQ(report.merged.elements, it->second.merged.elements)
+        << signature;
     ++it;
   }
   // Work counters are jobs-invariant too.
