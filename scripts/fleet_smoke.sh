@@ -1,24 +1,16 @@
 #!/usr/bin/env bash
-# Fleet smoke gate, both cross-process transports:
+# Fleet smoke gate over the cross-process (socket) transport:
 #
-#   Leg 1 (file queue): for every scenario in the catalog, run a
-#   2-worker file-queue fleet (two `ptest_cli --serve` processes plus a
-#   `--connect DIR` coordinator sharing a spool directory) at a small
-#   budget, and diff the merged corpus the coordinator exports against
-#   the corpus of a plain single-process run of the same scenario and
-#   budget.
-#
-#   Leg 2 (sockets): start two persistent `ptest_cli --listen 0` worker
+#   Leg 1 (sockets): start two persistent `ptest_cli --listen 0` worker
 #   daemons ONCE, then run the whole catalog through them — one
-#   `--connect host:port,host:port` coordinator per scenario — and diff
-#   each export against the file-queue leg's export.  The same two
-#   daemon processes serving every campaign is the persistence claim;
-#   the final `--halt-fleet` shuts them down and they must exit 0.
+#   `--connect host:port,host:port` coordinator per scenario at a small
+#   budget — and diff the merged corpus each coordinator exports
+#   against the corpus of a plain single-process run of the same
+#   scenario and budget.  The fleet invariant says the two must be
+#   byte-identical; any difference fails the script.  The same two
+#   daemon processes serving every campaign is the persistence claim.
 #
-# The fleet invariant says all exports must be byte-identical; any
-# difference fails the script.
-#
-#   Leg 3 (trace): one scenario re-runs through the same persistent
+#   Leg 2 (trace): one scenario re-runs through the same persistent
 #   socket daemons with `--trace`, and scripts/check_trace.py validates
 #   the stitched Chrome trace — both worker lanes present with their
 #   compile/session spans, the coordinator lane carrying issue/ack/
@@ -32,8 +24,9 @@
 # catalog sweep CI-fast.  Exit codes from the fleet runs themselves are
 # respected per scenario: buggy scenarios must satisfy their oracle
 # (exit 0), and a 64 from either side is a wiring bug.  TRACE_OUT names
-# where the leg-3 trace lands (CI uploads it as an artifact); default
-# is inside the throwaway workdir.
+# where the leg-2 trace lands (CI uploads it as an artifact); default
+# is inside the throwaway workdir.  Finally `--halt-fleet` shuts the
+# daemons down, and both must exit 0.
 set -euo pipefail
 
 build_dir="${1:?usage: fleet_smoke.sh BUILD_DIR [BUDGET] [TRACE_OUT]}"
@@ -82,15 +75,13 @@ echo "socket daemons up on ports $port0, $port1"
 
 failed=0
 for scenario in $scenarios; do
-  spool="$workdir/spool-$scenario"
   serial_corpus="$workdir/$scenario-serial.json"
-  fleet_corpus="$workdir/$scenario-fleet.json"
   socket_corpus="$workdir/$scenario-socket.json"
 
   # Single-process reference (its corpus is the whole budget as one
   # span — exactly what the fleet must merge back to).  2 = oracle not
   # satisfied at this tiny budget, which is legitimate; anything else
-  # nonzero is a wiring failure.  The fleet runs must agree either way.
+  # nonzero is a wiring failure.  The fleet run must agree either way.
   serial_code=0
   "$cli" --scenario "$scenario" --runs "$budget" \
          --export-corpus "$serial_corpus" \
@@ -102,32 +93,7 @@ for scenario in $scenarios; do
     continue
   fi
 
-  # Leg 1: two worker processes and the coordinator over one spool.
-  "$cli" --serve "$spool" > "$workdir/$scenario-w0.out" 2>&1 &
-  w0=$!
-  "$cli" --serve "$spool" > "$workdir/$scenario-w1.out" 2>&1 &
-  w1=$!
-  fleet_code=0
-  "$cli" --scenario "$scenario" --runs "$budget" --connect "$spool" \
-         --fleet 2 --export-corpus "$fleet_corpus" \
-         > "$workdir/$scenario-fleet.out" 2>&1 || fleet_code=$?
-  wait "$w0" || { echo "FAIL $scenario: worker 0 died" >&2; failed=1; }
-  wait "$w1" || { echo "FAIL $scenario: worker 1 died" >&2; failed=1; }
-
-  if [ "$fleet_code" -ne "$serial_code" ]; then
-    echo "FAIL $scenario: serial exit $serial_code vs fleet exit $fleet_code" >&2
-    cat "$workdir/$scenario-fleet.out" >&2
-    failed=1
-    continue
-  fi
-  if ! cmp -s "$serial_corpus" "$fleet_corpus"; then
-    echo "FAIL $scenario: merged fleet corpus differs from single-process" >&2
-    diff "$serial_corpus" "$fleet_corpus" >&2 || true
-    failed=1
-    continue
-  fi
-
-  # Leg 2: the same campaign through the two persistent socket daemons.
+  # Leg 1: the same campaign through the two persistent socket daemons.
   socket_code=0
   "$cli" --scenario "$scenario" --runs "$budget" --connect "$endpoints" \
          --fleet 2 --export-corpus "$socket_corpus" \
@@ -138,16 +104,16 @@ for scenario in $scenarios; do
     failed=1
     continue
   fi
-  if ! cmp -s "$fleet_corpus" "$socket_corpus"; then
-    echo "FAIL $scenario: socket corpus differs from file-queue corpus" >&2
-    diff "$fleet_corpus" "$socket_corpus" >&2 || true
+  if ! cmp -s "$serial_corpus" "$socket_corpus"; then
+    echo "FAIL $scenario: socket corpus differs from single-process" >&2
+    diff "$serial_corpus" "$socket_corpus" >&2 || true
     failed=1
     continue
   fi
-  echo "ok $scenario (exit $serial_code, file-queue + socket corpora identical)"
+  echo "ok $scenario (exit $serial_code, socket corpus identical to serial)"
 done
 
-# --- leg 3: trace one campaign through the same daemons --------------------
+# --- leg 2: trace one campaign through the same daemons --------------------
 # The daemons have already served the whole catalog; the traced run
 # proves the observability path works on a long-lived fleet, not just a
 # fresh one.  check_trace.py gates the stitched document: both worker
@@ -188,4 +154,4 @@ if [ "$failed" -ne 0 ]; then
   echo "fleet smoke: FAILED" >&2
   exit 1
 fi
-echo "fleet smoke: all scenarios bit-identical over both transports"
+echo "fleet smoke: all scenarios bit-identical to serial over sockets"

@@ -69,12 +69,12 @@ struct CoordinatorOptions {
   RetryPolicy retry;
   /// Poll iterations before the coordinator gives up on missing
   /// results (a worker died without reporting).  The in-process fleet
-  /// completes in thousands of iterations; file-queue fleets poll at
+  /// completes in thousands of iterations; socket fleets poll at
   /// idle_sleep_us intervals, so the default is minutes of real time.
   std::uint64_t poll_limit = 200'000'000;
   /// Microseconds to sleep when a poll iteration moved no frame
-  /// (0 = busy-spin with yield; file-queue callers should set this to
-  /// avoid hammering the filesystem).
+  /// (0 = busy-spin with yield; cross-process callers should set this
+  /// to avoid spinning a core on an idle socket).
   std::uint64_t idle_sleep_us = 0;
   /// Heartbeat deadline per outstanding shard, in poll iterations
   /// (0 = none).  An assignment with no result after this many polls is

@@ -1,10 +1,10 @@
 // fleet::SocketTransport — the fleet's wire frames over TCP.
 //
-// The third Transport implementation, and the first that leaves the
-// host: worker daemons listen on a port (`ptest_cli --listen PORT`),
-// the coordinator dials each of them (`--connect host:port,...`), and
-// the same single-line JSON frames the file queue spools travel as
-// newline-delimited lines on the stream.  Frames never contain a raw
+// The Transport implementation that leaves the process (and the host):
+// worker daemons listen on a port (`ptest_cli --listen PORT`), the
+// coordinator dials each of them (`--connect host:port,...`), and the
+// single-line JSON wire frames travel as newline-delimited lines on
+// the stream.  Frames never contain a raw
 // newline (support::JsonWriter escapes control characters inside
 // strings), so '\n' is an unambiguous frame terminator and a reader
 // that has not yet seen one simply has no pending frame.

@@ -1,19 +1,6 @@
 #include "ptest/fleet/transport.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-#include <system_error>
-#include <vector>
-
-#include "ptest/obs/trace.hpp"
-
 namespace ptest::fleet {
-
-namespace fs = std::filesystem;
-
-// --- InProcessQueue --------------------------------------------------------
 
 InProcessQueue::InProcessQueue(std::size_t capacity) {
   to_worker_.capacity = capacity == 0 ? 1 : capacity;
@@ -33,153 +20,6 @@ std::optional<std::string> InProcessQueue::Queue::pop() {
   std::string frame = std::move(frames.front());
   frames.pop_front();
   return frame;
-}
-
-// --- FileQueueTransport ----------------------------------------------------
-
-FileQueueTransport::FileQueueTransport(fs::path root, Role role,
-                                       std::string node)
-    : root_(std::move(root)), role_(role), node_(std::move(node)) {
-  fs::create_directories(root_ / "work");
-  fs::create_directories(root_ / "results");
-  fs::create_directories(root_ / "tmp");
-  recover_stale_tmp();
-}
-
-void FileQueueTransport::recover_stale_tmp() {
-  // Sweep tmp/ for files a previous process running as this node left
-  // behind when it crashed.  Only this node's files are touched: other
-  // nodes' tmp entries may be live (half-written publishes, in-flight
-  // claims) and each node recovers its own on restart.
-  const std::string claim_prefix = "claim-" + node_ + "-";
-  const std::string publish_suffix = "-" + node_;
-  std::error_code ec;
-  for (fs::directory_iterator it(root_ / "tmp", ec), end; !ec && it != end;
-       it.increment(ec)) {
-    std::error_code entry_ec;
-    if (!it->is_regular_file(entry_ec) || entry_ec) continue;
-    const std::string name = it->path().filename().string();
-    if (name.compare(0, claim_prefix.size(), claim_prefix) == 0) {
-      // Claimed but never processed (or never observed to be): restore
-      // the frame to the inbox so it delivers again.  If it actually
-      // was processed, the receiver's stale-seq / first-wins handling
-      // absorbs the duplicate — redelivery is safe, silent loss is not.
-      // (Restored claims keep their claim name, which sorts after the
-      // counter-prefixed fresh frames; delivery order degrades, never
-      // delivery itself.)
-      fs::rename(it->path(), inbox() / name, entry_ec);
-    } else if (name.size() > publish_suffix.size() &&
-               name.compare(name.size() - publish_suffix.size(),
-                            publish_suffix.size(), publish_suffix) == 0) {
-      // Crash between write and rename-publish: send() never returned
-      // true for this frame, so it was never logically sent.  Delete
-      // the husk rather than publishing possibly-truncated bytes.
-      fs::remove(it->path(), entry_ec);
-    }
-  }
-}
-
-fs::path FileQueueTransport::inbox() const {
-  return root_ / (role_ == Role::kCoordinator ? "results" : "work");
-}
-
-fs::path FileQueueTransport::outbox() const {
-  return root_ / (role_ == Role::kCoordinator ? "work" : "results");
-}
-
-bool FileQueueTransport::send(const std::string& frame) {
-  const std::uint64_t send_start = obs::TraceRecorder::now_ns();
-  char name[96];
-  std::snprintf(name, sizeof name, "%020llu-%s",
-                static_cast<unsigned long long>(counter_), node_.c_str());
-  const fs::path tmp = root_ / "tmp" / name;
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.good()) {
-      obs::TraceRecorder::instance().record_instant("transport:backpressure");
-      return false;
-    }
-    out << frame;
-    out.flush();
-    if (!out.good()) {
-      obs::TraceRecorder::instance().record_instant("transport:backpressure");
-      return false;
-    }
-  }
-  // Publish: the rename is atomic, so the peer never reads a half
-  // frame.  Failure (full disk, dead mount) reads as backpressure and
-  // the ledger machinery retries.
-  std::error_code ec;
-  fs::rename(tmp, outbox() / name, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    obs::TraceRecorder::instance().record_instant("transport:backpressure");
-    return false;
-  }
-  ++counter_;
-  obs::TraceRecorder::instance().record_span(
-      "transport:send", send_start,
-      obs::TraceRecorder::now_ns() - send_start);
-  return true;
-}
-
-std::optional<std::string> FileQueueTransport::receive() {
-  std::error_code ec;
-  std::vector<fs::path> pending;
-  for (fs::directory_iterator it(inbox(), ec), end; !ec && it != end;
-       it.increment(ec)) {
-    // A per-entry error (the entry vanished under a competing claimant,
-    // an unstatable name) skips that entry, never the rest of the scan
-    // — aborting here would silently postpone every remaining pending
-    // frame for this poll.
-    std::error_code entry_ec;
-    if (it->is_regular_file(entry_ec) && !entry_ec) {
-      pending.push_back(it->path());
-    }
-  }
-  std::sort(pending.begin(), pending.end());
-  for (const fs::path& path : pending) {
-    // Claim by renaming into tmp/ under this node's name: exactly one
-    // of the competing claimants wins the rename, everyone else moves
-    // on to the next pending frame.
-    char name[96];
-    std::snprintf(name, sizeof name, "claim-%s-%020llu", node_.c_str(),
-                  static_cast<unsigned long long>(counter_));
-    const fs::path claim = root_ / "tmp" / name;
-    fs::rename(path, claim, ec);
-    if (ec) continue;
-    ++counter_;
-    // Validate the read before the claim file is removed: a failed open
-    // or short read must put the frame back, not delete the only copy.
-    std::error_code io_ec;
-    const std::uintmax_t expected = fs::file_size(claim, io_ec);
-    bool good = !io_ec;
-    std::string frame;
-    if (good) {
-      std::ifstream in(claim, std::ios::binary);
-      good = in.is_open();
-      if (good) {
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        frame = buffer.str();
-        // A truncated stream is not a complete frame; the byte count
-        // must match what the atomic rename published.
-        good = !in.bad() && frame.size() == expected;
-      }
-    }
-    if (!good) {
-      // Unclaim: restore the frame under its published name so a later
-      // poll (or another claimant) delivers it.  If even the restore
-      // fails, the claim file stays in tmp/ and the constructor-time
-      // recovery sweep returns it to the inbox on restart.
-      fs::rename(claim, path, io_ec);
-      continue;
-    }
-    fs::remove(claim, io_ec);
-    obs::TraceRecorder::instance().record_instant("transport:recv");
-    return frame;
-  }
-  return std::nullopt;
 }
 
 }  // namespace ptest::fleet

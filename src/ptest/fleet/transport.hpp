@@ -6,24 +6,20 @@
 // pending; polling, never blocking).  The committer/coordinator retry
 // machinery (fleet/ledger.hpp) was designed around exactly this
 // contract, so the same backpressure handling drives a bounded
-// in-process queue and a spool directory on disk.
+// in-process queue and a TCP connection set.
 //
 // Two implementations:
 //   * InProcessQueue — a bounded two-direction mutex queue; the local
 //     `--fleet N` mode and the unit tests run coordinator and workers
 //     as threads of one process.  Multiple workers may share the worker
 //     endpoint; each frame is claimed by exactly one receiver.
-//   * FileQueueTransport — a spool directory shared over a filesystem
-//     for separate processes (`--serve DIR` / `--connect DIR`).
-//     Publishing writes to tmp/ and renames into the destination
-//     directory; claiming renames out of it.  POSIX rename(2) is atomic
-//     and fails for every claimant but one, so competing workers get
-//     exactly-once delivery without locks.
+//   * SocketTransport (socket_transport.hpp) — newline-delimited frames
+//     over TCP for separate processes (`--listen PORT` daemons, a
+//     `--connect HOST:PORT[,...]` coordinator).
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <filesystem>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -40,9 +36,9 @@ class Transport {
   /// pending.  Never blocks.
   [[nodiscard]] virtual std::optional<std::string> receive() = 0;
   /// Live peers this endpoint can currently reach, or 0 when the
-  /// transport cannot know (queues and spools have no connection
-  /// concept).  The coordinator sizes its end-of-campaign drain
-  /// broadcast from this when it is available.
+  /// transport cannot know (a queue has no connection concept).  The
+  /// coordinator sizes its end-of-campaign drain broadcast from this
+  /// when it is available.
   [[nodiscard]] virtual std::size_t peers() { return 0; }
 };
 
@@ -91,41 +87,6 @@ class InProcessQueue {
   Queue to_coordinator_;
   Endpoint coordinator_{to_worker_, to_coordinator_};
   Endpoint worker_{to_coordinator_, to_worker_};
-};
-
-/// Spool-directory transport.  Layout under the root:
-///   work/     frames bound for workers (assignments, shutdowns)
-///   results/  frames bound for the coordinator
-///   tmp/      half-written files before their rename-publish
-/// Frames are single files named <counter>-<node> so directory order
-/// approximates send order and names never collide across nodes.
-class FileQueueTransport final : public Transport {
- public:
-  enum class Role : std::uint8_t { kCoordinator, kWorker };
-
-  /// Creates the spool layout under `root` if missing, then recovers
-  /// this node's stale tmp/ entries from a previous crashed process:
-  /// half-published sends (crash between write and rename; the old
-  /// send() never returned true, so the frame was never logically sent)
-  /// are deleted, and claimed-but-unprocessed frames are restored to
-  /// the inbox so they deliver again.  `node` must be unique per live
-  /// process (it namespaces published file names and claim targets, and
-  /// scopes the crash recovery).  Throws
-  /// std::filesystem::filesystem_error when the root cannot be created.
-  FileQueueTransport(std::filesystem::path root, Role role, std::string node);
-
-  [[nodiscard]] bool send(const std::string& frame) override;
-  [[nodiscard]] std::optional<std::string> receive() override;
-
- private:
-  [[nodiscard]] std::filesystem::path inbox() const;
-  [[nodiscard]] std::filesystem::path outbox() const;
-  void recover_stale_tmp();
-
-  std::filesystem::path root_;
-  Role role_;
-  std::string node_;
-  std::uint64_t counter_ = 0;
 };
 
 }  // namespace ptest::fleet

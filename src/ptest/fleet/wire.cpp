@@ -1,41 +1,17 @@
 #include "ptest/fleet/wire.hpp"
 
-#include <cstdio>
 #include <utility>
 
 #include "ptest/support/json.hpp"
+#include "ptest/support/strings.hpp"
 
 namespace ptest::fleet {
 
 namespace {
 
-std::string hex64(std::uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof buffer, "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
-
-/// Strict hex-to-u64; nullopt on anything but exactly 1..16 hex digits.
-std::optional<std::uint64_t> parse_hex64(std::string_view text) {
-  if (text.empty() || text.size() > 16) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') {
-      value |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else if (c >= 'A' && c <= 'F') {
-      value |= static_cast<std::uint64_t>(c - 'A' + 10);
-    } else {
-      return std::nullopt;
-    }
-  }
-  return value;
-}
-
 using support::as_count;
+using support::hex64;
+using support::parse_hex64;
 
 std::optional<std::string> as_string(const support::JsonValue* value) {
   if (value == nullptr || !value->is_string()) return std::nullopt;

@@ -4,12 +4,12 @@
 // bridge/protocol.hpp frames commands for the simulated master/slave
 // channel as packed structs because both ends share one address space
 // and one build.  A fleet worker is a separate *process* (possibly a
-// different build on a shared filesystem), so its framing must be
+// different build on another host), so its framing must be
 // self-describing and versioned instead: each frame is one JSON
 // document written with support::JsonWriter and reloaded with
 // support::parse_json — the same strict round-trip pair the guided
 // corpus trusts.  Transports carry frames as opaque strings; nothing
-// here knows whether the string crossed a mutex or a filesystem.
+// here knows whether the string crossed a mutex or a socket.
 //
 // Four frames make up the protocol:
 //   * AssignFrame     coordinator -> worker: run this shard slice of a

@@ -28,7 +28,7 @@ struct WorkerOptions {
   /// Poll iterations with no inbound frame before serve() gives up
   /// (the coordinator died without broadcasting shutdown).
   std::uint64_t poll_limit = 200'000'000;
-  /// Microseconds to sleep on an idle poll (0 = yield; file-queue
+  /// Microseconds to sleep on an idle poll (0 = yield; cross-process
   /// callers should set this).
   std::uint64_t idle_sleep_us = 0;
   /// Daemon mode: survive campaign-end frames (keep serving the next
@@ -37,8 +37,7 @@ struct WorkerOptions {
   /// coordinator's shard deadline re-issues anything lost.
   bool persistent = false;
   /// Stamped into every ResultFrame so the coordinator can count the
-  /// distinct workers it must drain.  Also namespaces the file-queue
-  /// transport's spool files; must be unique per live process.
+  /// distinct workers it must drain; must be unique per live process.
   std::string node;
   /// Honour AssignFrame::trace by enabling this process's TraceRecorder
   /// around the slice and shipping the drained tail on the ResultFrame.

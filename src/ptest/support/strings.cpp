@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstdio>
 #include <stdexcept>
 
 namespace ptest::support {
@@ -55,6 +56,24 @@ double parse_double(std::string_view text) {
   if (ec != std::errc{} || ptr != trimmed.data() + trimmed.size()) {
     throw std::invalid_argument("parse_double: invalid number: '" +
                                 std::string(text) + "'");
+  }
+  return value;
+}
+
+std::string hex64(std::uint64_t value) {
+  char buffer[17];
+  std::snprintf(buffer, sizeof buffer, "%016llx",
+                static_cast<unsigned long long>(value));
+  return buffer;
+}
+
+std::optional<std::uint64_t> parse_hex64(std::string_view text) {
+  if (text.empty() || text.size() > 16) return std::nullopt;
+  std::uint64_t value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value, 16);
+  if (ec != std::errc{} || ptr != text.data() + text.size()) {
+    return std::nullopt;
   }
   return value;
 }

@@ -4,6 +4,7 @@
 
 #include <charconv>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,5 +39,13 @@ inline void append_decimal(std::string& out, std::uint64_t value) {
 
 /// Parses a non-negative integer, throwing std::invalid_argument on failure.
 [[nodiscard]] std::uint64_t parse_u64(std::string_view text);
+
+/// `value` as exactly 16 lowercase hex digits — how seeds and hashes
+/// are spelled in wire frames, corpus files and golden fixtures.
+[[nodiscard]] std::string hex64(std::uint64_t value);
+
+/// Strict inverse of hex64: nullopt on anything but 1..16 hex digits
+/// (either case; no prefix, sign or whitespace).
+[[nodiscard]] std::optional<std::uint64_t> parse_hex64(std::string_view text);
 
 }  // namespace ptest::support

@@ -7,16 +7,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
-
-#include <fstream>
-#include <memory>
 
 #include "ptest/core/campaign.hpp"
 #include "ptest/fleet/coordinator.hpp"
@@ -321,105 +318,6 @@ TEST(InProcessQueue, DeliversEachFrameToExactlyOneEndAndBackpressures) {
   EXPECT_EQ(coordinator.receive().value_or(""), "r");
 }
 
-TEST(FileQueueTransport, RoundTripsFramesThroughTheSpool) {
-  const std::filesystem::path root =
-      std::filesystem::path(::testing::TempDir()) / "fleet_spool_roundtrip";
-  std::filesystem::remove_all(root);
-  FileQueueTransport coordinator(root, FileQueueTransport::Role::kCoordinator,
-                                 "coord");
-  FileQueueTransport worker(root, FileQueueTransport::Role::kWorker, "w0");
-  EXPECT_FALSE(worker.receive().has_value());
-  ASSERT_TRUE(coordinator.send("first"));
-  ASSERT_TRUE(coordinator.send("second"));
-  EXPECT_EQ(worker.receive().value_or(""), "first");  // counter order
-  EXPECT_EQ(worker.receive().value_or(""), "second");
-  EXPECT_FALSE(worker.receive().has_value());
-  ASSERT_TRUE(worker.send("reply"));
-  EXPECT_EQ(coordinator.receive().value_or(""), "reply");
-  std::filesystem::remove_all(root);
-}
-
-TEST(FileQueueTransport, CompetingWorkersClaimEachFrameOnce) {
-  const std::filesystem::path root =
-      std::filesystem::path(::testing::TempDir()) / "fleet_spool_claims";
-  std::filesystem::remove_all(root);
-  FileQueueTransport coordinator(root, FileQueueTransport::Role::kCoordinator,
-                                 "coord");
-  FileQueueTransport w0(root, FileQueueTransport::Role::kWorker, "w0");
-  FileQueueTransport w1(root, FileQueueTransport::Role::kWorker, "w1");
-  const int frames = 20;
-  for (int i = 0; i < frames; ++i) {
-    ASSERT_TRUE(coordinator.send("frame-" + std::to_string(i)));
-  }
-  std::vector<std::string> claimed;
-  while (true) {
-    auto a = w0.receive();
-    auto b = w1.receive();
-    if (a) claimed.push_back(*a);
-    if (b) claimed.push_back(*b);
-    if (!a && !b) break;
-  }
-  std::sort(claimed.begin(), claimed.end());
-  EXPECT_EQ(claimed.size(), static_cast<std::size_t>(frames));
-  EXPECT_EQ(std::unique(claimed.begin(), claimed.end()), claimed.end());
-  std::filesystem::remove_all(root);
-}
-
-TEST(FileQueueTransport, RecoversItsOwnStaleTmpFilesOnConstruction) {
-  namespace fs = std::filesystem;
-  const fs::path root =
-      fs::path(::testing::TempDir()) / "fleet_spool_recovery";
-  fs::remove_all(root);
-  fs::create_directories(root / "work");
-  fs::create_directories(root / "results");
-  fs::create_directories(root / "tmp");
-  // A previous "w0" process crashed holding a claimed work frame...
-  {
-    std::ofstream out(root / "tmp" / "claim-w0-00000000000000000000");
-    out << "frame-that-must-not-be-lost";
-  }
-  // ...and a previous "coord" process crashed between writing a frame
-  // and its atomic rename-publish.
-  {
-    std::ofstream out(root / "tmp" / "00000000000000000007-coord");
-    out << "half-writ";
-  }
-  FileQueueTransport worker(root, FileQueueTransport::Role::kWorker, "w0");
-  // The stale claim went back to the inbox and delivers normally.
-  EXPECT_EQ(worker.receive().value_or(""), "frame-that-must-not-be-lost");
-  // The other node's husk was not w0's to touch...
-  EXPECT_TRUE(fs::exists(root / "tmp" / "00000000000000000007-coord"));
-  FileQueueTransport coordinator(root, FileQueueTransport::Role::kCoordinator,
-                                 "coord");
-  // ...but the restarted publisher deletes it: that send never returned
-  // true, so the frame was never logically sent.
-  EXPECT_FALSE(fs::exists(root / "tmp" / "00000000000000000007-coord"));
-  EXPECT_FALSE(worker.receive().has_value());
-  fs::remove_all(root);
-}
-
-TEST(FileQueueTransport, InboxScanSkipsUnstatableEntriesNotTheWholePoll) {
-  namespace fs = std::filesystem;
-  const fs::path root =
-      fs::path(::testing::TempDir()) / "fleet_spool_unstatable";
-  fs::remove_all(root);
-  FileQueueTransport coordinator(root, FileQueueTransport::Role::kCoordinator,
-                                 "coord");
-  FileQueueTransport worker(root, FileQueueTransport::Role::kWorker, "w0");
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(coordinator.send("frame-" + std::to_string(i)));
-  }
-  // A self-referencing symlink in the inbox stats with ELOOP.  The scan
-  // must skip the one bad entry, not abort and postpone every pending
-  // frame behind it forever.
-  fs::create_symlink("0-loop", root / "work" / "0-loop");
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(worker.receive().value_or(""), "frame-" + std::to_string(i));
-  }
-  EXPECT_FALSE(worker.receive().has_value());
-  fs::remove_all(root);
-}
-
 // ---------------------------------------------------------------------------
 // the fleet invariant
 
@@ -521,45 +419,6 @@ TEST(Fleet, ShardCountAndWorkerJobsDoNotChangeTheResult) {
   EXPECT_EQ(fleet.value().result.metrics.fleet_shards, 3u);
 }
 
-TEST(Fleet, FileQueueFleetMatchesSerialToo) {
-  const std::string scenario = "philosophers-deadlock";
-  const std::size_t budget = 16;
-  core::CampaignOptions serial_options;
-  serial_options.budget = budget;
-  auto serial = core::Campaign::run_scenario(scenario, serial_options);
-  ASSERT_TRUE(serial.ok()) << serial.error();
-
-  const std::filesystem::path root =
-      std::filesystem::path(::testing::TempDir()) / "fleet_spool_campaign";
-  std::filesystem::remove_all(root);
-
-  CoordinatorOptions options;
-  options.shards = 2;
-  options.budget = budget;
-  options.idle_sleep_us = 200;
-  options.poll_limit = 1'000'000;  // bound a hang well under the timeout
-  WorkerOptions worker_options;
-  worker_options.idle_sleep_us = 200;
-  worker_options.poll_limit = 1'000'000;
-
-  std::vector<std::thread> workers;
-  for (const char* node : {"w0", "w1"}) {
-    workers.emplace_back([&root, worker_options, node] {
-      FileQueueTransport transport(root, FileQueueTransport::Role::kWorker,
-                                   node);
-      auto served = Worker(worker_options).serve(transport);
-      EXPECT_TRUE(served.ok()) << served.error();
-    });
-  }
-  FileQueueTransport transport(root, FileQueueTransport::Role::kCoordinator,
-                               "coord");
-  auto fleet = Coordinator(scenario, options).run(transport);
-  for (std::thread& thread : workers) thread.join();
-  ASSERT_TRUE(fleet.ok()) << fleet.error();
-  expect_fleet_identical(fleet.value(), serial.value(), scenario, budget);
-  std::filesystem::remove_all(root);
-}
-
 TEST(Fleet, CoordinatorRejectsUnknownScenarios) {
   InProcessQueue queue;
   auto result = Coordinator("no-such-scenario").run(queue.coordinator_endpoint());
@@ -589,7 +448,7 @@ TEST(Fleet, CoordinatorRetriesErrorFramesUnderTheBudget) {
     ResultFrame bounce;
     bounce.seq = frame.value().assign.seq;
     bounce.shard = frame.value().assign.slice.index;
-    bounce.error = "transient spool hiccup";
+    bounce.error = "transient transport hiccup";
     while (!worker_end.send(encode(bounce))) std::this_thread::yield();
     // ...then serve the rest (including the re-issue) for real.
     auto served = Worker().serve(worker_end);

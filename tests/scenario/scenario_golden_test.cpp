@@ -22,7 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -32,6 +31,7 @@
 #include "ptest/core/replay.hpp"
 #include "ptest/scenario/registry.hpp"
 #include "ptest/support/rng.hpp"
+#include "ptest/support/strings.hpp"
 
 namespace ptest::scenario {
 namespace {
@@ -43,13 +43,6 @@ std::string fixture_path(const std::string& name) {
 bool update_mode() {
   const char* env = std::getenv("PTEST_GOLDEN_UPDATE");
   return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-std::string hex64(std::uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof buffer, "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
 }
 
 /// "key rest-of-line" pairs; '#' lines are comments.
@@ -85,7 +78,7 @@ GoldenRecord compute_record(const Scenario& scenario) {
   const TracedRun session =
       run_traced(*plan, record.seed, scenario.setup, scratch);
   record.outcome = core::to_string(session.result.session.outcome);
-  record.trace_hash = hex64(session.trace_hash);
+  record.trace_hash = support::hex64(session.trace_hash);
 
   // Plan reuse must be invisible: a freshly compiled plan replays to the
   // identical fingerprint.
@@ -131,7 +124,7 @@ GoldenRecord compute_record(const Scenario& scenario) {
     record.failure_signature = first_signature;
     const TracedRun replay =
         replay_traced(*first_failure, *plan, scenario.setup);
-    record.replay_hash = hex64(replay.trace_hash);
+    record.replay_hash = support::hex64(replay.trace_hash);
     // The replayed session reproduces the recorded failure.
     EXPECT_TRUE(core::verify_reproduces(*first_failure,
                                         replay.result.session));

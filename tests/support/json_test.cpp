@@ -265,9 +265,10 @@ TEST(JsonParse, NestingLimitIsExact) {
 }
 
 TEST(JsonParse, EveryTruncationOfADocumentIsRejected) {
-  // Fleet frames and corpora arrive over a file queue, where a reader
-  // can race a non-atomic writer and see a prefix.  No proper prefix of
-  // a document whose root closes at the last byte may half-parse.
+  // Fleet frames arrive over a socket and corpora from disk, where a
+  // reader can see a cut-off prefix (a dropped peer, a crashed writer).
+  // No proper prefix of a document whose root closes at the last byte
+  // may half-parse.
   const std::string doc =
       R"({"a": [1, -2.5e3, "x\nA", true, null], "b": {"c": false}})";
   ASSERT_TRUE(parse_json(doc).ok());

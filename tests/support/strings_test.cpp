@@ -67,5 +67,20 @@ TEST(StringsTest, ParseU64) {
   EXPECT_THROW((void)parse_u64(""), std::invalid_argument);
 }
 
+TEST(StringsTest, Hex64RoundTripsAndParsesStrictly) {
+  EXPECT_EQ(hex64(0), "0000000000000000");
+  EXPECT_EQ(hex64(1), "0000000000000001");
+  EXPECT_EQ(hex64(UINT64_MAX), "ffffffffffffffff");
+  for (const std::uint64_t value : {std::uint64_t{0}, std::uint64_t{1},
+                                    std::uint64_t{UINT64_MAX}}) {
+    EXPECT_EQ(parse_hex64(hex64(value)), value);
+  }
+  EXPECT_EQ(parse_hex64("FfFf"), 0xffffu);  // short and mixed case are fine
+  EXPECT_EQ(parse_hex64(""), std::nullopt);
+  EXPECT_EQ(parse_hex64("10000000000000000"), std::nullopt);  // 17 digits
+  EXPECT_EQ(parse_hex64("0x1"), std::nullopt);
+  EXPECT_EQ(parse_hex64("12g"), std::nullopt);
+}
+
 }  // namespace
 }  // namespace ptest::support
