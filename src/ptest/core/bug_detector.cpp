@@ -118,7 +118,8 @@ bool BugDetector::tick(sim::Soc& soc) {
 
   // 5. Starvation (optional).
   if (config_.starvation_horizon != 0) {
-    for (pcore::TaskId id = 0; id < pcore::kMaxTasks; ++id) {
+    for (pcore::SlotMask m = kernel_->runnable_mask(); m != 0; m &= m - 1) {
+      const pcore::TaskId id = pcore::lowest_slot(m);
       const pcore::Tcb& task = kernel_->tcb(id);
       if (task.state != pcore::TaskState::kReady) continue;
       if (soc.now() - task.last_progress > config_.starvation_horizon) {

@@ -7,7 +7,8 @@
 // here the deterministic tick loop gives it the same observational power
 // (kernel state via the debug port, committer protocol state, CP records)
 // without racing the system under test.  The per-tick checks read the
-// kernel's TCBs in place; the wait-for graph is rescanned only when the
+// kernel's TCBs in place (the starvation check only the runnable slots of
+// runnable_mask()); the wait-for graph is rescanned only when the
 // kernel's wait_graph_epoch() moved, and a full KernelSnapshot is taken
 // once, when a report is filed.
 //

@@ -85,22 +85,23 @@ void PcoreKernel::force_panic(std::string reason) {
 }
 
 Status PcoreKernel::check_live(TaskId task) const {
-  if (task >= kMaxTasks) return Status::kErrBadTask;
-  const TaskState s = tcbs_[task].state;
-  if (s == TaskState::kFree || s == TaskState::kTerminated) {
+  if (task >= kMaxTasks || !is_live(tcbs_[task].state)) {
     return Status::kErrBadTask;
   }
   return Status::kOk;
 }
 
-std::size_t PcoreKernel::live_task_count() const noexcept {
-  std::size_t n = 0;
-  for (const Tcb& tcb : tcbs_) {
-    if (tcb.state != TaskState::kFree && tcb.state != TaskState::kTerminated) {
-      ++n;
-    }
+void PcoreKernel::set_state(TaskId task, TaskState state) {
+  Tcb& tcb = tcbs_[task];
+  live_count_ += is_live(state);
+  live_count_ -= is_live(tcb.state);
+  const auto bit = slot_bit(task);
+  if (is_runnable(state)) {
+    runnable_ |= bit;
+  } else {
+    runnable_ &= static_cast<SlotMask>(~bit);
   }
-  return n;
+  tcb.state = state;
 }
 
 std::int32_t PcoreKernel::shared_word(std::size_t index) const {
@@ -152,7 +153,7 @@ Status PcoreKernel::task_create(std::uint32_t program_id, std::uint32_t arg,
   }
 
   Tcb& tcb = tcbs_[slot];
-  tcb.state = TaskState::kReady;
+  set_state(slot, TaskState::kReady);
   tcb.priority = priority;
   tcb.program = factory->second(arg);
   tcb.tcb_block = *tcb_block;
@@ -175,7 +176,7 @@ void PcoreKernel::release_held_mutexes(TaskId task) {
   }
 }
 
-void PcoreKernel::reclaim(TaskId task, TaskState final_state) {
+void PcoreKernel::reclaim(TaskId task) {
   Tcb& tcb = tcbs_[task];
   if (tcb.state == TaskState::kBlocked) ++wait_graph_epoch_;
   release_held_mutexes(task);
@@ -183,7 +184,7 @@ void PcoreKernel::reclaim(TaskId task, TaskState final_state) {
   heap_.defer_free(tcb.stack_block);
   if (heap_.panicked()) panic("reclaim: " + heap_.panic_reason());
   tcb.program.reset();
-  tcb.state = final_state;
+  set_state(task, TaskState::kFree);
   tcb.waiting_on.reset();
   if (running_ == task) running_ = kInvalidTask;
 }
@@ -192,7 +193,7 @@ Status PcoreKernel::task_delete(TaskId task) {
   ++service_calls_;
   if (panicked_) return Status::kErrPanicked;
   if (const Status s = check_live(task); s != Status::kOk) return s;
-  reclaim(task, TaskState::kFree);
+  reclaim(task);
   return Status::kOk;
 }
 
@@ -200,12 +201,9 @@ Status PcoreKernel::task_suspend(TaskId task) {
   ++service_calls_;
   if (panicked_) return Status::kErrPanicked;
   if (const Status s = check_live(task); s != Status::kOk) return s;
-  Tcb& tcb = tcbs_[task];
-  if (tcb.state != TaskState::kReady && tcb.state != TaskState::kRunning) {
-    return Status::kErrBadState;
-  }
+  if (!is_runnable(tcbs_[task].state)) return Status::kErrBadState;
   if (running_ == task) running_ = kInvalidTask;
-  tcb.state = TaskState::kSuspended;
+  set_state(task, TaskState::kSuspended);
   return Status::kOk;
 }
 
@@ -213,9 +211,8 @@ Status PcoreKernel::task_resume(TaskId task) {
   ++service_calls_;
   if (panicked_) return Status::kErrPanicked;
   if (const Status s = check_live(task); s != Status::kOk) return s;
-  Tcb& tcb = tcbs_[task];
-  if (tcb.state != TaskState::kSuspended) return Status::kErrBadState;
-  tcb.state = TaskState::kReady;
+  if (tcbs_[task].state != TaskState::kSuspended) return Status::kErrBadState;
+  set_state(task, TaskState::kReady);
   return Status::kOk;
 }
 
@@ -231,9 +228,8 @@ Status PcoreKernel::task_yield(TaskId task) {
   ++service_calls_;
   if (panicked_) return Status::kErrPanicked;
   if (const Status s = check_live(task); s != Status::kOk) return s;
-  Tcb& tcb = tcbs_[task];
-  if (tcb.state == TaskState::kBlocked) return Status::kErrBadState;
-  reclaim(task, TaskState::kFree);
+  if (tcbs_[task].state == TaskState::kBlocked) return Status::kErrBadState;
+  reclaim(task);
   return Status::kOk;
 }
 
@@ -263,9 +259,8 @@ void PcoreKernel::release_mutex(MutexId id) {
   mutex.waiters.erase(best);
   mutex.owner = winner;
   ++mutex.acquisitions;
-  Tcb& tcb = tcbs_[winner];
-  tcb.waiting_on.reset();
-  tcb.state = TaskState::kReady;
+  tcbs_[winner].waiting_on.reset();
+  set_state(winner, TaskState::kReady);
 }
 
 // --- execution -------------------------------------------------------------------
@@ -287,36 +282,34 @@ void PcoreKernel::maybe_collect(sim::Soc& soc) {
 void PcoreKernel::run_scheduler(sim::Soc& soc) {
   const TaskId previous = running_;
   const bool previous_runnable =
-      previous != kInvalidTask &&
-      (tcbs_[previous].state == TaskState::kRunning ||
-       tcbs_[previous].state == TaskState::kReady);
-  TaskId next = scheduler_.pick(tcbs_, running_);
+      previous != kInvalidTask && is_runnable(tcbs_[previous].state);
+  TaskId next = scheduler_.pick(tcbs_, runnable_, yielded_, running_);
   if (next != kInvalidTask && config_.schedule_noise > 0.0 &&
       noise_rng_.chance(config_.schedule_noise)) {
     // ConTest-style perturbation: dispatch a random runnable task.
     std::array<TaskId, kMaxTasks> runnable{};
     std::size_t count = 0;
-    for (TaskId i = 0; i < kMaxTasks; ++i) {
-      if (tcbs_[i].state == TaskState::kReady ||
-          tcbs_[i].state == TaskState::kRunning) {
-        runnable[count++] = i;
-      }
+    for (SlotMask m = runnable_; m != 0; m &= m - 1) {
+      runnable[count++] = lowest_slot(m);
     }
-    if (count > 0) next = runnable[noise_rng_.below(count)];
+    next = runnable[noise_rng_.below(count)];
   }
   scheduler_.note_dispatch(previous, next, previous_runnable);
   if (previous != kInvalidTask && previous != next &&
       tcbs_[previous].state == TaskState::kRunning) {
-    tcbs_[previous].state = TaskState::kReady;
+    set_state(previous, TaskState::kReady);
   }
   running_ = next;
   if (next == kInvalidTask) return;
 
   // A dispatch consumes every outstanding yield: each yielder has now been
   // passed over once, which is all the paper's yield() promises.
-  for (Tcb& t : tcbs_) t.yield_pending = false;
+  for (SlotMask m = yielded_; m != 0; m &= m - 1) {
+    tcbs_[lowest_slot(m)].yield_pending = false;
+  }
+  yielded_ = 0;
   Tcb& tcb = tcbs_[next];
-  tcb.state = TaskState::kRunning;
+  set_state(next, TaskState::kRunning);
   ContextImpl ctx(*this, next);
   const StepResult result = tcb.program->step(ctx);
   ++tcb.steps;
@@ -326,8 +319,9 @@ void PcoreKernel::run_scheduler(sim::Soc& soc) {
     case StepKind::kCompute:
       break;  // consumed its slice
     case StepKind::kYield:
-      tcb.state = TaskState::kReady;
+      set_state(next, TaskState::kReady);
       tcb.yield_pending = true;
+      yielded_ |= slot_bit(next);
       running_ = kInvalidTask;
       break;
     case StepKind::kLock: {
@@ -350,7 +344,7 @@ void PcoreKernel::run_scheduler(sim::Soc& soc) {
       } else {
         ++mutex.contentions;
         mutex.waiters.push_back(next);
-        tcb.state = TaskState::kBlocked;
+        set_state(next, TaskState::kBlocked);
         tcb.waiting_on = static_cast<MutexId>(id);
         running_ = kInvalidTask;
         ++wait_graph_epoch_;
@@ -377,7 +371,7 @@ void PcoreKernel::run_scheduler(sim::Soc& soc) {
               ")");
         return;
       }
-      reclaim(next, TaskState::kFree);
+      reclaim(next);
       break;
   }
 }

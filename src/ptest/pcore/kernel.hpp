@@ -143,7 +143,17 @@ class PcoreKernel : public sim::Device {
   [[nodiscard]] const std::string& panic_reason() const noexcept {
     return panic_reason_;
   }
-  [[nodiscard]] std::size_t live_task_count() const noexcept;
+  /// Live (neither free nor terminated) tasks; a field read, kept by
+  /// set_state.
+  [[nodiscard]] std::size_t live_task_count() const noexcept {
+    return live_count_;
+  }
+  /// Slots whose task is Ready or Running, kept by set_state.
+  [[nodiscard]] SlotMask runnable_mask() const noexcept { return runnable_; }
+  /// Slots whose `yield_pending` is set: the scheduler passes over them
+  /// once.  A flag outlives its task until the next dispatch, so a slot
+  /// reused by task_create in between inherits it.
+  [[nodiscard]] SlotMask yield_mask() const noexcept { return yielded_; }
   [[nodiscard]] const Tcb& tcb(TaskId task) const { return tcbs_.at(task); }
   [[nodiscard]] const KMutex& mutex(MutexId id) const {
     return mutexes_.at(id);
@@ -181,7 +191,9 @@ class PcoreKernel : public sim::Device {
 
   void panic(std::string reason);
   void release_held_mutexes(TaskId task);
-  void reclaim(TaskId task, TaskState final_state);
+  /// The one writer of `Tcb::state`: keeps runnable_ and live_count_.
+  void set_state(TaskId task, TaskState state);
+  void reclaim(TaskId task);
   Status check_live(TaskId task) const;
   /// Clears `id`'s owner and hands it to the best waiter, if any.
   void release_mutex(MutexId id);
@@ -200,6 +212,9 @@ class PcoreKernel : public sim::Device {
   std::vector<std::int32_t> shared_;
   support::Rng noise_rng_{0};
   TaskId running_ = kInvalidTask;
+  SlotMask runnable_ = 0;
+  SlotMask yielded_ = 0;
+  std::size_t live_count_ = 0;
   bool panicked_ = false;
   std::string panic_reason_;
   sim::Tick tick_ = 0;

@@ -3,29 +3,28 @@
 namespace ptest::pcore {
 
 TaskId PriorityScheduler::pick(const std::array<Tcb, kMaxTasks>& tcbs,
+                               SlotMask runnable, SlotMask yielded,
                                TaskId current) const {
   // Two passes: first skipping tasks that just yielded (they handed the
   // processor over), then — if nothing else is runnable — including them.
-  for (const bool include_yielded : {false, true}) {
+  for (const SlotMask candidates :
+       {static_cast<SlotMask>(runnable & ~yielded), runnable}) {
+    if (candidates == 0) continue;
     TaskId best = kInvalidTask;
     Priority best_priority = 0;
-    for (TaskId i = 0; i < kMaxTasks; ++i) {
-      const Tcb& tcb = tcbs[i];
-      if (tcb.state != TaskState::kReady &&
-          tcb.state != TaskState::kRunning) {
-        continue;
-      }
-      if (!include_yielded && tcb.yield_pending) continue;
+    for (SlotMask m = candidates; m != 0; m &= m - 1) {
+      const TaskId i = lowest_slot(m);
+      const Priority priority = tcbs[i].priority;
       const bool better =
-          best == kInvalidTask || tcb.priority > best_priority ||
+          best == kInvalidTask || priority > best_priority ||
           // Tie: prefer the incumbent to avoid gratuitous switches.
-          (tcb.priority == best_priority && i == current);
+          (priority == best_priority && i == current);
       if (better) {
         best = i;
-        best_priority = tcb.priority;
+        best_priority = priority;
       }
     }
-    if (best != kInvalidTask) return best;
+    return best;
   }
   return kInvalidTask;
 }

@@ -5,6 +5,10 @@
 // highest priority; ties break toward the currently running task (no
 // gratuitous switch), then the lowest slot.  A newly readied
 // higher-priority task therefore preempts at the next tick boundary.
+//
+// The kernel hands over its runnable and yield slot masks, so a pick
+// reads only the priorities of runnable slots instead of scanning all 16
+// TCBs.
 #pragma once
 
 #include <array>
@@ -17,7 +21,10 @@ namespace ptest::pcore {
 class PriorityScheduler {
  public:
   /// Picks the next task to run; kInvalidTask when none is runnable.
+  /// `runnable` holds the Ready/Running slots, `yielded` the slots whose
+  /// `yield_pending` is set; of `tcbs` only runnable priorities are read.
   [[nodiscard]] TaskId pick(const std::array<Tcb, kMaxTasks>& tcbs,
+                            SlotMask runnable, SlotMask yielded,
                             TaskId current) const;
 
   [[nodiscard]] std::uint64_t context_switches() const noexcept {

@@ -7,6 +7,7 @@
 // and are reclaimed by the collector after deletion.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -35,6 +36,28 @@ enum class TaskState : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(TaskState state) noexcept;
+
+/// Ready and Running tasks compete for the processor.
+[[nodiscard]] constexpr bool is_runnable(TaskState state) noexcept {
+  return state == TaskState::kReady || state == TaskState::kRunning;
+}
+/// A slot holds a task from task_create until it is freed or terminated.
+[[nodiscard]] constexpr bool is_live(TaskState state) noexcept {
+  return state != TaskState::kFree && state != TaskState::kTerminated;
+}
+
+/// One bit per task slot: bit i stands for slot i.
+using SlotMask = std::uint16_t;
+static_assert(kMaxTasks <= 16, "SlotMask holds one bit per task slot");
+
+[[nodiscard]] constexpr SlotMask slot_bit(TaskId slot) noexcept {
+  return static_cast<SlotMask>(1u << slot);
+}
+/// The slot of `mask`'s lowest set bit; `mask` must be non-zero.  Walk a
+/// mask in ascending slot order with `for (m = mask; m != 0; m &= m - 1)`.
+[[nodiscard]] inline TaskId lowest_slot(SlotMask mask) noexcept {
+  return static_cast<TaskId>(std::countr_zero(mask));
+}
 
 class TaskProgram;  // program.hpp
 

@@ -11,7 +11,10 @@
 // The reference wiring also carries an EpochWitness: after every tick it
 // checks that the kernel's wait_graph_epoch() moved whenever the
 // wait-for graph's inputs (blocked set, waiting_on, mutex owners) did —
-// the contract the production detector's scan gate relies on.
+// the contract the production detector's scan gate relies on — and a
+// KernelStateWitness: after every tick the kernel's runnable mask, yield
+// mask and live count equal a fresh scan of its 16 TCBs, the contract
+// the mask-walking scheduler and starvation check rely on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -236,15 +239,51 @@ class EpochWitness : public sim::Device {
   std::size_t missed_ = 0;
 };
 
+// --- the slot-mask contract --------------------------------------------------
+
+/// Counts ticks where runnable_mask(), yield_mask() or live_task_count()
+/// disagreed with a fresh scan of tcb(0..15).
+class KernelStateWitness : public sim::Device {
+ public:
+  explicit KernelStateWitness(const pcore::PcoreKernel& kernel)
+      : kernel_(&kernel) {}
+
+  bool tick(sim::Soc&) override {
+    pcore::SlotMask runnable = 0;
+    pcore::SlotMask yielded = 0;
+    std::size_t live = 0;
+    for (pcore::TaskId t = 0; t < pcore::kMaxTasks; ++t) {
+      const pcore::Tcb& tcb = kernel_->tcb(t);
+      const auto bit = pcore::slot_bit(t);
+      if (pcore::is_runnable(tcb.state)) runnable |= bit;
+      if (tcb.yield_pending) yielded |= bit;
+      live += pcore::is_live(tcb.state);
+    }
+    if (runnable != kernel_->runnable_mask() ||
+        yielded != kernel_->yield_mask() ||
+        live != kernel_->live_task_count()) {
+      ++missed_;
+    }
+    return true;
+  }
+
+  [[nodiscard]] std::size_t missed() const noexcept { return missed_; }
+
+ private:
+  const pcore::PcoreKernel* kernel_;
+  std::size_t missed_ = 0;
+};
+
 // --- sessions ------------------------------------------------------------------
 
 struct ReferenceRun {
   SessionResult result;
   std::size_t epoch_misses = 0;
+  std::size_t kernel_state_misses = 0;
 };
 
 /// One session wired as core/session.cpp wires TestSession, with the
-/// reference detector (and the epoch witness) observing, and its stats
+/// reference detector (and both witnesses) observing, and its stats
 /// read from a kernel snapshot as TestSession::run once did.
 ReferenceRun run_reference(const CompiledTestPlan& plan, std::uint64_t seed,
                            const WorkloadSetup& setup,
@@ -291,12 +330,14 @@ ReferenceRun run_reference(const CompiledTestPlan& plan, std::uint64_t seed,
   master.add(std::move(owned_committer));
   ReferenceDetector detector(config.detector, kernel, committer, recorder);
   EpochWitness witness(kernel);
+  KernelStateWitness state_witness(kernel);
 
   soc.attach(master);
   soc.attach(committee);
   soc.attach(kernel);
   soc.attach(detector);
   soc.attach(witness);
+  soc.attach(state_witness);
 
   ReferenceRun run;
   SessionResult& result = run.result;
@@ -319,6 +360,7 @@ ReferenceRun run_reference(const CompiledTestPlan& plan, std::uint64_t seed,
   result.stats.context_switches = snapshot.context_switches;
   result.stats.gc_runs = snapshot.heap.gc_runs;
   run.epoch_misses = witness.missed();
+  run.kernel_state_misses = state_witness.missed();
   return run;
 }
 
@@ -374,6 +416,8 @@ void sweep_variant(const std::string& label, const PtestConfig& config,
                         plan->alphabet);
     EXPECT_EQ(reference.epoch_misses, 0u)
         << "wait-for graph changed without an epoch bump";
+    EXPECT_EQ(reference.kernel_state_misses, 0u)
+        << "slot masks or live count disagree with the TCBs";
     ++totals.sessions;
     if (production.session.report) {
       ++totals.bugs;
@@ -413,7 +457,8 @@ struct ObservedKernel {
         recorder(alphabet),
         production(config, kernel, committer, recorder),
         reference(config, kernel, committer, recorder),
-        witness(kernel) {
+        witness(kernel),
+        state_witness(kernel) {
     kernel.register_program(kIdleId, [](std::uint32_t) {
       return std::make_unique<pcore::IdleProgram>();
     });
@@ -421,6 +466,7 @@ struct ObservedKernel {
     soc.attach(production);
     soc.attach(reference);
     soc.attach(witness);
+    soc.attach(state_witness);
   }
 
   pcore::TaskId create(pcore::Priority priority,
@@ -452,6 +498,7 @@ struct ObservedKernel {
   BugDetector production;
   ReferenceDetector reference;
   EpochWitness witness;
+  KernelStateWitness state_witness;
 };
 
 TEST(DetectorReferenceTest, DeletingABlockedTaskKeepsTheEpochHonest) {
@@ -470,6 +517,7 @@ TEST(DetectorReferenceTest, DeletingABlockedTaskKeepsTheEpochHonest) {
   ASSERT_EQ(observed.kernel.task_delete(holder), pcore::Status::kOk);
   (void)observed.soc.run(5);
   EXPECT_EQ(observed.witness.missed(), 0u);
+  EXPECT_EQ(observed.state_witness.missed(), 0u);
   EXPECT_FALSE(observed.production.bug_found());
   observed.expect_same_reports();
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ptest/pcore/programs.hpp"
+#include "ptest/support/rng.hpp"
 
 namespace ptest::pcore {
 namespace {
@@ -293,6 +294,93 @@ TEST_F(KernelFixture, ResumeKeepsThePreSuspendLastProgress) {
   (void)soc_.step();  // the high-priority task keeps the CPU
   EXPECT_EQ(kernel_->tcb(low).state, TaskState::kReady);
   EXPECT_EQ(kernel_->tcb(low).last_progress, progressed_at);
+}
+
+TEST_F(KernelFixture, SlotReusedBeforeDispatchInheritsAStaleYield) {
+  // A yielder deleted before the next dispatch leaves yield_pending set on
+  // its slot, and task_create does not clear it: the new occupant is
+  // passed over once.  The kernel's yield mask must mirror the flag.
+  kernel_->register_program(203, [](std::uint32_t) {
+    return std::make_unique<ScriptProgram>(
+        std::vector<StepResult>{StepResult::yield()}, /*loop=*/true);
+  });
+  const TaskId yielder = create(9, 203);
+  const TaskId low = create(3);
+  ASSERT_TRUE(soc_.step());
+  ASSERT_TRUE(kernel_->tcb(yielder).yield_pending);
+  ASSERT_EQ(kernel_->task_delete(yielder), Status::kOk);
+  const TaskId reused = create(9);
+  ASSERT_EQ(reused, yielder);
+  EXPECT_TRUE(kernel_->tcb(reused).yield_pending);
+  EXPECT_EQ(kernel_->yield_mask(), slot_bit(reused));
+
+  ASSERT_TRUE(soc_.step());  // the stale flag hands this tick to `low`
+  EXPECT_EQ(kernel_->tcb(reused).steps, 0u);
+  EXPECT_EQ(kernel_->tcb(low).steps, 1u);
+  EXPECT_FALSE(kernel_->tcb(reused).yield_pending);
+  EXPECT_EQ(kernel_->yield_mask(), 0u);
+
+  ASSERT_TRUE(soc_.step());
+  EXPECT_EQ(kernel_->tcb(reused).steps, 1u);
+  EXPECT_EQ(kernel_->tcb(low).steps, 1u);
+}
+
+TEST_F(KernelFixture, SlotMasksAndLiveCountFollowEveryService) {
+  // Random service churn over lock-holding and yielding programs; after
+  // every call and every tick the kept masks and count equal a fresh scan.
+  const MutexId mutex = kernel_->mutex_create();
+  kernel_->register_program(200, [mutex](std::uint32_t hold) {
+    return std::make_unique<LockHoldProgram>(mutex, hold);
+  });
+  kernel_->register_program(203, [](std::uint32_t) {
+    return std::make_unique<ScriptProgram>(
+        std::vector<StepResult>{StepResult::compute(), StepResult::yield()},
+        /*loop=*/true);
+  });
+  const std::array<std::uint32_t, 4> programs = {kIdleId, kComputeId, 200,
+                                                 203};
+  support::Rng rng(7);
+  auto expect_consistent = [&](int round) {
+    SlotMask runnable = 0;
+    SlotMask yielded = 0;
+    std::size_t live = 0;
+    for (TaskId i = 0; i < kMaxTasks; ++i) {
+      const Tcb& tcb = kernel_->tcb(i);
+      const auto bit = slot_bit(i);
+      if (is_runnable(tcb.state)) runnable |= bit;
+      if (tcb.yield_pending) yielded |= bit;
+      live += is_live(tcb.state);
+    }
+    ASSERT_EQ(kernel_->runnable_mask(), runnable) << "round " << round;
+    ASSERT_EQ(kernel_->yield_mask(), yielded) << "round " << round;
+    ASSERT_EQ(kernel_->live_task_count(), live) << "round " << round;
+  };
+  for (int round = 0; round < 4000; ++round) {
+    const auto task = static_cast<TaskId>(rng.below(kMaxTasks));
+    switch (rng.below(7)) {
+      case 0:
+      case 1: {
+        TaskId created = kInvalidTask;
+        (void)kernel_->task_create(programs[rng.below(programs.size())],
+                                   static_cast<std::uint32_t>(rng.below(6)),
+                                   static_cast<Priority>(rng.below(4)),
+                                   created);
+        break;
+      }
+      case 2: (void)kernel_->task_delete(task); break;
+      case 3: (void)kernel_->task_suspend(task); break;
+      case 4: (void)kernel_->task_resume(task); break;
+      case 5: (void)kernel_->task_yield(task); break;
+      default:
+        (void)kernel_->task_chanprio(task,
+                                     static_cast<Priority>(rng.below(4)));
+        break;
+    }
+    expect_consistent(round);
+    (void)soc_.run(rng.below(3));
+    expect_consistent(round);
+  }
+  EXPECT_FALSE(kernel_->panicked());
 }
 
 TEST_F(KernelFixture, PanickedKernelRejectsServices) {

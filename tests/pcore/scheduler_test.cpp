@@ -7,10 +7,23 @@ namespace {
 
 std::array<Tcb, kMaxTasks> make_table() { return {}; }
 
+/// Picks from `tcbs` with the slot masks the kernel would keep for it.
+TaskId pick(const PriorityScheduler& scheduler,
+            const std::array<Tcb, kMaxTasks>& tcbs, TaskId current) {
+  SlotMask runnable = 0;
+  SlotMask yielded = 0;
+  for (TaskId i = 0; i < kMaxTasks; ++i) {
+    const auto bit = slot_bit(i);
+    if (is_runnable(tcbs[i].state)) runnable |= bit;
+    if (tcbs[i].yield_pending) yielded |= bit;
+  }
+  return scheduler.pick(tcbs, runnable, yielded, current);
+}
+
 TEST(SchedulerTest, EmptyTableYieldsInvalid) {
   PriorityScheduler scheduler;
   const auto tcbs = make_table();
-  EXPECT_EQ(scheduler.pick(tcbs, kInvalidTask), kInvalidTask);
+  EXPECT_EQ(pick(scheduler, tcbs, kInvalidTask), kInvalidTask);
 }
 
 TEST(SchedulerTest, PicksHighestPriorityReady) {
@@ -22,7 +35,7 @@ TEST(SchedulerTest, PicksHighestPriorityReady) {
   tcbs[7].priority = 9;
   tcbs[4].state = TaskState::kSuspended;
   tcbs[4].priority = 15;  // not runnable, must be ignored
-  EXPECT_EQ(scheduler.pick(tcbs, kInvalidTask), 7);
+  EXPECT_EQ(pick(scheduler, tcbs, kInvalidTask), 7);
 }
 
 TEST(SchedulerTest, TieBreaksTowardIncumbent) {
@@ -32,7 +45,7 @@ TEST(SchedulerTest, TieBreaksTowardIncumbent) {
   tcbs[1].priority = 5;
   tcbs[3].state = TaskState::kRunning;
   tcbs[3].priority = 5;
-  EXPECT_EQ(scheduler.pick(tcbs, 3), 3);
+  EXPECT_EQ(pick(scheduler, tcbs, 3), 3);
 }
 
 TEST(SchedulerTest, TieWithoutIncumbentPicksLowestSlot) {
@@ -42,7 +55,7 @@ TEST(SchedulerTest, TieWithoutIncumbentPicksLowestSlot) {
   tcbs[6].priority = 5;
   tcbs[2].state = TaskState::kReady;
   tcbs[2].priority = 5;
-  EXPECT_EQ(scheduler.pick(tcbs, kInvalidTask), 2);
+  EXPECT_EQ(pick(scheduler, tcbs, kInvalidTask), 2);
 }
 
 TEST(SchedulerTest, BlockedAndTerminatedIgnored) {
@@ -54,7 +67,7 @@ TEST(SchedulerTest, BlockedAndTerminatedIgnored) {
   tcbs[1].priority = 9;
   tcbs[2].state = TaskState::kReady;
   tcbs[2].priority = 1;
-  EXPECT_EQ(scheduler.pick(tcbs, kInvalidTask), 2);
+  EXPECT_EQ(pick(scheduler, tcbs, kInvalidTask), 2);
 }
 
 TEST(SchedulerTest, DispatchCountersTrackSwitchesAndPreemptions) {
