@@ -27,9 +27,8 @@ bool Channel::post_command(sim::Soc& soc, const Command& command) {
   (void)posted;
   ++commands_posted_;
   soc.record(sim::TraceCategory::kBridge,
-             "cmd seq=" + std::to_string(command.seq) + " " +
-                 mnemonic(command.service) + " task=" +
-                 std::to_string(command.task));
+             sim::command_code(static_cast<std::uint8_t>(command.service)),
+             command.seq, command.task);
   return true;
 }
 

@@ -1,13 +1,35 @@
 #include "ptest/bridge/protocol.hpp"
 
 #include <array>
+#include <string_view>
+
+#include "ptest/sim/trace.hpp"
 
 namespace ptest::bridge {
 
 namespace {
 constexpr std::array<const char*, kServiceCount> kMnemonics = {
     "TC", "TD", "TS", "TR", "TCH", "TY"};
-}
+
+// The trace spells a posted command from sim's format table, one code per
+// service in Service order; the mnemonics there must be these.
+static_assert([] {
+  constexpr std::string_view kHead = "cmd seq=%a ";
+  constexpr std::string_view kTail = " task=%b";
+  for (std::size_t i = 0; i < kServiceCount; ++i) {
+    const std::string_view name = kMnemonics[i];
+    const std::string_view format =
+        sim::kTraceFormats[static_cast<std::size_t>(
+            sim::command_code(static_cast<std::uint8_t>(i)))];
+    if (format.size() != kHead.size() + name.size() + kTail.size() ||
+        !format.starts_with(kHead) || !format.ends_with(kTail) ||
+        format.substr(kHead.size(), name.size()) != name) {
+      return false;
+    }
+  }
+  return true;
+}());
+}  // namespace
 
 const char* mnemonic(Service service) noexcept {
   return kMnemonics[static_cast<std::size_t>(service)];

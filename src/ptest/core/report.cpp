@@ -1,21 +1,39 @@
 #include "ptest/core/report.hpp"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
+#include <string_view>
 
 #include "ptest/support/strings.hpp"
 
 namespace ptest::core {
 
-const char* to_string(BugKind kind) noexcept {
-  switch (kind) {
-    case BugKind::kSlaveCrash: return "slave-crash";
-    case BugKind::kDeadlock: return "deadlock";
-    case BugKind::kUnresponsive: return "unresponsive";
-    case BugKind::kNoTermination: return "no-termination";
-    case BugKind::kStarvation: return "starvation";
+namespace {
+constexpr std::array<const char*, kBugKindCount> kBugKindNames = {
+    "slave-crash", "deadlock", "unresponsive", "no-termination",
+    "starvation"};
+
+// The detector's "bug detected" trace line is spelled by sim's format
+// table, one code per kind in BugKind order; the names there must be these.
+static_assert([] {
+  constexpr std::string_view kHead = "bug detected: ";
+  for (std::size_t i = 0; i < kBugKindCount; ++i) {
+    const std::string_view format =
+        sim::kTraceFormats[static_cast<std::size_t>(
+            sim::bug_code(static_cast<std::uint8_t>(i)))];
+    if (!format.starts_with(kHead) ||
+        format.substr(kHead.size()) != std::string_view(kBugKindNames[i])) {
+      return false;
+    }
   }
-  return "?";
+  return true;
+}());
+}  // namespace
+
+const char* to_string(BugKind kind) noexcept {
+  const auto index = static_cast<std::size_t>(kind);
+  return index < kBugKindNames.size() ? kBugKindNames[index] : "?";
 }
 
 std::string BugReport::render(const pfa::Alphabet& alphabet) const {
@@ -46,10 +64,22 @@ std::string BugReport::render(const pfa::Alphabet& alphabet) const {
     }
     out << '\n';
   }
-  out << "state records (Definition 2):\n" << state_records;
+  std::string text = "state records (Definition 2):\n";
+  for (const auto& [slot, cp] : state_records) {
+    text += "CP";
+    support::append_decimal(text, slot);
+    text += "= ";
+    cp.append_to(text, alphabet);
+    text += '\n';
+  }
+  out << text;
   out << "merged pattern: " << merged.render(alphabet) << '\n';
   out << "seed: " << seed << '\n';
-  if (!trace_tail.empty()) out << "trace tail:\n" << trace_tail;
+  if (!trace_tail.empty()) {
+    text = "trace tail:\n";
+    for (const sim::TraceEvent& event : trace_tail) event.append_line(text);
+    out << text;
+  }
   return out.str();
 }
 

@@ -4,15 +4,21 @@
 // A report carries everything replay needs: the failure classification and
 // evidence (kernel snapshot, wait-for cycle, CP records, trace tail) plus
 // the session's seed and merged pattern, which — because the whole
-// simulation is deterministic — replays to the identical failure.
+// simulation is deterministic — replays to the identical failure.  The CP
+// records and trace events stay in their compact form; render() is the
+// only place they become text, so a campaign that keeps one report per
+// signature never formats the repeats.
 #pragma once
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "ptest/core/state_record.hpp"
 #include "ptest/pattern/pattern.hpp"
 #include "ptest/pcore/kernel.hpp"
+#include "ptest/sim/trace.hpp"
 
 namespace ptest::core {
 
@@ -24,6 +30,8 @@ enum class BugKind : std::uint8_t {
   kStarvation,       // ready task unscheduled past the starvation horizon
 };
 
+inline constexpr std::size_t kBugKindCount = 5;
+
 [[nodiscard]] const char* to_string(BugKind kind) noexcept;
 
 struct BugReport {
@@ -34,10 +42,10 @@ struct BugReport {
   std::vector<pcore::TaskId> culprits;
   /// Slave state at detection time.
   pcore::KernelSnapshot kernel;
-  /// CP records (Definition 2), rendered.
-  std::string state_records;
-  /// Tail of the simulation trace.
-  std::string trace_tail;
+  /// CP records (Definition 2) by slot, as filed.
+  std::vector<std::pair<pattern::SlotIndex, CpRecord>> state_records;
+  /// The last DetectorConfig::report_trace_lines trace events, oldest first.
+  std::vector<sim::TraceEvent> trace_tail;
   /// Replay bundle: seed and the exact merged pattern that was driven.
   std::uint64_t seed = 0;
   pattern::MergedPattern merged;

@@ -108,16 +108,4 @@ void StateRecorder::on_pattern_complete(sim::Tick) {
   }
 }
 
-std::string StateRecorder::render() const {
-  std::string out;
-  for (const auto& [slot, cp] : records_) {
-    out += "CP";
-    support::append_decimal(out, slot);
-    out += "= ";
-    cp.append_to(out, *alphabet_);
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace ptest::core

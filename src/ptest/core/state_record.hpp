@@ -9,8 +9,9 @@
 //   δS — the remaining subsequence to execute next.
 //
 // The StateRecorder observes the committer and maintains one CpRecord per
-// slot; the bug detector embeds the records in its reports, which is what
-// lets a user see exactly where in each pattern the failure occurred.
+// slot; the bug detector copies the records into its reports, which is
+// what lets a user see exactly where in each pattern the failure occurred.
+// They become text only when a report is rendered.
 #pragma once
 
 #include <map>
@@ -57,12 +58,15 @@ struct CpRecord {
   [[nodiscard]] std::string render(const pfa::Alphabet& alphabet) const;
   /// Appends render()'s text to `out`.
   void append_to(std::string& out, const pfa::Alphabet& alphabet) const;
+
+  [[nodiscard]] bool operator==(const CpRecord&) const = default;
 };
 
 class StateRecorder final : public master::CommitterObserver {
  public:
-  explicit StateRecorder(const pfa::Alphabet& alphabet)
-      : alphabet_(&alphabet) {}
+  /// Records hold symbol ids; BugReport::render names them against the
+  /// same alphabet, so the recorder keeps nothing of it.
+  explicit StateRecorder(const pfa::Alphabet& /*alphabet*/) {}
 
   /// Registers the pattern assigned to `slot` (before the run).
   void assign(pattern::SlotIndex slot, std::vector<pfa::SymbolId> tp);
@@ -79,11 +83,7 @@ class StateRecorder final : public master::CommitterObserver {
     return records_.at(slot);
   }
 
-  /// All records rendered one per line ("CPk= (...)"), as in Fig. 4.
-  [[nodiscard]] std::string render() const;
-
  private:
-  const pfa::Alphabet* alphabet_;
   std::map<pattern::SlotIndex, CpRecord> records_;
 };
 

@@ -1,6 +1,7 @@
 #include "ptest/fleet/wire.hpp"
 
 #include <utility>
+#include <vector>
 
 #include "ptest/support/json.hpp"
 #include "ptest/support/strings.hpp"
@@ -31,20 +32,66 @@ void write_transition_array(
   out.end_array();
 }
 
+void write_count_array(support::JsonWriter& out, const auto& values) {
+  out.begin_array();
+  for (const auto value : values) out.value(static_cast<std::uint64_t>(value));
+  out.end_array();
+}
+
 void write_failure(support::JsonWriter& out, const core::BugReport& report) {
+  const pcore::KernelSnapshot& kernel = report.kernel;
   out.begin_object();
   out.key("kind").value(static_cast<std::uint64_t>(report.kind));
   out.key("detected_at").value(report.detected_at);
   out.key("description").value(report.description);
-  out.key("culprits").begin_array();
-  for (const pcore::TaskId task : report.culprits) {
-    out.value(static_cast<std::uint64_t>(task));
+  out.key("culprits");
+  write_count_array(out, report.culprits);
+  out.key("panicked").value(kernel.panicked);
+  out.key("panic_reason").value(kernel.panic_reason);
+  out.key("live_tasks").value(static_cast<std::uint64_t>(kernel.live_tasks));
+  out.key("service_calls").value(kernel.service_calls);
+  // Each task as [id, state, priority, program, [waiting_on?], [holds]].
+  out.key("tasks").begin_array();
+  for (const pcore::TaskSnapshot& task : kernel.tasks) {
+    out.begin_array();
+    out.value(static_cast<std::uint64_t>(task.id));
+    out.value(static_cast<std::uint64_t>(task.state));
+    out.value(static_cast<std::uint64_t>(task.priority));
+    out.value(task.program);
+    out.begin_array();
+    if (task.waiting_on) {
+      out.value(static_cast<std::uint64_t>(*task.waiting_on));
+    }
+    out.end_array();
+    write_count_array(out, task.holds);
+    out.end_array();
   }
   out.end_array();
-  out.key("panicked").value(report.kernel.panicked);
-  out.key("panic_reason").value(report.kernel.panic_reason);
-  out.key("state_records").value(report.state_records);
-  out.key("trace_tail").value(report.trace_tail);
+  // Each CP record as [slot, qm, qs, sn, [tp]].
+  out.key("state_records").begin_array();
+  for (const auto& [slot, cp] : report.state_records) {
+    out.begin_array();
+    out.value(static_cast<std::uint64_t>(slot));
+    out.value(static_cast<std::uint64_t>(cp.qm));
+    out.value(static_cast<std::uint64_t>(cp.qs));
+    out.value(static_cast<std::uint64_t>(cp.sn));
+    write_count_array(out, cp.tp);
+    out.end_array();
+  }
+  out.end_array();
+  // Each trace event as [tick, category, code, a, b, text].
+  out.key("trace_tail").begin_array();
+  for (const sim::TraceEvent& event : report.trace_tail) {
+    out.begin_array();
+    out.value(event.tick);
+    out.value(static_cast<std::uint64_t>(event.category));
+    out.value(static_cast<std::uint64_t>(event.code));
+    out.value(static_cast<std::uint64_t>(event.a));
+    out.value(static_cast<std::uint64_t>(event.b));
+    out.value(event.text);
+    out.end_array();
+  }
+  out.end_array();
   out.key("seed").value(hex64(report.seed));
   out.key("merged").begin_array();
   for (const pattern::MergedElement& element : report.merged.elements) {
@@ -98,24 +145,113 @@ bool read_transition(const support::JsonValue& entry,
   return true;
 }
 
+/// `value` as a count no larger than `max`; nullopt otherwise.
+std::optional<std::uint64_t> as_count_upto(const support::JsonValue* value,
+                                           std::uint64_t max) {
+  const auto count = as_count(value);
+  if (!count || *count > max) return std::nullopt;
+  return count;
+}
+
+/// Reads an array of counts no larger than `max` into `out`.
+template <typename T>
+bool read_count_array(const support::JsonValue& node, std::uint64_t max,
+                      std::vector<T>& out) {
+  if (!node.is_array()) return false;
+  for (const support::JsonValue& entry : node.array) {
+    const auto value = as_count_upto(&entry, max);
+    if (!value) return false;
+    out.push_back(static_cast<T>(*value));
+  }
+  return true;
+}
+
+bool read_task(const support::JsonValue& node, pcore::TaskSnapshot& task) {
+  if (!node.is_array() || node.array.size() != 6) return false;
+  const std::vector<support::JsonValue>& f = node.array;
+  const auto id = as_count_upto(&f[0], 0xff);
+  const auto state = as_count_upto(
+      &f[1], static_cast<std::uint64_t>(pcore::TaskState::kTerminated));
+  const auto priority = as_count_upto(&f[2], 0xff);
+  const auto program = as_string(&f[3]);
+  std::vector<pcore::MutexId> waiting_on;
+  if (!id || !state || !priority || !program ||
+      !read_count_array(f[4], 0xff, waiting_on) || waiting_on.size() > 1 ||
+      !read_count_array(f[5], 0xff, task.holds)) {
+    return false;
+  }
+  task.id = static_cast<pcore::TaskId>(*id);
+  task.state = static_cast<pcore::TaskState>(*state);
+  task.priority = static_cast<pcore::Priority>(*priority);
+  task.program = *program;
+  if (!waiting_on.empty()) task.waiting_on = waiting_on.front();
+  return true;
+}
+
+bool read_cp_record(const support::JsonValue& node, pattern::SlotIndex& slot,
+                    core::CpRecord& cp) {
+  if (!node.is_array() || node.array.size() != 5) return false;
+  const std::vector<support::JsonValue>& f = node.array;
+  const auto index = as_count_upto(&f[0], ~std::uint32_t{0});
+  const auto qm = as_count_upto(
+      &f[1], static_cast<std::uint64_t>(core::MasterState::kDone));
+  const auto qs = as_count_upto(
+      &f[2], static_cast<std::uint64_t>(core::SlaveState::kTerminated));
+  const auto sn = as_count(&f[3]);
+  if (!index || !qm || !qs || !sn ||
+      !read_count_array(f[4], ~std::uint32_t{0}, cp.tp) ||
+      *sn > cp.tp.size()) {
+    return false;
+  }
+  slot = static_cast<pattern::SlotIndex>(*index);
+  cp.qm = static_cast<core::MasterState>(*qm);
+  cp.qs = static_cast<core::SlaveState>(*qs);
+  cp.sn = static_cast<std::size_t>(*sn);
+  return true;
+}
+
+bool read_trace_event(const support::JsonValue& node, sim::TraceEvent& event) {
+  if (!node.is_array() || node.array.size() != 6) return false;
+  const std::vector<support::JsonValue>& f = node.array;
+  const auto tick = as_count(&f[0]);
+  const auto category = as_count_upto(&f[1], sim::kTraceCategoryCount - 1);
+  const auto code = as_count_upto(&f[2], sim::kTraceCodeCount - 1);
+  const auto a = as_count_upto(&f[3], ~std::uint32_t{0});
+  const auto b = as_count_upto(&f[4], ~std::uint32_t{0});
+  const auto text = as_string(&f[5]);
+  if (!tick || !category || !code || !a || !b || !text) return false;
+  event.tick = *tick;
+  event.category = static_cast<sim::TraceCategory>(*category);
+  event.code = static_cast<sim::TraceCode>(*code);
+  event.a = static_cast<std::uint32_t>(*a);
+  event.b = static_cast<std::uint32_t>(*b);
+  event.text = *text;
+  return true;
+}
+
 std::optional<std::string> read_failure(const support::JsonValue& node,
                                         core::BugReport& report) {
   if (!node.is_object()) return std::string("wire: failure must be an object");
-  const auto kind = as_count(node.find("kind"));
+  const auto kind = as_count_upto(
+      node.find("kind"), static_cast<std::uint64_t>(core::kBugKindCount - 1));
   const auto detected_at = as_count(node.find("detected_at"));
   const auto description = as_string(node.find("description"));
   const auto panic_reason = as_string(node.find("panic_reason"));
-  const auto state_records = as_string(node.find("state_records"));
-  const auto trace_tail = as_string(node.find("trace_tail"));
+  const auto live_tasks = as_count(node.find("live_tasks"));
+  const auto service_calls = as_count(node.find("service_calls"));
   const auto seed_text = as_string(node.find("seed"));
   const support::JsonValue* panicked = node.find("panicked");
   const support::JsonValue* culprits = node.find("culprits");
+  const support::JsonValue* tasks = node.find("tasks");
+  const support::JsonValue* state_records = node.find("state_records");
+  const support::JsonValue* trace_tail = node.find("trace_tail");
   const support::JsonValue* merged = node.find("merged");
-  if (!kind || *kind > static_cast<std::uint64_t>(core::BugKind::kStarvation) ||
-      !detected_at || !description || !panic_reason || !state_records ||
-      !trace_tail || !seed_text || panicked == nullptr ||
+  if (!kind || !detected_at || !description || !panic_reason ||
+      !live_tasks || !service_calls || !seed_text || panicked == nullptr ||
       panicked->kind != support::JsonValue::Kind::kBool ||
-      culprits == nullptr || !culprits->is_array() || merged == nullptr ||
+      culprits == nullptr || tasks == nullptr || !tasks->is_array() ||
+      state_records == nullptr || !state_records->is_array() ||
+      trace_tail == nullptr || !trace_tail->is_array() || merged == nullptr ||
       !merged->is_array()) {
     return std::string("wire: malformed failure record");
   }
@@ -126,15 +262,27 @@ std::optional<std::string> read_failure(const support::JsonValue& node,
   report.description = *description;
   report.kernel.panicked = panicked->boolean;
   report.kernel.panic_reason = *panic_reason;
-  report.state_records = *state_records;
-  report.trace_tail = *trace_tail;
+  report.kernel.live_tasks = static_cast<std::size_t>(*live_tasks);
+  report.kernel.service_calls = *service_calls;
   report.seed = *seed;
-  for (const support::JsonValue& entry : culprits->array) {
-    const auto task = as_count(&entry);
-    if (!task || *task > 0xff) {
-      return std::string("wire: bad failure culprit");
+  if (!read_count_array(*culprits, 0xff, report.culprits)) {
+    return std::string("wire: bad failure culprit");
+  }
+  for (const support::JsonValue& entry : tasks->array) {
+    if (!read_task(entry, report.kernel.tasks.emplace_back())) {
+      return std::string("wire: bad failure task");
     }
-    report.culprits.push_back(static_cast<pcore::TaskId>(*task));
+  }
+  for (const support::JsonValue& entry : state_records->array) {
+    auto& [slot, cp] = report.state_records.emplace_back();
+    if (!read_cp_record(entry, slot, cp)) {
+      return std::string("wire: bad failure state record");
+    }
+  }
+  for (const support::JsonValue& entry : trace_tail->array) {
+    if (!read_trace_event(entry, report.trace_tail.emplace_back())) {
+      return std::string("wire: bad failure trace event");
+    }
   }
   for (const support::JsonValue& entry : merged->array) {
     std::pair<std::uint32_t, pfa::SymbolId> element;

@@ -25,12 +25,13 @@
 //   * ShutdownFrame   coordinator -> worker: drain and exit the
 //                     process, ending daemons too.
 //
-// ResultFrame does not carry the full pcore::KernelSnapshot of each
-// failure — only the fields BugReport::signature() and replay consume
-// (kind, culprits, panic reason, seed, merged pattern).  The fleet
-// bit-identity contract is over signatures, counters, coverage and
-// corpora; a decoded report replays to the identical failure, which
-// regenerates the snapshot.
+// ResultFrame carries each failure in the compact form BugReport holds
+// it: CP records and trace events as numbers, plus the kernel-snapshot
+// fields BugReport::render() reads (not the heap statistics, switch
+// counts or per-task progress).  A decoded report therefore renders the
+// same bytes as the original and replays to the identical failure.  The
+// fleet bit-identity contract is over signatures, counters, coverage and
+// corpora.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +51,10 @@ namespace ptest::fleet {
 /// histogram distributions in the metrics block.  v4 made the metrics
 /// block support::MetricsSnapshot::write_json — one key per counter row
 /// and histogram of the metrics table, so adding a counter changes the
-/// key set, and the strict decoder needs a version bump for it.
-inline constexpr std::uint64_t kWireVersion = 4;
+/// key set, and the strict decoder needs a version bump for it.  v5
+/// ships failures' CP records and trace tails as numbers instead of
+/// rendered text, plus the kernel fields the report rendering reads.
+inline constexpr std::uint64_t kWireVersion = 5;
 
 enum class FrameKind : std::uint8_t {
   kAssign,

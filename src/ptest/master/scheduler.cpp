@@ -42,8 +42,8 @@ bool MasterScheduler::tick(sim::Soc& soc) {
       break;
     case ThreadStep::kDone:
       entry.done = true;
-      soc.record(sim::TraceCategory::kMaster,
-                 "thread '" + entry.thread->name() + "' done");
+      soc.record(sim::TraceCategory::kMaster, sim::TraceCode::kThreadDone,
+                 entry.thread->name());
       rotate();
       break;
   }

@@ -8,9 +8,11 @@
 // detection rates.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,6 +34,20 @@ struct CoverageReport {
   [[nodiscard]] std::string to_string() const;
 };
 
+/// Lexicographic order over symbol sequences in any contiguous form, so
+/// an n-gram set can be probed with a window of a pattern without copying
+/// it.  Same order as std::less<std::vector<SymbolId>>.
+struct NgramLess {
+  using is_transparent = void;
+  bool operator()(std::span<const pfa::SymbolId> a,
+                  std::span<const pfa::SymbolId> b) const noexcept {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  }
+};
+
+using NgramSet = std::set<std::vector<pfa::SymbolId>, NgramLess>;
+
 /// The full covered sets of one tracker, detached from its PFA — the
 /// mergeable/serializable form a campaign shard ships to the fleet
 /// coordinator (wire.cpp) and the session-batch runner's per-worker
@@ -43,7 +59,7 @@ struct CoverageState {
   std::size_t transitions_total = 0;
   std::set<std::uint32_t> states;
   std::set<std::pair<std::uint32_t, pfa::SymbolId>> transitions;
-  std::set<std::vector<pfa::SymbolId>> ngrams;
+  NgramSet ngrams;
 
   /// Set-union fold.  Totals must describe the same automaton; merging
   /// states observed against different skeletons is a caller bug, so
@@ -57,6 +73,10 @@ struct CoverageState {
   [[nodiscard]] bool operator==(const CoverageState&) const = default;
 };
 
+/// Covered states and transitions are dense bitsets over the PFA's states
+/// and its flat transition index (Pfa::offsets()), so the per-pattern fold
+/// allocates nothing once an n-gram has been seen; the set-valued views
+/// below are built on demand, in (state, symbol) order.
 class CoverageTracker {
  public:
   /// `ngram` is the window length for n-gram accounting (>= 1).
@@ -81,10 +101,10 @@ class CoverageTracker {
   [[nodiscard]] CoverageState state() const;
 
   /// Folds another tracker's (or a deserialized shard's) covered sets
-  /// into this one.  No replay, no PFA validation: the state must come
-  /// from a tracker over the same automaton — the session-batch runner,
-  /// guided epochs and the fleet coordinator guarantee that by
-  /// construction.
+  /// into this one.  No replay: the state must come from a tracker over
+  /// the same automaton — the session-batch runner, guided epochs and the
+  /// fleet coordinator guarantee that by construction.  States and pairs
+  /// this tracker's PFA does not have are dropped.
   void absorb(const CoverageState& other);
 
   /// Transitions never exercised, as (state, symbol) pairs.
@@ -92,17 +112,24 @@ class CoverageTracker {
   uncovered_transitions() const;
 
   /// Transitions exercised so far (corpus-fold surface; sorted).
-  [[nodiscard]] const std::set<std::pair<std::uint32_t, pfa::SymbolId>>&
-  transitions_seen() const noexcept {
-    return transitions_seen_;
-  }
+  [[nodiscard]] std::set<std::pair<std::uint32_t, pfa::SymbolId>>
+  transitions_seen() const;
 
  private:
+  /// Flat index of `state`'s transition on `symbol`; nullopt when the
+  /// pair names no edge.
+  [[nodiscard]] std::optional<std::uint32_t> edge(std::uint32_t state,
+                                                  pfa::SymbolId symbol) const;
+  void mark_state(std::uint32_t state);
+  void mark_edge(std::uint32_t edge);
+
   const pfa::Pfa* pfa_;
   std::size_t ngram_;
-  std::set<std::uint32_t> states_seen_;
-  std::set<std::pair<std::uint32_t, pfa::SymbolId>> transitions_seen_;
-  std::set<std::vector<pfa::SymbolId>> ngrams_seen_;
+  std::vector<std::uint64_t> states_seen_;       // bit per state
+  std::vector<std::uint64_t> transitions_seen_;  // bit per flat transition
+  std::size_t states_covered_ = 0;
+  std::size_t transitions_covered_ = 0;
+  NgramSet ngrams_seen_;
 };
 
 }  // namespace ptest::pattern

@@ -275,7 +275,8 @@ void PcoreKernel::maybe_collect(sim::Soc& soc) {
   heap_.collect();
   if (heap_.panicked()) {
     panic("gc: " + heap_.panic_reason());
-    soc.record(sim::TraceCategory::kFault, "kernel panic: " + panic_reason_);
+    soc.record(sim::TraceCategory::kFault, sim::TraceCode::kKernelPanic,
+               panic_reason_);
   }
 }
 
@@ -339,8 +340,7 @@ void PcoreKernel::run_scheduler(sim::Soc& soc) {
       } else if (mutex.owner == next) {
         // Recursive lock is a program bug; treat as no-op with trace.
         soc.record(sim::TraceCategory::kKernel,
-                   "task " + std::to_string(next) +
-                       " recursive lock of mutex " + std::to_string(id));
+                   sim::TraceCode::kRecursiveLock, next, id);
       } else {
         ++mutex.contentions;
         mutex.waiters.push_back(next);
@@ -362,9 +362,8 @@ void PcoreKernel::run_scheduler(sim::Soc& soc) {
       break;
     }
     case StepKind::kExit:
-      soc.record(sim::TraceCategory::kKernel,
-                 "task " + std::to_string(next) + " exited with code " +
-                     std::to_string(result.arg));
+      soc.record(sim::TraceCategory::kKernel, sim::TraceCode::kTaskExit, next,
+                 result.arg);
       if (result.arg != 0 && config_.panic_on_nonzero_exit) {
         panic("task " + std::to_string(next) +
               " failed assertion (exit code " + std::to_string(result.arg) +

@@ -1,6 +1,7 @@
 #include "ptest/scenario/golden.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "ptest/core/session.hpp"
 
@@ -30,10 +31,13 @@ std::uint64_t hash_session(core::TestSession& session,
   }
   const sim::TraceLog& trace = session.soc().trace();
   hash = fnv1a(hash, trace.total_recorded());
+  std::string message;
   for (const sim::TraceEvent& event : trace.tail(trace.size())) {
     hash = fnv1a(hash, static_cast<std::uint64_t>(event.tick));
     hash = fnv1a(hash, sim::to_string(event.category));
-    hash = fnv1a(hash, event.message);
+    message.clear();
+    event.append_message(message);
+    hash = fnv1a(hash, message);
   }
   return hash;
 }

@@ -48,8 +48,12 @@ class Soc {
   [[nodiscard]] MailboxBank& mailboxes() noexcept { return mailboxes_; }
   [[nodiscard]] TraceLog& trace() noexcept { return trace_; }
 
-  void record(TraceCategory category, std::string message) {
-    trace_.record(clock_.now(), category, std::move(message));
+  void record(TraceCategory category, TraceCode code, std::uint32_t a = 0,
+              std::uint32_t b = 0) {
+    trace_.record(clock_.now(), category, code, a, b);
+  }
+  void record(TraceCategory category, TraceCode code, std::string_view text) {
+    trace_.record(clock_.now(), category, code, text);
   }
 
   /// Registers a device; devices are stepped in registration order (ARM

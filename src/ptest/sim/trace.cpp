@@ -6,6 +6,12 @@
 
 namespace ptest::sim {
 
+namespace {
+/// Slots the ring reserves on its first event; it then doubles up to its
+/// capacity.  A short session records about this many events.
+constexpr std::size_t kFirstReserve = 16;
+}  // namespace
+
 const char* to_string(TraceCategory category) noexcept {
   switch (category) {
     case TraceCategory::kKernel: return "kernel";
@@ -18,36 +24,94 @@ const char* to_string(TraceCategory category) noexcept {
   return "?";
 }
 
-void TraceLog::record(Tick tick, TraceCategory category, std::string message) {
-  if (capacity_ == 0) return;
-  if (events_.size() == capacity_) events_.pop_front();
-  events_.push_back({tick, category, std::move(message)});
+void TraceEvent::append_message(std::string& out) const {
+  const auto index = static_cast<std::size_t>(code);
+  if (index >= kTraceFormats.size()) {
+    out += '?';
+    return;
+  }
+  std::string_view format = kTraceFormats[index];
+  for (std::size_t mark = format.find('%'); mark != std::string_view::npos;
+       mark = format.find('%')) {
+    out += format.substr(0, mark);
+    switch (mark + 1 < format.size() ? format[mark + 1] : '\0') {
+      case 'a': support::append_decimal(out, a); break;
+      case 'b': support::append_decimal(out, b); break;
+      case 't': out += text; break;
+      default: out += '%'; break;
+    }
+    format.remove_prefix(std::min(mark + 2, format.size()));
+  }
+  out += format;
+}
+
+std::string TraceEvent::message() const {
+  std::string out;
+  append_message(out);
+  return out;
+}
+
+void TraceEvent::append_line(std::string& out) const {
+  support::append_decimal(out, tick);
+  out += " [";
+  out += to_string(category);
+  out += "] ";
+  append_message(out);
+  out += '\n';
+}
+
+TraceEvent* TraceLog::place(Tick tick, TraceCategory category, TraceCode code,
+                            std::uint32_t a, std::uint32_t b) {
+  if (capacity_ == 0) return nullptr;
   ++total_;
+  TraceEvent* slot = nullptr;
+  if (ring_.size() < capacity_) {
+    if (ring_.size() == ring_.capacity()) {
+      ring_.reserve(std::min(capacity_,
+                             std::max(kFirstReserve, 2 * ring_.size())));
+    }
+    slot = &ring_.emplace_back();
+  } else {
+    slot = &ring_[head_];
+    head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
+  }
+  slot->tick = tick;
+  slot->category = category;
+  slot->code = code;
+  slot->a = a;
+  slot->b = b;
+  slot->text.clear();  // keeps its buffer: a reused slot allocates nothing
+  return slot;
+}
+
+void TraceLog::record(Tick tick, TraceCategory category, TraceCode code,
+                      std::uint32_t a, std::uint32_t b) {
+  (void)place(tick, category, code, a, b);
+}
+
+void TraceLog::record(Tick tick, TraceCategory category, TraceCode code,
+                      std::string_view text) {
+  if (TraceEvent* slot = place(tick, category, code, 0, 0)) {
+    slot->text.assign(text);
+  }
 }
 
 std::vector<TraceEvent> TraceLog::tail(std::size_t count) const {
-  const std::size_t take = std::min(count, events_.size());
-  return {events_.end() - static_cast<std::ptrdiff_t>(take), events_.end()};
+  const std::size_t take = std::min(count, ring_.size());
+  std::vector<TraceEvent> out;
+  out.reserve(take);
+  // Oldest first: the ring's logical order starts at head_.
+  for (std::size_t i = ring_.size() - take; i < ring_.size(); ++i) {
+    const std::size_t at = head_ + i;
+    out.push_back(ring_[at < ring_.size() ? at : at - ring_.size()]);
+  }
+  return out;
 }
 
 void TraceLog::clear() {
-  events_.clear();
+  ring_.clear();
+  head_ = 0;
   total_ = 0;
-}
-
-std::string TraceLog::render(std::size_t count) const {
-  const std::size_t take = std::min(count, events_.size());
-  std::string out;
-  for (auto e = events_.end() - static_cast<std::ptrdiff_t>(take);
-       e != events_.end(); ++e) {
-    support::append_decimal(out, e->tick);
-    out += " [";
-    out += to_string(e->category);
-    out += "] ";
-    out += e->message;
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace ptest::sim

@@ -111,11 +111,12 @@ void ReferenceDetector::file_report(sim::Soc& soc, BugKind kind,
   report.description = std::move(description);
   report.culprits = std::move(culprits);
   report.kernel = kernel_->snapshot();
-  report.state_records = recorder_->render();
-  report.trace_tail = soc.trace().render(config_.report_trace_lines);
+  report.state_records.assign(recorder_->records().begin(),
+                              recorder_->records().end());
+  report.trace_tail = soc.trace().tail(config_.report_trace_lines);
   report_ = std::move(report);
   soc.record(sim::TraceCategory::kDetector,
-             std::string("bug detected: ") + to_string(report_->kind));
+             sim::bug_code(static_cast<std::uint8_t>(kind)));
 }
 
 bool ReferenceDetector::tick(sim::Soc& soc) {

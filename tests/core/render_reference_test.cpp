@@ -1,12 +1,13 @@
-// Reference oracle for the stream-free report renderers.
+// Reference oracle for the report renderers.
 //
 // The reference_* functions below are the std::ostringstream renderers
-// that CpRecord::render, StateRecorder::render, TraceLog::render,
+// that CpRecord::render, the CP-record block, the trace-tail block,
 // BugReport::signature and the detector's deadlock description replaced,
-// kept verbatim (BugReport::render still streams; its copy pins it too).
-// The production renderers must produce the same bytes: every catalog
+// kept verbatim, plus each trace call site's std::to_string
+// concatenation as it stood before trace events became codes.  The
+// production renderers must produce the same bytes: every catalog
 // scenario, bug and benign variant, runs over a seed sweep, and each
-// session's CP records, trace log and filed report are rendered both
+// session's CP records, trace events and filed report are rendered both
 // ways.  Hand-built edge cases cover what the catalog never reaches.
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "ptest/bridge/protocol.hpp"
 #include "ptest/core/adaptive_test.hpp"
 #include "ptest/core/session.hpp"
 #include "ptest/core/state_record.hpp"
@@ -52,26 +54,86 @@ std::string reference_render(const CpRecord& record,
   return out.str();
 }
 
-std::string reference_render(const StateRecorder& recorder,
-                             const pfa::Alphabet& alphabet) {
+/// The CP-record lines of a report, as StateRecorder::render streamed them.
+std::string reference_render(
+    const std::vector<std::pair<pattern::SlotIndex, CpRecord>>& records,
+    const pfa::Alphabet& alphabet) {
   std::ostringstream out;
-  for (const auto& [slot, cp] : recorder.records()) {
+  for (const auto& [slot, cp] : records) {
     out << "CP" << slot << "= " << reference_render(cp, alphabet) << '\n';
   }
   return out.str();
 }
 
+// Each trace call site's message, verbatim, with the call site's own
+// argument types.
+
+// bridge/channel.cpp, Channel::post_command.
+std::string reference_command(const bridge::Command& command) {
+  return "cmd seq=" + std::to_string(command.seq) + " " +
+         bridge::mnemonic(command.service) + " task=" +
+         std::to_string(command.task);
+}
+
+// master/scheduler.cpp, a master thread finishing.
+std::string reference_thread_done(const std::string& name) {
+  return "thread '" + name + "' done";
+}
+
+// pcore/kernel.cpp, maybe_collect's panic.
+std::string reference_kernel_panic(const std::string& panic_reason_) {
+  return "kernel panic: " + panic_reason_;
+}
+
+// pcore/kernel.cpp, a recursive lock.
+std::string reference_recursive_lock(pcore::TaskId next, std::uint32_t id) {
+  return "task " + std::to_string(next) + " recursive lock of mutex " +
+         std::to_string(id);
+}
+
+// pcore/kernel.cpp, a task exit.
+std::string reference_task_exit(pcore::TaskId next, std::uint32_t arg) {
+  return "task " + std::to_string(next) + " exited with code " +
+         std::to_string(arg);
+}
+
+// core/bug_detector.cpp, BugDetector::file_report.
+std::string reference_bug_detected(BugKind kind) {
+  return std::string("bug detected: ") + to_string(kind);
+}
+
+/// The message the call site that records `e` used to build.
+std::string reference_message(const sim::TraceEvent& e) {
+  const auto code = static_cast<std::size_t>(e.code);
+  if (code < bridge::kServiceCount) {
+    bridge::Command command;
+    command.seq = e.a;
+    command.service = static_cast<bridge::Service>(code);
+    command.task = static_cast<std::uint8_t>(e.b);
+    return reference_command(command);
+  }
+  switch (e.code) {
+    case sim::TraceCode::kThreadDone: return reference_thread_done(e.text);
+    case sim::TraceCode::kKernelPanic: return reference_kernel_panic(e.text);
+    case sim::TraceCode::kRecursiveLock:
+      return reference_recursive_lock(static_cast<pcore::TaskId>(e.a), e.b);
+    case sim::TraceCode::kTaskExit:
+      return reference_task_exit(static_cast<pcore::TaskId>(e.a), e.b);
+    default: break;
+  }
+  const std::size_t kind =
+      code - static_cast<std::size_t>(sim::TraceCode::kBugSlaveCrash);
+  return reference_bug_detected(static_cast<BugKind>(kind));
+}
+
+/// The trace-tail lines of a report, as TraceLog::render streamed them.
 std::string reference_render(const std::vector<sim::TraceEvent>& events) {
   std::ostringstream out;
   for (const sim::TraceEvent& e : events) {
-    out << e.tick << " [" << to_string(e.category) << "] " << e.message
-        << '\n';
+    out << e.tick << " [" << to_string(e.category) << "] "
+        << reference_message(e) << '\n';
   }
   return out.str();
-}
-
-std::string reference_render(const sim::TraceLog& log, std::size_t count) {
-  return reference_render(log.tail(count));
 }
 
 std::string reference_signature(const BugReport& report) {
@@ -124,10 +186,13 @@ std::string reference_render(const BugReport& report,
     }
     out << '\n';
   }
-  out << "state records (Definition 2):\n" << report.state_records;
+  out << "state records (Definition 2):\n"
+      << reference_render(report.state_records, alphabet);
   out << "merged pattern: " << report.merged.render(alphabet) << '\n';
   out << "seed: " << report.seed << '\n';
-  if (!report.trace_tail.empty()) out << "trace tail:\n" << report.trace_tail;
+  if (!report.trace_tail.empty()) {
+    out << "trace tail:\n" << reference_render(report.trace_tail);
+  }
   return out.str();
 }
 
@@ -139,11 +204,12 @@ struct SweepTotals {
   std::size_t sessions = 0;
   std::size_t reports = 0;
   std::set<BugKind> kinds;
+  std::set<sim::TraceCode> codes;
 };
 
-/// Renders the session's recorder and trace both ways, and, when a report
-/// was filed, checks every rendered field against the reference applied
-/// to the state the detector saw when it filed.
+/// Renders the session's CP records and trace events both ways, and,
+/// when a report was filed, checks that it holds the state the detector
+/// saw when it filed and renders it byte for byte as the reference does.
 void check_session(const CompiledTestPlan& plan, std::uint64_t seed,
                    const WorkloadSetup& setup, pfa::WalkScratch& scratch,
                    SweepTotals& totals) {
@@ -162,14 +228,27 @@ void check_session(const CompiledTestPlan& plan, std::uint64_t seed,
     EXPECT_EQ(cp.render(alphabet), reference_render(cp, alphabet))
         << "slot " << slot;
   }
-  EXPECT_EQ(recorder.render(), reference_render(recorder, alphabet));
 
   const sim::TraceLog& trace = session.soc().trace();
+  const std::vector<sim::TraceEvent> events = trace.tail(trace.size());
+  ASSERT_EQ(events.size(), trace.size());
+  for (const sim::TraceEvent& e : events) {
+    EXPECT_EQ(e.message(), reference_message(e))
+        << "code " << static_cast<int>(e.code);
+    totals.codes.insert(e.code);
+  }
+  EXPECT_EQ([&] {
+    std::string lines;
+    for (const sim::TraceEvent& e : events) e.append_line(lines);
+    return lines;
+  }(), reference_render(events));
   const std::size_t lines = config.detector.report_trace_lines;
   for (const std::size_t count :
        {std::size_t{0}, std::size_t{1}, lines, trace.size(),
         trace.size() + 7}) {
-    EXPECT_EQ(trace.render(count), reference_render(trace, count))
+    const std::size_t take = std::min(count, events.size());
+    EXPECT_EQ(trace.tail(count),
+              std::vector<sim::TraceEvent>(events.end() - take, events.end()))
         << "count " << count;
   }
 
@@ -184,15 +263,16 @@ void check_session(const CompiledTestPlan& plan, std::uint64_t seed,
 
   // The detector is the last device and stops the run on the tick it
   // files, so the recorder still holds the filed state; the only trace
-  // event after the render is the detector's own "bug detected" line.
-  EXPECT_EQ(report.state_records, reference_render(recorder, alphabet));
+  // event after the filing is the detector's own "bug detected" line.
+  EXPECT_EQ(report.state_records,
+            (std::vector<std::pair<pattern::SlotIndex, CpRecord>>(
+                recorder.records().begin(), recorder.records().end())));
   std::vector<sim::TraceEvent> filed = trace.tail(lines + 1);
   ASSERT_FALSE(filed.empty());
   EXPECT_EQ(filed.back().category, sim::TraceCategory::kDetector);
-  EXPECT_EQ(filed.back().message,
-            std::string("bug detected: ") + to_string(report.kind));
+  EXPECT_EQ(filed.back().message(), reference_bug_detected(report.kind));
   filed.pop_back();
-  EXPECT_EQ(report.trace_tail, reference_render(filed));
+  EXPECT_EQ(report.trace_tail, filed);
   EXPECT_EQ(report.signature(), reference_signature(report));
   if (report.kind == BugKind::kDeadlock) {
     EXPECT_EQ(report.description,
@@ -238,6 +318,14 @@ TEST(RenderReferenceTest, CatalogSweepMatchesStreamRenderers) {
                              BugKind::kNoTermination, BugKind::kStarvation}) {
     EXPECT_TRUE(totals.kinds.count(kind)) << to_string(kind);
   }
+  // The catalog reaches the hot codes; the edge-case test below covers
+  // every code.
+  for (const sim::TraceCode code :
+       {sim::TraceCode::kCommandTC, sim::TraceCode::kCommandTS,
+        sim::TraceCode::kTaskExit, sim::TraceCode::kThreadDone,
+        sim::TraceCode::kBugDeadlock}) {
+    EXPECT_TRUE(totals.codes.count(code)) << static_cast<int>(code);
+  }
 }
 
 // --- edge cases ------------------------------------------------------------------
@@ -276,43 +364,110 @@ TEST(RenderReferenceTest, CpRecordEdgePositions) {
   EXPECT_EQ(empty.render(s.alphabet), "(idle, none, , 0, -)");
 }
 
-TEST(RenderReferenceTest, StateRecorderEmptyAndSparseSlots) {
+TEST(RenderReferenceTest, StateRecordBlockEmptyAndSparseSlots) {
   Symbols s;
   StateRecorder recorder(s.alphabet);
-  EXPECT_EQ(recorder.render(), "");
-  EXPECT_EQ(recorder.render(), reference_render(recorder, s.alphabet));
+  BugReport report;
+  EXPECT_EQ(report.render(s.alphabet), reference_render(report, s.alphabet));
   recorder.assign(0, {});
   recorder.assign(3, {s.tc, s.td});
   recorder.assign(12, {s.tc, s.ts, s.tr, s.td});
   recorder.on_issue({1, 12, s.tc, bridge::Service::kTaskCreate, 0});
-  EXPECT_EQ(recorder.render(), reference_render(recorder, s.alphabet));
+  report.state_records.assign(recorder.records().begin(),
+                              recorder.records().end());
+  EXPECT_EQ(report.render(s.alphabet), reference_render(report, s.alphabet));
+  EXPECT_NE(report.render(s.alphabet)
+                .find("CP12= (issuing, none, TC->TS->TR->TD, 1, TS->TR->TD)"),
+            std::string::npos);
 }
 
-TEST(RenderReferenceTest, TraceLogEmptyOverlongAndWideTicks) {
-  sim::TraceLog log(8);
-  for (const std::size_t count : {0, 1, 5}) {
-    EXPECT_EQ(log.render(count), "");
-    EXPECT_EQ(log.render(count), reference_render(log, count));
+TEST(RenderReferenceTest, EveryTraceCodeMatchesItsCallSite) {
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  std::set<sim::TraceCode> checked;
+  const auto check = [&](const sim::TraceEvent& e, const std::string& want) {
+    EXPECT_EQ(e.message(), want) << "code " << static_cast<int>(e.code);
+    EXPECT_EQ(e.message(), reference_message(e));
+    checked.insert(e.code);
+  };
+  sim::TraceEvent e;
+  for (std::uint8_t service = 0; service < bridge::kServiceCount; ++service) {
+    e.code = sim::command_code(service);
+    for (const std::uint32_t seq : {0u, kMax}) {
+      for (const std::uint8_t task : {std::uint8_t{0}, std::uint8_t{255}}) {
+        bridge::Command command;
+        command.seq = seq;
+        command.service = static_cast<bridge::Service>(service);
+        command.task = task;
+        e.a = seq;
+        e.b = task;
+        check(e, reference_command(command));
+      }
+    }
   }
-  log.record(0, sim::TraceCategory::kKernel, "boot");
-  log.record(std::uint64_t{1} << 32, sim::TraceCategory::kMailbox, "");
+  for (const pcore::TaskId task : {pcore::TaskId{0}, pcore::TaskId{255}}) {
+    for (const std::uint32_t arg : {0u, kMax}) {
+      e.a = task;
+      e.b = arg;
+      e.code = sim::TraceCode::kTaskExit;
+      check(e, reference_task_exit(task, arg));
+      e.code = sim::TraceCode::kRecursiveLock;
+      check(e, reference_recursive_lock(task, arg));
+    }
+  }
+  e.a = e.b = 0;
+  for (const std::string text :
+       {"", "committer", "gc: corrupted header at offset 96"}) {
+    e.text = text;
+    e.code = sim::TraceCode::kThreadDone;
+    check(e, reference_thread_done(text));
+    e.code = sim::TraceCode::kKernelPanic;
+    check(e, reference_kernel_panic(text));
+  }
+  e.text.clear();
+  for (std::uint8_t kind = 0; kind < kBugKindCount; ++kind) {
+    e.code = sim::bug_code(kind);
+    check(e, reference_bug_detected(static_cast<BugKind>(kind)));
+  }
+  EXPECT_EQ(checked.size(), sim::kTraceCodeCount);
+}
+
+TEST(RenderReferenceTest, TraceTailEmptyOverlongAndWideTicks) {
+  Symbols s;
+  sim::TraceLog log(8);
+  BugReport report;
+  for (const std::size_t count : {0, 1, 5}) {
+    report.trace_tail = log.tail(count);
+    EXPECT_TRUE(report.trace_tail.empty());
+    EXPECT_EQ(report.render(s.alphabet).find("trace tail"), std::string::npos);
+  }
+  log.record(0, sim::TraceCategory::kKernel, sim::TraceCode::kTaskExit, 0, 0);
+  log.record(std::uint64_t{1} << 32, sim::TraceCategory::kMailbox,
+             sim::TraceCode::kKernelPanic, "");
   log.record((std::uint64_t{1} << 32) + 1, sim::TraceCategory::kFault,
-             "fault injected");
+             sim::TraceCode::kKernelPanic, "fault injected");
   log.record(std::numeric_limits<sim::Tick>::max(),
-             sim::TraceCategory::kDetector, "last");
+             sim::TraceCategory::kDetector, sim::TraceCode::kBugStarvation);
   for (const std::size_t count : {0, 1, 3, 4, 5, 100}) {
-    EXPECT_EQ(log.render(count), reference_render(log, count))
+    report.trace_tail = log.tail(count);
+    EXPECT_EQ(report.render(s.alphabet), reference_render(report, s.alphabet))
         << "count " << count;
   }
-  EXPECT_EQ(log.render(1), "18446744073709551615 [detector] last\n");
+  report.trace_tail = log.tail(1);
+  EXPECT_NE(report.render(s.alphabet)
+                .find("trace tail:\n18446744073709551615 [detector] bug "
+                      "detected: starvation\n"),
+            std::string::npos);
 
   // Evicted events stay out of the rendering.
-  for (int i = 0; i < 10; ++i) {
+  for (std::uint32_t i = 0; i < 10; ++i) {
     log.record(static_cast<sim::Tick>(i), sim::TraceCategory::kBridge,
-               "cmd " + std::to_string(i));
+               sim::TraceCode::kCommandTR, i, i);
   }
   EXPECT_EQ(log.size(), 8u);
-  EXPECT_EQ(log.render(100), reference_render(log, 100));
+  report.trace_tail = log.tail(100);
+  ASSERT_EQ(report.trace_tail.size(), 8u);
+  EXPECT_EQ(report.trace_tail.front().a, 2u);
+  EXPECT_EQ(report.render(s.alphabet), reference_render(report, s.alphabet));
 }
 
 TEST(RenderReferenceTest, SignatureSortsCulpritsAndKeepsPanicReason) {
@@ -356,11 +511,27 @@ TEST(RenderReferenceTest, FullReportWithPanicAndWideTick) {
   task.waiting_on = 3;
   task.holds = {0, 11};
   report.kernel.tasks.push_back(task);
-  report.state_records = "CP0= (failed, blocked, TC->TS, 2, -)\n";
-  report.trace_tail = "1099511627779 [fault] kernel panic: gc\n";
+  CpRecord cp;
+  cp.qm = MasterState::kFailed;
+  cp.qs = SlaveState::kBlocked;
+  cp.tp = {s.tc, s.ts};
+  cp.sn = 2;
+  report.state_records = {{0, cp}};
+  sim::TraceEvent panic;
+  panic.tick = 1099511627779;
+  panic.category = sim::TraceCategory::kFault;
+  panic.code = sim::TraceCode::kKernelPanic;
+  panic.text = "gc";
+  report.trace_tail = {panic};
   report.seed = std::numeric_limits<std::uint64_t>::max();
   report.merged.elements = {{0, s.tc}, {1, s.tc}, {0, s.ts}};
   EXPECT_EQ(report.render(s.alphabet), reference_render(report, s.alphabet));
+  EXPECT_NE(report.render(s.alphabet)
+                .find("CP0= (failed, blocked, TC->TS, 2, -)\n"),
+            std::string::npos);
+  EXPECT_NE(report.render(s.alphabet)
+                .find("trace tail:\n1099511627779 [fault] kernel panic: gc\n"),
+            std::string::npos);
   EXPECT_EQ(report.signature(), reference_signature(report));
 
   report.trace_tail.clear();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ptest/core/report.hpp"
+
 namespace ptest::core {
 namespace {
 
@@ -107,14 +109,18 @@ TEST(StateRecordTest, FailedAckMarksMaster) {
   EXPECT_EQ(recorder.record(0).qm, MasterState::kFailed);
 }
 
-TEST(StateRecordTest, RenderAllRecords) {
+TEST(StateRecordTest, ReportRendersAllRecords) {
   Fixture f;
   StateRecorder recorder(f.alphabet);
   recorder.assign(0, {f.tc});
   recorder.assign(1, {f.tc, f.td});
-  const std::string text = recorder.render();
-  EXPECT_NE(text.find("CP0= "), std::string::npos);
-  EXPECT_NE(text.find("CP1= "), std::string::npos);
+  BugReport report;
+  report.state_records.assign(recorder.records().begin(),
+                              recorder.records().end());
+  const std::string text = report.render(f.alphabet);
+  EXPECT_NE(text.find("CP0= (idle, none, TC, 0, TC)\n"), std::string::npos);
+  EXPECT_NE(text.find("CP1= (idle, none, TC->TD, 0, TC->TD)\n"),
+            std::string::npos);
 }
 
 }  // namespace

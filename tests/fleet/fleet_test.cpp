@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -22,6 +24,8 @@
 #include "ptest/fleet/transport.hpp"
 #include "ptest/fleet/wire.hpp"
 #include "ptest/fleet/worker.hpp"
+#include "ptest/scenario/registry.hpp"
+#include "ptest/support/json.hpp"
 #include "ptest/support/metrics.hpp"
 
 namespace ptest::fleet {
@@ -199,6 +203,8 @@ TEST(Wire, DecodeRejectsGarbageAndWrongVersions) {
   EXPECT_FALSE(decode(R"({"wire_version": 2, "kind": "assign"})").ok());
   // v3 metrics blocks had a different key set; v4 peers refuse them.
   EXPECT_FALSE(decode(R"({"wire_version": 3, "kind": "shutdown"})").ok());
+  // v4 failures carried rendered text; v5 peers refuse them.
+  EXPECT_FALSE(decode(R"({"wire_version": 4, "kind": "shutdown"})").ok());
 }
 
 /// A genuine slice's result frame (failures, coverage, work counters)
@@ -293,6 +299,200 @@ TEST(Wire, MetricsBlockSurvivesRoundTripAndMutation) {
     ASSERT_FALSE(decoded.ok());
     EXPECT_NE(decoded.error().find(key), std::string::npos)
         << decoded.error();
+  }
+}
+
+/// Re-serializes a parsed document; non-negative integral numbers are
+/// written as integers, as the encoder writes them.
+void write_json(support::JsonWriter& out, const support::JsonValue& value) {
+  using Kind = support::JsonValue::Kind;
+  switch (value.kind) {
+    case Kind::kNull: out.null(); break;
+    case Kind::kBool: out.value(value.boolean); break;
+    case Kind::kNumber:
+      if (value.number >= 0 && value.number < 0x1p64 &&
+          value.number == static_cast<double>(
+                              static_cast<std::uint64_t>(value.number))) {
+        out.value(static_cast<std::uint64_t>(value.number));
+      } else {
+        out.value(value.number);
+      }
+      break;
+    case Kind::kString: out.value(value.string); break;
+    case Kind::kArray:
+      out.begin_array();
+      for (const support::JsonValue& item : value.array) write_json(out, item);
+      out.end_array();
+      break;
+    case Kind::kObject:
+      out.begin_object();
+      for (const auto& [key, item] : value.object) {
+        out.key(key);
+        write_json(out, item);
+      }
+      out.end_object();
+      break;
+  }
+}
+
+std::string to_text(const support::JsonValue& value) {
+  support::JsonWriter out(0);
+  write_json(out, value);
+  return out.str();
+}
+
+/// A decoded failure may differ from what was sent, but every enum it
+/// holds is in range, every SN within its pattern, and it renders (a
+/// symbol id past the alphabet throws; nothing worse happens).
+void expect_failures_in_range(const core::CampaignResult& result,
+                              const pfa::Alphabet& alphabet) {
+  for (const auto& [signature, report] : result.distinct_failures) {
+    EXPECT_LT(static_cast<std::size_t>(report.kind), core::kBugKindCount);
+    for (const pcore::TaskSnapshot& task : report.kernel.tasks) {
+      EXPECT_LE(task.state, pcore::TaskState::kTerminated);
+    }
+    for (const auto& [slot, cp] : report.state_records) {
+      EXPECT_LE(cp.qm, core::MasterState::kDone);
+      EXPECT_LE(cp.qs, core::SlaveState::kTerminated);
+      EXPECT_LE(cp.sn, cp.tp.size());
+    }
+    for (const sim::TraceEvent& event : report.trace_tail) {
+      EXPECT_LT(static_cast<std::size_t>(event.category),
+                sim::kTraceCategoryCount);
+      EXPECT_LT(static_cast<std::size_t>(event.code), sim::kTraceCodeCount);
+    }
+    try {
+      (void)report.render(alphabet);
+    } catch (const std::out_of_range&) {
+    }
+  }
+}
+
+/// Decodes a mutated result frame: rejected cleanly, or decoded with its
+/// failures in range.
+void decodes_in_range_or_rejects(std::string_view text,
+                                 const pfa::Alphabet& alphabet) {
+  const auto decoded = decode(text);
+  if (!decoded.ok()) {
+    EXPECT_EQ(decoded.error().rfind("wire: ", 0), 0u) << decoded.error();
+    return;
+  }
+  if (decoded.value().kind == FrameKind::kResult) {
+    expect_failures_in_range(decoded.value().result.result, alphabet);
+  }
+}
+
+TEST(Wire, FailureRecordSurvivesRoundTripAndMutation) {
+  // One real report of each kind the catalog's crash, deadlock and
+  // no-termination scenarios file, each with its scenario's alphabet.
+  ResultFrame frame;
+  frame.seq = 9;
+  std::map<std::string, core::CompiledTestPlanPtr> plans;
+  for (const char* name : {"lost-update", "deadlock-pair", "fig1-livelock"}) {
+    const core::ShardSlice slice{.index = 0, .run_base = 0, .sessions = 16};
+    auto ran = core::Campaign::run_scenario_slice(name, slice);
+    ASSERT_TRUE(ran.ok()) << ran.error();
+    ASSERT_FALSE(ran.value().distinct_failures.empty()) << name;
+    const auto& [signature, report] = *ran.value().distinct_failures.begin();
+    ASSERT_FALSE(report.state_records.empty()) << name;
+    ASSERT_FALSE(report.trace_tail.empty()) << name;
+    frame.result.distinct_failures.emplace(signature, report);
+    plans[signature] = core::compile(
+        scenario::ScenarioRegistry::builtin().find(name)->config);
+  }
+  std::set<core::BugKind> kinds;
+  for (const auto& [signature, report] : frame.result.distinct_failures) {
+    kinds.insert(report.kind);
+  }
+  EXPECT_EQ(kinds, (std::set<core::BugKind>{core::BugKind::kSlaveCrash,
+                                            core::BugKind::kDeadlock,
+                                            core::BugKind::kNoTermination}));
+  const std::string text = encode(frame);
+
+  // Unmutated: each report comes back in the same form and renders the
+  // same bytes.
+  const auto clean = decode(text);
+  ASSERT_TRUE(clean.ok()) << clean.error();
+  const auto& got = clean.value().result.result.distinct_failures;
+  ASSERT_EQ(got.size(), frame.result.distinct_failures.size());
+  for (const auto& [signature, report] : frame.result.distinct_failures) {
+    SCOPED_TRACE(signature);
+    ASSERT_TRUE(got.contains(signature));
+    const core::BugReport& back = got.at(signature);
+    const pfa::Alphabet& alphabet = plans.at(signature)->alphabet;
+    EXPECT_EQ(back.render(alphabet), report.render(alphabet));
+    EXPECT_EQ(back.state_records, report.state_records);
+    EXPECT_EQ(back.trace_tail, report.trace_tail);
+  }
+  EXPECT_EQ(encode(clean.value().result), text);
+  const pfa::Alphabet& alphabet = plans.begin()->second->alphabet;
+
+  // Bit flips (two bits per byte, every bit position across bytes) and
+  // cuts across the failures array.
+  const std::size_t begin = text.find("\"failures\":[");
+  const std::size_t end = text.find("],\"coverage\":", begin);
+  ASSERT_NE(begin, std::string::npos);
+  ASSERT_NE(end, std::string::npos);
+  for (std::size_t pos = begin; pos <= end; ++pos) {
+    for (const std::size_t bit : {pos % 8, (pos + 3) % 8}) {
+      std::string flipped = text;
+      flipped[pos] = static_cast<char>(flipped[pos] ^ (1 << bit));
+      decodes_in_range_or_rejects(flipped, alphabet);
+    }
+    EXPECT_FALSE(decode(text.substr(0, pos)).ok()) << "cut at " << pos;
+  }
+
+  const auto doc = support::parse_json(text);
+  ASSERT_TRUE(doc.ok()) << doc.error();
+  const auto failures_of = [](support::JsonValue& root) -> auto& {
+    for (auto& [key, value] : root.object) {
+      if (key != "result") continue;
+      for (auto& [inner, failures] : value.object) {
+        if (inner == "failures") return failures.array;
+      }
+    }
+    throw std::logic_error("no failures array");
+  };
+  support::JsonValue base = doc.value();
+  ASSERT_EQ(failures_of(base).size(), 3u);
+  EXPECT_EQ(to_text(base), text);  // the mutations below start from here
+
+  for (std::size_t f = 0; f < 3; ++f) {
+    const std::size_t keys = failures_of(base)[f].object.size();
+    for (std::size_t k = 0; k < keys; ++k) {
+      // Deleting any one key rejects the frame.
+      support::JsonValue deleted = base;
+      auto& members = failures_of(deleted)[f].object;
+      const std::string key = members[k].first;
+      members.erase(members.begin() + static_cast<std::ptrdiff_t>(k));
+      EXPECT_FALSE(decode(to_text(deleted)).ok()) << "deleted " << key;
+
+      // Swapping any two keys' values rejects or stays in range.
+      for (std::size_t j = k + 1; j < keys; ++j) {
+        support::JsonValue swapped = base;
+        auto& fields = failures_of(swapped)[f].object;
+        std::swap(fields[k].second, fields[j].second);
+        decodes_in_range_or_rejects(to_text(swapped), alphabet);
+      }
+    }
+    // Swapping any two fields of the first task, CP record and trace
+    // event: same rule.
+    for (const char* list : {"tasks", "state_records", "trace_tail"}) {
+      const auto& record = *failures_of(base)[f].find(list);
+      if (record.array.empty()) continue;
+      const std::size_t width = record.array.front().array.size();
+      for (std::size_t a = 0; a < width; ++a) {
+        for (std::size_t b = a + 1; b < width; ++b) {
+          support::JsonValue swapped = base;
+          for (auto& [key, value] : failures_of(swapped)[f].object) {
+            if (key != list) continue;
+            auto& fields = value.array.front().array;
+            std::swap(fields[a], fields[b]);
+          }
+          decodes_in_range_or_rejects(to_text(swapped), alphabet);
+        }
+      }
+    }
   }
 }
 

@@ -3,7 +3,9 @@
 // plus the bridge::Channel every session places in its SRAM stays small.
 // The SRAM models 250 KiB, but a session only touches the channel rings,
 // so committing (and zero-filling) the whole modelled size per SoC is the
-// regression this catches.
+// regression this catches.  A second probe pins the trace ring: once it
+// wraps, the hot trace records (bridge command, task exit, bug detected)
+// reuse its slots and allocate nothing.
 //
 // The hook is process-global, so this suite lives in its own test
 // binary: mixing it into another suite would tax every test with the
@@ -77,6 +79,39 @@ TEST(SocAllocProbe, FirstWriteCommitsEveryReservedRegion) {
   EXPECT_GE(first - before, 404u);
   EXPECT_LE(first - before, 512u);
   EXPECT_EQ(second, first);
+}
+
+TEST(SocAllocProbe, HotTraceEventsAllocateNothing) {
+  SocConfig config;
+  config.trace_capacity = 64;
+  Soc soc(config);
+  // Fill the ring past its capacity so every later record reuses a slot,
+  // including ones a free-text event left holding text.
+  for (std::uint32_t i = 0; i < 2 * config.trace_capacity; ++i) {
+    soc.record(TraceCategory::kMaster, TraceCode::kThreadDone, "committer");
+  }
+  ASSERT_EQ(soc.trace().size(), config.trace_capacity);
+  const std::uint64_t before = g_bytes.load(std::memory_order_relaxed);
+  for (std::uint32_t i = 0; i < 10'000; ++i) {
+    switch (i % 3) {
+      case 0:
+        soc.record(TraceCategory::kBridge,
+                   command_code(static_cast<std::uint8_t>(i % 6)), i,
+                   i & 0xff);
+        break;
+      case 1:
+        soc.record(TraceCategory::kKernel, TraceCode::kTaskExit, i & 0xff, i);
+        break;
+      default:
+        soc.record(TraceCategory::kDetector,
+                   bug_code(static_cast<std::uint8_t>(i % 5)));
+        break;
+    }
+  }
+  const std::uint64_t after = g_bytes.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_EQ(soc.trace().total_recorded(), 2 * config.trace_capacity + 10'000);
+  EXPECT_EQ(soc.trace().tail(1).at(0).message(), "cmd seq=9999 TR task=15");
 }
 
 TEST(SocAllocProbe, UntouchedSramCostsNothingToRead) {

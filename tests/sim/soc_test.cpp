@@ -51,11 +51,11 @@ TEST(SocTest, RecordGoesToTraceWithCurrentTick) {
   CountingDevice device;
   soc.attach(device);
   (void)soc.run(3);
-  soc.record(TraceCategory::kMaster, "hello");
+  soc.record(TraceCategory::kMaster, TraceCode::kThreadDone, "hello");
   const auto tail = soc.trace().tail(1);
   ASSERT_EQ(tail.size(), 1u);
   EXPECT_EQ(tail[0].tick, 3u);
-  EXPECT_EQ(tail[0].message, "hello");
+  EXPECT_EQ(tail[0].message(), "thread 'hello' done");
 }
 
 TEST(SocTest, ConfigControlsSramSize) {

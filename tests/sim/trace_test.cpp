@@ -7,53 +7,83 @@ namespace {
 
 TEST(TraceLogTest, RecordsAndTails) {
   TraceLog log(8);
-  log.record(1, TraceCategory::kKernel, "one");
-  log.record(2, TraceCategory::kBridge, "two");
+  log.record(1, TraceCategory::kKernel, TraceCode::kTaskExit, 1, 0);
+  log.record(2, TraceCategory::kBridge, TraceCode::kCommandTS, 7, 2);
   const auto tail = log.tail(10);
   ASSERT_EQ(tail.size(), 2u);
-  EXPECT_EQ(tail[0].message, "one");
-  EXPECT_EQ(tail[1].message, "two");
+  EXPECT_EQ(tail[0].message(), "task 1 exited with code 0");
+  EXPECT_EQ(tail[1].message(), "cmd seq=7 TS task=2");
   EXPECT_EQ(tail[1].tick, 2u);
+  EXPECT_EQ(tail[1].code, TraceCode::kCommandTS);
+  EXPECT_EQ(tail[1].a, 7u);
+  EXPECT_EQ(tail[1].b, 2u);
 }
 
 TEST(TraceLogTest, EvictsOldestAtCapacity) {
   TraceLog log(3);
-  for (int i = 0; i < 5; ++i) {
+  for (std::uint32_t i = 0; i < 5; ++i) {
     log.record(static_cast<Tick>(i), TraceCategory::kKernel,
-               std::to_string(i));
+               TraceCode::kTaskExit, i);
   }
   EXPECT_EQ(log.size(), 3u);
   EXPECT_EQ(log.total_recorded(), 5u);
   const auto tail = log.tail(3);
-  EXPECT_EQ(tail[0].message, "2");
-  EXPECT_EQ(tail[2].message, "4");
+  EXPECT_EQ(tail[0].message(), "task 2 exited with code 0");
+  EXPECT_EQ(tail[2].message(), "task 4 exited with code 0");
+}
+
+TEST(TraceLogTest, WrapsManyTimesInOrder) {
+  TraceLog log(5);
+  for (std::uint32_t i = 0; i < 23; ++i) {
+    log.record(i, TraceCategory::kKernel, TraceCode::kTaskExit, i);
+  }
+  const auto tail = log.tail(5);
+  ASSERT_EQ(tail.size(), 5u);
+  for (std::uint32_t k = 0; k < 5; ++k) {
+    EXPECT_EQ(tail[k].tick, 18u + k);
+    EXPECT_EQ(tail[k].a, 18u + k);
+  }
+  EXPECT_EQ(log.total_recorded(), 23u);
 }
 
 TEST(TraceLogTest, TailSmallerThanSize) {
   TraceLog log(8);
-  for (int i = 0; i < 5; ++i) {
-    log.record(0, TraceCategory::kMaster, std::to_string(i));
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    log.record(0, TraceCategory::kMaster, TraceCode::kTaskExit, i);
   }
   const auto tail = log.tail(2);
   ASSERT_EQ(tail.size(), 2u);
-  EXPECT_EQ(tail[0].message, "3");
+  EXPECT_EQ(tail[0].message(), "task 3 exited with code 0");
 }
 
-TEST(TraceLogTest, RenderFormatsLines) {
+TEST(TraceLogTest, LineFormatsTickCategoryAndMessage) {
   TraceLog log(8);
-  log.record(42, TraceCategory::kFault, "boom");
-  EXPECT_EQ(log.render(8), "42 [fault] boom\n");
+  log.record(42, TraceCategory::kFault, TraceCode::kKernelPanic, "boom");
+  std::string line;
+  log.tail(1).at(0).append_line(line);
+  EXPECT_EQ(line, "42 [fault] kernel panic: boom\n");
+}
+
+TEST(TraceLogTest, IntegerRecordClearsAReusedSlotsText) {
+  TraceLog log(1);
+  log.record(0, TraceCategory::kMaster, TraceCode::kThreadDone, "committer");
+  log.record(1, TraceCategory::kKernel, TraceCode::kRecursiveLock, 3, 4);
+  const auto tail = log.tail(1);
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_TRUE(tail[0].text.empty());
+  EXPECT_EQ(tail[0].message(), "task 3 recursive lock of mutex 4");
 }
 
 TEST(TraceLogTest, ZeroCapacityDropsEverything) {
   TraceLog log(0);
-  log.record(0, TraceCategory::kKernel, "x");
+  log.record(0, TraceCategory::kKernel, TraceCode::kTaskExit);
+  log.record(0, TraceCategory::kKernel, TraceCode::kKernelPanic, "x");
   EXPECT_EQ(log.size(), 0u);
 }
 
 TEST(TraceLogTest, ClearResets) {
   TraceLog log(8);
-  log.record(0, TraceCategory::kKernel, "x");
+  log.record(0, TraceCategory::kKernel, TraceCode::kTaskExit);
   log.clear();
   EXPECT_EQ(log.size(), 0u);
   EXPECT_EQ(log.total_recorded(), 0u);
@@ -62,6 +92,12 @@ TEST(TraceLogTest, ClearResets) {
 TEST(TraceCategoryTest, Names) {
   EXPECT_STREQ(to_string(TraceCategory::kKernel), "kernel");
   EXPECT_STREQ(to_string(TraceCategory::kDetector), "detector");
+}
+
+TEST(TraceCodeTest, UnknownCodeRendersAQuestionMark) {
+  TraceEvent event;
+  event.code = static_cast<TraceCode>(kTraceCodeCount);
+  EXPECT_EQ(event.message(), "?");
 }
 
 }  // namespace
