@@ -2,6 +2,16 @@
 
 namespace ptest::bridge {
 
+namespace {
+
+/// Moves every word `doorbell` can deliver at `now` into `credits`; a
+/// quiet doorbell costs one pending() check and no take().
+void collect(sim::Mailbox& doorbell, sim::Tick now, std::uint32_t& credits) {
+  while (doorbell.pending(now)) credits += *doorbell.take(now);
+}
+
+}  // namespace
+
 template <typename T>
 Channel::Ring<T> Channel::reserve_ring(sim::SharedSram& sram) {
   Ring<T> ring;
@@ -33,8 +43,7 @@ bool Channel::post_command(sim::Soc& soc, const Command& command) {
 }
 
 std::optional<Command> Channel::take_command(sim::Soc& soc) {
-  sim::Mailbox& doorbell = soc.mailboxes().box(kCommandMailbox);
-  while (auto word = doorbell.take(soc.now())) command_credits_ += *word;
+  collect(soc.mailboxes().box(kCommandMailbox), soc.now(), command_credits_);
   if (command_credits_ == 0 || command_ring_.empty(soc.sram())) {
     return std::nullopt;
   }
@@ -53,8 +62,8 @@ bool Channel::post_response(sim::Soc& soc, const Response& response) {
 }
 
 std::optional<Response> Channel::take_response(sim::Soc& soc) {
-  sim::Mailbox& doorbell = soc.mailboxes().box(kResponseMailbox);
-  while (auto word = doorbell.take(soc.now())) response_credits_ += *word;
+  collect(soc.mailboxes().box(kResponseMailbox), soc.now(),
+          response_credits_);
   if (response_credits_ == 0 || response_ring_.empty(soc.sram())) {
     return std::nullopt;
   }

@@ -34,6 +34,13 @@ class Channel {
   std::optional<Response> take_response(sim::Soc& soc);
 
   // --- slave side -----------------------------------------------------------
+  /// True when take_command could return a command this tick: doorbell
+  /// credits are in hand, or the doorbell has a deliverable word.  When
+  /// false, take_command returns nothing and changes no state.
+  [[nodiscard]] bool command_ready(const sim::Soc& soc) const {
+    return command_credits_ != 0 ||
+           soc.mailboxes().box(kCommandMailbox).pending(soc.now());
+  }
   /// Takes the next command if the doorbell has fired and one is pending.
   std::optional<Command> take_command(sim::Soc& soc);
   /// Posts a response; false when the ring or doorbell mailbox is full.

@@ -42,12 +42,21 @@ Response Committee::execute(const Command& command) {
   return response;
 }
 
-bool Committee::tick(sim::Soc& soc) {
-  // Flush backlog first (ordering!) before executing new commands.
-  while (!backlog_.empty()) {
-    if (!channel_->post_response(soc, backlog_.front())) return true;
-    backlog_.pop_front();
+bool Committee::flush_backlog(sim::Soc& soc) {
+  std::size_t posted = 0;
+  while (posted < backlog_.size() &&
+         channel_->post_response(soc, backlog_[posted])) {
+    ++posted;
   }
+  backlog_.erase(backlog_.begin(),
+                 backlog_.begin() + static_cast<std::ptrdiff_t>(posted));
+  return backlog_.empty();
+}
+
+bool Committee::tick(sim::Soc& soc) {
+  if (backlog_.empty() && !channel_->command_ready(soc)) return true;
+  // Flush backlog first (ordering!) before executing new commands.
+  if (!flush_backlog(soc)) return true;
   for (std::size_t i = 0; i < commands_per_tick_; ++i) {
     const auto command = channel_->take_command(soc);
     if (!command) break;

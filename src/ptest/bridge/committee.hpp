@@ -4,9 +4,14 @@
 // commands from the bridge channel, invokes the corresponding pCore
 // services, and posts responses.  Processing is rate-limited per tick to
 // model the DSP cycles the dispatcher costs on the real platform.
+//
+// The committee wakes on its doorbell: a tick with no unposted response
+// and no command ready (Channel::command_ready) returns after that one
+// check, which is exactly the set of ticks on which draining the channel
+// would find nothing and change no state.
 #pragma once
 
-#include <deque>
+#include <vector>
 
 #include "ptest/bridge/channel.hpp"
 #include "ptest/pcore/kernel.hpp"
@@ -27,12 +32,15 @@ class Committee : public sim::Device {
 
  private:
   Response execute(const Command& command);
+  /// Posts backlogged responses in FIFO order; true once none is left.
+  bool flush_backlog(sim::Soc& soc);
 
   Channel* channel_;
   pcore::PcoreKernel* kernel_;
   std::size_t commands_per_tick_;
-  /// Responses that could not be posted yet (response ring full).
-  std::deque<Response> backlog_;
+  /// Responses that could not be posted yet (response ring full), oldest
+  /// first.  Empty on almost every tick, so it allocates only when used.
+  std::vector<Response> backlog_;
   std::uint64_t executed_ = 0;
 };
 

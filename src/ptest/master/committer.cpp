@@ -1,5 +1,7 @@
 #include "ptest/master/committer.hpp"
 
+#include <algorithm>
+
 #include "ptest/pcore/kernel.hpp"
 
 namespace ptest::master {
@@ -11,13 +13,14 @@ Committer::Committer(pattern::MergedPattern pattern,
       alphabet_(&alphabet),
       options_(std::move(options)),
       observer_(observer),
-      retries_(options_.retry) {}
-
-std::optional<pcore::TaskId> Committer::task_for_slot(
-    pattern::SlotIndex slot) const {
-  const auto it = slot_tasks_.find(slot);
-  if (it == slot_tasks_.end()) return std::nullopt;
-  return it->second;
+      retries_(options_.retry) {
+  if (pattern_.elements.empty()) return;
+  const auto widest = std::max_element(
+      pattern_.elements.begin(), pattern_.elements.end(),
+      [](const pattern::MergedElement& a, const pattern::MergedElement& b) {
+        return a.slot < b.slot;
+      });
+  slots_.resize(static_cast<std::size_t>(widest->slot) + 1);
 }
 
 void Committer::drain_responses(MasterContext& ctx) {
@@ -30,15 +33,16 @@ void Committer::drain_responses(MasterContext& ctx) {
     ack.detail = response->detail;
     ack.task = response->task;
     ack.acked_at = ctx.now();
-    slot_busy_[ack.issue.slot] = false;
+    SlotState& slot = slots_[ack.issue.slot];
+    slot.busy = false;
     if (ack.issue.service == bridge::Service::kTaskCreate &&
         response->status == bridge::ResponseStatus::kOk) {
-      slot_tasks_[ack.issue.slot] = response->task;
+      slot.task = response->task;
     }
     if ((ack.issue.service == bridge::Service::kTaskDelete ||
          ack.issue.service == bridge::Service::kTaskYield) &&
         response->status == bridge::ResponseStatus::kOk) {
-      slot_tasks_.erase(ack.issue.slot);
+      slot.task.reset();
       retries_.forgive(ack.issue.slot);
     }
     if (response->status != bridge::ResponseStatus::kOk) ++failed_count_;
@@ -77,8 +81,8 @@ Committer::PostOutcome Committer::post_element(
       const auto task = task_for_slot(element.slot);
       if (!task) return PostOutcome::kSkipped;
       command.task = *task;
-      command.priority =
-          options_.chanprio(element.slot, chanprio_counts_[element.slot]++);
+      command.priority = options_.chanprio(
+          element.slot, slots_[element.slot].chanprio_count++);
       break;
     }
     default: {
@@ -93,7 +97,7 @@ Committer::PostOutcome Committer::post_element(
     return PostOutcome::kBackpressure;  // ring/doorbell full; retry later
   }
   ++issued_count_;
-  slot_busy_[element.slot] = true;
+  slots_[element.slot].busy = true;
   IssueRecord record{command.seq, element.slot, element.symbol, *service,
                      ctx.now()};
   ledger_.record_issue(record);
@@ -107,7 +111,7 @@ Committer::PostOutcome Committer::post_element(
 ThreadStep Committer::issue_next(MasterContext& ctx) {
   const pattern::MergedElement& element = pattern_.elements[cursor_];
   // Strict per-slot ordering: wait for the slot's previous ack.
-  if (slot_busy_[element.slot]) return ThreadStep::kWaiting;
+  if (slots_[element.slot].busy) return ThreadStep::kWaiting;
   switch (post_element(ctx, element)) {
     case PostOutcome::kPosted:
     case PostOutcome::kSkipped:
@@ -127,7 +131,7 @@ ThreadStep Committer::step(MasterContext& ctx) {
   // Pending terminal retries take precedence: they gate completion.
   if (const auto* front = retries_.front()) {
     if (front->not_before <= ctx.now() &&
-        !slot_busy_[front->payload.slot]) {
+        !slots_[front->payload.slot].busy) {
       auto retry = retries_.take_front();
       if (task_for_slot(retry->payload.slot)) {
         if (post_element(ctx, retry->payload) == PostOutcome::kBackpressure) {

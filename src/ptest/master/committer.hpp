@@ -96,12 +96,23 @@ class Committer : public MasterThread {
       const noexcept {
     return ledger_.outstanding();
   }
-  /// pCore task bound to a slot, if any.
+  /// pCore task bound to a slot, if any (nullopt for a slot the pattern
+  /// does not use).
   [[nodiscard]] std::optional<pcore::TaskId> task_for_slot(
-      pattern::SlotIndex slot) const;
+      pattern::SlotIndex slot) const {
+    if (slot >= slots_.size()) return std::nullopt;
+    return slots_[slot].task;
+  }
 
  private:
   enum class PostOutcome { kPosted, kSkipped, kBackpressure };
+
+  /// Per-slot bookkeeping, indexed by slot.
+  struct SlotState {
+    std::optional<pcore::TaskId> task;  // bound by a TC ack
+    bool busy = false;                  // a command awaits its ack
+    std::uint32_t chanprio_count = 0;   // TCH commands issued so far
+  };
 
   void drain_responses(MasterContext& ctx);
   ThreadStep issue_next(MasterContext& ctx);
@@ -118,9 +129,8 @@ class Committer : public MasterThread {
   /// is charged per slot, time is the simulation tick.
   fleet::OutstandingTable<IssueRecord> ledger_;
   fleet::RetryQueue<pattern::MergedElement, pattern::SlotIndex> retries_;
-  std::map<pattern::SlotIndex, pcore::TaskId> slot_tasks_;
-  std::map<pattern::SlotIndex, bool> slot_busy_;
-  std::map<pattern::SlotIndex, std::uint32_t> chanprio_counts_;
+  /// One entry per slot up to the pattern's largest, sized once.
+  std::vector<SlotState> slots_;
   sim::Tick delay_until_ = 0;
   std::size_t issued_count_ = 0;
   std::size_t acked_count_ = 0;

@@ -4,14 +4,8 @@ namespace ptest::master {
 
 std::size_t MasterScheduler::add(std::unique_ptr<MasterThread> thread) {
   threads_.push_back({std::move(thread), false});
+  ++live_;
   return threads_.size() - 1;
-}
-
-bool MasterScheduler::all_done() const noexcept {
-  for (const Entry& entry : threads_) {
-    if (!entry.done) return false;
-  }
-  return true;
 }
 
 void MasterScheduler::rotate() {
@@ -27,7 +21,7 @@ void MasterScheduler::rotate() {
 }
 
 bool MasterScheduler::tick(sim::Soc& soc) {
-  if (threads_.empty() || all_done()) return true;
+  if (live_ == 0) return true;
   if (threads_[current_].done) rotate();
   Entry& entry = threads_[current_];
   MasterContext ctx(soc, *channel_);
@@ -42,6 +36,7 @@ bool MasterScheduler::tick(sim::Soc& soc) {
       break;
     case ThreadStep::kDone:
       entry.done = true;
+      --live_;
       soc.record(sim::TraceCategory::kMaster, sim::TraceCode::kThreadDone,
                  entry.thread->name());
       rotate();

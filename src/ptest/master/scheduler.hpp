@@ -1,5 +1,6 @@
 // Round-robin time-sharing scheduler for master threads; a sim::Device
-// representing the ARM core's software stack.
+// representing the ARM core's software stack.  It keeps a count of
+// threads not yet done, so once all are done a tick is one compare.
 #pragma once
 
 #include <memory>
@@ -17,13 +18,14 @@ class MasterScheduler : public sim::Device {
       : channel_(&channel), quantum_(quantum) {}
 
   /// Adds a thread; returns its index.  Threads added after the
-  /// simulation started join the tail of the run queue.
+  /// simulation started join the tail of the run queue, and run even
+  /// when every earlier thread is already done.
   std::size_t add(std::unique_ptr<MasterThread> thread);
 
   bool tick(sim::Soc& soc) override;
 
   /// True once every thread reported kDone.
-  [[nodiscard]] bool all_done() const noexcept;
+  [[nodiscard]] bool all_done() const noexcept { return live_ == 0; }
   [[nodiscard]] std::size_t thread_count() const noexcept {
     return threads_.size();
   }
@@ -42,6 +44,7 @@ class MasterScheduler : public sim::Device {
   bridge::Channel* channel_;
   sim::Tick quantum_;
   std::vector<Entry> threads_;
+  std::size_t live_ = 0;  // threads not yet done
   std::size_t current_ = 0;
   sim::Tick used_ = 0;
 };

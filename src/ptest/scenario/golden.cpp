@@ -7,11 +7,9 @@
 
 namespace ptest::scenario {
 
-namespace {
-
-std::uint64_t hash_session(core::TestSession& session,
-                           const core::SessionResult& result,
-                           const pattern::MergedPattern& merged) {
+std::uint64_t trace_fingerprint(const core::SessionResult& result,
+                                const pattern::MergedPattern& merged,
+                                const sim::TraceLog& trace) {
   std::uint64_t hash = kFnvOffset;
   hash = fnv1a(hash, static_cast<std::uint64_t>(result.outcome));
   hash = fnv1a(hash, static_cast<std::uint64_t>(result.stats.ticks));
@@ -29,7 +27,6 @@ std::uint64_t hash_session(core::TestSession& session,
     hash = fnv1a(hash, result.report->signature());
     hash = fnv1a(hash, static_cast<std::uint64_t>(result.report->detected_at));
   }
-  const sim::TraceLog& trace = session.soc().trace();
   hash = fnv1a(hash, trace.total_recorded());
   std::string message;
   for (const sim::TraceEvent& event : trace.tail(trace.size())) {
@@ -41,8 +38,6 @@ std::uint64_t hash_session(core::TestSession& session,
   }
   return hash;
 }
-
-}  // namespace
 
 std::uint64_t fnv1a(std::uint64_t hash, std::string_view bytes) noexcept {
   // Length separator so ("ab","c") never collides with ("a","bc").
@@ -64,8 +59,8 @@ TracedRun run_traced(const core::CompiledTestPlan& plan, std::uint64_t seed,
   core::TestSession session(config, plan.alphabet, traced.result.merged,
                             traced.result.patterns, setup);
   traced.result.session = session.run();
-  traced.trace_hash =
-      hash_session(session, traced.result.session, traced.result.merged);
+  traced.trace_hash = trace_fingerprint(
+      traced.result.session, traced.result.merged, session.soc().trace());
   return traced;
 }
 
@@ -92,8 +87,8 @@ TracedRun replay_traced(const core::BugReport& report,
   core::TestSession session(config, plan.alphabet, report.merged, patterns,
                             setup);
   traced.result.session = session.run();
-  traced.trace_hash =
-      hash_session(session, traced.result.session, traced.result.merged);
+  traced.trace_hash = trace_fingerprint(
+      traced.result.session, traced.result.merged, session.soc().trace());
   return traced;
 }
 

@@ -35,15 +35,22 @@ using support::kFnvPrime;
 [[nodiscard]] std::uint64_t fnv1a(std::uint64_t hash,
                                   std::uint64_t value) noexcept;
 
+/// The fingerprint of one finished session: hashes outcome, session
+/// stats, the merged pattern, the report's signature and tick, and every
+/// event `trace` retained.  run_traced and replay_traced apply it to
+/// their session's Soc; a hand-wired session can apply it to its own.
+[[nodiscard]] std::uint64_t trace_fingerprint(
+    const core::SessionResult& result, const pattern::MergedPattern& merged,
+    const sim::TraceLog& trace);
+
 /// One traced session: the AdaptiveTest result plus the trace fingerprint.
 struct TracedRun {
   core::AdaptiveTestResult result;
   std::uint64_t trace_hash = kFnvOffset;
 };
 
-/// execute(plan, seed, setup, scratch) with the session's Soc kept in scope long
-/// enough to fingerprint: hashes outcome, session stats, the merged
-/// pattern, and every retained trace event.  Samples through the
+/// execute(plan, seed, setup, scratch) with the session's Soc kept in
+/// scope long enough for trace_fingerprint.  Samples through the
 /// caller's scratch — pass each worker its own (see pfa::WalkScratch).
 [[nodiscard]] TracedRun run_traced(const core::CompiledTestPlan& plan,
                                    std::uint64_t seed,

@@ -2,46 +2,34 @@
 
 namespace ptest::sim {
 
+Mailbox::Mailbox(CoreId sender, CoreId receiver, std::size_t depth,
+                 Tick delivery_latency)
+    : sender_(sender),
+      receiver_(receiver),
+      depth_(depth),
+      latency_(delivery_latency) {
+  if (depth == 0 || depth > kMaxDepth) {
+    throw std::invalid_argument("Mailbox: depth must be 1..4");
+  }
+}
+
 bool Mailbox::post(Tick now, std::uint32_t word) {
   if (full()) return false;
-  fifo_.push_back({now + latency_, word});
+  ring_[(head_ + count_) % kMaxDepth] = {now + latency_, word};
+  ++count_;
   ++posted_;
   return true;
 }
 
-bool Mailbox::pending(Tick now) const noexcept {
-  return !fifo_.empty() && fifo_.front().visible_at <= now;
-}
-
-std::optional<std::uint32_t> Mailbox::take(Tick now) {
-  if (!pending(now)) return std::nullopt;
-  const std::uint32_t word = fifo_.front().word;
-  fifo_.pop_front();
-  ++delivered_;
-  return word;
-}
-
-MailboxBank::MailboxBank(Tick delivery_latency) {
-  boxes_.reserve(kCount);
-  boxes_.emplace_back(CoreId::kArm, CoreId::kDsp, 4, delivery_latency);
-  boxes_.emplace_back(CoreId::kArm, CoreId::kDsp, 4, delivery_latency);
-  boxes_.emplace_back(CoreId::kDsp, CoreId::kArm, 4, delivery_latency);
-  boxes_.emplace_back(CoreId::kDsp, CoreId::kArm, 4, delivery_latency);
-}
-
-Mailbox& MailboxBank::box(std::size_t index) {
-  if (index >= boxes_.size()) {
-    throw std::out_of_range("MailboxBank: index out of range");
-  }
-  return boxes_[index];
-}
-
-const Mailbox& MailboxBank::box(std::size_t index) const {
-  if (index >= boxes_.size()) {
-    throw std::out_of_range("MailboxBank: index out of range");
-  }
-  return boxes_[index];
-}
+MailboxBank::MailboxBank(Tick delivery_latency)
+    : boxes_{Mailbox(CoreId::kArm, CoreId::kDsp, Mailbox::kMaxDepth,
+                     delivery_latency),
+             Mailbox(CoreId::kArm, CoreId::kDsp, Mailbox::kMaxDepth,
+                     delivery_latency),
+             Mailbox(CoreId::kDsp, CoreId::kArm, Mailbox::kMaxDepth,
+                     delivery_latency),
+             Mailbox(CoreId::kDsp, CoreId::kArm, Mailbox::kMaxDepth,
+                     delivery_latency)} {}
 
 bool MailboxBank::interrupt_pending(CoreId core, Tick now) const {
   for (const Mailbox& box : boxes_) {

@@ -4,17 +4,18 @@
 // A write enqueues a 32-bit word; the word becomes visible to the receiver
 // `delivery_latency` ticks later (modelling the interconnect), at which
 // point the receiving core's pending flag (interrupt line) is raised.  The
-// FIFO depth matches the hardware's shallow queues; writing to a full
-// mailbox fails, which the bridge handles with retry — exactly the polling
-// behaviour the paper describes for "processors polling events through
-// shared memory and sending events by triggering interrupts".
+// FIFO is a fixed ring of at most four words, the hardware's depth, held
+// inline in the Mailbox; writing to a full mailbox fails, which the bridge
+// handles with retry — the polling behaviour the paper describes for
+// "processors polling events through shared memory and sending events by
+// triggering interrupts".  pending() is the interrupt line: receivers
+// check it before they take, so a quiet doorbell costs one compare.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <stdexcept>
-#include <vector>
 
 #include "ptest/sim/clock.hpp"
 
@@ -28,12 +29,12 @@ enum class CoreId : std::uint8_t { kArm = 0, kDsp = 1 };
 
 class Mailbox {
  public:
-  Mailbox(CoreId sender, CoreId receiver, std::size_t depth = 4,
-          Tick delivery_latency = 2)
-      : sender_(sender),
-        receiver_(receiver),
-        depth_(depth),
-        latency_(delivery_latency) {}
+  /// The OMAP5912 FIFO depth, and the deepest a Mailbox can be.
+  static constexpr std::size_t kMaxDepth = 4;
+
+  /// Throws std::invalid_argument unless 1 <= depth <= kMaxDepth.
+  Mailbox(CoreId sender, CoreId receiver, std::size_t depth = kMaxDepth,
+          Tick delivery_latency = 2);
 
   [[nodiscard]] CoreId sender() const noexcept { return sender_; }
   [[nodiscard]] CoreId receiver() const noexcept { return receiver_; }
@@ -42,13 +43,22 @@ class Mailbox {
   bool post(Tick now, std::uint32_t word);
 
   /// True if a word is deliverable at time `now` (latency elapsed).
-  [[nodiscard]] bool pending(Tick now) const noexcept;
+  [[nodiscard]] bool pending(Tick now) const noexcept {
+    return count_ != 0 && ring_[head_].visible_at <= now;
+  }
 
   /// Takes the next deliverable word, or nullopt.
-  std::optional<std::uint32_t> take(Tick now);
+  std::optional<std::uint32_t> take(Tick now) {
+    if (!pending(now)) return std::nullopt;
+    const std::uint32_t word = ring_[head_].word;
+    head_ = (head_ + 1) % kMaxDepth;
+    --count_;
+    ++delivered_;
+    return word;
+  }
 
-  [[nodiscard]] std::size_t queued() const noexcept { return fifo_.size(); }
-  [[nodiscard]] bool full() const noexcept { return fifo_.size() >= depth_; }
+  [[nodiscard]] std::size_t queued() const noexcept { return count_; }
+  [[nodiscard]] bool full() const noexcept { return count_ >= depth_; }
 
   /// Words posted / delivered since construction (for Table I accounting).
   [[nodiscard]] std::uint64_t posted_count() const noexcept { return posted_; }
@@ -66,7 +76,10 @@ class Mailbox {
   CoreId receiver_;
   std::size_t depth_;
   Tick latency_;
-  std::deque<Entry> fifo_;
+  /// FIFO ring: `count_` words starting at `head_`.
+  std::array<Entry, kMaxDepth> ring_{};
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
   std::uint64_t posted_ = 0;
   std::uint64_t delivered_ = 0;
 };
@@ -75,18 +88,31 @@ class Mailbox {
 /// 2,3 are DSP -> ARM.
 class MailboxBank {
  public:
+  static constexpr std::size_t kCount = 4;
+
   explicit MailboxBank(Tick delivery_latency = 2);
 
-  [[nodiscard]] Mailbox& box(std::size_t index);
-  [[nodiscard]] const Mailbox& box(std::size_t index) const;
+  /// Throws std::out_of_range for an index >= kCount.
+  [[nodiscard]] Mailbox& box(std::size_t index) {
+    check(index);
+    return boxes_[index];
+  }
+  [[nodiscard]] const Mailbox& box(std::size_t index) const {
+    check(index);
+    return boxes_[index];
+  }
 
   /// True if any mailbox addressed to `core` has a deliverable word.
   [[nodiscard]] bool interrupt_pending(CoreId core, Tick now) const;
 
-  static constexpr std::size_t kCount = 4;
-
  private:
-  std::vector<Mailbox> boxes_;
+  static void check(std::size_t index) {
+    if (index >= kCount) {
+      throw std::out_of_range("MailboxBank: index out of range");
+    }
+  }
+
+  std::array<Mailbox, kCount> boxes_;
 };
 
 }  // namespace ptest::sim

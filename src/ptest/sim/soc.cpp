@@ -5,7 +5,10 @@ namespace ptest::sim {
 Soc::Soc(const SocConfig& config)
     : sram_(config.sram_size),
       mailboxes_(config.mailbox_latency),
-      trace_(config.trace_capacity) {}
+      trace_(config.trace_capacity) {
+  // A session attaches four devices: master, committee, kernel, detector.
+  devices_.reserve(4);
+}
 
 bool Soc::step() {
   bool keep_running = true;

@@ -46,6 +46,9 @@ class Soc {
 
   [[nodiscard]] SharedSram& sram() noexcept { return sram_; }
   [[nodiscard]] MailboxBank& mailboxes() noexcept { return mailboxes_; }
+  [[nodiscard]] const MailboxBank& mailboxes() const noexcept {
+    return mailboxes_;
+  }
   [[nodiscard]] TraceLog& trace() noexcept { return trace_; }
 
   void record(TraceCategory category, TraceCode code, std::uint32_t a = 0,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ptest/bridge/committee.hpp"
 #include "ptest/pcore/programs.hpp"
 
@@ -187,6 +189,74 @@ TEST_F(CommitteeFixture, FullLifecycleViaRemoteCommands) {
   del.task = task;
   EXPECT_EQ(transact(del).status, ResponseStatus::kOk);
   EXPECT_EQ(kernel_.live_task_count(), 0u);
+}
+
+TEST_F(CommitteeFixture, QuietDoorbellTicksChangeNothing) {
+  const sim::Mailbox& doorbell =
+      soc_.mailboxes().box(Channel::kCommandMailbox);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_FALSE(channel_.command_ready(soc_));
+    ASSERT_TRUE(committee_.tick(soc_));
+    soc_.clock().advance();
+  }
+  EXPECT_EQ(committee_.executed(), 0u);
+  EXPECT_EQ(doorbell.delivered_count(), 0u);
+  EXPECT_EQ(channel_.responses_posted(), 0u);
+}
+
+TEST_F(CommitteeFixture, CommandExecutesExactlyOneLatencyAfterPost) {
+  (void)soc_.run(5);
+  const sim::Tick posted_at = soc_.now();
+  Command command;
+  command.seq = 1;
+  command.service = Service::kTaskCreate;
+  command.priority = 5;
+  command.program_id = 1;
+  ASSERT_TRUE(channel_.post_command(soc_, command));
+  const sim::Tick latency = sim::SocConfig{}.mailbox_latency;
+  while (soc_.now() < posted_at + latency) {
+    EXPECT_FALSE(channel_.command_ready(soc_));
+    (void)soc_.step();
+    EXPECT_EQ(committee_.executed(), 0u) << "tick " << soc_.now() - 1;
+  }
+  ASSERT_EQ(soc_.now(), posted_at + latency);
+  EXPECT_TRUE(channel_.command_ready(soc_));
+  (void)soc_.step();
+  EXPECT_EQ(committee_.executed(), 1u);
+  EXPECT_FALSE(channel_.command_ready(soc_));
+  EXPECT_EQ(
+      soc_.mailboxes().box(Channel::kCommandMailbox).delivered_count(), 1u);
+}
+
+TEST_F(CommitteeFixture, BacklogFlushesInFifoOrder) {
+  // Nobody takes responses, so the 4-deep response doorbell fills and
+  // later responses queue in the committee's backlog.
+  std::uint32_t seq = 0;
+  Command command;
+  command.service = Service::kTaskResume;
+  command.task = 5;  // no such task: every command fails fast
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 4; ++i) {
+      command.seq = seq++;
+      ASSERT_TRUE(channel_.post_command(soc_, command));
+    }
+    (void)soc_.run(6);
+  }
+  // Responses 4 and 5 went to the backlog on one tick; while it holds
+  // anything the committee executes no new command.
+  EXPECT_EQ(committee_.executed(), 6u);
+  EXPECT_EQ(channel_.responses_posted(), 4u);
+  // Draining the doorbell lets the backlog out, oldest first.
+  std::vector<std::uint32_t> received;
+  for (int i = 0; i < 32 && received.size() < 8; ++i) {
+    while (const auto response = channel_.take_response(soc_)) {
+      received.push_back(response->seq);
+    }
+    (void)soc_.step();
+  }
+  EXPECT_EQ(received, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(committee_.executed(), 8u);
+  EXPECT_EQ(channel_.responses_posted(), 8u);
 }
 
 TEST_F(CommitteeFixture, PanicReportedInResponse) {

@@ -138,18 +138,33 @@ TEST_F(CommitterFixture, SkipsServicesForUnboundSlots) {
   EXPECT_EQ(committer_->issued(), 0u);
 }
 
-TEST(MasterSchedulerTest, RoundRobinSharesTime) {
-  class Spinner final : public MasterThread {
-   public:
-    explicit Spinner(int limit) : limit_(limit) {}
-    std::string name() const override { return "spinner"; }
-    ThreadStep step(MasterContext&) override {
-      return ++steps_ >= limit_ ? ThreadStep::kDone : ThreadStep::kContinue;
-    }
-    int steps_ = 0;
-    int limit_;
-  };
+TEST_F(CommitterFixture, SlotsOutsideThePatternHaveNoTask) {
+  run(pattern_of({{0, "TC"}, {0, "TS"}}));
+  EXPECT_TRUE(committer_->finished());
+  EXPECT_TRUE(committer_->task_for_slot(0).has_value());
+  EXPECT_FALSE(committer_->task_for_slot(1).has_value());
+  EXPECT_FALSE(committer_->task_for_slot(7).has_value());
+}
 
+TEST_F(CommitterFixture, EmptyPatternFinishesWithNoSlots) {
+  run(pattern::MergedPattern{});
+  EXPECT_TRUE(committer_->finished());
+  EXPECT_EQ(committer_->issued(), 0u);
+  EXPECT_FALSE(committer_->task_for_slot(0).has_value());
+}
+
+class Spinner final : public MasterThread {
+ public:
+  explicit Spinner(int limit) : limit_(limit) {}
+  std::string name() const override { return "spinner"; }
+  ThreadStep step(MasterContext&) override {
+    return ++steps_ >= limit_ ? ThreadStep::kDone : ThreadStep::kContinue;
+  }
+  int steps_ = 0;
+  int limit_;
+};
+
+TEST(MasterSchedulerTest, RoundRobinSharesTime) {
   sim::Soc soc;
   bridge::Channel channel(soc);
   MasterScheduler scheduler(channel, /*quantum=*/4);
@@ -164,6 +179,35 @@ TEST(MasterSchedulerTest, RoundRobinSharesTime) {
   EXPECT_TRUE(scheduler.all_done());
   EXPECT_EQ(pa->steps_, 10);
   EXPECT_EQ(pb->steps_, 10);
+}
+
+TEST(MasterSchedulerTest, ThreadAddedAfterAllDoneRuns) {
+  sim::Soc soc;
+  bridge::Channel channel(soc);
+  MasterScheduler scheduler(channel, /*quantum=*/4);
+  EXPECT_TRUE(scheduler.all_done());  // no threads yet
+  auto a = std::make_unique<Spinner>(3);
+  Spinner* pa = a.get();
+  scheduler.add(std::move(a));
+  EXPECT_FALSE(scheduler.all_done());
+  soc.attach(scheduler);
+  (void)soc.run(10);
+  ASSERT_TRUE(scheduler.all_done());
+  EXPECT_EQ(pa->steps_, 3);
+
+  // Idle ticks leave the finished thread alone.
+  (void)soc.run(5);
+  EXPECT_EQ(pa->steps_, 3);
+
+  auto b = std::make_unique<Spinner>(5);
+  Spinner* pb = b.get();
+  EXPECT_EQ(scheduler.add(std::move(b)), 1u);
+  EXPECT_FALSE(scheduler.all_done());
+  (void)soc.run(20);
+  EXPECT_TRUE(scheduler.all_done());
+  EXPECT_EQ(pa->steps_, 3);
+  EXPECT_EQ(pb->steps_, 5);
+  EXPECT_EQ(soc.trace().total_recorded(), 2u);  // one thread-done each
 }
 
 }  // namespace

@@ -5,7 +5,10 @@
 // so committing (and zero-filling) the whole modelled size per SoC is the
 // regression this catches.  A second probe pins the trace ring: once it
 // wraps, the hot trace records (bridge command, task exit, bug detected)
-// reuse its slots and allocate nothing.
+// reuse its slots and allocate nothing.  A call counter beside the byte
+// sum pins the setup's allocation count, and two more probes pin the
+// bridge's steady state: mailbox traffic and idle bridge ticks allocate
+// nothing.
 //
 // The hook is process-global, so this suite lives in its own test
 // binary: mixing it into another suite would tax every test with the
@@ -17,15 +20,18 @@
 #include <cstdlib>
 #include <new>
 
-#include "ptest/bridge/channel.hpp"
+#include "ptest/bridge/committee.hpp"
+#include "ptest/master/scheduler.hpp"
 #include "ptest/sim/soc.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_bytes{0};
+std::atomic<std::uint64_t> g_calls{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_bytes.fetch_add(size, std::memory_order_relaxed);
+  g_calls.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -51,6 +57,52 @@ TEST(SocAllocProbe, DefaultSocWithChannelRequestsUnderFourKiB) {
     EXPECT_LT(requested, kBudgetBytes)
         << "Soc + Channel setup requested " << requested << " bytes";
   }
+}
+
+TEST(SocAllocProbe, SocWithChannelMakesAtMostThreeAllocations) {
+  const std::uint64_t calls = g_calls.load(std::memory_order_relaxed);
+  const std::uint64_t bytes = g_bytes.load(std::memory_order_relaxed);
+  {
+    Soc soc;
+    bridge::Channel channel(soc);
+    const std::uint64_t made =
+        g_calls.load(std::memory_order_relaxed) - calls;
+    EXPECT_LE(made, 3u) << "Soc + Channel setup made " << made
+                        << " allocations ("
+                        << g_bytes.load(std::memory_order_relaxed) - bytes
+                        << " bytes)";
+  }
+}
+
+TEST(SocAllocProbe, MailboxTrafficAllocatesNothing) {
+  Soc soc;
+  MailboxBank& bank = soc.mailboxes();
+  const std::uint64_t before = g_bytes.load(std::memory_order_relaxed);
+  std::uint64_t sum = 0;
+  for (std::uint32_t i = 0; i < 10'000; ++i) {
+    Mailbox& box = bank.box(i % MailboxBank::kCount);
+    ASSERT_TRUE(box.post(i, i));
+    const auto word = box.take(i + 2);
+    ASSERT_TRUE(word.has_value());
+    sum += *word;
+  }
+  EXPECT_EQ(g_bytes.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(sum, 9'999u * 10'000u / 2);
+}
+
+TEST(SocAllocProbe, IdleBridgeTicksAllocateNothing) {
+  Soc soc;
+  bridge::Channel channel(soc);
+  pcore::PcoreKernel kernel;
+  bridge::Committee committee(channel, kernel);
+  master::MasterScheduler master(channel);  // no threads: all done
+  soc.attach(master);
+  soc.attach(committee);
+  ASSERT_TRUE(master.all_done());
+  const std::uint64_t before = g_bytes.load(std::memory_order_relaxed);
+  EXPECT_EQ(soc.run(10'000), 10'000u);
+  EXPECT_EQ(g_bytes.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(committee.executed(), 0u);
 }
 
 TEST(SocAllocProbe, ChannelRingWritesAllocateNothing) {
