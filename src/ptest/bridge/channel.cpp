@@ -18,14 +18,22 @@ Channel::Ring<T> Channel::reserve_ring(sim::SharedSram& sram) {
   ring.head_offset = sram.reserve(sizeof(std::uint32_t), 4);
   ring.tail_offset = sram.reserve(sizeof(std::uint32_t), 4);
   ring.entries_offset = sram.reserve(sizeof(T) * kRingEntries, 8);
-  sram.write<std::uint32_t>(ring.head_offset, 0);
-  sram.write<std::uint32_t>(ring.tail_offset, 0);
+  ring.clear(sram);
   return ring;
 }
 
 Channel::Channel(sim::Soc& soc)
     : command_ring_(reserve_ring<Command>(soc.sram())),
       response_ring_(reserve_ring<Response>(soc.sram())) {}
+
+void Channel::reset(sim::Soc& soc) {
+  command_ring_.clear(soc.sram());
+  response_ring_.clear(soc.sram());
+  command_credits_ = 0;
+  response_credits_ = 0;
+  commands_posted_ = 0;
+  responses_posted_ = 0;
+}
 
 bool Channel::post_command(sim::Soc& soc, const Command& command) {
   if (command_ring_.full(soc.sram())) return false;

@@ -27,6 +27,11 @@ class Channel {
   /// Reserves the rings in `soc`'s shared SRAM.
   explicit Channel(sim::Soc& soc);
 
+  /// Empties both rings in `soc` (the SoC it was built on) and zeroes
+  /// the credits and counters, as freshly constructed.  The rings keep
+  /// their SRAM regions.
+  void reset(sim::Soc& soc);
+
   // --- master side ----------------------------------------------------------
   /// Posts a command; false when the ring or doorbell mailbox is full.
   bool post_command(sim::Soc& soc, const Command& command);
@@ -77,6 +82,10 @@ class Channel {
       const std::uint32_t t = tail(sram);
       sram.write(entries_offset + (t % kRingEntries) * sizeof(T), value);
       sram.write(tail_offset, t + 1);
+    }
+    void clear(sim::SharedSram& sram) const {
+      sram.write<std::uint32_t>(head_offset, 0);
+      sram.write<std::uint32_t>(tail_offset, 0);
     }
     [[nodiscard]] T pop(sim::SharedSram& sram) const {
       const std::uint32_t h = head(sram);

@@ -28,6 +28,13 @@ class Committee : public sim::Device {
 
   bool tick(sim::Soc& soc) override;
 
+  /// Drops the response backlog (keeping its buffer) and zeroes the
+  /// executed count, as freshly constructed.
+  void reset() noexcept {
+    backlog_.clear();
+    executed_ = 0;
+  }
+
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
  private:

@@ -62,14 +62,18 @@ AdaptiveTestResult generate_and_merge(const CompiledTestPlan& plan,
 
 AdaptiveTestResult execute(const CompiledTestPlan& plan, std::uint64_t seed,
                            const WorkloadSetup& setup,
-                           pfa::WalkScratch& scratch) {
+                           pfa::WalkScratch& scratch, SessionRig& rig) {
   AdaptiveTestResult result = generate_and_merge(plan, seed, scratch);
-  PtestConfig config = plan.config;
-  config.seed = seed;
-  TestSession session(config, plan.alphabet, result.merged, result.patterns,
-                      setup);
-  result.session = session.run();
+  rig.load(seed, result.merged, result.patterns, setup);
+  result.session = rig.run();
   return result;
+}
+
+AdaptiveTestResult execute(const CompiledTestPlan& plan, std::uint64_t seed,
+                           const WorkloadSetup& setup,
+                           pfa::WalkScratch& scratch) {
+  SessionRig rig(plan.config, plan.alphabet);
+  return execute(plan, seed, setup, scratch, rig);
 }
 
 AdaptiveTestResult adaptive_test(const PtestConfig& config,

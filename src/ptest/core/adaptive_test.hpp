@@ -38,13 +38,23 @@ struct AdaptiveTestResult {
 
 /// Runs one adaptive test against a precompiled plan: samples n patterns
 /// through the caller's scratch, merges them with the plan's op, and runs
-/// a TestSession with `setup`.  Every random stream derives from `seed`;
+/// the session with `setup` on a freshly built SessionRig.  Every random stream derives from `seed`;
 /// the plan is shared read-only, so concurrent execute() calls on the
 /// same plan are safe as long as each caller passes its own scratch.
 [[nodiscard]] AdaptiveTestResult execute(const CompiledTestPlan& plan,
                                          std::uint64_t seed,
                                          const WorkloadSetup& setup,
                                          pfa::WalkScratch& scratch);
+
+/// execute() on the caller's rig, which must have been built from
+/// `plan` (its config and alphabet): the session is loaded into it
+/// instead of wiring a fresh stack.  The result is the same either way.
+/// A campaign keeps one rig per (participant, plan).
+[[nodiscard]] AdaptiveTestResult execute(const CompiledTestPlan& plan,
+                                         std::uint64_t seed,
+                                         const WorkloadSetup& setup,
+                                         pfa::WalkScratch& scratch,
+                                         SessionRig& rig);
 
 /// The generation+merge phases only (no session) against a precompiled
 /// plan — the sampling hot path a campaign pays per session.  Holds the

@@ -46,6 +46,16 @@ class BugDetector : public sim::Device {
 
   bool tick(sim::Soc& soc) override;
 
+  /// Forgets the filed report, the pass and the termination watch, and
+  /// forces the next tick to scan the wait-for graph, as freshly
+  /// constructed.
+  void reset() noexcept {
+    report_.reset();
+    passed_ = false;
+    committer_finished_at_.reset();
+    scanned_epoch_.reset();
+  }
+
   [[nodiscard]] bool bug_found() const noexcept {
     return report_.has_value();
   }

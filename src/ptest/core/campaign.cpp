@@ -1,6 +1,7 @@
 #include "ptest/core/campaign.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 #include "ptest/core/session_batch.hpp"
@@ -172,14 +173,23 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
       [target = options_.target](const BugReport& report) {
         return !target || report.kind == *target;
       });
+  // One session rig per (participant, arm), built on its first use and
+  // reset per session.  Participant p touches only its own row, and the
+  // rigs die before the plans they point into.
+  std::vector<std::unique_ptr<SessionRig>> rigs(runner.participants() *
+                                                plans.size());
   support::Rng policy_rng(base_config_.seed ^ 0xada9717eULL);
   std::vector<std::size_t> round_arms;
   std::size_t round_start = run_base;
-  auto session = [&](std::size_t, std::size_t run, pfa::WalkScratch& scratch) {
+  auto session = [&](std::size_t participant, std::size_t run,
+                     pfa::WalkScratch& scratch) {
     const std::size_t arm = policy ? round_arms[run - round_start] : 0;
-    return SessionRun{arm, execute(*plans[arm],
+    const CompiledTestPlan& plan = *plans[arm];
+    std::unique_ptr<SessionRig>& rig = rigs[participant * plans.size() + arm];
+    if (!rig) rig = std::make_unique<SessionRig>(plan.config, plan.alphabet);
+    return SessionRun{arm, execute(plan,
                                    support::derive_seed(base_config_.seed, run),
-                                   setup_, scratch)};
+                                   setup_, scratch, *rig)};
   };
   for (std::size_t offset = 0; offset < budget; offset += batch_size) {
     round_start = run_base + offset;

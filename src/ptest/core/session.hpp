@@ -7,11 +7,19 @@
 //    └─ BugDetector (observer, stepped last)
 //
 // and drives a merged pattern to completion, a bug, or the tick limit.
+//
+// SessionRig owns that stack and is the one place it is wired.  A
+// campaign runs thousands of short sessions against one plan, so it
+// builds a rig once per (participant, plan) and load()s each session
+// into it: every device resets to its freshly constructed state, keeping
+// its buffers, and the workload setup runs again on the reset kernel.
+// A loaded rig runs exactly as a freshly built one would.  TestSession
+// is the one-session form: one rig, loaded once.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
+#include <vector>
 
 #include "ptest/bridge/committee.hpp"
 #include "ptest/core/bug_detector.hpp"
@@ -19,6 +27,7 @@
 #include "ptest/core/state_record.hpp"
 #include "ptest/master/scheduler.hpp"
 #include "ptest/pattern/pattern.hpp"
+#include "ptest/support/rng.hpp"
 
 namespace ptest::core {
 
@@ -51,6 +60,60 @@ struct SessionResult {
 /// shared state the workload needs.
 using WorkloadSetup = std::function<void(pcore::PcoreKernel&)>;
 
+/// The wired session stack, reusable across sessions of one plan.  Not
+/// copyable or movable: the devices point at each other and the
+/// committer's noise hook at the rig's own stream.
+class SessionRig {
+ public:
+  /// Wires the stack for sessions of `config` (its seed is not used:
+  /// load() takes each session's).  `alphabet` must outlive the rig.
+  SessionRig(const PtestConfig& config, const pfa::Alphabet& alphabet);
+
+  SessionRig(const SessionRig&) = delete;
+  SessionRig& operator=(const SessionRig&) = delete;
+
+  /// Prepares one session: resets every device, runs `setup` on the
+  /// reset kernel, assigns each slot's CP record from `patterns`, loads
+  /// `merged` into the committer and reseeds the noise stream from
+  /// `seed`.  Nothing of an earlier session survives.
+  void load(std::uint64_t seed, const pattern::MergedPattern& merged,
+            const std::vector<pattern::TestPattern>& patterns,
+            const WorkloadSetup& setup);
+
+  /// Runs the loaded session to completion/bug/limit.  Call once per
+  /// load(): a filed report takes the detector's report by move.
+  SessionResult run();
+
+  [[nodiscard]] sim::Soc& soc() noexcept { return soc_; }
+  [[nodiscard]] pcore::PcoreKernel& kernel() noexcept { return kernel_; }
+  [[nodiscard]] const StateRecorder& recorder() const noexcept {
+    return recorder_;
+  }
+  [[nodiscard]] const master::Committer& committer() const noexcept {
+    return *committer_;
+  }
+
+ private:
+  /// Builds the committer with the session's options, hands it to
+  /// master_ and returns it.
+  master::Committer& add_committer(const PtestConfig& config,
+                                   const pfa::Alphabet& alphabet);
+
+  std::uint64_t seed_ = 0;
+  sim::Tick max_ticks_ = 0;
+  /// The committer's issue-delay stream, reseeded per session.
+  support::Rng noise_rng_;
+  sim::Soc soc_;
+  pcore::PcoreKernel kernel_;
+  bridge::Channel channel_;
+  bridge::Committee committee_;
+  master::MasterScheduler master_;
+  StateRecorder recorder_;
+  master::Committer* committer_;  // owned by master_
+  BugDetector detector_;
+};
+
+/// One session on a rig of its own.
 class TestSession {
  public:
   /// `merged` is the pattern the committer will drive; `patterns` are the
@@ -62,32 +125,20 @@ class TestSession {
               const WorkloadSetup& setup);
 
   /// Runs to completion/bug/limit.  Call once: a filed report takes the
-  /// detector's report and the merged pattern by move.
-  SessionResult run();
+  /// detector's report by move.
+  SessionResult run() { return rig_.run(); }
 
-  [[nodiscard]] sim::Soc& soc() noexcept { return *soc_; }
-  [[nodiscard]] pcore::PcoreKernel& kernel() noexcept { return *kernel_; }
+  [[nodiscard]] sim::Soc& soc() noexcept { return rig_.soc(); }
+  [[nodiscard]] pcore::PcoreKernel& kernel() noexcept { return rig_.kernel(); }
   [[nodiscard]] const StateRecorder& recorder() const noexcept {
-    return *recorder_;
+    return rig_.recorder();
   }
   [[nodiscard]] const master::Committer& committer() const noexcept {
-    return *committer_;
+    return rig_.committer();
   }
 
  private:
-  // The only config fields read after construction.
-  std::uint64_t seed_;
-  sim::Tick max_ticks_;
-  const pfa::Alphabet* alphabet_;
-  pattern::MergedPattern merged_;
-  std::unique_ptr<sim::Soc> soc_;
-  std::unique_ptr<pcore::PcoreKernel> kernel_;
-  std::unique_ptr<bridge::Channel> channel_;
-  std::unique_ptr<bridge::Committee> committee_;
-  std::unique_ptr<master::MasterScheduler> master_;
-  master::Committer* committer_ = nullptr;  // owned by master_
-  std::unique_ptr<StateRecorder> recorder_;
-  std::unique_ptr<BugDetector> detector_;
+  SessionRig rig_;
 };
 
 }  // namespace ptest::core

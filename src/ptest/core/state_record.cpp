@@ -63,21 +63,48 @@ void CpRecord::append_to(std::string& out,
   out += ')';
 }
 
+void StateRecorder::grow(std::size_t slots) {
+  while (records_.size() < slots) {
+    records_.emplace_back(static_cast<pattern::SlotIndex>(records_.size()),
+                          CpRecord{});
+  }
+}
+
+CpRecord& StateRecorder::slot_record(pattern::SlotIndex slot) {
+  grow(std::size_t{slot} + 1);
+  return records_[slot].second;
+}
+
 void StateRecorder::assign(pattern::SlotIndex slot,
-                           std::vector<pfa::SymbolId> tp) {
-  CpRecord record;
-  record.tp = std::move(tp);
-  records_[slot] = std::move(record);
+                           const std::vector<pfa::SymbolId>& tp) {
+  CpRecord& record = slot_record(slot);
+  record.qm = MasterState::kIdle;
+  record.qs = SlaveState::kNone;
+  // Grow with slack, so a slightly longer pattern later fits as well.
+  if (tp.size() > record.tp.capacity()) record.tp.reserve(2 * tp.size());
+  record.tp.assign(tp.begin(), tp.end());
+  record.sn = 0;
+}
+
+void StateRecorder::reset(std::size_t slots) {
+  if (records_.size() > slots) records_.resize(slots);
+  grow(slots);
+  for (auto& [slot, record] : records_) {
+    record.qm = MasterState::kIdle;
+    record.qs = SlaveState::kNone;
+    record.tp.clear();
+    record.sn = 0;
+  }
 }
 
 void StateRecorder::on_issue(const master::IssueRecord& record) {
-  CpRecord& cp = records_[record.slot];
+  CpRecord& cp = slot_record(record.slot);
   cp.qm = MasterState::kIssuing;
   if (cp.sn < cp.tp.size()) ++cp.sn;
 }
 
 void StateRecorder::on_ack(const master::AckRecord& record) {
-  CpRecord& cp = records_[record.issue.slot];
+  CpRecord& cp = slot_record(record.issue.slot);
   if (record.status != bridge::ResponseStatus::kOk) {
     cp.qm = MasterState::kFailed;
     return;

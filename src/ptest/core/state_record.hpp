@@ -14,8 +14,8 @@
 // They become text only when a report is rendered.
 #pragma once
 
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ptest/master/committer.hpp"
@@ -68,23 +68,37 @@ class StateRecorder final : public master::CommitterObserver {
   /// same alphabet, so the recorder keeps nothing of it.
   explicit StateRecorder(const pfa::Alphabet& /*alphabet*/) {}
 
-  /// Registers the pattern assigned to `slot` (before the run).
-  void assign(pattern::SlotIndex slot, std::vector<pfa::SymbolId> tp);
+  /// Registers the pattern assigned to `slot` (before the run), copying
+  /// it into the record's existing buffer.
+  void assign(pattern::SlotIndex slot, const std::vector<pfa::SymbolId>& tp);
+
+  /// Returns to the freshly constructed state for a session of `slots`
+  /// slots: slots 0..slots-1 hold idle records with empty patterns, and
+  /// every kept record reuses its `tp` buffer for the next assign().
+  void reset(std::size_t slots);
 
   void on_issue(const master::IssueRecord& record) override;
   void on_ack(const master::AckRecord& record) override;
   void on_pattern_complete(sim::Tick tick) override;
 
-  [[nodiscard]] const std::map<pattern::SlotIndex, CpRecord>& records()
-      const noexcept {
+  /// (slot, record) pairs, one per slot and indexed by slot — the
+  /// layout BugReport::state_records files.  Sessions assign slots
+  /// 0..n-1, so no slot in range goes unassigned.
+  [[nodiscard]] const std::vector<std::pair<pattern::SlotIndex, CpRecord>>&
+  records() const noexcept {
     return records_;
   }
   [[nodiscard]] const CpRecord& record(pattern::SlotIndex slot) const {
-    return records_.at(slot);
+    return records_.at(slot).second;
   }
 
  private:
-  std::map<pattern::SlotIndex, CpRecord> records_;
+  /// Grows the table to `slots` fresh records; never shrinks it.
+  void grow(std::size_t slots);
+  /// The record of `slot`, growing the table to cover it.
+  CpRecord& slot_record(pattern::SlotIndex slot);
+
+  std::vector<std::pair<pattern::SlotIndex, CpRecord>> records_;
 };
 
 }  // namespace ptest::core

@@ -16,11 +16,13 @@
 // the coordinator.  The ledger never reads a clock.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <optional>
 #include <utility>
+#include <vector>
 
 namespace ptest::fleet {
 
@@ -38,9 +40,17 @@ struct RetryPolicy {
 /// remembered under a fresh seq until its ack arrives.  Acks for
 /// unknown seqs (stale, duplicate, reordered) resolve to nullopt so the
 /// caller can drop them without bookkeeping damage.
+///
+/// The table is a flat vector: seqs only grow, so an issue appends and
+/// the entries stay in ascending seq order; an ack erases in place,
+/// which keeps that order.  A handful of commands is in flight at a
+/// time, so the linear ack lookup beats a tree, and reset() keeps the
+/// buffer for the next session.
 template <typename Payload>
 class OutstandingTable {
  public:
+  using Entry = std::pair<std::uint32_t, Payload>;
+
   /// The seq the next record_issue() will assign — callers that stamp
   /// the seq into the payload (wire frames, bridge commands) read it
   /// before committing to the send.
@@ -51,29 +61,38 @@ class OutstandingTable {
   /// not burn a sequence number, or the peer sees gaps.
   std::uint32_t record_issue(Payload payload) {
     const std::uint32_t seq = next_seq_++;
-    outstanding_.emplace(seq, std::move(payload));
+    outstanding_.emplace_back(seq, std::move(payload));
     return seq;
   }
 
   /// Resolves an ack: removes and returns the issued payload, or
   /// nullopt when `seq` is not outstanding.
   std::optional<Payload> acknowledge(std::uint32_t seq) {
-    const auto it = outstanding_.find(seq);
+    const auto it = std::find_if(
+        outstanding_.begin(), outstanding_.end(),
+        [seq](const Entry& entry) { return entry.first == seq; });
     if (it == outstanding_.end()) return std::nullopt;
     Payload payload = std::move(it->second);
     outstanding_.erase(it);
     return payload;
   }
 
-  [[nodiscard]] const std::map<std::uint32_t, Payload>& outstanding()
-      const noexcept {
+  /// In-flight (seq, payload) entries in ascending seq order.
+  [[nodiscard]] const std::vector<Entry>& outstanding() const noexcept {
     return outstanding_;
   }
   [[nodiscard]] bool empty() const noexcept { return outstanding_.empty(); }
 
+  /// Forgets every in-flight entry and restarts seqs at 1; the buffer
+  /// keeps its capacity.
+  void reset() noexcept {
+    outstanding_.clear();
+    next_seq_ = 1;
+  }
+
  private:
   std::uint32_t next_seq_ = 1;
-  std::map<std::uint32_t, Payload> outstanding_;
+  std::vector<Entry> outstanding_;
 };
 
 /// FIFO retry queue with a per-key attempt budget and a not-before
@@ -131,6 +150,13 @@ class RetryQueue {
   void forgive(const Key& key) { attempts_.erase(key); }
 
   [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
+
+  /// Drops every queued retry and every key's attempt history; the
+  /// policy stays.
+  void reset() {
+    queue_.clear();
+    attempts_.clear();
+  }
 
  private:
   RetryPolicy policy_;

@@ -14,6 +14,11 @@ Committer::Committer(pattern::MergedPattern pattern,
       options_(std::move(options)),
       observer_(observer),
       retries_(options_.retry) {
+  reset_slots();
+}
+
+void Committer::reset_slots() {
+  slots_.clear();
   if (pattern_.elements.empty()) return;
   const auto widest = std::max_element(
       pattern_.elements.begin(), pattern_.elements.end(),
@@ -21,6 +26,23 @@ Committer::Committer(pattern::MergedPattern pattern,
         return a.slot < b.slot;
       });
   slots_.resize(static_cast<std::size_t>(widest->slot) + 1);
+}
+
+void Committer::reset(const pattern::MergedPattern& pattern) {
+  // Grow with slack, so a slightly longer pattern later fits as well.
+  if (pattern.elements.size() > pattern_.elements.capacity()) {
+    pattern_.elements.reserve(2 * pattern.elements.size());
+  }
+  pattern_.elements.assign(pattern.elements.begin(), pattern.elements.end());
+  cursor_ = 0;
+  ledger_.reset();
+  retries_.reset();
+  reset_slots();
+  delay_until_ = 0;
+  issued_count_ = 0;
+  acked_count_ = 0;
+  failed_count_ = 0;
+  finished_ = false;
 }
 
 void Committer::drain_responses(MasterContext& ctx) {

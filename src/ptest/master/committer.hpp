@@ -14,7 +14,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -86,14 +85,25 @@ class Committer : public MasterThread {
   [[nodiscard]] std::string name() const override { return "committer"; }
   ThreadStep step(MasterContext& ctx) override;
 
+  /// Returns to the state of a committer freshly constructed with
+  /// `pattern` and the same options and observer.  The pattern is copied
+  /// into the buffer the previous one used, and the ledger, retries and
+  /// slot state keep their capacity.
+  void reset(const pattern::MergedPattern& pattern);
+
+  /// The merged pattern this committer drives.
+  [[nodiscard]] const pattern::MergedPattern& pattern() const noexcept {
+    return pattern_;
+  }
+
   [[nodiscard]] bool finished() const noexcept { return finished_; }
   [[nodiscard]] std::size_t issued() const noexcept { return issued_count_; }
   [[nodiscard]] std::size_t acked() const noexcept { return acked_count_; }
   [[nodiscard]] std::size_t failed() const noexcept { return failed_count_; }
-  /// Outstanding commands with their issue ticks (bug-detector timeout
-  /// source).
-  [[nodiscard]] const std::map<std::uint32_t, IssueRecord>& outstanding()
-      const noexcept {
+  /// Outstanding (seq, issue) entries in ascending seq order, with their
+  /// issue ticks (bug-detector timeout source).
+  [[nodiscard]] const std::vector<std::pair<std::uint32_t, IssueRecord>>&
+  outstanding() const noexcept {
     return ledger_.outstanding();
   }
   /// pCore task bound to a slot, if any (nullopt for a slot the pattern
@@ -114,6 +124,8 @@ class Committer : public MasterThread {
     std::uint32_t chanprio_count = 0;   // TCH commands issued so far
   };
 
+  /// Sizes slots_ to the pattern's widest slot, every entry fresh.
+  void reset_slots();
   void drain_responses(MasterContext& ctx);
   ThreadStep issue_next(MasterContext& ctx);
   PostOutcome post_element(MasterContext& ctx,

@@ -24,6 +24,11 @@ class MasterScheduler : public sim::Device {
 
   bool tick(sim::Soc& soc) override;
 
+  /// Marks every thread not done and restarts the round robin at thread
+  /// 0, as right after the adds.  The threads themselves keep their
+  /// state: their owner resets them.
+  void reset() noexcept;
+
   /// True once every thread reported kDone.
   [[nodiscard]] bool all_done() const noexcept { return live_ == 0; }
   [[nodiscard]] std::size_t thread_count() const noexcept {

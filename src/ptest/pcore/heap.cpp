@@ -7,10 +7,21 @@ namespace ptest::pcore {
 
 KernelHeap::KernelHeap(std::size_t capacity, HeapFaultPlan fault_plan)
     : capacity_(capacity), fault_plan_(fault_plan) {
-  Block initial{kMagic, static_cast<std::uint32_t>(capacity - kHeader), true,
+  reset();
+}
+
+void KernelHeap::reset() {
+  blocks_.clear();
+  Block initial{kMagic, static_cast<std::uint32_t>(capacity_ - kHeader), true,
                 false};
   blocks_.emplace_back(0, initial);
-  stats_.capacity = capacity;
+  graveyard_.clear();
+  churn_ = 0;
+  corruption_armed_fired_ = false;
+  panicked_ = false;
+  panic_reason_.clear();
+  stats_ = HeapStats{};
+  stats_.capacity = capacity_;
 }
 
 std::size_t KernelHeap::index_of(std::uint32_t offset) const {
@@ -144,7 +155,8 @@ void KernelHeap::collect() {
   graveyard_.clear();
 
   // Coalesce adjacent free blocks.
-  std::vector<std::pair<std::uint32_t, Block>> merged;
+  std::vector<std::pair<std::uint32_t, Block>>& merged = merged_;
+  merged.clear();
   merged.reserve(blocks_.size());
   for (const auto& [offset, block] : blocks_) {
     if (block.magic != kMagic) {
@@ -161,7 +173,7 @@ void KernelHeap::collect() {
       merged.emplace_back(offset, block);
     }
   }
-  blocks_ = std::move(merged);
+  blocks_.swap(merged);
 }
 
 bool KernelHeap::check_integrity() {

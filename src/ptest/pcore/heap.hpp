@@ -54,6 +54,11 @@ class KernelHeap {
   explicit KernelHeap(std::size_t capacity = kDefaultCapacity,
                       HeapFaultPlan fault_plan = {});
 
+  /// Returns to the freshly constructed state under the same capacity
+  /// and fault plan: one free block, an empty graveyard, zeroed
+  /// statistics and no panic.  The block buffers keep their capacity.
+  void reset();
+
   /// Allocates `size` bytes; returns the block offset, or nullopt when out
   /// of memory even after collection.  Detects header corruption and sets
   /// panic() instead of returning.
@@ -115,6 +120,9 @@ class KernelHeap {
   // metadata rather than raw bytes; the *behaviour* — fragmentation,
   // coalescing, corruption detection via magic — matches a real free list.)
   std::vector<std::pair<std::uint32_t, Block>> blocks_;  // (offset, block)
+  /// collect()'s coalescing output, swapped with blocks_ so neither
+  /// buffer is reallocated once both have grown.
+  std::vector<std::pair<std::uint32_t, Block>> merged_;
   std::vector<std::uint32_t> graveyard_;
   std::uint32_t churn_ = 0;
   bool corruption_armed_fired_ = false;

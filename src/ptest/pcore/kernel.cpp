@@ -66,10 +66,50 @@ PcoreKernel::PcoreKernel(const KernelConfig& config)
       shared_(config.shared_words, 0),
       noise_rng_(config.noise_seed) {}
 
-void PcoreKernel::register_program(
-    std::uint32_t program_id,
-    std::function<std::unique_ptr<TaskProgram>(std::uint32_t)> factory) {
-  programs_[program_id] = std::move(factory);
+void PcoreKernel::reset() {
+  heap_.reset();
+  for (Tcb& tcb : tcbs_) tcb = Tcb{};
+  for (KMutex& mutex : mutexes_) {
+    mutex.exists = false;
+    mutex.owner.reset();
+    mutex.waiters.clear();
+    mutex.acquisitions = 0;
+    mutex.contentions = 0;
+  }
+  mutex_count_ = 0;
+  scheduler_ = PriorityScheduler{};
+  programs_.clear();
+  std::fill(shared_.begin(), shared_.end(), 0);
+  noise_rng_ = support::Rng(config_.noise_seed);
+  running_ = kInvalidTask;
+  runnable_ = 0;
+  yielded_ = 0;
+  live_count_ = 0;
+  panicked_ = false;
+  panic_reason_.clear();
+  tick_ = 0;
+  last_gc_ = 0;
+  service_calls_ = 0;
+  wait_graph_epoch_ = 0;
+}
+
+void PcoreKernel::register_program(std::uint32_t program_id,
+                                   ProgramFactory factory) {
+  for (auto& [id, registered] : programs_) {
+    if (id == program_id) {
+      registered = std::move(factory);
+      return;
+    }
+  }
+  programs_.emplace_back(program_id, std::move(factory));
+}
+
+const PcoreKernel::ProgramFactory* PcoreKernel::find_program(
+    std::uint32_t program_id) const noexcept {
+  for (const auto& [id, factory] : programs_) {
+    if (id == program_id) return &factory;
+  }
+  return nullptr;
 }
 
 // --- helpers ------------------------------------------------------------------
@@ -124,8 +164,8 @@ Status PcoreKernel::task_create(std::uint32_t program_id, std::uint32_t arg,
                                 Priority priority, TaskId& out_task) {
   ++service_calls_;
   if (panicked_) return Status::kErrPanicked;
-  const auto factory = programs_.find(program_id);
-  if (factory == programs_.end()) return Status::kErrBadProgram;
+  const ProgramFactory* factory = find_program(program_id);
+  if (factory == nullptr) return Status::kErrBadProgram;
 
   TaskId slot = kInvalidTask;
   for (TaskId i = 0; i < kMaxTasks; ++i) {
@@ -155,7 +195,7 @@ Status PcoreKernel::task_create(std::uint32_t program_id, std::uint32_t arg,
   Tcb& tcb = tcbs_[slot];
   set_state(slot, TaskState::kReady);
   tcb.priority = priority;
-  tcb.program = factory->second(arg);
+  tcb.program = (*factory)(arg);
   tcb.tcb_block = *tcb_block;
   tcb.stack_block = *stack_block;
   tcb.waiting_on.reset();

@@ -22,7 +22,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -96,18 +95,27 @@ struct KernelSnapshot {
 
 class PcoreKernel : public sim::Device {
  public:
+  using ProgramFactory =
+      std::function<std::unique_ptr<TaskProgram>(std::uint32_t arg)>;
+
   explicit PcoreKernel(const KernelConfig& config = {});
 
+  /// Returns to the freshly constructed state under the same config: no
+  /// programs, tasks or mutexes, zeroed shared words and counters, the
+  /// heap and noise stream restarted, no panic, wait-graph epoch 0.
+  /// Buffers (program registry, mutex wait queues, heap blocks) keep
+  /// their capacity.
+  void reset();
+
   // --- program registry ----------------------------------------------------
-  /// Registers a factory under `program_id`; TC commands reference it.
-  void register_program(std::uint32_t program_id,
-                        std::function<std::unique_ptr<TaskProgram>(
-                            std::uint32_t arg)> factory);
+  /// Registers a factory under `program_id`, replacing any earlier one;
+  /// TC commands reference it.
+  void register_program(std::uint32_t program_id, ProgramFactory factory);
   /// True when a factory is registered under `program_id` — lets scenario
   /// plumbing assert a workload setup actually provides the program its
   /// plan references before any TC command can fail with kErrBadProgram.
   [[nodiscard]] bool has_program(std::uint32_t program_id) const noexcept {
-    return programs_.count(program_id) != 0;
+    return find_program(program_id) != nullptr;
   }
 
   // --- Table I services ----------------------------------------------------
@@ -189,6 +197,9 @@ class PcoreKernel : public sim::Device {
  private:
   class ContextImpl;
 
+  /// The factory registered under `program_id`, or null.
+  [[nodiscard]] const ProgramFactory* find_program(
+      std::uint32_t program_id) const noexcept;
   void panic(std::string reason);
   void release_held_mutexes(TaskId task);
   /// The one writer of `Tcb::state`: keeps runnable_ and live_count_.
@@ -206,9 +217,10 @@ class PcoreKernel : public sim::Device {
   std::array<KMutex, kMaxMutexes> mutexes_{};
   std::size_t mutex_count_ = 0;
   PriorityScheduler scheduler_;
-  std::map<std::uint32_t,
-           std::function<std::unique_ptr<TaskProgram>(std::uint32_t)>>
-      programs_;
+  /// (program id, factory) in registration order; a workload registers
+  /// a handful, so a linear lookup is cheapest, and clearing the vector
+  /// on reset keeps its buffer.
+  std::vector<std::pair<std::uint32_t, ProgramFactory>> programs_;
   std::vector<std::int32_t> shared_;
   support::Rng noise_rng_{0};
   TaskId running_ = kInvalidTask;

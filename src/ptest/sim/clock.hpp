@@ -15,6 +15,7 @@ class VirtualClock {
  public:
   [[nodiscard]] Tick now() const noexcept { return now_; }
   void advance() noexcept { ++now_; }
+  void reset() noexcept { now_ = 0; }
 
  private:
   Tick now_ = 0;

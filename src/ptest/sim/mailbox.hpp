@@ -57,6 +57,14 @@ class Mailbox {
     return word;
   }
 
+  /// Empties the FIFO and zeroes the counters, as freshly constructed.
+  void reset() noexcept {
+    head_ = 0;
+    count_ = 0;
+    posted_ = 0;
+    delivered_ = 0;
+  }
+
   [[nodiscard]] std::size_t queued() const noexcept { return count_; }
   [[nodiscard]] bool full() const noexcept { return count_ >= depth_; }
 
@@ -100,6 +108,11 @@ class MailboxBank {
   [[nodiscard]] const Mailbox& box(std::size_t index) const {
     check(index);
     return boxes_[index];
+  }
+
+  /// Resets every mailbox (see Mailbox::reset).
+  void reset() noexcept {
+    for (Mailbox& box : boxes_) box.reset();
   }
 
   /// True if any mailbox addressed to `core` has a deliverable word.

@@ -13,6 +13,7 @@
 // either way.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -33,6 +34,13 @@ class SharedSram {
   /// Throws std::length_error when the SRAM is exhausted.
   [[nodiscard]] std::size_t reserve(std::size_t size,
                                     std::size_t alignment = 8);
+
+  /// Zeroes every committed byte.  Reservations and the committed
+  /// buffer stay, so the regions handed out so far keep their offsets
+  /// and read as a fresh SRAM's do.
+  void clear_contents() noexcept {
+    std::fill(bytes_.begin(), bytes_.end(), std::uint8_t{0});
+  }
 
   /// Remaining unreserved bytes.
   [[nodiscard]] std::size_t available() const noexcept {

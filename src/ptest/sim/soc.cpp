@@ -10,6 +10,13 @@ Soc::Soc(const SocConfig& config)
   devices_.reserve(4);
 }
 
+void Soc::reset() noexcept {
+  clock_.reset();
+  sram_.clear_contents();
+  mailboxes_.reset();
+  trace_.clear();
+}
+
 bool Soc::step() {
   bool keep_running = true;
   for (Device* device : devices_) {

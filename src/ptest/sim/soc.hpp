@@ -64,6 +64,13 @@ class Soc {
   /// that order).
   void attach(Device& device) { devices_.push_back(&device); }
 
+  /// Returns to the freshly constructed state for the next session on
+  /// the same devices: the clock to 0, committed SRAM zeroed with its
+  /// reservations kept, mailboxes fresh and the trace cleared.  The
+  /// attached devices stay attached, and every buffer keeps its
+  /// capacity.
+  void reset() noexcept;
+
   /// Runs up to `max_ticks`; returns the tick count actually executed.
   /// Stops early when any device's tick() returns false.
   Tick run(Tick max_ticks);

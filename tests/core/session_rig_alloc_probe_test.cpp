@@ -1,0 +1,140 @@
+// Allocation probe for the reusable session rig: a global operator-new
+// hook counts allocations, and the suite asserts the rig's steady state.
+// After a warm-up, SessionRig::load allocates nothing on any catalog
+// scenario: every device resets into the buffers the earlier sessions
+// grew, and the workload setup re-registers its programs into the
+// registry's kept capacity.  A whole short session (load plus run) stays
+// within a small budget, which is what the task programs, the coroutine
+// frames and a filed report cost.  A warm Soc::reset followed by idle
+// ticks allocates nothing.
+//
+// The hook is process-global, so this suite lives in its own test
+// binary: mixing it into another suite would tax every test with the
+// counter and make the numbers meaningless.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "ptest/core/adaptive_test.hpp"
+#include "ptest/scenario/registry.hpp"
+#include "ptest/support/rng.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_calls{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_calls.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace ptest::core {
+namespace {
+
+std::uint64_t calls() { return g_calls.load(std::memory_order_relaxed); }
+
+constexpr std::size_t kWarmup = 50;
+constexpr std::size_t kMeasured = 200;
+
+struct Probe {
+  std::uint64_t load_calls = 0;
+  std::uint64_t session_calls = 0;  // load + run
+};
+
+/// Warms one rig up on `config`'s plan, then counts what kMeasured more
+/// sessions allocate in load() and in load() plus run().
+Probe probe(const PtestConfig& config, const WorkloadSetup& setup) {
+  const CompiledTestPlanPtr plan = compile(config);
+  pfa::WalkScratch scratch;
+  SessionRig rig(plan->config, plan->alphabet);
+  for (std::size_t run = 0; run < kWarmup; ++run) {
+    (void)execute(*plan, support::derive_seed(config.seed, run), setup,
+                  scratch, rig);
+  }
+  Probe totals;
+  for (std::size_t run = kWarmup; run < kWarmup + kMeasured; ++run) {
+    const std::uint64_t seed = support::derive_seed(config.seed, run);
+    const AdaptiveTestResult generated =
+        generate_and_merge(*plan, seed, scratch);
+    const std::uint64_t before = calls();
+    rig.load(seed, generated.merged, generated.patterns, setup);
+    const std::uint64_t loaded = calls();
+    { const SessionResult result = rig.run(); }
+    totals.load_calls += loaded - before;
+    totals.session_calls += calls() - before;
+  }
+  return totals;
+}
+
+TEST(SessionRigAllocProbe, WarmLoadAllocatesNothingOnEveryScenario) {
+  std::size_t variants = 0;
+  for (const scenario::Scenario& entry :
+       scenario::ScenarioRegistry::builtin().all()) {
+    EXPECT_EQ(probe(entry.config, entry.setup).load_calls, 0u) << entry.name;
+    ++variants;
+    if (entry.has_benign()) {
+      EXPECT_EQ(probe(entry.benign_plan(), entry.benign_workload()).load_calls,
+                0u)
+          << entry.name << " (benign)";
+      ++variants;
+    }
+  }
+  EXPECT_EQ(variants, 27u);
+}
+
+TEST(SessionRigAllocProbe, ShortSessionsStayWithinTheirBudget) {
+  // load + run averages at most this many allocations per session.
+  constexpr double kBudget = 18.0;
+  for (const char* name : {"aba-stack", "queue-order"}) {
+    const scenario::Scenario* entry =
+        scenario::ScenarioRegistry::builtin().find(name);
+    ASSERT_NE(entry, nullptr) << name;
+    const Probe totals = probe(entry->config, entry->setup);
+    const double per_session =
+        static_cast<double>(totals.session_calls) / kMeasured;
+    EXPECT_LE(per_session, kBudget) << name;
+    RecordProperty(std::string(name) + "_allocs_per_session",
+                   std::to_string(per_session));
+  }
+}
+
+TEST(SessionRigAllocProbe, WarmSocResetThenIdleTicksAllocateNothing) {
+  const scenario::Scenario* entry =
+      scenario::ScenarioRegistry::builtin().find("aba-stack");
+  ASSERT_NE(entry, nullptr);
+  const CompiledTestPlanPtr plan = compile(entry->config);
+  pfa::WalkScratch scratch;
+  SessionRig rig(plan->config, plan->alphabet);
+  (void)execute(*plan, entry->config.seed, entry->setup, scratch, rig);
+
+  // With an empty pattern every device idles: the committer finishes at
+  // once, nothing is created on the slave, and the kernel's periodic
+  // collector sweeps an empty heap.  The first pass warms the collector's
+  // buffers; the second, after load() resets the Soc and every device,
+  // must allocate nothing.
+  sim::Soc& soc = rig.soc();
+  std::uint64_t made = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    const std::uint64_t before = calls();
+    rig.load(1, pattern::MergedPattern{}, {}, {});
+    EXPECT_EQ(soc.now(), 0u);
+    for (int i = 0; i < 1000; ++i) (void)soc.step();
+    made = calls() - before;
+  }
+  EXPECT_EQ(made, 0u);
+  EXPECT_EQ(soc.now(), 1000u);
+  EXPECT_GT(rig.kernel().gc_runs(), 0u);
+}
+
+}  // namespace
+}  // namespace ptest::core

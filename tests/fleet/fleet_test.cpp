@@ -56,6 +56,50 @@ TEST(OutstandingTable, AcknowledgeReturnsThePayloadOnce) {
   EXPECT_TRUE(table.empty());
 }
 
+TEST(OutstandingTable, OutstandingStaysInAscendingSeqOrderAfterOutOfOrderAcks) {
+  OutstandingTable<int> table;
+  for (int payload = 10; payload <= 60; payload += 10) {
+    (void)table.record_issue(payload);  // seqs 1..6
+  }
+  ASSERT_TRUE(table.acknowledge(4).has_value());
+  ASSERT_TRUE(table.acknowledge(1).has_value());
+  ASSERT_TRUE(table.acknowledge(6).has_value());
+  EXPECT_EQ(table.record_issue(70), 7u);
+  std::vector<std::uint32_t> seqs;
+  std::vector<int> payloads;
+  for (const auto& [seq, payload] : table.outstanding()) {
+    seqs.push_back(seq);
+    payloads.push_back(payload);
+  }
+  EXPECT_EQ(seqs, (std::vector<std::uint32_t>{2, 3, 5, 7}));
+  EXPECT_EQ(payloads, (std::vector<int>{20, 30, 50, 70}));
+}
+
+TEST(OutstandingTable, ResetForgetsEntriesAndRestartsSeqsAtOne) {
+  OutstandingTable<int> table;
+  (void)table.record_issue(1);
+  (void)table.record_issue(2);
+  ASSERT_TRUE(table.acknowledge(1).has_value());
+  table.reset();
+  EXPECT_TRUE(table.empty());
+  EXPECT_FALSE(table.acknowledge(2).has_value());
+  EXPECT_EQ(table.next_seq(), 1u);
+  EXPECT_EQ(table.record_issue(3), 1u);
+  ASSERT_EQ(table.outstanding().size(), 1u);
+  EXPECT_EQ(table.outstanding().front().second, 3);
+}
+
+TEST(RetryQueue, ResetDropsQueuedRetriesAndEveryBudget) {
+  RetryQueue<int, int> retries({.max_attempts = 1, .delay = 0});
+  ASSERT_TRUE(retries.schedule(3, 30, 0));
+  EXPECT_FALSE(retries.schedule(3, 30, 0));
+  retries.reset();
+  EXPECT_TRUE(retries.empty());
+  EXPECT_EQ(retries.front(), nullptr);
+  EXPECT_TRUE(retries.schedule(3, 31, 0));  // a fresh budget
+  EXPECT_EQ(retries.policy().max_attempts, 1u);
+}
+
 TEST(RetryQueue, ChargesAttemptsPerKeyAndGivesUpPastBudget) {
   RetryQueue<int, int> retries({.max_attempts = 2, .delay = 5});
   EXPECT_TRUE(retries.schedule(7, 100, 0));

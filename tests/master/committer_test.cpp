@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ptest/bridge/committee.hpp"
+#include "ptest/core/bug_detector.hpp"
 #include "ptest/master/scheduler.hpp"
 #include "ptest/pcore/programs.hpp"
 
@@ -151,6 +152,48 @@ TEST_F(CommitterFixture, EmptyPatternFinishesWithNoSlots) {
   EXPECT_TRUE(committer_->finished());
   EXPECT_EQ(committer_->issued(), 0u);
   EXPECT_FALSE(committer_->task_for_slot(0).has_value());
+}
+
+TEST_F(CommitterFixture, UnresponsiveReportNamesTheLowestTimedOutSeq) {
+  // No committee: the slave never answers, so the test acks by hand.
+  // Four TCs on four slots go out as seqs 1..4; acks for 3 and then 1
+  // arrive out of order, leaving 2 and 4 outstanding.
+  soc_ = std::make_unique<sim::Soc>();
+  channel_ = std::make_unique<bridge::Channel>(*soc_);
+  scheduler_ = std::make_unique<MasterScheduler>(*channel_);
+  core::StateRecorder recorder(alphabet_);
+  auto committer = std::make_unique<Committer>(
+      pattern_of({{0, "TC"}, {1, "TC"}, {2, "TC"}, {3, "TC"}}), alphabet_,
+      CommitterOptions{}, &recorder);
+  committer_ = committer.get();
+  scheduler_->add(std::move(committer));
+  soc_->attach(*scheduler_);
+  (void)soc_->run(8);
+  ASSERT_EQ(committer_->issued(), 4u);
+  for (const std::uint32_t seq : {3u, 1u}) {
+    bridge::Response ack;
+    ack.seq = seq;
+    ack.task = static_cast<std::uint8_t>(seq);
+    ASSERT_TRUE(channel_->post_response(*soc_, ack));
+  }
+  (void)soc_->run(8);
+  ASSERT_EQ(committer_->acked(), 2u);
+  std::vector<std::uint32_t> outstanding;
+  for (const auto& [seq, issue] : committer_->outstanding()) {
+    outstanding.push_back(seq);
+  }
+  ASSERT_EQ(outstanding, (std::vector<std::uint32_t>{2, 4}));
+
+  // Both are far past the timeout when the detector first looks.
+  core::DetectorConfig config;
+  config.command_timeout = 4;
+  core::BugDetector detector(config, kernel_, *committer_, recorder);
+  soc_->attach(detector);
+  (void)soc_->run(1);
+  ASSERT_TRUE(detector.bug_found());
+  EXPECT_EQ(detector.report()->kind, core::BugKind::kUnresponsive);
+  EXPECT_EQ(detector.report()->description.rfind("command seq=2 (", 0), 0u)
+      << detector.report()->description;
 }
 
 class Spinner final : public MasterThread {
