@@ -20,7 +20,7 @@ struct Stack {
 
   Stack() {
     kernel.register_program(1, [](std::uint32_t) {
-      return std::make_unique<pcore::IdleProgram>();
+      return pcore::Program{"idle", pcore::idle()};
     });
     soc.attach(committee);
     soc.attach(kernel);
@@ -92,7 +92,7 @@ const int registered = [] {
       "table1_services/direct_create_delete", [](bench::Context& ctx) {
         pcore::PcoreKernel kernel;
         kernel.register_program(1, [](std::uint32_t) {
-          return std::make_unique<pcore::IdleProgram>();
+          return pcore::Program{"idle", pcore::idle()};
         });
         ctx.measure([&] {
           pcore::TaskId task = pcore::kInvalidTask;
@@ -105,7 +105,7 @@ const int registered = [] {
       "table1_services/direct_suspend_resume", [](bench::Context& ctx) {
         pcore::PcoreKernel kernel;
         kernel.register_program(1, [](std::uint32_t) {
-          return std::make_unique<pcore::IdleProgram>();
+          return pcore::Program{"idle", pcore::idle()};
         });
         pcore::TaskId task = pcore::kInvalidTask;
         (void)kernel.task_create(1, 0, 5, task);

@@ -1,46 +1,32 @@
 #include "ptest/pcore/co_task.hpp"
 
+#include <stdexcept>
+
+#include "ptest/pcore/sync.hpp"
+
 namespace ptest::pcore {
 
-StepResult CoTask::step(TaskContext& ctx) {
+void throw_shared_index_out_of_range() {
+  throw std::out_of_range("PcoreKernel: shared word index out of range");
+}
+
+StepResult CoTask::step(StepEnv& env) {
   assert(handle_ != nullptr && "stepping a moved-from CoTask");
   promise_type& promise = handle_.promise();
-  if (handle_.done()) {
-    // Terminal: repeat the Exit step without resuming, exactly as the
-    // explicit-PC machines kept returning exit() from their final phase.
-    return promise.pending;
-  }
-  promise.context = &ctx;
-  promise.state = TaskState::kRunning;
+  // Terminal: repeat the Exit step without resuming.
+  if (handle_.done()) return promise.pending;
+  promise.env = &env;
   handle_.resume();
-  promise.context = nullptr;
+  promise.env = nullptr;
   if (promise.error) {
     std::rethrow_exception(std::exchange(promise.error, nullptr));
   }
   return promise.pending;
 }
 
-void CoTaskQueue::push(CoTask::promise_type& promise) noexcept {
-  assert(promise.queue_next == nullptr && &promise != tail_ &&
-         "promise already enqueued");
-  promise.queue_next = nullptr;
-  if (tail_ != nullptr) {
-    tail_->queue_next = &promise;
-  } else {
-    head_ = &promise;
-  }
-  tail_ = &promise;
-  ++size_;
-}
-
-CoTask::promise_type* CoTaskQueue::pop() noexcept {
-  if (head_ == nullptr) return nullptr;
-  CoTask::promise_type* promise = head_;
-  head_ = promise->queue_next;
-  if (head_ == nullptr) tail_ = nullptr;
-  promise->queue_next = nullptr;
-  --size_;
-  return promise;
+bool TaskEnv::holds(std::uint32_t mutex) const {
+  const StepEnv& step = env();
+  return mutex < step.mutex_count && step.mutexes[mutex].owner == step.task;
 }
 
 }  // namespace ptest::pcore

@@ -1,25 +1,21 @@
-// CoTask: the C++20 coroutine task runtime behind TaskProgram.
+// The pCore program model: a task is a C++20 coroutine returning CoTask.
 //
-// A task body is a plain coroutine returning CoTask.  Each `co_await` on
-// one of the step operations (compute / yield / lock / unlock) suspends
-// the coroutine and records the corresponding StepResult in the promise;
-// `CoTask::step` resumes the frame exactly once and hands that result to
-// the kernel, so one co_await == one kernel tick == one StepResult —
-// byte-for-byte the protocol the explicit-PC state machines spoke.
-// `co_return code` desugars to the Exit step and is then repeated forever,
-// matching the old machines' terminal behaviour.
-//
-// The promise carries an advisory TaskState mirror (the kernel's Tcb.state
-// stays authoritative — a Lock op is mirrored as kBlocked even when the
-// kernel grants it immediately) and an intrusive queue hook so schedulers
-// can keep ready/wait lists without allocating.  The only heap allocation
-// is the coroutine frame itself.
+// Tasks are deterministic coroutines stepped by the kernel rather than
+// native threads, which is what makes the whole simulation replayable.
+// Each `co_await` on one of the step operations (compute / yield / lock /
+// unlock) suspends the coroutine and records the corresponding StepResult
+// in the promise; `CoTask::step` resumes the frame exactly once and hands
+// that result to the kernel, so one co_await == one kernel tick == one
+// StepResult.  `co_return code` desugars to the Exit step, which is then
+// repeated forever.  Blocking lock semantics are "block until held": when
+// a Lock step cannot acquire, the kernel blocks the task and transfers
+// ownership on wake, so the body simply proceeds on its next step.  The
+// only heap allocation is the coroutine frame itself.
 //
 // Lifetime rules:
-//  * The TaskContext passed to step() is only valid during that resume.
-//    Bodies must never cache a TaskContext& across a co_await; instead
-//    they `co_await env()` once and call through the returned TaskEnv,
-//    which re-reads the per-step context pointer on every access.
+//  * The StepEnv passed to step() is only read during that resume.  A body
+//    `co_await env()`s once and calls through the returned TaskEnv, which
+//    re-reads the promise's per-resume environment pointer on every access.
 //  * Destroying a CoTask destroys the frame even while suspended, running
 //    the destructors of locals in scope — this is what makes task_delete,
 //    kernel panic, and campaign abort leak-free (see co_task_test.cpp).
@@ -27,16 +23,58 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <memory>
-#include <string>
 #include <utility>
-
-#include "ptest/pcore/program.hpp"
-#include "ptest/pcore/task.hpp"
+#include <vector>
 
 namespace ptest::pcore {
+
+enum class StepKind : std::uint8_t {
+  kCompute,  // arg = work units consumed (>= 1)
+  kYield,    // give up the CPU voluntarily
+  kLock,     // arg = mutex id; block until held
+  kUnlock,   // arg = mutex id
+  kExit,     // program finished; arg = exit code (0 = success)
+};
+
+struct StepResult {
+  StepKind kind = StepKind::kCompute;
+  std::uint32_t arg = 1;
+
+  static StepResult compute(std::uint32_t units = 1) {
+    return {StepKind::kCompute, units};
+  }
+  static StepResult yield() { return {StepKind::kYield, 0}; }
+  static StepResult lock(std::uint32_t mutex) {
+    return {StepKind::kLock, mutex};
+  }
+  static StepResult unlock(std::uint32_t mutex) {
+    return {StepKind::kUnlock, mutex};
+  }
+  static StepResult exit(std::uint32_t code = 0) {
+    return {StepKind::kExit, code};
+  }
+};
+
+struct KMutex;  // sync.hpp
+
+/// What a body may read and write while it is resumed: the kernel owns one
+/// and points it at the dispatched task before each step; tests fill one
+/// by hand.
+struct StepEnv {
+  std::uint8_t task = 0;  // the resumed task's slot
+  /// Shared user words (the `x`, `y` flags of the paper's Fig. 1 live
+  /// here; both slave tasks and — via the kernel — master threads see
+  /// them).
+  std::vector<std::int32_t>* shared = nullptr;
+  const KMutex* mutexes = nullptr;
+  std::size_t mutex_count = 0;
+};
+
+/// Throws std::out_of_range for a shared-word index past the table.
+[[noreturn]] void throw_shared_index_out_of_range();
 
 class TaskEnv;
 
@@ -74,24 +112,18 @@ class CoTask {
     /// The step produced by the most recent suspension (or co_return).
     StepResult pending = StepResult::compute();
     /// Valid only while CoTask::step is resuming the frame.
-    TaskContext* context = nullptr;
-    /// Advisory mirror of the kernel's Tcb.state for this frame.
-    TaskState state = TaskState::kReady;
+    StepEnv* env = nullptr;
     std::exception_ptr error;
-    /// Intrusive hook for CoTaskQueue; null when not enqueued.
-    promise_type* queue_next = nullptr;
 
     CoTask get_return_object() noexcept;
     std::suspend_always initial_suspend() const noexcept { return {}; }
     std::suspend_always final_suspend() const noexcept { return {}; }
     void return_value(std::uint32_t code) noexcept {
       pending = StepResult::exit(code);
-      state = TaskState::kTerminated;
     }
     void unhandled_exception() noexcept {
       error = std::current_exception();
       pending = StepResult::exit(1);
-      state = TaskState::kTerminated;
     }
 
     /// One-tick suspension: the StepResult was stored by await_transform.
@@ -110,25 +142,21 @@ class CoTask {
 
     StepAwaiter await_transform(co_ops::Compute op) noexcept {
       pending = StepResult::compute(op.units);
-      state = TaskState::kRunning;
       return {};
     }
     StepAwaiter await_transform(co_ops::Yield) noexcept {
       pending = StepResult::yield();
-      state = TaskState::kReady;
       return {};
     }
     StepAwaiter await_transform(co_ops::Lock op) noexcept {
       pending = StepResult::lock(op.mutex);
-      state = TaskState::kBlocked;
       return {};
     }
     StepAwaiter await_transform(co_ops::Unlock op) noexcept {
       pending = StepResult::unlock(op.mutex);
-      state = TaskState::kRunning;
       return {};
     }
-    /// Raw StepResult pass-through (ScriptProgram replays fixtures).
+    /// Raw StepResult pass-through (the script body replays fixtures).
     StepAwaiter await_transform(StepResult step) noexcept {
       pending = step;
       return {};
@@ -161,18 +189,11 @@ class CoTask {
   [[nodiscard]] bool done() const noexcept {
     return handle_ && handle_.done();
   }
-  [[nodiscard]] TaskState state() const noexcept {
-    return handle_ ? handle_.promise().state : TaskState::kFree;
-  }
-  /// The frame's promise (queue hooks live there); null when invalid.
-  [[nodiscard]] promise_type* promise() const noexcept {
-    return handle_ ? &handle_.promise() : nullptr;
-  }
 
   /// Resumes the frame for exactly one step and returns the StepResult it
   /// produced; after co_return, keeps returning the Exit step without
-  /// resuming (terminal behaviour of the old state machines).
-  StepResult step(TaskContext& ctx);
+  /// resuming.
+  StepResult step(StepEnv& env);
 
  private:
   void destroy() noexcept {
@@ -189,33 +210,42 @@ inline CoTask CoTask::promise_type::get_return_object() noexcept {
   return CoTask(CoTask::Handle::from_promise(*this));
 }
 
+/// What a program factory returns: the task's name and its body.  The
+/// name must outlive the task (every factory passes a string literal).
+struct Program {
+  const char* name;
+  CoTask body;
+};
+
 /// Shared-state handle a body obtains with `co_await env()`.  Valid for
 /// the whole coroutine lifetime: every call indirects through the
-/// promise's per-step context pointer, so it never dangles across
-/// suspensions the way a cached TaskContext& would.  Only usable while
-/// the frame is being resumed (i.e. between co_awaits).
+/// promise's per-resume environment pointer, so it never dangles across
+/// suspensions.  Only usable while the frame is being resumed (i.e.
+/// between co_awaits).
 class TaskEnv {
  public:
   explicit TaskEnv(CoTask::promise_type* promise) noexcept
       : promise_(promise) {}
 
-  [[nodiscard]] std::uint8_t task_id() const { return ctx().task_id(); }
-  [[nodiscard]] sim::Tick now() const { return ctx().now(); }
-  [[nodiscard]] bool holds(std::uint32_t mutex) const {
-    return ctx().holds(mutex);
-  }
+  /// True if this task currently owns `mutex`.
+  [[nodiscard]] bool holds(std::uint32_t mutex) const;
   [[nodiscard]] std::int32_t shared(std::size_t index) const {
-    return ctx().shared(index);
+    return word(index);
   }
   void set_shared(std::size_t index, std::int32_t value) {
-    ctx().set_shared(index, value);
+    word(index) = value;
   }
 
  private:
-  [[nodiscard]] TaskContext& ctx() const {
-    assert(promise_->context != nullptr &&
+  [[nodiscard]] StepEnv& env() const {
+    assert(promise_->env != nullptr &&
            "TaskEnv used outside a resume (across a co_await?)");
-    return *promise_->context;
+    return *promise_->env;
+  }
+  [[nodiscard]] std::int32_t& word(std::size_t index) const {
+    std::vector<std::int32_t>& words = *env().shared;
+    if (index >= words.size()) throw_shared_index_out_of_range();
+    return words[index];
   }
 
   CoTask::promise_type* promise_;
@@ -224,40 +254,6 @@ class TaskEnv {
 inline TaskEnv CoTask::promise_type::EnvAwaiter::await_resume()
     const noexcept {
   return TaskEnv(promise);
-}
-
-/// Intrusive FIFO of coroutine promises (ready/wait lists).  Uses the
-/// promise's queue_next hook — no allocation; a promise may sit in at
-/// most one queue at a time.
-class CoTaskQueue {
- public:
-  [[nodiscard]] bool empty() const noexcept { return head_ == nullptr; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  void push(CoTask::promise_type& promise) noexcept;
-  [[nodiscard]] CoTask::promise_type* pop() noexcept;
-
- private:
-  CoTask::promise_type* head_ = nullptr;
-  CoTask::promise_type* tail_ = nullptr;
-  std::size_t size_ = 0;
-};
-
-/// Adapts a coroutine body to the TaskProgram interface the kernel steps.
-class CoProgram final : public TaskProgram {
- public:
-  CoProgram(std::string name, CoTask task)
-      : name_(std::move(name)), task_(std::move(task)) {}
-  [[nodiscard]] std::string name() const override { return name_; }
-  StepResult step(TaskContext& ctx) override { return task_.step(ctx); }
-
- private:
-  std::string name_;
-  CoTask task_;
-};
-
-[[nodiscard]] inline std::unique_ptr<TaskProgram> make_co_program(
-    std::string name, CoTask task) {
-  return std::make_unique<CoProgram>(std::move(name), std::move(task));
 }
 
 }  // namespace ptest::pcore

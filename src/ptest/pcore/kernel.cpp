@@ -31,33 +31,6 @@ const char* to_string(Status status) noexcept {
   return "?";
 }
 
-// --- TaskContext implementation ---------------------------------------------
-
-class PcoreKernel::ContextImpl final : public TaskContext {
- public:
-  ContextImpl(PcoreKernel& kernel, TaskId task)
-      : kernel_(kernel), task_(task) {}
-
-  [[nodiscard]] std::uint8_t task_id() const override { return task_; }
-  [[nodiscard]] sim::Tick now() const override { return kernel_.tick_; }
-
-  [[nodiscard]] bool holds(std::uint32_t mutex) const override {
-    return mutex < kernel_.mutex_count_ &&
-           kernel_.mutexes_[mutex].owner == task_;
-  }
-
-  [[nodiscard]] std::int32_t shared(std::size_t index) const override {
-    return kernel_.shared_word(index);
-  }
-  void set_shared(std::size_t index, std::int32_t value) override {
-    kernel_.set_shared_word(index, value);
-  }
-
- private:
-  PcoreKernel& kernel_;
-  TaskId task_;
-};
-
 // --- construction ------------------------------------------------------------
 
 PcoreKernel::PcoreKernel(const KernelConfig& config)
@@ -145,16 +118,12 @@ void PcoreKernel::set_state(TaskId task, TaskState state) {
 }
 
 std::int32_t PcoreKernel::shared_word(std::size_t index) const {
-  if (index >= shared_.size()) {
-    throw std::out_of_range("PcoreKernel: shared word index out of range");
-  }
+  if (index >= shared_.size()) throw_shared_index_out_of_range();
   return shared_[index];
 }
 
 void PcoreKernel::set_shared_word(std::size_t index, std::int32_t value) {
-  if (index >= shared_.size()) {
-    throw std::out_of_range("PcoreKernel: shared word index out of range");
-  }
+  if (index >= shared_.size()) throw_shared_index_out_of_range();
   shared_[index] = value;
 }
 
@@ -195,7 +164,9 @@ Status PcoreKernel::task_create(std::uint32_t program_id, std::uint32_t arg,
   Tcb& tcb = tcbs_[slot];
   set_state(slot, TaskState::kReady);
   tcb.priority = priority;
-  tcb.program = (*factory)(arg);
+  Program program = (*factory)(arg);
+  tcb.body = std::move(program.body);
+  tcb.program = program.name;
   tcb.tcb_block = *tcb_block;
   tcb.stack_block = *stack_block;
   tcb.waiting_on.reset();
@@ -223,7 +194,8 @@ void PcoreKernel::reclaim(TaskId task) {
   heap_.defer_free(tcb.tcb_block);
   heap_.defer_free(tcb.stack_block);
   if (heap_.panicked()) panic("reclaim: " + heap_.panic_reason());
-  tcb.program.reset();
+  tcb.body = CoTask{};
+  tcb.program = nullptr;
   set_state(task, TaskState::kFree);
   tcb.waiting_on.reset();
   if (running_ == task) running_ = kInvalidTask;
@@ -351,8 +323,8 @@ void PcoreKernel::run_scheduler(sim::Soc& soc) {
   yielded_ = 0;
   Tcb& tcb = tcbs_[next];
   set_state(next, TaskState::kRunning);
-  ContextImpl ctx(*this, next);
-  const StepResult result = tcb.program->step(ctx);
+  env_ = StepEnv{next, &shared_, mutexes_.data(), mutex_count_};
+  const StepResult result = tcb.body.step(env_);
   ++tcb.steps;
   tcb.last_progress = tick_;
 
@@ -442,7 +414,7 @@ KernelSnapshot PcoreKernel::snapshot() const {
     t.id = i;
     t.state = tcb.state;
     t.priority = tcb.priority;
-    t.program = tcb.program ? tcb.program->name() : "";
+    t.program = tcb.program ? tcb.program : "";
     t.waiting_on = tcb.waiting_on;
     for (MutexId m = 0; m < mutex_count_; ++m) {
       if (mutexes_[m].owner == i) t.holds.push_back(m);

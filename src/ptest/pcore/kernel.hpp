@@ -25,8 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "ptest/pcore/co_task.hpp"
 #include "ptest/pcore/heap.hpp"
-#include "ptest/pcore/program.hpp"
 #include "ptest/pcore/scheduler.hpp"
 #include "ptest/pcore/sync.hpp"
 #include "ptest/pcore/task.hpp"
@@ -95,8 +95,7 @@ struct KernelSnapshot {
 
 class PcoreKernel : public sim::Device {
  public:
-  using ProgramFactory =
-      std::function<std::unique_ptr<TaskProgram>(std::uint32_t arg)>;
+  using ProgramFactory = std::function<Program(std::uint32_t arg)>;
 
   explicit PcoreKernel(const KernelConfig& config = {});
 
@@ -119,7 +118,8 @@ class PcoreKernel : public sim::Device {
   }
 
   // --- Table I services ----------------------------------------------------
-  /// TC: creates a task with `priority` running program `program_id(arg)`.
+  /// TC: creates a task with `priority` running the body the factory
+  /// registered under `program_id` returns for `arg`.
   /// On success `out_task` receives the slot id.
   Status task_create(std::uint32_t program_id, std::uint32_t arg,
                      Priority priority, TaskId& out_task);
@@ -137,7 +137,7 @@ class PcoreKernel : public sim::Device {
   /// Ready/Running/Suspended.  Blocked tasks cannot exit gracefully.
   Status task_yield(TaskId task);
 
-  // --- mutexes (used by task programs) -------------------------------------
+  // --- mutexes (used by task bodies) ---------------------------------------
   /// Creates a mutex; returns its id.  Throws when out of mutexes (test
   /// configuration error, not a runtime condition).
   MutexId mutex_create();
@@ -195,8 +195,6 @@ class PcoreKernel : public sim::Device {
   void force_panic(std::string reason);
 
  private:
-  class ContextImpl;
-
   /// The factory registered under `program_id`, or null.
   [[nodiscard]] const ProgramFactory* find_program(
       std::uint32_t program_id) const noexcept;
@@ -222,6 +220,8 @@ class PcoreKernel : public sim::Device {
   /// on reset keeps its buffer.
   std::vector<std::pair<std::uint32_t, ProgramFactory>> programs_;
   std::vector<std::int32_t> shared_;
+  /// What the dispatched body sees; pointed at it before each step.
+  StepEnv env_;
   support::Rng noise_rng_{0};
   TaskId running_ = kInvalidTask;
   SlotMask runnable_ = 0;

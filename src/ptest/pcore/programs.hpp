@@ -1,7 +1,6 @@
-// Small built-in task programs used by tests and as building blocks; the
+// Small built-in task bodies used by tests and as building blocks; the
 // paper's workloads (quicksort, dining philosophers, Fig. 1 spin pair)
-// live in ptest/workload.  Each is a thin TaskProgram shell around a
-// CoTask coroutine body (see co_task.hpp).
+// live in ptest/workload.
 #pragma once
 
 #include <vector>
@@ -11,47 +10,15 @@
 namespace ptest::pcore {
 
 /// Computes forever (never exits); useful for scheduler tests.
-class IdleProgram final : public TaskProgram {
- public:
-  IdleProgram();
-  [[nodiscard]] std::string name() const override { return "idle"; }
-  StepResult step(TaskContext& ctx) override;
-
- private:
-  CoTask task_;
-};
+[[nodiscard]] CoTask idle();
 
 /// Computes `units` steps then exits successfully.
-class FiniteComputeProgram final : public TaskProgram {
- public:
-  explicit FiniteComputeProgram(std::uint32_t units);
-  [[nodiscard]] std::string name() const override { return "compute"; }
-  StepResult step(TaskContext& ctx) override;
-
- private:
-  CoTask task_;
-};
+[[nodiscard]] CoTask finite_compute(std::uint32_t units);
 
 /// Replays a fixed list of StepResults (optionally in a loop).
-class ScriptProgram final : public TaskProgram {
- public:
-  explicit ScriptProgram(std::vector<StepResult> script, bool loop = false);
-  [[nodiscard]] std::string name() const override { return "script"; }
-  StepResult step(TaskContext& ctx) override;
-
- private:
-  CoTask task_;
-};
+[[nodiscard]] CoTask script(std::vector<StepResult> steps, bool loop = false);
 
 /// Locks a mutex, holds it for `hold_steps` compute steps, unlocks, exits.
-class LockHoldProgram final : public TaskProgram {
- public:
-  LockHoldProgram(std::uint32_t mutex, std::uint32_t hold_steps);
-  [[nodiscard]] std::string name() const override { return "lock-hold"; }
-  StepResult step(TaskContext& ctx) override;
-
- private:
-  CoTask task_;
-};
+[[nodiscard]] CoTask lock_hold(std::uint32_t mutex, std::uint32_t hold_steps);
 
 }  // namespace ptest::pcore

@@ -3,7 +3,7 @@
 //
 // Ownership transfer on wake: unlock hands the mutex to the
 // highest-priority waiter directly, so a woken task resumes already
-// holding the lock (see program.hpp).  The wait queue and owner are fully
+// holding the lock (see co_task.hpp).  The wait queue and owner are fully
 // inspectable — the bug detector builds its wait-for graph from them.
 #pragma once
 

@@ -9,11 +9,9 @@
 
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
 
-#include "ptest/pcore/program.hpp"
+#include "ptest/pcore/co_task.hpp"
 #include "ptest/sim/clock.hpp"
 
 namespace ptest::pcore {
@@ -59,12 +57,13 @@ static_assert(kMaxTasks <= 16, "SlotMask holds one bit per task slot");
   return static_cast<TaskId>(std::countr_zero(mask));
 }
 
-class TaskProgram;  // program.hpp
-
 struct Tcb {
   TaskState state = TaskState::kFree;
   Priority priority = 0;
-  std::unique_ptr<TaskProgram> program;
+  /// The running coroutine and the name its factory gave it (null while
+  /// the slot is free).
+  CoTask body;
+  const char* program = nullptr;
   /// Heap offsets of the TCB and stack blocks (reclaimed on delete).
   std::uint32_t tcb_block = 0;
   std::uint32_t stack_block = 0;

@@ -42,12 +42,10 @@ master::CoThread resume_body(pcore::TaskId task, sim::Tick delay) {
 
 void register_fig1(pcore::PcoreKernel& kernel) {
   kernel.register_program(kFig1S1ProgramId, [](std::uint32_t) {
-    return pcore::make_co_program("fig1-spin",
-                                  spin_body(kFig1XIndex, kFig1YIndex));
+    return pcore::Program{"fig1-spin", spin_body(kFig1XIndex, kFig1YIndex)};
   });
   kernel.register_program(kFig1S2ProgramId, [](std::uint32_t) {
-    return pcore::make_co_program("fig1-spin",
-                                  spin_body(kFig1YIndex, kFig1XIndex));
+    return pcore::Program{"fig1-spin", spin_body(kFig1YIndex, kFig1XIndex)};
   });
 }
 

@@ -14,8 +14,8 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 
-#include "ptest/pcore/co_task.hpp"
 #include "ptest/pcore/kernel.hpp"
 
 namespace ptest::workload {
@@ -27,38 +27,19 @@ struct PhilosopherTable {
   std::array<pcore::MutexId, kPhilosopherCount> forks{};
 };
 
-class PhilosopherProgram final : public pcore::TaskProgram {
- public:
-  /// `index` selects the fork pair; `buggy` selects the acquisition order;
-  /// `meals` is the number of eat cycles before exiting; `window` is the
-  /// hold-and-wait width in kernel steps — the work a philosopher does
-  /// between picking up its first and second fork (the real programs in
-  /// the paper's case study compute while holding a resource, which is
-  /// exactly what gives the suspend commands something to land in).
-  PhilosopherProgram(const PhilosopherTable& table, std::uint32_t index,
-                     bool buggy, std::uint32_t meals = 2,
-                     std::uint32_t window = 20);
-  // The coroutine frame captures `this`; pinning the object keeps it valid.
-  PhilosopherProgram(PhilosopherProgram&&) = delete;
-  PhilosopherProgram& operator=(PhilosopherProgram&&) = delete;
+/// The forks philosopher `index` (taken modulo 3) picks up, first then
+/// second; `buggy` selects the cyclic acquisition order.
+[[nodiscard]] std::pair<pcore::MutexId, pcore::MutexId> philosopher_forks(
+    const PhilosopherTable& table, std::uint32_t index, bool buggy);
 
-  [[nodiscard]] std::string name() const override { return "philosopher"; }
-  pcore::StepResult step(pcore::TaskContext& ctx) override;
-
- private:
-  pcore::CoTask body();
-
-  pcore::MutexId first_;
-  pcore::MutexId second_;
-  std::uint32_t meals_;
-  std::uint32_t window_;
-  std::uint32_t eaten_ = 0;
-  pcore::CoTask task_;
-};
-
-/// Creates the three fork mutexes and registers PhilosopherProgram under
-/// kPhilosopherProgramId with `buggy` acquisition order; arg = philosopher
-/// index (taken modulo 3).
+/// Creates the three fork mutexes and registers the philosopher body
+/// under kPhilosopherProgramId with `buggy` acquisition order; arg =
+/// philosopher index.  `meals` is the number of eat cycles before exiting;
+/// `window` is the hold-and-wait width in kernel steps — the work a
+/// philosopher does between picking up its first and second fork (the
+/// real programs in the paper's case study compute while holding a
+/// resource, which is exactly what gives the suspend commands something
+/// to land in).
 PhilosopherTable register_philosophers(pcore::PcoreKernel& kernel, bool buggy,
                                        std::uint32_t meals = 2,
                                        std::uint32_t window = 20);

@@ -3,8 +3,8 @@
 // size of integer data is 2 bytes and the stack size of each task is 512
 // bytes." (§IV-B)
 //
-// QuicksortProgram sorts 128 deterministic pseudo-random int16 values with
-// an explicit-stack quicksort, one partition awaited per kernel step
+// The quicksort body sorts 128 deterministic pseudo-random int16 values
+// with an explicit-stack quicksort, one partition awaited per kernel step
 // (bounded work, matching the one-step-per-tick execution model).  On
 // completion it verifies the array and exits 0, or exits 1 on a sorting
 // error — with kernel.panic_on_nonzero_exit armed, a miscompare surfaces
@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ptest/pcore/co_task.hpp"
 #include "ptest/pcore/kernel.hpp"
 
 namespace ptest::workload {
@@ -22,33 +21,11 @@ namespace ptest::workload {
 inline constexpr std::uint32_t kQuicksortProgramId = 1;
 inline constexpr std::size_t kQuicksortElements = 128;
 
-class QuicksortProgram final : public pcore::TaskProgram {
- public:
-  /// `seed_arg` varies the input data per task.
-  explicit QuicksortProgram(std::uint32_t seed_arg,
-                            std::size_t elements = kQuicksortElements);
-  // The coroutine frame captures `this`; pinning the object keeps it valid.
-  QuicksortProgram(QuicksortProgram&&) = delete;
-  QuicksortProgram& operator=(QuicksortProgram&&) = delete;
+/// The values the task created with `seed_arg` sorts.
+[[nodiscard]] std::vector<std::int16_t> quicksort_input(
+    std::uint32_t seed_arg, std::size_t elements = kQuicksortElements);
 
-  [[nodiscard]] std::string name() const override { return "quicksort"; }
-  pcore::StepResult step(pcore::TaskContext& ctx) override;
-
-  [[nodiscard]] const std::vector<std::int16_t>& data() const noexcept {
-    return data_;
-  }
-  [[nodiscard]] bool finished() const noexcept { return finished_; }
-
- private:
-  pcore::CoTask body();
-
-  std::vector<std::int16_t> data_;
-  std::vector<std::pair<std::int32_t, std::int32_t>> stack_;
-  bool finished_ = false;
-  pcore::CoTask task_;
-};
-
-/// Registers QuicksortProgram under kQuicksortProgramId.
+/// Registers the quicksort body under kQuicksortProgramId; arg = seed_arg.
 void register_quicksort(pcore::PcoreKernel& kernel);
 
 }  // namespace ptest::workload

@@ -71,15 +71,14 @@ void register_seeded_bug(pcore::PcoreKernel& kernel, SeededBug bug) {
   switch (bug) {
     case SeededBug::kLostUpdate:
       kernel.register_program(seeded_bug_program_id(bug), [](std::uint32_t) {
-        return pcore::make_co_program("lost-update", lost_update_body());
+        return pcore::Program{"lost-update", lost_update_body()};
       });
       break;
     case SeededBug::kOrderViolation:
       kernel.register_program(
           seeded_bug_program_id(bug), [](std::uint32_t arg) {
-            return arg == 0
-                       ? pcore::make_co_program("order", order_producer_body())
-                       : pcore::make_co_program("order", order_consumer_body());
+            return pcore::Program{"order", arg == 0 ? order_producer_body()
+                                                    : order_consumer_body()};
           });
       break;
     case SeededBug::kDeadlockPair: {
@@ -87,11 +86,9 @@ void register_seeded_bug(pcore::PcoreKernel& kernel, SeededBug bug) {
       const pcore::MutexId b = kernel.mutex_create();
       kernel.register_program(
           seeded_bug_program_id(bug), [a, b](std::uint32_t arg) {
-            return arg == 0
-                       ? pcore::make_co_program("opposed-lock",
-                                                opposed_lock_body(a, b))
-                       : pcore::make_co_program("opposed-lock",
-                                                opposed_lock_body(b, a));
+            return pcore::Program{"opposed-lock",
+                                  arg == 0 ? opposed_lock_body(a, b)
+                                           : opposed_lock_body(b, a)};
           });
       break;
     }

@@ -278,8 +278,7 @@ pcore::CoTask fig1_pattern_body(std::size_t mine, std::size_t other,
   pcore::TaskEnv env = co_await pcore::env();
   env.set_shared(mine, 1);  // a / f: raise my flag
   co_await pcore::compute();
-  // Work before the loop — the alignment window.  window + 1 computes,
-  // preserving the old machine's post-decrement off-by-one.
+  // Work before the loop — the alignment window of window + 1 computes.
   for (int i = 0; i < window + 1; ++i) co_await pcore::compute();
   // b / g: spin while the other flag is raised.
   while (env.shared(other) == 1) co_await pcore::yield();
@@ -422,17 +421,16 @@ void register_sync_bug(pcore::PcoreKernel& kernel, SyncBug bug, bool benign) {
   switch (bug) {
     case SyncBug::kLostWakeup:
       kernel.register_program(id, [benign](std::uint32_t arg) {
-        return pcore::make_co_program(
-            "lost-wakeup", arg == 0 ? lost_wakeup_signaler_body()
-                                    : lost_wakeup_waiter_body(benign));
+        return pcore::Program{"lost-wakeup",
+                              arg == 0 ? lost_wakeup_signaler_body()
+                                       : lost_wakeup_waiter_body(benign)};
       });
       break;
     case SyncBug::kWriterStarvation:
       kernel.register_program(id, [benign](std::uint32_t arg) {
-        return arg == 0
-                   ? pcore::make_co_program("rw-writer", rw_writer_body())
-                   : pcore::make_co_program(
-                         "rw-reader", rw_reader_body(benign ? 40u : 500u));
+        return arg == 0 ? pcore::Program{"rw-writer", rw_writer_body()}
+                        : pcore::Program{"rw-reader",
+                                         rw_reader_body(benign ? 40u : 500u)};
       });
       break;
     case SyncBug::kAbaStack:
@@ -442,27 +440,27 @@ void register_sync_bug(pcore::PcoreKernel& kernel, SyncBug bug, bool benign) {
       kernel.set_shared_word(kNextBase + 2, 3);
       kernel.set_shared_word(kNextBase + 3, 0);
       kernel.register_program(id, [](std::uint32_t arg) {
-        return pcore::make_co_program(
-            "aba-stack", arg == 0 ? aba_victim_body() : aba_interferer_body());
+        return pcore::Program{
+            "aba-stack", arg == 0 ? aba_victim_body() : aba_interferer_body()};
       });
       break;
     case SyncBug::kDoubleCheckedLock: {
       const pcore::MutexId lock = kernel.mutex_create();
       kernel.register_program(id, [lock, benign](std::uint32_t) {
-        return pcore::make_co_program("dcl-init", dcl_body(lock, benign));
+        return pcore::Program{"dcl-init", dcl_body(lock, benign)};
       });
       break;
     }
     case SyncBug::kBarrierReuse:
       kernel.register_program(id, [benign](std::uint32_t) {
-        return pcore::make_co_program("barrier", barrier_body(3, benign));
+        return pcore::Program{"barrier", barrier_body(3, benign)};
       });
       break;
     case SyncBug::kQueueOrder:
       kernel.register_program(id, [benign](std::uint32_t arg) {
-        return pcore::make_co_program(
-            "queue-order",
-            arg == 0 ? queue_producer_body(benign) : queue_consumer_body());
+        return pcore::Program{"queue-order",
+                              arg == 0 ? queue_producer_body(benign)
+                                       : queue_consumer_body()};
       });
       break;
     case SyncBug::kPriorityInversion: {
@@ -470,27 +468,27 @@ void register_sync_bug(pcore::PcoreKernel& kernel, SyncBug bug, bool benign) {
       kernel.register_program(id, [lock, benign](std::uint32_t arg) {
         const std::uint32_t units = benign ? kBenignHogUnits : kBuggyHogUnits;
         if (arg == 0) {
-          return pcore::make_co_program("pinv-holder", pinv_holder_body(lock));
+          return pcore::Program{"pinv-holder", pinv_holder_body(lock)};
         }
         if (arg == 1) {
-          return pcore::make_co_program("pinv-hog", pinv_hog_body(units));
+          return pcore::Program{"pinv-hog", pinv_hog_body(units)};
         }
-        return pcore::make_co_program("pinv-waiter", pinv_waiter_body(lock));
+        return pcore::Program{"pinv-waiter", pinv_waiter_body(lock)};
       });
       break;
     }
     case SyncBug::kLivelockBackoff:
       kernel.register_program(id, [benign](std::uint32_t arg) {
-        return pcore::make_co_program("livelock-backoff",
-                                      livelock_backoff_body(arg % 2, benign));
+        return pcore::Program{"livelock-backoff",
+                              livelock_backoff_body(arg % 2, benign)};
       });
       break;
     case SyncBug::kFig1Livelock:
       kernel.register_program(id, [](std::uint32_t arg) {
-        return pcore::make_co_program(
+        return pcore::Program{
             "fig1-pattern",
             arg % 2 == 0 ? fig1_pattern_body(kFig1XWord, kFig1YWord, 8)
-                         : fig1_pattern_body(kFig1YWord, kFig1XWord, 8));
+                         : fig1_pattern_body(kFig1YWord, kFig1XWord, 8)};
       });
       break;
   }

@@ -105,7 +105,7 @@ class CommitteeFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     kernel_.register_program(1, [](std::uint32_t) {
-      return std::make_unique<pcore::IdleProgram>();
+      return pcore::Program{"idle", pcore::idle()};
     });
     soc_.attach(committee_);
     soc_.attach(kernel_);

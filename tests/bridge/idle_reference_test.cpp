@@ -409,7 +409,7 @@ struct Bridge {
   explicit Bridge(std::size_t commands_per_tick)
       : committee(channel, kernel, commands_per_tick) {
     kernel.register_program(1, [](std::uint32_t) {
-      return std::make_unique<pcore::IdleProgram>();
+      return pcore::Program{"idle", pcore::idle()};
     });
     soc.attach(committee);
     soc.attach(kernel);

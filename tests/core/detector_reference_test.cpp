@@ -461,7 +461,7 @@ struct ObservedKernel {
         witness(kernel),
         state_witness(kernel) {
     kernel.register_program(kIdleId, [](std::uint32_t) {
-      return std::make_unique<pcore::IdleProgram>();
+      return pcore::Program{"idle", pcore::idle()};
     });
     soc.attach(kernel);
     soc.attach(production);
@@ -506,7 +506,7 @@ TEST(DetectorReferenceTest, DeletingABlockedTaskKeepsTheEpochHonest) {
   ObservedKernel observed(DetectorConfig{});
   const pcore::MutexId m = observed.kernel.mutex_create();
   observed.kernel.register_program(200, [m](std::uint32_t) {
-    return std::make_unique<pcore::LockHoldProgram>(m, 1000000);
+    return pcore::Program{"lock-hold", pcore::lock_hold(m, 1000000)};
   });
   const pcore::TaskId holder = observed.create(3, 200);
   (void)observed.soc.run(3);

@@ -178,7 +178,7 @@ TEST(IntegrationTest, NoTerminationDetectedForImmortalTasks) {
   const auto result = adaptive_test(config, alphabet,
                                     [](pcore::PcoreKernel& kernel) {
     kernel.register_program(50, [](std::uint32_t) {
-      return std::make_unique<pcore::IdleProgram>();
+      return pcore::Program{"idle", pcore::idle()};
     });
   });
   ASSERT_EQ(result.session.outcome, Outcome::kBug);

@@ -91,7 +91,7 @@ TEST(CoThreadTest, RemoteCmdPollsWithoutResumingUntilResponse) {
   soc.attach(committee);
   soc.attach(kernel);
   kernel.register_program(1, [](std::uint32_t) {
-    return std::make_unique<pcore::IdleProgram>();
+    return pcore::Program{"idle", pcore::idle()};
   });
   pcore::TaskId task = pcore::kInvalidTask;
   ASSERT_EQ(kernel.task_create(1, 0, /*priority=*/5, task),
@@ -135,7 +135,7 @@ TEST(CoThreadTest, CoMasterThreadRunsUnderScheduler) {
   bridge::Committee committee(channel, kernel);
   MasterScheduler scheduler(channel);
   kernel.register_program(1, [](std::uint32_t) {
-    return std::make_unique<pcore::IdleProgram>();
+    return pcore::Program{"idle", pcore::idle()};
   });
   pcore::TaskId task = pcore::kInvalidTask;
   ASSERT_EQ(kernel.task_create(1, 0, /*priority=*/5, task),

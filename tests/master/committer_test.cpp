@@ -28,7 +28,7 @@ class CommitterFixture : public ::testing::Test {
   void SetUp() override {
     bridge::intern_service_alphabet(alphabet_);
     kernel_.register_program(0, [](std::uint32_t) {
-      return std::make_unique<pcore::IdleProgram>();
+      return pcore::Program{"idle", pcore::idle()};
     });
   }
 

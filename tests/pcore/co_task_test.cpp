@@ -1,15 +1,11 @@
 // CoTask runtime tests: the co_await -> StepResult desugaring contract,
-// per-step context indirection, and — the part a state machine never had
-// to prove — coroutine frame lifetime: locals in a suspended frame must be
-// destroyed when the task is deleted, the kernel panics, or the kernel is
-// torn down mid-campaign.
+// per-resume environment indirection, and coroutine frame lifetime:
+// locals in a suspended frame must be destroyed when the task is deleted,
+// the kernel panics, or the kernel is torn down mid-campaign.
 #include "ptest/pcore/co_task.hpp"
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <memory>
-#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -18,24 +14,10 @@
 namespace ptest::pcore {
 namespace {
 
-/// Minimal context for stepping coroutines outside a kernel.
-class FakeContext final : public TaskContext {
- public:
-  [[nodiscard]] std::uint8_t task_id() const override { return 7; }
-  [[nodiscard]] sim::Tick now() const override { return 0; }
-  [[nodiscard]] bool holds(std::uint32_t mutex) const override {
-    return held.count(mutex) > 0;
-  }
-  [[nodiscard]] std::int32_t shared(std::size_t index) const override {
-    auto it = words.find(index);
-    return it == words.end() ? 0 : it->second;
-  }
-  void set_shared(std::size_t index, std::int32_t value) override {
-    words[index] = value;
-  }
-
-  std::set<std::uint32_t> held;
-  std::map<std::size_t, std::int32_t> words;
+/// A hand-filled environment for stepping coroutines outside a kernel.
+struct FakeEnv {
+  std::vector<std::int32_t> words = std::vector<std::int32_t>(4, 0);
+  StepEnv env{7, &words, nullptr, 0};
 };
 
 /// RAII witness for frame-local destruction.  Constructed when the body
@@ -60,47 +42,30 @@ CoTask all_ops_body() {
 
 TEST(CoTaskTest, AwaitsDesugarToStepResults) {
   CoTask task = all_ops_body();
-  FakeContext ctx;
+  FakeEnv fake;
   ASSERT_TRUE(task.valid());
 
-  StepResult step = task.step(ctx);
+  StepResult step = task.step(fake.env);
   EXPECT_EQ(step.kind, StepKind::kCompute);
   EXPECT_EQ(step.arg, 3u);
-  EXPECT_EQ(task.step(ctx).kind, StepKind::kYield);
-  step = task.step(ctx);
+  EXPECT_EQ(task.step(fake.env).kind, StepKind::kYield);
+  step = task.step(fake.env);
   EXPECT_EQ(step.kind, StepKind::kLock);
   EXPECT_EQ(step.arg, 4u);
-  step = task.step(ctx);
+  step = task.step(fake.env);
   EXPECT_EQ(step.kind, StepKind::kUnlock);
   EXPECT_EQ(step.arg, 4u);
 
-  step = task.step(ctx);
+  step = task.step(fake.env);
   EXPECT_EQ(step.kind, StepKind::kExit);
   EXPECT_EQ(step.arg, 7u);
   EXPECT_TRUE(task.done());
-  // Terminal behaviour: the exit step repeats without resuming the frame
-  // (the old machines' terminal phases did the same).
+  // Terminal behaviour: the exit step repeats without resuming the frame.
   for (int i = 0; i < 5; ++i) {
-    step = task.step(ctx);
+    step = task.step(fake.env);
     EXPECT_EQ(step.kind, StepKind::kExit);
     EXPECT_EQ(step.arg, 7u);
   }
-}
-
-TEST(CoTaskTest, StateMirrorsStepKinds) {
-  CoTask task = all_ops_body();
-  FakeContext ctx;
-  EXPECT_EQ(task.state(), TaskState::kReady);  // before first resume
-  (void)task.step(ctx);                        // compute
-  EXPECT_EQ(task.state(), TaskState::kRunning);
-  (void)task.step(ctx);  // yield
-  EXPECT_EQ(task.state(), TaskState::kReady);
-  (void)task.step(ctx);  // lock
-  EXPECT_EQ(task.state(), TaskState::kBlocked);
-  (void)task.step(ctx);  // unlock
-  EXPECT_EQ(task.state(), TaskState::kRunning);
-  (void)task.step(ctx);  // exit
-  EXPECT_EQ(task.state(), TaskState::kTerminated);
 }
 
 CoTask env_body() {
@@ -109,25 +74,25 @@ CoTask env_body() {
   co_await compute();
   task.set_shared(0, 2);
   co_await compute();
-  co_return task.task_id();
+  co_return static_cast<std::uint32_t>(task.shared(1));
 }
 
-TEST(CoTaskTest, EnvIndirectsThroughPerStepContext) {
+TEST(CoTaskTest, EnvIndirectsThroughPerResumeEnvironment) {
   // The TaskEnv handle obtained before the first suspension must keep
   // working across co_awaits even when every step carries a *different*
-  // context object — exactly what the kernel's stack-allocated per-step
-  // ContextImpl does.
+  // environment: it reads the one passed to the current resume.
   CoTask task = env_body();
-  FakeContext first;
-  FakeContext second;
-  (void)task.step(first);   // writes 1 via the env handle
-  (void)task.step(second);  // same handle, new context: writes 2
+  FakeEnv first;
+  FakeEnv second;
+  (void)task.step(first.env);   // writes 1 via the env handle
+  (void)task.step(second.env);  // same handle, new environment: writes 2
   EXPECT_EQ(first.words.at(0), 1);
   EXPECT_EQ(second.words.at(0), 2);
-  FakeContext third;
-  const StepResult step = task.step(third);
+  FakeEnv third;
+  third.words[1] = 7;
+  const StepResult step = task.step(third.env);
   EXPECT_EQ(step.kind, StepKind::kExit);
-  EXPECT_EQ(step.arg, 7u);  // FakeContext::task_id()
+  EXPECT_EQ(step.arg, 7u);  // read from the third environment
 }
 
 CoTask throwing_body() {
@@ -138,12 +103,12 @@ CoTask throwing_body() {
 
 TEST(CoTaskTest, ExceptionPropagatesThenTaskIsTerminal) {
   CoTask task = throwing_body();
-  FakeContext ctx;
-  EXPECT_EQ(task.step(ctx).kind, StepKind::kCompute);
-  EXPECT_THROW((void)task.step(ctx), std::runtime_error);
+  FakeEnv fake;
+  EXPECT_EQ(task.step(fake.env).kind, StepKind::kCompute);
+  EXPECT_THROW((void)task.step(fake.env), std::runtime_error);
   // The error is consumed; the frame is done and reports a failing exit.
   EXPECT_TRUE(task.done());
-  const StepResult step = task.step(ctx);
+  const StepResult step = task.step(fake.env);
   EXPECT_EQ(step.kind, StepKind::kExit);
   EXPECT_EQ(step.arg, 1u);
 }
@@ -161,9 +126,9 @@ TEST(CoTaskTest, DestroyingSuspendedFrameRunsLocalDestructors) {
   {
     CoTask task = probe_body(&alive);
     EXPECT_EQ(alive, 0);  // body has not started yet (initial suspend)
-    FakeContext ctx;
-    (void)task.step(ctx);
-    (void)task.step(ctx);
+    FakeEnv fake;
+    (void)task.step(fake.env);
+    (void)task.step(fake.env);
     EXPECT_EQ(alive, 1);
   }  // CoTask destroyed while suspended mid-loop
   EXPECT_EQ(alive, 0);
@@ -171,42 +136,15 @@ TEST(CoTaskTest, DestroyingSuspendedFrameRunsLocalDestructors) {
 
 TEST(CoTaskTest, MoveTransfersFrameOwnership) {
   int alive = 0;
-  FakeContext ctx;
+  FakeEnv fake;
   CoTask task = probe_body(&alive);
-  (void)task.step(ctx);
+  (void)task.step(fake.env);
   CoTask stolen = std::move(task);
   EXPECT_FALSE(task.valid());  // NOLINT(bugprone-use-after-move): tested
   EXPECT_TRUE(stolen.valid());
   EXPECT_EQ(alive, 1);
   stolen = CoTask();  // move-assign over it: old frame destroyed
   EXPECT_EQ(alive, 0);
-}
-
-CoTask trivial_body(int id) {
-  co_await compute(static_cast<std::uint32_t>(id));
-  co_return 0;
-}
-
-TEST(CoTaskQueueTest, FifoOrderWithIntrusiveHooks) {
-  CoTask a = trivial_body(1);
-  CoTask b = trivial_body(2);
-  CoTask c = trivial_body(3);
-  CoTaskQueue queue;
-  EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.pop(), nullptr);
-
-  queue.push(*a.promise());
-  queue.push(*b.promise());
-  queue.push(*c.promise());
-  EXPECT_EQ(queue.size(), 3u);
-  EXPECT_EQ(queue.pop(), a.promise());
-  EXPECT_EQ(queue.pop(), b.promise());
-  // Re-enqueue after pop is legal (the hook was cleared).
-  queue.push(*a.promise());
-  EXPECT_EQ(queue.pop(), c.promise());
-  EXPECT_EQ(queue.pop(), a.promise());
-  EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.pop(), nullptr);
 }
 
 // --- frame lifetime under the kernel ---------------------------------------
@@ -229,10 +167,10 @@ TEST(CoTaskKernelTest, TaskDeleteDestroysBlockedFrame) {
   soc.attach(kernel);
   const MutexId mutex = kernel.mutex_create();
   kernel.register_program(1, [mutex](std::uint32_t) {
-    return make_co_program("holder", hold_forever_body(mutex));
+    return Program{"holder", hold_forever_body(mutex)};
   });
   kernel.register_program(2, [&alive, mutex](std::uint32_t) {
-    return make_co_program("victim", blocking_probe_body(&alive, mutex));
+    return Program{"victim", blocking_probe_body(&alive, mutex)};
   });
 
   TaskId holder = kInvalidTask;
@@ -272,10 +210,10 @@ TEST(CoTaskKernelTest, PanicKeepsSuspendedFramesThenTeardownFrees) {
     sim::Soc soc;
     soc.attach(kernel);
     kernel.register_program(1, [&alive](std::uint32_t) {
-      return make_co_program("bystander", probe_body(&alive));
+      return Program{"bystander", probe_body(&alive)};
     });
     kernel.register_program(2, [](std::uint32_t) {
-      return make_co_program("failer", failing_body());
+      return Program{"failer", failing_body()};
     });
     TaskId bystander = kInvalidTask;
     ASSERT_EQ(kernel.task_create(1, 0, /*priority=*/5, bystander),
@@ -301,7 +239,7 @@ TEST(CoTaskKernelTest, KernelTeardownDestroysRunningFrames) {
     sim::Soc soc;
     soc.attach(kernel);
     kernel.register_program(1, [&alive](std::uint32_t) {
-      return make_co_program("spinner", probe_body(&alive));
+      return Program{"spinner", probe_body(&alive)};
     });
     TaskId task = kInvalidTask;
     ASSERT_EQ(kernel.task_create(1, 0, /*priority=*/5, task), Status::kOk);

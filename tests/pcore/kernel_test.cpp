@@ -16,10 +16,10 @@ class KernelFixture : public ::testing::Test {
   void SetUp() override {
     kernel_ = std::make_unique<PcoreKernel>(config_);
     kernel_->register_program(kIdleId, [](std::uint32_t) {
-      return std::make_unique<IdleProgram>();
+      return Program{"idle", idle()};
     });
     kernel_->register_program(kComputeId, [](std::uint32_t units) {
-      return std::make_unique<FiniteComputeProgram>(units);
+      return Program{"compute", finite_compute(units)};
     });
     soc_.attach(*kernel_);
   }
@@ -136,7 +136,7 @@ TEST_F(KernelFixture, TaskMemoryReclaimedAfterDeleteAndGc) {
 TEST_F(KernelFixture, MutexBlockingAndOwnershipTransfer) {
   const MutexId m = kernel_->mutex_create();
   kernel_->register_program(200, [m](std::uint32_t hold) {
-    return std::make_unique<LockHoldProgram>(m, hold);
+    return Program{"lock-hold", lock_hold(m, hold)};
   });
   const TaskId high = create(9, 200, /*hold=*/5);
   const TaskId low = create(3, 200, /*hold=*/5);
@@ -154,7 +154,7 @@ TEST_F(KernelFixture, MutexBlockingAndOwnershipTransfer) {
 TEST_F(KernelFixture, BlockedTaskCannotYieldButCanBeDeleted) {
   const MutexId m = kernel_->mutex_create();
   kernel_->register_program(200, [m](std::uint32_t) {
-    return std::make_unique<LockHoldProgram>(m, 1000000);
+    return Program{"lock-hold", lock_hold(m, 1000000)};
   });
   // Low-priority holder acquires first; high-priority waiter then
   // preempts, attempts the lock and blocks.
@@ -172,7 +172,7 @@ TEST_F(KernelFixture, BlockedTaskCannotYieldButCanBeDeleted) {
 TEST_F(KernelFixture, DeletingMutexHolderHandsLockToWaiter) {
   const MutexId m = kernel_->mutex_create();
   kernel_->register_program(200, [m](std::uint32_t) {
-    return std::make_unique<LockHoldProgram>(m, 1000000);
+    return Program{"lock-hold", lock_hold(m, 1000000)};
   });
   const TaskId holder = create(3, 200);
   (void)soc_.run(3);
@@ -197,7 +197,7 @@ class WaitGraphEpochTest : public KernelFixture {
     KernelFixture::SetUp();
     mutex_ = kernel_->mutex_create();
     kernel_->register_program(kHoldId, [m = mutex_](std::uint32_t hold) {
-      return std::make_unique<LockHoldProgram>(m, hold);
+      return Program{"lock-hold", lock_hold(m, hold)};
     });
   }
 
@@ -265,9 +265,9 @@ TEST_F(WaitGraphEpochTest, AdvancesOnDeletingAMutexOwner) {
 
 TEST_F(KernelFixture, WaitGraphEpochStaysPutAcrossComputeAndYield) {
   kernel_->register_program(203, [](std::uint32_t) {
-    return std::make_unique<ScriptProgram>(
-        std::vector<StepResult>{StepResult::compute(), StepResult::yield()},
-        /*loop=*/true);
+    return Program{"script",
+                   script({StepResult::compute(), StepResult::yield()},
+                          /*loop=*/true)};
   });
   (void)create(5);
   (void)create(5, 203);
@@ -301,8 +301,7 @@ TEST_F(KernelFixture, SlotReusedBeforeDispatchInheritsAStaleYield) {
   // its slot, and task_create does not clear it: the new occupant is
   // passed over once.  The kernel's yield mask must mirror the flag.
   kernel_->register_program(203, [](std::uint32_t) {
-    return std::make_unique<ScriptProgram>(
-        std::vector<StepResult>{StepResult::yield()}, /*loop=*/true);
+    return Program{"script", script({StepResult::yield()}, /*loop=*/true)};
   });
   const TaskId yielder = create(9, 203);
   const TaskId low = create(3);
@@ -330,12 +329,12 @@ TEST_F(KernelFixture, SlotMasksAndLiveCountFollowEveryService) {
   // every call and every tick the kept masks and count equal a fresh scan.
   const MutexId mutex = kernel_->mutex_create();
   kernel_->register_program(200, [mutex](std::uint32_t hold) {
-    return std::make_unique<LockHoldProgram>(mutex, hold);
+    return Program{"lock-hold", lock_hold(mutex, hold)};
   });
   kernel_->register_program(203, [](std::uint32_t) {
-    return std::make_unique<ScriptProgram>(
-        std::vector<StepResult>{StepResult::compute(), StepResult::yield()},
-        /*loop=*/true);
+    return Program{"script",
+                   script({StepResult::compute(), StepResult::yield()},
+                          /*loop=*/true)};
   });
   const std::array<std::uint32_t, 4> programs = {kIdleId, kComputeId, 200,
                                                  203};
@@ -393,7 +392,7 @@ TEST_F(KernelFixture, PanickedKernelRejectsServices) {
 TEST_F(KernelFixture, SnapshotReflectsState) {
   const MutexId m = kernel_->mutex_create();
   kernel_->register_program(200, [m](std::uint32_t) {
-    return std::make_unique<LockHoldProgram>(m, 1000000);
+    return Program{"lock-hold", lock_hold(m, 1000000)};
   });
   (void)create(3, 200);
   (void)soc_.run(3);
@@ -421,8 +420,7 @@ TEST_F(KernelFixture, NonzeroExitPanicsWhenArmed) {
   config_.panic_on_nonzero_exit = true;
   kernel_ = std::make_unique<PcoreKernel>(config_);
   kernel_->register_program(201, [](std::uint32_t) {
-    return std::make_unique<ScriptProgram>(
-        std::vector<StepResult>{StepResult::exit(2)});
+    return Program{"script", script({StepResult::exit(2)})};
   });
   sim::Soc soc;
   soc.attach(*kernel_);
@@ -436,8 +434,7 @@ TEST_F(KernelFixture, NonzeroExitPanicsWhenArmed) {
 TEST_F(KernelFixture, UnlockingUnownedMutexPanics) {
   (void)kernel_->mutex_create();
   kernel_->register_program(202, [](std::uint32_t) {
-    return std::make_unique<ScriptProgram>(
-        std::vector<StepResult>{StepResult::unlock(0)});
+    return Program{"script", script({StepResult::unlock(0)})};
   });
   TaskId task = kInvalidTask;
   ASSERT_EQ(kernel_->task_create(202, 0, 5, task), Status::kOk);
@@ -449,7 +446,7 @@ TEST_F(KernelFixture, ScheduleNoiseStillRunsOnlyRunnableTasks) {
   config_.schedule_noise = 0.5;
   kernel_ = std::make_unique<PcoreKernel>(config_);
   kernel_->register_program(kIdleId, [](std::uint32_t) {
-    return std::make_unique<IdleProgram>();
+    return Program{"idle", idle()};
   });
   sim::Soc soc;
   soc.attach(*kernel_);
@@ -469,7 +466,7 @@ class KernelChurnSweep : public ::testing::TestWithParam<int> {};
 TEST_P(KernelChurnSweep, ChurnLeavesKernelClean) {
   PcoreKernel kernel;
   kernel.register_program(1, [](std::uint32_t) {
-    return std::make_unique<IdleProgram>();
+    return Program{"idle", idle()};
   });
   sim::Soc soc;
   soc.attach(kernel);

@@ -2,13 +2,16 @@
 // malformed names come back as clean errors (never a throw-to-abort),
 // benign requests on benign-less scenarios are rejected, and the catalog
 // invariants every consumer relies on (unique names, resolvable program
-// ids, sane metadata) hold for all built-in entries.
+// ids, pinned task names, sane metadata) hold for all built-in entries.
 #include "ptest/scenario/registry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ptest/core/campaign.hpp"
 
@@ -83,6 +86,70 @@ TEST(ScenarioRegistryTest, SetupRegistersThePlansProgram) {
           benign_kernel.has_program(scenario.benign_plan().program_id));
     }
   }
+}
+
+/// One catalog variant's task names for args 0..n-1 of its plan, joined
+/// by spaces.
+std::string created_names(const core::PtestConfig& config,
+                          const core::WorkloadSetup& setup) {
+  pcore::PcoreKernel kernel(config.kernel);
+  setup(kernel);
+  for (std::uint32_t arg = 0; arg < config.n; ++arg) {
+    pcore::TaskId task = pcore::kInvalidTask;
+    EXPECT_EQ(kernel.task_create(config.program_id, arg, 1, task),
+              pcore::Status::kOk);
+  }
+  std::string names;
+  for (const pcore::TaskSnapshot& task : kernel.snapshot().tasks) {
+    if (!names.empty()) names += ' ';
+    names += task.program;
+  }
+  return names;
+}
+
+TEST(ScenarioRegistryTest, TaskNamesArePinnedForEveryVariant) {
+  // Task names reach rendered bug reports and the fleet wire, so a change
+  // here changes both.
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"quicksort-clean", "quicksort quicksort quicksort quicksort"},
+      {"philosophers-deadlock", "philosopher philosopher philosopher"},
+      {"philosophers-deadlock (benign)", "philosopher philosopher philosopher"},
+      {"fig1-livelock", "fig1-pattern fig1-pattern"},
+      {"fig1-livelock (benign)", "fig1-pattern fig1-pattern"},
+      {"lost-update", "lost-update lost-update"},
+      {"lost-update (benign)", "lost-update lost-update"},
+      {"order-violation", "order order"},
+      {"order-violation (benign)", "order order"},
+      {"deadlock-pair", "opposed-lock opposed-lock"},
+      {"deadlock-pair (benign)", "opposed-lock opposed-lock"},
+      {"lost-wakeup", "lost-wakeup lost-wakeup"},
+      {"lost-wakeup (benign)", "lost-wakeup lost-wakeup"},
+      {"writer-starvation", "rw-writer rw-reader rw-reader rw-reader"},
+      {"writer-starvation (benign)", "rw-writer rw-reader rw-reader rw-reader"},
+      {"aba-stack", "aba-stack aba-stack"},
+      {"aba-stack (benign)", "aba-stack aba-stack"},
+      {"double-checked-lock", "dcl-init dcl-init dcl-init"},
+      {"double-checked-lock (benign)", "dcl-init dcl-init dcl-init"},
+      {"barrier-reuse", "barrier barrier barrier"},
+      {"barrier-reuse (benign)", "barrier barrier barrier"},
+      {"queue-order", "queue-order queue-order"},
+      {"queue-order (benign)", "queue-order queue-order"},
+      {"priority-inversion", "pinv-holder pinv-hog pinv-waiter"},
+      {"priority-inversion (benign)", "pinv-holder pinv-hog pinv-waiter"},
+      {"livelock-backoff", "livelock-backoff livelock-backoff"},
+      {"livelock-backoff (benign)", "livelock-backoff livelock-backoff"},
+  };
+  std::vector<std::pair<std::string, std::string>> seen;
+  for (const Scenario& scenario : ScenarioRegistry::builtin().all()) {
+    seen.emplace_back(scenario.name,
+                      created_names(scenario.config, scenario.setup));
+    if (scenario.has_benign()) {
+      seen.emplace_back(scenario.name + " (benign)",
+                        created_names(scenario.benign_plan(),
+                                      scenario.benign_workload()));
+    }
+  }
+  EXPECT_EQ(seen, expected);
 }
 
 TEST(ScenarioRegistryTest, BenignAccessorsThrowWithoutVariant) {

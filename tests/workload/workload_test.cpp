@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ptest/workload/fig1.hpp"
 #include "ptest/workload/philosophers.hpp"
 #include "ptest/workload/quicksort.hpp"
@@ -23,9 +25,10 @@ TEST(QuicksortTest, SortsItsDataWhenRunAlone) {
 }
 
 TEST(QuicksortTest, DifferentSeedsDifferentData) {
-  QuicksortProgram a(1), b(2);
-  EXPECT_NE(a.data(), b.data());
-  EXPECT_EQ(a.data().size(), kQuicksortElements);
+  const auto a = quicksort_input(1);
+  EXPECT_NE(a, quicksort_input(2));
+  EXPECT_EQ(a, quicksort_input(1));
+  EXPECT_EQ(a.size(), kQuicksortElements);
 }
 
 TEST(QuicksortTest, SurvivesSuspendResumeMidSort) {
@@ -66,30 +69,37 @@ TEST(PhilosophersTest, RunAloneEachFinishesMeals) {
 TEST(PhilosophersTest, BuggyOrderIsCyclicFixedIsNot) {
   pcore::PcoreKernel kernel;
   const auto table = register_philosophers(kernel, true);
-  // Construct programs directly to inspect acquisition order.
-  PhilosopherProgram buggy(table, 2, /*buggy=*/true);
-  PhilosopherProgram fixed(table, 2, /*buggy=*/false);
-  // Buggy phil 2: first = fork2, second = fork0 (cyclic).
-  // Fixed phil 2: first = fork0, second = fork2 (global order).
-  // Verify via the lock steps they emit.
-  class NullCtx final : public pcore::TaskContext {
-   public:
-    std::uint8_t task_id() const override { return 0; }
-    sim::Tick now() const override { return 0; }
-    bool holds(std::uint32_t) const override { return true; }
-    std::int32_t shared(std::size_t) const override { return 0; }
-    void set_shared(std::size_t, std::int32_t) override {}
-  } ctx;
-  const auto first_lock = [&ctx](PhilosopherProgram& p) {
-    for (int i = 0; i < 10; ++i) {
-      const auto step = p.step(ctx);
-      if (step.kind == pcore::StepKind::kLock) return step.arg;
-    }
-    return ~0u;
-  };
-  EXPECT_EQ(first_lock(buggy), table.forks[2]);
-  EXPECT_EQ(first_lock(fixed),
-            std::min(table.forks[0], table.forks[2]));
+  // Buggy: every philosopher takes its own fork, then its right
+  // neighbour's — the cycle fork0 -> fork1 -> fork2 -> fork0.
+  for (std::uint32_t i = 0; i < kPhilosopherCount; ++i) {
+    const auto [first, second] = philosopher_forks(table, i, /*buggy=*/true);
+    EXPECT_EQ(first, table.forks[i]);
+    EXPECT_EQ(second, table.forks[(i + 1) % kPhilosopherCount]);
+  }
+  // Fixed: lower mutex id first, so philosopher 2 takes fork0 then fork2.
+  const auto fixed = philosopher_forks(table, 2, /*buggy=*/false);
+  EXPECT_EQ(fixed.first, std::min(table.forks[0], table.forks[2]));
+  EXPECT_EQ(fixed.second, std::max(table.forks[0], table.forks[2]));
+  // The index is taken modulo the table size.
+  EXPECT_EQ(philosopher_forks(table, 5, true),
+            philosopher_forks(table, 2, true));
+}
+
+TEST(PhilosophersTest, FirstLockStepTakesTheFirstFork) {
+  // The registered body locks the forks philosopher_forks names, in order.
+  for (const bool buggy : {true, false}) {
+    pcore::PcoreKernel kernel;
+    const auto table = register_philosophers(kernel, buggy);
+    sim::Soc soc;
+    soc.attach(kernel);
+    pcore::TaskId task = pcore::kInvalidTask;
+    ASSERT_EQ(kernel.task_create(kPhilosopherProgramId, 2, 5, task),
+              pcore::Status::kOk);
+    const auto [first, second] = philosopher_forks(table, 2, buggy);
+    for (int i = 0; i < 4 && !kernel.mutex(first).owner; ++i) (void)soc.step();
+    EXPECT_EQ(kernel.mutex(first).owner, task);
+    EXPECT_FALSE(kernel.mutex(second).owner.has_value());
+  }
 }
 
 TEST(Fig1Test, SimultaneousResumesLivelock) {
