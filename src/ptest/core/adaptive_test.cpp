@@ -9,9 +9,10 @@ namespace ptest::core {
 // randomness derives from `seed` via the same fork order the one-shot
 // API used, so adaptive_test() and plan-based callers see identical
 // streams.
-AdaptiveTestResult generate_and_merge(const CompiledTestPlan& plan,
-                                      std::uint64_t seed,
-                                      pfa::WalkScratch& scratch) {
+void generate_and_merge(const CompiledTestPlan& plan, std::uint64_t seed,
+                        pfa::WalkScratch& scratch,
+                        pattern::PatternMerger& merger,
+                        AdaptiveTestResult& out) {
   support::Rng session_rng(seed);
   support::Rng generator_rng = session_rng.fork();
   support::Rng merger_rng = session_rng.fork();
@@ -27,45 +28,61 @@ AdaptiveTestResult generate_and_merge(const CompiledTestPlan& plan,
   const std::uint64_t reuse_before = scratch.reuse_hits();
   const std::uint64_t bytes_before = scratch.alloc_bytes_saved();
 
-  AdaptiveTestResult result;
+  out.duplicates_rejected = 0;
   if (config.dedup_patterns) {
     // One span per session's dedup'd sampling loop, not per candidate:
     // per-pattern events would dominate the ring at production rates.
     PTEST_OBS_SPAN("dedup");
     pattern::PatternDeduper deduper;
-    // Keep sampling until n unique patterns (bounded retry).
+    // Keep sampling until n unique patterns (bounded retry); a rejected
+    // candidate is overwritten by the next.
+    out.patterns.resize(config.n);
+    std::size_t accepted = 0;
     std::size_t attempts = 0;
     const std::size_t max_attempts = config.n * 64 + 64;
-    while (result.patterns.size() < config.n && attempts < max_attempts) {
+    while (accepted < config.n && attempts < max_attempts) {
       ++attempts;
-      pattern::TestPattern candidate = generator.generate(scratch);
-      if (deduper.insert(candidate)) {
-        result.patterns.push_back(std::move(candidate));
-      }
+      generator.generate_into(scratch, out.patterns[accepted]);
+      if (deduper.insert(out.patterns[accepted])) ++accepted;
     }
-    result.duplicates_rejected = deduper.rejected_count();
+    out.duplicates_rejected = deduper.rejected_count();
     // Language too small for n distinct patterns: accept replicas to keep
     // the configured concurrency.
-    while (result.patterns.size() < config.n) {
-      result.patterns.push_back(generator.generate(scratch));
+    for (; accepted < config.n; ++accepted) {
+      generator.generate_into(scratch, out.patterns[accepted]);
     }
   } else {
-    result.patterns = generator.generate(config.n, scratch);
+    generator.generate_into(config.n, scratch, out.patterns);
   }
 
-  pattern::PatternMerger merger(plan.merger_options, merger_rng);
-  result.merged = merger.merge(result.patterns);
-  result.scratch_reuse_hits = scratch.reuse_hits() - reuse_before;
-  result.sample_alloc_bytes_saved = scratch.alloc_bytes_saved() - bytes_before;
+  merger.reset(plan.merger_options, merger_rng);
+  merger.merge_into(out.patterns, out.merged);
+  out.scratch_reuse_hits = scratch.reuse_hits() - reuse_before;
+  out.sample_alloc_bytes_saved = scratch.alloc_bytes_saved() - bytes_before;
+}
+
+AdaptiveTestResult generate_and_merge(const CompiledTestPlan& plan,
+                                      std::uint64_t seed,
+                                      pfa::WalkScratch& scratch) {
+  AdaptiveTestResult result;
+  pattern::PatternMerger merger;
+  generate_and_merge(plan, seed, scratch, merger, result);
   return result;
+}
+
+void execute(const CompiledTestPlan& plan, std::uint64_t seed,
+             const WorkloadSetup& setup, pfa::WalkScratch& scratch,
+             SessionRig& rig, AdaptiveTestResult& out) {
+  generate_and_merge(plan, seed, scratch, rig.merger(), out);
+  rig.load(seed, out.merged, out.patterns, setup);
+  rig.run(out.session);
 }
 
 AdaptiveTestResult execute(const CompiledTestPlan& plan, std::uint64_t seed,
                            const WorkloadSetup& setup,
                            pfa::WalkScratch& scratch, SessionRig& rig) {
-  AdaptiveTestResult result = generate_and_merge(plan, seed, scratch);
-  rig.load(seed, result.merged, result.patterns, setup);
-  result.session = rig.run();
+  AdaptiveTestResult result;
+  execute(plan, seed, setup, scratch, rig, result);
   return result;
 }
 

@@ -36,30 +36,46 @@ struct AdaptiveTestResult {
   std::uint64_t sample_alloc_bytes_saved = 0;
 };
 
-/// Runs one adaptive test against a precompiled plan: samples n patterns
-/// through the caller's scratch, merges them with the plan's op, and runs
-/// the session with `setup` on a freshly built SessionRig.  Every random stream derives from `seed`;
-/// the plan is shared read-only, so concurrent execute() calls on the
-/// same plan are safe as long as each caller passes its own scratch.
-[[nodiscard]] AdaptiveTestResult execute(const CompiledTestPlan& plan,
-                                         std::uint64_t seed,
-                                         const WorkloadSetup& setup,
-                                         pfa::WalkScratch& scratch);
+/// Runs one adaptive test against a precompiled plan into `out`: samples
+/// n patterns through the caller's scratch into out.patterns, merges them
+/// with the plan's op into out.merged through the rig's kept merger, and
+/// runs the session on `rig`, which must have been built from `plan` (its
+/// config and alphabet).  Every step reuses the capacity `out` and the
+/// rig already have, so a caller that keeps one `out` per rig runs warm
+/// sessions allocating only what the session's tasks allocate (see
+/// SessionRig::run for how reports circulate).  Every random stream
+/// derives from `seed`; the plan is shared read-only, so concurrent
+/// calls on the same plan are safe as long as each caller passes its own
+/// scratch, rig and `out`.  This is the one session path; the overloads
+/// below wrap it.
+void execute(const CompiledTestPlan& plan, std::uint64_t seed,
+             const WorkloadSetup& setup, pfa::WalkScratch& scratch,
+             SessionRig& rig, AdaptiveTestResult& out);
 
-/// execute() on the caller's rig, which must have been built from
-/// `plan` (its config and alphabet): the session is loaded into it
-/// instead of wiring a fresh stack.  The result is the same either way.
-/// A campaign keeps one rig per (participant, plan).
+/// execute() into a fresh result on the caller's rig.  A campaign keeps
+/// one rig per (participant, plan).
 [[nodiscard]] AdaptiveTestResult execute(const CompiledTestPlan& plan,
                                          std::uint64_t seed,
                                          const WorkloadSetup& setup,
                                          pfa::WalkScratch& scratch,
                                          SessionRig& rig);
 
+/// execute() on a freshly built rig.  The result is the same either way.
+[[nodiscard]] AdaptiveTestResult execute(const CompiledTestPlan& plan,
+                                         std::uint64_t seed,
+                                         const WorkloadSetup& setup,
+                                         pfa::WalkScratch& scratch);
+
 /// The generation+merge phases only (no session) against a precompiled
-/// plan — the sampling hot path a campaign pays per session.  Holds the
-/// steady-state zero-allocation property: after the scratch warmed up,
-/// pattern sampling allocates only the patterns' own storage.
+/// plan, into `out`'s patterns and merged pattern through `merger` (which
+/// it re-arms); leaves out.session alone.  The sampling hot path a
+/// campaign pays per session: warm, it allocates nothing.
+void generate_and_merge(const CompiledTestPlan& plan, std::uint64_t seed,
+                        pfa::WalkScratch& scratch,
+                        pattern::PatternMerger& merger,
+                        AdaptiveTestResult& out);
+
+/// generate_and_merge() into a fresh result through a fresh merger.
 [[nodiscard]] AdaptiveTestResult generate_and_merge(
     const CompiledTestPlan& plan, std::uint64_t seed,
     pfa::WalkScratch& scratch);

@@ -38,31 +38,32 @@ std::vector<pcore::TaskId> BugDetector::find_deadlock_cycle(
   return {};
 }
 
-BugReport& BugDetector::file_report(sim::Soc& soc, BugKind kind,
-                                    std::string description,
-                                    std::vector<pcore::TaskId> culprits) {
-  BugReport report;
-  report.kind = kind;
-  report.detected_at = soc.now();
-  report.description = std::move(description);
-  report.culprits = std::move(culprits);
-  report.kernel = kernel_->snapshot();
-  report.state_records.assign(recorder_->records().begin(),
-                              recorder_->records().end());
-  report.trace_tail = soc.trace().tail(config_.report_trace_lines);
-  report_ = std::move(report);
+BugReport& BugDetector::file_report(sim::Soc& soc, BugKind kind) {
+  filed_ = true;
+  report_.kind = kind;
+  report_.detected_at = soc.now();
+  report_.description.clear();
+  report_.culprits.clear();
+  kernel_->snapshot_into(report_.kernel);
+  report_.state_records.assign(recorder_->records().begin(),
+                               recorder_->records().end());
+  soc.trace().tail_into(config_.report_trace_lines, report_.trace_tail);
   soc.record(sim::TraceCategory::kDetector,
              sim::bug_code(static_cast<std::uint8_t>(kind)));
-  return *report_;
+  return report_;
 }
 
 bool BugDetector::tick(sim::Soc& soc) {
-  if (report_ || passed_) return false;
+  if (filed_ || passed_) return false;
+
+  // Descriptions are appended into the kept report's string.
+  using support::append_decimal;
 
   // 1. Slave crash.
   if (kernel_->panicked()) {
-    file_report(soc, BugKind::kSlaveCrash,
-                "slave kernel panicked: " + kernel_->panic_reason(), {});
+    std::string& desc = file_report(soc, BugKind::kSlaveCrash).description;
+    desc += "slave kernel panicked: ";
+    desc += kernel_->panic_reason();
     return false;
   }
 
@@ -73,12 +74,13 @@ bool BugDetector::tick(sim::Soc& soc) {
       scanned_epoch_ != epoch) {
     scanned_epoch_ = epoch;
     if (auto cycle = find_deadlock_cycle(*kernel_); !cycle.empty()) {
-      std::string desc = "wait-for cycle:";
+      BugReport& report = file_report(soc, BugKind::kDeadlock);
+      report.description += "wait-for cycle:";
       for (const auto t : cycle) {
-        desc += " task";
-        support::append_decimal(desc, t);
+        report.description += " task";
+        append_decimal(report.description, t);
       }
-      file_report(soc, BugKind::kDeadlock, std::move(desc), std::move(cycle));
+      report.culprits.assign(cycle.begin(), cycle.end());
       return false;
     }
   }
@@ -86,12 +88,15 @@ bool BugDetector::tick(sim::Soc& soc) {
   // 3. Unresponsive slave (command timeout).
   for (const auto& [seq, issue] : committer_->outstanding()) {
     if (soc.now() - issue.issued_at > config_.command_timeout) {
-      file_report(soc, BugKind::kUnresponsive,
-                  "command seq=" + std::to_string(seq) + " (" +
-                      bridge::mnemonic(issue.service) +
-                      ") unacknowledged for " +
-                      std::to_string(soc.now() - issue.issued_at) + " ticks",
-                  {});
+      const sim::Tick waited = soc.now() - issue.issued_at;
+      std::string& desc = file_report(soc, BugKind::kUnresponsive).description;
+      desc += "command seq=";
+      append_decimal(desc, seq);
+      desc += " (";
+      desc += bridge::mnemonic(issue.service);
+      desc += ") unacknowledged for ";
+      append_decimal(desc, waited);
+      desc += " ticks";
       return false;
     }
   }
@@ -105,11 +110,9 @@ bool BugDetector::tick(sim::Soc& soc) {
       return false;
     }
     if (soc.now() - *committer_finished_at_ > config_.termination_horizon) {
-      BugReport& report = file_report(
-          soc, BugKind::kNoTermination,
-          std::to_string(live) +
-              " task(s) did not terminate within the horizon",
-          {});
+      BugReport& report = file_report(soc, BugKind::kNoTermination);
+      append_decimal(report.description, live);
+      report.description += " task(s) did not terminate within the horizon";
       for (const auto& task : report.kernel.tasks) {
         report.culprits.push_back(task.id);
       }
@@ -124,12 +127,14 @@ bool BugDetector::tick(sim::Soc& soc) {
       const pcore::Tcb& task = kernel_->tcb(id);
       if (task.state != pcore::TaskState::kReady) continue;
       if (soc.now() - task.last_progress > config_.starvation_horizon) {
-        file_report(soc, BugKind::kStarvation,
-                    "task " + std::to_string(id) +
-                        " ready but unscheduled for " +
-                        std::to_string(soc.now() - task.last_progress) +
-                        " ticks",
-                    {id});
+        const sim::Tick waited = soc.now() - task.last_progress;
+        BugReport& report = file_report(soc, BugKind::kStarvation);
+        report.description += "task ";
+        append_decimal(report.description, id);
+        report.description += " ready but unscheduled for ";
+        append_decimal(report.description, waited);
+        report.description += " ticks";
+        report.culprits.push_back(id);
         return false;
       }
     }

@@ -23,8 +23,8 @@
 //   * starvation       — optionally, a ready task unscheduled too long.
 #pragma once
 
-#include <functional>
 #include <optional>
+#include <utility>
 
 #include "ptest/core/config.hpp"
 #include "ptest/core/report.hpp"
@@ -48,24 +48,25 @@ class BugDetector : public sim::Device {
 
   /// Forgets the filed report, the pass and the termination watch, and
   /// forces the next tick to scan the wait-for graph, as freshly
-  /// constructed.
+  /// constructed.  The report buffer keeps its capacity for the next
+  /// filing.
   void reset() noexcept {
-    report_.reset();
+    filed_ = false;
     passed_ = false;
     committer_finished_at_.reset();
     scanned_epoch_.reset();
   }
 
-  [[nodiscard]] bool bug_found() const noexcept {
-    return report_.has_value();
+  [[nodiscard]] bool bug_found() const noexcept { return filed_; }
+  /// The filed report, or null when none was filed.
+  [[nodiscard]] const BugReport* report() const noexcept {
+    return filed_ ? &report_ : nullptr;
   }
-  [[nodiscard]] const std::optional<BugReport>& report() const noexcept {
-    return report_;
-  }
-  /// Moves the filed report out; throws std::bad_optional_access when
-  /// none was filed.  bug_found() stays true (so nothing further is
-  /// filed) and report() is left holding a moved-from report.
-  [[nodiscard]] BugReport take_report() { return std::move(report_.value()); }
+  /// Swaps the report buffer with `other`: after a filing, `other` holds
+  /// the filed report and the detector keeps `other`'s old buffers to
+  /// file its next report into.  bug_found() is unchanged, so nothing
+  /// further is filed until reset().
+  void swap_report(BugReport& other) noexcept { std::swap(report_, other); }
 
   /// True once the committer finished and every task exited cleanly.
   [[nodiscard]] bool passed() const noexcept { return passed_; }
@@ -75,15 +76,18 @@ class BugDetector : public sim::Device {
       const pcore::PcoreKernel& kernel);
 
  private:
-  BugReport& file_report(sim::Soc& soc, BugKind kind,
-                         std::string description,
-                         std::vector<pcore::TaskId> culprits);
+  /// Files a report of `kind` into the kept buffer: every field is
+  /// overwritten except the description and culprits, which come back
+  /// empty for the caller to append to (and seed and merged, which the
+  /// session fills).
+  BugReport& file_report(sim::Soc& soc, BugKind kind);
 
   DetectorConfig config_;
   pcore::PcoreKernel* kernel_;
   const master::Committer* committer_;
   const StateRecorder* recorder_;
-  std::optional<BugReport> report_;
+  BugReport report_;
+  bool filed_ = false;
   bool passed_ = false;
   std::optional<sim::Tick> committer_finished_at_;
   /// Kernel wait-graph epoch of the last deadlock scan.

@@ -182,14 +182,14 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
   std::vector<std::size_t> round_arms;
   std::size_t round_start = run_base;
   auto session = [&](std::size_t participant, std::size_t run,
-                     pfa::WalkScratch& scratch) {
+                     pfa::WalkScratch& scratch, AdaptiveTestResult& out) {
     const std::size_t arm = policy ? round_arms[run - round_start] : 0;
     const CompiledTestPlan& plan = *plans[arm];
     std::unique_ptr<SessionRig>& rig = rigs[participant * plans.size() + arm];
     if (!rig) rig = std::make_unique<SessionRig>(plan.config, plan.alphabet);
-    return SessionRun{arm, execute(plan,
-                                   support::derive_seed(base_config_.seed, run),
-                                   setup_, scratch, *rig)};
+    execute(plan, support::derive_seed(base_config_.seed, run), setup_,
+            scratch, *rig, out);
+    return arm;
   };
   for (std::size_t offset = 0; offset < budget; offset += batch_size) {
     round_start = run_base + offset;

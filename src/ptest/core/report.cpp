@@ -84,18 +84,34 @@ std::string BugReport::render(const pfa::Alphabet& alphabet) const {
 }
 
 std::string BugReport::signature() const {
-  std::string out = to_string(kind);
-  std::vector<pcore::TaskId> sorted = culprits;
-  std::sort(sorted.begin(), sorted.end());
-  for (const auto t : sorted) {
+  std::string out;
+  append_signature(out);
+  return out;
+}
+
+void BugReport::append_signature(std::string& out) const {
+  out += to_string(kind);
+  // Sort a copy of the culprits; a detector names at most one per task
+  // slot, so the copy fits on the stack.
+  std::array<pcore::TaskId, pcore::kMaxTasks> on_stack;
+  std::vector<pcore::TaskId> on_heap;
+  pcore::TaskId* first = on_stack.data();
+  if (culprits.size() > on_stack.size()) {
+    on_heap.assign(culprits.begin(), culprits.end());
+    first = on_heap.data();
+  } else {
+    std::copy(culprits.begin(), culprits.end(), first);
+  }
+  pcore::TaskId* const last = first + culprits.size();
+  std::sort(first, last);
+  for (const pcore::TaskId* t = first; t != last; ++t) {
     out += ':';
-    support::append_decimal(out, t);
+    support::append_decimal(out, *t);
   }
   if (kind == BugKind::kSlaveCrash) {
     out += '|';
     out += kernel.panic_reason;
   }
-  return out;
 }
 
 }  // namespace ptest::core

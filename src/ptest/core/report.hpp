@@ -56,6 +56,9 @@ struct BugReport {
   /// Stable failure signature for replay verification: kind + sorted
   /// culprits + (for crashes) the panic reason.
   [[nodiscard]] std::string signature() const;
+  /// Appends signature()'s text to `out` without building a string (a
+  /// campaign writes it into a kept key to look the report up).
+  void append_signature(std::string& out) const;
 };
 
 }  // namespace ptest::core

@@ -81,27 +81,38 @@ void SessionRig::load(std::uint64_t seed,
   detector_.reset();
 }
 
-SessionResult SessionRig::run() {
-  SessionResult result;
-  result.stats.ticks = soc_.run(max_ticks_);
+void SessionRig::run(SessionResult& out) {
+  if (out.report) {
+    detector_.swap_report(*out.report);
+    out.report.reset();
+  }
+  out.stats.ticks = soc_.run(max_ticks_);
 
   if (detector_.bug_found()) {
-    result.outcome = Outcome::kBug;
-    result.report = detector_.take_report();
-    result.report->seed = seed_;
-    result.report->merged = committer_->pattern();
+    out.outcome = Outcome::kBug;
+    BugReport& report = out.report.emplace();
+    detector_.swap_report(report);
+    report.seed = seed_;
+    const pattern::MergedPattern& merged = committer_->pattern();
+    report.merged.elements.assign(merged.elements.begin(),
+                                  merged.elements.end());
   } else if (detector_.passed()) {
-    result.outcome = Outcome::kPassed;
+    out.outcome = Outcome::kPassed;
   } else {
-    result.outcome = Outcome::kTickLimit;
+    out.outcome = Outcome::kTickLimit;
   }
 
-  result.stats.commands_issued = committer_->issued();
-  result.stats.commands_acked = committer_->acked();
-  result.stats.commands_failed = committer_->failed();
-  result.stats.kernel_service_calls = kernel_.service_calls();
-  result.stats.context_switches = kernel_.context_switches();
-  result.stats.gc_runs = kernel_.gc_runs();
+  out.stats.commands_issued = committer_->issued();
+  out.stats.commands_acked = committer_->acked();
+  out.stats.commands_failed = committer_->failed();
+  out.stats.kernel_service_calls = kernel_.service_calls();
+  out.stats.context_switches = kernel_.context_switches();
+  out.stats.gc_runs = kernel_.gc_runs();
+}
+
+SessionResult SessionRig::run() {
+  SessionResult result;
+  run(result);
   return result;
 }
 
@@ -110,8 +121,8 @@ TestSession::TestSession(const PtestConfig& config,
                          pattern::MergedPattern merged,
                          const std::vector<pattern::TestPattern>& patterns,
                          const WorkloadSetup& setup)
-    : rig_(config, alphabet) {
-  rig_.load(config.seed, merged, patterns, setup);
+    : merged_(std::move(merged)), rig_(config, alphabet) {
+  rig_.load(config.seed, merged_, patterns, setup);
 }
 
 }  // namespace ptest::core

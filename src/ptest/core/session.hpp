@@ -15,6 +15,13 @@
 // its buffers, and the workload setup runs again on the reset kernel.
 // A loaded rig runs exactly as a freshly built one would.  TestSession
 // is the one-session form: one rig, loaded once.
+//
+// Buffers circulate instead of being rebuilt.  The committer borrows the
+// caller's merged pattern, the detector files each report into a kept
+// BugReport, and run(out) swaps that report into `out` and takes back
+// whatever report `out` held.  A caller that passes the same
+// SessionResult to every run() therefore files warm reports without
+// allocating.
 #pragma once
 
 #include <functional>
@@ -26,6 +33,7 @@
 #include "ptest/core/config.hpp"
 #include "ptest/core/state_record.hpp"
 #include "ptest/master/scheduler.hpp"
+#include "ptest/pattern/merger.hpp"
 #include "ptest/pattern/pattern.hpp"
 #include "ptest/support/rng.hpp"
 
@@ -73,17 +81,29 @@ class SessionRig {
   SessionRig& operator=(const SessionRig&) = delete;
 
   /// Prepares one session: resets every device, runs `setup` on the
-  /// reset kernel, assigns each slot's CP record from `patterns`, loads
-  /// `merged` into the committer and reseeds the noise stream from
-  /// `seed`.  Nothing of an earlier session survives.
+  /// reset kernel, assigns each slot's CP record from `patterns`, hands
+  /// `merged` to the committer and reseeds the noise stream from `seed`.
+  /// Nothing of an earlier session survives.  The committer borrows
+  /// `merged`: it must stay alive and unchanged until run() returns.
   void load(std::uint64_t seed, const pattern::MergedPattern& merged,
             const std::vector<pattern::TestPattern>& patterns,
             const WorkloadSetup& setup);
+  void load(std::uint64_t seed, pattern::MergedPattern&& merged,
+            const std::vector<pattern::TestPattern>& patterns,
+            const WorkloadSetup& setup) = delete;
 
-  /// Runs the loaded session to completion/bug/limit.  Call once per
-  /// load(): a filed report takes the detector's report by move.
+  /// Runs the loaded session to completion/bug/limit and writes every
+  /// field of `out`.  A report `out` still holds goes back to the
+  /// detector first, as the buffer its next report is filed into; a
+  /// filed report is swapped into `out.report`, carrying the session's
+  /// seed and merged pattern.  Call once per load().
+  void run(SessionResult& out);
+  /// run() into a fresh result.
   SessionResult run();
 
+  /// The merger execute() re-arms for each session on this rig, kept so
+  /// its working lists keep their capacity.
+  [[nodiscard]] pattern::PatternMerger& merger() noexcept { return merger_; }
   [[nodiscard]] sim::Soc& soc() noexcept { return soc_; }
   [[nodiscard]] pcore::PcoreKernel& kernel() noexcept { return kernel_; }
   [[nodiscard]] const StateRecorder& recorder() const noexcept {
@@ -111,6 +131,7 @@ class SessionRig {
   StateRecorder recorder_;
   master::Committer* committer_;  // owned by master_
   BugDetector detector_;
+  pattern::PatternMerger merger_;
 };
 
 /// One session on a rig of its own.
@@ -124,8 +145,7 @@ class TestSession {
               const std::vector<pattern::TestPattern>& patterns,
               const WorkloadSetup& setup);
 
-  /// Runs to completion/bug/limit.  Call once: a filed report takes the
-  /// detector's report by move.
+  /// Runs to completion/bug/limit.  Call once.
   SessionResult run() { return rig_.run(); }
 
   [[nodiscard]] sim::Soc& soc() noexcept { return rig_.soc(); }
@@ -138,6 +158,7 @@ class TestSession {
   }
 
  private:
+  pattern::MergedPattern merged_;  // borrowed by the rig's committer
   SessionRig rig_;
 };
 

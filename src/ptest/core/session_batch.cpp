@@ -43,7 +43,8 @@ SessionBatch SessionBatchRunner::run(std::size_t first, std::size_t last,
     Slot& slot = slots_[participant];
     const std::size_t run = first + i;
     const std::uint64_t start_ns = obs::TraceRecorder::now_ns();
-    auto [arm, result] = body(participant, run, slot.scratch);
+    AdaptiveTestResult& result = slot.session;
+    const std::size_t arm = body(participant, run, slot.scratch, result);
     slot.partial.metrics.session_wall_hist.record(
         obs::TraceRecorder::now_ns() - start_ns);
     ++slot.partial.total_runs;
@@ -60,8 +61,14 @@ SessionBatch SessionBatchRunner::run(std::size_t first, std::size_t last,
     ++slot.partial.total_detections;
     ++slot.partial.arm_stats[arm].detections;
     // This participant's runs only increase, so the first report it
-    // keeps per signature is its lowest-index one.
-    slot.reports.try_emplace(report->signature(), run, std::move(*report));
+    // keeps per signature is its lowest-index one.  A repeat stays in
+    // `result`, whose next session hands its buffers back to the rig;
+    // only a new signature copies its key and takes the report.
+    slot.key.clear();
+    report->append_signature(slot.key);
+    if (slot.reports.find(slot.key) != slot.reports.end()) return;
+    slot.reports.emplace(slot.key, std::pair(run, std::move(*report)));
+    report.reset();
   };
   if (pool_) {
     pool_->parallel_for(last - first, session);

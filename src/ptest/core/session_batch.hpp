@@ -26,12 +26,6 @@
 
 namespace ptest::core {
 
-/// One session as the caller's body ran it.
-struct SessionRun {
-  std::size_t arm = 0;
-  AdaptiveTestResult result;
-};
-
 struct SessionBatch {
   /// Everything but coverage (see SessionBatchRunner::take_coverage).
   CampaignResult result;
@@ -42,9 +36,14 @@ struct SessionBatch {
 class SessionBatchRunner {
  public:
   /// The session body: runs global run index `run` on pool participant
-  /// `participant`, sampling through that participant's scratch.
-  using Body = support::FunctionRef<SessionRun(
-      std::size_t participant, std::size_t run, pfa::WalkScratch& scratch)>;
+  /// `participant` into `out`, sampling through that participant's
+  /// scratch, and returns the session's arm.  `out` is the participant's
+  /// kept result, holding the previous session it ran (and that
+  /// session's report when the fold did not keep it): the body overwrites
+  /// it, reusing its buffers.
+  using Body = support::FunctionRef<std::size_t(
+      std::size_t participant, std::size_t run, pfa::WalkScratch& scratch,
+      AdaptiveTestResult& out)>;
   /// Whether a filed report counts as a detection; empty = every report.
   /// Runs on worker threads, so it must be pure.
   using Counts = std::function<bool(const BugReport&)>;
@@ -72,7 +71,12 @@ class SessionBatchRunner {
     pfa::WalkScratch scratch;
     std::vector<pattern::CoverageTracker> coverage;  // one per arm
     CampaignResult partial;  // no reports: those keep their run index
-    std::map<std::string, std::pair<std::size_t, BugReport>> reports;
+    /// The session the body writes into, kept across sessions.
+    AdaptiveTestResult session;
+    /// The last report's signature, written into a kept buffer.
+    std::string key;
+    std::map<std::string, std::pair<std::size_t, BugReport>, std::less<>>
+        reports;
   };
 
   std::vector<const pfa::Pfa*> arm_pfas_;

@@ -186,12 +186,13 @@ GuidedResult GuidedCampaign::run() {
     core::SessionBatch batch = runner.run(
         run_base, run_base + batch_size,
         [&](std::size_t participant, std::size_t run,
-            pfa::WalkScratch& scratch) {
+            pfa::WalkScratch& scratch, core::AdaptiveTestResult& out) {
           scenario::TracedRun traced = scenario::run_traced(
               *plan, support::derive_seed(config_.seed, run), setup_,
               scratch);
           fingerprints[participant].push_back(traced.trace_hash);
-          return core::SessionRun{0, std::move(traced.result)};
+          out = std::move(traced.result);
+          return std::size_t{0};
         });
 
     GuidedEpoch epoch_stats;

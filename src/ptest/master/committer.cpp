@@ -9,7 +9,8 @@ namespace ptest::master {
 Committer::Committer(pattern::MergedPattern pattern,
                      const pfa::Alphabet& alphabet, CommitterOptions options,
                      CommitterObserver* observer)
-    : pattern_(std::move(pattern)),
+    : owned_(std::move(pattern)),
+      pattern_(&owned_),
       alphabet_(&alphabet),
       options_(std::move(options)),
       observer_(observer),
@@ -19,9 +20,9 @@ Committer::Committer(pattern::MergedPattern pattern,
 
 void Committer::reset_slots() {
   slots_.clear();
-  if (pattern_.elements.empty()) return;
+  if (pattern_->elements.empty()) return;
   const auto widest = std::max_element(
-      pattern_.elements.begin(), pattern_.elements.end(),
+      pattern_->elements.begin(), pattern_->elements.end(),
       [](const pattern::MergedElement& a, const pattern::MergedElement& b) {
         return a.slot < b.slot;
       });
@@ -29,11 +30,7 @@ void Committer::reset_slots() {
 }
 
 void Committer::reset(const pattern::MergedPattern& pattern) {
-  // Grow with slack, so a slightly longer pattern later fits as well.
-  if (pattern.elements.size() > pattern_.elements.capacity()) {
-    pattern_.elements.reserve(2 * pattern.elements.size());
-  }
-  pattern_.elements.assign(pattern.elements.begin(), pattern.elements.end());
+  pattern_ = &pattern;
   cursor_ = 0;
   ledger_.reset();
   retries_.reset();
@@ -131,7 +128,7 @@ Committer::PostOutcome Committer::post_element(
 }
 
 ThreadStep Committer::issue_next(MasterContext& ctx) {
-  const pattern::MergedElement& element = pattern_.elements[cursor_];
+  const pattern::MergedElement& element = pattern_->elements[cursor_];
   // Strict per-slot ordering: wait for the slot's previous ack.
   if (slots_[element.slot].busy) return ThreadStep::kWaiting;
   switch (post_element(ctx, element)) {
@@ -168,7 +165,7 @@ ThreadStep Committer::step(MasterContext& ctx) {
     }
   }
 
-  if (cursor_ >= pattern_.elements.size()) {
+  if (cursor_ >= pattern_->elements.size()) {
     if (!ledger_.empty() || !retries_.empty()) {
       return ThreadStep::kWaiting;
     }

@@ -79,21 +79,27 @@ struct CommitterOptions {
 
 class Committer : public MasterThread {
  public:
+  /// A committer that owns `pattern`.
   Committer(pattern::MergedPattern pattern, const pfa::Alphabet& alphabet,
             CommitterOptions options, CommitterObserver* observer = nullptr);
+
+  // Not copyable or movable: pattern() may point at the owned copy.
+  Committer(const Committer&) = delete;
+  Committer& operator=(const Committer&) = delete;
 
   [[nodiscard]] std::string name() const override { return "committer"; }
   ThreadStep step(MasterContext& ctx) override;
 
   /// Returns to the state of a committer freshly constructed with
-  /// `pattern` and the same options and observer.  The pattern is copied
-  /// into the buffer the previous one used, and the ledger, retries and
-  /// slot state keep their capacity.
+  /// `pattern` and the same options and observer.  The committer borrows
+  /// `pattern`, which must outlive the session (or the next reset); the
+  /// ledger, retries and slot state keep their capacity.
   void reset(const pattern::MergedPattern& pattern);
+  void reset(pattern::MergedPattern&&) = delete;
 
   /// The merged pattern this committer drives.
   [[nodiscard]] const pattern::MergedPattern& pattern() const noexcept {
-    return pattern_;
+    return *pattern_;
   }
 
   [[nodiscard]] bool finished() const noexcept { return finished_; }
@@ -131,7 +137,10 @@ class Committer : public MasterThread {
   PostOutcome post_element(MasterContext& ctx,
                            const pattern::MergedElement& element);
 
-  pattern::MergedPattern pattern_;
+  /// The constructor's pattern; pattern_ points here until a reset()
+  /// borrows another.
+  pattern::MergedPattern owned_;
+  const pattern::MergedPattern* pattern_;
   const pfa::Alphabet* alphabet_;
   CommitterOptions options_;
   CommitterObserver* observer_;

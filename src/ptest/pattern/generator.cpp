@@ -2,27 +2,36 @@
 
 namespace ptest::pattern {
 
-TestPattern PatternGenerator::generate(pfa::WalkScratch& scratch) {
+void PatternGenerator::generate_into(pfa::WalkScratch& scratch,
+                                     TestPattern& out) {
   pfa::WalkOptions walk_options;
   walk_options.size = options_.size;
   walk_options.complete_to_accept = options_.complete_to_accept;
   walk_options.restart_at_accept = options_.restart_at_accept;
   walk_options.max_size = options_.max_size;
   const pfa::Walk& walk = pfa_->sample_into(scratch, rng_, walk_options);
+  out.symbols.assign(walk.symbols.begin(), walk.symbols.end());
+  out.states.assign(walk.states.begin(), walk.states.end());
+  out.probability = walk.probability;
+}
+
+void PatternGenerator::generate_into(std::size_t count,
+                                     pfa::WalkScratch& scratch,
+                                     std::vector<TestPattern>& out) {
+  out.resize(count);
+  for (TestPattern& pattern : out) generate_into(scratch, pattern);
+}
+
+TestPattern PatternGenerator::generate(pfa::WalkScratch& scratch) {
   TestPattern pattern;
-  pattern.symbols = walk.symbols;
-  pattern.states = walk.states;
-  pattern.probability = walk.probability;
+  generate_into(scratch, pattern);
   return pattern;
 }
 
 std::vector<TestPattern> PatternGenerator::generate(
     std::size_t count, pfa::WalkScratch& scratch) {
   std::vector<TestPattern> patterns;
-  patterns.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    patterns.push_back(generate(scratch));
-  }
+  generate_into(count, scratch, patterns);
   return patterns;
 }
 

@@ -30,13 +30,20 @@ class PatternGenerator {
                    support::Rng rng)
       : pfa_(&pfa), options_(options), rng_(rng) {}
 
-  /// Samples one pattern through the caller's scratch (the primary hot
-  /// path: the walk buffers are reused, only the returned pattern's own
-  /// storage is allocated).
+  /// Samples one pattern through the caller's scratch into `out`,
+  /// replacing its symbols and states in their existing buffers (the
+  /// primary hot path: a warm call allocates nothing).
+  void generate_into(pfa::WalkScratch& scratch, TestPattern& out);
+
+  /// Samples `count` patterns into `out` (the paper's n-iteration loop in
+  /// Algorithm 1, lines 1-3), resized to `count` and refilled in place.
+  void generate_into(std::size_t count, pfa::WalkScratch& scratch,
+                     std::vector<TestPattern>& out);
+
+  /// generate_into() a fresh pattern.
   [[nodiscard]] TestPattern generate(pfa::WalkScratch& scratch);
 
-  /// Samples `count` patterns through the caller's scratch (the paper's
-  /// n-iteration loop in Algorithm 1, lines 1-3).
+  /// generate_into() fresh patterns.
   [[nodiscard]] std::vector<TestPattern> generate(std::size_t count,
                                                   pfa::WalkScratch& scratch);
 

@@ -27,73 +27,84 @@ std::optional<MergeOp> merge_op_from_string(std::string_view name) noexcept {
   return std::nullopt;
 }
 
-MergedPattern PatternMerger::merge(const std::vector<TestPattern>& patterns) {
-  switch (options_.op) {
-    case MergeOp::kSequential: return merge_sequential(patterns);
-    case MergeOp::kRoundRobin: return merge_round_robin(patterns);
-    case MergeOp::kRandom: return merge_random(patterns);
-    case MergeOp::kCyclic: return merge_cyclic(patterns);
-    case MergeOp::kShuffle: return merge_shuffle(patterns);
-  }
-  return {};
+void PatternMerger::reset(const MergerOptions& options, support::Rng rng) {
+  options_ = options;
+  rng_ = rng;
 }
 
-MergedPattern PatternMerger::merge_sequential(
-    const std::vector<TestPattern>& patterns) {
+MergedPattern PatternMerger::merge(const std::vector<TestPattern>& patterns) {
   MergedPattern merged;
-  for (SlotIndex slot = 0; slot < patterns.size(); ++slot) {
-    for (const pfa::SymbolId symbol : patterns[slot].symbols) {
-      merged.elements.push_back({slot, symbol});
-    }
-  }
+  merge_into(patterns, merged);
   return merged;
 }
 
-MergedPattern PatternMerger::merge_round_robin(
-    const std::vector<TestPattern>& patterns) {
-  MergedPattern merged;
-  std::vector<std::size_t> cursor(patterns.size(), 0);
-  bool emitted = true;
-  while (emitted) {
-    emitted = false;
+void PatternMerger::merge_into(const std::vector<TestPattern>& patterns,
+                               MergedPattern& out) {
+  // Every op emits each symbol exactly once.
+  std::size_t total = 0;
+  for (const TestPattern& pattern : patterns) total += pattern.symbols.size();
+  out.elements.clear();
+  out.elements.reserve(total);
+  switch (options_.op) {
+    case MergeOp::kSequential: return merge_sequential(patterns, out);
+    case MergeOp::kRoundRobin: return merge_round_robin(patterns, out);
+    case MergeOp::kRandom: return merge_random(patterns, out);
+    case MergeOp::kCyclic: return merge_cyclic(patterns, out);
+    case MergeOp::kShuffle: return merge_shuffle(patterns, out);
+  }
+}
+
+void PatternMerger::merge_sequential(const std::vector<TestPattern>& patterns,
+                                     MergedPattern& out) {
+  for (SlotIndex slot = 0; slot < patterns.size(); ++slot) {
+    for (const pfa::SymbolId symbol : patterns[slot].symbols) {
+      out.elements.push_back({slot, symbol});
+    }
+  }
+}
+
+void PatternMerger::merge_round_robin(const std::vector<TestPattern>& patterns,
+                                      MergedPattern& out) {
+  // Round k emits symbol k of every pattern still that long, in slot
+  // order, so the round index is every live slot's cursor.
+  std::size_t longest = 0;
+  for (const TestPattern& pattern : patterns) {
+    longest = std::max(longest, pattern.symbols.size());
+  }
+  for (std::size_t round = 0; round < longest; ++round) {
     for (SlotIndex slot = 0; slot < patterns.size(); ++slot) {
-      if (cursor[slot] < patterns[slot].symbols.size()) {
-        merged.elements.push_back(
-            {slot, patterns[slot].symbols[cursor[slot]++]});
-        emitted = true;
+      if (round < patterns[slot].symbols.size()) {
+        out.elements.push_back({slot, patterns[slot].symbols[round]});
       }
     }
   }
-  return merged;
 }
 
-MergedPattern PatternMerger::merge_random(
-    const std::vector<TestPattern>& patterns) {
-  MergedPattern merged;
-  std::vector<std::size_t> cursor(patterns.size(), 0);
-  std::vector<SlotIndex> live;
+void PatternMerger::merge_random(const std::vector<TestPattern>& patterns,
+                                 MergedPattern& out) {
+  cursor_.assign(patterns.size(), 0);
+  live_.clear();
   for (SlotIndex slot = 0; slot < patterns.size(); ++slot) {
-    if (!patterns[slot].symbols.empty()) live.push_back(slot);
+    if (!patterns[slot].symbols.empty()) live_.push_back(slot);
   }
-  while (!live.empty()) {
-    const std::size_t pick = static_cast<std::size_t>(rng_.below(live.size()));
-    const SlotIndex slot = live[pick];
-    merged.elements.push_back({slot, patterns[slot].symbols[cursor[slot]++]});
-    if (cursor[slot] == patterns[slot].symbols.size()) {
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+  while (!live_.empty()) {
+    const std::size_t pick =
+        static_cast<std::size_t>(rng_.below(live_.size()));
+    const SlotIndex slot = live_[pick];
+    out.elements.push_back({slot, patterns[slot].symbols[cursor_[slot]++]});
+    if (cursor_[slot] == patterns[slot].symbols.size()) {
+      live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(pick));
     }
   }
-  return merged;
 }
 
-MergedPattern PatternMerger::merge_cyclic(
-    const std::vector<TestPattern>& patterns) {
+void PatternMerger::merge_cyclic(const std::vector<TestPattern>& patterns,
+                                 MergedPattern& out) {
   // Rotate across slots, each turn emitting a chunk that runs up to and
   // including the break symbol (TS by convention).  Round k thus suspends
   // every task in ring order before any of them is resumed in round k+1 —
   // the cyclic execution sequences of case study 2.
-  MergedPattern merged;
-  std::vector<std::size_t> cursor(patterns.size(), 0);
+  cursor_.assign(patterns.size(), 0);
   // max_chunk == 0 means "unbounded": chunks end only at a break symbol
   // (or pattern end).  The pre-fix code treated 0 as "take nothing" and
   // silently emitted an empty merge, dropping every symbol.
@@ -105,10 +116,10 @@ MergedPattern PatternMerger::merge_cyclic(
     emitted = false;
     for (SlotIndex slot = 0; slot < patterns.size(); ++slot) {
       std::size_t taken = 0;
-      while (cursor[slot] < patterns[slot].symbols.size() &&
+      while (cursor_[slot] < patterns[slot].symbols.size() &&
              taken < chunk_limit) {
-        const pfa::SymbolId symbol = patterns[slot].symbols[cursor[slot]++];
-        merged.elements.push_back({slot, symbol});
+        const pfa::SymbolId symbol = patterns[slot].symbols[cursor_[slot]++];
+        out.elements.push_back({slot, symbol});
         ++taken;
         emitted = true;
         if (std::find(options_.cyclic_break_symbols.begin(),
@@ -119,25 +130,23 @@ MergedPattern PatternMerger::merge_cyclic(
       }
     }
   }
-  return merged;
 }
 
-MergedPattern PatternMerger::merge_shuffle(
-    const std::vector<TestPattern>& patterns) {
+void PatternMerger::merge_shuffle(const std::vector<TestPattern>& patterns,
+                                  MergedPattern& out) {
   // Uniform random linear extension: put each pattern's slot id once per
   // symbol into a deck, shuffle the deck, then deal symbols in per-slot
   // order.
-  std::vector<SlotIndex> deck;
+  std::vector<SlotIndex>& deck = live_;
+  deck.clear();
   for (SlotIndex slot = 0; slot < patterns.size(); ++slot) {
     deck.insert(deck.end(), patterns[slot].symbols.size(), slot);
   }
   rng_.shuffle(deck);
-  MergedPattern merged;
-  std::vector<std::size_t> cursor(patterns.size(), 0);
+  cursor_.assign(patterns.size(), 0);
   for (const SlotIndex slot : deck) {
-    merged.elements.push_back({slot, patterns[slot].symbols[cursor[slot]++]});
+    out.elements.push_back({slot, patterns[slot].symbols[cursor_[slot]++]});
   }
-  return merged;
 }
 
 std::vector<MergedPattern> PatternMerger::enumerate_interleavings(

@@ -24,6 +24,7 @@
 
 #include <optional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ptest/pattern/pattern.hpp"
@@ -62,11 +63,24 @@ struct MergerOptions {
 
 class PatternMerger {
  public:
+  /// An unarmed merger, for callers that keep one and reset() it per
+  /// merge.
+  PatternMerger() = default;
   PatternMerger(MergerOptions options, support::Rng rng)
-      : options_(options), rng_(rng) {}
+      : options_(std::move(options)), rng_(rng) {}
 
-  /// Merges `patterns` into one interleaved pattern; slot i corresponds to
-  /// patterns[i].
+  /// Re-arms a kept merger: copies `options` into the kept ones and
+  /// restarts the stream from `rng`.  The options and the working lists
+  /// keep their capacity, so a warm reset() plus merge_into() allocates
+  /// nothing.
+  void reset(const MergerOptions& options, support::Rng rng);
+
+  /// Merges `patterns` into `out`, replacing its elements and reusing its
+  /// buffer; slot i corresponds to patterns[i].
+  void merge_into(const std::vector<TestPattern>& patterns,
+                  MergedPattern& out);
+
+  /// merge_into() a fresh pattern.
   [[nodiscard]] MergedPattern merge(const std::vector<TestPattern>& patterns);
 
   [[nodiscard]] const MergerOptions& options() const noexcept {
@@ -80,14 +94,23 @@ class PatternMerger {
       const std::vector<TestPattern>& patterns, std::size_t limit);
 
  private:
-  MergedPattern merge_sequential(const std::vector<TestPattern>& patterns);
-  MergedPattern merge_round_robin(const std::vector<TestPattern>& patterns);
-  MergedPattern merge_random(const std::vector<TestPattern>& patterns);
-  MergedPattern merge_cyclic(const std::vector<TestPattern>& patterns);
-  MergedPattern merge_shuffle(const std::vector<TestPattern>& patterns);
+  void merge_sequential(const std::vector<TestPattern>& patterns,
+                        MergedPattern& out);
+  void merge_round_robin(const std::vector<TestPattern>& patterns,
+                         MergedPattern& out);
+  void merge_random(const std::vector<TestPattern>& patterns,
+                    MergedPattern& out);
+  void merge_cyclic(const std::vector<TestPattern>& patterns,
+                    MergedPattern& out);
+  void merge_shuffle(const std::vector<TestPattern>& patterns,
+                     MergedPattern& out);
 
   MergerOptions options_;
   support::Rng rng_;
+  /// Working lists, kept across merges: the next symbol index per slot,
+  /// and the live slots (random) or the dealing deck (shuffle).
+  std::vector<std::size_t> cursor_;
+  std::vector<SlotIndex> live_;
 };
 
 }  // namespace ptest::pattern

@@ -7,6 +7,8 @@ namespace ptest::pcore {
 
 KernelHeap::KernelHeap(std::size_t capacity, HeapFaultPlan fault_plan)
     : capacity_(capacity), fault_plan_(fault_plan) {
+  blocks_.reserve(kReservedBlocks);
+  merged_.reserve(kReservedBlocks);
   reset();
 }
 

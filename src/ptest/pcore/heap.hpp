@@ -50,6 +50,13 @@ struct HeapStats {
 class KernelHeap {
  public:
   static constexpr std::size_t kDefaultCapacity = 160 * 1024;
+  /// Block-table entries reserved at construction for pCore's working
+  /// set: 16 tasks x 2 blocks (TCB and stack) live, 16 more parked in the
+  /// graveyard before a collection (twice the kernel's default threshold
+  /// of 8), and a free remainder behind each of those 48 blocks plus the
+  /// tail.  Within it, neither the table nor collect()'s coalescing
+  /// buffer reallocates, so a warm task_create allocates no bookkeeping.
+  static constexpr std::size_t kReservedBlocks = 32 + 16 + 48 + 1;
 
   explicit KernelHeap(std::size_t capacity = kDefaultCapacity,
                       HeapFaultPlan fault_plan = {});

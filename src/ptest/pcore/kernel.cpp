@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "ptest/support/strings.hpp"
+
 namespace ptest::pcore {
 
 const char* to_string(TaskState state) noexcept {
@@ -87,15 +89,31 @@ const PcoreKernel::ProgramFactory* PcoreKernel::find_program(
 
 // --- helpers ------------------------------------------------------------------
 
-void PcoreKernel::panic(std::string reason) {
+// The reason is written into the kept panic_reason_ buffer, so a warm
+// kernel panics without allocating.
+void PcoreKernel::panic(std::string_view reason) {
   if (panicked_) return;
   panicked_ = true;
-  panic_reason_ = std::move(reason);
+  panic_reason_.assign(reason);
 }
 
-void PcoreKernel::force_panic(std::string reason) {
-  panic(std::move(reason));
+void PcoreKernel::panic_heap(std::string_view where) {
+  if (panicked_) return;
+  panic(where);
+  panic_reason_ += heap_.panic_reason();
 }
+
+void PcoreKernel::panic_task(TaskId task, std::string_view what,
+                             std::uint64_t value, std::string_view tail) {
+  if (panicked_) return;
+  panic("task ");
+  support::append_decimal(panic_reason_, task);
+  panic_reason_ += what;
+  support::append_decimal(panic_reason_, value);
+  panic_reason_ += tail;
+}
+
+void PcoreKernel::force_panic(std::string reason) { panic(reason); }
 
 Status PcoreKernel::check_live(TaskId task) const {
   if (task >= kMaxTasks || !is_live(tcbs_[task].state)) {
@@ -147,13 +165,13 @@ Status PcoreKernel::task_create(std::uint32_t program_id, std::uint32_t arg,
 
   const auto tcb_block = heap_.alloc(kTcbBytes);
   if (heap_.panicked()) {
-    panic("task_create: " + heap_.panic_reason());
+    panic_heap("task_create: ");
     return Status::kErrPanicked;
   }
   if (!tcb_block) return Status::kErrNoMemory;
   const auto stack_block = heap_.alloc(config_.stack_bytes);
   if (heap_.panicked()) {
-    panic("task_create: " + heap_.panic_reason());
+    panic_heap("task_create: ");
     return Status::kErrPanicked;
   }
   if (!stack_block) {
@@ -193,7 +211,7 @@ void PcoreKernel::reclaim(TaskId task) {
   release_held_mutexes(task);
   heap_.defer_free(tcb.tcb_block);
   heap_.defer_free(tcb.stack_block);
-  if (heap_.panicked()) panic("reclaim: " + heap_.panic_reason());
+  if (heap_.panicked()) panic_heap("reclaim: ");
   tcb.body = CoTask{};
   tcb.program = nullptr;
   set_state(task, TaskState::kFree);
@@ -286,7 +304,7 @@ void PcoreKernel::maybe_collect(sim::Soc& soc) {
   last_gc_ = tick_;
   heap_.collect();
   if (heap_.panicked()) {
-    panic("gc: " + heap_.panic_reason());
+    panic_heap("gc: ");
     soc.record(sim::TraceCategory::kFault, sim::TraceCode::kKernelPanic,
                panic_reason_);
   }
@@ -340,8 +358,7 @@ void PcoreKernel::run_scheduler(sim::Soc& soc) {
     case StepKind::kLock: {
       const std::uint32_t id = result.arg;
       if (id >= mutex_count_) {
-        panic("task " + std::to_string(next) + " locked unknown mutex " +
-              std::to_string(id));
+        panic_task(next, " locked unknown mutex ", id, "");
         return;
       }
       KMutex& mutex = mutexes_[id];
@@ -366,8 +383,7 @@ void PcoreKernel::run_scheduler(sim::Soc& soc) {
     case StepKind::kUnlock: {
       const std::uint32_t id = result.arg;
       if (id >= mutex_count_ || mutexes_[id].owner != next) {
-        panic("task " + std::to_string(next) + " unlocked mutex " +
-              std::to_string(id) + " it does not own");
+        panic_task(next, " unlocked mutex ", id, " it does not own");
         return;
       }
       release_mutex(id);
@@ -377,9 +393,7 @@ void PcoreKernel::run_scheduler(sim::Soc& soc) {
       soc.record(sim::TraceCategory::kKernel, sim::TraceCode::kTaskExit, next,
                  result.arg);
       if (result.arg != 0 && config_.panic_on_nonzero_exit) {
-        panic("task " + std::to_string(next) +
-              " failed assertion (exit code " + std::to_string(result.arg) +
-              ")");
+        panic_task(next, " failed assertion (exit code ", result.arg, ")");
         return;
       }
       reclaim(next);
@@ -398,33 +412,42 @@ bool PcoreKernel::tick(sim::Soc& soc) {
 
 // --- inspection --------------------------------------------------------------------
 
-KernelSnapshot PcoreKernel::snapshot() const {
-  KernelSnapshot snap;
-  snap.tick = tick_;
-  snap.panicked = panicked_;
-  snap.panic_reason = panic_reason_;
-  snap.heap = heap_.stats();
-  snap.context_switches = scheduler_.context_switches();
-  snap.preemptions = scheduler_.preemptions();
-  snap.service_calls = service_calls_;
+void PcoreKernel::snapshot_into(KernelSnapshot& out) const {
+  out.tick = tick_;
+  out.panicked = panicked_;
+  out.panic_reason.assign(panic_reason_);
+  out.heap = heap_.stats();
+  out.context_switches = scheduler_.context_switches();
+  out.preemptions = scheduler_.preemptions();
+  out.service_calls = service_calls_;
+  out.live_tasks = 0;
+  for (TaskId i = 0; i < kMaxTasks; ++i) {
+    out.live_tasks += tcbs_[i].state != TaskState::kFree;
+  }
+  out.tasks.resize(out.live_tasks);
+  auto task = out.tasks.begin();
   for (TaskId i = 0; i < kMaxTasks; ++i) {
     const Tcb& tcb = tcbs_[i];
     if (tcb.state == TaskState::kFree) continue;
-    TaskSnapshot t;
+    TaskSnapshot& t = *task++;
     t.id = i;
     t.state = tcb.state;
     t.priority = tcb.priority;
-    t.program = tcb.program ? tcb.program : "";
+    t.program.assign(tcb.program ? tcb.program : "");
     t.waiting_on = tcb.waiting_on;
+    t.holds.clear();
     for (MutexId m = 0; m < mutex_count_; ++m) {
       if (mutexes_[m].owner == i) t.holds.push_back(m);
     }
     t.last_progress = tcb.last_progress;
     t.steps = tcb.steps;
     t.generation = tcb.generation;
-    snap.tasks.push_back(std::move(t));
-    ++snap.live_tasks;
   }
+}
+
+KernelSnapshot PcoreKernel::snapshot() const {
+  KernelSnapshot snap;
+  snapshot_into(snap);
   return snap;
 }
 

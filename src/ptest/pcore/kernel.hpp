@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ptest/pcore/co_task.hpp"
@@ -146,6 +147,10 @@ class PcoreKernel : public sim::Device {
   bool tick(sim::Soc& soc) override;
 
   // --- inspection ------------------------------------------------------------
+  /// Fills `out` with the current state, reusing its buffers: its task
+  /// list, each kept task's name and held-mutex list, and the panic text.
+  void snapshot_into(KernelSnapshot& out) const;
+  /// snapshot_into() a fresh snapshot.
   [[nodiscard]] KernelSnapshot snapshot() const;
   [[nodiscard]] bool panicked() const noexcept { return panicked_; }
   [[nodiscard]] const std::string& panic_reason() const noexcept {
@@ -198,7 +203,13 @@ class PcoreKernel : public sim::Device {
   /// The factory registered under `program_id`, or null.
   [[nodiscard]] const ProgramFactory* find_program(
       std::uint32_t program_id) const noexcept;
-  void panic(std::string reason);
+  /// Panics with `reason` (a no-op when already panicked).
+  void panic(std::string_view reason);
+  /// Panics with "<where><heap's panic reason>".
+  void panic_heap(std::string_view where);
+  /// Panics with "task <task><what><value><tail>".
+  void panic_task(TaskId task, std::string_view what, std::uint64_t value,
+                  std::string_view tail);
   void release_held_mutexes(TaskId task);
   /// The one writer of `Tcb::state`: keeps runnable_ and live_count_.
   void set_state(TaskId task, TaskState state);

@@ -96,15 +96,21 @@ void TraceLog::record(Tick tick, TraceCategory category, TraceCode code,
   }
 }
 
-std::vector<TraceEvent> TraceLog::tail(std::size_t count) const {
+void TraceLog::tail_into(std::size_t count,
+                         std::vector<TraceEvent>& out) const {
   const std::size_t take = std::min(count, ring_.size());
-  std::vector<TraceEvent> out;
-  out.reserve(take);
+  out.resize(take);
   // Oldest first: the ring's logical order starts at head_.
-  for (std::size_t i = ring_.size() - take; i < ring_.size(); ++i) {
-    const std::size_t at = head_ + i;
-    out.push_back(ring_[at < ring_.size() ? at : at - ring_.size()]);
+  const std::size_t first = ring_.size() - take;
+  for (std::size_t i = 0; i < take; ++i) {
+    const std::size_t at = head_ + first + i;
+    out[i] = ring_[at < ring_.size() ? at : at - ring_.size()];
   }
+}
+
+std::vector<TraceEvent> TraceLog::tail(std::size_t count) const {
+  std::vector<TraceEvent> out;
+  tail_into(count, out);
   return out;
 }
 

@@ -274,12 +274,13 @@ TEST(SessionBatchRunnerTest, KeepsTheLowestRunIndexPerSignature) {
   const std::size_t first = 100;
   const SessionBatch batch = runner.run(
       first, first + 64,
-      [&](std::size_t participant, std::size_t run, pfa::WalkScratch&) {
-        SessionRun session;
+      [&](std::size_t participant, std::size_t run, pfa::WalkScratch&,
+          AdaptiveTestResult& session) {
+        session = AdaptiveTestResult{};
         if (participant == 0 && !caller_started) {
           caller_started = true;
           while (helper_reports.load() < 3) std::this_thread::yield();
-          return session;  // passes: no report
+          return std::size_t{0};  // passes: no report
         }
         if (participant != 0 && helper_reports.load() == 3) {
           while (caller_reports.load() == 0) std::this_thread::yield();
@@ -289,11 +290,11 @@ TEST(SessionBatchRunnerTest, KeepsTheLowestRunIndexPerSignature) {
         while (run < lowest &&
                !lowest_reported.compare_exchange_weak(lowest, run)) {
         }
-        session.result.session.outcome = Outcome::kBug;
-        session.result.session.report.emplace();
-        session.result.session.report->kind = BugKind::kDeadlock;
-        session.result.session.report->seed = run;
-        return session;
+        session.session.outcome = Outcome::kBug;
+        session.session.report.emplace();
+        session.session.report->kind = BugKind::kDeadlock;
+        session.session.report->seed = run;
+        return std::size_t{0};
       });
   EXPECT_EQ(batch.result.total_runs, 64u);
   EXPECT_EQ(batch.result.total_detections, 63u);

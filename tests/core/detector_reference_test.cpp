@@ -479,7 +479,7 @@ struct ObservedKernel {
   }
 
   void expect_same_reports() {
-    ASSERT_EQ(production.report().has_value(),
+    ASSERT_EQ(production.report() != nullptr,
               reference.report().has_value());
     if (!production.report()) return;
     const BugReport& a = *production.report();

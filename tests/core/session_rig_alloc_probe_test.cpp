@@ -4,10 +4,12 @@
 // scenario: every device resets into the buffers the earlier sessions
 // grew, and the workload setup re-registers its programs into the
 // registry's kept capacity.  A whole short session (load plus run) stays
-// within a small budget, which is what the task programs, the coroutine
-// frames and a filed report cost.  A warm task_create allocates the
-// task's coroutine frame and nothing for its name.  A warm Soc::reset
-// followed by idle ticks allocates nothing.
+// within a small budget, which is what the coroutine frames and a report
+// filed into a fresh result cost.  A warm campaign session (generate,
+// merge, load, run and the batch fold, on kept buffers) allocates at most
+// its task frames.  A warm task_create allocates the task's coroutine
+// frame and nothing else.  A warm Soc::reset followed by idle ticks
+// allocates nothing.
 //
 // The hook is process-global, so this suite lives in its own test
 // binary: mixing it into another suite would tax every test with the
@@ -18,9 +20,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <string>
 
 #include "ptest/core/adaptive_test.hpp"
+#include "ptest/core/session_batch.hpp"
 #include "ptest/scenario/registry.hpp"
 #include "ptest/support/rng.hpp"
 
@@ -94,8 +98,9 @@ TEST(SessionRigAllocProbe, WarmLoadAllocatesNothingOnEveryScenario) {
 }
 
 TEST(SessionRigAllocProbe, ShortSessionsStayWithinTheirBudget) {
-  // load + run averages at most this many allocations per session.
-  constexpr double kBudget = 13.0;
+  // load + run averages at most this many allocations per session: the
+  // task frames, and the buffers of a report filed into a fresh result.
+  constexpr double kBudget = 12.0;
   for (const char* name : {"aba-stack", "queue-order"}) {
     const scenario::Scenario* entry =
         scenario::ScenarioRegistry::builtin().find(name);
@@ -106,6 +111,68 @@ TEST(SessionRigAllocProbe, ShortSessionsStayWithinTheirBudget) {
     EXPECT_LE(per_session, kBudget) << name;
     RecordProperty(std::string(name) + "_allocs_per_session",
                    std::to_string(per_session));
+  }
+}
+
+struct BatchProbe {
+  std::uint64_t allocations = 0;
+  std::uint64_t task_creates = 0;  // TC elements the sessions drove
+  std::size_t sessions = 0;
+};
+
+constexpr std::size_t kBatch = 400;
+/// What a batch allocates outside its sessions: the fold's partial and
+/// batch results, and per signature one map entry and key, the kept
+/// report's move and the fresh report buffer the detector files the next
+/// one into.
+constexpr std::uint64_t kBatchOverhead = 32;
+
+/// Runs `name`'s campaign sessions through a jobs=1 SessionBatchRunner
+/// with one kept rig, as Campaign does: a warm-up batch, then a counted
+/// one.
+BatchProbe probe_batch(const char* name) {
+  const scenario::Scenario* entry =
+      scenario::ScenarioRegistry::builtin().find(name);
+  EXPECT_NE(entry, nullptr) << name;
+  if (entry == nullptr) return {};
+  const CompiledTestPlanPtr plan = compile(entry->config);
+  const std::optional<pfa::SymbolId> tc = plan->alphabet.find("TC");
+  EXPECT_TRUE(tc.has_value());
+  SessionBatchRunner runner(1, kBatch, {&plan->pfa},
+                            plan->config.dedup_patterns, nullptr);
+  SessionRig rig(plan->config, plan->alphabet);
+  BatchProbe probe;
+  auto body = [&](std::size_t, std::size_t run, pfa::WalkScratch& scratch,
+                  AdaptiveTestResult& out) {
+    execute(*plan, support::derive_seed(plan->config.seed, run),
+            entry->setup, scratch, rig, out);
+    for (const pattern::MergedElement& element : out.merged.elements) {
+      probe.task_creates += element.symbol == tc;
+    }
+    ++probe.sessions;
+    return std::size_t{0};
+  };
+  (void)runner.run(0, kBatch, body);
+  probe = BatchProbe{};
+  const std::uint64_t before = calls();
+  const SessionBatch batch = runner.run(kBatch, 2 * kBatch, body);
+  probe.allocations = calls() - before;
+  EXPECT_GT(batch.result.total_detections, 0u) << name;
+  return probe;
+}
+
+TEST(SessionRigAllocProbe, WarmCampaignSessionsAllocateOnlyTheirTaskFrames) {
+  for (const char* name : {"aba-stack", "queue-order"}) {
+    const BatchProbe probe = probe_batch(name);
+    ASSERT_EQ(probe.sessions, kBatch) << name;
+    EXPECT_LE(probe.allocations, probe.task_creates + kBatchOverhead)
+        << name;
+    RecordProperty(std::string(name) + "_campaign_allocs_per_session",
+                   std::to_string(static_cast<double>(probe.allocations) /
+                                  kBatch));
+    RecordProperty(std::string(name) + "_task_creates_per_session",
+                   std::to_string(static_cast<double>(probe.task_creates) /
+                                  kBatch));
   }
 }
 
@@ -133,10 +200,11 @@ std::uint64_t warm_task_create_calls(const char* name) {
 TEST(SessionRigAllocProbe, WarmTaskCreateAllocatesTheFrameAndNoName) {
   // The factory's body is the task: no program object boxes it, and the
   // name stays a string literal however long it is ("livelock-backoff"
-  // is past the small-string limit).  The two are the coroutine frame and
-  // the kernel heap's block bookkeeping.
-  EXPECT_EQ(warm_task_create_calls("aba-stack"), 2u);
-  EXPECT_EQ(warm_task_create_calls("livelock-backoff"), 2u);
+  // is past the small-string limit).  The heap's block table was
+  // reserved for the whole working set at construction, so the one
+  // allocation is the coroutine frame.
+  EXPECT_EQ(warm_task_create_calls("aba-stack"), 1u);
+  EXPECT_EQ(warm_task_create_calls("livelock-backoff"), 1u);
 }
 
 TEST(SessionRigAllocProbe, WarmSocResetThenIdleTicksAllocateNothing) {
@@ -154,10 +222,11 @@ TEST(SessionRigAllocProbe, WarmSocResetThenIdleTicksAllocateNothing) {
   // buffers; the second, after load() resets the Soc and every device,
   // must allocate nothing.
   sim::Soc& soc = rig.soc();
+  const pattern::MergedPattern empty;
   std::uint64_t made = 0;
   for (int pass = 0; pass < 2; ++pass) {
     const std::uint64_t before = calls();
-    rig.load(1, pattern::MergedPattern{}, {}, {});
+    rig.load(1, empty, {}, {});
     EXPECT_EQ(soc.now(), 0u);
     for (int i = 0; i < 1000; ++i) (void)soc.step();
     made = calls() - before;

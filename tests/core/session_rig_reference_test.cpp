@@ -15,9 +15,20 @@
 // waiters, a run cut at the tick limit (live tasks, commands in flight,
 // words in the mailboxes), and a config whose committer draws issue
 // delays from the noise stream.
+//
+// Reports circulate too: the detector files into a kept report, the
+// rig swaps it into the caller's result and takes back the one that
+// result held.  The buffer-reuse cases run one kept result through
+// sessions of every report shape, field by field against fresh
+// sessions, so a field a filing fails to overwrite shows as a leftover
+// of a longer earlier report; and they check that campaigns, whose
+// batch fold copies a report out only for a new signature, keep exactly
+// the reports a by-value loop keeps.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <map>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -25,6 +36,7 @@
 #include <vector>
 
 #include "ptest/core/adaptive_test.hpp"
+#include "ptest/core/campaign.hpp"
 #include "ptest/scenario/golden.hpp"
 #include "ptest/scenario/registry.hpp"
 #include "ptest/support/rng.hpp"
@@ -260,6 +272,206 @@ TEST(SessionRigReferenceTest, NoisyCommitterSessionsEqualFreshOnes) {
   }
   // The noise really delayed commands.
   EXPECT_GT(moved, 0u);
+}
+
+// --- buffer reuse ----------------------------------------------------------------
+
+void expect_same_kernel(const pcore::KernelSnapshot& a,
+                        const pcore::KernelSnapshot& b) {
+  EXPECT_EQ(a.tick, b.tick);
+  EXPECT_EQ(a.panicked, b.panicked);
+  EXPECT_EQ(a.panic_reason, b.panic_reason);
+  EXPECT_EQ(a.live_tasks, b.live_tasks);
+  EXPECT_EQ(a.context_switches, b.context_switches);
+  EXPECT_EQ(a.preemptions, b.preemptions);
+  EXPECT_EQ(a.service_calls, b.service_calls);
+  EXPECT_EQ(a.heap.live_bytes, b.heap.live_bytes);
+  EXPECT_EQ(a.heap.live_blocks, b.heap.live_blocks);
+  EXPECT_EQ(a.heap.free_bytes, b.heap.free_bytes);
+  EXPECT_EQ(a.heap.graveyard_blocks, b.heap.graveyard_blocks);
+  EXPECT_EQ(a.heap.total_allocs, b.heap.total_allocs);
+  EXPECT_EQ(a.heap.total_frees, b.heap.total_frees);
+  EXPECT_EQ(a.heap.gc_runs, b.heap.gc_runs);
+  EXPECT_EQ(a.heap.coalesced, b.heap.coalesced);
+  ASSERT_EQ(a.tasks.size(), b.tasks.size());
+  for (std::size_t i = 0; i < a.tasks.size(); ++i) {
+    const pcore::TaskSnapshot& x = a.tasks[i];
+    const pcore::TaskSnapshot& y = b.tasks[i];
+    EXPECT_EQ(x.id, y.id);
+    EXPECT_EQ(x.state, y.state);
+    EXPECT_EQ(x.priority, y.priority);
+    EXPECT_EQ(x.program, y.program);
+    EXPECT_EQ(x.waiting_on, y.waiting_on);
+    EXPECT_EQ(x.holds, y.holds);
+    EXPECT_EQ(x.last_progress, y.last_progress);
+    EXPECT_EQ(x.steps, y.steps);
+    EXPECT_EQ(x.generation, y.generation);
+  }
+}
+
+/// Every field of a recycled report against a fresh session's.
+void expect_same_report(const BugReport& a, const BugReport& b,
+                        const pfa::Alphabet& alphabet) {
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.detected_at, b.detected_at);
+  EXPECT_EQ(a.description, b.description);
+  EXPECT_EQ(a.culprits, b.culprits);
+  expect_same_kernel(a.kernel, b.kernel);
+  EXPECT_EQ(a.state_records, b.state_records);
+  EXPECT_EQ(a.trace_tail, b.trace_tail);
+  EXPECT_EQ(a.seed, b.seed);
+  EXPECT_EQ(a.merged.elements, b.merged.elements);
+  EXPECT_EQ(a.signature(), b.signature());
+  std::string appended = "kept:";
+  a.append_signature(appended);
+  EXPECT_EQ(appended, "kept:" + b.signature());
+  EXPECT_EQ(a.render(alphabet), b.render(alphabet));
+}
+
+/// One rig per variant, all sharing a single kept result and scratch, as
+/// a campaign participant shares its slot's result across its arms' rigs.
+struct Circulated {
+  Circulated(const PtestConfig& config, WorkloadSetup workload)
+      : plan(compile(config)),
+        setup(std::move(workload)),
+        rig(std::make_unique<SessionRig>(plan->config, plan->alphabet)) {}
+
+  CompiledTestPlanPtr plan;
+  WorkloadSetup setup;
+  std::unique_ptr<SessionRig> rig;
+};
+
+TEST(SessionRigReferenceTest, OneKeptResultMatchesFreshSessionsOfEveryShape) {
+  // Between them these variants crash, deadlock with mutexes held and
+  // waited on, do not terminate, starve, pass, and (barrier-reuse cut at
+  // 40 ticks) hit the tick limit.
+  std::vector<Circulated> variants;
+  for (const char* name : {"aba-stack", "philosophers-deadlock",
+                           "fig1-livelock", "writer-starvation",
+                           "deadlock-pair"}) {
+    const scenario::Scenario& entry = scenario_named(name);
+    variants.emplace_back(entry.config, entry.setup);
+  }
+  {
+    const scenario::Scenario& entry = scenario_named("barrier-reuse");
+    PtestConfig cut = entry.config;
+    cut.max_ticks = 40;
+    variants.emplace_back(cut, entry.setup);
+  }
+
+  constexpr std::size_t kSeeds = 24;
+  std::vector<std::pair<std::size_t, std::uint64_t>> order;
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    for (std::uint64_t run = 0; run < kSeeds; ++run) order.emplace_back(v, run);
+  }
+  support::Rng rng(0xb0ffe5);
+  rng.shuffle(order);
+
+  AdaptiveTestResult kept;
+  pfa::WalkScratch scratch;
+  std::set<Outcome> outcomes;
+  std::set<BugKind> kinds;
+  std::size_t reports_with_holds = 0;
+  std::size_t taken = 0;
+  for (const auto& [v, run] : order) {
+    Circulated& variant = variants[v];
+    const CompiledTestPlan& plan = *variant.plan;
+    const std::uint64_t seed = support::derive_seed(plan.config.seed, run);
+    SCOPED_TRACE(plan.config.program_id);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    execute(plan, seed, variant.setup, scratch, *variant.rig, kept);
+    const AdaptiveTestResult generated =
+        generate_and_merge(plan, seed, scratch);
+    const Observed fresh = run_fresh(plan, seed, generated, variant.setup);
+    EXPECT_EQ(kept.patterns.size(), generated.patterns.size());
+    for (std::size_t i = 0; i < generated.patterns.size(); ++i) {
+      EXPECT_EQ(kept.patterns[i].symbols, generated.patterns[i].symbols);
+      EXPECT_EQ(kept.patterns[i].states, generated.patterns[i].states);
+    }
+    EXPECT_EQ(kept.merged.elements, generated.merged.elements);
+    EXPECT_EQ(kept.session.outcome, fresh.result.outcome);
+    EXPECT_EQ(kept.session.stats.ticks, fresh.result.stats.ticks);
+    ASSERT_EQ(kept.session.report.has_value(),
+              fresh.result.report.has_value());
+    outcomes.insert(kept.session.outcome);
+    if (!kept.session.report) continue;
+    const BugReport& report = *kept.session.report;
+    expect_same_report(report, *fresh.result.report, plan.alphabet);
+    kinds.insert(report.kind);
+    for (const pcore::TaskSnapshot& task : report.kernel.tasks) {
+      if (!task.holds.empty() && task.waiting_on) {
+        ++reports_with_holds;
+        break;
+      }
+    }
+    // As the batch fold does: a new signature takes the report out, a
+    // repeat leaves it for the next session to recycle.
+    if (rng.below(4) == 0) {
+      const BugReport moved = std::move(*kept.session.report);
+      kept.session.report.reset();
+      ++taken;
+    }
+  }
+  EXPECT_TRUE(outcomes.count(Outcome::kPassed));
+  EXPECT_TRUE(outcomes.count(Outcome::kTickLimit));
+  for (const BugKind kind : {BugKind::kSlaveCrash, BugKind::kDeadlock,
+                             BugKind::kNoTermination, BugKind::kStarvation}) {
+    EXPECT_TRUE(kinds.count(kind)) << to_string(kind);
+  }
+  EXPECT_GT(reports_with_holds, 0u);
+  EXPECT_GT(taken, 0u);
+}
+
+TEST(SessionRigReferenceTest, CampaignFailuresMatchAByValueExecuteLoop) {
+  // Every catalog variant: the distinct failures a campaign keeps (the
+  // lowest run index per signature, copied out of the kept buffers only
+  // for a new signature) equal a by-value execute loop's, key and
+  // rendering, at jobs=1 and jobs=3.
+  constexpr std::size_t kBudget = 24;
+  std::size_t variants = 0;
+  std::size_t failures = 0;
+  auto check = [&](const scenario::Scenario& entry, bool benign) {
+    SCOPED_TRACE(entry.name + (benign ? " (benign)" : ""));
+    const PtestConfig config = benign ? entry.benign_plan() : entry.config;
+    const WorkloadSetup& setup =
+        benign ? entry.benign_workload() : entry.setup;
+    const CompiledTestPlanPtr plan = compile(config);
+    pfa::WalkScratch scratch;
+    std::map<std::string, BugReport> expected;
+    for (std::size_t run = 0; run < kBudget; ++run) {
+      AdaptiveTestResult result = execute(
+          *plan, support::derive_seed(config.seed, run), setup, scratch);
+      if (result.session.outcome == Outcome::kBug && result.session.report) {
+        expected.try_emplace(result.session.report->signature(),
+                             std::move(*result.session.report));
+      }
+    }
+    for (const std::size_t jobs : {1u, 3u}) {
+      SCOPED_TRACE("jobs " + std::to_string(jobs));
+      CampaignOptions options;
+      options.budget = kBudget;
+      options.jobs = jobs;
+      const auto campaign = Campaign::run_scenario(entry.name, options, benign);
+      ASSERT_TRUE(campaign) << campaign.error();
+      const auto& kept = campaign.value().distinct_failures;
+      ASSERT_EQ(kept.size(), expected.size());
+      auto b = expected.cbegin();
+      for (auto a = kept.cbegin(); a != kept.cend(); ++a, ++b) {
+        EXPECT_EQ(a->first, b->first);
+        EXPECT_EQ(a->second.render(plan->alphabet),
+                  b->second.render(plan->alphabet));
+      }
+    }
+    failures += expected.size();
+    ++variants;
+  };
+  for (const scenario::Scenario& entry :
+       scenario::ScenarioRegistry::builtin().all()) {
+    check(entry, false);
+    if (entry.has_benign()) check(entry, true);
+  }
+  EXPECT_EQ(variants, 27u);
+  EXPECT_GT(failures, 0u);
 }
 
 }  // namespace

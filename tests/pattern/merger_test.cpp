@@ -183,5 +183,73 @@ TEST_P(MergerSweep, RandomAndShufflePreserveOrders) {
 
 INSTANTIATE_TEST_SUITE_P(SlotCounts, MergerSweep, ::testing::Range(1, 9));
 
+// Property: a kept merger re-armed with reset() and writing into a dirty,
+// reused MergedPattern gives exactly the merge a fresh merger writes into
+// a fresh pattern, for every op, and draws the same random numbers doing
+// it: the next merge from each, which draws again for random and shuffle,
+// matches too.  Round robin, which needs no cursors, also matches the
+// cursor loop it replaced.
+std::vector<TestPattern> random_patterns(support::Rng& rng) {
+  std::vector<TestPattern> patterns(rng.below(9));
+  for (TestPattern& pattern : patterns) {
+    const std::size_t length = rng.below(13);
+    for (std::size_t i = 0; i < length; ++i) {
+      pattern.symbols.push_back(static_cast<pfa::SymbolId>(rng.below(8)));
+    }
+  }
+  return patterns;
+}
+
+std::vector<MergedElement> cursor_round_robin(
+    const std::vector<TestPattern>& patterns) {
+  std::vector<MergedElement> out;
+  std::vector<std::size_t> cursor(patterns.size(), 0);
+  bool emitted = true;
+  while (emitted) {
+    emitted = false;
+    for (SlotIndex slot = 0; slot < patterns.size(); ++slot) {
+      if (cursor[slot] < patterns[slot].symbols.size()) {
+        out.push_back({slot, patterns[slot].symbols[cursor[slot]++]});
+        emitted = true;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(MergerTest, KeptMergerIntoADirtyPatternEqualsAFreshMerge) {
+  support::Rng rng(0x3e26e);
+  PatternMerger kept;
+  MergedPattern reused;
+  for (int round = 0; round < 2000; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    MergerOptions options;
+    options.op = static_cast<MergeOp>(rng.below(5));
+    for (std::uint64_t n = rng.below(4); n > 0; --n) {
+      options.cyclic_break_symbols.push_back(
+          static_cast<pfa::SymbolId>(rng.below(8)));
+    }
+    options.max_chunk = rng.below(5);
+    const std::uint64_t seed = rng.next();
+    const std::vector<TestPattern> first = random_patterns(rng);
+    const std::vector<TestPattern> second = random_patterns(rng);
+    // Leave junk of a random length behind from the last round.
+    reused.elements.resize(reused.elements.size() + rng.below(6),
+                           MergedElement{99, 99});
+
+    PatternMerger fresh(options, support::Rng(seed));
+    kept.reset(options, support::Rng(seed));
+    const MergedPattern expected = fresh.merge(first);
+    kept.merge_into(first, reused);
+    ASSERT_EQ(reused.elements, expected.elements) << to_string(options.op);
+    if (options.op == MergeOp::kRoundRobin) {
+      EXPECT_EQ(expected.elements, cursor_round_robin(first));
+    }
+    kept.merge_into(second, reused);
+    ASSERT_EQ(reused.elements, fresh.merge(second).elements)
+        << to_string(options.op);
+  }
+}
+
 }  // namespace
 }  // namespace ptest::pattern
