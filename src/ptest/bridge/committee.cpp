@@ -54,7 +54,7 @@ bool Committee::flush_backlog(sim::Soc& soc) {
 }
 
 bool Committee::tick(sim::Soc& soc) {
-  if (backlog_.empty() && !channel_->command_ready(soc)) return true;
+  if (idle(soc)) return true;
   // Flush backlog first (ordering!) before executing new commands.
   if (!flush_backlog(soc)) return true;
   for (std::size_t i = 0; i < commands_per_tick_; ++i) {

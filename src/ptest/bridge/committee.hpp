@@ -5,10 +5,10 @@
 // services, and posts responses.  Processing is rate-limited per tick to
 // model the DSP cycles the dispatcher costs on the real platform.
 //
-// The committee wakes on its doorbell: a tick with no unposted response
-// and no command ready (Channel::command_ready) returns after that one
-// check, which is exactly the set of ticks on which draining the channel
-// would find nothing and change no state.
+// The committee wakes on its doorbell: a tick on which it is idle() (no
+// unposted response and no command ready, Channel::command_ready)
+// returns after that one check, which is exactly the set of ticks on
+// which draining the channel would find nothing and change no state.
 #pragma once
 
 #include <vector>
@@ -18,7 +18,7 @@
 
 namespace ptest::bridge {
 
-class Committee : public sim::Device {
+class Committee final : public sim::Device {
  public:
   Committee(Channel& channel, pcore::PcoreKernel& kernel,
             std::size_t commands_per_tick = 2)
@@ -27,6 +27,13 @@ class Committee : public sim::Device {
         commands_per_tick_(commands_per_tick) {}
 
   bool tick(sim::Soc& soc) override;
+
+  /// True when a tick at `soc`'s current time would change nothing: no
+  /// response is waiting to be posted and no command is ready.  tick()
+  /// returns at once on such a tick.
+  [[nodiscard]] bool idle(const sim::Soc& soc) const {
+    return backlog_.empty() && !channel_->command_ready(soc);
+  }
 
   /// Drops the response backlog (keeping its buffer) and zeroes the
   /// executed count, as freshly constructed.

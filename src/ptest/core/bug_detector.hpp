@@ -34,7 +34,7 @@
 
 namespace ptest::core {
 
-class BugDetector : public sim::Device {
+class BugDetector final : public sim::Device {
  public:
   BugDetector(const DetectorConfig& config, pcore::PcoreKernel& kernel,
               const master::Committer& committer,

@@ -81,6 +81,7 @@ void add_session(support::MetricsSnapshot& metrics,
     metrics.dedup_rejected += session.duplicates_rejected;
   }
   metrics.ticks += ticks;
+  metrics.quiet_ticks += session.session.stats.quiet_ticks;
   metrics.ticks_hist.record(ticks);
   metrics.scratch_reuse_hits += session.scratch_reuse_hits;
   metrics.sample_alloc_bytes_saved += session.sample_alloc_bytes_saved;

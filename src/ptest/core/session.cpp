@@ -23,8 +23,8 @@ SessionRig::SessionRig(const PtestConfig& config,
       recorder_(alphabet),
       committer_(&add_committer(config, alphabet)),
       detector_(config.detector, kernel_, *committer_, recorder_) {
-  // Device order = intra-tick order: master issues, committee dispatches,
-  // kernel executes, detector observes the post-state.
+  // run() steps the devices itself; attached in the same order, they
+  // also tick under soc().step() for callers that step the stack by hand.
   soc_.attach(master_);
   soc_.attach(committee_);
   soc_.attach(kernel_);
@@ -81,12 +81,46 @@ void SessionRig::load(std::uint64_t seed,
   detector_.reset();
 }
 
+void SessionRig::tick_loop(SessionStats& stats) {
+  // Device order = intra-tick order: master issues, committee dispatches,
+  // kernel executes, detector observes the post-state.  As in
+  // sim::Soc::step, every device ticks, the clock advances after all
+  // four, and the session stops after a tick on which any returned false.
+  sim::Tick executed = 0;
+  bool keep_running = true;
+  while (keep_running && executed < max_ticks_) {
+    // Quiet entry.  Only the master posts commands, and its one thread,
+    // the committer, reaches kDone only with an empty ledger and an empty
+    // retry queue: every command it posted has been executed and its
+    // response taken, so nothing is in flight on the channel.  With the
+    // committee idle as well (no backlog, no command ready), no later
+    // tick of either device can change any state, and they retire for
+    // the rest of the session.
+    if (master_.all_done() && committee_.idle(soc_)) break;
+    ++executed;
+    keep_running = master_.tick(soc_);
+    if (!committee_.tick(soc_)) keep_running = false;
+    if (!kernel_.tick(soc_)) keep_running = false;
+    if (!detector_.tick(soc_)) keep_running = false;
+    soc_.clock().advance();
+  }
+  const sim::Tick active = executed;
+  while (keep_running && executed < max_ticks_) {
+    ++executed;
+    keep_running = kernel_.tick(soc_);
+    if (!detector_.tick(soc_)) keep_running = false;
+    soc_.clock().advance();
+  }
+  stats.ticks = executed;
+  stats.quiet_ticks = executed - active;
+}
+
 void SessionRig::run(SessionResult& out) {
   if (out.report) {
     detector_.swap_report(*out.report);
     out.report.reset();
   }
-  out.stats.ticks = soc_.run(max_ticks_);
+  tick_loop(out.stats);
 
   if (detector_.bug_found()) {
     out.outcome = Outcome::kBug;

@@ -8,6 +8,16 @@
 //
 // and drives a merged pattern to completion, a bug, or the tick limit.
 //
+// The rig steps its four devices itself, in that order, with direct
+// calls (the device classes are final), and advances the clock after
+// all four: the same ticks sim::Soc::run would run on a Soc the four
+// were attached to.  Soc::run stays the generic loop for stacks wired by
+// hand.  Once the master can post nothing more (every master thread done)
+// and the committee is idle, neither can act again, so the rig's loop
+// enters a quiet phase that ticks only the kernel and the detector —
+// every tick still runs, the clock does not jump.  Hang sessions spend
+// almost all their ticks there.
+//
 // SessionRig owns that stack and is the one place it is wired.  A
 // campaign runs thousands of short sessions against one plan, so it
 // builds a rig once per (participant, plan) and load()s each session
@@ -49,6 +59,9 @@ enum class Outcome : std::uint8_t {
 
 struct SessionStats {
   sim::Tick ticks = 0;
+  /// Of `ticks`, those run in the quiet phase (only the kernel and the
+  /// detector ticked).
+  sim::Tick quiet_ticks = 0;
   std::size_t commands_issued = 0;
   std::size_t commands_acked = 0;
   std::size_t commands_failed = 0;
@@ -118,6 +131,9 @@ class SessionRig {
   /// master_ and returns it.
   master::Committer& add_committer(const PtestConfig& config,
                                    const pfa::Alphabet& alphabet);
+  /// Runs the loaded session's ticks; writes stats.ticks and
+  /// stats.quiet_ticks.
+  void tick_loop(SessionStats& stats);
 
   std::uint64_t seed_ = 0;
   sim::Tick max_ticks_ = 0;

@@ -11,7 +11,7 @@
 
 namespace ptest::master {
 
-class MasterScheduler : public sim::Device {
+class MasterScheduler final : public sim::Device {
  public:
   explicit MasterScheduler(bridge::Channel& channel,
                            sim::Tick quantum = 4)

@@ -94,7 +94,7 @@ struct KernelSnapshot {
   std::uint64_t service_calls = 0;
 };
 
-class PcoreKernel : public sim::Device {
+class PcoreKernel final : public sim::Device {
  public:
   using ProgramFactory = std::function<Program(std::uint32_t arg)>;
 

@@ -6,6 +6,12 @@
 // progress.  The simulator exposes exactly those; determinism (everything
 // sequenced by the tick loop, all randomness from seeded Rng streams) is
 // what makes the paper's bug reproduction claim checkable.
+//
+// run()/step() over attached Devices is the generic tick loop, for stacks
+// wired by hand (unit tests, reference oracles, harnesses that wrap each
+// device).  core::SessionRig::run does not use it: it steps its own
+// devices in the same order and with the same semantics (see
+// core/session.hpp).
 #pragma once
 
 #include <memory>

@@ -46,6 +46,7 @@ struct MetricsSnapshot {
   std::uint64_t dedup_accepted = 0;      ///< patterns accepted as new by dedup
   std::uint64_t dedup_rejected = 0;      ///< patterns rejected as replicas
   std::uint64_t ticks = 0;               ///< kernel ticks simulated (interleaving steps)
+  std::uint64_t quiet_ticks = 0;         ///< of those, ticked with master and committee retired
   /// Sampling scratch reuse.  WalkScratch accounts reuse against
   /// per-session high-water marks, so the totals are a pure function of
   /// seed/config even though the physical buffer reuse is scheduled.
@@ -186,6 +187,8 @@ inline constexpr CounterField kCounterFields[] = {
     {"dedup_rejected", MetricClass::kWork, &MetricsSnapshot::dedup_rejected,
      MetricMerge::kSum},
     {"ticks", MetricClass::kWork, &MetricsSnapshot::ticks, MetricMerge::kSum},
+    {"quiet_ticks", MetricClass::kWork, &MetricsSnapshot::quiet_ticks,
+     MetricMerge::kSum},
     {"scratch_reuse_hits", MetricClass::kWork,
      &MetricsSnapshot::scratch_reuse_hits, MetricMerge::kSum},
     {"sample_alloc_bytes_saved", MetricClass::kWork,

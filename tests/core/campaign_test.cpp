@@ -449,5 +449,34 @@ TEST(CampaignTest, MetricsWorkCountersIdenticalAcrossJobs) {
   EXPECT_GT(parallel.metrics.worker_threads, 1u);
 }
 
+// The session rig retires the master and the committee once the
+// committer is done and the channel drained, and ticks only the kernel
+// and the detector from then on.  Hang scenarios run almost all their
+// ticks there; crash and deadlock scenarios stop before the committer
+// finishes, so they never reach it.
+TEST(CampaignTest, QuietPhaseCoversHangSessionsAndNoCrashSession) {
+  CampaignOptions options;
+  options.budget = 32;
+  for (const char* name :
+       {"barrier-reuse", "fig1-livelock", "writer-starvation"}) {
+    SCOPED_TRACE(name);
+    const auto campaign = Campaign::run_scenario(name, options);
+    ASSERT_TRUE(campaign) << campaign.error();
+    const support::MetricsSnapshot& metrics = campaign.value().metrics;
+    ASSERT_GT(metrics.ticks, 0u);
+    EXPECT_GE(static_cast<double>(metrics.quiet_ticks) /
+                  static_cast<double>(metrics.ticks),
+              0.95);
+  }
+  for (const char* name :
+       {"aba-stack", "queue-order", "philosophers-deadlock"}) {
+    SCOPED_TRACE(name);
+    const auto campaign = Campaign::run_scenario(name, options);
+    ASSERT_TRUE(campaign) << campaign.error();
+    EXPECT_GT(campaign.value().metrics.ticks, 0u);
+    EXPECT_EQ(campaign.value().metrics.quiet_ticks, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace ptest::core
