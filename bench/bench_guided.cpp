@@ -19,7 +19,7 @@
 // The report prints the full per-seed table; the timed benchmark runs
 // one guided campaign and attaches the median sessions-to-first-bug of
 // both modes as counters, which BENCH_results.json carries into
-// scripts/check_bench_regression.py --counter (the guided perf gate).
+// scripts/check_bench_regression.py --counter (CI's blocking counter gate).
 #include <algorithm>
 #include <cstdio>
 #include <optional>

@@ -255,8 +255,11 @@ void write_json(const RunSummary& summary, std::ostream& out) {
 
 void print_summary(const RunSummary& summary) {
   if (summary.results.empty()) {
-    std::printf("no benchmarks matched filter '%s'\n",
-                summary.options.filter.c_str());
+    // A report-only suite (bench_parallel_campaign) has nothing to list.
+    if (!summary.options.filter.empty()) {
+      std::printf("no benchmarks matched filter '%s'\n",
+                  summary.options.filter.c_str());
+    }
     return;
   }
   std::printf("%-44s %12s %12s %12s %8s\n", "benchmark", "median(ms)",

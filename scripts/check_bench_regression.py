@@ -1,62 +1,27 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_results.json files and flag perf regressions.
+"""Gate deterministic benchmark counters against a committed baseline.
 
 Usage:
-    check_bench_regression.py BASELINE CURRENT [--threshold 0.15]
-                              [--metric median] [--counter NAME]...
-                              [--counters-only]
-                              [--variance-report FILE]
-                              [--variance FILE [--variance-margin 4.0]]
+    check_bench_regression.py BASELINE CURRENT --counter NAME...
+                              [--threshold 0.05]
 
-A benchmark present in both files regresses when
+Both inputs are `bench_all --json` outputs.  Every baseline benchmark
+that carries a named counter is gated: the current run must carry the
+same benchmark with the same counter, and
 
-    current_wall_ms[metric] > baseline_wall_ms[metric] * (1 + threshold)
+    current <= baseline * (1 + threshold)
 
---counter NAME (repeatable) additionally compares the named benchmark
-counter wherever both files carry it, with the same higher-is-worse
-threshold rule.  This is how the guided-campaign effectiveness gate
-works: bench_guided attaches guided_sessions_to_first_bug_median as a
-counter, so a change that makes guidance need more sessions to reach an
-oracle shows up here even if wall time is unchanged.  Counters are
-work-class metrics (deterministic given the bench seeds), so unlike
-wall times they are stable across runner generations.
+Higher is worse.  The gated counters (fleet_sessions_total,
+fleet_uncovered_transitions, the guided and static sessions-to-first-bug
+medians, plan_compiles) are work counts, identical on every healthy
+runner for the bench seeds, so a drift is a behaviour change and not
+runner noise.  Wall times are never compared: they differ across runner
+generations.
 
-Benchmarks only in the baseline (removed) or only in the current file
-(new) are reported but never count as regressions.  Exit code 0 when no
-regression was found, 1 otherwise, 2 on malformed input.
-
-CI runs this as a *non-blocking* step against the committed baseline
-(bench/BENCH_baseline.json): absolute times differ across runner
-generations, so a red result is a prompt to look at the uploaded
-artifact, not an automatic gate.  Comparing a file against itself
-always reports zero regressions — the harness emits each benchmark's
-stats once, so identical inputs produce ratio 1.0 everywhere.
-
---counters-only drops the wall_ms comparison entirely and judges only
-the named counters.  That mode IS safe to block on: the gated counters
-(fleet_sessions_total, fleet_uncovered_transitions, the guided
-sessions-to-first-bug medians) are deterministic work counts, identical
-on every healthy runner, so a drift there is a behavior change — and CI
-runs it as a blocking step alongside the non-blocking wall comparison.
-
---variance-report FILE treats the two inputs as REPEAT RUNS of the
-same build (CI runs bench_all --smoke twice) and writes a JSON summary
-of the inter-run wall-time spread per benchmark plus aggregate
-percentiles.  The report always exits 0 — it does not judge anything;
-it calibrates.  The recorded spread is what a human (or a future
-threshold bump) should read before trusting any wall-ms delta on that
-runner class: a 10%% "regression" means nothing on a runner whose
-repeat-run p95 spread is 12%%.
-
---variance FILE closes that loop mechanically: FILE is a report written
-by --variance-report, and each benchmark's wall-ms threshold becomes
-
-    max(--threshold, --variance-margin * rel_spread[benchmark])
-
-so a benchmark that measurably wobbles 8%% between repeat runs of one
-build is only flagged past 4x that wobble (with the default margin),
-while steady benchmarks keep the tight global threshold.  Counters are
-never widened — they are deterministic and any drift is real.
+Exit 0 when every gated value is present and within the threshold, 1
+when one regressed or went missing (a deleted row or counter would
+otherwise pass unchecked), 2 on malformed input or when no baseline row
+carries any named counter (the gate would check nothing).
 """
 
 import argparse
@@ -64,232 +29,87 @@ import json
 import sys
 
 
-def load_benchmarks(path):
-    # Exit 2 (not 1) on malformed input so a broken baseline is never
-    # mistaken for "regression found" by a blocking caller.
+def fail_input(message):
+    # Exit 2 (not 1) so a broken input is never mistaken for a
+    # regression, nor a misconfigured gate for a passing one.
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def load_counters(path):
+    """Maps each benchmark name in `path` to its counters object."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
     except (OSError, json.JSONDecodeError) as error:
-        print(f"error: cannot read {path}: {error}", file=sys.stderr)
-        raise SystemExit(2)
-    benchmarks = document.get("benchmarks")
+        fail_input(f"cannot read {path}: {error}")
+    benchmarks = document.get("benchmarks") if isinstance(document, dict) else None
     if not isinstance(benchmarks, dict):
-        print(f"error: {path} has no 'benchmarks' object", file=sys.stderr)
-        raise SystemExit(2)
-    return document, benchmarks
+        fail_input(f"{path} has no 'benchmarks' object")
+    counters = {}
+    for name, entry in benchmarks.items():
+        row = entry.get("counters", {}) if isinstance(entry, dict) else None
+        if not isinstance(row, dict):
+            fail_input(f"{path}: benchmark {name} has malformed counters")
+        counters[name] = row
+    return document, counters
 
 
-def metric_value(entry, metric):
-    wall = entry.get("wall_ms", {})
-    value = wall.get(metric)
-    if not isinstance(value, (int, float)):
-        return None
+def number(path, name, counter, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        fail_input(f"{path}: {name}#{counter} is not a number")
     return float(value)
-
-
-def percentile(sorted_values, q):
-    if not sorted_values:
-        return 0.0
-    index = (len(sorted_values) - 1) * q
-    lower = int(index)
-    upper = min(lower + 1, len(sorted_values) - 1)
-    fraction = index - lower
-    return sorted_values[lower] * (1 - fraction) + sorted_values[upper] * fraction
-
-
-def write_variance_report(path, metric, run_a, run_b, doc_a, doc_b):
-    """Summarize the wall-time spread between two repeat runs as JSON."""
-    rows = {}
-    spreads = []
-    for name in sorted(set(run_a) & set(run_b)):
-        a = metric_value(run_a[name], metric)
-        b = metric_value(run_b[name], metric)
-        if a is None or b is None or a <= 0.0 or b <= 0.0:
-            continue
-        # Symmetric relative spread: |a-b| over the run mean, so neither
-        # run is privileged as "the" baseline.
-        spread = abs(a - b) / ((a + b) / 2.0)
-        rows[name] = {
-            "run1_ms": a,
-            "run2_ms": b,
-            "rel_spread": spread,
-        }
-        spreads.append(spread)
-    spreads.sort()
-    report = {
-        "metric": f"wall_ms.{metric}",
-        "git_sha": doc_a.get("git_sha", "?"),
-        "smoke": doc_a.get("smoke", "?"),
-        "benchmarks_compared": len(rows),
-        "rel_spread_median": percentile(spreads, 0.5),
-        "rel_spread_p95": percentile(spreads, 0.95),
-        "rel_spread_max": spreads[-1] if spreads else 0.0,
-        "benchmarks": rows,
-    }
-    # Flag a mismatched pairing loudly but still record it: a variance
-    # number from two different builds would silently mislead.
-    if doc_a.get("git_sha") != doc_b.get("git_sha"):
-        report["warning"] = (
-            "runs come from different git_sha values "
-            f"({doc_a.get('git_sha', '?')} vs {doc_b.get('git_sha', '?')}); "
-            "this is build drift, not runner variance")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"variance report: {len(rows)} benchmarks, "
-          f"median spread {report['rel_spread_median']:.1%}, "
-          f"p95 {report['rel_spread_p95']:.1%}, "
-          f"max {report['rel_spread_max']:.1%} -> {path}")
 
 
 def main():
     parser = argparse.ArgumentParser(
-        description="Flag benchmark regressions between two "
-                    "BENCH_results.json files.")
+        description="Gate deterministic benchmark counters of CURRENT "
+                    "against BASELINE (both bench_all --json outputs).")
     parser.add_argument("baseline", help="baseline BENCH_results.json")
     parser.add_argument("current", help="current BENCH_results.json")
-    parser.add_argument("--threshold", type=float, default=0.15,
-                        help="allowed relative slowdown before a benchmark "
-                             "counts as regressed (default: 0.15 = 15%%)")
-    parser.add_argument("--metric", default="median",
-                        choices=["median", "p95", "min", "mean", "max"],
-                        help="wall_ms statistic to compare (default: median)")
-    parser.add_argument("--counter", action="append", default=[],
+    parser.add_argument("--counter", action="append", required=True,
                         metavar="NAME",
-                        help="also compare this benchmark counter wherever "
-                             "both files carry it (repeatable; higher is "
-                             "worse, same threshold)")
-    parser.add_argument("--counters-only", action="store_true",
-                        help="skip the wall_ms comparison and judge only "
-                             "the --counter values; counters are "
-                             "deterministic work counts, so this mode is "
-                             "safe to run as a blocking CI gate where wall "
-                             "times are not")
-    parser.add_argument("--variance-report", metavar="FILE",
-                        help="treat the two inputs as repeat runs of one "
-                             "build: write a JSON summary of the inter-run "
-                             "wall-time spread to FILE and exit 0 (no "
-                             "regression judgment)")
-    parser.add_argument("--variance", metavar="FILE",
-                        help="a report previously written by "
-                             "--variance-report; widens each benchmark's "
-                             "wall threshold to at least --variance-margin "
-                             "times its measured repeat-run spread")
-    parser.add_argument("--variance-margin", type=float, default=4.0,
-                        help="multiplier on a benchmark's rel_spread when "
-                             "--variance is given (default: 4.0)")
+                        help="gate this counter on every baseline benchmark "
+                             "that carries it (repeatable; higher is worse)")
+    parser.add_argument("--threshold", type=float, default=0.05,
+                        help="allowed relative rise before a counter counts "
+                             "as regressed (default: 0.05 = 5%%)")
     args = parser.parse_args()
-    if args.counters_only and not args.counter:
-        parser.error("--counters-only requires at least one --counter")
-    if args.variance_margin <= 0:
-        parser.error("--variance-margin must be positive")
+    if args.threshold < 0:
+        parser.error("--threshold must not be negative")
 
-    spread_by_bench = {}
-    if args.variance:
-        try:
-            with open(args.variance, "r", encoding="utf-8") as handle:
-                variance_doc = json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
-            print(f"error: cannot read {args.variance}: {error}",
-                  file=sys.stderr)
-            raise SystemExit(2)
-        rows = variance_doc.get("benchmarks")
-        if not isinstance(rows, dict):
-            print(f"error: {args.variance} has no 'benchmarks' object "
-                  "(not a --variance-report output?)", file=sys.stderr)
-            raise SystemExit(2)
-        for name, row in rows.items():
-            spread = row.get("rel_spread")
-            if isinstance(spread, (int, float)) and spread >= 0:
-                spread_by_bench[name] = float(spread)
+    base_doc, base = load_counters(args.baseline)
+    cur_doc, cur = load_counters(args.current)
+    print(f"baseline: {args.baseline} (git {base_doc.get('git_sha', '?')})")
+    print(f"current:  {args.current} (git {cur_doc.get('git_sha', '?')})")
+    print(f"threshold: +{args.threshold:.0%}\n")
 
-    base_doc, base = load_benchmarks(args.baseline)
-    cur_doc, cur = load_benchmarks(args.current)
-
-    if args.variance_report:
-        write_variance_report(args.variance_report, args.metric, base, cur,
-                              base_doc, cur_doc)
-        return 0
-
-    print(f"baseline: {args.baseline} (git {base_doc.get('git_sha', '?')}, "
-          f"smoke={base_doc.get('smoke', '?')})")
-    print(f"current:  {args.current} (git {cur_doc.get('git_sha', '?')}, "
-          f"smoke={cur_doc.get('smoke', '?')})")
-    if args.counters_only:
-        print(f"metric: counters only ({', '.join(args.counter)}), "
-              f"threshold: +{args.threshold:.0%}\n")
-    elif spread_by_bench:
-        print(f"metric: wall_ms.{args.metric}, threshold: "
-              f"max(+{args.threshold:.0%}, {args.variance_margin:g} x "
-              f"per-bench spread from {args.variance})\n")
-    else:
-        print(f"metric: wall_ms.{args.metric}, "
-              f"threshold: +{args.threshold:.0%}\n")
-
-    def wall_threshold(name):
-        # A bench with measured repeat-run wobble gets a proportionally
-        # wider gate; the tight global threshold is the floor.
-        return max(args.threshold,
-                   args.variance_margin * spread_by_bench.get(name, 0.0))
-
-    regressions = []
-    improvements = []
-    skipped = []
-    common = sorted(set(base) & set(cur))
-    if not args.counters_only:
-        for name in common:
-            base_value = metric_value(base[name], args.metric)
-            cur_value = metric_value(cur[name], args.metric)
-            if base_value is None or cur_value is None or base_value <= 0.0:
-                skipped.append(name)
-                continue
-            ratio = cur_value / base_value
-            threshold = wall_threshold(name)
-            if ratio > 1.0 + threshold:
-                regressions.append((name, base_value, cur_value, ratio))
-            elif ratio < 1.0 - threshold:
-                improvements.append((name, base_value, cur_value, ratio))
-
-    def counter_value(entry, counter):
-        value = entry.get("counters", {}).get(counter)
-        return float(value) if isinstance(value, (int, float)) else None
-
+    gated = 0
+    failures = 0
     for counter in args.counter:
-        for name in common:
-            base_value = counter_value(base[name], counter)
-            cur_value = counter_value(cur[name], counter)
-            if base_value is None or cur_value is None or base_value <= 0.0:
+        for name in sorted(base):
+            if counter not in base[name]:
                 continue
+            gated += 1
             label = f"{name}#{counter}"
-            ratio = cur_value / base_value
-            if ratio > 1.0 + args.threshold:
-                regressions.append((label, base_value, cur_value, ratio))
-            elif ratio < 1.0 - args.threshold:
-                improvements.append((label, base_value, cur_value, ratio))
+            base_value = number(args.baseline, name, counter,
+                                base[name][counter])
+            if counter not in cur.get(name, {}):
+                what = "counter" if name in cur else "benchmark"
+                print(f"  {label}: {base_value:g} -> MISSING ({what} gone)")
+                failures += 1
+                continue
+            cur_value = number(args.current, name, counter, cur[name][counter])
+            regressed = cur_value > base_value * (1.0 + args.threshold)
+            failures += regressed
+            print(f"  {label}: {base_value:g} -> {cur_value:g}"
+                  f"{'  REGRESSED' if regressed else ''}")
 
-    def show(rows, label):
-        # Counter rows (name#counter) are unitless; plain rows are ms.
-        print(f"{label} ({len(rows)}):")
-        for name, base_value, cur_value, ratio in rows:
-            unit = "" if "#" in name else " ms"
-            print(f"  {name}: {base_value:.4f}{unit} -> {cur_value:.4f}{unit} "
-                  f"({ratio:.2f}x)")
-
-    show(regressions, "regressions")
-    show(improvements, "improvements")
-    if skipped:
-        print(f"skipped (missing/zero {args.metric}): {len(skipped)}")
-    removed = sorted(set(base) - set(cur))
-    added = sorted(set(cur) - set(base))
-    if removed:
-        print(f"removed benchmarks ({len(removed)}): {', '.join(removed)}")
-    if added:
-        print(f"new benchmarks ({len(added)}): {', '.join(added)}")
-
-    print(f"\n{len(common)} compared, {len(regressions)} regression(s), "
-          f"{len(improvements)} improvement(s)")
-    return 1 if regressions else 0
+    if gated == 0:
+        fail_input(f"no benchmark in {args.baseline} carries any of "
+                   f"{', '.join(args.counter)}")
+    print(f"\n{gated} gated value(s), {failures} failure(s)")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
