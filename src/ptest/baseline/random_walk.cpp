@@ -29,11 +29,10 @@ core::AdaptiveTestResult random_baseline_test(
   core::AdaptiveTestResult result;
   result.merged = random_command_pattern(alphabet, config.n,
                                          config.n * config.s, rng);
-  // Per-slot projections stand in for "patterns" in the state records.
+  // Per-slot projections stand in for "patterns" in the state records;
+  // a slot the random walk never picked gets an empty one.
+  result.patterns = result.merged.project_all();
   result.patterns.resize(config.n);
-  for (pattern::SlotIndex slot = 0; slot < config.n; ++slot) {
-    result.patterns[slot].symbols = result.merged.project(slot);
-  }
   core::TestSession session(config, alphabet, result.merged, result.patterns,
                             setup);
   result.session = session.run();

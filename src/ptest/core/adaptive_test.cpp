@@ -80,17 +80,11 @@ void execute(const CompiledTestPlan& plan, std::uint64_t seed,
 
 AdaptiveTestResult execute(const CompiledTestPlan& plan, std::uint64_t seed,
                            const WorkloadSetup& setup,
-                           pfa::WalkScratch& scratch, SessionRig& rig) {
+                           pfa::WalkScratch& scratch) {
+  SessionRig rig(plan.config, plan.alphabet);
   AdaptiveTestResult result;
   execute(plan, seed, setup, scratch, rig, result);
   return result;
-}
-
-AdaptiveTestResult execute(const CompiledTestPlan& plan, std::uint64_t seed,
-                           const WorkloadSetup& setup,
-                           pfa::WalkScratch& scratch) {
-  SessionRig rig(plan.config, plan.alphabet);
-  return execute(plan, seed, setup, scratch, rig);
 }
 
 AdaptiveTestResult adaptive_test(const PtestConfig& config,

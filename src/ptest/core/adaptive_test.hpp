@@ -46,21 +46,14 @@ struct AdaptiveTestResult {
 /// SessionRig::run for how reports circulate).  Every random stream
 /// derives from `seed`; the plan is shared read-only, so concurrent
 /// calls on the same plan are safe as long as each caller passes its own
-/// scratch, rig and `out`.  This is the one session path; the overloads
-/// below wrap it.
+/// scratch, rig and `out`.  This is the one session path; the overload
+/// below wraps it.
 void execute(const CompiledTestPlan& plan, std::uint64_t seed,
              const WorkloadSetup& setup, pfa::WalkScratch& scratch,
              SessionRig& rig, AdaptiveTestResult& out);
 
-/// execute() into a fresh result on the caller's rig.  A campaign keeps
-/// one rig per (participant, plan).
-[[nodiscard]] AdaptiveTestResult execute(const CompiledTestPlan& plan,
-                                         std::uint64_t seed,
-                                         const WorkloadSetup& setup,
-                                         pfa::WalkScratch& scratch,
-                                         SessionRig& rig);
-
-/// execute() on a freshly built rig.  The result is the same either way.
+/// execute() into a fresh result on a freshly built rig.  The result is
+/// the same as on a kept rig.
 [[nodiscard]] AdaptiveTestResult execute(const CompiledTestPlan& plan,
                                          std::uint64_t seed,
                                          const WorkloadSetup& setup,

@@ -47,7 +47,7 @@ BugReport& BugDetector::file_report(sim::Soc& soc, BugKind kind) {
   kernel_->snapshot_into(report_.kernel);
   report_.state_records.assign(recorder_->records().begin(),
                                recorder_->records().end());
-  soc.trace().tail_into(config_.report_trace_lines, report_.trace_tail);
+  soc.trace().tail_into(kReportTraceLines, report_.trace_tail);
   soc.record(sim::TraceCategory::kDetector,
              sim::bug_code(static_cast<std::uint8_t>(kind)));
   return report_;

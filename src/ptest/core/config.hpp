@@ -25,9 +25,10 @@ struct DetectorConfig {
   /// 0 disables starvation detection (strict-priority kernels starve
   /// low-priority tasks by design under load).
   sim::Tick starvation_horizon = 0;
-  /// Trace lines included in a bug report.
-  std::size_t report_trace_lines = 32;
 };
+
+/// Trace lines included in a bug report.
+inline constexpr std::size_t kReportTraceLines = 32;
 
 /// The paper's Fig. 5 probability distributions (service bigrams), in
 /// DistributionSpec::parse syntax — the canonical copy consumers
@@ -58,9 +59,6 @@ struct PtestConfig {
   bool restart_at_accept = false;
   /// Drop replicated patterns (paper §V future work).
   bool dedup_patterns = false;
-  /// kCyclic chunk break symbols (comma-separated mnemonics).  TS,TR makes
-  /// both suspends and resumes full rotations (see MergerOptions).
-  std::string cyclic_break = "TC,TS,TR";
 
   // --- runtime ---------------------------------------------------------------
   std::uint64_t seed = 0x70746573'74303921ULL;

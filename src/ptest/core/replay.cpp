@@ -7,19 +7,10 @@ SessionResult replay(const BugReport& report, const PtestConfig& config,
                      const WorkloadSetup& setup) {
   PtestConfig replay_config = config;
   replay_config.seed = report.seed;
-  // Reconstruct per-slot patterns from the merged pattern so the state
-  // recorder reports the same Definition-2 tuples.
-  pattern::SlotIndex max_slot = 0;
-  for (const auto& element : report.merged.elements) {
-    max_slot = std::max(max_slot, element.slot);
-  }
-  std::vector<pattern::TestPattern> patterns(
-      report.merged.elements.empty() ? 0 : max_slot + 1);
-  for (pattern::SlotIndex slot = 0; slot < patterns.size(); ++slot) {
-    patterns[slot].symbols = report.merged.project(slot);
-  }
-  TestSession session(replay_config, alphabet, report.merged, patterns,
-                      setup);
+  // Per-slot projections reconstruct the state recorder's inputs, so it
+  // reports the same Definition-2 tuples.
+  TestSession session(replay_config, alphabet, report.merged,
+                      report.merged.project_all(), setup);
   return session.run();
 }
 

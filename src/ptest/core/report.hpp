@@ -44,7 +44,7 @@ struct BugReport {
   pcore::KernelSnapshot kernel;
   /// CP records (Definition 2) by slot, as filed.
   std::vector<std::pair<pattern::SlotIndex, CpRecord>> state_records;
-  /// The last DetectorConfig::report_trace_lines trace events, oldest first.
+  /// The last kReportTraceLines trace events, oldest first.
   std::vector<sim::TraceEvent> trace_tail;
   /// Replay bundle: seed and the exact merged pattern that was driven.
   std::uint64_t seed = 0;

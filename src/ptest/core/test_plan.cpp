@@ -2,7 +2,6 @@
 
 #include "ptest/bridge/protocol.hpp"
 #include "ptest/obs/trace.hpp"
-#include "ptest/support/strings.hpp"
 
 namespace ptest::core {
 
@@ -36,10 +35,11 @@ CompiledTestPlanPtr compile_with_spec(
   plan->generator_options.restart_at_accept = config.restart_at_accept;
 
   plan->merger_options.op = config.op;
-  for (const std::string& name : support::split(config.cyclic_break, ',')) {
-    if (const auto symbol = plan->alphabet.find(support::trim(name))) {
-      plan->merger_options.cyclic_break_symbols.push_back(*symbol);
-    }
+  // kCyclic chunks break at TC, TS and TR, so creates, suspends and
+  // resumes are all full rotations (see MergerOptions).
+  for (const char* name : {"TC", "TS", "TR"}) {
+    plan->merger_options.cyclic_break_symbols.push_back(
+        plan->alphabet.at(name));
   }
   return plan;
 }

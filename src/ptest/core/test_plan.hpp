@@ -44,7 +44,7 @@ struct CompiledTestPlan {
   pfa::Pfa pfa;
   /// Sampling options derived from config (s, complete/restart flags).
   pattern::GeneratorOptions generator_options;
-  /// Merge options with config.cyclic_break resolved to symbol ids.
+  /// Merge options: config.op, cyclic breaks at TC, TS and TR.
   pattern::MergerOptions merger_options;
 };
 

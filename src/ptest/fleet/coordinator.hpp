@@ -64,8 +64,8 @@ struct CoordinatorOptions {
   /// Seed override for the scenario's plan.
   std::optional<std::uint64_t> seed;
   /// Re-issue budget/delay for failed shards; the same policy type the
-  /// committer uses (master::CommitterOptions::retry), with the delay
-  /// measured in coordinator poll iterations.
+  /// master committer runs at its defaults, with the delay measured in
+  /// coordinator poll iterations.
   RetryPolicy retry;
   /// Poll iterations before the coordinator gives up on missing
   /// results (a worker died without reporting).  The in-process fleet

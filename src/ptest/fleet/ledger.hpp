@@ -8,8 +8,7 @@
 // no transport, clock, or payload assumptions: the Committer drives it
 // with sim::Tick and MergedPattern elements against the channel bridge,
 // the fleet::Coordinator with poll counters and shard assignments
-// against a Transport.  Both share RetryPolicy, so a test that tightens
-// retry budgets tunes one knob for the whole stack.
+// against a Transport.  Both budget retries with RetryPolicy.
 //
 // Time is whatever monotone counter the caller supplies ("now" in the
 // retry calls): simulation ticks for the committer, poll iterations for
@@ -26,9 +25,8 @@
 
 namespace ptest::fleet {
 
-/// Retry knobs shared by master::CommitterOptions and
-/// fleet::CoordinatorOptions.  The defaults are the committer's
-/// historical hard-coded values.
+/// Retry knobs.  fleet::CoordinatorOptions carries one; master::Committer
+/// always runs the defaults (16 retries per slot, 32 ticks apart).
 struct RetryPolicy {
   /// Attempts allowed per retry key before the ledger gives up.
   std::uint32_t max_attempts = 16;

@@ -6,6 +6,20 @@
 
 namespace ptest::master {
 
+namespace {
+
+/// TC priority: unique per slot.
+pcore::Priority task_priority(pattern::SlotIndex slot) {
+  return static_cast<pcore::Priority>(10 + slot);
+}
+
+/// TCH payload: the k-th priority change of a slot cycles through 16.
+pcore::Priority chanprio_priority(pattern::SlotIndex slot, std::uint32_t k) {
+  return static_cast<pcore::Priority>(10 + ((slot + k) % 16));
+}
+
+}  // namespace
+
 Committer::Committer(pattern::MergedPattern pattern,
                      const pfa::Alphabet& alphabet, CommitterOptions options,
                      CommitterObserver* observer)
@@ -13,8 +27,7 @@ Committer::Committer(pattern::MergedPattern pattern,
       pattern_(&owned_),
       alphabet_(&alphabet),
       options_(std::move(options)),
-      observer_(observer),
-      retries_(options_.retry) {
+      observer_(observer) {
   reset_slots();
 }
 
@@ -92,7 +105,7 @@ Committer::PostOutcome Committer::post_element(
   command.service = *service;
   switch (*service) {
     case bridge::Service::kTaskCreate:
-      command.priority = options_.priority(element.slot);
+      command.priority = task_priority(element.slot);
       command.program_id = options_.program_id;
       command.arg = options_.program_arg(element.slot);
       break;
@@ -100,7 +113,7 @@ Committer::PostOutcome Committer::post_element(
       const auto task = task_for_slot(element.slot);
       if (!task) return PostOutcome::kSkipped;
       command.task = *task;
-      command.priority = options_.chanprio(
+      command.priority = chanprio_priority(
           element.slot, slots_[element.slot].chanprio_count++);
       break;
     }

@@ -6,7 +6,11 @@
 //   * per-slot ordering is strict — a slot's next service is issued only
 //     after its previous command was acknowledged, preserving the merged
 //     interleaving's intent;
-//   * TC allocates the pCore task and binds the slot; TD/TY retire it;
+//   * TC allocates the pCore task at priority 10 + slot ("each task is
+//     typically forked with a unique priority", §IV-A) and binds the
+//     slot; the k-th TCH of a slot sets 10 + (slot + k) % 16;
+//   * TD/TY retire the slot's task; one rejected because the task was
+//     transiently blocked (bad state) is retried under RetryPolicy{};
 //   * every issue/ack is reported to a CommitterObserver so pTest's state
 //     recorder (Definition 2) and bug detector see the execution history;
 //   * an optional per-command issue delay and noise hook support the
@@ -54,27 +58,9 @@ struct CommitterOptions {
   std::uint32_t program_id = 0;
   std::function<std::uint32_t(pattern::SlotIndex)> program_arg =
       [](pattern::SlotIndex) { return 0u; };
-  /// Unique per-slot base priority ("each task is typically forked with a
-  /// unique priority", §IV-A).
-  std::function<pcore::Priority(pattern::SlotIndex)> priority =
-      [](pattern::SlotIndex slot) {
-        return static_cast<pcore::Priority>(10 + slot);
-      };
-  /// TCH payload: the k-th priority change for a slot.
-  std::function<pcore::Priority(pattern::SlotIndex, std::uint32_t)>
-      chanprio = [](pattern::SlotIndex slot, std::uint32_t k) {
-        return static_cast<pcore::Priority>(10 + ((slot + k) % 16));
-      };
   /// Extra ticks to wait before each issue (noise injection hook; 0 = none).
   std::function<sim::Tick(const pattern::MergedElement&)> issue_delay =
       [](const pattern::MergedElement&) { return sim::Tick{0}; };
-  /// Retry budget and delay for terminal commands (TD/TY) rejected with
-  /// a bad-state error — a task can be transiently blocked on a mutex
-  /// when its retirement command lands; the tool must still clean it
-  /// up.  max_attempts counts retries per slot, delay is in ticks.
-  /// The policy type is shared with fleet::CoordinatorOptions, so tests
-  /// that tighten retry behaviour tune the same knob across the stack.
-  fleet::RetryPolicy retry;
 };
 
 class Committer : public MasterThread {
@@ -146,8 +132,8 @@ class Committer : public MasterThread {
   CommitterObserver* observer_;
 
   std::size_t cursor_ = 0;
-  /// Issue/ack/retry bookkeeping (fleet/ledger.hpp); the retry budget
-  /// is charged per slot, time is the simulation tick.
+  /// Issue/ack/retry bookkeeping (fleet/ledger.hpp); the default retry
+  /// budget is charged per slot, time is the simulation tick.
   fleet::OutstandingTable<IssueRecord> ledger_;
   fleet::RetryQueue<pattern::MergedElement, pattern::SlotIndex> retries_;
   /// One entry per slot up to the pattern's largest, sized once.

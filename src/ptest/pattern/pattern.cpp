@@ -10,6 +10,15 @@ std::vector<pfa::SymbolId> MergedPattern::project(SlotIndex slot) const {
   return out;
 }
 
+std::vector<TestPattern> MergedPattern::project_all() const {
+  std::vector<TestPattern> out;
+  for (const MergedElement& e : elements) {
+    if (e.slot >= out.size()) out.resize(std::size_t{e.slot} + 1);
+    out[e.slot].symbols.push_back(e.symbol);
+  }
+  return out;
+}
+
 std::string MergedPattern::render(const pfa::Alphabet& alphabet) const {
   std::string out;
   for (std::size_t i = 0; i < elements.size(); ++i) {

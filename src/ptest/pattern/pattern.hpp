@@ -45,6 +45,10 @@ struct MergedPattern {
 
   /// Per-slot projection (recovers the original pattern order).
   [[nodiscard]] std::vector<pfa::SymbolId> project(SlotIndex slot) const;
+  /// Every slot's projection as a TestPattern, slots 0 .. the widest one
+  /// named (none when empty): the per-slot patterns a replay hands the
+  /// state recorder in place of the sampled ones.
+  [[nodiscard]] std::vector<TestPattern> project_all() const;
 
   /// "slot:SYM slot:SYM ..." rendering for reports.
   [[nodiscard]] std::string render(const pfa::Alphabet& alphabet) const;

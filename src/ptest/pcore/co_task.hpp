@@ -78,7 +78,7 @@ struct StepEnv {
 
 class TaskEnv;
 
-namespace co_ops {
+namespace task_ops {
 struct Compute {
   std::uint32_t units;
 };
@@ -90,21 +90,21 @@ struct Unlock {
   std::uint32_t mutex;
 };
 struct Env {};
-}  // namespace co_ops
+}  // namespace task_ops
 
 /// Step operations a task body awaits.  Each suspends for one kernel tick.
-[[nodiscard]] inline co_ops::Compute compute(std::uint32_t units = 1) {
+[[nodiscard]] inline task_ops::Compute compute(std::uint32_t units = 1) {
   return {units};
 }
-[[nodiscard]] inline co_ops::Yield yield() { return {}; }
-[[nodiscard]] inline co_ops::Lock lock(std::uint32_t mutex) {
+[[nodiscard]] inline task_ops::Yield yield() { return {}; }
+[[nodiscard]] inline task_ops::Lock lock(std::uint32_t mutex) {
   return {mutex};
 }
-[[nodiscard]] inline co_ops::Unlock unlock(std::uint32_t mutex) {
+[[nodiscard]] inline task_ops::Unlock unlock(std::uint32_t mutex) {
   return {mutex};
 }
 /// Non-suspending: yields the TaskEnv handle for shared-state access.
-[[nodiscard]] inline co_ops::Env env() { return {}; }
+[[nodiscard]] inline task_ops::Env env() { return {}; }
 
 class CoTask {
  public:
@@ -140,19 +140,19 @@ class CoTask {
       [[nodiscard]] TaskEnv await_resume() const noexcept;
     };
 
-    StepAwaiter await_transform(co_ops::Compute op) noexcept {
+    StepAwaiter await_transform(task_ops::Compute op) noexcept {
       pending = StepResult::compute(op.units);
       return {};
     }
-    StepAwaiter await_transform(co_ops::Yield) noexcept {
+    StepAwaiter await_transform(task_ops::Yield) noexcept {
       pending = StepResult::yield();
       return {};
     }
-    StepAwaiter await_transform(co_ops::Lock op) noexcept {
+    StepAwaiter await_transform(task_ops::Lock op) noexcept {
       pending = StepResult::lock(op.mutex);
       return {};
     }
-    StepAwaiter await_transform(co_ops::Unlock op) noexcept {
+    StepAwaiter await_transform(task_ops::Unlock op) noexcept {
       pending = StepResult::unlock(op.mutex);
       return {};
     }
@@ -161,7 +161,7 @@ class CoTask {
       pending = step;
       return {};
     }
-    EnvAwaiter await_transform(co_ops::Env) noexcept { return {this}; }
+    EnvAwaiter await_transform(task_ops::Env) noexcept { return {this}; }
     /// Anything else awaited in a task body is a bug, not a kernel step.
     template <typename T>
     void await_transform(T&&) = delete;

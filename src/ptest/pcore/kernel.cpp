@@ -37,8 +37,8 @@ const char* to_string(Status status) noexcept {
 
 PcoreKernel::PcoreKernel(const KernelConfig& config)
     : config_(config),
-      heap_(config.heap_capacity, config.fault_plan),
-      shared_(config.shared_words, 0),
+      heap_(KernelHeap::kDefaultCapacity, config.fault_plan),
+      shared_(kSharedWords, 0),
       noise_rng_(config.noise_seed) {}
 
 void PcoreKernel::reset() {
@@ -169,7 +169,7 @@ Status PcoreKernel::task_create(std::uint32_t program_id, std::uint32_t arg,
     return Status::kErrPanicked;
   }
   if (!tcb_block) return Status::kErrNoMemory;
-  const auto stack_block = heap_.alloc(config_.stack_bytes);
+  const auto stack_block = heap_.alloc(kStackBytes);
   if (heap_.panicked()) {
     panic_heap("task_create: ");
     return Status::kErrPanicked;
@@ -297,9 +297,8 @@ void PcoreKernel::release_mutex(MutexId id) {
 
 void PcoreKernel::maybe_collect(sim::Soc& soc) {
   const bool graveyard_full =
-      heap_.graveyard_blocks() >= config_.gc_graveyard_threshold;
-  const bool periodic = config_.gc_period != 0 &&
-                        tick_ - last_gc_ >= config_.gc_period;
+      heap_.graveyard_blocks() >= kGcGraveyardThreshold;
+  const bool periodic = tick_ - last_gc_ >= kGcPeriod;
   if (!graveyard_full && !periodic) return;
   last_gc_ = tick_;
   heap_.collect();

@@ -49,15 +49,15 @@ enum class Status : std::uint8_t {
 
 [[nodiscard]] const char* to_string(Status status) noexcept;
 
+/// Shared user words a kernel keeps (the Fig. 1 flags, workload state).
+inline constexpr std::size_t kSharedWords = 16;
+/// The kernel collects its heap when the graveyard holds at least this
+/// many blocks, and at least every kGcPeriod ticks.
+inline constexpr std::size_t kGcGraveyardThreshold = 8;
+inline constexpr sim::Tick kGcPeriod = 256;
+
 struct KernelConfig {
-  std::size_t heap_capacity = KernelHeap::kDefaultCapacity;
   HeapFaultPlan fault_plan{};
-  std::size_t stack_bytes = kDefaultStackBytes;
-  /// Collect when the graveyard holds at least this many blocks.
-  std::size_t gc_graveyard_threshold = 8;
-  /// Also collect every this many ticks (0 = never periodic).
-  sim::Tick gc_period = 256;
-  std::size_t shared_words = 16;
   /// Treat a nonzero program exit code as an assertion failure and panic.
   /// Seeded-bug workloads use this so in-program race detection surfaces
   /// as a slave crash the bug detector classifies.

@@ -19,7 +19,7 @@ namespace ptest::pcore {
 using TaskId = std::uint8_t;
 inline constexpr TaskId kInvalidTask = 0xff;
 inline constexpr std::size_t kMaxTasks = 16;
-inline constexpr std::size_t kDefaultStackBytes = 512;
+inline constexpr std::size_t kStackBytes = 512;
 inline constexpr std::size_t kTcbBytes = 64;
 
 using Priority = std::uint8_t;  // higher value runs first

@@ -1,6 +1,5 @@
 #include "ptest/scenario/golden.hpp"
 
-#include <algorithm>
 #include <string>
 
 #include "ptest/core/session.hpp"
@@ -71,21 +70,11 @@ TracedRun replay_traced(const core::BugReport& report,
   config.seed = report.seed;
   // Per-slot projections reconstruct the state recorder's inputs, exactly
   // like core::replay().
-  pattern::SlotIndex max_slot = 0;
-  for (const pattern::MergedElement& element : report.merged.elements) {
-    max_slot = std::max(max_slot, element.slot);
-  }
-  std::vector<pattern::TestPattern> patterns(
-      report.merged.elements.empty() ? 0 : max_slot + 1);
-  for (pattern::SlotIndex slot = 0; slot < patterns.size(); ++slot) {
-    patterns[slot].symbols = report.merged.project(slot);
-  }
-
   TracedRun traced;
   traced.result.merged = report.merged;
-  traced.result.patterns = patterns;
-  core::TestSession session(config, plan.alphabet, report.merged, patterns,
-                            setup);
+  traced.result.patterns = report.merged.project_all();
+  core::TestSession session(config, plan.alphabet, report.merged,
+                            traced.result.patterns, setup);
   traced.result.session = session.run();
   traced.trace_hash = trace_fingerprint(
       traced.result.session, traced.result.merged, session.soc().trace());

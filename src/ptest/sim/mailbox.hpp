@@ -27,6 +27,9 @@ enum class CoreId : std::uint8_t { kArm = 0, kDsp = 1 };
   return core == CoreId::kArm ? "ARM" : "DSP";
 }
 
+/// Ticks from post until a word is visible to the receiver.
+inline constexpr Tick kMailboxLatency = 2;
+
 class Mailbox {
  public:
   /// The OMAP5912 FIFO depth, and the deepest a Mailbox can be.
@@ -34,7 +37,7 @@ class Mailbox {
 
   /// Throws std::invalid_argument unless 1 <= depth <= kMaxDepth.
   Mailbox(CoreId sender, CoreId receiver, std::size_t depth = kMaxDepth,
-          Tick delivery_latency = 2);
+          Tick delivery_latency = kMailboxLatency);
 
   [[nodiscard]] CoreId sender() const noexcept { return sender_; }
   [[nodiscard]] CoreId receiver() const noexcept { return receiver_; }
@@ -98,7 +101,7 @@ class MailboxBank {
  public:
   static constexpr std::size_t kCount = 4;
 
-  explicit MailboxBank(Tick delivery_latency = 2);
+  explicit MailboxBank(Tick delivery_latency = kMailboxLatency);
 
   /// Throws std::out_of_range for an index >= kCount.
   [[nodiscard]] Mailbox& box(std::size_t index) {

@@ -2,10 +2,7 @@
 
 namespace ptest::sim {
 
-Soc::Soc(const SocConfig& config)
-    : sram_(config.sram_size),
-      mailboxes_(config.mailbox_latency),
-      trace_(config.trace_capacity) {
+Soc::Soc() {
   // A session attaches four devices: master, committee, kernel, detector.
   devices_.reserve(4);
 }

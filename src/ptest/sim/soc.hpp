@@ -36,15 +36,10 @@ class Device {
   virtual bool tick(Soc& soc) = 0;
 };
 
-struct SocConfig {
-  std::size_t sram_size = SharedSram::kDefaultSize;
-  Tick mailbox_latency = 2;
-  std::size_t trace_capacity = 4096;
-};
-
 class Soc {
  public:
-  explicit Soc(const SocConfig& config = {});
+  /// Default-sized SRAM, kMailboxLatency mailboxes, a 4096-event trace.
+  Soc();
 
   [[nodiscard]] VirtualClock& clock() noexcept { return clock_; }
   [[nodiscard]] const VirtualClock& clock() const noexcept { return clock_; }

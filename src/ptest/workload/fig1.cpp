@@ -1,6 +1,5 @@
 #include "ptest/workload/fig1.hpp"
 
-#include "ptest/master/co_thread.hpp"
 #include "ptest/pcore/co_task.hpp"
 
 namespace ptest::workload {
@@ -22,21 +21,38 @@ pcore::CoTask spin_body(std::size_t mine, std::size_t other) {
 }
 
 /// M1 / M2: wait `delay`, then remote_cmd(Resume, task), then end.
-master::CoThread resume_body(pcore::TaskId task, sim::Tick delay) {
-  master::MasterEnv env = co_await master::env();
-  while (env.now() < delay) co_await master::wait();
-  bridge::Command command;
-  command.seq = static_cast<std::uint32_t>(task) + 1;
-  command.service = bridge::Service::kTaskResume;
-  command.task = task;
-  while (!env.channel().post_command(env.soc(), command)) {
-    co_await master::wait();
+/// Reports kWaiting until the post lands, kContinue on the step that
+/// posts, then takes the ack (so the response ring never backs up) and
+/// reports kDone.
+class ResumeThread final : public master::MasterThread {
+ public:
+  ResumeThread(pcore::TaskId task, sim::Tick delay)
+      : task_(task), delay_(delay) {}
+
+  [[nodiscard]] std::string name() const override { return "fig1-resume"; }
+
+  master::ThreadStep step(master::MasterContext& ctx) override {
+    if (posted_) {
+      (void)ctx.channel().take_response(ctx.soc());
+      return master::ThreadStep::kDone;
+    }
+    if (ctx.now() < delay_) return master::ThreadStep::kWaiting;
+    bridge::Command command;
+    command.seq = static_cast<std::uint32_t>(task_) + 1;
+    command.service = bridge::Service::kTaskResume;
+    command.task = task_;
+    if (!ctx.channel().post_command(ctx.soc(), command)) {
+      return master::ThreadStep::kWaiting;
+    }
+    posted_ = true;
+    return master::ThreadStep::kContinue;
   }
-  co_await master::proceed();
-  // Drain the ack so the response ring never backs up.
-  (void)env.channel().take_response(env.soc());
-  co_return;
-}
+
+ private:
+  pcore::TaskId task_;
+  sim::Tick delay_;
+  bool posted_ = false;
+};
 
 }  // namespace
 
@@ -69,10 +85,8 @@ Fig1Result run_fig1(const Fig1Options& options) {
   bridge::Channel channel(soc);
   bridge::Committee committee(channel, kernel);
   master::MasterScheduler master(channel, options.master_quantum);
-  master.add(
-      master::make_co_thread("fig1-resume", resume_body(s1, options.m1_delay)));
-  master.add(
-      master::make_co_thread("fig1-resume", resume_body(s2, options.m2_delay)));
+  master.add(std::make_unique<ResumeThread>(s1, options.m1_delay));
+  master.add(std::make_unique<ResumeThread>(s2, options.m2_delay));
 
   soc.attach(master);
   soc.attach(committee);

@@ -213,7 +213,7 @@ TEST_F(CommitteeFixture, CommandExecutesExactlyOneLatencyAfterPost) {
   command.priority = 5;
   command.program_id = 1;
   ASSERT_TRUE(channel_.post_command(soc_, command));
-  const sim::Tick latency = sim::SocConfig{}.mailbox_latency;
+  const sim::Tick latency = sim::kMailboxLatency;
   while (soc_.now() < posted_at + latency) {
     EXPECT_FALSE(channel_.command_ready(soc_));
     (void)soc_.step();

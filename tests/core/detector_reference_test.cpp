@@ -113,7 +113,7 @@ void ReferenceDetector::file_report(sim::Soc& soc, BugKind kind,
   report.kernel = kernel_->snapshot();
   report.state_records.assign(recorder_->records().begin(),
                               recorder_->records().end());
-  report.trace_tail = soc.trace().tail(config_.report_trace_lines);
+  report.trace_tail = soc.trace().tail(kReportTraceLines);
   report_ = std::move(report);
   soc.record(sim::TraceCategory::kDetector,
              sim::bug_code(static_cast<std::uint8_t>(kind)));

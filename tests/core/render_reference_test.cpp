@@ -242,7 +242,7 @@ void check_session(const CompiledTestPlan& plan, std::uint64_t seed,
     for (const sim::TraceEvent& e : events) e.append_line(lines);
     return lines;
   }(), reference_render(events));
-  const std::size_t lines = config.detector.report_trace_lines;
+  const std::size_t lines = kReportTraceLines;
   for (const std::size_t count :
        {std::size_t{0}, std::size_t{1}, lines, trace.size(),
         trace.size() + 7}) {

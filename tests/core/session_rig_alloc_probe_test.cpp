@@ -63,8 +63,9 @@ Probe probe(const PtestConfig& config, const WorkloadSetup& setup) {
   pfa::WalkScratch scratch;
   SessionRig rig(plan->config, plan->alphabet);
   for (std::size_t run = 0; run < kWarmup; ++run) {
-    (void)execute(*plan, support::derive_seed(config.seed, run), setup,
-                  scratch, rig);
+    AdaptiveTestResult warm;
+    execute(*plan, support::derive_seed(config.seed, run), setup, scratch,
+            rig, warm);
   }
   Probe totals;
   for (std::size_t run = kWarmup; run < kWarmup + kMeasured; ++run) {
@@ -214,7 +215,8 @@ TEST(SessionRigAllocProbe, WarmSocResetThenIdleTicksAllocateNothing) {
   const CompiledTestPlanPtr plan = compile(entry->config);
   pfa::WalkScratch scratch;
   SessionRig rig(plan->config, plan->alphabet);
-  (void)execute(*plan, entry->config.seed, entry->setup, scratch, rig);
+  AdaptiveTestResult warm;
+  execute(*plan, entry->config.seed, entry->setup, scratch, rig, warm);
 
   // With an empty pattern every device idles: the committer finishes at
   // once, nothing is created on the slave, and the kernel's periodic

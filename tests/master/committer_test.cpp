@@ -15,11 +15,19 @@ class RecordingObserver final : public CommitterObserver {
   void on_issue(const IssueRecord& record) override {
     issues.push_back(record);
   }
-  void on_ack(const AckRecord& record) override { acks.push_back(record); }
+  void on_ack(const AckRecord& record) override {
+    acks.push_back(record);
+    if (kernel != nullptr) {
+      priorities.push_back(kernel->tcb(record.task).priority);
+    }
+  }
   void on_pattern_complete(sim::Tick tick) override { completed_at = tick; }
 
+  /// When set, each ack also records its task's priority at that moment.
+  const pcore::PcoreKernel* kernel = nullptr;
   std::vector<IssueRecord> issues;
   std::vector<AckRecord> acks;
+  std::vector<pcore::Priority> priorities;
   std::optional<sim::Tick> completed_at;
 };
 
@@ -120,6 +128,43 @@ TEST_F(CommitterFixture, ChanprioUsesCyclingPriorities) {
   run(pattern_of({{0, "TC"}, {0, "TCH"}, {0, "TCH"}, {0, "TD"}}));
   EXPECT_TRUE(committer_->finished());
   EXPECT_EQ(committer_->failed(), 0u);
+}
+
+TEST_F(CommitterFixture, PrioritiesFollowTheSlotSchedule) {
+  // TC of slot s creates its task at 10 + s; the k-th TCH of slot s
+  // (k from 0) sets 10 + (s + k) % 16.  Each priority is read from the
+  // kernel's TCB when the ack arrives, before the slot's next command.
+  constexpr pattern::SlotIndex kSlots = 16;
+  constexpr std::uint32_t kChanprios = 18;  // past one 16-step cycle
+  pattern::MergedPattern merged;
+  for (pattern::SlotIndex slot = 0; slot < kSlots; ++slot) {
+    merged.elements.push_back({slot, alphabet_.at("TC")});
+  }
+  for (std::uint32_t k = 0; k < kChanprios; ++k) {
+    for (pattern::SlotIndex slot = 0; slot < kSlots; ++slot) {
+      merged.elements.push_back({slot, alphabet_.at("TCH")});
+    }
+  }
+  observer_.kernel = &kernel_;
+  run(std::move(merged), 100000);
+  ASSERT_TRUE(committer_->finished());
+  EXPECT_EQ(committer_->failed(), 0u);
+  ASSERT_EQ(observer_.acks.size(), kSlots * (1 + kChanprios));
+  ASSERT_EQ(observer_.priorities.size(), observer_.acks.size());
+  std::vector<std::uint32_t> chanprios(kSlots, 0);
+  for (std::size_t i = 0; i < observer_.acks.size(); ++i) {
+    const IssueRecord& issue = observer_.acks[i].issue;
+    const pattern::SlotIndex slot = issue.slot;
+    if (issue.service == bridge::Service::kTaskCreate) {
+      EXPECT_EQ(observer_.priorities[i], 10 + slot) << "TC slot " << slot;
+    } else {
+      ASSERT_EQ(issue.service, bridge::Service::kTaskChanprio);
+      const std::uint32_t k = chanprios[slot]++;
+      EXPECT_EQ(observer_.priorities[i], 10 + (slot + k) % 16)
+          << "TCH " << k << " slot " << slot;
+    }
+  }
+  for (const std::uint32_t count : chanprios) EXPECT_EQ(count, kChanprios);
 }
 
 TEST_F(CommitterFixture, FailedCommandCountedNotFatal) {

@@ -134,15 +134,14 @@ TEST(SocAllocProbe, FirstWriteCommitsEveryReservedRegion) {
 }
 
 TEST(SocAllocProbe, HotTraceEventsAllocateNothing) {
-  SocConfig config;
-  config.trace_capacity = 64;
-  Soc soc(config);
+  constexpr std::uint32_t kCapacity = 4096;  // the Soc's trace ring
+  Soc soc;
   // Fill the ring past its capacity so every later record reuses a slot,
   // including ones a free-text event left holding text.
-  for (std::uint32_t i = 0; i < 2 * config.trace_capacity; ++i) {
+  for (std::uint32_t i = 0; i < 2 * kCapacity; ++i) {
     soc.record(TraceCategory::kMaster, TraceCode::kThreadDone, "committer");
   }
-  ASSERT_EQ(soc.trace().size(), config.trace_capacity);
+  ASSERT_EQ(soc.trace().size(), kCapacity);
   const std::uint64_t before = g_bytes.load(std::memory_order_relaxed);
   for (std::uint32_t i = 0; i < 10'000; ++i) {
     switch (i % 3) {
@@ -162,7 +161,7 @@ TEST(SocAllocProbe, HotTraceEventsAllocateNothing) {
   }
   const std::uint64_t after = g_bytes.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u);
-  EXPECT_EQ(soc.trace().total_recorded(), 2 * config.trace_capacity + 10'000);
+  EXPECT_EQ(soc.trace().total_recorded(), 2 * kCapacity + 10'000);
   EXPECT_EQ(soc.trace().tail(1).at(0).message(), "cmd seq=9999 TR task=15");
 }
 

@@ -58,12 +58,5 @@ TEST(SocTest, RecordGoesToTraceWithCurrentTick) {
   EXPECT_EQ(tail[0].message(), "thread 'hello' done");
 }
 
-TEST(SocTest, ConfigControlsSramSize) {
-  SocConfig config;
-  config.sram_size = 1024;
-  Soc soc(config);
-  EXPECT_EQ(soc.sram().size(), 1024u);
-}
-
 }  // namespace
 }  // namespace ptest::sim

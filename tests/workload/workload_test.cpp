@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ptest/support/fnv.hpp"
 #include "ptest/workload/fig1.hpp"
 #include "ptest/workload/philosophers.hpp"
 #include "ptest/workload/quicksort.hpp"
@@ -138,6 +139,33 @@ TEST(Fig1Test, SweepFindsBothOutcomes) {
   }
   EXPECT_GT(livelocks, 0);
   EXPECT_GT(completions, 0);
+}
+
+TEST(Fig1Test, DelaySweepIsPinnedCellByCell) {
+  // Every (m1_delay, m2_delay) in 0..10 x 0..10 at master quanta 1 and 4,
+  // each cell's whole Fig1Result folded into one FNV-1a digest, so any
+  // change to when M1/M2 post, poll or finish shows up here.
+  std::uint64_t digest = support::kFnvOffset;
+  int livelocks = 0;
+  for (const sim::Tick quantum : {sim::Tick{1}, sim::Tick{4}}) {
+    for (sim::Tick m1 = 0; m1 <= 10; ++m1) {
+      for (sim::Tick m2 = 0; m2 <= 10; ++m2) {
+        Fig1Options options;
+        options.m1_delay = m1;
+        options.m2_delay = m2;
+        options.master_quantum = quantum;
+        const Fig1Result result = run_fig1(options);
+        digest = support::fnv1a_word(digest, result.livelocked, 1);
+        digest = support::fnv1a_word(digest, result.completed, 1);
+        digest = support::fnv1a_word(digest, result.ticks, 8);
+        digest = support::fnv1a_word(digest, result.s1_steps, 8);
+        digest = support::fnv1a_word(digest, result.s2_steps, 8);
+        livelocks += result.livelocked;
+      }
+    }
+  }
+  EXPECT_EQ(livelocks, 20);
+  EXPECT_EQ(digest, 0x227825798f8e0adcULL);
 }
 
 TEST(SeededBugsTest, LostUpdateManifestsUnderInterleaving) {
