@@ -175,6 +175,7 @@ RunSummary run_benchmarks(const Registry& registry, const Options& options) {
         continue;
       }
       report.fn();
+      ++summary.reports_run;
     }
   }
 
@@ -256,7 +257,7 @@ void write_json(const RunSummary& summary, std::ostream& out) {
 void print_summary(const RunSummary& summary) {
   if (summary.results.empty()) {
     // A report-only suite (bench_parallel_campaign) has nothing to list.
-    if (!summary.options.filter.empty()) {
+    if (!summary.options.filter.empty() && summary.reports_run == 0) {
       std::printf("no benchmarks matched filter '%s'\n",
                   summary.options.filter.c_str());
     }

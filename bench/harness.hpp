@@ -209,6 +209,8 @@ struct BenchmarkResult {
 struct RunSummary {
   Options options;
   std::vector<BenchmarkResult> results;
+  /// Reports that matched the filter and ran.
+  std::size_t reports_run = 0;
 };
 
 /// Runs every registered benchmark matching options.filter (reports

@@ -1,6 +1,7 @@
 #include "ptest/core/bug_detector.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "ptest/support/strings.hpp"
 
@@ -51,6 +52,32 @@ BugReport& BugDetector::file_report(sim::Soc& soc, BugKind kind) {
   soc.record(sim::TraceCategory::kDetector,
              sim::bug_code(static_cast<std::uint8_t>(kind)));
   return report_;
+}
+
+sim::Tick BugDetector::quiet_deadline(sim::Tick now) const noexcept {
+  if (!committer_finished_at_ || !committer_->outstanding().empty()) {
+    return now + 1;
+  }
+  // The first tick on which `since` is more than `horizon` ticks ago;
+  // saturates rather than wrapping past the last tick.
+  const auto first_past = [](sim::Tick since, sim::Tick horizon) {
+    constexpr sim::Tick kNever = std::numeric_limits<sim::Tick>::max();
+    return horizon >= kNever - since ? kNever : since + horizon + 1;
+  };
+  sim::Tick deadline =
+      first_past(*committer_finished_at_, config_.termination_horizon);
+  if (config_.starvation_horizon != 0) {
+    // Only a task ready on that tick can starve.  With no unblock (the
+    // epoch moves) and no resume or create (no command arrives), such a
+    // task is runnable now, and its last_progress only grows.  The running
+    // task is included: a preemption could leave it ready.
+    for (pcore::SlotMask m = kernel_->runnable_mask(); m != 0; m &= m - 1) {
+      const pcore::Tcb& task = kernel_->tcb(pcore::lowest_slot(m));
+      deadline = std::min(
+          deadline, first_past(task.last_progress, config_.starvation_horizon));
+    }
+  }
+  return std::max(deadline, now + 1);
 }
 
 bool BugDetector::tick(sim::Soc& soc) {

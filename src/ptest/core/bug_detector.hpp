@@ -2,15 +2,18 @@
 // it detects the potential system failures and then it terminates the test
 // activity that results in these failures" (§II-B).
 //
-// Implemented as a sim::Device stepped after the master and slave stacks
-// each tick.  In the paper it runs as a separate process on the master;
-// here the deterministic tick loop gives it the same observational power
-// (kernel state via the debug port, committer protocol state, CP records)
-// without racing the system under test.  The per-tick checks read the
-// kernel's TCBs in place (the starvation check only the runnable slots of
-// runnable_mask()); the wait-for graph is rescanned only when the
-// kernel's wait_graph_epoch() moved, and a full KernelSnapshot is taken
-// once, when a report is filed.
+// Implemented as a sim::Device stepped after the master and slave stacks.
+// In the paper it runs as a separate process on the master; here the
+// deterministic tick loop gives it the same observational power (kernel
+// state via the debug port, committer protocol state, CP records) without
+// racing the system under test.  While commands flow it ticks every tick.
+// Once the committer is done (the session rig's quiet phase) it ticks
+// only on a kernel event or at quiet_deadline(), the first tick a
+// time-based check could fire; between those no check can.  Its checks
+// read the kernel's TCBs in place (the starvation check only the runnable
+// slots of runnable_mask()); the wait-for graph is rescanned only when
+// the kernel's wait_graph_epoch() moved, and a full KernelSnapshot is
+// taken once, when a report is filed.
 //
 // Detections:
 //   * slave crash      — kernel panic flag (case study 1's GC failure);
@@ -70,6 +73,13 @@ class BugDetector final : public sim::Device {
 
   /// True once the committer finished and every task exited cleanly.
   [[nodiscard]] bool passed() const noexcept { return passed_; }
+
+  /// After a tick at `now` that filed nothing: the earliest later tick on
+  /// which the termination or starvation check could fire, provided the
+  /// kernel neither panics nor changes its live count or wait-graph epoch
+  /// and no command arrives in between.  `now + 1` while the committer is
+  /// not yet seen finished or has commands outstanding.
+  [[nodiscard]] sim::Tick quiet_deadline(sim::Tick now) const noexcept;
 
   /// Finds a wait-for cycle among blocked tasks; exposed for unit tests.
   [[nodiscard]] static std::vector<pcore::TaskId> find_deadlock_cycle(

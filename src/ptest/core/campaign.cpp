@@ -82,6 +82,7 @@ void add_session(support::MetricsSnapshot& metrics,
   }
   metrics.ticks += ticks;
   metrics.quiet_ticks += session.session.stats.quiet_ticks;
+  metrics.quiet_checks += session.session.stats.quiet_checks;
   metrics.ticks_hist.record(ticks);
   metrics.scratch_reuse_hits += session.scratch_reuse_hits;
   metrics.sample_alloc_bytes_saved += session.sample_alloc_bytes_saved;

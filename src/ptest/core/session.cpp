@@ -1,5 +1,6 @@
 #include "ptest/core/session.hpp"
 
+#include <algorithm>
 #include <memory>
 
 namespace ptest::core {
@@ -105,14 +106,36 @@ void SessionRig::tick_loop(SessionStats& stats) {
     soc_.clock().advance();
   }
   const sim::Tick active = executed;
+  // The quiet loop.  The master and the committee are retired, so no
+  // command arrives and the committer's outstanding set stays empty: the
+  // unresponsive check cannot fire, the termination deadline is fixed,
+  // and the kernel's runnable set changes only on a panic, a live-count
+  // change (exit) or a wait-graph epoch change (block, unblock).  Between
+  // such events the detector's checks are all quiet: the crash check
+  // waits for a panic, the deadlock scan for an epoch change, the pass
+  // for the live count to reach 0, and the termination and starvation
+  // checks for quiet_deadline().  A detector tick that fires nothing
+  // changes no detector state there (its finished-at tick is already
+  // set, its scanned epoch current), so skipping it is exact.  The loop
+  // therefore runs the kernel alone up to the next event, the deadline or
+  // the last tick max_ticks allows, and ticks the detector on that tick:
+  // every report is filed on the tick, and with the contents, that
+  // per-tick detection would give.  The first quiet tick is always
+  // checked.  Kernel ticks always return true; the detector decides.
+  sim::Tick wake = soc_.now();
+  sim::Tick checks = 0;
   while (keep_running && executed < max_ticks_) {
-    ++executed;
-    keep_running = kernel_.tick(soc_);
-    if (!detector_.tick(soc_)) keep_running = false;
+    const sim::Tick last =
+        std::min(wake, soc_.now() + (max_ticks_ - executed) - 1);
+    executed += kernel_.run_quiet(soc_, last);
+    keep_running = detector_.tick(soc_);
+    ++checks;
+    wake = detector_.quiet_deadline(soc_.now());
     soc_.clock().advance();
   }
   stats.ticks = executed;
   stats.quiet_ticks = executed - active;
+  stats.quiet_checks = checks;
 }
 
 void SessionRig::run(SessionResult& out) {

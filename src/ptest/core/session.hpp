@@ -14,9 +14,14 @@
 // were attached to.  Soc::run stays the generic loop for stacks wired by
 // hand.  Once the master can post nothing more (every master thread done)
 // and the committee is idle, neither can act again, so the rig's loop
-// enters a quiet phase that ticks only the kernel and the detector —
-// every tick still runs, the clock does not jump.  Hang sessions spend
-// almost all their ticks there.
+// enters a quiet phase that retires them.  There the kernel runs alone
+// (PcoreKernel::run_quiet) and the detector ticks only on a tick where a
+// check could fire: a kernel event (a panic, a live-count or wait-graph
+// epoch change), the detector's next deadline (BugDetector::
+// quiet_deadline) or the tick-limit cut.  Every kernel tick still runs,
+// the clock does not jump, and every report lands on the tick per-tick
+// detection would file it.  Hang sessions spend almost all their ticks
+// in this phase.
 //
 // SessionRig owns that stack and is the one place it is wired.  A
 // campaign runs thousands of short sessions against one plan, so it
@@ -59,9 +64,12 @@ enum class Outcome : std::uint8_t {
 
 struct SessionStats {
   sim::Tick ticks = 0;
-  /// Of `ticks`, those run in the quiet phase (only the kernel and the
-  /// detector ticked).
+  /// Of `ticks`, those run in the quiet phase (master and committee
+  /// retired).
   sim::Tick quiet_ticks = 0;
+  /// Of `quiet_ticks`, those on which the detector ran: the first, each
+  /// kernel event, each detector deadline and a tick-limit cut.
+  sim::Tick quiet_checks = 0;
   std::size_t commands_issued = 0;
   std::size_t commands_acked = 0;
   std::size_t commands_failed = 0;
@@ -131,8 +139,8 @@ class SessionRig {
   /// master_ and returns it.
   master::Committer& add_committer(const PtestConfig& config,
                                    const pfa::Alphabet& alphabet);
-  /// Runs the loaded session's ticks; writes stats.ticks and
-  /// stats.quiet_ticks.
+  /// Runs the loaded session's ticks; writes stats.ticks,
+  /// stats.quiet_ticks and stats.quiet_checks.
   void tick_loop(SessionStats& stats);
 
   std::uint64_t seed_ = 0;

@@ -54,7 +54,9 @@ namespace ptest::fleet {
 /// key set, and the strict decoder needs a version bump for it.  v5
 /// ships failures' CP records and trace tails as numbers instead of
 /// rendered text, plus the kernel fields the report rendering reads.
-inline constexpr std::uint64_t kWireVersion = 5;
+/// v6 adds the quiet-phase rows (quiet_ticks, quiet_checks) to the
+/// metrics block.
+inline constexpr std::uint64_t kWireVersion = 6;
 
 enum class FrameKind : std::uint8_t {
   kAssign,

@@ -409,6 +409,21 @@ bool PcoreKernel::tick(sim::Soc& soc) {
   return true;
 }
 
+sim::Tick PcoreKernel::run_quiet(sim::Soc& soc, sim::Tick last) {
+  const std::size_t live = live_count_;
+  const std::uint64_t epoch = wait_graph_epoch_;
+  sim::Tick ran = 0;
+  for (;;) {
+    tick(soc);
+    ++ran;
+    if (panicked_ || live_count_ != live || wait_graph_epoch_ != epoch ||
+        soc.now() >= last) {
+      return ran;
+    }
+    soc.clock().advance();
+  }
+}
+
 // --- inspection --------------------------------------------------------------------
 
 void PcoreKernel::snapshot_into(KernelSnapshot& out) const {

@@ -145,6 +145,13 @@ class PcoreKernel final : public sim::Device {
 
   // --- execution ------------------------------------------------------------
   bool tick(sim::Soc& soc) override;
+  /// Ticks the kernel alone from the clock's current tick, advancing the
+  /// clock between ticks, and returns the ticks run (at least one).  It
+  /// stops, without advancing, after the first tick on which the kernel
+  /// is panicked, live_task_count() or wait_graph_epoch() changed, or the
+  /// tick reached `last`.  For a phase in which no service call can
+  /// arrive: then the runnable set changes only with one of those.
+  sim::Tick run_quiet(sim::Soc& soc, sim::Tick last);
 
   // --- inspection ------------------------------------------------------------
   /// Fills `out` with the current state, reusing its buffers: its task

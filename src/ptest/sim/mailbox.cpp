@@ -21,15 +21,11 @@ bool Mailbox::post(Tick now, std::uint32_t word) {
   return true;
 }
 
-MailboxBank::MailboxBank(Tick delivery_latency)
-    : boxes_{Mailbox(CoreId::kArm, CoreId::kDsp, Mailbox::kMaxDepth,
-                     delivery_latency),
-             Mailbox(CoreId::kArm, CoreId::kDsp, Mailbox::kMaxDepth,
-                     delivery_latency),
-             Mailbox(CoreId::kDsp, CoreId::kArm, Mailbox::kMaxDepth,
-                     delivery_latency),
-             Mailbox(CoreId::kDsp, CoreId::kArm, Mailbox::kMaxDepth,
-                     delivery_latency)} {}
+MailboxBank::MailboxBank()
+    : boxes_{Mailbox(CoreId::kArm, CoreId::kDsp),
+             Mailbox(CoreId::kArm, CoreId::kDsp),
+             Mailbox(CoreId::kDsp, CoreId::kArm),
+             Mailbox(CoreId::kDsp, CoreId::kArm)} {}
 
 bool MailboxBank::interrupt_pending(CoreId core, Tick now) const {
   for (const Mailbox& box : boxes_) {

@@ -101,7 +101,8 @@ class MailboxBank {
  public:
   static constexpr std::size_t kCount = 4;
 
-  explicit MailboxBank(Tick delivery_latency = kMailboxLatency);
+  /// Every box delivers after kMailboxLatency ticks.
+  MailboxBank();
 
   /// Throws std::out_of_range for an index >= kCount.
   [[nodiscard]] Mailbox& box(std::size_t index) {

@@ -47,6 +47,7 @@ struct MetricsSnapshot {
   std::uint64_t dedup_rejected = 0;      ///< patterns rejected as replicas
   std::uint64_t ticks = 0;               ///< kernel ticks simulated (interleaving steps)
   std::uint64_t quiet_ticks = 0;         ///< of those, ticked with master and committee retired
+  std::uint64_t quiet_checks = 0;        ///< of those, ticks the bug detector ran on
   /// Sampling scratch reuse.  WalkScratch accounts reuse against
   /// per-session high-water marks, so the totals are a pure function of
   /// seed/config even though the physical buffer reuse is scheduled.
@@ -188,6 +189,8 @@ inline constexpr CounterField kCounterFields[] = {
      MetricMerge::kSum},
     {"ticks", MetricClass::kWork, &MetricsSnapshot::ticks, MetricMerge::kSum},
     {"quiet_ticks", MetricClass::kWork, &MetricsSnapshot::quiet_ticks,
+     MetricMerge::kSum},
+    {"quiet_checks", MetricClass::kWork, &MetricsSnapshot::quiet_checks,
      MetricMerge::kSum},
     {"scratch_reuse_hits", MetricClass::kWork,
      &MetricsSnapshot::scratch_reuse_hits, MetricMerge::kSum},

@@ -173,6 +173,32 @@ TEST(Harness, FilterSelectsBySubstring) {
   EXPECT_EQ(summary.results[1].name, "beta/three");
 }
 
+TEST(Harness, NoMatchMessageOnlyWhenNothingMatched) {
+  // A report-only suite whose report matches the filter printed its table;
+  // the summary must not then claim nothing matched.
+  Registry registry;
+  int report_runs = 0;
+  registry.add_report("suite/report", [&report_runs] { ++report_runs; });
+  Options options;
+  options.run_reports = 1;
+  options.filter = "report";
+  const RunSummary matched = run_benchmarks(registry, options);
+  EXPECT_EQ(report_runs, 1);
+  EXPECT_EQ(matched.reports_run, 1u);
+  testing::internal::CaptureStdout();
+  print_summary(matched);
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+
+  options.filter = "absent";
+  const RunSummary unmatched = run_benchmarks(registry, options);
+  EXPECT_EQ(report_runs, 1);
+  EXPECT_EQ(unmatched.reports_run, 0u);
+  testing::internal::CaptureStdout();
+  print_summary(unmatched);
+  EXPECT_EQ(testing::internal::GetCapturedStdout(),
+            "no benchmarks matched filter 'absent'\n");
+}
+
 TEST(Harness, ThroughputAndCountersReachResults) {
   Registry registry;
   registry.add("suite/throughput", [](Context& ctx) {

@@ -450,10 +450,11 @@ TEST(CampaignTest, MetricsWorkCountersIdenticalAcrossJobs) {
 }
 
 // The session rig retires the master and the committee once the
-// committer is done and the channel drained, and ticks only the kernel
-// and the detector from then on.  Hang scenarios run almost all their
-// ticks there; crash and deadlock scenarios stop before the committer
-// finishes, so they never reach it.
+// committer is done and the channel drained, and from then on runs the
+// kernel alone, ticking the detector only on a kernel event or one of its
+// deadlines.  Hang scenarios run almost all their ticks there, with the
+// detector on at most 2% of them; crash and deadlock scenarios stop
+// before the committer finishes, so they never reach it.
 TEST(CampaignTest, QuietPhaseCoversHangSessionsAndNoCrashSession) {
   CampaignOptions options;
   options.budget = 32;
@@ -467,6 +468,9 @@ TEST(CampaignTest, QuietPhaseCoversHangSessionsAndNoCrashSession) {
     EXPECT_GE(static_cast<double>(metrics.quiet_ticks) /
                   static_cast<double>(metrics.ticks),
               0.95);
+    EXPECT_GT(metrics.quiet_checks, 0u);
+    EXPECT_LE(static_cast<double>(metrics.quiet_checks),
+              0.02 * static_cast<double>(metrics.quiet_ticks));
   }
   for (const char* name :
        {"aba-stack", "queue-order", "philosophers-deadlock"}) {
@@ -475,6 +479,7 @@ TEST(CampaignTest, QuietPhaseCoversHangSessionsAndNoCrashSession) {
     ASSERT_TRUE(campaign) << campaign.error();
     EXPECT_GT(campaign.value().metrics.ticks, 0u);
     EXPECT_EQ(campaign.value().metrics.quiet_ticks, 0u);
+    EXPECT_EQ(campaign.value().metrics.quiet_checks, 0u);
   }
 }
 

@@ -249,6 +249,8 @@ TEST(Wire, DecodeRejectsGarbageAndWrongVersions) {
   EXPECT_FALSE(decode(R"({"wire_version": 3, "kind": "shutdown"})").ok());
   // v4 failures carried rendered text; v5 peers refuse them.
   EXPECT_FALSE(decode(R"({"wire_version": 4, "kind": "shutdown"})").ok());
+  // v5 metrics blocks lacked the quiet-phase rows.
+  EXPECT_FALSE(decode(R"({"wire_version": 5, "kind": "shutdown"})").ok());
 }
 
 /// A genuine slice's result frame (failures, coverage, work counters)

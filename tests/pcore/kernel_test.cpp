@@ -229,6 +229,43 @@ TEST_F(WaitGraphEpochTest, AdvancesOnAcquireAndOnContendedLock) {
   EXPECT_EQ(kernel_->mutex(mutex_).owner, holder);
 }
 
+// run_quiet ticks the kernel alone and stops, without advancing the
+// clock, after the tick on which a panic, a live-count change, an epoch
+// change or the `last` tick happened.
+
+TEST_F(KernelFixture, RunQuietStopsAtLastWithoutAdvancing) {
+  const TaskId task = create(5);
+  EXPECT_EQ(kernel_->run_quiet(soc_, 9), 10u);
+  EXPECT_EQ(soc_.now(), 9u);
+  EXPECT_EQ(kernel_->tcb(task).steps, 10u);
+  soc_.clock().advance();
+  EXPECT_EQ(kernel_->run_quiet(soc_, soc_.now()), 1u);
+  EXPECT_EQ(soc_.now(), 10u);
+}
+
+TEST_F(KernelFixture, RunQuietStopsOnTheTickATaskExits) {
+  (void)create(1);
+  (void)create(5, kComputeId, /*units=*/3);
+  // Three compute steps on ticks 0-2, the exit on tick 3.
+  EXPECT_EQ(kernel_->run_quiet(soc_, 100), 4u);
+  EXPECT_EQ(soc_.now(), 3u);
+  EXPECT_EQ(kernel_->live_task_count(), 1u);
+}
+
+TEST_F(WaitGraphEpochTest, RunQuietStopsOnAnEpochChangeAndOnAPanic) {
+  (void)create(3, kHoldId, /*hold=*/1000000);
+  const std::uint64_t epoch = kernel_->wait_graph_epoch();
+  const sim::Tick ran = kernel_->run_quiet(soc_, 100);
+  EXPECT_EQ(ran, 1u);  // the first step takes the free mutex
+  EXPECT_EQ(soc_.now(), ran - 1);
+  EXPECT_TRUE(owned());
+  EXPECT_GT(kernel_->wait_graph_epoch(), epoch);
+
+  soc_.clock().advance();
+  kernel_->force_panic("test");
+  EXPECT_EQ(kernel_->run_quiet(soc_, soc_.now() + 50), 1u);
+}
+
 TEST_F(WaitGraphEpochTest, AdvancesOnUnlockHandOff) {
   const TaskId holder = create(3, kHoldId, /*hold=*/20);
   ASSERT_TRUE(step_until([&] { return owned(); }));

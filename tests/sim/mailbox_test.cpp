@@ -111,7 +111,7 @@ TEST(MailboxTest, DepthOneHoldsOneWord) {
 }
 
 TEST(MailboxBankTest, HasFourBoxesWithOmapDirections) {
-  MailboxBank bank(1);
+  MailboxBank bank;
   EXPECT_EQ(bank.box(0).sender(), CoreId::kArm);
   EXPECT_EQ(bank.box(0).receiver(), CoreId::kDsp);
   EXPECT_EQ(bank.box(1).receiver(), CoreId::kDsp);
@@ -122,12 +122,12 @@ TEST(MailboxBankTest, HasFourBoxesWithOmapDirections) {
 }
 
 TEST(MailboxBankTest, InterruptPendingPerCore) {
-  MailboxBank bank(1);
+  MailboxBank bank;
   EXPECT_FALSE(bank.interrupt_pending(CoreId::kDsp, 0));
   (void)bank.box(0).post(0, 7);
-  EXPECT_FALSE(bank.interrupt_pending(CoreId::kDsp, 0));  // latency
-  EXPECT_TRUE(bank.interrupt_pending(CoreId::kDsp, 1));
-  EXPECT_FALSE(bank.interrupt_pending(CoreId::kArm, 1));
+  EXPECT_FALSE(bank.interrupt_pending(CoreId::kDsp, kMailboxLatency - 1));
+  EXPECT_TRUE(bank.interrupt_pending(CoreId::kDsp, kMailboxLatency));
+  EXPECT_FALSE(bank.interrupt_pending(CoreId::kArm, kMailboxLatency));
 }
 
 }  // namespace
