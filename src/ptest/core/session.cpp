@@ -32,31 +32,31 @@ SessionRig::SessionRig(const PtestConfig& config,
   soc_.attach(detector_);
 }
 
-master::Committer& SessionRig::add_committer(const PtestConfig& config,
-                                             const pfa::Alphabet& alphabet) {
-  master::CommitterOptions committer_options;
-  committer_options.program_id = config.program_id;
-  // arg = slot index by convention: philosopher index, quicksort seed,
-  // seeded-bug role all key off it.
-  committer_options.program_arg = [](pattern::SlotIndex slot) {
+master::CommitterOptions committer_options(const PtestConfig& config,
+                                           support::Rng& noise_rng) {
+  master::CommitterOptions options;
+  options.program_id = config.program_id;
+  options.program_arg = [](pattern::SlotIndex slot) {
     return static_cast<std::uint32_t>(slot);
   };
   if (config.noise_max_delay > 0 || config.command_spacing > 0) {
-    const sim::Tick max_delay = config.noise_max_delay;
-    const sim::Tick spacing = config.command_spacing;
-    committer_options.issue_delay =
-        [rng = &noise_rng_, max_delay,
-         spacing](const pattern::MergedElement&) {
-          const sim::Tick jitter =
-              max_delay > 0
-                  ? static_cast<sim::Tick>(rng->below(max_delay + 1))
-                  : 0;
-          return spacing + jitter;
-        };
+    options.issue_delay = [rng = &noise_rng, max_delay = config.noise_max_delay,
+                           spacing = config.command_spacing](
+                              const pattern::MergedElement&) {
+      const sim::Tick jitter =
+          max_delay > 0 ? static_cast<sim::Tick>(rng->below(max_delay + 1))
+                        : 0;
+      return spacing + jitter;
+    };
   }
+  return options;
+}
+
+master::Committer& SessionRig::add_committer(const PtestConfig& config,
+                                             const pfa::Alphabet& alphabet) {
   auto committer = std::make_unique<master::Committer>(
-      pattern::MergedPattern{}, alphabet, std::move(committer_options),
-      &recorder_);
+      pattern::MergedPattern{}, alphabet,
+      committer_options(config, noise_rng_), &recorder_);
   master::Committer& added = *committer;
   master_.add(std::move(committer));
   return added;
@@ -67,7 +67,7 @@ void SessionRig::load(std::uint64_t seed,
                       const std::vector<pattern::TestPattern>& patterns,
                       const WorkloadSetup& setup) {
   seed_ = seed;
-  noise_rng_ = support::Rng(seed ^ 0x6e6f697365ULL);
+  noise_rng_ = support::Rng(seed ^ kNoiseStreamSalt);
   soc_.reset();
   kernel_.reset();
   if (setup) setup(kernel_);

@@ -23,7 +23,9 @@
 // detection would file it.  Hang sessions spend almost all their ticks
 // in this phase.
 //
-// SessionRig owns that stack and is the one place it is wired.  A
+// SessionRig owns that stack and is the one place in src/ it is wired;
+// committer_options() is the one source of the committer's wiring, for
+// the rig and for the reference stacks the tests wire by hand.  A
 // campaign runs thousands of short sessions against one plan, so it
 // builds a rig once per (participant, plan) and load()s each session
 // into it: every device resets to its freshly constructed state, keeping
@@ -88,6 +90,20 @@ struct SessionResult {
 /// factories (config.program_id must resolve) and creates any mutexes /
 /// shared state the workload needs.
 using WorkloadSetup = std::function<void(pcore::PcoreKernel&)>;
+
+/// A session seeded `seed` draws its issue delays from
+/// support::Rng(seed ^ kNoiseStreamSalt).
+inline constexpr std::uint64_t kNoiseStreamSalt = 0x6e6f697365ULL;
+
+/// The committer wiring of every session: `config.program_id`, the slot
+/// index as each task's program argument (philosopher index, quicksort
+/// seed and seeded-bug role all key off it), and, when
+/// `config.noise_max_delay` or `config.command_spacing` is non-zero, an
+/// issue delay of spacing + noise_rng.below(max_delay + 1), drawn only
+/// when max_delay > 0.  The delay reads `noise_rng` through a pointer, so
+/// the stream must outlive the committer.
+[[nodiscard]] master::CommitterOptions committer_options(
+    const PtestConfig& config, support::Rng& noise_rng);
 
 /// The wired session stack, reusable across sessions of one plan.  Not
 /// copyable or movable: the devices point at each other and the

@@ -13,6 +13,9 @@ namespace ptest::guided {
 
 namespace {
 
+/// Mean coverage gain below which a post-changepoint segment is a plateau.
+constexpr double kPlateauEpsilon = 1e-3;
+
 double mean(const std::vector<double>& values, std::size_t begin,
             std::size_t end) {
   double total = 0.0;
@@ -240,7 +243,7 @@ GuidedResult GuidedCampaign::run() {
       result.stop_reason = StopReason::kBugFound;
       stopped = true;
     } else if (coverage_plateaued(gains, options_.plateau_window,
-                                  options_.plateau_epsilon)) {
+                                  kPlateauEpsilon)) {
       result.stop_reason = StopReason::kCoveragePlateau;
       stopped = true;
     } else {

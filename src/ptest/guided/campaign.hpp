@@ -56,9 +56,8 @@ struct GuidedOptions {
   RefinerOptions refiner;
   /// Plateau stop: the post-changepoint segment of the coverage-gain
   /// series must span at least `plateau_window` epochs with mean gain
-  /// below `plateau_epsilon`.  window = 0 disables the plateau stop.
+  /// below 1e-3.  window = 0 disables the plateau stop.
   std::size_t plateau_window = 3;
-  double plateau_epsilon = 1e-3;
   /// Stop as soon as a counted detection lands (sessions-to-first-bug
   /// mode).  Off = spend the full epoch budget mapping coverage.
   bool stop_on_bug = true;

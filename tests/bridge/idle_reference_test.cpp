@@ -27,15 +27,13 @@
 #include <string>
 #include <vector>
 
+#include "core/reference_session.hpp"
 #include "ptest/bridge/committee.hpp"
 #include "ptest/core/bug_detector.hpp"
-#include "ptest/core/session.hpp"
 #include "ptest/master/committer.hpp"
 #include "ptest/master/scheduler.hpp"
 #include "ptest/pcore/programs.hpp"
 #include "ptest/scenario/golden.hpp"
-#include "ptest/scenario/registry.hpp"
-#include "ptest/support/rng.hpp"
 
 namespace ptest::core {
 namespace {
@@ -256,102 +254,29 @@ struct ReferenceRun {
 ReferenceRun run_reference(const CompiledTestPlan& plan, std::uint64_t seed,
                            const WorkloadSetup& setup,
                            pfa::WalkScratch& scratch) {
-  const AdaptiveTestResult generated = generate_and_merge(plan, seed, scratch);
-  PtestConfig config = plan.config;
-  config.seed = seed;
-
-  sim::Soc soc;
-  pcore::PcoreKernel kernel(config.kernel);
-  if (setup) setup(kernel);
-  bridge::Channel channel(soc);
-  ReferenceCommittee committee(channel, kernel);
-  ReferenceMaster master(channel);
-  StateRecorder recorder(plan.alphabet);
-  for (pattern::SlotIndex slot = 0; slot < generated.patterns.size();
-       ++slot) {
-    recorder.assign(slot, generated.patterns[slot].symbols);
-  }
-
-  master::CommitterOptions committer_options;
-  committer_options.program_id = config.program_id;
-  committer_options.program_arg = [](pattern::SlotIndex slot) {
-    return static_cast<std::uint32_t>(slot);
-  };
-  if (config.noise_max_delay > 0 || config.command_spacing > 0) {
-    auto noise_rng =
-        std::make_shared<support::Rng>(config.seed ^ 0x6e6f697365ULL);
-    const sim::Tick max_delay = config.noise_max_delay;
-    const sim::Tick spacing = config.command_spacing;
-    committer_options.issue_delay =
-        [noise_rng, max_delay, spacing](const pattern::MergedElement&) {
-          const sim::Tick jitter =
-              max_delay > 0
-                  ? static_cast<sim::Tick>(noise_rng->below(max_delay + 1))
-                  : 0;
-          return spacing + jitter;
-        };
-  }
-  auto owned_committer = std::make_unique<master::Committer>(
-      generated.merged, plan.alphabet, std::move(committer_options),
-      &recorder);
-  const master::Committer& committer = *owned_committer;
-  master.add(std::move(owned_committer));
-  BugDetector detector(config.detector, kernel, committer, recorder);
-  GateWitness witness(channel, committee);
+  HandWiredSession session(plan, seed, setup, scratch);
+  sim::Soc& soc = session.soc;
+  ReferenceCommittee committee(session.channel, session.kernel);
+  ReferenceMaster master(session.channel);
+  master.add(std::move(session.owned_committer));
+  BugDetector detector(session.config.detector, session.kernel,
+                       session.committer, session.recorder);
+  GateWitness witness(session.channel, committee);
 
   soc.attach(master);
   soc.attach(witness);
   soc.attach(committee);
   soc.attach(witness);
-  soc.attach(kernel);
+  soc.attach(session.kernel);
   soc.attach(detector);
 
   ReferenceRun run;
-  SessionResult& result = run.result;
-  result.stats.ticks = soc.run(config.max_ticks);
-  if (detector.bug_found()) {
-    result.outcome = Outcome::kBug;
-    result.report = *detector.report();
-    result.report->seed = config.seed;
-    result.report->merged = generated.merged;
-  } else if (detector.passed()) {
-    result.outcome = Outcome::kPassed;
-  } else {
-    result.outcome = Outcome::kTickLimit;
-  }
-  result.stats.commands_issued = committer.issued();
-  result.stats.commands_acked = committer.acked();
-  result.stats.commands_failed = committer.failed();
-  result.stats.kernel_service_calls = kernel.service_calls();
-  result.stats.context_switches = kernel.context_switches();
-  result.stats.gc_runs = kernel.gc_runs();
-  run.trace_hash =
-      scenario::trace_fingerprint(result, generated.merged, soc.trace());
+  run.result = session.file(detector, soc.run(session.config.max_ticks));
+  run.trace_hash = scenario::trace_fingerprint(
+      run.result, session.generated.merged, soc.trace());
   run.quiet_ticks = witness.quiet();
   run.gate_misses = witness.missed();
   return run;
-}
-
-void expect_same_session(const SessionResult& production,
-                         const SessionResult& reference,
-                         const pfa::Alphabet& alphabet) {
-  EXPECT_EQ(production.stats.ticks, reference.stats.ticks);
-  EXPECT_EQ(production.outcome, reference.outcome);
-  EXPECT_EQ(production.stats.commands_issued,
-            reference.stats.commands_issued);
-  EXPECT_EQ(production.stats.commands_acked, reference.stats.commands_acked);
-  EXPECT_EQ(production.stats.commands_failed,
-            reference.stats.commands_failed);
-  EXPECT_EQ(production.stats.kernel_service_calls,
-            reference.stats.kernel_service_calls);
-  EXPECT_EQ(production.stats.context_switches,
-            reference.stats.context_switches);
-  EXPECT_EQ(production.stats.gc_runs, reference.stats.gc_runs);
-  ASSERT_EQ(production.report.has_value(), reference.report.has_value());
-  if (!production.report) return;
-  EXPECT_EQ(production.report->signature(), reference.report->signature());
-  EXPECT_EQ(production.report->render(alphabet),
-            reference.report->render(alphabet));
 }
 
 constexpr std::uint64_t kSeedsPerVariant = 16;
@@ -387,14 +312,9 @@ void sweep_variant(const std::string& label, const PtestConfig& config,
 
 TEST(IdleReferenceTest, CatalogSweepMatchesPollingDevices) {
   SweepTotals totals;
-  for (const scenario::Scenario& entry :
-       scenario::ScenarioRegistry::builtin().all()) {
-    sweep_variant(entry.name, entry.config, entry.setup, totals);
-    if (entry.has_benign()) {
-      sweep_variant(entry.name + " (benign)", entry.benign_plan(),
-                    entry.benign_workload(), totals);
-    }
-  }
+  for_each_catalog_variant([&](const CatalogVariant& variant) {
+    sweep_variant(variant.label, variant.config, variant.setup, totals);
+  });
   // The sweep must file reports and spend most ticks behind the gate.
   EXPECT_GT(totals.bugs, totals.sessions / 4);
   EXPECT_GT(totals.quiet_ticks, totals.ticks / 2);

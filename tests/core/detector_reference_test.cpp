@@ -23,12 +23,9 @@
 #include <sstream>
 #include <string>
 
-#include "ptest/core/adaptive_test.hpp"
+#include "core/reference_session.hpp"
 #include "ptest/core/bug_detector.hpp"
-#include "ptest/core/session.hpp"
 #include "ptest/pcore/programs.hpp"
-#include "ptest/scenario/registry.hpp"
-#include "ptest/support/rng.hpp"
 
 namespace ptest::core {
 namespace {
@@ -289,47 +286,14 @@ struct ReferenceRun {
 ReferenceRun run_reference(const CompiledTestPlan& plan, std::uint64_t seed,
                            const WorkloadSetup& setup,
                            pfa::WalkScratch& scratch) {
-  const AdaptiveTestResult generated = generate_and_merge(plan, seed, scratch);
-  PtestConfig config = plan.config;
-  config.seed = seed;
-
-  sim::Soc soc;
-  pcore::PcoreKernel kernel(config.kernel);
-  if (setup) setup(kernel);
-  bridge::Channel channel(soc);
-  bridge::Committee committee(channel, kernel);
-  master::MasterScheduler master(channel);
-  StateRecorder recorder(plan.alphabet);
-  for (pattern::SlotIndex slot = 0; slot < generated.patterns.size();
-       ++slot) {
-    recorder.assign(slot, generated.patterns[slot].symbols);
-  }
-
-  master::CommitterOptions committer_options;
-  committer_options.program_id = config.program_id;
-  committer_options.program_arg = [](pattern::SlotIndex slot) {
-    return static_cast<std::uint32_t>(slot);
-  };
-  if (config.noise_max_delay > 0 || config.command_spacing > 0) {
-    auto noise_rng =
-        std::make_shared<support::Rng>(config.seed ^ 0x6e6f697365ULL);
-    const sim::Tick max_delay = config.noise_max_delay;
-    const sim::Tick spacing = config.command_spacing;
-    committer_options.issue_delay =
-        [noise_rng, max_delay, spacing](const pattern::MergedElement&) {
-          const sim::Tick jitter =
-              max_delay > 0
-                  ? static_cast<sim::Tick>(noise_rng->below(max_delay + 1))
-                  : 0;
-          return spacing + jitter;
-        };
-  }
-  auto owned_committer = std::make_unique<master::Committer>(
-      generated.merged, plan.alphabet, std::move(committer_options),
-      &recorder);
-  const master::Committer& committer = *owned_committer;
-  master.add(std::move(owned_committer));
-  ReferenceDetector detector(config.detector, kernel, committer, recorder);
+  HandWiredSession session(plan, seed, setup, scratch);
+  sim::Soc& soc = session.soc;
+  pcore::PcoreKernel& kernel = session.kernel;
+  bridge::Committee committee(session.channel, kernel);
+  master::MasterScheduler master(session.channel);
+  master.add(std::move(session.owned_committer));
+  ReferenceDetector detector(session.config.detector, kernel,
+                             session.committer, session.recorder);
   EpochWitness witness(kernel);
   KernelStateWitness state_witness(kernel);
 
@@ -341,58 +305,14 @@ ReferenceRun run_reference(const CompiledTestPlan& plan, std::uint64_t seed,
   soc.attach(state_witness);
 
   ReferenceRun run;
-  SessionResult& result = run.result;
-  result.stats.ticks = soc.run(config.max_ticks);
-  if (detector.bug_found()) {
-    result.outcome = Outcome::kBug;
-    result.report = *detector.report();
-    result.report->seed = config.seed;
-    result.report->merged = generated.merged;
-  } else if (detector.passed()) {
-    result.outcome = Outcome::kPassed;
-  } else {
-    result.outcome = Outcome::kTickLimit;
-  }
-  result.stats.commands_issued = committer.issued();
-  result.stats.commands_acked = committer.acked();
-  result.stats.commands_failed = committer.failed();
+  run.result = session.file(detector, soc.run(session.config.max_ticks));
   const auto snapshot = kernel.snapshot();
-  result.stats.kernel_service_calls = snapshot.service_calls;
-  result.stats.context_switches = snapshot.context_switches;
-  result.stats.gc_runs = snapshot.heap.gc_runs;
+  run.result.stats.kernel_service_calls = snapshot.service_calls;
+  run.result.stats.context_switches = snapshot.context_switches;
+  run.result.stats.gc_runs = snapshot.heap.gc_runs;
   run.epoch_misses = witness.missed();
   run.kernel_state_misses = state_witness.missed();
   return run;
-}
-
-void expect_same_session(const SessionResult& production,
-                         const SessionResult& reference,
-                         const pfa::Alphabet& alphabet) {
-  EXPECT_EQ(production.stats.ticks, reference.stats.ticks);
-  EXPECT_EQ(production.outcome, reference.outcome);
-  EXPECT_EQ(production.stats.commands_issued,
-            reference.stats.commands_issued);
-  EXPECT_EQ(production.stats.commands_acked, reference.stats.commands_acked);
-  EXPECT_EQ(production.stats.commands_failed,
-            reference.stats.commands_failed);
-  EXPECT_EQ(production.stats.kernel_service_calls,
-            reference.stats.kernel_service_calls);
-  EXPECT_EQ(production.stats.context_switches,
-            reference.stats.context_switches);
-  EXPECT_EQ(production.stats.gc_runs, reference.stats.gc_runs);
-  ASSERT_EQ(production.report.has_value(), reference.report.has_value());
-  if (!production.report) return;
-  const BugReport& a = *production.report;
-  const BugReport& b = *reference.report;
-  EXPECT_EQ(a.kind, b.kind);
-  EXPECT_EQ(a.detected_at, b.detected_at);
-  EXPECT_EQ(a.description, b.description);
-  EXPECT_EQ(a.culprits, b.culprits);
-  EXPECT_EQ(a.state_records, b.state_records);
-  EXPECT_EQ(a.trace_tail, b.trace_tail);
-  EXPECT_EQ(a.signature(), b.signature());
-  // The rendering also covers the kernel snapshot, seed and pattern.
-  EXPECT_EQ(a.render(alphabet), b.render(alphabet));
 }
 
 constexpr std::uint64_t kSeedsPerVariant = 48;
@@ -429,14 +349,9 @@ void sweep_variant(const std::string& label, const PtestConfig& config,
 
 TEST(DetectorReferenceTest, CatalogSweepMatchesPerTickDetector) {
   SweepTotals totals;
-  for (const scenario::Scenario& entry :
-       scenario::ScenarioRegistry::builtin().all()) {
-    sweep_variant(entry.name, entry.config, entry.setup, totals);
-    if (entry.has_benign()) {
-      sweep_variant(entry.name + " (benign)", entry.benign_plan(),
-                    entry.benign_workload(), totals);
-    }
-  }
+  for_each_catalog_variant([&](const CatalogVariant& variant) {
+    sweep_variant(variant.label, variant.config, variant.setup, totals);
+  });
   // The sweep must exercise the detector, not just clean passes.
   EXPECT_GT(totals.bugs, totals.sessions / 4);
   for (const BugKind kind : {BugKind::kSlaveCrash, BugKind::kDeadlock,

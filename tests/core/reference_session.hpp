@@ -1,0 +1,153 @@
+// What the reference-oracle suites share.
+//
+// Each reference suite runs sessions through the production path and
+// through a stack wired by hand around the devices it substitutes (a
+// reference detector, a polling committee, a witness).  The parts no
+// suite substitutes live here, wired as core/session.cpp wires
+// SessionRig: the generated patterns, the seeded config, the Soc, the
+// kernel with the workload set up, the channel, the recorder with every
+// slot's CP record assigned, the noise stream, and the committer built
+// from core::committer_options.  So are the catalog walk the suites
+// sweep, the filing of a hand-wired run into a SessionResult, and the
+// comparison of two sessions.  Each suite still builds and attaches its
+// own devices and witnesses, in its own tick order.
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
+#include <string>
+
+#include "ptest/core/adaptive_test.hpp"
+#include "ptest/core/session.hpp"
+#include "ptest/scenario/registry.hpp"
+#include "ptest/support/rng.hpp"
+
+namespace ptest::core {
+
+/// One catalog variant: an entry's bug plan, or its benign control.
+struct CatalogVariant {
+  const scenario::Scenario& entry;
+  bool benign = false;
+  /// The entry's name, with " (benign)" for the control.
+  std::string label;
+  PtestConfig config;
+  const WorkloadSetup& setup;
+};
+
+/// Calls `visit(variant)` for each catalog entry, followed by its benign
+/// variant when it has one: 27 variants in catalog order.
+template <typename Visit>
+void for_each_catalog_variant(Visit&& visit) {
+  for (const scenario::Scenario& entry :
+       scenario::ScenarioRegistry::builtin().all()) {
+    visit(CatalogVariant{entry, false, entry.name, entry.config, entry.setup});
+    if (entry.has_benign()) {
+      visit(CatalogVariant{entry, true, entry.name + " (benign)",
+                           entry.benign_plan(), entry.benign_workload()});
+    }
+  }
+}
+
+/// The parts of one session of `plan` at `seed` that every hand-wired
+/// reference shares with SessionRig.  The suite adds a committee, a
+/// master (which takes `owned_committer`) and a detector, attaches its
+/// devices, runs the Soc and files the run with file().  Not copyable:
+/// the committer's issue delay points at `noise_rng`.
+struct HandWiredSession {
+  HandWiredSession(const CompiledTestPlan& plan, std::uint64_t seed,
+                   const WorkloadSetup& setup, pfa::WalkScratch& scratch)
+      : generated(generate_and_merge(plan, seed, scratch)),
+        config(plan.config),
+        kernel(config.kernel),
+        channel(soc),
+        recorder(plan.alphabet),
+        noise_rng(seed ^ kNoiseStreamSalt),
+        owned_committer(std::make_unique<master::Committer>(
+            generated.merged, plan.alphabet,
+            committer_options(config, noise_rng), &recorder)),
+        committer(*owned_committer) {
+    config.seed = seed;
+    if (setup) setup(kernel);
+    for (pattern::SlotIndex slot = 0; slot < generated.patterns.size();
+         ++slot) {
+      recorder.assign(slot, generated.patterns[slot].symbols);
+    }
+  }
+
+  HandWiredSession(const HandWiredSession&) = delete;
+  HandWiredSession& operator=(const HandWiredSession&) = delete;
+
+  /// What SessionRig::run files after a run of `ticks` ticks judged by
+  /// `detector` (BugDetector or a reference with the same queries): the
+  /// outcome, the report with the session's seed and merged pattern, and
+  /// the committer's and kernel's counters.  The quiet-phase stats stay 0.
+  template <typename Detector>
+  [[nodiscard]] SessionResult file(const Detector& detector,
+                                   sim::Tick ticks) const {
+    SessionResult result;
+    result.stats.ticks = ticks;
+    if (detector.bug_found()) {
+      result.outcome = Outcome::kBug;
+      result.report = *detector.report();
+      result.report->seed = config.seed;
+      result.report->merged = generated.merged;
+    } else if (detector.passed()) {
+      result.outcome = Outcome::kPassed;
+    } else {
+      result.outcome = Outcome::kTickLimit;
+    }
+    result.stats.commands_issued = committer.issued();
+    result.stats.commands_acked = committer.acked();
+    result.stats.commands_failed = committer.failed();
+    result.stats.kernel_service_calls = kernel.service_calls();
+    result.stats.context_switches = kernel.context_switches();
+    result.stats.gc_runs = kernel.gc_runs();
+    return result;
+  }
+
+  AdaptiveTestResult generated;
+  PtestConfig config;
+  sim::Soc soc;
+  pcore::PcoreKernel kernel;
+  bridge::Channel channel;
+  StateRecorder recorder;
+  support::Rng noise_rng;
+  /// The suite's master takes this; `committer` stays valid.
+  std::unique_ptr<master::Committer> owned_committer;
+  const master::Committer& committer;
+};
+
+/// `actual` and `reference` agree on the outcome, every session stat a
+/// hand-wired reference files (the quiet-phase stats are the tick-loop
+/// suite's own check), and the report: kind, tick, description,
+/// culprits, CP records, trace tail, signature, and the rendering, which
+/// also covers the kernel snapshot, seed and merged pattern.
+inline void expect_same_session(const SessionResult& actual,
+                                const SessionResult& reference,
+                                const pfa::Alphabet& alphabet) {
+  EXPECT_EQ(actual.stats.ticks, reference.stats.ticks);
+  EXPECT_EQ(actual.outcome, reference.outcome);
+  EXPECT_EQ(actual.stats.commands_issued, reference.stats.commands_issued);
+  EXPECT_EQ(actual.stats.commands_acked, reference.stats.commands_acked);
+  EXPECT_EQ(actual.stats.commands_failed, reference.stats.commands_failed);
+  EXPECT_EQ(actual.stats.kernel_service_calls,
+            reference.stats.kernel_service_calls);
+  EXPECT_EQ(actual.stats.context_switches, reference.stats.context_switches);
+  EXPECT_EQ(actual.stats.gc_runs, reference.stats.gc_runs);
+  ASSERT_EQ(actual.report.has_value(), reference.report.has_value());
+  if (!actual.report) return;
+  const BugReport& a = *actual.report;
+  const BugReport& b = *reference.report;
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.detected_at, b.detected_at);
+  EXPECT_EQ(a.description, b.description);
+  EXPECT_EQ(a.culprits, b.culprits);
+  EXPECT_EQ(a.state_records, b.state_records);
+  EXPECT_EQ(a.trace_tail, b.trace_tail);
+  EXPECT_EQ(a.signature(), b.signature());
+  EXPECT_EQ(a.render(alphabet), b.render(alphabet));
+}
+
+}  // namespace ptest::core

@@ -19,13 +19,10 @@
 #include <string>
 #include <vector>
 
+#include "core/reference_session.hpp"
 #include "ptest/bridge/protocol.hpp"
-#include "ptest/core/adaptive_test.hpp"
-#include "ptest/core/session.hpp"
 #include "ptest/core/state_record.hpp"
-#include "ptest/scenario/registry.hpp"
 #include "ptest/sim/trace.hpp"
-#include "ptest/support/rng.hpp"
 
 namespace ptest::core {
 namespace {
@@ -255,7 +252,7 @@ void check_session(const CompiledTestPlan& plan, std::uint64_t seed,
   // The same session through core::execute: the report TestSession moves
   // out must match the one rendered here field for field.
   const AdaptiveTestResult executed = execute(plan, seed, setup, scratch);
-  ASSERT_EQ(executed.session.report.has_value(), result.report.has_value());
+  expect_same_session(executed.session, result, alphabet);
   if (!result.report) return;
   const BugReport& report = *result.report;
   ++totals.reports;
@@ -280,16 +277,6 @@ void check_session(const CompiledTestPlan& plan, std::uint64_t seed,
   }
   EXPECT_EQ(report.seed, seed);
   EXPECT_EQ(report.render(alphabet), reference_render(report, alphabet));
-
-  const BugReport& moved = *executed.session.report;
-  EXPECT_EQ(moved.kind, report.kind);
-  EXPECT_EQ(moved.detected_at, report.detected_at);
-  EXPECT_EQ(moved.description, report.description);
-  EXPECT_EQ(moved.culprits, report.culprits);
-  EXPECT_EQ(moved.state_records, report.state_records);
-  EXPECT_EQ(moved.trace_tail, report.trace_tail);
-  EXPECT_EQ(moved.signature(), report.signature());
-  EXPECT_EQ(moved.render(alphabet), report.render(alphabet));
 }
 
 void sweep_variant(const std::string& label, const PtestConfig& config,
@@ -305,14 +292,9 @@ void sweep_variant(const std::string& label, const PtestConfig& config,
 
 TEST(RenderReferenceTest, CatalogSweepMatchesStreamRenderers) {
   SweepTotals totals;
-  for (const scenario::Scenario& entry :
-       scenario::ScenarioRegistry::builtin().all()) {
-    sweep_variant(entry.name, entry.config, entry.setup, totals);
-    if (entry.has_benign()) {
-      sweep_variant(entry.name + " (benign)", entry.benign_plan(),
-                    entry.benign_workload(), totals);
-    }
-  }
+  for_each_catalog_variant([&](const CatalogVariant& variant) {
+    sweep_variant(variant.label, variant.config, variant.setup, totals);
+  });
   EXPECT_GT(totals.reports, totals.sessions / 4);
   for (const BugKind kind : {BugKind::kSlaveCrash, BugKind::kDeadlock,
                              BugKind::kNoTermination, BugKind::kStarvation}) {

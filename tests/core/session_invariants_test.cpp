@@ -1,9 +1,14 @@
 // Cross-configuration session invariants: whatever the op / seed /
 // workload, an adaptive-test session must satisfy the protocol and
-// resource accounting contracts.
+// resource accounting contracts.  Also pins core::committer_options, the
+// committer wiring every session uses.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "ptest/core/adaptive_test.hpp"
+#include "ptest/support/rng.hpp"
 #include "ptest/workload/philosophers.hpp"
 #include "ptest/workload/quicksort.hpp"
 
@@ -87,6 +92,62 @@ INSTANTIATE_TEST_SUITE_P(
         InvariantParam{"philosophers", pattern::MergeOp::kShuffle, 10, 6},
         InvariantParam{"philosophers", pattern::MergeOp::kCyclic, 11, 0},
         InvariantParam{"quicksort", pattern::MergeOp::kRoundRobin, 12, 24}));
+
+// --- the committer wiring ------------------------------------------------------
+
+// committer_options() is the one source of the committer's wiring, which
+// the rig and the reference suites' hand-wired stacks share, so it is
+// pinned here against hand-computed values.
+
+constexpr std::uint64_t kNoiseSeed = 0x5eed;
+
+TEST(CommitterOptionsTest, ProgramArgIsTheSlotIndex) {
+  PtestConfig config;
+  config.program_id = 42;
+  support::Rng noise(kNoiseSeed ^ kNoiseStreamSalt);
+  const master::CommitterOptions options = committer_options(config, noise);
+  EXPECT_EQ(options.program_id, 42u);
+  for (pattern::SlotIndex slot = 0; slot < 16; ++slot) {
+    EXPECT_EQ(options.program_arg(slot), slot);
+  }
+}
+
+TEST(CommitterOptionsTest, IssueDelayIsSpacingPlusNoiseFromTheStream) {
+  const pattern::MergedElement element;
+  for (const auto& [max_delay, spacing] :
+       {std::pair<sim::Tick, sim::Tick>{0, 4}, {5, 0}, {5, 3}}) {
+    SCOPED_TRACE("max_delay " + std::to_string(max_delay) + " spacing " +
+                 std::to_string(spacing));
+    PtestConfig config;
+    config.noise_max_delay = max_delay;
+    config.command_spacing = spacing;
+    support::Rng noise(kNoiseSeed ^ kNoiseStreamSalt);
+    const master::CommitterOptions options = committer_options(config, noise);
+    support::Rng expected(kNoiseSeed ^ kNoiseStreamSalt);
+    for (int draw = 0; draw < 64; ++draw) {
+      EXPECT_EQ(options.issue_delay(element),
+                spacing + expected.below(max_delay + 1))
+          << "draw " << draw;
+    }
+    if (max_delay == 0) {
+      // No noise to draw: the stream is where it started.
+      EXPECT_EQ(noise.next(),
+                support::Rng(kNoiseSeed ^ kNoiseStreamSalt).next());
+    }
+  }
+}
+
+TEST(CommitterOptionsTest, NoNoiseAndNoSpacingDrawsNothing) {
+  const PtestConfig config;
+  ASSERT_EQ(config.noise_max_delay, 0u);
+  ASSERT_EQ(config.command_spacing, 0u);
+  support::Rng noise(kNoiseSeed ^ kNoiseStreamSalt);
+  const master::CommitterOptions options = committer_options(config, noise);
+  for (int draw = 0; draw < 64; ++draw) {
+    EXPECT_EQ(options.issue_delay(pattern::MergedElement{}), 0u);
+  }
+  EXPECT_EQ(noise.next(), support::Rng(kNoiseSeed ^ kNoiseStreamSalt).next());
+}
 
 }  // namespace
 }  // namespace ptest::core

@@ -23,10 +23,8 @@
 #include <optional>
 #include <string>
 
-#include "ptest/core/adaptive_test.hpp"
+#include "core/reference_session.hpp"
 #include "ptest/core/session_batch.hpp"
-#include "ptest/scenario/registry.hpp"
-#include "ptest/support/rng.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_calls{0};
@@ -84,17 +82,11 @@ Probe probe(const PtestConfig& config, const WorkloadSetup& setup) {
 
 TEST(SessionRigAllocProbe, WarmLoadAllocatesNothingOnEveryScenario) {
   std::size_t variants = 0;
-  for (const scenario::Scenario& entry :
-       scenario::ScenarioRegistry::builtin().all()) {
-    EXPECT_EQ(probe(entry.config, entry.setup).load_calls, 0u) << entry.name;
+  for_each_catalog_variant([&](const CatalogVariant& variant) {
+    EXPECT_EQ(probe(variant.config, variant.setup).load_calls, 0u)
+        << variant.label;
     ++variants;
-    if (entry.has_benign()) {
-      EXPECT_EQ(probe(entry.benign_plan(), entry.benign_workload()).load_calls,
-                0u)
-          << entry.name << " (benign)";
-      ++variants;
-    }
-  }
+  });
   EXPECT_EQ(variants, 27u);
 }
 

@@ -35,11 +35,9 @@
 #include <string>
 #include <vector>
 
-#include "ptest/core/adaptive_test.hpp"
+#include "core/reference_session.hpp"
 #include "ptest/core/campaign.hpp"
 #include "ptest/scenario/golden.hpp"
-#include "ptest/scenario/registry.hpp"
-#include "ptest/support/rng.hpp"
 
 namespace ptest::core {
 namespace {
@@ -74,29 +72,6 @@ Observed run_reused(SessionRig& rig, std::uint64_t seed,
   return observed;
 }
 
-void expect_same(const Observed& reused, const Observed& fresh,
-                 const pfa::Alphabet& alphabet) {
-  const SessionStats& a = reused.result.stats;
-  const SessionStats& b = fresh.result.stats;
-  EXPECT_EQ(a.ticks, b.ticks);
-  EXPECT_EQ(a.commands_issued, b.commands_issued);
-  EXPECT_EQ(a.commands_acked, b.commands_acked);
-  EXPECT_EQ(a.commands_failed, b.commands_failed);
-  EXPECT_EQ(a.kernel_service_calls, b.kernel_service_calls);
-  EXPECT_EQ(a.context_switches, b.context_switches);
-  EXPECT_EQ(a.gc_runs, b.gc_runs);
-  EXPECT_EQ(reused.result.outcome, fresh.result.outcome);
-  EXPECT_EQ(reused.fingerprint, fresh.fingerprint);
-  ASSERT_EQ(reused.result.report.has_value(), fresh.result.report.has_value());
-  if (!fresh.result.report) return;
-  EXPECT_EQ(reused.result.report->signature(),
-            fresh.result.report->signature());
-  // The rendering covers the kernel snapshot, CP records, trace tail,
-  // seed and merged pattern.
-  EXPECT_EQ(reused.result.report->render(alphabet),
-            fresh.result.report->render(alphabet));
-}
-
 /// Runs one session of `plan` on `rig` and on a fresh TestSession and
 /// expects them equal; returns the reused run.
 Observed check_session(const CompiledTestPlan& plan, SessionRig& rig,
@@ -106,7 +81,8 @@ Observed check_session(const CompiledTestPlan& plan, SessionRig& rig,
   const AdaptiveTestResult generated = generate_and_merge(plan, seed, scratch);
   const Observed fresh = run_fresh(plan, seed, generated, setup);
   Observed reused = run_reused(rig, seed, generated, setup);
-  expect_same(reused, fresh, plan.alphabet);
+  expect_same_session(reused.result, fresh.result, plan.alphabet);
+  EXPECT_EQ(reused.fingerprint, fresh.fingerprint);
   return reused;
 }
 
@@ -146,14 +122,9 @@ void sweep_variant(const std::string& label, const PtestConfig& config,
 
 TEST(SessionRigReferenceTest, ShuffledCatalogSweepMatchesFreshSessions) {
   SweepTotals totals;
-  for (const scenario::Scenario& entry :
-       scenario::ScenarioRegistry::builtin().all()) {
-    sweep_variant(entry.name, entry.config, entry.setup, totals);
-    if (entry.has_benign()) {
-      sweep_variant(entry.name + " (benign)", entry.benign_plan(),
-                    entry.benign_workload(), totals);
-    }
-  }
+  for_each_catalog_variant([&](const CatalogVariant& variant) {
+    sweep_variant(variant.label, variant.config, variant.setup, totals);
+  });
   EXPECT_EQ(totals.variants, 27u);
   EXPECT_EQ(totals.sessions, 27u * kSeedsPerVariant);
   // The sweep must reuse rigs after bugs, not just after clean passes.
@@ -430,11 +401,10 @@ TEST(SessionRigReferenceTest, CampaignFailuresMatchAByValueExecuteLoop) {
   constexpr std::size_t kBudget = 24;
   std::size_t variants = 0;
   std::size_t failures = 0;
-  auto check = [&](const scenario::Scenario& entry, bool benign) {
-    SCOPED_TRACE(entry.name + (benign ? " (benign)" : ""));
-    const PtestConfig config = benign ? entry.benign_plan() : entry.config;
-    const WorkloadSetup& setup =
-        benign ? entry.benign_workload() : entry.setup;
+  for_each_catalog_variant([&](const CatalogVariant& variant) {
+    SCOPED_TRACE(variant.label);
+    const PtestConfig& config = variant.config;
+    const WorkloadSetup& setup = variant.setup;
     const CompiledTestPlanPtr plan = compile(config);
     pfa::WalkScratch scratch;
     std::map<std::string, BugReport> expected;
@@ -451,7 +421,8 @@ TEST(SessionRigReferenceTest, CampaignFailuresMatchAByValueExecuteLoop) {
       CampaignOptions options;
       options.budget = kBudget;
       options.jobs = jobs;
-      const auto campaign = Campaign::run_scenario(entry.name, options, benign);
+      const auto campaign =
+          Campaign::run_scenario(variant.entry.name, options, variant.benign);
       ASSERT_TRUE(campaign) << campaign.error();
       const auto& kept = campaign.value().distinct_failures;
       ASSERT_EQ(kept.size(), expected.size());
@@ -464,12 +435,7 @@ TEST(SessionRigReferenceTest, CampaignFailuresMatchAByValueExecuteLoop) {
     }
     failures += expected.size();
     ++variants;
-  };
-  for (const scenario::Scenario& entry :
-       scenario::ScenarioRegistry::builtin().all()) {
-    check(entry, false);
-    if (entry.has_benign()) check(entry, true);
-  }
+  });
   EXPECT_EQ(variants, 27u);
   EXPECT_GT(failures, 0u);
 }

@@ -24,16 +24,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
-#include "ptest/core/adaptive_test.hpp"
+#include "core/reference_session.hpp"
 #include "ptest/core/bug_detector.hpp"
-#include "ptest/core/session.hpp"
 #include "ptest/scenario/golden.hpp"
-#include "ptest/scenario/registry.hpp"
-#include "ptest/support/rng.hpp"
 
 namespace ptest::core {
 namespace {
@@ -192,106 +188,36 @@ ReferenceRun run_reference(const CompiledTestPlan& plan, std::uint64_t seed,
                            const WorkloadSetup& setup,
                            pfa::WalkScratch& scratch,
                            sim::Tick late_by = 0) {
-  const AdaptiveTestResult generated = generate_and_merge(plan, seed, scratch);
-  PtestConfig config = plan.config;
-  config.seed = seed;
-
-  sim::Soc soc;
-  pcore::PcoreKernel kernel(config.kernel);
-  if (setup) setup(kernel);
-  bridge::Channel channel(soc);
-  bridge::Committee committee(channel, kernel);
-  master::MasterScheduler master(channel);
-  StateRecorder recorder(plan.alphabet);
-  for (pattern::SlotIndex slot = 0; slot < generated.patterns.size();
-       ++slot) {
-    recorder.assign(slot, generated.patterns[slot].symbols);
-  }
-
-  master::CommitterOptions committer_options;
-  committer_options.program_id = config.program_id;
-  committer_options.program_arg = [](pattern::SlotIndex slot) {
-    return static_cast<std::uint32_t>(slot);
-  };
-  if (config.noise_max_delay > 0 || config.command_spacing > 0) {
-    auto noise_rng =
-        std::make_shared<support::Rng>(config.seed ^ 0x6e6f697365ULL);
-    const sim::Tick max_delay = config.noise_max_delay;
-    const sim::Tick spacing = config.command_spacing;
-    committer_options.issue_delay =
-        [noise_rng, max_delay, spacing](const pattern::MergedElement&) {
-          const sim::Tick jitter =
-              max_delay > 0
-                  ? static_cast<sim::Tick>(noise_rng->below(max_delay + 1))
-                  : 0;
-          return spacing + jitter;
-        };
-  }
-  auto owned_committer = std::make_unique<master::Committer>(
-      generated.merged, plan.alphabet, std::move(committer_options),
-      &recorder);
-  const master::Committer& committer = *owned_committer;
-  master.add(std::move(owned_committer));
-  BugDetector detector(config.detector, kernel, committer, recorder);
-  QuietWitness witness(channel, committee, master);
-  DeadlineWitness deadlines(witness, kernel, detector, config.max_ticks,
-                            late_by);
+  HandWiredSession session(plan, seed, setup, scratch);
+  const PtestConfig& config = session.config;
+  sim::Soc& soc = session.soc;
+  bridge::Committee committee(session.channel, session.kernel);
+  master::MasterScheduler master(session.channel);
+  master.add(std::move(session.owned_committer));
+  BugDetector detector(config.detector, session.kernel, session.committer,
+                       session.recorder);
+  QuietWitness witness(session.channel, committee, master);
+  DeadlineWitness deadlines(witness, session.kernel, detector,
+                            config.max_ticks, late_by);
 
   soc.attach(witness);
   soc.attach(master);
   soc.attach(committee);
   soc.attach(witness);
-  soc.attach(kernel);
+  soc.attach(session.kernel);
   soc.attach(detector);
   soc.attach(deadlines);
 
   ReferenceRun run;
-  SessionResult& result = run.result;
-  result.stats.ticks = soc.run(config.max_ticks);
-  result.stats.quiet_ticks = witness.quiet_ticks();
-  result.stats.quiet_checks = deadlines.checks();
-  if (detector.bug_found()) {
-    result.outcome = Outcome::kBug;
-    result.report = *detector.report();
-    result.report->seed = config.seed;
-    result.report->merged = generated.merged;
-  } else if (detector.passed()) {
-    result.outcome = Outcome::kPassed;
-  } else {
-    result.outcome = Outcome::kTickLimit;
-  }
-  result.stats.commands_issued = committer.issued();
-  result.stats.commands_acked = committer.acked();
-  result.stats.commands_failed = committer.failed();
-  result.stats.kernel_service_calls = kernel.service_calls();
-  result.stats.context_switches = kernel.context_switches();
-  result.stats.gc_runs = kernel.gc_runs();
-  run.trace_hash =
-      scenario::trace_fingerprint(result, generated.merged, soc.trace());
+  run.result = session.file(detector, soc.run(config.max_ticks));
+  run.result.stats.quiet_ticks = witness.quiet_ticks();
+  run.result.stats.quiet_checks = deadlines.checks();
+  run.trace_hash = scenario::trace_fingerprint(
+      run.result, session.generated.merged, soc.trace());
   run.violations = witness.violations();
   run.deadline_violations = deadlines.violations();
   run.deadline_firings = deadlines.deadline_firings();
   return run;
-}
-
-void expect_same_session(const SessionResult& rig,
-                         const SessionResult& reference,
-                         const pfa::Alphabet& alphabet) {
-  EXPECT_EQ(rig.stats.ticks, reference.stats.ticks);
-  EXPECT_EQ(rig.stats.quiet_ticks, reference.stats.quiet_ticks);
-  EXPECT_EQ(rig.stats.quiet_checks, reference.stats.quiet_checks);
-  EXPECT_EQ(rig.outcome, reference.outcome);
-  EXPECT_EQ(rig.stats.commands_issued, reference.stats.commands_issued);
-  EXPECT_EQ(rig.stats.commands_acked, reference.stats.commands_acked);
-  EXPECT_EQ(rig.stats.commands_failed, reference.stats.commands_failed);
-  EXPECT_EQ(rig.stats.kernel_service_calls,
-            reference.stats.kernel_service_calls);
-  EXPECT_EQ(rig.stats.context_switches, reference.stats.context_switches);
-  EXPECT_EQ(rig.stats.gc_runs, reference.stats.gc_runs);
-  ASSERT_EQ(rig.report.has_value(), reference.report.has_value());
-  if (!rig.report) return;
-  EXPECT_EQ(rig.report->signature(), reference.report->signature());
-  EXPECT_EQ(rig.report->render(alphabet), reference.report->render(alphabet));
 }
 
 struct SweepTotals {
@@ -327,6 +253,10 @@ void sweep_variant(const std::string& label, const PtestConfig& config,
         scenario::trace_fingerprint(out.session, out.merged, rig.soc().trace());
     const ReferenceRun reference = run_reference(*plan, seed, setup, scratch);
     expect_same_session(out.session, reference.result, plan->alphabet);
+    EXPECT_EQ(out.session.stats.quiet_ticks,
+              reference.result.stats.quiet_ticks);
+    EXPECT_EQ(out.session.stats.quiet_checks,
+              reference.result.stats.quiet_checks);
     EXPECT_EQ(rig_hash, reference.trace_hash);
     EXPECT_EQ(reference.violations, 0u)
         << "the master or committee acted after the quiet entry";
@@ -354,15 +284,10 @@ void sweep_variant(const std::string& label, const PtestConfig& config,
 TEST(TickLoopReferenceTest, CatalogSweepMatchesTheGenericLoop) {
   constexpr std::uint64_t kSeedsPerVariant = 64;
   SweepTotals totals;
-  for (const scenario::Scenario& entry :
-       scenario::ScenarioRegistry::builtin().all()) {
-    sweep_variant(entry.name, entry.config, entry.setup, kSeedsPerVariant,
-                  totals);
-    if (entry.has_benign()) {
-      sweep_variant(entry.name + " (benign)", entry.benign_plan(),
-                    entry.benign_workload(), kSeedsPerVariant, totals);
-    }
-  }
+  for_each_catalog_variant([&](const CatalogVariant& variant) {
+    sweep_variant(variant.label, variant.config, variant.setup,
+                  kSeedsPerVariant, totals);
+  });
   // The sweep must stop sessions in both phases and spend most of its
   // ticks in the quiet one.
   EXPECT_GT(totals.bugs, totals.sessions / 4);

@@ -16,10 +16,8 @@
 #include <utility>
 #include <vector>
 
-#include "ptest/core/adaptive_test.hpp"
+#include "core/reference_session.hpp"
 #include "ptest/pattern/coverage.hpp"
-#include "ptest/scenario/registry.hpp"
-#include "ptest/support/rng.hpp"
 
 namespace ptest::pattern {
 namespace {
@@ -268,13 +266,9 @@ void sweep_variant(const std::string& label, const core::PtestConfig& config,
 
 TEST(CoverageReferenceTest, CatalogSweepMatchesSetTracker) {
   SweepTotals totals;
-  for (const scenario::Scenario& entry :
-       scenario::ScenarioRegistry::builtin().all()) {
-    sweep_variant(entry.name, entry.config, totals);
-    if (entry.has_benign()) {
-      sweep_variant(entry.name + " (benign)", entry.benign_plan(), totals);
-    }
-  }
+  core::for_each_catalog_variant([&](const core::CatalogVariant& variant) {
+    sweep_variant(variant.label, variant.config, totals);
+  });
   EXPECT_GE(totals.sessions, 14 * kSeedsPerVariant);
   // The sweep is not vacuous: most checks ran with edges still uncovered.
   EXPECT_GT(totals.partial_states, totals.sessions / 2);

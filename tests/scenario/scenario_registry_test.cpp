@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/reference_session.hpp"
 #include "ptest/core/campaign.hpp"
 
 namespace ptest::scenario {
@@ -74,18 +75,12 @@ TEST(ScenarioRegistryTest, SetupRegistersThePlansProgram) {
   // The plan's program_id must resolve after setup — otherwise every TC
   // command would fail with kErrBadProgram and the campaign would be
   // vacuously green.
-  for (const Scenario& scenario : ScenarioRegistry::builtin().all()) {
-    SCOPED_TRACE(scenario.name);
-    pcore::PcoreKernel kernel(scenario.config.kernel);
-    scenario.setup(kernel);
-    EXPECT_TRUE(kernel.has_program(scenario.config.program_id));
-    if (scenario.has_benign()) {
-      pcore::PcoreKernel benign_kernel(scenario.benign_plan().kernel);
-      scenario.benign_workload()(benign_kernel);
-      EXPECT_TRUE(
-          benign_kernel.has_program(scenario.benign_plan().program_id));
-    }
-  }
+  core::for_each_catalog_variant([](const core::CatalogVariant& variant) {
+    SCOPED_TRACE(variant.label);
+    pcore::PcoreKernel kernel(variant.config.kernel);
+    variant.setup(kernel);
+    EXPECT_TRUE(kernel.has_program(variant.config.program_id));
+  });
 }
 
 /// One catalog variant's task names for args 0..n-1 of its plan, joined
@@ -140,15 +135,10 @@ TEST(ScenarioRegistryTest, TaskNamesArePinnedForEveryVariant) {
       {"livelock-backoff (benign)", "livelock-backoff livelock-backoff"},
   };
   std::vector<std::pair<std::string, std::string>> seen;
-  for (const Scenario& scenario : ScenarioRegistry::builtin().all()) {
-    seen.emplace_back(scenario.name,
-                      created_names(scenario.config, scenario.setup));
-    if (scenario.has_benign()) {
-      seen.emplace_back(scenario.name + " (benign)",
-                        created_names(scenario.benign_plan(),
-                                      scenario.benign_workload()));
-    }
-  }
+  core::for_each_catalog_variant([&](const core::CatalogVariant& variant) {
+    seen.emplace_back(variant.label,
+                      created_names(variant.config, variant.setup));
+  });
   EXPECT_EQ(seen, expected);
 }
 
