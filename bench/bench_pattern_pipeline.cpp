@@ -143,9 +143,6 @@ const int registered = [] {
         ctx.measure([&] {
           bench::do_not_optimize(model.pfa.sample_into(scratch, rng, options));
         });
-        ctx.set_counter("reuse_hits", static_cast<double>(scratch.reuse_hits()));
-        ctx.set_counter("alloc_bytes_saved",
-                        static_cast<double>(scratch.alloc_bytes_saved()));
       });
 
   for (const std::size_t cap : {std::size_t{64}, std::size_t{1024}}) {

@@ -1,5 +1,7 @@
 #include "ptest/baseline/systematic.hpp"
 
+#include <utility>
+
 #include "ptest/pattern/merger.hpp"
 
 namespace ptest::baseline {
@@ -23,18 +25,21 @@ SystematicResult systematic_explore(const core::PtestConfig& config,
   result.exhausted_budget =
       interleavings.size() >= options.max_interleavings;
 
+  // One rig serves every interleaving: each is a load and a run into the
+  // same kept result.
+  core::SessionRig rig(plan->config, plan->alphabet);
+  core::SessionResult session;
   for (const pattern::MergedPattern& merged : interleavings) {
     if (result.runs_executed >= options.max_runs) {
       result.exhausted_budget = true;
       break;
     }
     ++result.runs_executed;
-    core::TestSession session(config, alphabet, merged, generated.patterns,
-                              setup);
-    const core::SessionResult session_result = session.run();
-    if (session_result.outcome == core::Outcome::kBug) {
+    rig.load(config.seed, merged, generated.patterns, setup);
+    rig.run(session);
+    if (session.outcome == core::Outcome::kBug) {
       result.found = true;
-      result.report = session_result.report;
+      result.report = std::move(session.report);
       break;
     }
   }

@@ -21,13 +21,6 @@ void generate_and_merge(const CompiledTestPlan& plan, std::uint64_t seed,
   pattern::PatternGenerator generator(plan.pfa, plan.generator_options,
                                       generator_rng);
 
-  // Session-scoped reuse accounting: the high-water mark restarts so the
-  // counters are a pure function of (plan, seed), not of which worker's
-  // scratch this session happened to land on.
-  scratch.begin_session();
-  const std::uint64_t reuse_before = scratch.reuse_hits();
-  const std::uint64_t bytes_before = scratch.alloc_bytes_saved();
-
   out.duplicates_rejected = 0;
   if (config.dedup_patterns) {
     // One span per session's dedup'd sampling loop, not per candidate:
@@ -57,8 +50,6 @@ void generate_and_merge(const CompiledTestPlan& plan, std::uint64_t seed,
 
   merger.reset(plan.merger_options, merger_rng);
   merger.merge_into(out.patterns, out.merged);
-  out.scratch_reuse_hits = scratch.reuse_hits() - reuse_before;
-  out.sample_alloc_bytes_saved = scratch.alloc_bytes_saved() - bytes_before;
 }
 
 AdaptiveTestResult generate_and_merge(const CompiledTestPlan& plan,

@@ -7,11 +7,14 @@
 //
 // The implementation is split into two stages (see test_plan.hpp):
 //
-//   compile(config, alphabet)           -> CompiledTestPlan   (once per config)
-//   execute(plan, seed, setup, scratch) -> AdaptiveTestResult (once per run)
+//   compile(config, alphabet)                     -> CompiledTestPlan
+//   execute(plan, seed, setup, scratch, rig, out) -> one session in `out`
 //
 // so that campaigns build the PFA artifact once per arm and only the
 // seed-dependent sampling / merging / session work runs per session.
+// Every src/ caller that runs more than one session (campaigns, guided
+// epochs, the systematic baseline) keeps a SessionRig and loads each
+// session into it; a rig serves any plan with its config and alphabet.
 // adaptive_test() keeps the original one-shot signature as a thin
 // compile-then-execute wrapper for callers that run a single session.
 #pragma once
@@ -28,19 +31,15 @@ struct AdaptiveTestResult {
   pattern::MergedPattern merged;
   /// Patterns rejected as replicas (only when config.dedup_patterns).
   std::size_t duplicates_rejected = 0;
-  /// This session's scratch-reuse accounting (see pfa::WalkScratch):
-  /// sample_into calls served within the session high-water capacity and
-  /// the Walk-buffer bytes those hits avoided allocating.  Deterministic
-  /// given (plan, seed), so campaigns fold them like any work counter.
-  std::uint64_t scratch_reuse_hits = 0;
-  std::uint64_t sample_alloc_bytes_saved = 0;
 };
 
 /// Runs one adaptive test against a precompiled plan into `out`: samples
 /// n patterns through the caller's scratch into out.patterns, merges them
 /// with the plan's op into out.merged through the rig's kept merger, and
-/// runs the session on `rig`, which must have been built from `plan` (its
-/// config and alphabet).  Every step reuses the capacity `out` and the
+/// runs the session on `rig`, which must be a rig built from a plan with
+/// the same config and alphabet (`plan` itself, or the plan it was
+/// refined from: a guided epoch's refined plans only move
+/// probabilities).  Every step reuses the capacity `out` and the
 /// rig already have, so a caller that keeps one `out` per rig runs warm
 /// sessions allocating only what the session's tasks allocate (see
 /// SessionRig::run for how reports circulate).  Every random stream

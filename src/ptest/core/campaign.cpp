@@ -74,18 +74,12 @@ void add_session(support::MetricsSnapshot& metrics,
   const std::uint64_t patterns = session.patterns.size();
   const std::uint64_t ticks = session.session.stats.ticks;
   ++metrics.sessions;
-  ++metrics.plan_cache_hits;
   metrics.patterns_generated += patterns;
-  if (dedup) {
-    metrics.dedup_accepted += patterns;
-    metrics.dedup_rejected += session.duplicates_rejected;
-  }
+  if (dedup) metrics.dedup_rejected += session.duplicates_rejected;
   metrics.ticks += ticks;
   metrics.quiet_ticks += session.session.stats.quiet_ticks;
   metrics.quiet_checks += session.session.stats.quiet_checks;
   metrics.ticks_hist.record(ticks);
-  metrics.scratch_reuse_hits += session.scratch_reuse_hits;
-  metrics.sample_alloc_bytes_saved += session.sample_alloc_bytes_saved;
 }
 
 Campaign::Campaign(PtestConfig base_config, std::vector<CampaignArm> arms,

@@ -1,7 +1,6 @@
 #include "ptest/core/session.hpp"
 
 #include <algorithm>
-#include <memory>
 
 namespace ptest::core {
 
@@ -20,13 +19,13 @@ SessionRig::SessionRig(const PtestConfig& config,
       kernel_(config.kernel),
       channel_(soc_),
       committee_(channel_, kernel_),
-      master_(channel_),
       recorder_(alphabet),
-      committer_(&add_committer(config, alphabet)),
-      detector_(config.detector, kernel_, *committer_, recorder_) {
+      committer_(pattern::MergedPattern{}, alphabet,
+                 committer_options(config, noise_rng_), &recorder_),
+      detector_(config.detector, kernel_, committer_, recorder_) {
   // run() steps the devices itself; attached in the same order, they
   // also tick under soc().step() for callers that step the stack by hand.
-  soc_.attach(master_);
+  // The committer runs only under run().
   soc_.attach(committee_);
   soc_.attach(kernel_);
   soc_.attach(detector_);
@@ -52,16 +51,6 @@ master::CommitterOptions committer_options(const PtestConfig& config,
   return options;
 }
 
-master::Committer& SessionRig::add_committer(const PtestConfig& config,
-                                             const pfa::Alphabet& alphabet) {
-  auto committer = std::make_unique<master::Committer>(
-      pattern::MergedPattern{}, alphabet,
-      committer_options(config, noise_rng_), &recorder_);
-  master::Committer& added = *committer;
-  master_.add(std::move(committer));
-  return added;
-}
-
 void SessionRig::load(std::uint64_t seed,
                       const pattern::MergedPattern& merged,
                       const std::vector<pattern::TestPattern>& patterns,
@@ -73,40 +62,46 @@ void SessionRig::load(std::uint64_t seed,
   if (setup) setup(kernel_);
   channel_.reset(soc_);
   committee_.reset();
-  master_.reset();
   recorder_.reset(patterns.size());
   for (pattern::SlotIndex slot = 0; slot < patterns.size(); ++slot) {
     recorder_.assign(slot, patterns[slot].symbols);
   }
-  committer_->reset(merged);
+  committer_.reset(merged);
   detector_.reset();
 }
 
 void SessionRig::tick_loop(SessionStats& stats) {
-  // Device order = intra-tick order: master issues, committee dispatches,
-  // kernel executes, detector observes the post-state.  As in
-  // sim::Soc::step, every device ticks, the clock advances after all
-  // four, and the session stops after a tick on which any returned false.
+  // Intra-tick order: the committer issues, the committee dispatches,
+  // the kernel executes, the detector observes the post-state.  As in
+  // sim::Soc::step, each ticks, the clock advances after all four, and
+  // the session stops after a tick on which a device returned false.
+  // The committer steps until it reports kDone, as under a one-thread
+  // MasterScheduler, which never steps a done thread again and records
+  // the same event.
+  master::MasterContext context(soc_, channel_);
   sim::Tick executed = 0;
   bool keep_running = true;
   while (keep_running && executed < max_ticks_) {
-    // Quiet entry.  Only the master posts commands, and its one thread,
-    // the committer, reaches kDone only with an empty ledger and an empty
-    // retry queue: every command it posted has been executed and its
-    // response taken, so nothing is in flight on the channel.  With the
-    // committee idle as well (no backlog, no command ready), no later
-    // tick of either device can change any state, and they retire for
-    // the rest of the session.
-    if (master_.all_done() && committee_.idle(soc_)) break;
+    // Quiet entry.  Only the committer posts commands, and it reaches
+    // kDone only with an empty ledger and an empty retry queue: every
+    // command it posted has been executed and its response taken, so
+    // nothing is in flight on the channel.  With the committee idle as
+    // well (no backlog, no command ready), no later tick of either can
+    // change any state, and they retire for the rest of the session.
+    if (committer_.finished() && committee_.idle(soc_)) break;
     ++executed;
-    keep_running = master_.tick(soc_);
-    if (!committee_.tick(soc_)) keep_running = false;
+    if (!committer_.finished() &&
+        committer_.step(context) == master::ThreadStep::kDone) {
+      soc_.record(sim::TraceCategory::kMaster, sim::TraceCode::kThreadDone,
+                  committer_.name());
+    }
+    keep_running = committee_.tick(soc_);
     if (!kernel_.tick(soc_)) keep_running = false;
     if (!detector_.tick(soc_)) keep_running = false;
     soc_.clock().advance();
   }
   const sim::Tick active = executed;
-  // The quiet loop.  The master and the committee are retired, so no
+  // The quiet loop.  The committer and the committee are retired, so no
   // command arrives and the committer's outstanding set stays empty: the
   // unresponsive check cannot fire, the termination deadline is fixed,
   // and the kernel's runnable set changes only on a panic, a live-count
@@ -150,7 +145,7 @@ void SessionRig::run(SessionResult& out) {
     BugReport& report = out.report.emplace();
     detector_.swap_report(report);
     report.seed = seed_;
-    const pattern::MergedPattern& merged = committer_->pattern();
+    const pattern::MergedPattern& merged = committer_.pattern();
     report.merged.elements.assign(merged.elements.begin(),
                                   merged.elements.end());
   } else if (detector_.passed()) {
@@ -159,9 +154,9 @@ void SessionRig::run(SessionResult& out) {
     out.outcome = Outcome::kTickLimit;
   }
 
-  out.stats.commands_issued = committer_->issued();
-  out.stats.commands_acked = committer_->acked();
-  out.stats.commands_failed = committer_->failed();
+  out.stats.commands_issued = committer_.issued();
+  out.stats.commands_acked = committer_.acked();
+  out.stats.commands_failed = committer_.failed();
   out.stats.kernel_service_calls = kernel_.service_calls();
   out.stats.context_switches = kernel_.context_switches();
   out.stats.gc_runs = kernel_.gc_runs();

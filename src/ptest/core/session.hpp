@@ -1,37 +1,40 @@
 // A test session wires the whole master-slave stack together:
 //
-//   Soc (clock, SRAM, mailboxes)
-//    ├─ MasterScheduler (ARM)  ── Committer thread ──┐
-//    ├─ Committee (DSP bridge dispatcher)            │ bridge::Channel
-//    ├─ PcoreKernel (DSP)      <─────────────────────┘
+//   Committer (ARM master thread) ──────────────┐
+//   Soc (clock, SRAM, mailboxes)                │ bridge::Channel
+//    ├─ Committee (DSP bridge dispatcher)       │
+//    ├─ PcoreKernel (DSP)      <────────────────┘
 //    └─ BugDetector (observer, stepped last)
 //
 // and drives a merged pattern to completion, a bug, or the tick limit.
 //
-// The rig steps its four devices itself, in that order, with direct
-// calls (the device classes are final), and advances the clock after
-// all four: the same ticks sim::Soc::run would run on a Soc the four
-// were attached to.  Soc::run stays the generic loop for stacks wired by
-// hand.  Once the master can post nothing more (every master thread done)
-// and the committee is idle, neither can act again, so the rig's loop
-// enters a quiet phase that retires them.  There the kernel runs alone
-// (PcoreKernel::run_quiet) and the detector ticks only on a tick where a
-// check could fire: a kernel event (a panic, a live-count or wait-graph
-// epoch change), the detector's next deadline (BugDetector::
+// The rig steps the committer and the three devices itself, in that
+// order, with direct calls (the classes are final or held by value), and
+// advances the clock after all four: the same ticks sim::Soc::run would
+// run with the committer in a master::MasterScheduler attached ahead of
+// the three devices.  The rig records the scheduler's thread-done event
+// when the committer finishes, so the trace is the same too.  Soc::run
+// stays the generic loop for stacks wired by hand.  Once the committer
+// is done and the committee is idle, neither can act again, so the rig's
+// loop enters a quiet phase that retires them.  There the kernel runs
+// alone (PcoreKernel::run_quiet) and the detector ticks only on a tick
+// where a check could fire: a kernel event (a panic, a live-count or
+// wait-graph epoch change), the detector's next deadline (BugDetector::
 // quiet_deadline) or the tick-limit cut.  Every kernel tick still runs,
 // the clock does not jump, and every report lands on the tick per-tick
 // detection would file it.  Hang sessions spend almost all their ticks
 // in this phase.
 //
-// SessionRig owns that stack and is the one place in src/ it is wired;
-// committer_options() is the one source of the committer's wiring, for
-// the rig and for the reference stacks the tests wire by hand.  A
-// campaign runs thousands of short sessions against one plan, so it
-// builds a rig once per (participant, plan) and load()s each session
-// into it: every device resets to its freshly constructed state, keeping
-// its buffers, and the workload setup runs again on the reset kernel.
-// A loaded rig runs exactly as a freshly built one would.  TestSession
-// is the one-session form: one rig, loaded once.
+// SessionRig owns that stack and is the one place in src/ it is wired
+// for a session; committer_options() is the one source of the
+// committer's wiring, for the rig and for the reference stacks the tests
+// wire by hand.  Campaigns, guided epochs and the systematic baseline run
+// thousands of short sessions against one config and alphabet, so they
+// build a rig once per participant and load() each session into it:
+// every device resets to its freshly constructed state, keeping its
+// buffers, and the workload setup runs again on the reset kernel.  A
+// loaded rig runs exactly as a freshly built one would.  TestSession is
+// the one-session form: one rig, loaded once.
 //
 // Buffers circulate instead of being rebuilt.  The committer borrows the
 // caller's merged pattern, the detector files each report into a kept
@@ -49,7 +52,7 @@
 #include "ptest/core/bug_detector.hpp"
 #include "ptest/core/config.hpp"
 #include "ptest/core/state_record.hpp"
-#include "ptest/master/scheduler.hpp"
+#include "ptest/master/committer.hpp"
 #include "ptest/pattern/merger.hpp"
 #include "ptest/pattern/pattern.hpp"
 #include "ptest/support/rng.hpp"
@@ -147,14 +150,10 @@ class SessionRig {
     return recorder_;
   }
   [[nodiscard]] const master::Committer& committer() const noexcept {
-    return *committer_;
+    return committer_;
   }
 
  private:
-  /// Builds the committer with the session's options, hands it to
-  /// master_ and returns it.
-  master::Committer& add_committer(const PtestConfig& config,
-                                   const pfa::Alphabet& alphabet);
   /// Runs the loaded session's ticks; writes stats.ticks,
   /// stats.quiet_ticks and stats.quiet_checks.
   void tick_loop(SessionStats& stats);
@@ -167,9 +166,8 @@ class SessionRig {
   pcore::PcoreKernel kernel_;
   bridge::Channel channel_;
   bridge::Committee committee_;
-  master::MasterScheduler master_;
   StateRecorder recorder_;
-  master::Committer* committer_;  // owned by master_
+  master::Committer committer_;
   BugDetector detector_;
   pattern::PatternMerger merger_;
 };

@@ -18,9 +18,7 @@ SessionBatchRunner::SessionBatchRunner(std::size_t jobs,
       1, std::min(support::resolve_jobs(jobs), max_batch));
   if (useful > 1) pool_ = std::make_unique<support::WorkerPool>(useful - 1);
   // Slots live as long as the runner: after a participant's first
-  // session warms its scratch up, sampling allocates nothing.  The reuse
-  // *counters* stay jobs-invariant — WalkScratch accounts them per
-  // session (see begin_session), not per buffer.
+  // session warms its scratch up, sampling allocates nothing.
   slots_.resize(useful);
   for (Slot& slot : slots_) {
     for (const pfa::Pfa* pfa : arm_pfas_) slot.coverage.emplace_back(*pfa);

@@ -55,8 +55,10 @@ namespace ptest::fleet {
 /// ships failures' CP records and trace tails as numbers instead of
 /// rendered text, plus the kernel fields the report rendering reads.
 /// v6 adds the quiet-phase rows (quiet_ticks, quiet_checks) to the
-/// metrics block.
-inline constexpr std::uint64_t kWireVersion = 6;
+/// metrics block.  v7 drops four rows that restated other counters
+/// (plan_cache_hits, dedup_accepted, scratch_reuse_hits,
+/// sample_alloc_bytes_saved).
+inline constexpr std::uint64_t kWireVersion = 7;
 
 enum class FrameKind : std::uint8_t {
   kAssign,

@@ -1,6 +1,7 @@
 #include "ptest/guided/campaign.hpp"
 
 #include <cmath>
+#include <deque>
 #include <stdexcept>
 
 #include "ptest/core/session_batch.hpp"
@@ -118,6 +119,13 @@ GuidedResult GuidedCampaign::run() {
   core::SessionBatchRunner runner(options_.jobs, options_.sessions_per_epoch,
                                   {&base_plan->pfa}, config_.dedup_patterns,
                                   options_.counts_as_bug);
+  // One rig per participant for the whole run.  Refinement only moves
+  // probabilities, so every refined plan keeps the base plan's config and
+  // alphabet, the two things a rig is built from.
+  std::deque<core::SessionRig> rigs;
+  for (std::size_t p = 0; p < runner.participants(); ++p) {
+    rigs.emplace_back(base_plan->config, base_plan->alphabet);
+  }
   // Each participant's trace fingerprints of the current epoch.
   std::vector<std::vector<std::uint64_t>> fingerprints(runner.participants());
 
@@ -190,11 +198,11 @@ GuidedResult GuidedCampaign::run() {
         run_base, run_base + batch_size,
         [&](std::size_t participant, std::size_t run,
             pfa::WalkScratch& scratch, core::AdaptiveTestResult& out) {
-          scenario::TracedRun traced = scenario::run_traced(
-              *plan, support::derive_seed(config_.seed, run), setup_,
-              scratch);
-          fingerprints[participant].push_back(traced.trace_hash);
-          out = std::move(traced.result);
+          core::SessionRig& rig = rigs[participant];
+          core::execute(*plan, support::derive_seed(config_.seed, run),
+                        setup_, scratch, rig, out);
+          fingerprints[participant].push_back(scenario::trace_fingerprint(
+              out.session, out.merged, rig.soc().trace()));
           return std::size_t{0};
         });
 

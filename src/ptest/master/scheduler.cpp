@@ -8,13 +8,6 @@ std::size_t MasterScheduler::add(std::unique_ptr<MasterThread> thread) {
   return threads_.size() - 1;
 }
 
-void MasterScheduler::reset() noexcept {
-  for (Entry& entry : threads_) entry.done = false;
-  live_ = threads_.size();
-  current_ = 0;
-  used_ = 0;
-}
-
 void MasterScheduler::rotate() {
   if (threads_.empty()) return;
   used_ = 0;

@@ -1,6 +1,9 @@
 // Round-robin time-sharing scheduler for master threads; a sim::Device
 // representing the ARM core's software stack.  It keeps a count of
 // threads not yet done, so once all are done a tick is one compare.
+// Master stacks wired by hand run on it (the fig1 harness, and the
+// reference stacks the session rig is checked against); the rig itself
+// steps its one thread, the committer, directly.
 #pragma once
 
 #include <memory>
@@ -23,11 +26,6 @@ class MasterScheduler final : public sim::Device {
   std::size_t add(std::unique_ptr<MasterThread> thread);
 
   bool tick(sim::Soc& soc) override;
-
-  /// Marks every thread not done and restarts the round robin at thread
-  /// 0, as right after the adds.  The threads themselves keep their
-  /// state: their owner resets them.
-  void reset() noexcept;
 
   /// True once every thread reported kDone.
   [[nodiscard]] bool all_done() const noexcept { return live_ == 0; }

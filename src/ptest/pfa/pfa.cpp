@@ -332,22 +332,6 @@ const Walk& Pfa::sample_into(WalkScratch& scratch, support::Rng& rng,
     }
   }
   walk.accepted = states_[current].accepting;
-
-  // Reuse accounting against the session high-water mark (see
-  // WalkScratch): deterministic for any jobs value / scratch placement.
-  const std::size_t symbols = walk.symbols.size();
-  const std::size_t states = walk.states.size();
-  if (symbols <= scratch.session_symbols_high_ &&
-      states <= scratch.session_states_high_) {
-    ++scratch.reuse_hits_;
-    scratch.alloc_bytes_saved_ +=
-        symbols * sizeof(SymbolId) + states * sizeof(StateId);
-  } else {
-    scratch.session_symbols_high_ =
-        std::max(scratch.session_symbols_high_, symbols);
-    scratch.session_states_high_ =
-        std::max(scratch.session_states_high_, states);
-  }
   return walk;
 }
 

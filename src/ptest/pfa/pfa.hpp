@@ -67,50 +67,20 @@ struct Walk {
 struct WalkOptions;
 
 /// Reusable sampling buffers, held by one worker and threaded through
-/// Pfa::sample_into so steady-state sessions allocate nothing per walk.
-/// Not thread-safe: each worker (WorkerPool participant, fleet shard)
-/// owns its own scratch exclusively.
-///
-/// The scratch also keeps the jobs-invariant reuse accounting behind the
-/// support::MetricsSnapshot `scratch_reuse_hits` / `sample_alloc_bytes_saved`
-/// counters.  A call counts as a reuse hit when the emitted walk fits
-/// within the session high-water mark (the capacity a session-fresh
-/// scratch would already hold) — a pure function of the walk sequence,
-/// so the counters are identical for every jobs value even though which
-/// physical scratch served a session is not deterministic.
+/// Pfa::sample_into so steady-state sessions allocate nothing per walk
+/// (pfa/sample_alloc_probe_test checks that directly).  Not thread-safe:
+/// each worker (WorkerPool participant, fleet shard) owns its own
+/// scratch exclusively.  What a walk samples never depends on the
+/// buffers' history, so which worker's scratch served a session is
+/// invisible in its result.
 struct WalkScratch {
   Walk walk;
   /// Block of pre-drawn uniforms (Rng::uniform_batch); sized lazily.
   std::vector<double> uniforms;
 
-  /// Resets the session high-water mark.  Called at the top of every
-  /// session (core::generate_and_merge) so the reuse counters below stay
-  /// independent of which worker's scratch the session landed on.
-  void begin_session() noexcept {
-    session_symbols_high_ = 0;
-    session_states_high_ = 0;
-  }
-
   /// Pre-sizes the buffers for walks under `options` so even the first
   /// samples allocate nothing (2x covers restart_at_accept state chains).
   void reserve(const WalkOptions& options);
-
-  /// sample_into calls whose walk fit in session-high-water capacity.
-  [[nodiscard]] std::uint64_t reuse_hits() const noexcept {
-    return reuse_hits_;
-  }
-  /// Bytes of Walk-buffer allocation those hits avoided versus the
-  /// allocate-per-call Pfa::sample wrapper.
-  [[nodiscard]] std::uint64_t alloc_bytes_saved() const noexcept {
-    return alloc_bytes_saved_;
-  }
-
- private:
-  friend class Pfa;
-  std::size_t session_symbols_high_ = 0;
-  std::size_t session_states_high_ = 0;
-  std::uint64_t reuse_hits_ = 0;
-  std::uint64_t alloc_bytes_saved_ = 0;
 };
 
 struct WalkOptions {

@@ -40,19 +40,12 @@ namespace ptest::support {
 /// row tables below, not here.
 struct MetricsSnapshot {
   std::uint64_t sessions = 0;            ///< sessions executed
-  std::uint64_t plan_cache_hits = 0;     ///< sessions served by a precompiled plan
   std::uint64_t plan_compiles = 0;       ///< full regex->PFA compile pipelines run
   std::uint64_t patterns_generated = 0;  ///< test patterns sampled (kept)
-  std::uint64_t dedup_accepted = 0;      ///< patterns accepted as new by dedup
   std::uint64_t dedup_rejected = 0;      ///< patterns rejected as replicas
   std::uint64_t ticks = 0;               ///< kernel ticks simulated (interleaving steps)
   std::uint64_t quiet_ticks = 0;         ///< of those, ticked with master and committee retired
   std::uint64_t quiet_checks = 0;        ///< of those, ticks the bug detector ran on
-  /// Sampling scratch reuse.  WalkScratch accounts reuse against
-  /// per-session high-water marks, so the totals are a pure function of
-  /// seed/config even though the physical buffer reuse is scheduled.
-  std::uint64_t scratch_reuse_hits = 0;       ///< sample_into calls served from warm buffers
-  std::uint64_t sample_alloc_bytes_saved = 0; ///< walk-buffer bytes those hits avoided
 
   /// PFA model coverage, summed over the campaign's arms (a single-arm
   /// campaign reads directly as its plan's coverage); zero when
@@ -177,14 +170,10 @@ struct HistogramField {
 inline constexpr CounterField kCounterFields[] = {
     {"sessions", MetricClass::kWork, &MetricsSnapshot::sessions,
      MetricMerge::kSum},
-    {"plan_cache_hits", MetricClass::kWork, &MetricsSnapshot::plan_cache_hits,
-     MetricMerge::kSum},
     {"plan_compiles", MetricClass::kWork, &MetricsSnapshot::plan_compiles,
      MetricMerge::kFirst},
     {"patterns_generated", MetricClass::kWork,
      &MetricsSnapshot::patterns_generated, MetricMerge::kSum},
-    {"dedup_accepted", MetricClass::kWork, &MetricsSnapshot::dedup_accepted,
-     MetricMerge::kSum},
     {"dedup_rejected", MetricClass::kWork, &MetricsSnapshot::dedup_rejected,
      MetricMerge::kSum},
     {"ticks", MetricClass::kWork, &MetricsSnapshot::ticks, MetricMerge::kSum},
@@ -192,10 +181,6 @@ inline constexpr CounterField kCounterFields[] = {
      MetricMerge::kSum},
     {"quiet_checks", MetricClass::kWork, &MetricsSnapshot::quiet_checks,
      MetricMerge::kSum},
-    {"scratch_reuse_hits", MetricClass::kWork,
-     &MetricsSnapshot::scratch_reuse_hits, MetricMerge::kSum},
-    {"sample_alloc_bytes_saved", MetricClass::kWork,
-     &MetricsSnapshot::sample_alloc_bytes_saved, MetricMerge::kSum},
     {"pfa_states", MetricClass::kWork, &MetricsSnapshot::pfa_states,
      MetricMerge::kDerived},
     {"pfa_states_covered", MetricClass::kWork,

@@ -3,6 +3,8 @@
 #include "ptest/baseline/noise.hpp"
 #include "ptest/baseline/random_walk.hpp"
 #include "ptest/baseline/systematic.hpp"
+#include "ptest/pattern/merger.hpp"
+#include "ptest/scenario/registry.hpp"
 #include "ptest/workload/philosophers.hpp"
 #include "ptest/workload/quicksort.hpp"
 
@@ -123,6 +125,91 @@ TEST(SystematicTest, BudgetCapsEnumeration) {
                                          options);
   EXPECT_TRUE(result.exhausted_budget);
   EXPECT_LE(result.runs_executed, 3u);
+}
+
+// --- systematic_explore against a session per interleaving ---------------
+
+/// systematic_explore as a loop that wires a fresh TestSession for each
+/// interleaving: the oracle for the one kept rig the explorer loads
+/// every interleaving into.
+SystematicResult explore_with_fresh_sessions(const core::PtestConfig& config,
+                                             const core::WorkloadSetup& setup,
+                                             const SystematicOptions& options) {
+  const core::CompiledTestPlanPtr plan = core::compile(config);
+  pfa::WalkScratch scratch;
+  const core::AdaptiveTestResult generated =
+      core::generate_and_merge(*plan, config.seed, scratch);
+  const std::vector<pattern::MergedPattern> interleavings =
+      pattern::PatternMerger::enumerate_interleavings(
+          generated.patterns, options.max_interleavings);
+  SystematicResult result;
+  result.interleavings_total = interleavings.size();
+  result.exhausted_budget =
+      interleavings.size() >= options.max_interleavings;
+  for (const pattern::MergedPattern& merged : interleavings) {
+    if (result.runs_executed >= options.max_runs) {
+      result.exhausted_budget = true;
+      break;
+    }
+    ++result.runs_executed;
+    core::TestSession session(config, plan->alphabet, merged,
+                              generated.patterns, setup);
+    core::SessionResult session_result = session.run();
+    if (session_result.outcome == core::Outcome::kBug) {
+      result.found = true;
+      result.report = std::move(session_result.report);
+      break;
+    }
+  }
+  return result;
+}
+
+void expect_matches_fresh_sessions(const core::PtestConfig& config,
+                                   const core::WorkloadSetup& setup,
+                                   const SystematicOptions& options) {
+  pfa::Alphabet alphabet;
+  const SystematicResult kept =
+      systematic_explore(config, alphabet, setup, options);
+  const SystematicResult fresh =
+      explore_with_fresh_sessions(config, setup, options);
+  EXPECT_EQ(kept.found, fresh.found);
+  EXPECT_EQ(kept.runs_executed, fresh.runs_executed);
+  EXPECT_EQ(kept.interleavings_total, fresh.interleavings_total);
+  EXPECT_EQ(kept.exhausted_budget, fresh.exhausted_budget);
+  ASSERT_EQ(kept.report.has_value(), fresh.report.has_value());
+  if (!kept.report) return;
+  EXPECT_EQ(kept.report->signature(), fresh.report->signature());
+  EXPECT_EQ(kept.report->seed, fresh.report->seed);
+  EXPECT_EQ(kept.report->merged.elements, fresh.report->merged.elements);
+}
+
+TEST(SystematicTest, TinyStateSpaceMatchesFreshSessions) {
+  core::PtestConfig config = quicksort_config();
+  config.n = 2;
+  config.s = 2;
+  expect_matches_fresh_sessions(config, workload::register_quicksort, {});
+}
+
+TEST(SystematicTest, BudgetCappedRunMatchesFreshSessions) {
+  SystematicOptions options;
+  options.max_interleavings = 10;
+  options.max_runs = 3;
+  expect_matches_fresh_sessions(quicksort_config(),
+                                workload::register_quicksort, options);
+}
+
+TEST(SystematicTest, FoundBugMatchesFreshSessions) {
+  // A crash found a few interleavings in: the kept rig has run clean
+  // sessions before the one that files the report.
+  const scenario::Scenario* entry =
+      scenario::ScenarioRegistry::builtin().find("aba-stack");
+  ASSERT_NE(entry, nullptr);
+  pfa::Alphabet alphabet;
+  const SystematicResult result =
+      systematic_explore(entry->config, alphabet, entry->setup);
+  ASSERT_TRUE(result.found);
+  EXPECT_GT(result.runs_executed, 1u);
+  expect_matches_fresh_sessions(entry->config, entry->setup, {});
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 
 #include "ptest/core/adaptive_test.hpp"
 #include "ptest/core/session.hpp"
+#include "ptest/master/scheduler.hpp"
 #include "ptest/scenario/registry.hpp"
 #include "ptest/support/rng.hpp"
 

@@ -37,6 +37,8 @@
 
 #include "core/reference_session.hpp"
 #include "ptest/core/campaign.hpp"
+#include "ptest/guided/refiner.hpp"
+#include "ptest/pattern/coverage.hpp"
 #include "ptest/scenario/golden.hpp"
 
 namespace ptest::core {
@@ -134,6 +136,67 @@ TEST(SessionRigReferenceTest, ShuffledCatalogSweepMatchesFreshSessions) {
                              BugKind::kNoTermination, BugKind::kStarvation}) {
     EXPECT_TRUE(totals.kinds.count(kind)) << to_string(kind);
   }
+}
+
+// --- refined plans on the base plan's rig ----------------------------------
+
+TEST(SessionRigReferenceTest, RefinedPlanSessionsOnTheBaseRigMatchFreshSessions) {
+  // A guided campaign keeps one rig per participant, built from the base
+  // plan, and runs every epoch's refined plan on it: refinement moves
+  // only probabilities, so config and alphabet stay the base plan's.
+  // Per variant, two refined plans (one refined against nothing covered,
+  // one against what the first plan's sessions covered) run through
+  // execute() on that one rig into one kept result, each session checked
+  // against a fresh TestSession wired on the refined plan itself.
+  constexpr std::uint64_t kSeeds = 8;
+  const guided::PlanRefiner refiner(guided::RefinerOptions{});
+  std::size_t variants = 0;
+  std::size_t sessions = 0;
+  std::size_t bugs = 0;
+  std::size_t moved = 0;  // sessions whose refined draw left the base's
+  for_each_catalog_variant([&](const CatalogVariant& variant) {
+    SCOPED_TRACE(variant.label);
+    const CompiledTestPlanPtr base = compile(variant.config);
+    SessionRig rig(base->config, base->alphabet);
+    pfa::WalkScratch scratch;
+    AdaptiveTestResult kept;
+    pattern::CoverageTracker covered(base->pfa);
+    CompiledTestPlanPtr plan =
+        compile_with_spec(base->config, refiner.refine(*base, {}));
+    for (std::uint64_t refinement = 0; refinement < 2; ++refinement) {
+      SCOPED_TRACE("refinement " + std::to_string(refinement));
+      for (std::uint64_t i = 0; i < kSeeds; ++i) {
+        const std::uint64_t seed = support::derive_seed(
+            variant.config.seed, refinement * kSeeds + i);
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        execute(*plan, seed, variant.setup, scratch, rig, kept);
+        const std::uint64_t fingerprint = scenario::trace_fingerprint(
+            kept.session, kept.merged, rig.soc().trace());
+        const AdaptiveTestResult generated =
+            generate_and_merge(*plan, seed, scratch);
+        const Observed fresh = run_fresh(*plan, seed, generated, variant.setup);
+        EXPECT_EQ(kept.merged.elements, generated.merged.elements);
+        expect_same_session(kept.session, fresh.result, plan->alphabet);
+        EXPECT_EQ(fingerprint, fresh.fingerprint);
+        for (const pattern::TestPattern& sampled : kept.patterns) {
+          covered.observe(sampled);
+        }
+        ++sessions;
+        if (kept.session.report) ++bugs;
+        if (generate_and_merge(*base, seed, scratch).merged.elements !=
+            generated.merged.elements) {
+          ++moved;
+        }
+      }
+      plan = compile_with_spec(
+          base->config, refiner.refine(*base, covered.transitions_seen()));
+    }
+    ++variants;
+  });
+  EXPECT_EQ(variants, 27u);
+  EXPECT_EQ(sessions, 27u * 2 * kSeeds);
+  EXPECT_GT(bugs, 0u);
+  EXPECT_GT(moved, sessions / 4);
 }
 
 // --- dirty-state cases ---------------------------------------------------------

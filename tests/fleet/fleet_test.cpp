@@ -251,6 +251,8 @@ TEST(Wire, DecodeRejectsGarbageAndWrongVersions) {
   EXPECT_FALSE(decode(R"({"wire_version": 4, "kind": "shutdown"})").ok());
   // v5 metrics blocks lacked the quiet-phase rows.
   EXPECT_FALSE(decode(R"({"wire_version": 5, "kind": "shutdown"})").ok());
+  // v6 metrics blocks carried four rows v7 dropped.
+  EXPECT_FALSE(decode(R"({"wire_version": 6, "kind": "shutdown"})").ok());
 }
 
 /// A genuine slice's result frame (failures, coverage, work counters)

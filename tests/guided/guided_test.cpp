@@ -12,11 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
+#include <utility>
 
 #include "ptest/guided/corpus.hpp"
 #include "ptest/guided/refiner.hpp"
+#include "ptest/scenario/golden.hpp"
 #include "ptest/scenario/registry.hpp"
 
 namespace ptest::guided {
@@ -398,6 +401,57 @@ TEST(GuidedCampaign, SplitRunIsBitIdenticalToTheUninterruptedRun) {
   // the uninterrupted run's.
   EXPECT_EQ(half1.refinements + half2.refinements, whole.refinements);
   EXPECT_EQ(half2.refinements, 2u);
+}
+
+/// FNV-1a over everything a guided run reports: per epoch the sessions,
+/// detections, new transitions, new fingerprints and the coverage bits,
+/// then the stop reason, sessions_to_first_bug and the saved corpus.
+std::uint64_t trajectory_digest(const GuidedResult& result,
+                                const CoverageCorpus& corpus) {
+  std::uint64_t hash = scenario::kFnvOffset;
+  for (const GuidedEpoch& epoch : result.epochs) {
+    hash = scenario::fnv1a(hash, epoch.sessions);
+    hash = scenario::fnv1a(hash, epoch.detections);
+    hash = scenario::fnv1a(hash, epoch.new_transitions);
+    hash = scenario::fnv1a(hash, epoch.new_fingerprints);
+    hash = scenario::fnv1a(
+        hash, std::bit_cast<std::uint64_t>(epoch.transition_coverage));
+    hash = scenario::fnv1a(hash,
+                           std::bit_cast<std::uint64_t>(epoch.coverage_gain));
+  }
+  hash = scenario::fnv1a(hash, static_cast<std::uint64_t>(result.stop_reason));
+  hash = scenario::fnv1a(
+      hash, result.sessions_to_first_bug.value_or(~std::size_t{0}));
+  return scenario::fnv1a(hash, corpus.to_json());
+}
+
+TEST(GuidedCampaign, TrajectoryIsPinned) {
+  // Every epoch's sessions run on kept rigs; these digests were recorded
+  // when each session still ran on a freshly wired one, so any state a
+  // kept rig or result carries into a refined plan's session moves them.
+  // The trace fingerprints feed new_fingerprints and the corpus.
+  const std::pair<const char*, std::uint64_t> pins[] = {
+      {"aba-stack", 0x5ba3fc7f2ae15abaULL},
+      {"philosophers-deadlock", 0xaec2c71c6d9da56aULL},
+      {"fig1-livelock", 0x705e80a8d43b498bULL},
+      {"writer-starvation", 0x77cfaa48281f7411ULL},
+  };
+  for (const auto& [name, digest] : pins) {
+    for (const std::size_t jobs : {1, 2}) {
+      SCOPED_TRACE(std::string(name) + " jobs " + std::to_string(jobs));
+      GuidedOptions options;
+      options.jobs = jobs;
+      options.stop_on_bug = false;
+      options.plateau_window = 0;
+      CoverageCorpus corpus;
+      const auto result =
+          GuidedCampaign::run_scenario(name, options, {}, {}, &corpus);
+      ASSERT_TRUE(result.ok()) << result.error();
+      EXPECT_EQ(result.value().epochs.size(), options.max_epochs);
+      EXPECT_EQ(trajectory_digest(result.value(), corpus), digest)
+          << std::hex << trajectory_digest(result.value(), corpus);
+    }
+  }
 }
 
 TEST(GuidedCampaign, StopsOnOracleFire) {

@@ -1,7 +1,7 @@
 // The precomputed sampling tables behind Pfa::sample_into: the SoA
 // flattening, the distance-filtered (closer-edge) pick table that
-// replaced the per-step weight masking of complete_to_accept, and the
-// WalkScratch reuse accounting.
+// replaced the per-step weight masking of complete_to_accept, and
+// sample_into matching sample draw for draw.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -91,37 +91,6 @@ TEST(SamplingTables, MultiAcceptCompletionWalkIsPinned) {
   EXPECT_EQ(f.render(steer_walk), "c d f g");
   EXPECT_TRUE(steer_walk.accepted);
   EXPECT_EQ(steer_walk.probability, 0.375);
-}
-
-TEST(SamplingTables, ScratchReuseCountersFollowTheHighWaterRule) {
-  MultiAccept f;
-  WalkOptions options;
-  options.size = 3;
-  WalkScratch scratch;
-
-  // Fresh session: the first sample can never be a hit (high-water 0).
-  support::Rng rng_a(11);
-  (void)f.pfa.sample_into(scratch, rng_a, options);
-  EXPECT_EQ(scratch.reuse_hits(), 0u);
-  EXPECT_EQ(scratch.alloc_bytes_saved(), 0u);
-
-  // Replaying the identical walk fits the high-water mark exactly: a
-  // hit, and the bytes saved are the walk's two buffers.
-  support::Rng rng_b(11);
-  const Walk& walk = f.pfa.sample_into(scratch, rng_b, options);
-  EXPECT_EQ(scratch.reuse_hits(), 1u);
-  EXPECT_EQ(scratch.alloc_bytes_saved(),
-            walk.symbols.size() * sizeof(SymbolId) +
-                walk.states.size() * sizeof(StateId));
-
-  // begin_session resets the high-water mark but not the lifetime
-  // totals: the next sample is a miss again, counters unchanged.
-  const std::uint64_t bytes_after_hit = scratch.alloc_bytes_saved();
-  scratch.begin_session();
-  support::Rng rng_c(11);
-  (void)f.pfa.sample_into(scratch, rng_c, options);
-  EXPECT_EQ(scratch.reuse_hits(), 1u);
-  EXPECT_EQ(scratch.alloc_bytes_saved(), bytes_after_hit);
 }
 
 TEST(SamplingTables, SampleMatchesSampleIntoDrawForDraw) {

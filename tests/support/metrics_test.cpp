@@ -85,7 +85,6 @@ TEST(MetricsSnapshot, NonWorkRowsRenderOnlyWhenNonzero) {
   // JSON always carries every row so machine consumers need no probes.
   const std::string json = json_of(MetricsSnapshot{});
   EXPECT_NE(json.find("\"fleet_retries\":0"), std::string::npos);
-  EXPECT_NE(json.find("\"scratch_reuse_hits\":0"), std::string::npos);
 }
 
 TEST(MetricsSnapshot, CoverageRatesRenderWhenTracked) {
