@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "ptest/core/session_batch.hpp"
+#include "ptest/support/fnv.hpp"
 #include "ptest/support/rng.hpp"
 #include "ptest/support/worker_pool.hpp"
 #include "ptest/workload/philosophers.hpp"
@@ -253,6 +254,71 @@ TEST(CampaignTest, SingleArmBatchIsIdenticalForAnyJobs) {
     expect_identical(
         serial,
         Campaign(philosopher_config(), arms, buggy_setup(), options).run());
+  }
+}
+
+/// FNV-1a over a campaign's coverage: every arm's covered states,
+/// transitions and n-grams (with their counts, so no two layouts alias)
+/// and the pfa_* work rows derived from them.
+std::uint64_t coverage_digest(const CampaignResult& result) {
+  std::uint64_t hash = support::kFnvOffset;
+  const auto fold = [&hash](std::uint64_t value) {
+    hash = support::fnv1a_word(hash, value, 8);
+  };
+  for (const pattern::CoverageState& arm : result.arm_coverage_state) {
+    fold(arm.states_total);
+    fold(arm.transitions_total);
+    fold(arm.states.size());
+    for (const std::uint32_t state : arm.states) fold(state);
+    fold(arm.transitions.size());
+    for (const auto& [state, symbol] : arm.transitions) {
+      fold(state);
+      fold(symbol);
+    }
+    fold(arm.ngrams.size());
+    for (const std::vector<pfa::SymbolId>& ngram : arm.ngrams) {
+      fold(ngram.size());
+      for (const pfa::SymbolId symbol : ngram) fold(symbol);
+    }
+  }
+  const support::MetricsSnapshot& metrics = result.metrics;
+  for (const std::uint64_t row :
+       {metrics.pfa_states, metrics.pfa_states_covered, metrics.pfa_transitions,
+        metrics.pfa_transitions_covered, metrics.pfa_ngrams}) {
+    fold(row);
+  }
+  return hash;
+}
+
+// The campaign's coverage fold, pinned: the digests were recorded from
+// the replaying fold (each pattern walked again through the automaton),
+// so the fold from sampled edges must reproduce it exactly on short
+// (aba-stack, queue-order) and long (the other three) sessions, for any
+// jobs split.  aba-stack and queue-order sample the same plan shape
+// from the same seed, so their digests agree.
+TEST(CampaignTest, CoverageStateIsPinned) {
+  const std::pair<const char*, std::uint64_t> pins[] = {
+      {"aba-stack", 0x062c69b3b04c4826ULL},
+      {"queue-order", 0x062c69b3b04c4826ULL},
+      {"philosophers-deadlock", 0xf20bde91a69d9bc5ULL},
+      {"fig1-livelock", 0x0a3359ad50e68303ULL},
+      {"writer-starvation", 0x73c9d9c79871e544ULL},
+  };
+  // A small budget: the catalog automata saturate their states and
+  // transitions within a few dozen sessions, and a pin of saturated sets
+  // would miss a fold that loses only some of its visits.
+  CampaignOptions options;
+  options.budget = 16;
+  for (const auto& [name, digest] : pins) {
+    for (const std::size_t jobs : {1u, 3u}) {
+      SCOPED_TRACE(std::string(name) + " jobs=" + std::to_string(jobs));
+      options.jobs = jobs;
+      const auto campaign = Campaign::run_scenario(name, options);
+      ASSERT_TRUE(campaign) << campaign.error();
+      EXPECT_GT(campaign.value().metrics.pfa_transitions_covered, 0u);
+      EXPECT_EQ(coverage_digest(campaign.value()), digest)
+          << std::hex << "0x" << coverage_digest(campaign.value());
+    }
   }
 }
 

@@ -1,13 +1,16 @@
 // Reference oracle for the bitset coverage fold.
 //
 // ReferenceTracker below is the std::set CoverageTracker the bitset one
-// replaced, kept verbatim.  Every catalog scenario (bug and benign plans)
-// feeds the same sampled patterns, plus words that hop back to the start
-// between lifecycles or leave the language, to both trackers over a seed
-// sweep; their snapshots, reports,
-// transitions_seen() in iteration order and uncovered_transitions() must
-// agree after every session, after absorb(), after mark_transition() on
-// edges and non-edges, and after a tracker is reassigned to a fresh one.
+// replaced, kept verbatim: it replays each pattern's symbols through the
+// automaton.  Every catalog scenario (bug and benign plans), under each of
+// the four (restart_at_accept, complete_to_accept) settings, feeds the
+// same sampled patterns to both trackers over a seed sweep; their
+// snapshots, reports, transitions_seen() in iteration order and
+// uncovered_transitions() must agree after every session, after absorb()
+// (of a sibling tracker, and of a reference snapshot of hand-built words:
+// two lifecycles glued together, and random words that leave the
+// language), after mark_transition() on edges and non-edges, and after a
+// tracker is reassigned to a fresh one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -187,10 +190,32 @@ TestPattern random_word(support::Rng& rng, std::size_t alphabet_size) {
 
 struct SweepTotals {
   std::size_t sessions = 0;
-  std::size_t partial_states = 0;  // checks taken with coverage < 1
+  std::size_t early_sessions = 0;  // the first kEarlySeeds of each plan
+  std::size_t partial_states = 0;  // early checks taken with coverage < 1
+  std::size_t restarts = 0;        // lifecycle restarts inside a pattern
 };
 
-constexpr std::uint64_t kSeedsPerVariant = 16;
+/// Times `pattern` hops back to the start: a symbol that follows a
+/// dead-end accepting state.
+std::size_t restarts_in(const pfa::Pfa& pfa, const TestPattern& pattern) {
+  std::size_t restarts = 0;
+  std::uint32_t state = pfa.start();
+  for (const pfa::SymbolId symbol : pattern.symbols) {
+    if (pfa.states()[state].transitions.empty()) {
+      ++restarts;
+      state = pfa.start();
+    }
+    for (const pfa::PfaTransition& t : pfa.states()[state].transitions) {
+      if (t.symbol == symbol) state = t.target;
+    }
+  }
+  return restarts;
+}
+
+constexpr std::uint64_t kSeedsPerVariant = 64;
+/// The catalog automata saturate within a few dozen sessions; the
+/// non-vacuity witness counts the sessions before that.
+constexpr std::uint64_t kEarlySeeds = 16;
 
 void sweep_variant(const std::string& label, const core::PtestConfig& config,
                    SweepTotals& totals) {
@@ -206,6 +231,9 @@ void sweep_variant(const std::string& label, const core::PtestConfig& config,
   // A second pair folds every other session, then is absorbed.
   CoverageTracker side(pfa);
   ReferenceTracker side_reference(pfa);
+  // Hand-built words go through the reference only, and reach the
+  // tracker under test as a snapshot to absorb.
+  ReferenceTracker hand(pfa);
   expect_same(tracker, reference);
 
   for (std::uint64_t run = 0; run < kSeedsPerVariant; ++run) {
@@ -218,26 +246,33 @@ void sweep_variant(const std::string& label, const core::PtestConfig& config,
     for (const TestPattern& pattern : generated.patterns) {
       into.observe(pattern);
       ref_into.observe(pattern);
+      totals.restarts += restarts_in(pfa, pattern);
     }
     // Two lifecycles back to back (the second starts from the first's
-    // accepting state, so the fold hops to the start), then noise.
+    // accepting state, so the replay hops to the start), then noise.
     TestPattern word = generated.patterns.front();
     for (const TestPattern& next : {generated.patterns.back(),
                                     random_word(rng, alphabet_size)}) {
       word.symbols.insert(word.symbols.end(), next.symbols.begin(),
                           next.symbols.end());
-      into.observe(word);
-      ref_into.observe(word);
+      hand.observe(word);
     }
     ++totals.sessions;
     expect_same(tracker, reference);
     expect_same(side, side_reference);
-    if (tracker.report().transition_coverage < 1.0) ++totals.partial_states;
+    if (run < kEarlySeeds) {
+      ++totals.early_sessions;
+      if (tracker.report().transition_coverage < 1.0) ++totals.partial_states;
+    }
   }
 
-  // absorb: the side pair's snapshot into the main pair.
+  // absorb: the side pair's snapshot into the main pair, then the
+  // hand-built words' snapshot into both.
   tracker.absorb(side.state());
   reference.absorb(side_reference.state());
+  expect_same(tracker, reference);
+  tracker.absorb(hand.state());
+  reference.absorb(hand.state());
   expect_same(tracker, reference);
 
   // mark_transition on every edge of a fresh pair, one state at a time,
@@ -267,11 +302,22 @@ void sweep_variant(const std::string& label, const core::PtestConfig& config,
 TEST(CoverageReferenceTest, CatalogSweepMatchesSetTracker) {
   SweepTotals totals;
   core::for_each_catalog_variant([&](const core::CatalogVariant& variant) {
-    sweep_variant(variant.label, variant.config, totals);
+    for (const bool restart : {false, true}) {
+      for (const bool complete : {true, false}) {
+        core::PtestConfig config = variant.config;
+        config.restart_at_accept = restart;
+        config.complete_to_accept = complete;
+        sweep_variant(variant.label + (restart ? " restart" : "") +
+                          (complete ? "" : " truncated"),
+                      config, totals);
+      }
+    }
   });
-  EXPECT_GE(totals.sessions, 14 * kSeedsPerVariant);
-  // The sweep is not vacuous: most checks ran with edges still uncovered.
-  EXPECT_GT(totals.partial_states, totals.sessions / 2);
+  EXPECT_GE(totals.sessions, 4 * 14 * kSeedsPerVariant);
+  // The sweep is not vacuous: most early checks ran with edges still
+  // uncovered, and some patterns restarted at an accepting state.
+  EXPECT_GT(totals.partial_states, totals.early_sessions / 2);
+  EXPECT_GT(totals.restarts, 0u);
 }
 
 TEST(CoverageReferenceTest, EmptyTrackersAgree) {
