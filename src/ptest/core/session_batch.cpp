@@ -6,6 +6,15 @@
 
 namespace ptest::core {
 
+namespace {
+
+/// session_wall_hist times the sessions whose run index is a multiple of
+/// this: two clock reads cost a short session a few percent, and a choice
+/// by run index keeps the histogram's count the same for any jobs split.
+constexpr std::size_t kWallSampleEvery = 64;
+
+}  // namespace
+
 SessionBatchRunner::SessionBatchRunner(std::size_t jobs,
                                        std::size_t max_batch,
                                        std::vector<const pfa::Pfa*> arm_pfas,
@@ -40,11 +49,14 @@ SessionBatch SessionBatchRunner::run(std::size_t first, std::size_t last,
     PTEST_OBS_SPAN("session");
     Slot& slot = slots_[participant];
     const std::size_t run = first + i;
-    const std::uint64_t start_ns = obs::TraceRecorder::now_ns();
+    const bool timed = run % kWallSampleEvery == 0;
+    const std::uint64_t start_ns = timed ? obs::TraceRecorder::now_ns() : 0;
     AdaptiveTestResult& result = slot.session;
     const std::size_t arm = body(participant, run, slot.scratch, result);
-    slot.partial.metrics.session_wall_hist.record(
-        obs::TraceRecorder::now_ns() - start_ns);
+    if (timed) {
+      slot.partial.metrics.session_wall_hist.record(
+          obs::TraceRecorder::now_ns() - start_ns);
+    }
     ++slot.partial.total_runs;
     ++slot.partial.arm_stats[arm].runs;
     add_session(slot.partial.metrics, result, dedup_);

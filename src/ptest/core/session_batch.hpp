@@ -49,7 +49,7 @@ class SessionBatchRunner {
   using Counts = std::function<bool(const BugReport&)>;
 
   /// `jobs` follows CampaignOptions::jobs, capped at `max_batch`, the
-  /// largest range run() will get.  Coverage replays patterns against
+  /// largest range run() will get.  Coverage folds sampled edges of
   /// `arm_pfas`, which must outlive the runner.
   SessionBatchRunner(std::size_t jobs, std::size_t max_batch,
                      std::vector<const pfa::Pfa*> arm_pfas, bool dedup,

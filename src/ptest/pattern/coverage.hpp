@@ -4,15 +4,14 @@
 // be verified" (§V).  As a proxy that is measurable without ground-truth
 // faults, this module tracks structural coverage of the test model: which
 // PFA states, transitions and symbol n-grams the generated patterns have
-// exercised.  bench_fault_coverage correlates these with seeded-bug
+// exercised, read off the edges the sampler took (TestPattern::edges)
+// rather than by walking the automaton again.  bench_fault_coverage correlates these with seeded-bug
 // detection rates.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <set>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,19 +33,7 @@ struct CoverageReport {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Lexicographic order over symbol sequences in any contiguous form, so
-/// an n-gram set can be probed with a window of a pattern without copying
-/// it.  Same order as std::less<std::vector<SymbolId>>.
-struct NgramLess {
-  using is_transparent = void;
-  bool operator()(std::span<const pfa::SymbolId> a,
-                  std::span<const pfa::SymbolId> b) const noexcept {
-    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
-                                        b.end());
-  }
-};
-
-using NgramSet = std::set<std::vector<pfa::SymbolId>, NgramLess>;
+using NgramSet = std::set<std::vector<pfa::SymbolId>>;
 
 /// The full covered sets of one tracker, detached from its PFA — the
 /// mergeable/serializable form a campaign shard ships to the fleet
@@ -74,17 +61,23 @@ struct CoverageState {
 };
 
 /// Covered states and transitions are dense bitsets over the PFA's states
-/// and its flat transition index (Pfa::offsets()), so the per-pattern fold
-/// allocates nothing once an n-gram has been seen; the set-valued views
-/// below are built on demand, in (state, symbol) order.
+/// and its flat transition index (Pfa::offsets()).  N-grams are packed
+/// integer keys (first symbol in the high bits, each symbol as wide as the
+/// PFA's largest symbol id needs) in an open-addressing hash set, so
+/// folding a pattern whose n-grams were seen before allocates nothing.
+/// The set-valued views below are built on demand, in (state, symbol)
+/// and lexicographic n-gram order.
 class CoverageTracker {
  public:
-  /// `ngram` is the window length for n-gram accounting (>= 1).
+  /// `ngram` is the window length for n-gram accounting (0 counts as 1).
+  /// Throws std::invalid_argument when `ngram` packed symbols of the
+  /// PFA's width do not fit in 64 bits.
   explicit CoverageTracker(const pfa::Pfa& pfa, std::size_t ngram = 3);
 
-  /// Replays `pattern` through the PFA skeleton and marks what it visits.
-  /// Symbols that leave the language prefix set stop the replay (patterns
-  /// from the generator never do).
+  /// Marks what a pattern from the generator visited: the start state,
+  /// each edge it recorded (TestPattern::edges) and that edge's target,
+  /// and its n-grams.  A pattern with no edges marks the start state
+  /// only; pairs built by hand go through mark_transition.
   void observe(const TestPattern& pattern);
 
   /// Marks one (state, symbol) transition — and its endpoint states — as
@@ -104,7 +97,9 @@ class CoverageTracker {
   /// into this one.  No replay: the state must come from a tracker over
   /// the same automaton — the session-batch runner, guided epochs and the
   /// fleet coordinator guarantee that by construction.  States and pairs
-  /// this tracker's PFA does not have are dropped.
+  /// this tracker's PFA does not have are dropped; an n-gram of another
+  /// length, or with a symbol wider than this tracker packs, throws
+  /// std::invalid_argument.
   void absorb(const CoverageState& other);
 
   /// Transitions never exercised, as (state, symbol) pairs.
@@ -120,16 +115,19 @@ class CoverageTracker {
   /// pair names no edge.
   [[nodiscard]] std::optional<std::uint32_t> edge(std::uint32_t state,
                                                   pfa::SymbolId symbol) const;
-  void mark_state(std::uint32_t state);
-  void mark_edge(std::uint32_t edge);
+  /// The hash-table slot that holds `key`, or the empty one it goes in.
+  std::uint32_t& ngram_slot(std::uint64_t key);
+  void insert_ngram(std::uint64_t key);
 
   const pfa::Pfa* pfa_;
   std::size_t ngram_;
+  unsigned symbol_bits_;  // packed width of one symbol
   std::vector<std::uint64_t> states_seen_;       // bit per state
   std::vector<std::uint64_t> transitions_seen_;  // bit per flat transition
-  std::size_t states_covered_ = 0;
-  std::size_t transitions_covered_ = 0;
-  NgramSet ngrams_seen_;
+  /// Distinct n-gram keys in first-seen order, and the hash table over
+  /// them: each slot holds a key's index + 1, or 0 when empty.
+  std::vector<std::uint64_t> ngram_keys_;
+  std::vector<std::uint32_t> ngram_slots_;
 };
 
 }  // namespace ptest::pattern

@@ -11,7 +11,7 @@ void PatternGenerator::generate_into(pfa::WalkScratch& scratch,
   walk_options.max_size = options_.max_size;
   const pfa::Walk& walk = pfa_->sample_into(scratch, rng_, walk_options);
   out.symbols.assign(walk.symbols.begin(), walk.symbols.end());
-  out.states.assign(walk.states.begin(), walk.states.end());
+  out.edges.assign(walk.edges.begin(), walk.edges.end());
   out.probability = walk.probability;
 }
 
@@ -22,27 +22,18 @@ void PatternGenerator::generate_into(std::size_t count,
   for (TestPattern& pattern : out) generate_into(scratch, pattern);
 }
 
-TestPattern PatternGenerator::generate(pfa::WalkScratch& scratch) {
+TestPattern PatternGenerator::generate() {
+  pfa::WalkScratch scratch;
   TestPattern pattern;
   generate_into(scratch, pattern);
   return pattern;
 }
 
-std::vector<TestPattern> PatternGenerator::generate(
-    std::size_t count, pfa::WalkScratch& scratch) {
+std::vector<TestPattern> PatternGenerator::generate(std::size_t count) {
+  pfa::WalkScratch scratch;
   std::vector<TestPattern> patterns;
   generate_into(count, scratch, patterns);
   return patterns;
-}
-
-TestPattern PatternGenerator::generate() {
-  pfa::WalkScratch scratch;
-  return generate(scratch);
-}
-
-std::vector<TestPattern> PatternGenerator::generate(std::size_t count) {
-  pfa::WalkScratch scratch;
-  return generate(count, scratch);
 }
 
 }  // namespace ptest::pattern

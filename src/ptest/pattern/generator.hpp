@@ -31,7 +31,7 @@ class PatternGenerator {
       : pfa_(&pfa), options_(options), rng_(rng) {}
 
   /// Samples one pattern through the caller's scratch into `out`,
-  /// replacing its symbols and states in their existing buffers (the
+  /// replacing its symbols and edges in their existing buffers (the
   /// primary hot path: a warm call allocates nothing).
   void generate_into(pfa::WalkScratch& scratch, TestPattern& out);
 
@@ -40,25 +40,13 @@ class PatternGenerator {
   void generate_into(std::size_t count, pfa::WalkScratch& scratch,
                      std::vector<TestPattern>& out);
 
-  /// generate_into() a fresh pattern.
-  [[nodiscard]] TestPattern generate(pfa::WalkScratch& scratch);
-
-  /// generate_into() fresh patterns.
-  [[nodiscard]] std::vector<TestPattern> generate(std::size_t count,
-                                                  pfa::WalkScratch& scratch);
-
   /// Samples one pattern.  Thin wrapper allocating a throwaway scratch
-  /// per call — prefer generate(scratch) on hot paths.
+  /// per call — prefer generate_into on hot paths.
   [[nodiscard]] TestPattern generate();
 
   /// Samples `count` patterns via a call-local scratch (thin wrapper;
-  /// prefer the scratch overload on hot paths).
+  /// prefer generate_into on hot paths).
   [[nodiscard]] std::vector<TestPattern> generate(std::size_t count);
-
-  [[nodiscard]] const pfa::Pfa& pfa() const noexcept { return *pfa_; }
-  [[nodiscard]] const GeneratorOptions& options() const noexcept {
-    return options_;
-  }
 
  private:
   const pfa::Pfa* pfa_;

@@ -83,10 +83,6 @@ class PatternMerger {
   /// merge_into() a fresh pattern.
   [[nodiscard]] MergedPattern merge(const std::vector<TestPattern>& patterns);
 
-  [[nodiscard]] const MergerOptions& options() const noexcept {
-    return options_;
-  }
-
   /// Enumerates *all* interleavings of the patterns' orders, up to `limit`
   /// results (CHESS-style systematic exploration uses this; the count
   /// grows multinomially, so the limit matters).

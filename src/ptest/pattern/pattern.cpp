@@ -2,14 +2,6 @@
 
 namespace ptest::pattern {
 
-std::vector<pfa::SymbolId> MergedPattern::project(SlotIndex slot) const {
-  std::vector<pfa::SymbolId> out;
-  for (const MergedElement& e : elements) {
-    if (e.slot == slot) out.push_back(e.symbol);
-  }
-  return out;
-}
-
 std::vector<TestPattern> MergedPattern::project_all() const {
   std::vector<TestPattern> out;
   for (const MergedElement& e : elements) {

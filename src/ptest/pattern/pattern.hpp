@@ -20,8 +20,10 @@ using SlotIndex = std::uint32_t;
 
 struct TestPattern {
   std::vector<pfa::SymbolId> symbols;
-  /// PFA state trace (diagnostics; states.size() >= symbols.size()).
-  std::vector<std::uint32_t> states;
+  /// The flat PFA transition that emitted each symbol (pfa::Walk::edges),
+  /// which CoverageTracker::observe folds.  Only the generator fills it:
+  /// a replay's per-slot projection leaves it empty.
+  std::vector<std::uint32_t> edges;
   /// Probability of the sampled walk.
   double probability = 1.0;
 
@@ -43,11 +45,10 @@ struct MergedPattern {
   [[nodiscard]] std::size_t size() const noexcept { return elements.size(); }
   [[nodiscard]] bool empty() const noexcept { return elements.empty(); }
 
-  /// Per-slot projection (recovers the original pattern order).
-  [[nodiscard]] std::vector<pfa::SymbolId> project(SlotIndex slot) const;
-  /// Every slot's projection as a TestPattern, slots 0 .. the widest one
-  /// named (none when empty): the per-slot patterns a replay hands the
-  /// state recorder in place of the sampled ones.
+  /// Every slot's projection (its symbols in their original order) as a
+  /// TestPattern, slots 0 .. the widest one named (none when empty): the
+  /// per-slot patterns a replay hands the state recorder in place of the
+  /// sampled ones.
   [[nodiscard]] std::vector<TestPattern> project_all() const;
 
   /// "slot:SYM slot:SYM ..." rendering for reports.

@@ -60,9 +60,7 @@ std::uint32_t pick_from_thresholds(const double* thresholds,
 
 void WalkScratch::reserve(const WalkOptions& options) {
   walk.symbols.reserve(options.max_size);
-  // restart_at_accept appends a state per restart on top of the one per
-  // symbol; 2x + 2 covers every restart schedule up to max_size symbols.
-  walk.states.reserve(2 * options.max_size + 2);
+  walk.edges.reserve(options.max_size);
   uniforms.reserve(kUniformBatchMax);
 }
 
@@ -255,13 +253,12 @@ const Walk& Pfa::sample_into(WalkScratch& scratch, support::Rng& rng,
                              const WalkOptions& options) const {
   Walk& walk = scratch.walk;
   walk.symbols.clear();
-  walk.states.clear();
+  walk.edges.clear();
   walk.probability = 1.0;
   walk.accepted = false;
 
   const StateId start = dfa_.start();
   StateId current = start;
-  walk.states.push_back(current);
 
   // Pre-drawn uniforms for the emission loop.  A refill may only cover
   // steps that are certain to draw: the next min(dead_distance_,
@@ -277,10 +274,9 @@ const Walk& Pfa::sample_into(WalkScratch& scratch, support::Rng& rng,
       if (!options.restart_at_accept) break;
       // A restart that lands in a dead-end start state (the ε-only
       // language) can never emit a symbol: breaking here instead of
-      // restarting avoids an infinite loop growing walk.states forever.
+      // restarting avoids an infinite loop.
       if (offsets_[start + 1] == offsets_[start]) break;
       current = start;  // next lifecycle (case study 1 churn)
-      walk.states.push_back(current);
       continue;
     }
     if (next_uniform == buffered) {
@@ -304,7 +300,7 @@ const Walk& Pfa::sample_into(WalkScratch& scratch, support::Rng& rng,
         pick_threshold_.data() + begin, count, target, count - 1);
     const std::uint32_t j = begin + pick;
     walk.symbols.push_back(flat_symbol_[j]);
-    walk.states.push_back(flat_target_[j]);
+    walk.edges.push_back(j);
     walk.probability *= flat_prob_[j];
     current = flat_target_[j];
   }
@@ -326,7 +322,7 @@ const Walk& Pfa::sample_into(WalkScratch& scratch, support::Rng& rng,
           accept_threshold_.data() + begin, count, target, fallback);
       const std::uint32_t j = begin + pick;
       walk.symbols.push_back(flat_symbol_[j]);
-      walk.states.push_back(flat_target_[j]);
+      walk.edges.push_back(j);
       walk.probability *= flat_prob_[j];
       current = flat_target_[j];
     }

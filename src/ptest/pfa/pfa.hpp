@@ -57,7 +57,11 @@ struct PfaState {
 /// Result of sampling one walk.
 struct Walk {
   std::vector<SymbolId> symbols;
-  std::vector<StateId> states;  // states.size() == symbols.size() + 1
+  /// Flat transition index (Pfa::offsets()) that emitted each symbol, so
+  /// edges.size() == symbols.size() and flat_targets()[edges[i]] is the
+  /// state after symbols[i], restart_at_accept hops included: coverage
+  /// folds these instead of walking the automaton again.
+  std::vector<std::uint32_t> edges;
   /// True when the walk ended in an accepting state.
   bool accepted = false;
   /// Product of the chosen transition probabilities.
@@ -79,7 +83,7 @@ struct WalkScratch {
   std::vector<double> uniforms;
 
   /// Pre-sizes the buffers for walks under `options` so even the first
-  /// samples allocate nothing (2x covers restart_at_accept state chains).
+  /// samples allocate nothing.
   void reserve(const WalkOptions& options);
 };
 

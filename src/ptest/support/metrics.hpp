@@ -75,7 +75,8 @@ struct MetricsSnapshot {
 
   // obs::Histogram: 64 power-of-two log buckets, bucket-wise merge.
   obs::Histogram ticks_hist;           ///< per-session kernel ticks
-  obs::Histogram session_wall_hist;    ///< per-session wall time (ns)
+  /// Session wall time (ns), one session in 64, chosen by run index.
+  obs::Histogram session_wall_hist;
   obs::Histogram corpus_merge_hist;    ///< per-shard corpus merge (ns)
   obs::Histogram frame_rtt_hist;       ///< assign->result round trip (ns)
   obs::Histogram transport_send_hist;  ///< successful transport sends (ns)

@@ -513,6 +513,27 @@ TEST(CampaignTest, MetricsWorkCountersIdenticalAcrossJobs) {
   EXPECT_GT(parallel.metrics.worker_threads, 1u);
 }
 
+// session_wall_hist times one session in 64, chosen by run index, so
+// its count is the same for every jobs split.
+TEST(CampaignTest, SessionWallHistTimesOneRunIn64) {
+  PtestConfig config;
+  config.n = 2;
+  config.s = 4;
+  config.program_id = workload::kQuicksortProgramId;
+  const std::vector<CampaignArm> arms{
+      {"rr", pattern::MergeOp::kRoundRobin, ""}};
+  CampaignOptions options;
+  options.budget = 130;  // runs 0, 64 and 128
+  for (const std::size_t jobs : {1u, 3u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    options.jobs = jobs;
+    const CampaignResult result =
+        Campaign(config, arms, workload::register_quicksort, options).run();
+    EXPECT_EQ(result.metrics.sessions, 130u);
+    EXPECT_EQ(result.metrics.session_wall_hist.count(), 3u);
+  }
+}
+
 // The session rig retires the master and the committee once the
 // committer is done and the channel drained, and from then on runs the
 // kernel alone, ticking the detector only on a kernel event or one of its

@@ -53,8 +53,11 @@ TEST_P(SessionInvariants, ProtocolAndAccountingHold) {
   // 1. Patterns: n of them, all legal words (complete_to_accept default).
   ASSERT_EQ(result.patterns.size(), config.n);
   // 2. Merged pattern preserves each slot's sequence.
+  const std::vector<pattern::TestPattern> projected =
+      result.merged.project_all();
+  ASSERT_EQ(projected.size(), config.n);
   for (pattern::SlotIndex slot = 0; slot < config.n; ++slot) {
-    EXPECT_EQ(result.merged.project(slot), result.patterns[slot].symbols);
+    EXPECT_EQ(projected[slot].symbols, result.patterns[slot].symbols);
   }
   // 3. Protocol accounting: acks never exceed issues; every issued command
   //    is eventually acked unless the run stopped on a bug/limit.

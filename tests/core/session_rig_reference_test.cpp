@@ -420,7 +420,7 @@ TEST(SessionRigReferenceTest, OneKeptResultMatchesFreshSessionsOfEveryShape) {
     EXPECT_EQ(kept.patterns.size(), generated.patterns.size());
     for (std::size_t i = 0; i < generated.patterns.size(); ++i) {
       EXPECT_EQ(kept.patterns[i].symbols, generated.patterns[i].symbols);
-      EXPECT_EQ(kept.patterns[i].states, generated.patterns[i].states);
+      EXPECT_EQ(kept.patterns[i].edges, generated.patterns[i].edges);
     }
     EXPECT_EQ(kept.merged.elements, generated.merged.elements);
     EXPECT_EQ(kept.session.outcome, fresh.result.outcome);

@@ -316,12 +316,13 @@ TEST(GuidedCampaign, DeterministicAcrossJobs) {
   EXPECT_EQ(support::work_difference(results[0].campaign.metrics,
                                      results[1].campaign.metrics),
             "");
-  // Every session lands in the session-wall histogram (--guided
-  // --metrics prints it), whichever worker ran it.
+  // The session-wall histogram (--guided --metrics prints it) times run
+  // indices 0, 64, 128, ... of this fresh corpus, whichever worker ran
+  // them.
   for (const GuidedResult& result : results) {
     const support::MetricsSnapshot& metrics = result.campaign.metrics;
     EXPECT_GT(metrics.sessions, 0u);
-    EXPECT_EQ(metrics.session_wall_hist.count(), metrics.sessions);
+    EXPECT_EQ(metrics.session_wall_hist.count(), (metrics.sessions + 63) / 64);
   }
 }
 

@@ -13,6 +13,7 @@
 // tracker is reassigned to a fresh one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -193,6 +194,7 @@ struct SweepTotals {
   std::size_t early_sessions = 0;  // the first kEarlySeeds of each plan
   std::size_t partial_states = 0;  // early checks taken with coverage < 1
   std::size_t restarts = 0;        // lifecycle restarts inside a pattern
+  std::size_t most_ngrams = 0;     // the largest n-gram count one plan saw
 };
 
 /// Times `pattern` hops back to the start: a symbol that follows a
@@ -274,6 +276,8 @@ void sweep_variant(const std::string& label, const core::PtestConfig& config,
   tracker.absorb(hand.state());
   reference.absorb(hand.state());
   expect_same(tracker, reference);
+  totals.most_ngrams =
+      std::max(totals.most_ngrams, tracker.report().ngrams_observed);
 
   // mark_transition on every edge of a fresh pair, one state at a time,
   // interleaved with pairs that name no edge: an unknown symbol, a state
@@ -318,6 +322,18 @@ TEST(CoverageReferenceTest, CatalogSweepMatchesSetTracker) {
   // uncovered, and some patterns restarted at an accepting state.
   EXPECT_GT(totals.partial_states, totals.early_sessions / 2);
   EXPECT_GT(totals.restarts, 0u);
+}
+
+// The catalog automata see a few dozen n-grams at most; a free-order
+// automaton sees more than 64, so the tracker's 64-slot hash table
+// doubles twice (past 32 and past 64 keys) under the same sweep.
+TEST(CoverageReferenceTest, WideAutomatonGrowsTheNgramTable) {
+  core::PtestConfig config;
+  config.regex = "(TC | TCH | TS | TR)* (TD$ | TY$)";
+  config.s = 24;
+  SweepTotals totals;
+  sweep_variant("free order", config, totals);
+  EXPECT_GT(totals.most_ngrams, 64u);
 }
 
 TEST(CoverageReferenceTest, EmptyTrackersAgree) {

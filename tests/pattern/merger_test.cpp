@@ -47,8 +47,10 @@ TEST(MergerTest, AllOpsPreservePerSlotOrderAndMultiset) {
     PatternMerger merger(options_for(op), support::Rng(7));
     const MergedPattern merged = merger.merge(patterns);
     ASSERT_EQ(merged.size(), 5u) << to_string(op);
-    EXPECT_EQ(merged.project(0), patterns[0].symbols) << to_string(op);
-    EXPECT_EQ(merged.project(1), patterns[1].symbols) << to_string(op);
+    const std::vector<TestPattern> projected = merged.project_all();
+    ASSERT_EQ(projected.size(), 2u) << to_string(op);
+    EXPECT_EQ(projected[0].symbols, patterns[0].symbols) << to_string(op);
+    EXPECT_EQ(projected[1].symbols, patterns[1].symbols) << to_string(op);
   }
 }
 
@@ -143,8 +145,10 @@ TEST(MergerTest, EnumerateInterleavingsCountsMultinomial) {
   EXPECT_EQ(all.size(), 6u);
   // All distinct and all valid linear extensions.
   for (const auto& merged : all) {
-    EXPECT_EQ(merged.project(0), patterns[0].symbols);
-    EXPECT_EQ(merged.project(1), patterns[1].symbols);
+    const std::vector<TestPattern> projected = merged.project_all();
+    ASSERT_EQ(projected.size(), 2u);
+    EXPECT_EQ(projected[0].symbols, patterns[0].symbols);
+    EXPECT_EQ(projected[1].symbols, patterns[1].symbols);
   }
 }
 
@@ -172,9 +176,11 @@ TEST_P(MergerSweep, RandomAndShufflePreserveOrders) {
   for (const MergeOp op : {MergeOp::kRandom, MergeOp::kShuffle}) {
     PatternMerger merger(options_for(op), rng.fork());
     const MergedPattern merged = merger.merge(patterns);
+    const std::vector<TestPattern> projected = merged.project_all();
+    ASSERT_EQ(projected.size(), patterns.size());
     std::size_t total = 0;
     for (SlotIndex slot = 0; slot < patterns.size(); ++slot) {
-      EXPECT_EQ(merged.project(slot), patterns[slot].symbols);
+      EXPECT_EQ(projected[slot].symbols, patterns[slot].symbols);
       total += patterns[slot].symbols.size();
     }
     EXPECT_EQ(merged.size(), total);

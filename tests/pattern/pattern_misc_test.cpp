@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "ptest/pattern/coverage.hpp"
 #include "ptest/pattern/dedup.hpp"
 #include "ptest/pattern/generator.hpp"
@@ -28,7 +30,10 @@ TEST(GeneratorTest, ProducesLegalPatternsOfRequestedShape) {
   for (const TestPattern& pattern : patterns) {
     EXPECT_TRUE(f.pfa.accepts(pattern.symbols));
     EXPECT_GT(pattern.probability, 0.0);
-    EXPECT_GE(pattern.states.size(), pattern.symbols.size());
+    ASSERT_EQ(pattern.edges.size(), pattern.symbols.size());
+    for (std::size_t i = 0; i < pattern.edges.size(); ++i) {
+      EXPECT_EQ(f.pfa.flat_symbols()[pattern.edges[i]], pattern.symbols[i]);
+    }
   }
 }
 
@@ -143,13 +148,35 @@ TEST(CoverageTest, FullCoverageAfterManyPatterns) {
 TEST(CoverageTest, PartialCoverageReported) {
   PcorePfaFixture f;
   CoverageTracker tracker(f.pfa);
-  TestPattern minimal;
-  minimal.symbols = {f.alphabet.at("TC"), f.alphabet.at("TD")};
-  tracker.observe(minimal);
+  // The shortest lifecycle, TC TD, marked pair by pair.
+  const pfa::SymbolId tc = f.alphabet.at("TC");
+  tracker.mark_transition(f.pfa.start(), tc);
+  tracker.mark_transition(*f.pfa.dfa().run({tc}), f.alphabet.at("TD"));
   const CoverageReport report = tracker.report();
   EXPECT_LT(report.transition_coverage, 1.0);
   EXPECT_GT(report.transition_coverage, 0.0);
   EXPECT_FALSE(tracker.uncovered_transitions().empty());
+}
+
+TEST(CoverageTest, NgramKeysMustFitIn64Bits) {
+  PcorePfaFixture f;  // six symbols: ids 0-5 pack into 3 bits each
+  EXPECT_NO_THROW(CoverageTracker(f.pfa, 21));
+  EXPECT_THROW(CoverageTracker(f.pfa, 22), std::invalid_argument);
+}
+
+TEST(CoverageTest, AbsorbRejectsNgramsItCannotPack) {
+  PcorePfaFixture f;
+  CoverageTracker tracker(f.pfa);
+  CoverageState shorter;
+  shorter.ngrams.insert({0, 1});
+  EXPECT_THROW(tracker.absorb(shorter), std::invalid_argument);
+  CoverageState wider;
+  wider.ngrams.insert({0, 1, 8});
+  EXPECT_THROW(tracker.absorb(wider), std::invalid_argument);
+  CoverageState fits;
+  fits.ngrams.insert({0, 1, 7});
+  tracker.absorb(fits);
+  EXPECT_EQ(tracker.state().ngrams, fits.ngrams);
 }
 
 TEST(CoverageTest, ReportRendersCounts) {

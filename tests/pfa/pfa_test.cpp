@@ -96,7 +96,10 @@ TEST(PfaFig3Test, SampleProbabilityFieldMatchesWordProbability) {
     const Walk walk = f.pfa.sample(rng, options);
     ASSERT_TRUE(walk.accepted);
     EXPECT_NEAR(walk.probability, f.pfa.word_probability(walk.symbols), 1e-12);
-    ASSERT_EQ(walk.states.size(), walk.symbols.size() + 1);
+    ASSERT_EQ(walk.edges.size(), walk.symbols.size());
+    for (std::size_t i = 0; i < walk.edges.size(); ++i) {
+      EXPECT_EQ(f.pfa.flat_symbols()[walk.edges[i]], walk.symbols[i]);
+    }
   }
 }
 
@@ -260,7 +263,7 @@ TEST(PfaTest, RestartAtAcceptTerminatesOnEpsilonOnlyLanguage) {
   // single dead-end accepting start state.  With restart_at_accept a
   // restart lands right back in that dead end, so the sampler must
   // detect that no progress is possible and stop instead of spinning
-  // forever while walk.states grows unboundedly.
+  // forever.
   Alphabet alphabet;
   const Regex re = Regex::parse("", alphabet);
   const Pfa pfa = Pfa::from_regex(re, DistributionSpec{}, alphabet);
@@ -274,8 +277,7 @@ TEST(PfaTest, RestartAtAcceptTerminatesOnEpsilonOnlyLanguage) {
   const Walk walk = pfa.sample(rng, options);
   EXPECT_TRUE(walk.symbols.empty());
   EXPECT_TRUE(walk.accepted);
-  // No unbounded state growth: at most the start state plus one restart.
-  EXPECT_LE(walk.states.size(), 2u);
+  EXPECT_TRUE(walk.edges.empty());
 }
 
 TEST(PfaTest, RestartAtAcceptStillWorksOnProductiveLanguages) {

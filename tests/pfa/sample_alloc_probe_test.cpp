@@ -1,6 +1,7 @@
 // Allocation probe for the sampling hot path: a global operator-new
 // hook counts heap allocations, and the suite asserts Pfa::sample_into
-// performs ZERO of them once its WalkScratch is warm.  This is the
+// performs ZERO of them once its WalkScratch is warm, and that the
+// coverage fold of patterns whose n-grams it has seen performs none.  This is the
 // enforceable form of the scratch-reuse API's contract — a regression
 // that sneaks a per-walk allocation back in (a temporary vector, an
 // accidental copy) fails here even though it would be invisible to the
@@ -16,6 +17,8 @@
 #include <cstdlib>
 #include <new>
 
+#include "ptest/pattern/coverage.hpp"
+#include "ptest/pattern/generator.hpp"
 #include "ptest/pfa/pfa.hpp"
 #include "ptest/support/rng.hpp"
 
@@ -92,6 +95,32 @@ TEST(SampleAllocProbe, SampleWrapperAllocatesSampleIntoDoesNot) {
       g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 64; ++i) (void)pfa.sample_into(scratch, rng_into, options);
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - into_before, 0u);
+}
+
+TEST(SampleAllocProbe, WarmObserveIsAllocationFree) {
+  Alphabet alphabet;
+  const Pfa pfa = build_pcore_like(alphabet);
+  pattern::PatternGenerator generator(
+      pfa, {.size = 12, .restart_at_accept = true}, support::Rng(3));
+  WalkScratch scratch;
+  std::vector<pattern::TestPattern> patterns;
+  generator.generate_into(64, scratch, patterns);
+  pattern::CoverageTracker tracker(pfa);
+  for (const pattern::TestPattern& sampled : patterns) {
+    tracker.observe(sampled);
+  }
+  const std::size_t ngrams = tracker.report().ngrams_observed;
+  ASSERT_GT(ngrams, 8u);
+
+  const std::uint64_t before =
+      g_allocations.load(std::memory_order_relaxed);
+  for (int round = 0; round < 4; ++round) {
+    for (const pattern::TestPattern& sampled : patterns) {
+      tracker.observe(sampled);
+    }
+  }
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(tracker.report().ngrams_observed, ngrams);
 }
 
 }  // namespace

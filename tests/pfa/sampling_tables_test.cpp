@@ -105,7 +105,7 @@ TEST(SamplingTables, SampleMatchesSampleIntoDrawForDraw) {
     WalkScratch scratch;
     const Walk& direct = f.pfa.sample_into(scratch, rng_into, options);
     EXPECT_EQ(wrapped.symbols, direct.symbols) << "seed " << seed;
-    EXPECT_EQ(wrapped.states, direct.states) << "seed " << seed;
+    EXPECT_EQ(wrapped.edges, direct.edges) << "seed " << seed;
     EXPECT_EQ(wrapped.probability, direct.probability) << "seed " << seed;
     EXPECT_EQ(rng_wrap.next(), rng_into.next()) << "seed " << seed;
   }

@@ -33,7 +33,6 @@ pfa::Walk reference_sample(const pfa::Pfa& pfa, support::Rng& rng,
 
   pfa::Walk walk;
   pfa::StateId current = pfa.start();
-  walk.states.push_back(current);
 
   std::vector<double> weights;
   const auto step_random = [&](const pfa::PfaState& state) {
@@ -44,7 +43,8 @@ pfa::Walk reference_sample(const pfa::Pfa& pfa, support::Rng& rng,
     const std::size_t pick = rng.weighted_index(weights);
     const pfa::PfaTransition& t = state.transitions[pick];
     walk.symbols.push_back(t.symbol);
-    walk.states.push_back(t.target);
+    walk.edges.push_back(pfa.offsets()[current] +
+                         static_cast<std::uint32_t>(pick));
     walk.probability *= t.probability;
     current = t.target;
   };
@@ -55,7 +55,6 @@ pfa::Walk reference_sample(const pfa::Pfa& pfa, support::Rng& rng,
       if (!options.restart_at_accept) break;
       if (states[pfa.start()].transitions.empty()) break;
       current = pfa.start();
-      walk.states.push_back(current);
       continue;
     }
     step_random(state);
@@ -77,7 +76,8 @@ pfa::Walk reference_sample(const pfa::Pfa& pfa, support::Rng& rng,
       const std::size_t pick = rng.weighted_index(weights);
       const pfa::PfaTransition& t = state.transitions[pick];
       walk.symbols.push_back(t.symbol);
-      walk.states.push_back(t.target);
+      walk.edges.push_back(pfa.offsets()[current] +
+                           static_cast<std::uint32_t>(pick));
       walk.probability *= t.probability;
       current = t.target;
     }
@@ -102,14 +102,14 @@ void expect_equivalent(const pfa::Pfa& pfa, std::uint64_t seed,
   const pfa::Walk& via_into = pfa.sample_into(scratch, into_rng, options);
 
   EXPECT_EQ(via_sample.symbols, reference.symbols) << label;
-  EXPECT_EQ(via_sample.states, reference.states) << label;
+  EXPECT_EQ(via_sample.edges, reference.edges) << label;
   EXPECT_EQ(via_sample.accepted, reference.accepted) << label;
   // Both multiply the identical picks in the identical order, so the
   // probability product must be bit-equal, not just close.
   EXPECT_EQ(via_sample.probability, reference.probability) << label;
 
   EXPECT_EQ(via_into.symbols, via_sample.symbols) << label;
-  EXPECT_EQ(via_into.states, via_sample.states) << label;
+  EXPECT_EQ(via_into.edges, via_sample.edges) << label;
   EXPECT_EQ(via_into.accepted, via_sample.accepted) << label;
   EXPECT_EQ(via_into.probability, via_sample.probability) << label;
 
@@ -200,13 +200,13 @@ TEST(SamplingEquivalence, SampleIntoReusesTheScratchBuffers) {
   const pfa::Walk& first = pfa.sample_into(scratch, rng, options);
   EXPECT_EQ(&first, &scratch.walk);  // the result aliases the scratch
   const std::size_t symbol_capacity = scratch.walk.symbols.capacity();
-  const std::size_t state_capacity = scratch.walk.states.capacity();
+  const std::size_t edge_capacity = scratch.walk.edges.capacity();
   for (int i = 0; i < 32; ++i) {
     (void)pfa.sample_into(scratch, rng, options);
     // reserve() sized the buffers for max_size walks, so no sample may
     // ever reallocate them — reuse, not regrowth.
     EXPECT_EQ(scratch.walk.symbols.capacity(), symbol_capacity);
-    EXPECT_EQ(scratch.walk.states.capacity(), state_capacity);
+    EXPECT_EQ(scratch.walk.edges.capacity(), edge_capacity);
   }
 }
 

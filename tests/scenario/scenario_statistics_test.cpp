@@ -4,7 +4,7 @@
 // number compared against a fixed critical value — no flaky tolerance
 // bands.  A cross-fit negative control proves the statistic has the power
 // to reject a genuinely different distribution.
-#include "ptest/scenario/statistics.hpp"
+#include "scenario/statistics.hpp"
 
 #include <gtest/gtest.h>
 

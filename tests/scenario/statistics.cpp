@@ -1,4 +1,4 @@
-#include "ptest/scenario/statistics.hpp"
+#include "scenario/statistics.hpp"
 
 #include <cmath>
 #include <stdexcept>
@@ -59,85 +59,47 @@ ChiSquareFit chi_square_fit(const core::CompiledTestPlan& plan,
 ChiSquareFit chi_square_cross_fit(const core::CompiledTestPlan& sampler,
                                   const core::CompiledTestPlan& reference,
                                   std::uint64_t seed, std::size_t walks) {
-  const std::vector<pfa::PfaState>& states = sampler.pfa.states();
-  const std::vector<pfa::PfaState>& expected_states =
-      reference.pfa.states();
-  if (states.size() != expected_states.size()) {
+  const pfa::Pfa& sampled = sampler.pfa;
+  const pfa::Pfa& expected = reference.pfa;
+  // Same-regex precondition, checked edge by edge: equal counts with
+  // different symbols would silently pair unrelated multinomials.
+  if (sampled.offsets() != expected.offsets() ||
+      sampled.flat_symbols() != expected.flat_symbols()) {
     throw std::invalid_argument(
         "chi_square_cross_fit: plans have different automaton skeletons");
   }
 
-  // counts[state][edge index within the state's transition list].
-  std::vector<std::vector<std::size_t>> counts(states.size());
-  for (std::size_t s = 0; s < states.size(); ++s) {
-    if (states[s].transitions.size() !=
-        expected_states[s].transitions.size()) {
-      throw std::invalid_argument(
-          "chi_square_cross_fit: plans have different automaton skeletons");
-    }
-    for (std::size_t e = 0; e < states[s].transitions.size(); ++e) {
-      // Same-regex precondition, checked edge by edge: equal counts with
-      // different symbols would silently pair unrelated multinomials.
-      if (states[s].transitions[e].symbol !=
-          expected_states[s].transitions[e].symbol) {
-        throw std::invalid_argument(
-            "chi_square_cross_fit: plans have different automaton "
-            "skeletons");
-      }
-    }
-    counts[s].assign(states[s].transitions.size(), 0);
-  }
-
+  // counts[flat transition index], the index each walk records per symbol.
+  std::vector<std::size_t> counts(sampled.flat_symbols().size(), 0);
   support::Rng rng(seed);
-  pattern::PatternGenerator generator(sampler.pfa,
-                                      sampler.generator_options, rng);
+  pattern::PatternGenerator generator(sampled, sampler.generator_options,
+                                      rng);
 
   ChiSquareFit fit;
   fit.walks = walks;
   pfa::WalkScratch scratch;  // tally loops are exactly the reuse hot path
+  pattern::TestPattern sample;
   for (std::size_t w = 0; w < walks; ++w) {
-    const pattern::TestPattern sample = generator.generate(scratch);
+    generator.generate_into(scratch, sample);
     // Beyond config.s symbols the sampler steers toward acceptance and no
     // longer draws with P — only the unsteered prefix is a fair tally.
-    const std::size_t fair =
-        std::min(sample.symbols.size(), sampler.config.s);
-    // The walk's state trace holds one extra entry per lifecycle restart
-    // (restart_at_accept jumps to the start state without emitting a
-    // symbol), so symbols[i] is NOT in general emitted from states[i].
-    // Walk a cursor instead: a dead-end state cannot be any symbol's
-    // source, so skip those entries — what follows each is the restarted
-    // start state the next draw really came from.
-    std::size_t cursor = 0;
-    for (std::size_t i = 0; i < fair && cursor < sample.states.size();
-         ++i, ++cursor) {
-      while (cursor < sample.states.size() &&
-             states[sample.states[cursor]].transitions.empty()) {
-        ++cursor;
-      }
-      if (cursor >= sample.states.size()) break;
-      const std::uint32_t state = sample.states[cursor];
-      const std::vector<pfa::PfaTransition>& transitions =
-          states[state].transitions;
-      for (std::size_t e = 0; e < transitions.size(); ++e) {
-        if (transitions[e].symbol == sample.symbols[i]) {
-          ++counts[state][e];
-          ++fit.transitions;
-          break;
-        }
-      }
-    }
+    const std::size_t fair = std::min(sample.edges.size(), sampler.config.s);
+    for (std::size_t i = 0; i < fair; ++i) ++counts[sample.edges[i]];
+    fit.transitions += fair;
   }
 
-  for (std::size_t s = 0; s < states.size(); ++s) {
-    const std::vector<pfa::PfaTransition>& transitions =
-        expected_states[s].transitions;
-    if (transitions.size() < 2) continue;  // forced draw: no freedom
+  const std::vector<std::uint32_t>& offsets = expected.offsets();
+  const std::vector<double>& probabilities = expected.flat_probabilities();
+  for (std::size_t s = 0; s + 1 < offsets.size(); ++s) {
+    const std::uint32_t begin = offsets[s];
+    const std::uint32_t end = offsets[s + 1];
+    if (end - begin < 2) continue;  // forced draw: no freedom
     std::size_t visits = 0;
-    for (const std::size_t count : counts[s]) visits += count;
+    for (std::uint32_t e = begin; e < end; ++e) visits += counts[e];
     if (visits == 0) continue;
     bool sufficient = true;
-    for (const pfa::PfaTransition& t : transitions) {
-      if (static_cast<double>(visits) * t.probability < 5.0) {
+    for (std::uint32_t e = begin; e < end; ++e) {
+      if (static_cast<double>(visits) * probabilities[e] < 5.0) {
         sufficient = false;
         break;
       }
@@ -146,13 +108,13 @@ ChiSquareFit chi_square_cross_fit(const core::CompiledTestPlan& sampler,
       ++fit.states_skipped;
       continue;
     }
-    for (std::size_t e = 0; e < transitions.size(); ++e) {
-      const double expected =
-          static_cast<double>(visits) * transitions[e].probability;
-      const double delta = static_cast<double>(counts[s][e]) - expected;
-      fit.statistic += delta * delta / expected;
+    for (std::uint32_t e = begin; e < end; ++e) {
+      const double expected_count =
+          static_cast<double>(visits) * probabilities[e];
+      const double delta = static_cast<double>(counts[e]) - expected_count;
+      fit.statistic += delta * delta / expected_count;
     }
-    fit.degrees_of_freedom += transitions.size() - 1;
+    fit.degrees_of_freedom += end - begin - 1;
   }
   return fit;
 }
