@@ -4,9 +4,8 @@
 // be verified" (§V).  As a proxy that is measurable without ground-truth
 // faults, this module tracks structural coverage of the test model: which
 // PFA states, transitions and symbol n-grams the generated patterns have
-// exercised, read off the edges the sampler took (TestPattern::edges)
-// rather than by walking the automaton again.  bench_fault_coverage correlates these with seeded-bug
-// detection rates.
+// exercised, read off the edges the sampler took (TestPattern::edges).
+// bench_fault_coverage correlates these with seeded-bug detection rates.
 #pragma once
 
 #include <cstdint>

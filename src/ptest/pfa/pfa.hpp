@@ -59,8 +59,8 @@ struct Walk {
   std::vector<SymbolId> symbols;
   /// Flat transition index (Pfa::offsets()) that emitted each symbol, so
   /// edges.size() == symbols.size() and flat_targets()[edges[i]] is the
-  /// state after symbols[i], restart_at_accept hops included: coverage
-  /// folds these instead of walking the automaton again.
+  /// state after symbols[i], restart_at_accept hops included.  The
+  /// coverage fold reads these.
   std::vector<std::uint32_t> edges;
   /// True when the walk ended in an accepting state.
   bool accepted = false;

@@ -1,11 +1,11 @@
 // Allocation probe for the sampling hot path: a global operator-new
 // hook counts heap allocations, and the suite asserts Pfa::sample_into
 // performs ZERO of them once its WalkScratch is warm, and that the
-// coverage fold of patterns whose n-grams it has seen performs none.  This is the
-// enforceable form of the scratch-reuse API's contract — a regression
-// that sneaks a per-walk allocation back in (a temporary vector, an
-// accidental copy) fails here even though it would be invisible to the
-// equivalence and golden suites.
+// coverage fold of patterns whose n-grams it has seen performs none.
+// This is the enforceable form of the scratch-reuse API's contract — a
+// regression that sneaks a per-walk allocation back in (a temporary
+// vector, an accidental copy) fails here even though it would be
+// invisible to the equivalence and golden suites.
 //
 // The hook is process-global, so this suite lives in its own test
 // binary: mixing it into another suite would tax every test with the
