@@ -39,6 +39,7 @@ SystematicResult systematic_explore(const core::PtestConfig& config,
     rig.run(session);
     if (session.outcome == core::Outcome::kBug) {
       result.found = true;
+      rig.complete_report(*session.report);
       result.report = std::move(session.report);
       break;
     }

@@ -75,6 +75,7 @@ AdaptiveTestResult execute(const CompiledTestPlan& plan, std::uint64_t seed,
   SessionRig rig(plan.config, plan.alphabet);
   AdaptiveTestResult result;
   execute(plan, seed, setup, scratch, rig, result);
+  if (result.session.report) rig.complete_report(*result.session.report);
   return result;
 }
 

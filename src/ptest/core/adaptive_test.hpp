@@ -41,8 +41,9 @@ struct AdaptiveTestResult {
 /// refined from: a guided epoch's refined plans only move
 /// probabilities).  Every step reuses the capacity `out` and the
 /// rig already have, so a caller that keeps one `out` per rig runs warm
-/// sessions allocating only what the session's tasks allocate (see
-/// SessionRig::run for how reports circulate).  Every random stream
+/// sessions allocating only what the session's tasks allocate.  A report
+/// comes back as its head; rig.complete_report() fills its body until
+/// the rig's next load() (see SessionRig::run).  Every random stream
 /// derives from `seed`; the plan is shared read-only, so concurrent
 /// calls on the same plan are safe as long as each caller passes its own
 /// scratch, rig and `out`.  This is the one session path; the overload
@@ -51,8 +52,8 @@ void execute(const CompiledTestPlan& plan, std::uint64_t seed,
              const WorkloadSetup& setup, pfa::WalkScratch& scratch,
              SessionRig& rig, AdaptiveTestResult& out);
 
-/// execute() into a fresh result on a freshly built rig.  The result is
-/// the same as on a kept rig.
+/// execute() into a fresh result on a freshly built rig, with the report
+/// completed.  The result is the same as on a kept rig.
 [[nodiscard]] AdaptiveTestResult execute(const CompiledTestPlan& plan,
                                          std::uint64_t seed,
                                          const WorkloadSetup& setup,

@@ -45,10 +45,8 @@ BugReport& BugDetector::file_report(sim::Soc& soc, BugKind kind) {
   report_.detected_at = soc.now();
   report_.description.clear();
   report_.culprits.clear();
-  kernel_->snapshot_into(report_.kernel);
-  report_.state_records.assign(recorder_->records().begin(),
-                               recorder_->records().end());
-  soc.trace().tail_into(kReportTraceLines, report_.trace_tail);
+  report_.kernel.panicked = kernel_->panicked();
+  report_.kernel.panic_reason.assign(kernel_->panic_reason());
   soc.record(sim::TraceCategory::kDetector,
              sim::bug_code(static_cast<std::uint8_t>(kind)));
   return report_;
@@ -96,7 +94,8 @@ bool BugDetector::tick(sim::Soc& soc) {
 
   // 2. Deadlock.  The scan is a pure function of the wait-for graph and a
   // cycle is reported the tick it is found, so while the kernel's epoch
-  // stands still the last scan's empty result still holds.
+  // stands still the last scan's empty result still holds.  Epoch 0 counts
+  // as scanned: the graph has no edge there (see the header).
   if (const std::uint64_t epoch = kernel_->wait_graph_epoch();
       scanned_epoch_ != epoch) {
     scanned_epoch_ = epoch;
@@ -140,8 +139,12 @@ bool BugDetector::tick(sim::Soc& soc) {
       BugReport& report = file_report(soc, BugKind::kNoTermination);
       append_decimal(report.description, live);
       report.description += " task(s) did not terminate within the horizon";
-      for (const auto& task : report.kernel.tasks) {
-        report.culprits.push_back(task.id);
+      // Every occupied slot, in ascending order: the tasks a kernel
+      // snapshot lists.
+      for (pcore::TaskId t = 0; t < pcore::kMaxTasks; ++t) {
+        if (kernel_->tcb(t).state != pcore::TaskState::kFree) {
+          report.culprits.push_back(t);
+        }
       }
       return false;
     }

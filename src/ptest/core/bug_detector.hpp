@@ -12,8 +12,18 @@
 // time-based check could fire; between those no check can.  Its checks
 // read the kernel's TCBs in place (the starvation check only the runnable
 // slots of runnable_mask()); the wait-for graph is rescanned only when
-// the kernel's wait_graph_epoch() moved, and a full KernelSnapshot is
-// taken once, when a report is filed.
+// the kernel's wait_graph_epoch() moved off the last scanned value, which
+// starts at 0: at epoch 0 no mutex has had an owner since the kernel's
+// reset, so the graph has no edge and no cycle, and skipping that scan is
+// exact.
+//
+// The detector files only a report's head: the kind, the tick, the
+// description, the culprits and the kernel's panic flag and reason, which
+// is all a signature or a bug oracle reads.  The replay body (the kernel
+// snapshot, the CP records, the trace tail and the merged pattern) is
+// left empty; SessionRig::complete_report fills it from the stack, which
+// still holds the detection tick's state, and only for a report someone
+// keeps.
 //
 // Detections:
 //   * slave crash      — kernel panic flag (case study 1's GC failure);
@@ -27,7 +37,6 @@
 #pragma once
 
 #include <optional>
-#include <utility>
 
 #include "ptest/core/config.hpp"
 #include "ptest/core/report.hpp"
@@ -39,37 +48,32 @@ namespace ptest::core {
 
 class BugDetector final : public sim::Device {
  public:
+  /// The recorder holds the CP records of the stack the detector
+  /// observes; they belong to a report's body, so the detector itself
+  /// does not read them.
   BugDetector(const DetectorConfig& config, pcore::PcoreKernel& kernel,
               const master::Committer& committer,
-              const StateRecorder& recorder)
-      : config_(config),
-        kernel_(&kernel),
-        committer_(&committer),
-        recorder_(&recorder) {}
+              const StateRecorder& /*recorder*/)
+      : config_(config), kernel_(&kernel), committer_(&committer) {}
 
   bool tick(sim::Soc& soc) override;
 
-  /// Forgets the filed report, the pass and the termination watch, and
-  /// forces the next tick to scan the wait-for graph, as freshly
-  /// constructed.  The report buffer keeps its capacity for the next
-  /// filing.
+  /// Forgets the filed report, the pass and the termination watch, as
+  /// freshly constructed (epoch 0 counts as scanned).  The report buffer
+  /// keeps its capacity for the next filing.
   void reset() noexcept {
     filed_ = false;
     passed_ = false;
     committer_finished_at_.reset();
-    scanned_epoch_.reset();
+    scanned_epoch_ = 0;
   }
 
   [[nodiscard]] bool bug_found() const noexcept { return filed_; }
-  /// The filed report, or null when none was filed.
+  /// The filed report's head (its body is empty), or null when none was
+  /// filed.
   [[nodiscard]] const BugReport* report() const noexcept {
     return filed_ ? &report_ : nullptr;
   }
-  /// Swaps the report buffer with `other`: after a filing, `other` holds
-  /// the filed report and the detector keeps `other`'s old buffers to
-  /// file its next report into.  bug_found() is unchanged, so nothing
-  /// further is filed until reset().
-  void swap_report(BugReport& other) noexcept { std::swap(report_, other); }
 
   /// True once the committer finished and every task exited cleanly.
   [[nodiscard]] bool passed() const noexcept { return passed_; }
@@ -86,22 +90,21 @@ class BugDetector final : public sim::Device {
       const pcore::PcoreKernel& kernel);
 
  private:
-  /// Files a report of `kind` into the kept buffer: every field is
-  /// overwritten except the description and culprits, which come back
-  /// empty for the caller to append to (and seed and merged, which the
-  /// session fills).
+  /// Files the head of a report of `kind` into the kept buffer and
+  /// records the detector's bug event: the kind, the tick and the
+  /// kernel's panic flag and reason are written, and the description and
+  /// culprits come back empty for the caller to append to.
   BugReport& file_report(sim::Soc& soc, BugKind kind);
 
   DetectorConfig config_;
   pcore::PcoreKernel* kernel_;
   const master::Committer* committer_;
-  const StateRecorder* recorder_;
   BugReport report_;
   bool filed_ = false;
   bool passed_ = false;
   std::optional<sim::Tick> committer_finished_at_;
   /// Kernel wait-graph epoch of the last deadlock scan.
-  std::optional<std::uint64_t> scanned_epoch_;
+  std::uint64_t scanned_epoch_ = 0;
 };
 
 }  // namespace ptest::core

@@ -185,7 +185,7 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
     if (!rig) rig = std::make_unique<SessionRig>(plan.config, plan.alphabet);
     execute(plan, support::derive_seed(base_config_.seed, run), setup_,
             scratch, *rig, out);
-    return arm;
+    return SessionBatchRunner::Ran{arm, *rig};
   };
   for (std::size_t offset = 0; offset < budget; offset += batch_size) {
     round_start = run_base + offset;

@@ -8,6 +8,13 @@
 // records and trace events stay in their compact form; render() is the
 // only place they become text, so a campaign that keeps one report per
 // signature never formats the repeats.
+//
+// The fields split into a head (kind, tick, description, culprits,
+// kernel.panicked, kernel.panic_reason, seed), which is everything
+// signature() and a bug oracle read, and a replay body (the rest of the
+// kernel snapshot, the CP records, the trace tail, the merged pattern).
+// A session files the head; SessionRig::complete_report fills the body
+// of a report that is kept, and a head-only report has an empty body.
 #pragma once
 
 #include <optional>

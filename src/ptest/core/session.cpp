@@ -134,24 +134,40 @@ void SessionRig::tick_loop(SessionStats& stats) {
 }
 
 void SessionRig::run(SessionResult& out) {
-  if (out.report) {
-    detector_.swap_report(*out.report);
-    out.report.reset();
-  }
   tick_loop(out.stats);
 
-  if (detector_.bug_found()) {
+  if (const BugReport* filed = detector_.report()) {
     out.outcome = Outcome::kBug;
-    BugReport& report = out.report.emplace();
-    detector_.swap_report(report);
+    // The head goes into `out`'s kept buffers, or the spare's; the body is
+    // emptied, for complete_report() to fill if the caller keeps the
+    // report.
+    if (!out.report) out.report.emplace(std::move(spare_report_));
+    BugReport& report = *out.report;
+    report.kind = filed->kind;
+    report.detected_at = filed->detected_at;
+    report.description.assign(filed->description);
+    report.culprits.assign(filed->culprits.begin(), filed->culprits.end());
+    pcore::KernelSnapshot& kernel = report.kernel;
+    kernel.panicked = filed->kernel.panicked;
+    kernel.panic_reason.assign(filed->kernel.panic_reason);
+    kernel.tick = 0;
+    kernel.tasks.clear();
+    kernel.live_tasks = 0;
+    kernel.heap = {};
+    kernel.context_switches = 0;
+    kernel.preemptions = 0;
+    kernel.service_calls = 0;
+    report.state_records.clear();
+    report.trace_tail.clear();
     report.seed = seed_;
-    const pattern::MergedPattern& merged = committer_.pattern();
-    report.merged.elements.assign(merged.elements.begin(),
-                                  merged.elements.end());
-  } else if (detector_.passed()) {
-    out.outcome = Outcome::kPassed;
+    report.merged.elements.clear();
   } else {
-    out.outcome = Outcome::kTickLimit;
+    if (out.report) {
+      spare_report_ = std::move(*out.report);
+      out.report.reset();
+    }
+    out.outcome =
+        detector_.passed() ? Outcome::kPassed : Outcome::kTickLimit;
   }
 
   out.stats.commands_issued = committer_.issued();
@@ -162,9 +178,22 @@ void SessionRig::run(SessionResult& out) {
   out.stats.gc_runs = kernel_.gc_runs();
 }
 
+void SessionRig::complete_report(BugReport& report) const {
+  kernel_.snapshot_into(report.kernel);
+  report.state_records.assign(recorder_.records().begin(),
+                              recorder_.records().end());
+  // The detector's bug event is the last one recorded: it steps last on
+  // the detection tick, and the run stops after that tick.
+  soc_.trace().tail_into(kReportTraceLines, report.trace_tail, 1);
+  const pattern::MergedPattern& merged = committer_.pattern();
+  report.merged.elements.assign(merged.elements.begin(),
+                                merged.elements.end());
+}
+
 SessionResult SessionRig::run() {
   SessionResult result;
   run(result);
+  if (result.report) complete_report(*result.report);
   return result;
 }
 

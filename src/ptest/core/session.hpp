@@ -36,11 +36,22 @@
 // loaded rig runs exactly as a freshly built one would.  TestSession is
 // the one-session form: one rig, loaded once.
 //
+// A report comes in two parts.  Its head (kind, tick, description,
+// culprits, the kernel's panic flag and reason, and the seed) is what a
+// signature and a bug oracle read; the detector files it on every bug,
+// and run(out) copies it into `out`'s kept report.  Its replay body (the
+// kernel snapshot, the CP records, the trace tail and the merged pattern)
+// costs more and matters only for a report someone keeps, so run(out)
+// leaves it empty and complete_report() fills it from the rig, which
+// still holds the detection tick's state until the next load().  A
+// campaign completes only a report whose signature is new; the one-shot
+// forms (run(), TestSession, execute() into a fresh result, replay)
+// always complete.
+//
 // Buffers circulate instead of being rebuilt.  The committer borrows the
-// caller's merged pattern, the detector files each report into a kept
-// BugReport, and run(out) swaps that report into `out` and takes back
-// whatever report `out` held.  A caller that passes the same
-// SessionResult to every run() therefore files warm reports without
+// caller's merged pattern, and a report buffer a passing session frees
+// from `out` waits in the rig for the next bug.  A caller that passes the
+// same SessionResult to every run() therefore files warm heads without
 // allocating.
 #pragma once
 
@@ -133,13 +144,21 @@ class SessionRig {
             const WorkloadSetup& setup) = delete;
 
   /// Runs the loaded session to completion/bug/limit and writes every
-  /// field of `out`.  A report `out` still holds goes back to the
-  /// detector first, as the buffer its next report is filed into; a
-  /// filed report is swapped into `out.report`, carrying the session's
-  /// seed and merged pattern.  Call once per load().
+  /// field of `out`.  A filed report's head and the session's seed are
+  /// copied into `out.report`, reusing the buffers of the report it held;
+  /// its body comes back empty.  Without a filing `out.report` is reset,
+  /// and the rig keeps its buffers for the next one.  Call once per
+  /// load().
   void run(SessionResult& out);
-  /// run() into a fresh result.
+  /// run() into a fresh result, with the report completed.
   SessionResult run();
+
+  /// Fills `report`'s body from the session run() just ran: the kernel
+  /// snapshot, the CP records, the kReportTraceLines trace events before
+  /// the detector's own bug event, and the merged pattern.  Exact until
+  /// the next load(): the rig's state after run() is its state on the
+  /// detection tick.
+  void complete_report(BugReport& report) const;
 
   /// The merger execute() re-arms for each session on this rig, kept so
   /// its working lists keep their capacity.
@@ -170,6 +189,9 @@ class SessionRig {
   master::Committer committer_;
   BugDetector detector_;
   pattern::PatternMerger merger_;
+  /// The buffers of the last report a passing session freed from its
+  /// result, kept for the next filing.
+  BugReport spare_report_;
 };
 
 /// One session on a rig of its own.

@@ -52,7 +52,7 @@ SessionBatch SessionBatchRunner::run(std::size_t first, std::size_t last,
     const bool timed = run % kWallSampleEvery == 0;
     const std::uint64_t start_ns = timed ? obs::TraceRecorder::now_ns() : 0;
     AdaptiveTestResult& result = slot.session;
-    const std::size_t arm = body(participant, run, slot.scratch, result);
+    const auto [arm, rig] = body(participant, run, slot.scratch, result);
     if (timed) {
       slot.partial.metrics.session_wall_hist.record(
           obs::TraceRecorder::now_ns() - start_ns);
@@ -72,11 +72,12 @@ SessionBatch SessionBatchRunner::run(std::size_t first, std::size_t last,
     ++slot.partial.arm_stats[arm].detections;
     // This participant's runs only increase, so the first report it
     // keeps per signature is its lowest-index one.  A repeat stays in
-    // `result`, whose next session hands its buffers back to the rig;
-    // only a new signature copies its key and takes the report.
+    // `result` as a head, whose buffers the next session reuses; only a
+    // new signature completes its body, copies its key and takes it.
     slot.key.clear();
     report->append_signature(slot.key);
     if (slot.reports.find(slot.key) != slot.reports.end()) return;
+    rig.complete_report(*report);
     slot.reports.emplace(slot.key, std::pair(run, std::move(*report)));
     report.reset();
   };

@@ -9,7 +9,10 @@
 // and "first report per signature" becomes "lowest run index per
 // signature" — a participant claims increasing indices, so it keeps its
 // first report, and the batch keeps the lowest index across slots.  The
-// result is therefore bit-identical for every `jobs` value.
+// result is therefore bit-identical for every `jobs` value.  A session
+// files only its report's head; the fold completes the body on the rig
+// the session ran on, and only when the participant has not seen the
+// signature yet, so a repeat costs no snapshot.
 #pragma once
 
 #include <cstddef>
@@ -35,13 +38,18 @@ struct SessionBatch {
 
 class SessionBatchRunner {
  public:
+  /// What the body returns: the session's arm and the rig it ran on,
+  /// still loaded with the session, which completes a kept report.
+  struct Ran {
+    std::size_t arm;
+    const SessionRig& rig;
+  };
   /// The session body: runs global run index `run` on pool participant
   /// `participant` into `out`, sampling through that participant's
-  /// scratch, and returns the session's arm.  `out` is the participant's
-  /// kept result, holding the previous session it ran (and that
-  /// session's report when the fold did not keep it): the body overwrites
-  /// it, reusing its buffers.
-  using Body = support::FunctionRef<std::size_t(
+  /// scratch.  `out` is the participant's kept result, holding the
+  /// previous session it ran (and that session's report when the fold did
+  /// not keep it): the body overwrites it, reusing its buffers.
+  using Body = support::FunctionRef<Ran(
       std::size_t participant, std::size_t run, pfa::WalkScratch& scratch,
       AdaptiveTestResult& out)>;
   /// Whether a filed report counts as a detection; empty = every report.

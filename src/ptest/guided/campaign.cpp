@@ -203,7 +203,7 @@ GuidedResult GuidedCampaign::run() {
                         setup_, scratch, rig, out);
           fingerprints[participant].push_back(scenario::trace_fingerprint(
               out.session, out.merged, rig.soc().trace()));
-          return std::size_t{0};
+          return core::SessionBatchRunner::Ran{0, rig};
         });
 
     GuidedEpoch epoch_stats;

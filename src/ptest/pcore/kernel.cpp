@@ -43,8 +43,14 @@ PcoreKernel::PcoreKernel(const KernelConfig& config)
 
 void PcoreKernel::reset() {
   heap_.reset();
-  for (Tcb& tcb : tcbs_) tcb = Tcb{};
-  for (KMutex& mutex : mutexes_) {
+  // Only slots below the high-water mark and mutexes below the count were
+  // ever written since the last reset; the rest are still as constructed.
+  for (std::size_t slot = 0; slot < slot_high_water_; ++slot) {
+    tcbs_[slot] = Tcb{};
+  }
+  slot_high_water_ = 0;
+  for (MutexId id = 0; id < mutex_count_; ++id) {
+    KMutex& mutex = mutexes_[id];
     mutex.exists = false;
     mutex.owner.reset();
     mutex.waiters.clear();
@@ -179,6 +185,7 @@ Status PcoreKernel::task_create(std::uint32_t program_id, std::uint32_t arg,
     return Status::kErrNoMemory;
   }
 
+  slot_high_water_ = std::max<std::size_t>(slot_high_water_, slot + 1);
   Tcb& tcb = tcbs_[slot];
   set_state(slot, TaskState::kReady);
   tcb.priority = priority;

@@ -104,7 +104,9 @@ class PcoreKernel final : public sim::Device {
   /// programs, tasks or mutexes, zeroed shared words and counters, the
   /// heap and noise stream restarted, no panic, wait-graph epoch 0.
   /// Buffers (program registry, mutex wait queues, heap blocks) keep
-  /// their capacity.
+  /// their capacity.  Only the TCBs below the highest slot task_create
+  /// filled and the mutexes mutex_create made are rewritten: no other
+  /// entry can have changed since the last reset.
   void reset();
 
   // --- program registry ----------------------------------------------------
@@ -230,6 +232,9 @@ class PcoreKernel final : public sim::Device {
   KernelConfig config_;
   KernelHeap heap_;
   std::array<Tcb, kMaxTasks> tcbs_{};
+  /// One past the highest slot task_create has filled since the last
+  /// reset: reset() rewrites only the TCBs below it.
+  std::size_t slot_high_water_ = 0;
   std::array<KMutex, kMaxMutexes> mutexes_{};
   std::size_t mutex_count_ = 0;
   PriorityScheduler scheduler_;

@@ -51,6 +51,7 @@ class Soc {
     return mailboxes_;
   }
   [[nodiscard]] TraceLog& trace() noexcept { return trace_; }
+  [[nodiscard]] const TraceLog& trace() const noexcept { return trace_; }
 
   void record(TraceCategory category, TraceCode code, std::uint32_t a = 0,
               std::uint32_t b = 0) {

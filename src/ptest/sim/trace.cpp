@@ -96,12 +96,13 @@ void TraceLog::record(Tick tick, TraceCategory category, TraceCode code,
   }
 }
 
-void TraceLog::tail_into(std::size_t count,
-                         std::vector<TraceEvent>& out) const {
-  const std::size_t take = std::min(count, ring_.size());
+void TraceLog::tail_into(std::size_t count, std::vector<TraceEvent>& out,
+                         std::size_t skip) const {
+  const std::size_t kept = ring_.size() - std::min(skip, ring_.size());
+  const std::size_t take = std::min(count, kept);
   out.resize(take);
   // Oldest first: the ring's logical order starts at head_.
-  const std::size_t first = ring_.size() - take;
+  const std::size_t first = kept - take;
   for (std::size_t i = 0; i < take; ++i) {
     const std::size_t at = head_ + first + i;
     out[i] = ring_[at < ring_.size() ? at : at - ring_.size()];

@@ -113,10 +113,11 @@ class TraceLog {
   void record(Tick tick, TraceCategory category, TraceCode code,
               std::string_view text);
 
-  /// Copies the most recent `count` events, oldest first, into `out`,
-  /// replacing its contents and reusing its buffer (and its events' text
-  /// buffers).
-  void tail_into(std::size_t count, std::vector<TraceEvent>& out) const;
+  /// Copies the `count` events before the newest `skip`, oldest first,
+  /// into `out`, replacing its contents and reusing its buffer (and its
+  /// events' text buffers).
+  void tail_into(std::size_t count, std::vector<TraceEvent>& out,
+                 std::size_t skip = 0) const;
   /// tail_into() a fresh vector.
   [[nodiscard]] std::vector<TraceEvent> tail(std::size_t count) const;
   [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }

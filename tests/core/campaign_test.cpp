@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -333,6 +334,10 @@ TEST(SessionBatchRunnerTest, KeepsTheLowestRunIndexPerSignature) {
   const CompiledTestPlanPtr plan = compile(philosopher_config());
   SessionBatchRunner runner(2, 64, {&plan->pfa}, false, nullptr);
   ASSERT_EQ(runner.participants(), 2u);
+  // One rig per participant.  They are never loaded, so completing a
+  // report fills an empty replay body and keeps the head written below.
+  std::deque<SessionRig> rigs;
+  for (int p = 0; p < 2; ++p) rigs.emplace_back(plan->config, plan->alphabet);
   std::atomic<int> helper_reports{0};
   std::atomic<int> caller_reports{0};
   std::atomic<std::size_t> lowest_reported{SIZE_MAX};
@@ -346,7 +351,7 @@ TEST(SessionBatchRunnerTest, KeepsTheLowestRunIndexPerSignature) {
         if (participant == 0 && !caller_started) {
           caller_started = true;
           while (helper_reports.load() < 3) std::this_thread::yield();
-          return std::size_t{0};  // passes: no report
+          return SessionBatchRunner::Ran{0, rigs[0]};  // passes: no report
         }
         if (participant != 0 && helper_reports.load() == 3) {
           while (caller_reports.load() == 0) std::this_thread::yield();
@@ -360,7 +365,7 @@ TEST(SessionBatchRunnerTest, KeepsTheLowestRunIndexPerSignature) {
         session.session.report.emplace();
         session.session.report->kind = BugKind::kDeadlock;
         session.session.report->seed = run;
-        return std::size_t{0};
+        return SessionBatchRunner::Ran{0, rigs[participant]};
       });
   EXPECT_EQ(batch.result.total_runs, 64u);
   EXPECT_EQ(batch.result.total_detections, 63u);

@@ -438,6 +438,52 @@ TEST(DetectorReferenceTest, DeletingABlockedTaskKeepsTheEpochHonest) {
   observed.expect_same_reports();
 }
 
+TEST(DetectorReferenceTest, ACycleBuiltBeforeTheFirstTickIsFiledOnIt) {
+  // The detector counts epoch 0 as scanned.  A kernel whose epoch moved
+  // before the detector first ticks must still be scanned on that tick,
+  // by a fresh detector and by a reset one.
+  pfa::Alphabet alphabet;
+  sim::Soc soc;
+  pcore::PcoreKernel kernel;
+  const pcore::MutexId a = kernel.mutex_create();
+  const pcore::MutexId b = kernel.mutex_create();
+  // Each task locks one mutex, lets the other task run, then locks the
+  // other mutex.
+  kernel.register_program(300, [a, b](std::uint32_t first) {
+    const pcore::MutexId mine = first == 0 ? a : b;
+    const pcore::MutexId theirs = first == 0 ? b : a;
+    return pcore::Program{
+        "opposed", pcore::script({pcore::StepResult::lock(mine),
+                                  pcore::StepResult::yield(),
+                                  pcore::StepResult::lock(theirs),
+                                  pcore::StepResult::compute()})};
+  });
+  std::array<pcore::TaskId, 2> tasks{};
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    ASSERT_EQ(kernel.task_create(300, i, 5, tasks[i]), pcore::Status::kOk);
+  }
+  soc.attach(kernel);
+  (void)soc.run(8);
+  ASSERT_EQ(kernel.tcb(tasks[0]).state, pcore::TaskState::kBlocked);
+  ASSERT_EQ(kernel.tcb(tasks[1]).state, pcore::TaskState::kBlocked);
+  ASSERT_GT(kernel.wait_graph_epoch(), 0u);
+
+  const master::Committer committer(pattern::MergedPattern{}, alphabet, {});
+  const StateRecorder recorder(alphabet);
+  BugDetector detector(DetectorConfig{}, kernel, committer, recorder);
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass == 0 ? "fresh" : "reset");
+    EXPECT_FALSE(detector.tick(soc));
+    ASSERT_TRUE(detector.bug_found());
+    EXPECT_EQ(detector.report()->kind, BugKind::kDeadlock);
+    EXPECT_EQ(detector.report()->detected_at, soc.now());
+    std::vector<pcore::TaskId> culprits = detector.report()->culprits;
+    std::sort(culprits.begin(), culprits.end());
+    EXPECT_EQ(culprits, (std::vector<pcore::TaskId>{tasks[0], tasks[1]}));
+    detector.reset();
+  }
+}
+
 TEST(DetectorReferenceTest, ResumedTaskStarvesOnFirstTickPastHorizon) {
   // A task suspended for longer than the horizon comes back kReady with
   // its pre-suspend last_progress; a higher-priority task keeps it off

@@ -5,9 +5,9 @@
 // grew, and the workload setup re-registers its programs into the
 // registry's kept capacity.  A whole short session (load plus run) stays
 // within a small budget, which is what the coroutine frames and a report
-// filed into a fresh result cost.  A warm campaign session (generate,
+// completed into a fresh result cost.  A warm campaign session (generate,
 // merge, load, run and the batch fold, on kept buffers) allocates at most
-// its task frames.  A warm task_create allocates the task's coroutine
+// its task frames: a repeat signature's head reuses the kept report.  A warm task_create allocates the task's coroutine
 // frame and nothing else.  A warm Soc::reset followed by idle ticks
 // allocates nothing.
 //
@@ -92,7 +92,8 @@ TEST(SessionRigAllocProbe, WarmLoadAllocatesNothingOnEveryScenario) {
 
 TEST(SessionRigAllocProbe, ShortSessionsStayWithinTheirBudget) {
   // load + run averages at most this many allocations per session: the
-  // task frames, and the buffers of a report filed into a fresh result.
+  // task frames, and the buffers of a report completed into a fresh
+  // result.
   constexpr double kBudget = 12.0;
   for (const char* name : {"aba-stack", "queue-order"}) {
     const scenario::Scenario* entry =
@@ -114,11 +115,12 @@ struct BatchProbe {
 };
 
 constexpr std::size_t kBatch = 400;
-/// What a batch allocates outside its sessions: the fold's partial and
-/// batch results, and per signature one map entry and key, the kept
-/// report's move and the fresh report buffer the detector files the next
-/// one into.
-constexpr std::uint64_t kBatchOverhead = 32;
+/// What a batch allocates outside its sessions' task frames: the fold's
+/// partial and batch results, and per new signature its map entries and
+/// keys, the body completed for it (task list, CP records, trace tail,
+/// merged pattern) and the head buffers the next bug is copied into once
+/// the kept report has left with its own.  Repeats allocate nothing.
+constexpr std::uint64_t kBatchOverhead = 16;
 
 /// Runs `name`'s campaign sessions through a jobs=1 SessionBatchRunner
 /// with one kept rig, as Campaign does: a warm-up batch, then a counted
@@ -143,7 +145,7 @@ BatchProbe probe_batch(const char* name) {
       probe.task_creates += element.symbol == tc;
     }
     ++probe.sessions;
-    return std::size_t{0};
+    return SessionBatchRunner::Ran{0, rig};
   };
   (void)runner.run(0, kBatch, body);
   probe = BatchProbe{};

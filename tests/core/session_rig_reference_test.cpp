@@ -16,14 +16,15 @@
 // words in the mailboxes), and a config whose committer draws issue
 // delays from the noise stream.
 //
-// Reports circulate too: the detector files into a kept report, the
-// rig swaps it into the caller's result and takes back the one that
-// result held.  The buffer-reuse cases run one kept result through
-// sessions of every report shape, field by field against fresh
+// Reports circulate too: the rig copies each report's head into the
+// report the caller's result already holds, and complete_report() fills
+// the body on request.  The buffer-reuse cases run one kept result
+// through sessions of every report shape, checking each head's body
+// empty and then the completed report field by field against fresh
 // sessions, so a field a filing fails to overwrite shows as a leftover
 // of a longer earlier report; and they check that campaigns, whose
-// batch fold copies a report out only for a new signature, keep exactly
-// the reports a by-value loop keeps.
+// batch fold completes and takes a report only for a new signature,
+// keep exactly the reports a by-value loop keeps.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -146,8 +147,9 @@ TEST(SessionRigReferenceTest, RefinedPlanSessionsOnTheBaseRigMatchFreshSessions)
   // only probabilities, so config and alphabet stay the base plan's.
   // Per variant, two refined plans (one refined against nothing covered,
   // one against what the first plan's sessions covered) run through
-  // execute() on that one rig into one kept result, each session checked
-  // against a fresh TestSession wired on the refined plan itself.
+  // execute() on that one rig into one kept result, each session's report
+  // completed on the rig and checked against a fresh TestSession wired on
+  // the refined plan itself.
   constexpr std::uint64_t kSeeds = 8;
   const guided::PlanRefiner refiner(guided::RefinerOptions{});
   std::size_t variants = 0;
@@ -170,6 +172,7 @@ TEST(SessionRigReferenceTest, RefinedPlanSessionsOnTheBaseRigMatchFreshSessions)
             variant.config.seed, refinement * kSeeds + i);
         SCOPED_TRACE("seed " + std::to_string(seed));
         execute(*plan, seed, variant.setup, scratch, rig, kept);
+        if (kept.session.report) rig.complete_report(*kept.session.report);
         const std::uint64_t fingerprint = scenario::trace_fingerprint(
             kept.session, kept.merged, rig.soc().trace());
         const AdaptiveTestResult generated =
@@ -310,58 +313,6 @@ TEST(SessionRigReferenceTest, NoisyCommitterSessionsEqualFreshOnes) {
 
 // --- buffer reuse ----------------------------------------------------------------
 
-void expect_same_kernel(const pcore::KernelSnapshot& a,
-                        const pcore::KernelSnapshot& b) {
-  EXPECT_EQ(a.tick, b.tick);
-  EXPECT_EQ(a.panicked, b.panicked);
-  EXPECT_EQ(a.panic_reason, b.panic_reason);
-  EXPECT_EQ(a.live_tasks, b.live_tasks);
-  EXPECT_EQ(a.context_switches, b.context_switches);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.service_calls, b.service_calls);
-  EXPECT_EQ(a.heap.live_bytes, b.heap.live_bytes);
-  EXPECT_EQ(a.heap.live_blocks, b.heap.live_blocks);
-  EXPECT_EQ(a.heap.free_bytes, b.heap.free_bytes);
-  EXPECT_EQ(a.heap.graveyard_blocks, b.heap.graveyard_blocks);
-  EXPECT_EQ(a.heap.total_allocs, b.heap.total_allocs);
-  EXPECT_EQ(a.heap.total_frees, b.heap.total_frees);
-  EXPECT_EQ(a.heap.gc_runs, b.heap.gc_runs);
-  EXPECT_EQ(a.heap.coalesced, b.heap.coalesced);
-  ASSERT_EQ(a.tasks.size(), b.tasks.size());
-  for (std::size_t i = 0; i < a.tasks.size(); ++i) {
-    const pcore::TaskSnapshot& x = a.tasks[i];
-    const pcore::TaskSnapshot& y = b.tasks[i];
-    EXPECT_EQ(x.id, y.id);
-    EXPECT_EQ(x.state, y.state);
-    EXPECT_EQ(x.priority, y.priority);
-    EXPECT_EQ(x.program, y.program);
-    EXPECT_EQ(x.waiting_on, y.waiting_on);
-    EXPECT_EQ(x.holds, y.holds);
-    EXPECT_EQ(x.last_progress, y.last_progress);
-    EXPECT_EQ(x.steps, y.steps);
-    EXPECT_EQ(x.generation, y.generation);
-  }
-}
-
-/// Every field of a recycled report against a fresh session's.
-void expect_same_report(const BugReport& a, const BugReport& b,
-                        const pfa::Alphabet& alphabet) {
-  EXPECT_EQ(a.kind, b.kind);
-  EXPECT_EQ(a.detected_at, b.detected_at);
-  EXPECT_EQ(a.description, b.description);
-  EXPECT_EQ(a.culprits, b.culprits);
-  expect_same_kernel(a.kernel, b.kernel);
-  EXPECT_EQ(a.state_records, b.state_records);
-  EXPECT_EQ(a.trace_tail, b.trace_tail);
-  EXPECT_EQ(a.seed, b.seed);
-  EXPECT_EQ(a.merged.elements, b.merged.elements);
-  EXPECT_EQ(a.signature(), b.signature());
-  std::string appended = "kept:";
-  a.append_signature(appended);
-  EXPECT_EQ(appended, "kept:" + b.signature());
-  EXPECT_EQ(a.render(alphabet), b.render(alphabet));
-}
-
 /// One rig per variant, all sharing a single kept result and scratch, as
 /// a campaign participant shares its slot's result across its arms' rigs.
 struct Circulated {
@@ -378,7 +329,8 @@ struct Circulated {
 TEST(SessionRigReferenceTest, OneKeptResultMatchesFreshSessionsOfEveryShape) {
   // Between them these variants crash, deadlock with mutexes held and
   // waited on, do not terminate, starve, pass, and (barrier-reuse cut at
-  // 40 ticks) hit the tick limit.
+  // 40 ticks) hit the tick limit.  Each kept report is checked as a head,
+  // then completed on its rig and checked against the fresh session's.
   std::vector<Circulated> variants;
   for (const char* name : {"aba-stack", "philosophers-deadlock",
                            "fig1-livelock", "writer-starvation",
@@ -429,8 +381,23 @@ TEST(SessionRigReferenceTest, OneKeptResultMatchesFreshSessionsOfEveryShape) {
               fresh.result.report.has_value());
     outcomes.insert(kept.session.outcome);
     if (!kept.session.report) continue;
-    const BugReport& report = *kept.session.report;
-    expect_same_report(report, *fresh.result.report, plan.alphabet);
+    BugReport& report = *kept.session.report;
+    // A kept result gets the head, with an empty body however much the
+    // buffers it reuses held, and the completed report's signature.
+    const BugReport& completed = *fresh.result.report;
+    EXPECT_EQ(report.signature(), completed.signature());
+    EXPECT_EQ(report.kernel.panic_reason, completed.kernel.panic_reason);
+    EXPECT_EQ(report.seed, seed);
+    EXPECT_TRUE(report.kernel.tasks.empty());
+    EXPECT_EQ(report.kernel.tick, 0u);
+    EXPECT_EQ(report.kernel.live_tasks, 0u);
+    EXPECT_EQ(report.kernel.service_calls, 0u);
+    EXPECT_EQ(report.kernel.heap.total_allocs, 0u);
+    EXPECT_TRUE(report.state_records.empty());
+    EXPECT_TRUE(report.trace_tail.empty());
+    EXPECT_TRUE(report.merged.elements.empty());
+    variant.rig->complete_report(report);
+    expect_same_report(report, completed, plan.alphabet);
     kinds.insert(report.kind);
     for (const pcore::TaskSnapshot& task : report.kernel.tasks) {
       if (!task.holds.empty() && task.waiting_on) {
@@ -457,10 +424,11 @@ TEST(SessionRigReferenceTest, OneKeptResultMatchesFreshSessionsOfEveryShape) {
 }
 
 TEST(SessionRigReferenceTest, CampaignFailuresMatchAByValueExecuteLoop) {
-  // Every catalog variant: the distinct failures a campaign keeps (the
-  // lowest run index per signature, copied out of the kept buffers only
-  // for a new signature) equal a by-value execute loop's, key and
-  // rendering, at jobs=1 and jobs=3.
+  // Every catalog variant: the distinct failures a campaign's
+  // SessionBatchRunner keeps (the lowest run index per signature, its
+  // body completed on the rig only for a new signature) equal the report
+  // a by-value execute of that run index files, key and every field, at
+  // jobs=1 and jobs=3.
   constexpr std::size_t kBudget = 24;
   std::size_t variants = 0;
   std::size_t failures = 0;
@@ -492,8 +460,7 @@ TEST(SessionRigReferenceTest, CampaignFailuresMatchAByValueExecuteLoop) {
       auto b = expected.cbegin();
       for (auto a = kept.cbegin(); a != kept.cend(); ++a, ++b) {
         EXPECT_EQ(a->first, b->first);
-        EXPECT_EQ(a->second.render(plan->alphabet),
-                  b->second.render(plan->alphabet));
+        expect_same_report(a->second, b->second, plan->alphabet);
       }
     }
     failures += expected.size();

@@ -249,6 +249,7 @@ void sweep_variant(const std::string& label, const PtestConfig& config,
     const std::uint64_t seed = support::derive_seed(config.seed, run);
     SCOPED_TRACE(label + " seed " + std::to_string(seed));
     execute(*plan, seed, setup, scratch, rig, out);
+    if (out.session.report) rig.complete_report(*out.session.report);
     const std::uint64_t rig_hash =
         scenario::trace_fingerprint(out.session, out.merged, rig.soc().trace());
     const ReferenceRun reference = run_reference(*plan, seed, setup, scratch);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ptest/pcore/programs.hpp"
 #include "ptest/support/rng.hpp"
 
@@ -495,6 +497,93 @@ TEST_F(KernelFixture, ScheduleNoiseStillRunsOnlyRunnableTasks) {
   // Noise must never schedule the suspended task.
   EXPECT_EQ(kernel_->tcb(low).steps, 0u);
   EXPECT_GT(kernel_->tcb(high).steps, 0u);
+}
+
+// reset() rewrites only the TCBs below the highest slot task_create
+// filled and the mutexes mutex_create made.  A session that filled slots
+// up to 11, freed the top one again, contended two mutexes and yielded
+// must still reset to a kernel equal to a fresh one, entry by entry.
+TEST(KernelTest, ResetMatchesAFreshKernel) {
+  PcoreKernel used;
+  sim::Soc soc;
+  soc.attach(used);
+  const MutexId m0 = used.mutex_create();
+  const MutexId m1 = used.mutex_create();
+  used.register_program(1, [](std::uint32_t) {
+    return Program{"idle", idle()};
+  });
+  used.register_program(2, [m0, m1](std::uint32_t which) {
+    return Program{"lock-hold", lock_hold(which == 0 ? m0 : m1, 1000000)};
+  });
+  used.register_program(3, [](std::uint32_t) {
+    return Program{"yielder", script({StepResult::yield()}, /*loop=*/true)};
+  });
+  const auto create = [&](std::uint32_t program, std::uint32_t arg,
+                          Priority priority) {
+    TaskId task = kInvalidTask;
+    EXPECT_EQ(used.task_create(program, arg, priority, task), Status::kOk);
+    return task;
+  };
+  // Low-priority holders take both mutexes, each preempting the last,
+  // then higher-priority waiters block on them; a yielder and idle tasks
+  // fill the slots up to 11.
+  (void)create(2, 0, 3);
+  (void)soc.run(2);
+  (void)create(2, 1, 4);
+  (void)soc.run(2);
+  (void)create(2, 0, 9);
+  (void)create(2, 1, 9);
+  (void)create(3, 0, 8);
+  TaskId top = kInvalidTask;
+  while (top != 11) top = create(1, 0, 1);
+  (void)soc.run(12);
+  ASSERT_EQ(used.mutex(m0).contentions, 1u);
+  ASSERT_EQ(used.mutex(m1).contentions, 1u);
+  ASSERT_EQ(used.tcb(2).state, TaskState::kBlocked);
+  ASSERT_GT(used.tcb(4).steps, 0u);
+  ASSERT_EQ(used.task_delete(top), Status::kOk);
+  ASSERT_EQ(used.tcb(top).state, TaskState::kFree);
+  ASSERT_EQ(used.tcb(top).generation, 1u);
+  ASSERT_GT(used.wait_graph_epoch(), 0u);
+
+  used.reset();
+  const PcoreKernel fresh;
+  for (TaskId t = 0; t < kMaxTasks; ++t) {
+    SCOPED_TRACE("slot " + std::to_string(t));
+    const Tcb& a = used.tcb(t);
+    const Tcb& b = fresh.tcb(t);
+    EXPECT_EQ(a.state, b.state);
+    EXPECT_EQ(a.priority, b.priority);
+    EXPECT_EQ(a.body.valid(), b.body.valid());
+    EXPECT_EQ(a.program, b.program);
+    EXPECT_EQ(a.tcb_block, b.tcb_block);
+    EXPECT_EQ(a.stack_block, b.stack_block);
+    EXPECT_EQ(a.waiting_on, b.waiting_on);
+    EXPECT_EQ(a.yield_pending, b.yield_pending);
+    EXPECT_EQ(a.created_at, b.created_at);
+    EXPECT_EQ(a.last_progress, b.last_progress);
+    EXPECT_EQ(a.steps, b.steps);
+    EXPECT_EQ(a.generation, b.generation);
+  }
+  for (MutexId m = 0; m < kMaxMutexes; ++m) {
+    SCOPED_TRACE("mutex " + std::to_string(m));
+    const KMutex& a = used.mutex(m);
+    const KMutex& b = fresh.mutex(m);
+    EXPECT_EQ(a.exists, b.exists);
+    EXPECT_EQ(a.owner, b.owner);
+    EXPECT_EQ(a.waiters, b.waiters);
+    EXPECT_EQ(a.acquisitions, b.acquisitions);
+    EXPECT_EQ(a.contentions, b.contentions);
+  }
+  EXPECT_EQ(used.runnable_mask(), fresh.runnable_mask());
+  EXPECT_EQ(used.yield_mask(), fresh.yield_mask());
+  EXPECT_EQ(used.live_task_count(), fresh.live_task_count());
+  EXPECT_EQ(used.wait_graph_epoch(), fresh.wait_graph_epoch());
+  EXPECT_EQ(used.service_calls(), fresh.service_calls());
+  EXPECT_EQ(used.context_switches(), fresh.context_switches());
+  EXPECT_FALSE(used.has_program(1));
+  // The next session numbers its first mutex 0 again.
+  EXPECT_EQ(used.mutex_create(), 0u);
 }
 
 // Property sweep: create/delete churn at every count never leaks slots.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace ptest::sim {
 namespace {
 
@@ -54,6 +56,26 @@ TEST(TraceLogTest, TailSmallerThanSize) {
   const auto tail = log.tail(2);
   ASSERT_EQ(tail.size(), 2u);
   EXPECT_EQ(tail[0].message(), "task 3 exited with code 0");
+}
+
+TEST(TraceLogTest, TailSkipsTheNewestEvents) {
+  // A wrapped ring of 5 holding events 18..22.
+  TraceLog log(5);
+  for (std::uint32_t i = 0; i < 23; ++i) {
+    log.record(i, TraceCategory::kKernel, TraceCode::kTaskExit, i);
+  }
+  std::vector<TraceEvent> tail;
+  log.tail_into(2, tail, 1);
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail[0].a, 20u);
+  EXPECT_EQ(tail[1].a, 21u);
+  // Fewer events than asked before the skipped ones, and a skip past the
+  // whole ring.
+  log.tail_into(10, tail, 3);
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail[0].a, 18u);
+  log.tail_into(10, tail, 9);
+  EXPECT_TRUE(tail.empty());
 }
 
 TEST(TraceLogTest, LineFormatsTickCategoryAndMessage) {
