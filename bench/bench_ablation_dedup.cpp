@@ -4,12 +4,12 @@
 // and the model-coverage reached per command budget with and without
 // duplicate suppression.
 #include <cstdio>
+#include <vector>
 
 #include "harness.hpp"
 #include "ptest/bridge/protocol.hpp"
 #include "ptest/pattern/coverage.hpp"
 #include "ptest/pattern/dedup.hpp"
-#include "ptest/pattern/generator.hpp"
 
 namespace {
 
@@ -33,10 +33,11 @@ void print_tables() {
               "===\n");
   std::printf("%-6s | %-14s | %-12s\n", "s", "unique/1000", "replicas");
   for (const std::size_t s : {2u, 4u, 6u, 8u, 12u, 16u}) {
-    pattern::PatternGenerator generator(model.pfa, {.size = s},
-                                        support::Rng(17));
+    support::Rng rng(17);
     pattern::PatternDeduper deduper;
-    for (int i = 0; i < 1000; ++i) (void)deduper.insert(generator.generate());
+    for (int i = 0; i < 1000; ++i) {
+      (void)deduper.insert(model.pfa.sample(rng, {.size = s}));
+    }
     std::printf("%6zu | %14zu | %12llu\n", s, deduper.unique_count(),
                 static_cast<unsigned long long>(deduper.rejected_count()));
   }
@@ -44,15 +45,14 @@ void print_tables() {
   std::printf("\ncoverage per budget of 32 issued patterns:\n");
   std::printf("%-10s | %-20s\n", "dedup", "n-grams observed");
   for (const bool dedup : {false, true}) {
-    pattern::PatternGenerator generator(model.pfa, {.size = 4},
-                                        support::Rng(23));
+    support::Rng rng(23);
     pattern::CoverageTracker tracker(model.pfa);
     pattern::PatternDeduper deduper;
     int issued = 0;
     int sampled = 0;
     while (issued < 32 && sampled < 10000) {
       ++sampled;
-      const auto pattern = generator.generate();
+      const auto pattern = model.pfa.sample(rng, {.size = 4});
       if (dedup && !deduper.insert(pattern)) continue;
       tracker.observe(pattern);
       ++issued;
@@ -70,9 +70,11 @@ const int registered = [] {
 
   bench::register_benchmark("ablation_dedup/insert", [](bench::Context& ctx) {
     Model model;
-    pattern::PatternGenerator generator(model.pfa, {.size = 8},
-                                        support::Rng(3));
-    std::vector<pattern::TestPattern> patterns = generator.generate(4096);
+    support::Rng rng(3);
+    std::vector<pattern::TestPattern> patterns(4096);
+    for (pattern::TestPattern& sampled : patterns) {
+      sampled = model.pfa.sample(rng, {.size = 8});
+    }
     pattern::PatternDeduper deduper;
     std::size_t i = 0;
     ctx.measure([&] {

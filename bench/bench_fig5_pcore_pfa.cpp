@@ -9,7 +9,7 @@
 
 #include "harness.hpp"
 #include "ptest/bridge/protocol.hpp"
-#include "ptest/pattern/generator.hpp"
+#include "ptest/pfa/pfa.hpp"
 
 namespace {
 
@@ -83,9 +83,10 @@ const int registered = [] {
         "fig5_pcore_pfa/generate_pattern/s=" + std::to_string(size),
         [size](bench::Context& ctx) {
           PcorePfa f;
-          pattern::PatternGenerator generator(f.pfa, {.size = size},
-                                              support::Rng(1));
-          ctx.measure([&] { bench::do_not_optimize(generator.generate()); });
+          support::Rng rng(1);
+          ctx.measure([&] {
+            bench::do_not_optimize(f.pfa.sample(rng, {.size = size}));
+          });
           ctx.set_items_per_call(static_cast<double>(size));
         });
   }

@@ -4,11 +4,11 @@
 // core::compile() that a CompiledTestPlan pays once per campaign arm,
 // contrasted with the per-seed generate_and_merge() it amortizes.
 #include <string>
+#include <vector>
 
 #include "harness.hpp"
 #include "ptest/bridge/protocol.hpp"
 #include "ptest/core/adaptive_test.hpp"
-#include "ptest/pattern/generator.hpp"
 #include "ptest/pattern/merger.hpp"
 
 namespace {
@@ -34,9 +34,11 @@ void register_merge_op(pattern::MergeOp op, std::size_t n) {
           "/n=" + std::to_string(n),
       [op, n](bench::Context& ctx) {
         Model model;
-        pattern::PatternGenerator generator(model.pfa, {.size = 16},
-                                            support::Rng(5));
-        const auto patterns = generator.generate(n);
+        support::Rng rng(5);
+        std::vector<pattern::TestPattern> patterns(n);
+        for (pattern::TestPattern& sampled : patterns) {
+          sampled = model.pfa.sample(rng, {.size = 16});
+        }
         pattern::MergerOptions options;
         options.op = op;
         options.cyclic_break_symbols = {model.alphabet.at("TS"),
@@ -117,7 +119,7 @@ const int registered = [] {
   }
 
   // The sampling hot path head to head: the allocate-per-call sample()
-  // wrapper vs sample_into() on a warm per-worker scratch.  Same PFA,
+  // wrapper vs sample_into() into a warm walk and scratch.  Same PFA,
   // same seeds, same walks — the delta is pure allocation + table
   // traffic, the win the scratch-reuse API exists for.
   bench::register_benchmark(
@@ -137,11 +139,12 @@ const int registered = [] {
         support::Rng rng(11);
         pfa::WalkOptions options;
         options.size = 16;
+        pfa::Walk walk;
         pfa::WalkScratch scratch;
-        scratch.reserve(options);
         ctx.set_items_per_call(1.0);
         ctx.measure([&] {
-          bench::do_not_optimize(model.pfa.sample_into(scratch, rng, options));
+          model.pfa.sample_into(walk, scratch, rng, options);
+          bench::do_not_optimize(walk);
         });
       });
 
@@ -150,9 +153,11 @@ const int registered = [] {
         "pattern_pipeline/enumerate_interleavings/cap=" + std::to_string(cap),
         [cap](bench::Context& ctx) {
           Model model;
-          pattern::PatternGenerator generator(model.pfa, {.size = 3},
-                                              support::Rng(5));
-          const auto patterns = generator.generate(3);
+          support::Rng rng(5);
+          std::vector<pattern::TestPattern> patterns(3);
+          for (pattern::TestPattern& sampled : patterns) {
+            sampled = model.pfa.sample(rng, {.size = 3});
+          }
           ctx.measure([&] {
             bench::do_not_optimize(
                 pattern::PatternMerger::enumerate_interleavings(patterns,

@@ -7,7 +7,6 @@
 #include "ptest/bridge/protocol.hpp"
 #include "ptest/pattern/coverage.hpp"
 #include "ptest/pattern/dedup.hpp"
-#include "ptest/pattern/generator.hpp"
 
 int main() {
   using namespace ptest;
@@ -30,11 +29,11 @@ int main() {
   std::printf("patterns | transition coverage | unique patterns\n");
   std::printf("---------+---------------------+----------------\n");
   for (const std::size_t count : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
-    pattern::PatternGenerator generator(pfa, {.size = 8}, support::Rng(7));
+    support::Rng rng(7);
     pattern::CoverageTracker tracker(pfa);
     pattern::PatternDeduper deduper;
     for (std::size_t i = 0; i < count; ++i) {
-      const auto pattern = generator.generate();
+      const auto pattern = pfa.sample(rng, {.size = 8});
       tracker.observe(pattern);
       (void)deduper.insert(pattern);
     }

@@ -17,37 +17,34 @@ void generate_and_merge(const CompiledTestPlan& plan, std::uint64_t seed,
   support::Rng generator_rng = session_rng.fork();
   support::Rng merger_rng = session_rng.fork();
 
-  const PtestConfig& config = plan.config;
-  pattern::PatternGenerator generator(plan.pfa, plan.generator_options,
-                                      generator_rng);
-
+  const std::size_t n = plan.config.n;
+  out.patterns.resize(n);
   out.duplicates_rejected = 0;
-  if (config.dedup_patterns) {
+  const auto sample = [&](pattern::TestPattern& slot) {
+    plan.pfa.sample_into(slot, scratch, generator_rng, plan.walk_options);
+  };
+  std::size_t accepted = 0;
+  if (plan.config.dedup_patterns) {
     // One span per session's dedup'd sampling loop, not per candidate:
     // per-pattern events would dominate the ring at production rates.
     PTEST_OBS_SPAN("dedup");
     pattern::PatternDeduper deduper;
     // Keep sampling until n unique patterns (bounded retry); a rejected
     // candidate is overwritten by the next.
-    out.patterns.resize(config.n);
-    std::size_t accepted = 0;
-    std::size_t attempts = 0;
-    const std::size_t max_attempts = config.n * 64 + 64;
-    while (accepted < config.n && attempts < max_attempts) {
-      ++attempts;
-      generator.generate_into(scratch, out.patterns[accepted]);
+    const std::size_t max_attempts = n * 64 + 64;
+    for (std::size_t attempts = 0; accepted < n && attempts < max_attempts;
+         ++attempts) {
+      sample(out.patterns[accepted]);
       if (deduper.insert(out.patterns[accepted])) ++accepted;
     }
     out.duplicates_rejected = deduper.rejected_count();
-    // Language too small for n distinct patterns: accept replicas to keep
-    // the configured concurrency.
-    for (; accepted < config.n; ++accepted) {
-      generator.generate_into(scratch, out.patterns[accepted]);
-    }
-  } else {
-    generator.generate_into(config.n, scratch, out.patterns);
   }
+  // Without dedup, every slot; with it, a language too small for n
+  // distinct patterns accepts replicas to keep the configured concurrency.
+  for (; accepted < n; ++accepted) sample(out.patterns[accepted]);
 
+  // Room for the longest merge, so a kept result is sized once.
+  out.merged.elements.reserve(n * plan.pfa.longest_walk(plan.walk_options));
   merger.reset(plan.merger_options, merger_rng);
   merger.merge_into(out.patterns, out.merged);
 }

@@ -5,6 +5,9 @@
 //     M <- PatternMerger(T, n, op)
 //     fork BugDetector;  Committer(M)
 //
+// PatternGenerator (Algorithm 2) is Pfa::sample_into on the compiled
+// PFA, writing T[i] in place into the result's pattern slot i.
+//
 // The implementation is split into two stages (see test_plan.hpp):
 //
 //   compile(config, alphabet)                     -> CompiledTestPlan
@@ -21,7 +24,6 @@
 
 #include "ptest/core/session.hpp"
 #include "ptest/core/test_plan.hpp"
-#include "ptest/pattern/generator.hpp"
 
 namespace ptest::core {
 
@@ -61,8 +63,10 @@ void execute(const CompiledTestPlan& plan, std::uint64_t seed,
 
 /// The generation+merge phases only (no session) against a precompiled
 /// plan, into `out`'s patterns and merged pattern through `merger` (which
-/// it re-arms); leaves out.session alone.  The sampling hot path a
-/// campaign pays per session: warm, it allocates nothing.
+/// it re-arms); leaves out.session alone.  Pattern i is sampled in place
+/// into out.patterns[i] on the first fork of Rng(seed); the merger draws
+/// from the second.  The sampling hot path a campaign pays per session:
+/// warm and without dedup, it allocates nothing.
 void generate_and_merge(const CompiledTestPlan& plan, std::uint64_t seed,
                         pfa::WalkScratch& scratch,
                         pattern::PatternMerger& merger,

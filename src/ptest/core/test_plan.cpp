@@ -30,9 +30,9 @@ CompiledTestPlanPtr compile_with_spec(
   }
   plan->pfa = pfa::Pfa::from_regex(plan->regex, plan->spec, plan->alphabet);
 
-  plan->generator_options.size = config.s;
-  plan->generator_options.complete_to_accept = config.complete_to_accept;
-  plan->generator_options.restart_at_accept = config.restart_at_accept;
+  plan->walk_options.size = config.s;
+  plan->walk_options.complete_to_accept = config.complete_to_accept;
+  plan->walk_options.restart_at_accept = config.restart_at_accept;
 
   plan->merger_options.op = config.op;
   // kCyclic chunks break at TC, TS and TR, so creates, suspends and

@@ -9,8 +9,8 @@
 // A CompiledTestPlan freezes everything about an AdaptiveTest that does
 // NOT depend on the per-run seed: the interned alphabet, the parsed
 // regular expression, the parsed DistributionSpec, the built PFA, and
-// the generator/merger options (cyclic break mnemonics resolved to
-// symbol ids once).  Plans are held as std::shared_ptr<const ...>:
+// the walk/merger options (cyclic break mnemonics resolved to symbol ids
+// once).  Plans are held as std::shared_ptr<const ...>:
 // after compile() returns, nothing ever mutates the plan, so any number
 // of WorkerPool threads may execute() against the same plan
 // concurrently without synchronization.
@@ -27,7 +27,6 @@
 #include <optional>
 
 #include "ptest/core/config.hpp"
-#include "ptest/pattern/generator.hpp"
 #include "ptest/pfa/pfa.hpp"
 
 namespace ptest::core {
@@ -42,8 +41,9 @@ struct CompiledTestPlan {
   pfa::Regex regex;
   pfa::DistributionSpec spec;
   pfa::Pfa pfa;
-  /// Sampling options derived from config (s, complete/restart flags).
-  pattern::GeneratorOptions generator_options;
+  /// The walk options every pattern is sampled with (Pfa::sample_into):
+  /// config.s and the complete/restart flags.
+  pfa::WalkOptions walk_options;
   /// Merge options: config.op, cyclic breaks at TC, TS and TR.
   pattern::MergerOptions merger_options;
 };
@@ -54,7 +54,7 @@ using CompiledTestPlanPtr = std::shared_ptr<const CompiledTestPlan>;
 /// of `alphabet` (which may already hold symbols from other expressions
 /// over the same service set), parses config.regex and
 /// config.distributions, constructs the PFA, and resolves the
-/// generator/merger options.  Throws what the underlying parsers /
+/// walk/merger options.  Throws what the underlying parsers /
 /// constructors throw (RegexParseError, std::invalid_argument).
 [[nodiscard]] CompiledTestPlanPtr compile(const PtestConfig& config,
                                           const pfa::Alphabet& alphabet = {});

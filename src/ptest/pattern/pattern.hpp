@@ -1,9 +1,11 @@
 // Test-pattern value types.
 //
 // A TestPattern is one task's service sequence sampled from the PFA
-// (Algorithm 2); a MergedPattern is the interleaving of n of them produced
-// by the pattern merger (Algorithm 1) — each element names the slot
-// (which concurrent task) and the service symbol to issue next.
+// (Algorithm 2): the pfa::Walk that Pfa::sample_into writes in place, so
+// a session's patterns are sampled straight into their slots.  A
+// MergedPattern is the interleaving of n of them produced by the pattern
+// merger (Algorithm 1) — each element names the slot (which concurrent
+// task) and the service symbol to issue next.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "ptest/pfa/alphabet.hpp"
+#include "ptest/pfa/pfa.hpp"
 
 namespace ptest::pattern {
 
@@ -18,18 +21,8 @@ namespace ptest::pattern {
 /// the committer maps slots to live pCore tasks at runtime.
 using SlotIndex = std::uint32_t;
 
-struct TestPattern {
-  std::vector<pfa::SymbolId> symbols;
-  /// The flat PFA transition that emitted each symbol (pfa::Walk::edges),
-  /// which CoverageTracker::observe folds.  Only the generator fills it:
-  /// a replay's per-slot projection leaves it empty.
-  std::vector<std::uint32_t> edges;
-  /// Probability of the sampled walk.
-  double probability = 1.0;
-
-  [[nodiscard]] bool empty() const noexcept { return symbols.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return symbols.size(); }
-};
+/// One task's sampled pattern (see pfa::Walk for its fields).
+using TestPattern = pfa::Walk;
 
 struct MergedElement {
   SlotIndex slot = 0;
@@ -46,9 +39,9 @@ struct MergedPattern {
   [[nodiscard]] bool empty() const noexcept { return elements.empty(); }
 
   /// Every slot's projection (its symbols in their original order) as a
-  /// TestPattern, slots 0 .. the widest one named (none when empty): the
-  /// per-slot patterns a replay hands the state recorder in place of the
-  /// sampled ones.
+  /// TestPattern with only `symbols` filled, slots 0 .. the widest one
+  /// named (none when empty): the per-slot patterns a replay hands the
+  /// state recorder in place of the sampled ones.
   [[nodiscard]] std::vector<TestPattern> project_all() const;
 
   /// "slot:SYM slot:SYM ..." rendering for reports.

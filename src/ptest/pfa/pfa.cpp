@@ -58,12 +58,6 @@ std::uint32_t pick_from_thresholds(const double* thresholds,
 
 }  // namespace
 
-void WalkScratch::reserve(const WalkOptions& options) {
-  walk.symbols.reserve(options.max_size);
-  walk.edges.reserve(options.max_size);
-  uniforms.reserve(kUniformBatchMax);
-}
-
 Pfa Pfa::from_regex(const Regex& regex, const DistributionSpec& spec,
                     const Alphabet& alphabet, const PfaBuildOptions& options) {
   (void)alphabet;  // ids are shared; kept in the signature for clarity
@@ -153,6 +147,10 @@ void Pfa::build_sampling_tables() {
   flat_prob_.reserve(transition_count);
   pick_threshold_.reserve(transition_count);
   accept_threshold_.reserve(transition_count);
+  max_accept_distance_ = 0;
+  for (const std::uint32_t d : accept_distance_) {
+    if (d != kNone && d > max_accept_distance_) max_accept_distance_ = d;
+  }
   total_mass_.assign(state_count, 0.0);
   accept_mass_.assign(state_count, 0.0);
   accept_fallback_.assign(state_count, kNone);
@@ -249,9 +247,12 @@ void Pfa::validate(double epsilon) const {
   }
 }
 
-const Walk& Pfa::sample_into(WalkScratch& scratch, support::Rng& rng,
-                             const WalkOptions& options) const {
-  Walk& walk = scratch.walk;
+void Pfa::sample_into(Walk& walk, WalkScratch& scratch, support::Rng& rng,
+                      const WalkOptions& options) const {
+  // Room for the longest walk, so a kept walk is sized once.
+  const std::size_t longest = longest_walk(options);
+  walk.symbols.reserve(longest);
+  walk.edges.reserve(longest);
   walk.symbols.clear();
   walk.edges.clear();
   walk.probability = 1.0;
@@ -312,7 +313,7 @@ const Walk& Pfa::sample_into(WalkScratch& scratch, support::Rng& rng,
     // closer-edge mask is static per state, so the masked pick table was
     // built once at construction instead of per step here.
     while (!states_[current].accepting &&
-           walk.symbols.size() < options.max_size) {
+           walk.symbols.size() < kMaxWalkSize) {
       const std::uint32_t fallback = accept_fallback_[current];
       if (fallback == kNone) break;  // should not happen after pruning
       const std::uint32_t begin = offsets_[current];
@@ -328,13 +329,13 @@ const Walk& Pfa::sample_into(WalkScratch& scratch, support::Rng& rng,
     }
   }
   walk.accepted = states_[current].accepting;
-  return walk;
 }
 
 Walk Pfa::sample(support::Rng& rng, const WalkOptions& options) const {
+  Walk walk;
   WalkScratch scratch;
-  sample_into(scratch, rng, options);
-  return std::move(scratch.walk);
+  sample_into(walk, scratch, rng, options);
+  return walk;
 }
 
 double Pfa::prefix_probability(const std::vector<SymbolId>& prefix) const {

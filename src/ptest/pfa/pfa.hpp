@@ -22,10 +22,12 @@
 // scan (recovered by binary search over the double bit pattern at build
 // time), so a single rng.uniform() + std::upper_bound reproduces the
 // legacy pick bit for bit — every golden fingerprint stays byte-stable.
-// sample_into(WalkScratch&, ...) is the primary entry point: it reuses the
-// caller's buffers so steady-state sampling does zero heap allocations.
+// sample_into(Walk&, WalkScratch&, ...) is the one sampling path: it writes
+// the caller's Walk (a session's pattern slot) in place, so steady-state
+// sampling does zero heap allocations.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -54,37 +56,40 @@ struct PfaState {
   std::vector<SymbolId> contexts;
 };
 
-/// Result of sampling one walk.
+/// One sampled walk, and the record a sampled test pattern lives in
+/// (pattern::TestPattern names this type).
 struct Walk {
   std::vector<SymbolId> symbols;
   /// Flat transition index (Pfa::offsets()) that emitted each symbol, so
   /// edges.size() == symbols.size() and flat_targets()[edges[i]] is the
   /// state after symbols[i], restart_at_accept hops included.  The
-  /// coverage fold reads these.
+  /// coverage fold reads these.  Only the sampler fills them: a replay's
+  /// per-slot projection (MergedPattern::project_all) leaves them empty.
   std::vector<std::uint32_t> edges;
   /// True when the walk ended in an accepting state.
   bool accepted = false;
   /// Product of the chosen transition probabilities.
   double probability = 1.0;
+
+  [[nodiscard]] bool empty() const noexcept { return symbols.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return symbols.size(); }
 };
 
-struct WalkOptions;
+/// Cap on the symbols a complete_to_accept walk's steering adds (guards
+/// automata with long accept distances), and on the room sample_into
+/// makes in a walk's buffers.
+inline constexpr std::size_t kMaxWalkSize = 1024;
 
-/// Reusable sampling buffers, held by one worker and threaded through
-/// Pfa::sample_into so steady-state sessions allocate nothing per walk
+/// The block of pre-drawn uniforms (Rng::uniform_batch) Pfa::sample_into
+/// draws through, sized lazily on the first walk and held by one worker
+/// so steady-state sessions allocate nothing per walk
 /// (pfa/sample_alloc_probe_test checks that directly).  Not thread-safe:
 /// each worker (WorkerPool participant, fleet shard) owns its own
 /// scratch exclusively.  What a walk samples never depends on the
-/// buffers' history, so which worker's scratch served a session is
+/// block's history, so which worker's scratch served a session is
 /// invisible in its result.
 struct WalkScratch {
-  Walk walk;
-  /// Block of pre-drawn uniforms (Rng::uniform_batch); sized lazily.
   std::vector<double> uniforms;
-
-  /// Pre-sizes the buffers for walks under `options` so even the first
-  /// samples allocate nothing.
-  void reserve(const WalkOptions& options);
 };
 
 struct WalkOptions {
@@ -99,9 +104,6 @@ struct WalkOptions {
   /// tasks are continually created and removed (case study 1); the emitted
   /// pattern is then a concatenation of complete lifecycles.
   bool restart_at_accept = false;
-  /// Hard cap on emitted symbols (guards complete_to_accept on automata
-  /// with long accept distances).
-  std::size_t max_size = 1024;
 };
 
 struct PfaBuildOptions {
@@ -136,17 +138,24 @@ class Pfa {
   /// summing to 1 within `epsilon`; throws std::logic_error otherwise.
   void validate(double epsilon = 1e-9) const;
 
-  /// Samples one walk (MakeChoice loop of Algorithm 2) into the caller's
-  /// scratch, reusing its buffers — zero heap allocations once the
-  /// scratch has warmed up.  The returned reference aliases scratch.walk
-  /// and is valid until the next sample_into on the same scratch.  Draw
-  /// sequence and picks are bit-identical to sample() below.
-  const Walk& sample_into(WalkScratch& scratch, support::Rng& rng,
-                          const WalkOptions& options) const;
+  /// Samples one walk (MakeChoice loop of Algorithm 2) into `out`, in
+  /// its existing buffers, sized on the first walk for longest_walk():
+  /// once `out` and the scratch have taken one walk, later walks allocate
+  /// nothing.  Draw sequence and picks are bit-identical to sample().
+  void sample_into(Walk& out, WalkScratch& scratch, support::Rng& rng,
+                   const WalkOptions& options) const;
 
-  /// Samples one walk (MakeChoice loop of Algorithm 2).  Thin wrapper
-  /// over sample_into that allocates a fresh Walk per call — prefer
-  /// sample_into with a per-worker WalkScratch on hot paths.
+  /// The most symbols a walk under `options` holds, capped at
+  /// kMaxWalkSize: its `size` symbols, then a steering tail of at most
+  /// the farthest accept distance.
+  [[nodiscard]] std::size_t longest_walk(
+      const WalkOptions& options) const noexcept {
+    return std::min(options.size + max_accept_distance_, kMaxWalkSize);
+  }
+
+  /// Samples one walk into a fresh Walk through a call-local scratch.
+  /// Thin wrapper over sample_into — prefer sample_into with kept buffers
+  /// on hot paths.
   [[nodiscard]] Walk sample(support::Rng& rng, const WalkOptions& options) const;
 
   /// Probability of the automaton emitting exactly `word` (product of the
@@ -219,6 +228,9 @@ class Pfa {
   /// the next min(dead_distance_, remaining) steps each consume exactly
   /// one draw, so batching that many keeps the stream bit-identical.
   std::vector<std::uint32_t> dead_distance_;
+  /// Largest finite accept_distance_: the longest steering tail a
+  /// complete_to_accept walk can take.
+  std::size_t max_accept_distance_ = 0;
 };
 
 }  // namespace ptest::pfa

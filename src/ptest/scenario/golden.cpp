@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "ptest/core/session.hpp"
-
 namespace ptest::scenario {
 
 std::uint64_t trace_fingerprint(const core::SessionResult& result,
@@ -46,39 +44,6 @@ std::uint64_t fnv1a(std::uint64_t hash, std::string_view bytes) noexcept {
 
 std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) noexcept {
   return support::fnv1a_word(hash, value, 8);
-}
-
-TracedRun run_traced(const core::CompiledTestPlan& plan, std::uint64_t seed,
-                     const core::WorkloadSetup& setup,
-                     pfa::WalkScratch& scratch) {
-  TracedRun traced;
-  traced.result = core::generate_and_merge(plan, seed, scratch);
-  core::PtestConfig config = plan.config;
-  config.seed = seed;
-  core::TestSession session(config, plan.alphabet, traced.result.merged,
-                            traced.result.patterns, setup);
-  traced.result.session = session.run();
-  traced.trace_hash = trace_fingerprint(
-      traced.result.session, traced.result.merged, session.soc().trace());
-  return traced;
-}
-
-TracedRun replay_traced(const core::BugReport& report,
-                        const core::CompiledTestPlan& plan,
-                        const core::WorkloadSetup& setup) {
-  core::PtestConfig config = plan.config;
-  config.seed = report.seed;
-  // Per-slot projections reconstruct the state recorder's inputs, exactly
-  // like core::replay().
-  TracedRun traced;
-  traced.result.merged = report.merged;
-  traced.result.patterns = report.merged.project_all();
-  core::TestSession session(config, plan.alphabet, report.merged,
-                            traced.result.patterns, setup);
-  traced.result.session = session.run();
-  traced.trace_hash = trace_fingerprint(
-      traced.result.session, traced.result.merged, session.soc().trace());
-  return traced;
 }
 
 }  // namespace ptest::scenario

@@ -6,10 +6,11 @@
 // through take_command on every tick and keeps its unposted responses in
 // a deque, and the master scans every thread for all_done() on every
 // tick.  Every catalog scenario, bug and benign variant, runs over a seed
-// sweep twice: once through scenario::run_traced (the production devices
-// inside TestSession) and once wired as core/session.cpp wires it, with
-// the reference devices in their place.  Both must agree on the session
-// stats, the outcome, the report and the golden trace fingerprint.
+// sweep twice: once through run_traced (the production devices, on a
+// kept SessionRig's warm load) and once wired as core/session.cpp wires
+// it, with the reference devices in their place.  Both must agree on the
+// session stats, the outcome, the report and the golden trace
+// fingerprint.
 //
 // The reference wiring also carries a GateWitness around the reference
 // committee: on every tick where the production gate would have returned
@@ -33,7 +34,6 @@
 #include "ptest/master/committer.hpp"
 #include "ptest/master/scheduler.hpp"
 #include "ptest/pcore/programs.hpp"
-#include "ptest/scenario/golden.hpp"
 
 namespace ptest::core {
 namespace {
@@ -295,8 +295,7 @@ void sweep_variant(const std::string& label, const PtestConfig& config,
   for (std::uint64_t run = 0; run < kSeedsPerVariant; ++run) {
     const std::uint64_t seed = support::derive_seed(config.seed, run);
     SCOPED_TRACE(label + " seed " + std::to_string(seed));
-    const scenario::TracedRun production =
-        scenario::run_traced(*plan, seed, setup, scratch);
+    const TracedRun production = run_traced(*plan, seed, setup, scratch);
     const ReferenceRun reference = run_reference(*plan, seed, setup, scratch);
     expect_same_session(production.result.session, reference.result,
                         plan->alphabet);

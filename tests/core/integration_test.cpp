@@ -2,10 +2,14 @@
 // paper's two case studies, plus the detector/replay contracts.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "ptest/core/adaptive_test.hpp"
 #include "ptest/core/bug_detector.hpp"
 #include "ptest/core/replay.hpp"
 #include "ptest/pcore/programs.hpp"
+#include "ptest/scenario/registry.hpp"
 #include "ptest/workload/philosophers.hpp"
 #include "ptest/workload/quicksort.hpp"
 
@@ -195,6 +199,95 @@ TEST(IntegrationTest, DedupReducesReplicasInShortPatterns) {
   const auto result = generate_and_merge(*compile(config), config.seed, scratch);
   EXPECT_EQ(result.patterns.size(), 8u);
   EXPECT_GT(result.duplicates_rejected, 0u);
+}
+
+/// generate_and_merge's result for `plan` at `seed`, built by hand: each
+/// pattern is a Pfa::sample on the first fork of Rng(seed); with dedup, a
+/// draw whose symbols an earlier pattern had is dropped for the first
+/// n * 64 + 64 draws, and every later draw is kept; a PatternMerger on
+/// the second fork merges them.
+AdaptiveTestResult hand_generate(const CompiledTestPlan& plan,
+                                 std::uint64_t seed) {
+  support::Rng session_rng(seed);
+  support::Rng generator_rng = session_rng.fork();
+  support::Rng merger_rng = session_rng.fork();
+  const std::size_t n = plan.config.n;
+  AdaptiveTestResult out;
+  std::set<std::vector<pfa::SymbolId>> seen;
+  for (std::size_t draws = 1; out.patterns.size() < n; ++draws) {
+    pattern::TestPattern sampled =
+        plan.pfa.sample(generator_rng, plan.walk_options);
+    if (plan.config.dedup_patterns && draws <= n * 64 + 64 &&
+        !seen.insert(sampled.symbols).second) {
+      ++out.duplicates_rejected;
+      continue;
+    }
+    out.patterns.push_back(std::move(sampled));
+  }
+  pattern::PatternMerger merger(plan.merger_options, merger_rng);
+  out.merged = merger.merge(out.patterns);
+  return out;
+}
+
+/// Runs generate_and_merge on `plan` over 8 seeds, in place into one kept
+/// result through one kept merger, and checks each against hand_generate.
+/// Returns how many sessions took a replica into a slot.
+std::size_t expect_hand_streams(const CompiledTestPlan& plan,
+                                const std::string& label) {
+  pfa::WalkScratch scratch;
+  pattern::PatternMerger merger;
+  AdaptiveTestResult kept;
+  std::size_t with_replicas = 0;
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    const std::uint64_t seed = support::derive_seed(plan.config.seed, k);
+    SCOPED_TRACE(label + " seed#" + std::to_string(k));
+    generate_and_merge(plan, seed, scratch, merger, kept);
+    const AdaptiveTestResult hand = hand_generate(plan, seed);
+    EXPECT_EQ(kept.patterns.size(), hand.patterns.size());
+    if (kept.patterns.size() != hand.patterns.size()) continue;
+    std::set<std::vector<pfa::SymbolId>> distinct;
+    for (std::size_t i = 0; i < hand.patterns.size(); ++i) {
+      EXPECT_EQ(kept.patterns[i].symbols, hand.patterns[i].symbols) << i;
+      EXPECT_EQ(kept.patterns[i].edges, hand.patterns[i].edges) << i;
+      EXPECT_EQ(kept.patterns[i].accepted, hand.patterns[i].accepted) << i;
+      EXPECT_EQ(kept.patterns[i].probability, hand.patterns[i].probability)
+          << i;
+      distinct.insert(hand.patterns[i].symbols);
+    }
+    EXPECT_EQ(kept.merged.elements, hand.merged.elements);
+    EXPECT_EQ(kept.duplicates_rejected, hand.duplicates_rejected);
+    with_replicas += distinct.size() < hand.patterns.size();
+  }
+  return with_replicas;
+}
+
+TEST(GenerateAndMergeTest, PatternsAreTheGeneratorForkSampledInPlace) {
+  const auto& catalog = scenario::ScenarioRegistry::builtin().all();
+  ASSERT_GE(catalog.size(), 5u);
+  for (std::size_t e = 0; e < 5; ++e) {
+    for (const bool dedup : {false, true}) {
+      PtestConfig config = catalog[e].config;
+      config.dedup_patterns = dedup;
+      const std::string label =
+          catalog[e].name + (dedup ? " +dedup" : " -dedup");
+      const std::size_t with_replicas =
+          expect_hand_streams(*compile(config), label);
+      // The catalog plans' languages hold n distinct patterns, so dedup
+      // never falls back to replicas on them.
+      if (dedup) {
+        EXPECT_EQ(with_replicas, 0u) << label;
+      }
+    }
+    // A one-symbol language cannot fill n distinct slots: dedup gives up
+    // after n * 64 + 64 draws and the open slots take replicas.
+    PtestConfig small = catalog[e].config;
+    small.dedup_patterns = true;
+    small.s = 1;
+    small.n = 8;
+    EXPECT_EQ(expect_hand_streams(*compile(small), catalog[e].name + " s=1"),
+              8u)
+        << catalog[e].name;
+  }
 }
 
 TEST(BugDetectorUnitTest, FindsThreeTaskCycleBuiltByHand) {

@@ -10,7 +10,10 @@
 // from core::committer_options.  So are the catalog walk the suites
 // sweep, the filing of a hand-wired run into a SessionResult, and the
 // comparison of two sessions.  Each suite still builds and attaches its
-// own devices and witnesses, in its own tick order.
+// own devices and witnesses, in its own tick order.  The production side
+// of a fingerprint comparison is here too: run_traced hashes a session
+// run by core::execute on a kept rig's warm load, as campaigns run it,
+// and replay_traced a recorded failure's replay.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -23,6 +26,7 @@
 #include "ptest/core/adaptive_test.hpp"
 #include "ptest/core/session.hpp"
 #include "ptest/master/scheduler.hpp"
+#include "ptest/scenario/golden.hpp"
 #include "ptest/scenario/registry.hpp"
 #include "ptest/support/rng.hpp"
 
@@ -136,6 +140,51 @@ struct HandWiredSession {
   std::unique_ptr<master::Committer> owned_committer;
   const master::Committer& committer;
 };
+
+/// One traced session: the AdaptiveTest result, its report completed,
+/// plus the trace fingerprint.
+struct TracedRun {
+  AdaptiveTestResult result;
+  std::uint64_t trace_hash = support::kFnvOffset;
+};
+
+/// execute(plan, seed, setup, scratch, rig, out) on a rig that has
+/// already run another session of `plan` (at seed + 1), fingerprinted
+/// from the rig's own trace: the warm-load path campaigns run.
+[[nodiscard]] inline TracedRun run_traced(const CompiledTestPlan& plan,
+                                          std::uint64_t seed,
+                                          const WorkloadSetup& setup,
+                                          pfa::WalkScratch& scratch) {
+  SessionRig rig(plan.config, plan.alphabet);
+  TracedRun traced;
+  execute(plan, seed + 1, setup, scratch, rig, traced.result);
+  execute(plan, seed, setup, scratch, rig, traced.result);
+  if (traced.result.session.report) {
+    rig.complete_report(*traced.result.session.report);
+  }
+  traced.trace_hash = scenario::trace_fingerprint(
+      traced.result.session, traced.result.merged, rig.soc().trace());
+  return traced;
+}
+
+/// Replays `report`'s merged pattern under `plan`, with the per-slot
+/// projections as the state recorder's inputs exactly like core::replay,
+/// and fingerprints the replayed session the same way.
+[[nodiscard]] inline TracedRun replay_traced(const BugReport& report,
+                                             const CompiledTestPlan& plan,
+                                             const WorkloadSetup& setup) {
+  PtestConfig config = plan.config;
+  config.seed = report.seed;
+  TracedRun traced;
+  traced.result.merged = report.merged;
+  traced.result.patterns = report.merged.project_all();
+  TestSession session(config, plan.alphabet, report.merged,
+                      traced.result.patterns, setup);
+  traced.result.session = session.run();
+  traced.trace_hash = scenario::trace_fingerprint(
+      traced.result.session, traced.result.merged, session.soc().trace());
+  return traced;
+}
 
 /// Every field of two kernel snapshots.
 inline void expect_same_kernel(const pcore::KernelSnapshot& a,

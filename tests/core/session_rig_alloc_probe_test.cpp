@@ -1,6 +1,9 @@
 // Allocation probe for the reusable session rig: a global operator-new
 // hook counts allocations, and the suite asserts the rig's steady state.
-// After a warm-up, SessionRig::load allocates nothing on any catalog
+// After a warm-up, generate_and_merge into a kept result through the
+// rig's kept merger allocates nothing on any catalog scenario: each slot
+// and the merged pattern were sized for the longest walk and merge the
+// plan allows.  SessionRig::load allocates nothing on any catalog
 // scenario: every device resets into the buffers the earlier sessions
 // grew, and the workload setup re-registers its programs into the
 // registry's kept capacity.  A whole short session (load plus run) stays
@@ -106,6 +109,35 @@ TEST(SessionRigAllocProbe, ShortSessionsStayWithinTheirBudget) {
     RecordProperty(std::string(name) + "_allocs_per_session",
                    std::to_string(per_session));
   }
+}
+
+/// What kMeasured warm generate_and_merge calls allocate on `config`'s
+/// plan, written in place into one kept result through a rig's kept
+/// merger, as execute() calls it, after kWarmup calls the same way.
+std::uint64_t warm_generate_calls(const PtestConfig& config) {
+  const CompiledTestPlanPtr plan = compile(config);
+  pfa::WalkScratch scratch;
+  SessionRig rig(plan->config, plan->alphabet);
+  AdaptiveTestResult kept;
+  for (std::size_t run = 0; run < kWarmup; ++run) {
+    generate_and_merge(*plan, support::derive_seed(config.seed, run),
+                       scratch, rig.merger(), kept);
+  }
+  const std::uint64_t before = calls();
+  for (std::size_t run = kWarmup; run < kWarmup + kMeasured; ++run) {
+    generate_and_merge(*plan, support::derive_seed(config.seed, run),
+                       scratch, rig.merger(), kept);
+  }
+  return calls() - before;
+}
+
+TEST(SessionRigAllocProbe, WarmGenerateAndMergeAllocatesNothing) {
+  std::size_t variants = 0;
+  for_each_catalog_variant([&](const CatalogVariant& variant) {
+    EXPECT_EQ(warm_generate_calls(variant.config), 0u) << variant.label;
+    ++variants;
+  });
+  EXPECT_EQ(variants, 27u);
 }
 
 struct BatchProbe {

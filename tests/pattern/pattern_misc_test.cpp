@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "ptest/pattern/coverage.hpp"
 #include "ptest/pattern/dedup.hpp"
-#include "ptest/pattern/generator.hpp"
+#include "ptest/support/rng.hpp"
 
 namespace ptest::pattern {
 namespace {
@@ -22,10 +23,20 @@ struct PcorePfaFixture {
   }
 };
 
-TEST(GeneratorTest, ProducesLegalPatternsOfRequestedShape) {
+/// `count` patterns sampled one after another from one stream.
+std::vector<TestPattern> sample(const pfa::Pfa& pfa, std::size_t size,
+                                std::uint64_t seed, std::size_t count) {
+  support::Rng rng(seed);
+  std::vector<TestPattern> patterns;
+  for (std::size_t i = 0; i < count; ++i) {
+    patterns.push_back(pfa.sample(rng, {.size = size}));
+  }
+  return patterns;
+}
+
+TEST(SampledPatternTest, ProducesLegalPatternsOfRequestedShape) {
   PcorePfaFixture f;
-  PatternGenerator generator(f.pfa, {.size = 10}, support::Rng(3));
-  const auto patterns = generator.generate(50);
+  const auto patterns = sample(f.pfa, 10, 3, 50);
   ASSERT_EQ(patterns.size(), 50u);
   for (const TestPattern& pattern : patterns) {
     EXPECT_TRUE(f.pfa.accepts(pattern.symbols));
@@ -37,12 +48,12 @@ TEST(GeneratorTest, ProducesLegalPatternsOfRequestedShape) {
   }
 }
 
-TEST(GeneratorTest, DeterministicPerSeed) {
+TEST(SampledPatternTest, DeterministicPerSeed) {
   PcorePfaFixture f;
-  PatternGenerator a(f.pfa, {.size = 10}, support::Rng(9));
-  PatternGenerator b(f.pfa, {.size = 10}, support::Rng(9));
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(a.generate().symbols, b.generate().symbols);
+  const auto a = sample(f.pfa, 10, 9, 20);
+  const auto b = sample(f.pfa, 10, 9, 20);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].symbols, b[i].symbols);
   }
 }
 
@@ -125,18 +136,18 @@ TEST(DedupTest, RealisticDuplicateRateOnSmallLanguage) {
   // deduper must catch them (this is the waste the paper's future work
   // points at).
   PcorePfaFixture f;
-  PatternGenerator generator(f.pfa, {.size = 2}, support::Rng(11));
   PatternDeduper deduper;
-  const auto unique = deduper.filter(generator.generate(200));
+  const auto unique = deduper.filter(sample(f.pfa, 2, 11, 200));
   EXPECT_LT(unique.size(), 50u);
   EXPECT_GT(deduper.rejected_count(), 150u);
 }
 
 TEST(CoverageTest, FullCoverageAfterManyPatterns) {
   PcorePfaFixture f;
-  PatternGenerator generator(f.pfa, {.size = 12}, support::Rng(5));
   CoverageTracker tracker(f.pfa);
-  for (int i = 0; i < 500; ++i) tracker.observe(generator.generate());
+  for (const TestPattern& pattern : sample(f.pfa, 12, 5, 500)) {
+    tracker.observe(pattern);
+  }
   const CoverageReport report = tracker.report();
   EXPECT_EQ(report.states_covered, report.states_total);
   EXPECT_EQ(report.transitions_covered, report.transitions_total);

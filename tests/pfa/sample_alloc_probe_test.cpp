@@ -1,7 +1,8 @@
 // Allocation probe for the sampling hot path: a global operator-new
 // hook counts heap allocations, and the suite asserts Pfa::sample_into
-// performs ZERO of them once its WalkScratch is warm, and that the
-// coverage fold of patterns whose n-grams it has seen performs none.
+// performs ZERO of them once the caller's Walk and WalkScratch are warm,
+// and that the coverage fold of patterns whose n-grams it has seen
+// performs none.
 // This is the enforceable form of the scratch-reuse API's contract — a
 // regression that sneaks a per-walk allocation back in (a temporary
 // vector, an accidental copy) fails here even though it would be
@@ -18,7 +19,6 @@
 #include <new>
 
 #include "ptest/pattern/coverage.hpp"
-#include "ptest/pattern/generator.hpp"
 #include "ptest/pfa/pfa.hpp"
 #include "ptest/support/rng.hpp"
 
@@ -55,16 +55,17 @@ TEST(SampleAllocProbe, SampleIntoIsAllocationFreeOnceWarm) {
   WalkOptions options;
   options.size = 48;
   options.restart_at_accept = true;
+  Walk walk;
   WalkScratch scratch;
-  scratch.reserve(options);
 
   support::Rng rng(0xfeedULL);
-  // Warm-up: first samples may still size the uniform buffer lazily.
-  for (int i = 0; i < 4; ++i) (void)pfa.sample_into(scratch, rng, options);
+  // Warm-up: the first walk sizes the walk's buffers for the longest walk
+  // `options` allow and the scratch's uniform block.
+  pfa.sample_into(walk, scratch, rng, options);
 
   const std::uint64_t before =
       g_allocations.load(std::memory_order_relaxed);
-  for (int i = 0; i < 256; ++i) (void)pfa.sample_into(scratch, rng, options);
+  for (int i = 0; i < 256; ++i) pfa.sample_into(walk, scratch, rng, options);
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
       << "sample_into allocated on the steady-state path";
@@ -88,23 +89,27 @@ TEST(SampleAllocProbe, SampleWrapperAllocatesSampleIntoDoesNot) {
 
   // ...which is exactly the traffic the scratch path eliminates.
   support::Rng rng_into(7);
+  Walk walk;
   WalkScratch scratch;
-  scratch.reserve(options);
-  for (int i = 0; i < 4; ++i) (void)pfa.sample_into(scratch, rng_into, options);
+  pfa.sample_into(walk, scratch, rng_into, options);
   const std::uint64_t into_before =
       g_allocations.load(std::memory_order_relaxed);
-  for (int i = 0; i < 64; ++i) (void)pfa.sample_into(scratch, rng_into, options);
+  for (int i = 0; i < 64; ++i) {
+    pfa.sample_into(walk, scratch, rng_into, options);
+  }
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - into_before, 0u);
 }
 
 TEST(SampleAllocProbe, WarmObserveIsAllocationFree) {
   Alphabet alphabet;
   const Pfa pfa = build_pcore_like(alphabet);
-  pattern::PatternGenerator generator(
-      pfa, {.size = 12, .restart_at_accept = true}, support::Rng(3));
+  support::Rng rng(3);
   WalkScratch scratch;
-  std::vector<pattern::TestPattern> patterns;
-  generator.generate_into(64, scratch, patterns);
+  std::vector<pattern::TestPattern> patterns(64);
+  for (pattern::TestPattern& sampled : patterns) {
+    pfa.sample_into(sampled, scratch, rng,
+                    {.size = 12, .restart_at_accept = true});
+  }
   pattern::CoverageTracker tracker(pfa);
   for (const pattern::TestPattern& sampled : patterns) {
     tracker.observe(sampled);

@@ -102,8 +102,9 @@ TEST(SamplingTables, SampleMatchesSampleIntoDrawForDraw) {
     support::Rng rng_wrap(seed);
     support::Rng rng_into(seed);
     const Walk wrapped = f.pfa.sample(rng_wrap, options);
+    Walk direct;
     WalkScratch scratch;
-    const Walk& direct = f.pfa.sample_into(scratch, rng_into, options);
+    f.pfa.sample_into(direct, scratch, rng_into, options);
     EXPECT_EQ(wrapped.symbols, direct.symbols) << "seed " << seed;
     EXPECT_EQ(wrapped.edges, direct.edges) << "seed " << seed;
     EXPECT_EQ(wrapped.probability, direct.probability) << "seed " << seed;

@@ -62,7 +62,7 @@ pfa::Walk reference_sample(const pfa::Pfa& pfa, support::Rng& rng,
 
   if (options.complete_to_accept) {
     while (!states[current].accepting &&
-           walk.symbols.size() < options.max_size) {
+           walk.symbols.size() < pfa::kMaxWalkSize) {
       const pfa::PfaState& state = states[current];
       weights.clear();
       double mass = 0.0;
@@ -98,8 +98,9 @@ void expect_equivalent(const pfa::Pfa& pfa, std::uint64_t seed,
 
   const pfa::Walk reference = reference_sample(pfa, ref_rng, options);
   const pfa::Walk via_sample = pfa.sample(cdf_rng, options);
+  pfa::Walk via_into;
   pfa::WalkScratch scratch;
-  const pfa::Walk& via_into = pfa.sample_into(scratch, into_rng, options);
+  pfa.sample_into(via_into, scratch, into_rng, options);
 
   EXPECT_EQ(via_sample.symbols, reference.symbols) << label;
   EXPECT_EQ(via_sample.edges, reference.edges) << label;
@@ -124,14 +125,9 @@ TEST(SamplingEquivalence, EveryCatalogPlanOverSeedSweep) {
   ASSERT_FALSE(registry.empty());
   for (const scenario::Scenario& entry : registry.all()) {
     const core::CompiledTestPlanPtr plan = core::compile(entry.config);
-    pfa::WalkOptions options;
-    options.size = plan->generator_options.size;
-    options.complete_to_accept = plan->generator_options.complete_to_accept;
-    options.restart_at_accept = plan->generator_options.restart_at_accept;
-    options.max_size = plan->generator_options.max_size;
     for (std::uint64_t k = 0; k < 8; ++k) {
       const std::uint64_t seed = support::derive_seed(entry.config.seed, k);
-      expect_equivalent(plan->pfa, seed, options,
+      expect_equivalent(plan->pfa, seed, plan->walk_options,
                         entry.name + " seed#" + std::to_string(k));
     }
   }
@@ -147,11 +143,9 @@ TEST(SamplingEquivalence, CatalogPlansUnderFlippedWalkModes) {
     const core::CompiledTestPlanPtr plan = core::compile(entry.config);
     for (const bool complete : {false, true}) {
       for (const bool restart : {false, true}) {
-        pfa::WalkOptions options;
-        options.size = plan->generator_options.size;
+        pfa::WalkOptions options = plan->walk_options;
         options.complete_to_accept = complete;
         options.restart_at_accept = restart;
-        options.max_size = plan->generator_options.max_size;
         expect_equivalent(
             plan->pfa, entry.config.seed, options,
             entry.name + (complete ? "+complete" : "-complete") +
@@ -186,7 +180,7 @@ TEST(SamplingEquivalence, AdversarialWeightsStressThePickBoundaries) {
   }
 }
 
-TEST(SamplingEquivalence, SampleIntoReusesTheScratchBuffers) {
+TEST(SamplingEquivalence, SampleIntoReusesTheWalkBuffers) {
   pfa::Alphabet alphabet;
   const pfa::Regex re = pfa::Regex::parse("(a b)* c", alphabet);
   const pfa::Pfa pfa =
@@ -194,19 +188,24 @@ TEST(SamplingEquivalence, SampleIntoReusesTheScratchBuffers) {
 
   pfa::WalkOptions options;
   options.size = 16;
+  pfa::Walk walk;
   pfa::WalkScratch scratch;
-  scratch.reserve(options);  // pre-size so even the first walk fits
   support::Rng rng(7);
-  const pfa::Walk& first = pfa.sample_into(scratch, rng, options);
-  EXPECT_EQ(&first, &scratch.walk);  // the result aliases the scratch
-  const std::size_t symbol_capacity = scratch.walk.symbols.capacity();
-  const std::size_t edge_capacity = scratch.walk.edges.capacity();
+  pfa.sample_into(walk, scratch, rng, options);
+  // The first walk sized the buffers for the longest walk: 16 symbols
+  // and the one-symbol steering tail to the accepting state.
+  EXPECT_GE(walk.symbols.capacity(), 17u);
+  EXPECT_GE(walk.edges.capacity(), 17u);
+  const pfa::SymbolId* symbols = walk.symbols.data();
+  const std::uint32_t* edges = walk.edges.data();
   for (int i = 0; i < 32; ++i) {
-    (void)pfa.sample_into(scratch, rng, options);
-    // reserve() sized the buffers for max_size walks, so no sample may
-    // ever reallocate them — reuse, not regrowth.
-    EXPECT_EQ(scratch.walk.symbols.capacity(), symbol_capacity);
-    EXPECT_EQ(scratch.walk.edges.capacity(), edge_capacity);
+    pfa.sample_into(walk, scratch, rng, options);
+    ASSERT_FALSE(walk.empty());
+    // So no later walk may reallocate them: the walk is written in
+    // place, not rebuilt.
+    EXPECT_EQ(walk.symbols.data(), symbols);
+    EXPECT_EQ(walk.edges.data(), edges);
+    EXPECT_EQ(walk.size(), walk.edges.size());
   }
 }
 

@@ -6,8 +6,10 @@
 // signature and replay fingerprint of the first retained failure.  The
 // suite asserts the current tree reproduces those hashes bit for bit:
 //
-//   * the single-session fingerprint, from a compiled plan and from a
-//     freshly compiled one (plan reuse must be invisible);
+//   * the single-session fingerprint, hashed from a kept rig's warm load
+//     (run_traced, tests/core/reference_session.hpp), from a compiled
+//     plan and from a freshly compiled one (plan reuse must be
+//     invisible);
 //   * the campaign's distinct failures at jobs=1 and jobs=4 (both must
 //     retain identical reports);
 //   * the replay of the recorded failure (replay_traced), whose
@@ -18,8 +20,6 @@
 //   PTEST_GOLDEN_UPDATE=1 ctest -R scenario_golden
 // (the binary rewrites the fixtures in the source tree, via the
 // PTEST_SCENARIO_GOLDEN_DIR compile definition).
-#include "ptest/scenario/golden.hpp"
-
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -27,6 +27,7 @@
 #include <map>
 #include <sstream>
 
+#include "core/reference_session.hpp"
 #include "ptest/core/campaign.hpp"
 #include "ptest/core/replay.hpp"
 #include "ptest/scenario/registry.hpp"
@@ -35,6 +36,10 @@
 
 namespace ptest::scenario {
 namespace {
+
+using core::replay_traced;
+using core::run_traced;
+using core::TracedRun;
 
 std::string fixture_path(const std::string& name) {
   return std::string(PTEST_SCENARIO_GOLDEN_DIR) + "/" + name + ".golden";

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "ptest/pattern/generator.hpp"
-
 namespace ptest::scenario {
 
 namespace {
@@ -72,15 +70,13 @@ ChiSquareFit chi_square_cross_fit(const core::CompiledTestPlan& sampler,
   // counts[flat transition index], the index each walk records per symbol.
   std::vector<std::size_t> counts(sampled.flat_symbols().size(), 0);
   support::Rng rng(seed);
-  pattern::PatternGenerator generator(sampled, sampler.generator_options,
-                                      rng);
 
   ChiSquareFit fit;
   fit.walks = walks;
   pfa::WalkScratch scratch;  // tally loops are exactly the reuse hot path
-  pattern::TestPattern sample;
+  pfa::Walk sample;
   for (std::size_t w = 0; w < walks; ++w) {
-    generator.generate_into(scratch, sample);
+    sampled.sample_into(sample, scratch, rng, sampler.walk_options);
     // Beyond config.s symbols the sampler steers toward acceptance and no
     // longer draws with P — only the unsteered prefix is a fair tally.
     const std::size_t fair = std::min(sample.edges.size(), sampler.config.s);
