@@ -8,12 +8,27 @@
 // one.  It prints no timings: one-shot wall times swing from run to run,
 // and end-to-end throughput is perfbench's to measure, so this suite
 // registers no timed rows either.
+//
+// `bench_parallel_campaign --scaling [--repeats R]` (its own main, in
+// bench_parallel_campaign_main.cpp) measures how one single-arm
+// aba-stack campaign scales instead: at jobs 1..N, N the hardware thread
+// count capped at 8, it prints sessions/s, process CPU us per session,
+// speedup, efficiency (speedup / jobs) and the work inflation
+// cpu(jobs) / cpu(jobs=1), each the median of R repeats (default 5) with
+// min-max.  It exits 1 if any run differs from the jobs=1 run, 64 on a
+// bad flag; its timings are printed, never checked.
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "harness.hpp"
 #include "ptest/core/campaign.hpp"
+#include "ptest/support/worker_pool.hpp"
 #include "ptest/workload/philosophers.hpp"
 
 namespace {
@@ -99,4 +114,118 @@ void print_table() {
 const int registered = bench::register_report("parallel_campaign",
                                               print_table);
 
+/// Sessions per scaling campaign: about 0.1 s of CPU at jobs=1.
+constexpr std::size_t kScalingBudget = 60'000;
+
+double process_cpu_seconds() {
+  timespec now{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) +
+         1e-9 * static_cast<double>(now.tv_nsec);
+}
+
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread spread(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  return {n % 2 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2,
+          values.front(), values.back()};
+}
+
+std::string show(const Spread& s, const char* format) {
+  char buffer[96];
+  std::snprintf(buffer, sizeof buffer, format, s.median, s.min, s.max);
+  return buffer;
+}
+
 }  // namespace
+
+namespace ptest::bench {
+
+int parallel_scaling(int argc, char** argv) {
+  int repeats = 5;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view flag = argv[i];
+    if (flag == "--scaling") continue;
+    if (flag == "--repeats" && i + 1 < argc) {
+      repeats = std::atoi(argv[++i]);
+      if (repeats >= 1) continue;
+    }
+    std::fprintf(stderr, "usage: %s --scaling [--repeats R]  (R >= 1)\n",
+                 argv[0]);
+    return 64;
+  }
+  const std::size_t max_jobs =
+      std::min<std::size_t>(support::resolve_jobs(0), 8);
+
+  core::CampaignOptions options;
+  options.budget = kScalingBudget;
+  const auto run = [&](std::size_t jobs) {
+    options.jobs = jobs;
+    auto result = core::Campaign::run_scenario("aba-stack", options);
+    if (!result) {
+      std::fprintf(stderr, "FATAL: %s\n", result.error().c_str());
+      std::exit(1);
+    }
+    return std::move(result).value();
+  };
+  const core::CampaignResult reference = run(1);  // also the warm-up
+
+  // rates[j][r], cpu[j][r]: jobs j + 1, repeat r.  Each repeat runs every
+  // jobs value in turn, so a drift of the host spreads over all of them.
+  std::vector<std::vector<double>> rates(max_jobs), cpu(max_jobs);
+  for (int r = 0; r < repeats; ++r) {
+    for (std::size_t jobs = 1; jobs <= max_jobs; ++jobs) {
+      const double cpu_start = process_cpu_seconds();
+      const auto wall_start = std::chrono::steady_clock::now();
+      const core::CampaignResult result = run(jobs);
+      const double wall = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - wall_start)
+                              .count();
+      const double cpu_used = process_cpu_seconds() - cpu_start;
+      const std::string_view counter =
+          support::work_difference(reference.metrics, result.metrics);
+      if (!identical(reference, result) || !counter.empty()) {
+        std::fprintf(stderr,
+                     "FATAL: jobs=%zu result differs from the serial run "
+                     "(work counter '%.*s')\n",
+                     jobs, static_cast<int>(counter.size()), counter.data());
+        return 1;
+      }
+      const double sessions = static_cast<double>(result.total_runs);
+      rates[jobs - 1].push_back(sessions / wall);
+      cpu[jobs - 1].push_back(cpu_used * 1e6 / sessions);
+    }
+  }
+
+  std::printf(
+      "=== Parallel scaling: aba-stack, %zu sessions per campaign, "
+      "median (min-max) of %d repeats ===\n",
+      kScalingBudget, repeats);
+  std::printf("%-5s %-28s %-24s %-22s %-22s %s\n", "jobs", "sessions/s",
+              "cpu us/session", "speedup", "efficiency",
+              "inflation cpu(j)/cpu(1)");
+  for (std::size_t jobs = 1; jobs <= max_jobs; ++jobs) {
+    std::vector<double> speedup, efficiency, inflation;
+    for (int r = 0; r < repeats; ++r) {
+      speedup.push_back(rates[jobs - 1][r] / rates[0][r]);
+      efficiency.push_back(speedup.back() / static_cast<double>(jobs));
+      inflation.push_back(cpu[jobs - 1][r] / cpu[0][r]);
+    }
+    std::printf("%-5zu %-28s %-24s %-22s %-22s %s\n", jobs,
+                show(spread(rates[jobs - 1]), "%.0f (%.0f-%.0f)").c_str(),
+                show(spread(cpu[jobs - 1]), "%.3f (%.3f-%.3f)").c_str(),
+                show(spread(speedup), "%.2f (%.2f-%.2f)").c_str(),
+                show(spread(efficiency), "%.2f (%.2f-%.2f)").c_str(),
+                show(spread(inflation), "%.3f (%.3f-%.3f)").c_str());
+  }
+  std::printf("identical to serial at every jobs value: yes\n");
+  return 0;
+}
+
+}  // namespace ptest::bench

@@ -1,7 +1,8 @@
 #include "ptest/core/adaptive_test.hpp"
 
+#include <algorithm>
+
 #include "ptest/obs/trace.hpp"
-#include "ptest/pattern/dedup.hpp"
 
 namespace ptest::core {
 
@@ -28,16 +29,25 @@ void generate_and_merge(const CompiledTestPlan& plan, std::uint64_t seed,
     // One span per session's dedup'd sampling loop, not per candidate:
     // per-pattern events would dominate the ring at production rates.
     PTEST_OBS_SPAN("dedup");
-    pattern::PatternDeduper deduper;
     // Keep sampling until n unique patterns (bounded retry); a rejected
-    // candidate is overwritten by the next.
+    // candidate is overwritten by the next.  A replica is a candidate
+    // whose symbols equal an accepted slot's: n is a handful, so a scan
+    // of the accepted slots decides it without allocating.
     const std::size_t max_attempts = n * 64 + 64;
     for (std::size_t attempts = 0; accepted < n && attempts < max_attempts;
          ++attempts) {
-      sample(out.patterns[accepted]);
-      if (deduper.insert(out.patterns[accepted])) ++accepted;
+      pattern::TestPattern& candidate = out.patterns[accepted];
+      sample(candidate);
+      const auto replica = [&](const pattern::TestPattern& kept) {
+        return kept.symbols == candidate.symbols;
+      };
+      if (std::any_of(out.patterns.begin(),
+                      out.patterns.begin() + accepted, replica)) {
+        ++out.duplicates_rejected;
+      } else {
+        ++accepted;
+      }
     }
-    out.duplicates_rejected = deduper.rejected_count();
   }
   // Without dedup, every slot; with it, a language too small for n
   // distinct patterns accepts replicas to keep the configured concurrency.

@@ -65,8 +65,10 @@ void execute(const CompiledTestPlan& plan, std::uint64_t seed,
 /// plan, into `out`'s patterns and merged pattern through `merger` (which
 /// it re-arms); leaves out.session alone.  Pattern i is sampled in place
 /// into out.patterns[i] on the first fork of Rng(seed); the merger draws
-/// from the second.  The sampling hot path a campaign pays per session:
-/// warm and without dedup, it allocates nothing.
+/// from the second.  Under config.dedup_patterns a candidate whose
+/// symbols equal an accepted slot's is a replica and is resampled.  The
+/// sampling hot path a campaign pays per session: warm, with dedup or
+/// without, it allocates nothing.
 void generate_and_merge(const CompiledTestPlan& plan, std::uint64_t seed,
                         pfa::WalkScratch& scratch,
                         pattern::PatternMerger& merger,

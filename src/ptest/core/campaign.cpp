@@ -1,7 +1,6 @@
 #include "ptest/core/campaign.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 
 #include "ptest/core/session_batch.hpp"
@@ -150,13 +149,11 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
   result.arm_stats.resize(arms_.size());
 
   // Compile every arm's fixed artifact once, before any session runs:
-  // the plans are immutable from here on, so the worker threads share
-  // them without synchronization.
+  // the plans are immutable from here on.  The runner gives each helper
+  // thread a private copy of them.
   std::vector<CompiledTestPlanPtr> plans;
-  std::vector<const pfa::Pfa*> pfas;
   for (std::size_t i = 0; i < arms_.size(); ++i) {
     plans.push_back(compile(arm_config(i)));
-    pfas.push_back(&plans.back()->pfa);
     ++result.metrics.plan_compiles;
   }
 
@@ -165,27 +162,18 @@ CampaignResult Campaign::run_impl(std::size_t run_base, std::size_t budget) {
   const bool policy = arms_.size() > 1;
   const std::size_t batch_size = policy ? kSyncInterval : budget;
   SessionBatchRunner runner(
-      options_.jobs, batch_size, std::move(pfas), base_config_.dedup_patterns,
+      options_.jobs, batch_size, std::move(plans),
       [target = options_.target](const BugReport& report) {
         return !target || report.kind == *target;
       });
-  // One session rig per (participant, arm), built on its first use and
-  // reset per session.  Participant p touches only its own row, and the
-  // rigs die before the plans they point into.
-  std::vector<std::unique_ptr<SessionRig>> rigs(runner.participants() *
-                                                plans.size());
   support::Rng policy_rng(base_config_.seed ^ 0xada9717eULL);
   std::vector<std::size_t> round_arms;
   std::size_t round_start = run_base;
-  auto session = [&](std::size_t participant, std::size_t run,
-                     pfa::WalkScratch& scratch, AdaptiveTestResult& out) {
+  auto session = [&](SessionBatchRunner::Slot& slot, std::size_t run) {
     const std::size_t arm = policy ? round_arms[run - round_start] : 0;
-    const CompiledTestPlan& plan = *plans[arm];
-    std::unique_ptr<SessionRig>& rig = rigs[participant * plans.size() + arm];
-    if (!rig) rig = std::make_unique<SessionRig>(plan.config, plan.alphabet);
-    execute(plan, support::derive_seed(base_config_.seed, run), setup_,
-            scratch, *rig, out);
-    return SessionBatchRunner::Ran{arm, *rig};
+    execute(slot.plan(arm), support::derive_seed(base_config_.seed, run),
+            setup_, slot.scratch(), slot.rig(arm), slot.out());
+    return arm;
   };
   for (std::size_t offset = 0; offset < budget; offset += batch_size) {
     round_start = run_base + offset;

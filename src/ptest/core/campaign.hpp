@@ -26,8 +26,8 @@
 // `jobs = N` is bit-identical to the serial run.
 //
 // run() compiles each arm's CompiledTestPlan (regex -> PFA pipeline +
-// parsed distributions) exactly once up front and shares the immutable
-// plans across all worker threads, so per-session work is reduced to
+// parsed distributions) exactly once up front; the runner gives each
+// helper thread a private copy, so per-session work is reduced to
 // sampling, merging and driving the simulated platform.
 #pragma once
 

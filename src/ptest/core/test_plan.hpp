@@ -12,8 +12,10 @@
 // the walk/merger options (cyclic break mnemonics resolved to symbol ids
 // once).  Plans are held as std::shared_ptr<const ...>:
 // after compile() returns, nothing ever mutates the plan, so any number
-// of WorkerPool threads may execute() against the same plan
-// concurrently without synchronization.
+// of threads may execute() against the same plan concurrently without
+// synchronization.  A plan is also a plain value: SessionBatchRunner
+// copies it onto each helper thread, so no helper reads cache lines next
+// to the caller's per-session allocations.
 //
 // Determinism: execute(plan, seed, setup, scratch) seeds every random
 // stream from `seed` exactly the way adaptive_test(config, ...) seeds

@@ -1,7 +1,6 @@
 #include "ptest/guided/campaign.hpp"
 
 #include <cmath>
-#include <deque>
 #include <stdexcept>
 
 #include "ptest/core/session_batch.hpp"
@@ -115,19 +114,18 @@ GuidedResult GuidedCampaign::run() {
 
   // Sessions replay their patterns against the base automaton: refined
   // plans share its skeleton, so every epoch's coverage folds into the
-  // cumulative tracker.  counts_as_bug runs on the worker threads.
+  // cumulative tracker.  Refinement only moves probabilities, so every
+  // refined plan also keeps the base plan's config and alphabet, which
+  // the runner's rigs are built from.  counts_as_bug runs on the worker
+  // threads.
   core::SessionBatchRunner runner(options_.jobs, options_.sessions_per_epoch,
-                                  {&base_plan->pfa}, config_.dedup_patterns,
-                                  options_.counts_as_bug);
-  // One rig per participant for the whole run.  Refinement only moves
-  // probabilities, so every refined plan keeps the base plan's config and
-  // alphabet, the two things a rig is built from.
-  std::deque<core::SessionRig> rigs;
-  for (std::size_t p = 0; p < runner.participants(); ++p) {
-    rigs.emplace_back(base_plan->config, base_plan->alphabet);
-  }
-  // Each participant's trace fingerprints of the current epoch.
-  std::vector<std::vector<std::uint64_t>> fingerprints(runner.participants());
+                                  {base_plan}, options_.counts_as_bug);
+  // Each participant's trace fingerprints of the current epoch, one
+  // cache line per participant: every session appends to its own.
+  struct alignas(64) Fingerprints {
+    std::vector<std::uint64_t> hashes;
+  };
+  std::vector<Fingerprints> fingerprints(runner.participants());
 
   // The coverage-gain series feeding the plateau detector.  A resumed
   // campaign reconstructs the persisted trajectory's gains so the
@@ -194,16 +192,18 @@ GuidedResult GuidedCampaign::run() {
     // invisible in the outcome.
     const std::size_t batch_size = options_.sessions_per_epoch;
     const std::size_t run_base = first_run + epoch * batch_size;
+    runner.set_plans({plan});
     core::SessionBatch batch = runner.run(
         run_base, run_base + batch_size,
-        [&](std::size_t participant, std::size_t run,
-            pfa::WalkScratch& scratch, core::AdaptiveTestResult& out) {
-          core::SessionRig& rig = rigs[participant];
-          core::execute(*plan, support::derive_seed(config_.seed, run),
-                        setup_, scratch, rig, out);
-          fingerprints[participant].push_back(scenario::trace_fingerprint(
-              out.session, out.merged, rig.soc().trace()));
-          return core::SessionBatchRunner::Ran{0, rig};
+        [&](core::SessionBatchRunner::Slot& slot, std::size_t run) {
+          core::SessionRig& rig = slot.rig(0);
+          core::AdaptiveTestResult& out = slot.out();
+          core::execute(slot.plan(0), support::derive_seed(config_.seed, run),
+                        setup_, slot.scratch(), rig, out);
+          fingerprints[slot.participant()].hashes.push_back(
+              scenario::trace_fingerprint(out.session, out.merged,
+                                          rig.soc().trace()));
+          return std::size_t{0};
         });
 
     GuidedEpoch epoch_stats;
@@ -211,11 +211,11 @@ GuidedResult GuidedCampaign::run() {
     epoch_stats.sessions = batch_size;
     epoch_stats.detections = batch.result.total_detections;
     // Fingerprints are a set, so the count of new ones is order-free.
-    for (std::vector<std::uint64_t>& hashes : fingerprints) {
-      for (const std::uint64_t hash : hashes) {
+    for (Fingerprints& participant : fingerprints) {
+      for (const std::uint64_t hash : participant.hashes) {
         epoch_stats.new_fingerprints += corpus_.add_fingerprint(hash) ? 1 : 0;
       }
-      hashes.clear();
+      participant.hashes.clear();
     }
     if (batch.first_detection && !result.sessions_to_first_bug) {
       result.sessions_to_first_bug = *batch.first_detection - first_run + 1;

@@ -19,12 +19,13 @@
 //             likely mean-shift in the gain series and stop once the
 //             post-change segment is long and flat enough.
 //
-// Sessions run like a Campaign's: core::execute on a kept
-// core::SessionRig, one per batch participant, built once per run from
-// the base plan.  Refinement only moves probabilities, so every refined
-// plan shares the base plan's config and alphabet, which is all a rig is
-// built from.  Each session's trace fingerprint is read off its rig's
-// Soc right after the run.
+// Sessions run like a Campaign's: core::execute on the kept
+// core::SessionRig of the batch participant's slot, built once per run.
+// Refinement only moves probabilities, so every refined plan shares the
+// base plan's config and alphabet, which is all a rig is built from; the
+// runner's set_plans() hands each epoch's plan to the slots.  Each
+// session's trace fingerprint is read off its rig's Soc right after the
+// run, into the participant's own cache line of fingerprints.
 //
 // Determinism: a guided run is a pure function of (config.seed, options,
 // seed corpus).  Each epoch is one core::SessionBatchRunner batch, like

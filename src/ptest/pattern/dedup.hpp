@@ -6,7 +6,10 @@
 // the symbol sequence buckets candidates, and an exact symbol-sequence
 // comparison within the bucket decides replica vs. new — so a 64-bit hash
 // collision can never silently reject a genuinely new pattern.
-// bench_ablation_dedup measures the effect.
+// bench_ablation_dedup measures the effect.  A session's own n patterns
+// do not go through it: core::generate_and_merge compares each candidate
+// with the handful of slots it already accepted, which allocates
+// nothing and rejects the same candidates.
 #pragma once
 
 #include <cstdint>

@@ -31,24 +31,35 @@ bool spin_until(const Ready& ready, std::int64_t limit_ns) {
 /// parallel_for does not return before every joined helper is done
 /// with it.
 struct WorkerPool::Call {
-  Call(Body body, std::size_t count) : fn(body), total(count) {}
+  Call(Body body, std::size_t count, std::size_t participants)
+      : fn(body),
+        total(count),
+        chunk(std::clamp<std::size_t>(count / (16 * participants), 1, 64)) {}
 
+  // Read-only while the call runs.
   Body fn;
   std::size_t total;
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
+  std::size_t chunk;
+  /// The first unclaimed index.  Every claim writes it, so it gets a
+  /// cache line of its own; the error state starts the next one.
+  alignas(64) std::atomic<std::size_t> next{0};
+  alignas(64) std::mutex error_mutex;
   std::exception_ptr error;
 
-  /// Claims and runs indices until the space is exhausted.
+  /// Claims chunks and runs their indices in order until the space is
+  /// exhausted.  The cursor only grows, so a participant's indices do too.
   void drain(std::size_t participant) {
     for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= total) return;
-      try {
-        fn(participant, i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
+      const std::size_t begin = next.fetch_add(chunk);
+      if (begin >= total) return;
+      const std::size_t end = std::min(begin + chunk, total);
+      for (std::size_t i = begin; i < end; ++i) {
+        try {
+          fn(participant, i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(error_mutex);
+          if (!error) error = std::current_exception();
+        }
       }
     }
   }
@@ -113,8 +124,8 @@ void WorkerPool::worker_loop(std::size_t participant) {
 
 void WorkerPool::parallel_for(std::size_t count, Body fn) {
   if (count == 0) return;
-  Call call(fn, count);
   const std::size_t helpers = std::min(workers_.size(), count - 1);
+  Call call(fn, count, helpers + 1);
   if (helpers > 0) {
     {
       std::lock_guard<std::mutex> lock(mutex_);

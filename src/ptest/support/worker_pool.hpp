@@ -5,9 +5,15 @@
 // mutable state.  WorkerPool is the only concurrency primitive the
 // library needs for that: a fixed team of helper threads that joins the
 // caller in one parallel_for call at a time.  Index-space sharding is
-// dynamic (an atomic cursor, no pre-chunking) so uneven session
-// durations — a deadlock hit ends a session early, a tick-limit run is
-// the slow tail — still balance.
+// dynamic: participants claim contiguous chunks from a shared cursor, so
+// uneven session durations — a deadlock hit ends a session early, a
+// tick-limit run is the slow tail — still balance.  A chunk is
+// count / (16 x participants) indices, clamped to [1, 64]: a large call
+// claims once per up to 64 sessions instead of once per session, and
+// each participant still gets about 16 claims to balance with, while an
+// 8-session policy round claims one index at a time.  The cursor sits on
+// a cache line of its own, so a claim contends with nothing but other
+// claims.
 //
 // Waits spin (yielding) before they park.  A policy round of short
 // sessions lasts tens of microseconds, about as long as waking a parked
@@ -17,9 +23,10 @@
 // parks and burns no CPU.
 //
 // Determinism contract: parallel_for(count, fn) invokes fn exactly once
-// for every index in [0, count), in unspecified order and thread
-// placement.  Reproducible callers fold per-participant results with an
-// order-free merge, as core::SessionBatchRunner does.
+// for every index in [0, count), and each participant runs its indices
+// in increasing order; which participant runs which index is not
+// deterministic.  Reproducible callers fold per-participant results with
+// an order-free merge, as core::SessionBatchRunner does.
 #pragma once
 
 #include <atomic>
@@ -92,11 +99,12 @@ class WorkerPool {
   /// across the team, and blocks until every index completed and no
   /// helper can touch this call's state any more.  The calling thread
   /// works too, so a pool of T helpers applies T+1-way parallelism;
-  /// at most count - 1 helpers join.  Participant p runs its indices
-  /// one at a time in increasing order, so per-participant scratch
-  /// (slot p) needs no lock; which participant runs which index is NOT
-  /// deterministic.  If any invocation throws, the first exception (in
-  /// completion order) is rethrown after the index space is drained.
+  /// at most count - 1 helpers join.  Participant p claims chunks of
+  /// contiguous indices and runs them one at a time in increasing order,
+  /// so per-participant scratch (slot p) needs no lock; which participant
+  /// runs which index is NOT deterministic.  If any invocation throws,
+  /// the first exception (in completion order) is rethrown after the
+  /// index space is drained.
   /// One caller at a time: parallel_for is not reentrant.
   void parallel_for(std::size_t count, Body fn);
 

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -332,12 +331,10 @@ TEST(CampaignTest, CoverageStateIsPinned) {
 // report.
 TEST(SessionBatchRunnerTest, KeepsTheLowestRunIndexPerSignature) {
   const CompiledTestPlanPtr plan = compile(philosopher_config());
-  SessionBatchRunner runner(2, 64, {&plan->pfa}, false, nullptr);
+  SessionBatchRunner runner(2, 64, {plan}, nullptr);
   ASSERT_EQ(runner.participants(), 2u);
-  // One rig per participant.  They are never loaded, so completing a
-  // report fills an empty replay body and keeps the head written below.
-  std::deque<SessionRig> rigs;
-  for (int p = 0; p < 2; ++p) rigs.emplace_back(plan->config, plan->alphabet);
+  // The slots' rigs are never loaded, so completing a report fills an
+  // empty replay body and keeps the head written below.
   std::atomic<int> helper_reports{0};
   std::atomic<int> caller_reports{0};
   std::atomic<std::size_t> lowest_reported{SIZE_MAX};
@@ -345,13 +342,14 @@ TEST(SessionBatchRunnerTest, KeepsTheLowestRunIndexPerSignature) {
   const std::size_t first = 100;
   const SessionBatch batch = runner.run(
       first, first + 64,
-      [&](std::size_t participant, std::size_t run, pfa::WalkScratch&,
-          AdaptiveTestResult& session) {
+      [&](SessionBatchRunner::Slot& slot, std::size_t run) {
+        const std::size_t participant = slot.participant();
+        AdaptiveTestResult& session = slot.out();
         session = AdaptiveTestResult{};
         if (participant == 0 && !caller_started) {
           caller_started = true;
           while (helper_reports.load() < 3) std::this_thread::yield();
-          return SessionBatchRunner::Ran{0, rigs[0]};  // passes: no report
+          return std::size_t{0};  // passes: no report
         }
         if (participant != 0 && helper_reports.load() == 3) {
           while (caller_reports.load() == 0) std::this_thread::yield();
@@ -365,7 +363,7 @@ TEST(SessionBatchRunnerTest, KeepsTheLowestRunIndexPerSignature) {
         session.session.report.emplace();
         session.session.report->kind = BugKind::kDeadlock;
         session.session.report->seed = run;
-        return SessionBatchRunner::Ran{0, rigs[participant]};
+        return std::size_t{0};
       });
   EXPECT_EQ(batch.result.total_runs, 64u);
   EXPECT_EQ(batch.result.total_detections, 63u);
@@ -382,6 +380,32 @@ TEST(WorkerPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   pool.parallel_for(hits.size(),
                     [&](std::size_t, std::size_t i) { ++hits[i]; });
   for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+}
+
+// SessionBatchRunner keeps each participant's first report per signature
+// as its lowest-index one, which holds only if every participant runs its
+// indices in increasing order, chunked claims included.
+TEST(WorkerPoolTest, EachParticipantClaimsIncreasingIndices) {
+  for (const std::size_t helpers : {1u, 2u, 3u}) {
+    support::WorkerPool pool(helpers);
+    for (const std::size_t count :
+         {1u, 2u, 7u, 8u, 9u, 63u, 64u, 65u, 1000u, 6000u}) {
+      SCOPED_TRACE("helpers=" + std::to_string(helpers) +
+                   " count=" + std::to_string(count));
+      std::vector<std::atomic<int>> hits(count);
+      std::vector<std::vector<std::size_t>> runs(helpers + 1);
+      pool.parallel_for(count, [&](std::size_t participant, std::size_t i) {
+        ++hits[i];
+        runs[participant].push_back(i);
+      });
+      for (const auto& hit : hits) ASSERT_EQ(hit.load(), 1);
+      for (const std::vector<std::size_t>& indices : runs) {
+        for (std::size_t k = 1; k < indices.size(); ++k) {
+          ASSERT_LT(indices[k - 1], indices[k]);
+        }
+      }
+    }
+  }
 }
 
 TEST(WorkerPoolTest, ParallelForHandlesEmptyAndTiny) {

@@ -1,11 +1,12 @@
 // Allocation probe for the reusable session rig: a global operator-new
 // hook counts allocations, and the suite asserts the rig's steady state.
 // After a warm-up, generate_and_merge into a kept result through the
-// rig's kept merger allocates nothing on any catalog scenario: each slot
-// and the merged pattern were sized for the longest walk and merge the
-// plan allows.  SessionRig::load allocates nothing on any catalog
-// scenario: every device resets into the buffers the earlier sessions
-// grew, and the workload setup re-registers its programs into the
+// rig's kept merger allocates nothing on any catalog scenario, with
+// dedup off or on: each slot and the merged pattern were sized for the
+// longest walk and merge the plan allows.  SessionRig::load allocates
+// nothing on any catalog scenario: every device resets into the buffers
+// the earlier sessions grew, and the workload setup re-registers its
+// programs into the
 // registry's kept capacity.  A whole short session (load plus run) stays
 // within a small budget, which is what the coroutine frames and a report
 // completed into a fresh result cost.  A warm campaign session (generate,
@@ -135,6 +136,11 @@ TEST(SessionRigAllocProbe, WarmGenerateAndMergeAllocatesNothing) {
   std::size_t variants = 0;
   for_each_catalog_variant([&](const CatalogVariant& variant) {
     EXPECT_EQ(warm_generate_calls(variant.config), 0u) << variant.label;
+    // The same plan with dedup: a replica is told apart by comparing
+    // symbols with the accepted slots, which allocates nothing either.
+    PtestConfig dedup = variant.config;
+    dedup.dedup_patterns = true;
+    EXPECT_EQ(warm_generate_calls(dedup), 0u) << variant.label << " +dedup";
     ++variants;
   });
   EXPECT_EQ(variants, 27u);
@@ -155,8 +161,8 @@ constexpr std::size_t kBatch = 400;
 constexpr std::uint64_t kBatchOverhead = 16;
 
 /// Runs `name`'s campaign sessions through a jobs=1 SessionBatchRunner
-/// with one kept rig, as Campaign does: a warm-up batch, then a counted
-/// one.
+/// on its slot's kept rig, as Campaign does: a warm-up batch, then a
+/// counted one.
 BatchProbe probe_batch(const char* name) {
   const scenario::Scenario* entry =
       scenario::ScenarioRegistry::builtin().find(name);
@@ -165,19 +171,16 @@ BatchProbe probe_batch(const char* name) {
   const CompiledTestPlanPtr plan = compile(entry->config);
   const std::optional<pfa::SymbolId> tc = plan->alphabet.find("TC");
   EXPECT_TRUE(tc.has_value());
-  SessionBatchRunner runner(1, kBatch, {&plan->pfa},
-                            plan->config.dedup_patterns, nullptr);
-  SessionRig rig(plan->config, plan->alphabet);
+  SessionBatchRunner runner(1, kBatch, {plan}, nullptr);
   BatchProbe probe;
-  auto body = [&](std::size_t, std::size_t run, pfa::WalkScratch& scratch,
-                  AdaptiveTestResult& out) {
-    execute(*plan, support::derive_seed(plan->config.seed, run),
-            entry->setup, scratch, rig, out);
-    for (const pattern::MergedElement& element : out.merged.elements) {
+  auto body = [&](SessionBatchRunner::Slot& slot, std::size_t run) {
+    execute(slot.plan(0), support::derive_seed(plan->config.seed, run),
+            entry->setup, slot.scratch(), slot.rig(0), slot.out());
+    for (const pattern::MergedElement& element : slot.out().merged.elements) {
       probe.task_creates += element.symbol == tc;
     }
     ++probe.sessions;
-    return SessionBatchRunner::Ran{0, rig};
+    return std::size_t{0};
   };
   (void)runner.run(0, kBatch, body);
   probe = BatchProbe{};
