@@ -35,6 +35,13 @@ class Channel {
   // --- master side ----------------------------------------------------------
   /// Posts a command; false when the ring or doorbell mailbox is full.
   bool post_command(sim::Soc& soc, const Command& command);
+  /// True when take_response could return a response this tick: doorbell
+  /// credits are in hand, or the doorbell has a deliverable word.  When
+  /// false, take_response returns nothing and changes no state.
+  [[nodiscard]] bool response_ready(const sim::Soc& soc) const {
+    return response_credits_ != 0 ||
+           soc.mailboxes().box(kResponseMailbox).pending(soc.now());
+  }
   /// Takes the next response if one is deliverable.
   std::optional<Response> take_response(sim::Soc& soc);
 

@@ -13,8 +13,8 @@
 // read the kernel's TCBs in place (the starvation check only the runnable
 // slots of runnable_mask()); the wait-for graph is rescanned only when
 // the kernel's wait_graph_epoch() moved off the last scanned value, which
-// starts at 0: at epoch 0 no mutex has had an owner since the kernel's
-// reset, so the graph has no edge and no cycle, and skipping that scan is
+// starts at 0: at epoch 0 no task has blocked since the kernel's reset,
+// so the graph has no edge and no cycle, and skipping that scan is
 // exact.
 //
 // The detector files only a report's head: the kind, the tick, the

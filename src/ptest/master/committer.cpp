@@ -28,7 +28,15 @@ Committer::Committer(pattern::MergedPattern pattern,
       alphabet_(&alphabet),
       options_(std::move(options)),
       observer_(observer) {
+  extend_service_table();
   reset_slots();
+}
+
+void Committer::extend_service_table() {
+  for (auto symbol = static_cast<pfa::SymbolId>(services_.size());
+       symbol < alphabet_->size(); ++symbol) {
+    services_.push_back(bridge::service_from_symbol(*alphabet_, symbol));
+  }
 }
 
 void Committer::reset_slots() {
@@ -44,6 +52,7 @@ void Committer::reset_slots() {
 
 void Committer::reset(const pattern::MergedPattern& pattern) {
   pattern_ = &pattern;
+  extend_service_table();
   cursor_ = 0;
   ledger_.reset();
   retries_.reset();
@@ -56,6 +65,8 @@ void Committer::reset(const pattern::MergedPattern& pattern) {
 }
 
 void Committer::drain_responses(MasterContext& ctx) {
+  // A quiet doorbell with no credits: take_response would return nothing.
+  if (!ctx.channel().response_ready(ctx.soc())) return;
   while (const auto response = ctx.channel().take_response(ctx.soc())) {
     const auto issue = ledger_.acknowledge(response->seq);
     if (!issue) continue;  // stale/duplicate ack
@@ -97,7 +108,7 @@ void Committer::drain_responses(MasterContext& ctx) {
 
 Committer::PostOutcome Committer::post_element(
     MasterContext& ctx, const pattern::MergedElement& element) {
-  const auto service = bridge::service_from_symbol(*alphabet_, element.symbol);
+  const std::optional<bridge::Service> service = service_of(element.symbol);
   if (!service) return PostOutcome::kSkipped;
 
   bridge::Command command;

@@ -13,6 +13,9 @@
 //     transiently blocked (bad state) is retried under RetryPolicy{};
 //   * every issue/ack is reported to a CommitterObserver so pTest's state
 //     recorder (Definition 2) and bug detector see the execution history;
+//   * each alphabet symbol's service is resolved once, into a table built
+//     at construction and extended when the alphabet grows, so a command
+//     never compares mnemonic strings;
 //   * an optional per-command issue delay and noise hook support the
 //     ConTest-style baseline.
 #pragma once
@@ -79,13 +82,22 @@ class Committer : public MasterThread {
   /// Returns to the state of a committer freshly constructed with
   /// `pattern` and the same options and observer.  The committer borrows
   /// `pattern`, which must outlive the session (or the next reset); the
-  /// ledger, retries and slot state keep their capacity.
+  /// ledger, retries and slot state keep their capacity.  Symbols the
+  /// alphabet interned since the last reset join the service table.
   void reset(const pattern::MergedPattern& pattern);
   void reset(pattern::MergedPattern&&) = delete;
 
   /// The merged pattern this committer drives.
   [[nodiscard]] const pattern::MergedPattern& pattern() const noexcept {
     return *pattern_;
+  }
+
+  /// bridge::service_from_symbol of every alphabet symbol, indexed by
+  /// symbol id; an alphabet only appends, so the table covers the symbols
+  /// interned up to the last construction, reset() or command.
+  [[nodiscard]] const std::vector<std::optional<bridge::Service>>&
+  service_table() const noexcept {
+    return services_;
   }
 
   [[nodiscard]] bool finished() const noexcept { return finished_; }
@@ -118,6 +130,18 @@ class Committer : public MasterThread {
 
   /// Sizes slots_ to the pattern's widest slot, every entry fresh.
   void reset_slots();
+  /// Resolves the symbols the alphabet interned past the table's end.
+  void extend_service_table();
+  /// `symbol`'s service through the table; nullopt for a symbol that
+  /// names no service or lies past the alphabet.
+  [[nodiscard]] std::optional<bridge::Service> service_of(
+      pfa::SymbolId symbol) {
+    if (symbol >= services_.size()) {
+      extend_service_table();
+      if (symbol >= services_.size()) return std::nullopt;
+    }
+    return services_[symbol];
+  }
   void drain_responses(MasterContext& ctx);
   ThreadStep issue_next(MasterContext& ctx);
   PostOutcome post_element(MasterContext& ctx,
@@ -128,6 +152,7 @@ class Committer : public MasterThread {
   pattern::MergedPattern owned_;
   const pattern::MergedPattern* pattern_;
   const pfa::Alphabet* alphabet_;
+  std::vector<std::optional<bridge::Service>> services_;
   CommitterOptions options_;
   CommitterObserver* observer_;
 

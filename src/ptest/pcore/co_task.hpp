@@ -10,7 +10,8 @@
 // repeated forever.  Blocking lock semantics are "block until held": when
 // a Lock step cannot acquire, the kernel blocks the task and transfers
 // ownership on wake, so the body simply proceeds on its next step.  The
-// only heap allocation is the coroutine frame itself.
+// only allocation is the coroutine frame itself, which comes from the
+// kernel's FramePool when task_create makes it (frame_pool.hpp).
 //
 // Lifetime rules:
 //  * The StepEnv passed to step() is only read during that resume.  A body
@@ -28,6 +29,8 @@
 #include <exception>
 #include <utility>
 #include <vector>
+
+#include "ptest/pcore/frame_pool.hpp"
 
 namespace ptest::pcore {
 
@@ -114,6 +117,14 @@ class CoTask {
     /// Valid only while CoTask::step is resuming the frame.
     StepEnv* env = nullptr;
     std::exception_ptr error;
+
+    /// Frames come from the thread's current FramePool, if any.
+    static void* operator new(std::size_t size) {
+      return FramePool::allocate(size);
+    }
+    static void operator delete(void* frame) noexcept {
+      FramePool::deallocate(frame);
+    }
 
     CoTask get_return_object() noexcept;
     std::suspend_always initial_suspend() const noexcept { return {}; }

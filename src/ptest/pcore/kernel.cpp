@@ -189,7 +189,10 @@ Status PcoreKernel::task_create(std::uint32_t program_id, std::uint32_t arg,
   Tcb& tcb = tcbs_[slot];
   set_state(slot, TaskState::kReady);
   tcb.priority = priority;
-  Program program = (*factory)(arg);
+  Program program = [&] {
+    const FramePool::Scope frames(frames_);
+    return (*factory)(arg);
+  }();
   tcb.body = std::move(program.body);
   tcb.program = program.name;
   tcb.tcb_block = *tcb_block;
@@ -284,8 +287,8 @@ MutexId PcoreKernel::mutex_create() {
 void PcoreKernel::release_mutex(MutexId id) {
   KMutex& mutex = mutexes_[id];
   mutex.owner.reset();
-  ++wait_graph_epoch_;
   if (mutex.waiters.empty()) return;
+  ++wait_graph_epoch_;  // the winner leaves kBlocked
   // Highest priority first; ties by arrival order.
   const auto best = std::max_element(
       mutex.waiters.begin(), mutex.waiters.end(),
@@ -371,7 +374,6 @@ void PcoreKernel::run_scheduler(sim::Soc& soc) {
       if (!mutex.owner) {
         mutex.owner = next;
         ++mutex.acquisitions;
-        ++wait_graph_epoch_;
       } else if (mutex.owner == next) {
         // Recursive lock is a program bug; treat as no-op with trace.
         soc.record(sim::TraceCategory::kKernel,

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "ptest/pcore/co_task.hpp"
+#include "ptest/pcore/frame_pool.hpp"
 #include "ptest/pcore/heap.hpp"
 #include "ptest/pcore/scheduler.hpp"
 #include "ptest/pcore/sync.hpp"
@@ -192,11 +193,22 @@ class PcoreKernel final : public sim::Device {
   [[nodiscard]] std::uint64_t gc_runs() const noexcept {
     return heap_.gc_runs();
   }
-  /// Advances whenever an input of the wait-for graph changes: a task
-  /// enters or leaves kBlocked, or a mutex changes owner.  Between two
-  /// equal readings every blocked task waits on the same mutex held by the
-  /// same owner, so an observer that scanned the graph at the first
-  /// reading need not rescan at the second.
+  /// The pool task_create allocates coroutine frames from; its blocks
+  /// survive reset().
+  [[nodiscard]] const FramePool& frames() const noexcept { return frames_; }
+  /// Frames too large for the pool's classes, made on the heap instead,
+  /// over the kernel's lifetime (reset() keeps the count with the blocks).
+  [[nodiscard]] std::uint64_t frame_fallbacks() const noexcept {
+    return frames_.fallbacks();
+  }
+  /// Advances whenever a task enters or leaves kBlocked: a contended
+  /// lock, a release that hands the mutex to a waiter, or the reclaim of
+  /// a blocked task.  An uncontended lock and a release with no waiters
+  /// leave it alone: they change the owner of a mutex no task waits on,
+  /// which is not an edge of the wait-for graph.  Between two equal
+  /// readings every blocked task waits on the same mutex held by the same
+  /// owner, so an observer that scanned the graph at the first reading
+  /// need not rescan at the second.
   [[nodiscard]] std::uint64_t wait_graph_epoch() const noexcept {
     return wait_graph_epoch_;
   }
@@ -231,6 +243,8 @@ class PcoreKernel final : public sim::Device {
 
   KernelConfig config_;
   KernelHeap heap_;
+  /// Declared before tcbs_, so it outlives every frame a TCB holds.
+  FramePool frames_;
   std::array<Tcb, kMaxTasks> tcbs_{};
   /// One past the highest slot task_create has filled since the last
   /// reset: reset() rewrites only the TCBs below it.

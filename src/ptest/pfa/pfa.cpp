@@ -255,7 +255,6 @@ void Pfa::sample_into(Walk& walk, WalkScratch& scratch, support::Rng& rng,
   walk.edges.reserve(longest);
   walk.symbols.clear();
   walk.edges.clear();
-  walk.probability = 1.0;
   walk.accepted = false;
 
   const StateId start = dfa_.start();
@@ -302,7 +301,6 @@ void Pfa::sample_into(Walk& walk, WalkScratch& scratch, support::Rng& rng,
     const std::uint32_t j = begin + pick;
     walk.symbols.push_back(flat_symbol_[j]);
     walk.edges.push_back(j);
-    walk.probability *= flat_prob_[j];
     current = flat_target_[j];
   }
 
@@ -324,7 +322,6 @@ void Pfa::sample_into(Walk& walk, WalkScratch& scratch, support::Rng& rng,
       const std::uint32_t j = begin + pick;
       walk.symbols.push_back(flat_symbol_[j]);
       walk.edges.push_back(j);
-      walk.probability *= flat_prob_[j];
       current = flat_target_[j];
     }
   }

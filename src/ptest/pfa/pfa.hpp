@@ -68,8 +68,6 @@ struct Walk {
   std::vector<std::uint32_t> edges;
   /// True when the walk ended in an accepting state.
   bool accepted = false;
-  /// Product of the chosen transition probabilities.
-  double probability = 1.0;
 
   [[nodiscard]] bool empty() const noexcept { return symbols.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return symbols.size(); }

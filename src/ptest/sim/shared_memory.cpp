@@ -1,6 +1,8 @@
 #include "ptest/sim/shared_memory.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace ptest::sim {
 
@@ -14,6 +16,13 @@ std::size_t SharedSram::reserve(std::size_t size, std::size_t alignment) {
   }
   reserved_ = aligned + size;
   return aligned;
+}
+
+void SharedSram::throw_out_of_range(std::size_t offset,
+                                    std::size_t size) const {
+  throw std::out_of_range("SharedSram: access [" + std::to_string(offset) +
+                          ", " + std::to_string(offset + size) +
+                          ") beyond size " + std::to_string(size_));
 }
 
 void SharedSram::commit(std::size_t end) {

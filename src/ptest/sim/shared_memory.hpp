@@ -16,8 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <stdexcept>
-#include <string>
+#include <type_traits>
 #include <vector>
 
 namespace ptest::sim {
@@ -70,12 +69,13 @@ class SharedSram {
 
  private:
   void check(std::size_t offset, std::size_t size) const {
-    if (offset + size > size_) {
-      throw std::out_of_range("SharedSram: access [" + std::to_string(offset) +
-                              ", " + std::to_string(offset + size) +
-                              ") beyond size " + std::to_string(size_));
-    }
+    if (offset + size > size_) throw_out_of_range(offset, size);
   }
+  /// Throws std::out_of_range for the access [offset, offset + size).
+  /// Out of line and cold, so the check inlined into every access is a
+  /// compare and a branch.
+  [[noreturn, gnu::cold, gnu::noinline]] void throw_out_of_range(
+      std::size_t offset, std::size_t size) const;
 
   static constexpr std::size_t kCommitGranule = 256;
 

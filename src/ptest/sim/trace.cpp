@@ -65,12 +65,15 @@ TraceEvent* TraceLog::place(Tick tick, TraceCategory category, TraceCode code,
   if (capacity_ == 0) return nullptr;
   ++total_;
   TraceEvent* slot = nullptr;
-  if (ring_.size() < capacity_) {
+  if (size_ < ring_.size()) {
+    slot = &ring_[size_++];
+  } else if (size_ < capacity_) {
     if (ring_.size() == ring_.capacity()) {
       ring_.reserve(std::min(capacity_,
                              std::max(kFirstReserve, 2 * ring_.size())));
     }
     slot = &ring_.emplace_back();
+    ++size_;
   } else {
     slot = &ring_[head_];
     head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
@@ -98,14 +101,15 @@ void TraceLog::record(Tick tick, TraceCategory category, TraceCode code,
 
 void TraceLog::tail_into(std::size_t count, std::vector<TraceEvent>& out,
                          std::size_t skip) const {
-  const std::size_t kept = ring_.size() - std::min(skip, ring_.size());
+  const std::size_t kept = size_ - std::min(skip, size_);
   const std::size_t take = std::min(count, kept);
   out.resize(take);
-  // Oldest first: the ring's logical order starts at head_.
+  // Oldest first: the ring's logical order starts at head_, which stays
+  // 0 until the log holds size_ == capacity_ events.
   const std::size_t first = kept - take;
   for (std::size_t i = 0; i < take; ++i) {
     const std::size_t at = head_ + first + i;
-    out[i] = ring_[at < ring_.size() ? at : at - ring_.size()];
+    out[i] = ring_[at < size_ ? at : at - size_];
   }
 }
 
@@ -115,8 +119,8 @@ std::vector<TraceEvent> TraceLog::tail(std::size_t count) const {
   return out;
 }
 
-void TraceLog::clear() {
-  ring_.clear();
+void TraceLog::clear() noexcept {
+  size_ = 0;
   head_ = 0;
   total_ = 0;
 }

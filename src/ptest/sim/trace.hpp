@@ -8,6 +8,10 @@
 // two integer arguments.  Its text comes from kTraceFormats only when
 // something reads it (a rendered bug report, a golden fingerprint), so the
 // tick loop never formats a message nobody looks at.
+//
+// clear() keeps the ring's slots and their text buffers and only resets
+// the count of events held, so a log reused session after session records
+// into the slots (and "%t" text buffers) the earlier sessions built.
 #pragma once
 
 #include <array>
@@ -120,22 +124,27 @@ class TraceLog {
                  std::size_t skip = 0) const;
   /// tail_into() a fresh vector.
   [[nodiscard]] std::vector<TraceEvent> tail(std::size_t count) const;
-  [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
   /// Total events ever recorded (including evicted ones).
   [[nodiscard]] std::uint64_t total_recorded() const noexcept {
     return total_;
   }
-  void clear();
+  /// Forgets every event; the slots and their text buffers stay for the
+  /// next events.
+  void clear() noexcept;
 
  private:
   /// Writes the event's numbers (and an empty text) into the next slot:
-  /// a new one while the ring grows, the oldest once it holds `capacity_`
-  /// events.  Returns the slot, or null at capacity 0.
+  /// a kept one while the log holds fewer events than slots, a new one
+  /// while the ring grows, the oldest once it holds `capacity_` events.
+  /// Returns the slot, or null at capacity 0.
   TraceEvent* place(Tick tick, TraceCategory category, TraceCode code,
                     std::uint32_t a, std::uint32_t b);
 
   std::size_t capacity_;
+  /// Slots built so far; the first size_ hold events, in ring order.
   std::vector<TraceEvent> ring_;
+  std::size_t size_ = 0;  // events held, at most capacity_
   std::size_t head_ = 0;  // oldest event once the ring is full
   std::uint64_t total_ = 0;
 };

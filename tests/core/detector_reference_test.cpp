@@ -10,7 +10,8 @@
 //
 // The reference wiring also carries an EpochWitness: after every tick it
 // checks that the kernel's wait_graph_epoch() moved whenever the
-// wait-for graph's inputs (blocked set, waiting_on, mutex owners) did —
+// wait-for graph's inputs (blocked set, waiting_on, the owners of the
+// mutexes blocked tasks wait on) did —
 // the contract the production detector's scan gate relies on — and a
 // KernelStateWitness: after every tick the kernel's runnable mask, yield
 // mask and live count equal a fresh scan of its 16 TCBs, the contract
@@ -189,7 +190,11 @@ bool ReferenceDetector::tick(sim::Soc& soc) {
 
 // --- the epoch contract ------------------------------------------------------
 
-/// Everything find_deadlock_cycle reads from the kernel.
+/// Everything find_deadlock_cycle reads from the kernel: the blocked set,
+/// each task's waiting_on, and the owner of each mutex a blocked task
+/// waits on.  The owner of a mutex no task waits on is no edge of the
+/// graph, so taking a free mutex or releasing one with no waiter is not
+/// an input change.
 struct WaitGraphInputs {
   std::array<bool, pcore::kMaxTasks> blocked{};
   std::array<std::optional<std::uint8_t>, pcore::kMaxTasks> waiting_on{};
@@ -201,9 +206,9 @@ struct WaitGraphInputs {
       const pcore::Tcb& tcb = kernel.tcb(t);
       inputs.blocked[t] = tcb.state == pcore::TaskState::kBlocked;
       inputs.waiting_on[t] = tcb.waiting_on;
-    }
-    for (pcore::MutexId m = 0; m < pcore::kMaxMutexes; ++m) {
-      inputs.owners[m] = kernel.mutex(m).owner;
+      if (inputs.blocked[t] && tcb.waiting_on) {
+        inputs.owners[*tcb.waiting_on] = kernel.mutex(*tcb.waiting_on).owner;
+      }
     }
     return inputs;
   }

@@ -12,6 +12,7 @@
 #include "ptest/scenario/registry.hpp"
 #include "ptest/workload/philosophers.hpp"
 #include "ptest/workload/quicksort.hpp"
+#include "pfa/walk_probability.hpp"
 
 namespace ptest::core {
 namespace {
@@ -250,7 +251,8 @@ std::size_t expect_hand_streams(const CompiledTestPlan& plan,
       EXPECT_EQ(kept.patterns[i].symbols, hand.patterns[i].symbols) << i;
       EXPECT_EQ(kept.patterns[i].edges, hand.patterns[i].edges) << i;
       EXPECT_EQ(kept.patterns[i].accepted, hand.patterns[i].accepted) << i;
-      EXPECT_EQ(kept.patterns[i].probability, hand.patterns[i].probability)
+      EXPECT_EQ(pfa::walk_probability(plan.pfa, kept.patterns[i]),
+                pfa::walk_probability(plan.pfa, hand.patterns[i]))
           << i;
       distinct.insert(hand.patterns[i].symbols);
     }

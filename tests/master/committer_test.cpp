@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/reference_session.hpp"
 #include "ptest/bridge/committee.hpp"
 #include "ptest/core/bug_detector.hpp"
 #include "ptest/master/scheduler.hpp"
@@ -52,13 +53,18 @@ class CommitterFixture : public ::testing::Test {
 
   /// Runs the full stack until the committer finishes (or budget).
   void run(pattern::MergedPattern merged, sim::Tick budget = 10000) {
+    drive(std::make_unique<Committer>(std::move(merged), alphabet_,
+                                      CommitterOptions{}, &observer_),
+          budget);
+  }
+
+  /// Runs `committer` on a fresh stack until it finishes (or budget).
+  void drive(std::unique_ptr<Committer> committer, sim::Tick budget = 10000) {
     soc_ = std::make_unique<sim::Soc>();
     channel_ = std::make_unique<bridge::Channel>(*soc_);
     committee_ =
         std::make_unique<bridge::Committee>(*channel_, kernel_);
     scheduler_ = std::make_unique<MasterScheduler>(*channel_);
-    auto committer = std::make_unique<Committer>(
-        std::move(merged), alphabet_, CommitterOptions{}, &observer_);
     committer_ = committer.get();
     scheduler_->add(std::move(committer));
     soc_->attach(*scheduler_);
@@ -251,6 +257,78 @@ class Spinner final : public MasterThread {
   int steps_ = 0;
   int limit_;
 };
+
+// --- the service table ---------------------------------------------------------
+//
+// The committer resolves each symbol's service once; every entry must be
+// what bridge::service_from_symbol says for that symbol.
+
+void expect_table_matches(const Committer& committer,
+                          const pfa::Alphabet& alphabet) {
+  const auto& table = committer.service_table();
+  ASSERT_EQ(table.size(), alphabet.size());
+  for (pfa::SymbolId symbol = 0; symbol < alphabet.size(); ++symbol) {
+    EXPECT_EQ(table[symbol], bridge::service_from_symbol(alphabet, symbol))
+        << alphabet.name(symbol);
+  }
+}
+
+TEST(CommitterServiceTable, MatchesServiceFromSymbolOnEveryCatalogAlphabet) {
+  std::size_t variants = 0;
+  core::for_each_catalog_variant([&](const core::CatalogVariant& variant) {
+    SCOPED_TRACE(variant.label);
+    const core::CompiledTestPlanPtr plan = core::compile(variant.config);
+    pfa::Alphabet alphabet = plan->alphabet;
+    Committer committer(pattern::MergedPattern{}, alphabet, {});
+    expect_table_matches(committer, alphabet);
+
+    // A symbol interned after construction joins the table on reset().
+    alphabet.intern("late-symbol");
+    const pattern::MergedPattern empty;
+    committer.reset(empty);
+    expect_table_matches(committer, alphabet);
+    ++variants;
+  });
+  EXPECT_EQ(variants, 27u);
+}
+
+TEST(CommitterServiceTable, ServicesInternedAfterConstructionResolveOnReset) {
+  pfa::Alphabet alphabet;
+  alphabet.intern("x");
+  Committer committer(pattern::MergedPattern{}, alphabet, {});
+  expect_table_matches(committer, alphabet);
+  EXPECT_FALSE(committer.service_table()[0].has_value());
+
+  bridge::intern_service_alphabet(alphabet);
+  const pattern::MergedPattern empty;
+  committer.reset(empty);
+  expect_table_matches(committer, alphabet);
+  EXPECT_EQ(committer.service_table()[alphabet.at("TCH")],
+            bridge::Service::kTaskChanprio);
+}
+
+TEST_F(CommitterFixture, CommandsInternedAfterConstructionAreIssued) {
+  // The committer is built before its alphabet holds the mnemonics; the
+  // first command past the table's end extends it.
+  pfa::Alphabet late;
+  late.intern("x");
+  pattern::MergedPattern merged;
+  merged.elements = {{0, 1}, {0, 2}};  // TC and TD once interned
+  auto committer = std::make_unique<Committer>(std::move(merged), late,
+                                               CommitterOptions{},
+                                               &observer_);
+  bridge::intern_service_alphabet(late);
+  ASSERT_EQ(late.at("TC"), 1u);
+  ASSERT_EQ(late.at("TD"), 2u);
+  drive(std::move(committer));
+  EXPECT_TRUE(committer_->finished());
+  EXPECT_EQ(committer_->acked(), 2u);
+  EXPECT_EQ(committer_->failed(), 0u);
+  ASSERT_EQ(observer_.issues.size(), 2u);
+  EXPECT_EQ(observer_.issues[0].service, bridge::Service::kTaskCreate);
+  EXPECT_EQ(observer_.issues[1].service, bridge::Service::kTaskDelete);
+  expect_table_matches(*committer_, late);
+}
 
 TEST(MasterSchedulerTest, RoundRobinSharesTime) {
   sim::Soc soc;

@@ -6,6 +6,7 @@
 #include "ptest/pattern/coverage.hpp"
 #include "ptest/pattern/dedup.hpp"
 #include "ptest/support/rng.hpp"
+#include "pfa/walk_probability.hpp"
 
 namespace ptest::pattern {
 namespace {
@@ -40,7 +41,7 @@ TEST(SampledPatternTest, ProducesLegalPatternsOfRequestedShape) {
   ASSERT_EQ(patterns.size(), 50u);
   for (const TestPattern& pattern : patterns) {
     EXPECT_TRUE(f.pfa.accepts(pattern.symbols));
-    EXPECT_GT(pattern.probability, 0.0);
+    EXPECT_GT(pfa::walk_probability(f.pfa, pattern), 0.0);
     ASSERT_EQ(pattern.edges.size(), pattern.symbols.size());
     for (std::size_t i = 0; i < pattern.edges.size(); ++i) {
       EXPECT_EQ(f.pfa.flat_symbols()[pattern.edges[i]], pattern.symbols[i]);

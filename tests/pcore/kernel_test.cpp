@@ -188,8 +188,11 @@ TEST_F(KernelFixture, DeletingMutexHolderHandsLockToWaiter) {
 
 // --- wait-graph epoch ---------------------------------------------------------
 //
-// Each test isolates one bump site: a lock (acquire or contention), a
-// release with hand-off, and task_delete of a blocked task / of an owner.
+// The epoch moves only when a task enters or leaves kBlocked.  Each test
+// isolates one bump site (a contended lock, a release with hand-off,
+// task_delete of a blocked task or of an owner with a waiter) or one
+// owner change that is no edge of the wait-for graph (taking a free
+// mutex, releasing or deleting the owner of a mutex nobody waits on).
 
 class WaitGraphEpochTest : public KernelFixture {
  protected:
@@ -217,11 +220,11 @@ class WaitGraphEpochTest : public KernelFixture {
   MutexId mutex_ = 0;
 };
 
-TEST_F(WaitGraphEpochTest, AdvancesOnAcquireAndOnContendedLock) {
+TEST_F(WaitGraphEpochTest, StaysPutOnAFreeAcquireAndAdvancesOnContention) {
   const TaskId holder = create(3, kHoldId, /*hold=*/1000000);
   std::uint64_t epoch = kernel_->wait_graph_epoch();
   ASSERT_TRUE(step_until([&] { return owned(); }));
-  EXPECT_GT(kernel_->wait_graph_epoch(), epoch);
+  EXPECT_EQ(kernel_->wait_graph_epoch(), epoch);
 
   epoch = kernel_->wait_graph_epoch();
   const TaskId waiter = create(9, kHoldId, /*hold=*/1);
@@ -255,12 +258,16 @@ TEST_F(KernelFixture, RunQuietStopsOnTheTickATaskExits) {
 }
 
 TEST_F(WaitGraphEpochTest, RunQuietStopsOnAnEpochChangeAndOnAPanic) {
-  (void)create(3, kHoldId, /*hold=*/1000000);
+  const TaskId holder = create(3, kHoldId, /*hold=*/1000000);
+  ASSERT_TRUE(step_until([&] { return owned(); }));
+  const TaskId waiter = create(9, kHoldId, /*hold=*/1);
   const std::uint64_t epoch = kernel_->wait_graph_epoch();
-  const sim::Tick ran = kernel_->run_quiet(soc_, 100);
-  EXPECT_EQ(ran, 1u);  // the first step takes the free mutex
-  EXPECT_EQ(soc_.now(), ran - 1);
-  EXPECT_TRUE(owned());
+  const sim::Tick start = soc_.now();
+  const sim::Tick ran = kernel_->run_quiet(soc_, start + 100);
+  EXPECT_EQ(ran, 1u);  // the waiter's first step blocks on the held mutex
+  EXPECT_EQ(soc_.now(), start + ran - 1);
+  EXPECT_EQ(kernel_->tcb(waiter).state, TaskState::kBlocked);
+  EXPECT_EQ(kernel_->mutex(mutex_).owner, holder);
   EXPECT_GT(kernel_->wait_graph_epoch(), epoch);
 
   soc_.clock().advance();
@@ -293,13 +300,34 @@ TEST_F(WaitGraphEpochTest, AdvancesOnDeletingABlockedTask) {
   EXPECT_GT(kernel_->wait_graph_epoch(), epoch);
 }
 
-TEST_F(WaitGraphEpochTest, AdvancesOnDeletingAMutexOwner) {
+TEST_F(WaitGraphEpochTest, AdvancesOnDeletingAnOwnerWithAWaiter) {
+  const TaskId holder = create(3, kHoldId, /*hold=*/1000000);
+  ASSERT_TRUE(step_until([&] { return owned(); }));
+  const TaskId waiter = create(9, kHoldId, /*hold=*/1000000);
+  ASSERT_TRUE(step_until(
+      [&] { return kernel_->tcb(waiter).state == TaskState::kBlocked; }));
+  const std::uint64_t epoch = kernel_->wait_graph_epoch();
+  ASSERT_EQ(kernel_->task_delete(holder), Status::kOk);
+  EXPECT_GT(kernel_->wait_graph_epoch(), epoch);
+  EXPECT_EQ(kernel_->mutex(mutex_).owner, waiter);
+}
+
+TEST_F(WaitGraphEpochTest, StaysPutOnDeletingAnOwnerNobodyWaitsFor) {
   const TaskId holder = create(3, kHoldId, /*hold=*/1000000);
   ASSERT_TRUE(step_until([&] { return owned(); }));
   const std::uint64_t epoch = kernel_->wait_graph_epoch();
   ASSERT_EQ(kernel_->task_delete(holder), Status::kOk);
-  EXPECT_GT(kernel_->wait_graph_epoch(), epoch);
+  EXPECT_EQ(kernel_->wait_graph_epoch(), epoch);
   EXPECT_FALSE(kernel_->mutex(mutex_).owner.has_value());
+}
+
+TEST_F(WaitGraphEpochTest, StaysPutOnAnUncontendedLockAndUnlock) {
+  (void)create(3, kHoldId, /*hold=*/5);
+  const std::uint64_t epoch = kernel_->wait_graph_epoch();
+  ASSERT_TRUE(step_until([&] { return owned(); }));
+  ASSERT_TRUE(step_until([&] { return !owned(); }));
+  EXPECT_EQ(kernel_->mutex(mutex_).acquisitions, 1u);
+  EXPECT_EQ(kernel_->wait_graph_epoch(), epoch);
 }
 
 TEST_F(KernelFixture, WaitGraphEpochStaysPutAcrossComputeAndYield) {

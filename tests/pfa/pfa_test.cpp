@@ -1,4 +1,5 @@
 #include "ptest/pfa/pfa.hpp"
+#include "pfa/walk_probability.hpp"
 
 #include <gtest/gtest.h>
 
@@ -95,7 +96,8 @@ TEST(PfaFig3Test, SampleProbabilityFieldMatchesWordProbability) {
   for (int i = 0; i < 100; ++i) {
     const Walk walk = f.pfa.sample(rng, options);
     ASSERT_TRUE(walk.accepted);
-    EXPECT_NEAR(walk.probability, f.pfa.word_probability(walk.symbols), 1e-12);
+    EXPECT_NEAR(walk_probability(f.pfa, walk),
+                f.pfa.word_probability(walk.symbols), 1e-12);
     ASSERT_EQ(walk.edges.size(), walk.symbols.size());
     for (std::size_t i = 0; i < walk.edges.size(); ++i) {
       EXPECT_EQ(f.pfa.flat_symbols()[walk.edges[i]], walk.symbols[i]);
@@ -331,7 +333,7 @@ TEST_P(PfaSampleSweep, AllSamplesAccepted) {
     const Walk walk = f.pfa.sample(rng, options);
     ASSERT_TRUE(walk.accepted);
     ASSERT_TRUE(f.pfa.accepts(walk.symbols));
-    ASSERT_GT(walk.probability, 0.0);
+    ASSERT_GT(walk_probability(f.pfa, walk), 0.0);
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include "ptest/pfa/pfa.hpp"
 #include "ptest/support/rng.hpp"
+#include "pfa/walk_probability.hpp"
 
 namespace ptest::pfa {
 namespace {
@@ -82,7 +83,7 @@ TEST(SamplingTables, MultiAcceptCompletionWalkIsPinned) {
   const Walk loop_walk = f.pfa.sample(rng_loop, options);
   EXPECT_EQ(f.render(loop_walk), "a b a");
   EXPECT_TRUE(loop_walk.accepted);
-  EXPECT_EQ(loop_walk.probability, 0.5);
+  EXPECT_EQ(walk_probability(f.pfa, loop_walk), 0.5);
 
   // This seed routes through c d, then the completion phase picks among
   // the two closer edges (e: 0.25, f: 0.75) and finishes through g.
@@ -90,7 +91,7 @@ TEST(SamplingTables, MultiAcceptCompletionWalkIsPinned) {
   const Walk steer_walk = f.pfa.sample(rng_steer, options);
   EXPECT_EQ(f.render(steer_walk), "c d f g");
   EXPECT_TRUE(steer_walk.accepted);
-  EXPECT_EQ(steer_walk.probability, 0.375);
+  EXPECT_EQ(walk_probability(f.pfa, steer_walk), 0.375);
 }
 
 TEST(SamplingTables, SampleMatchesSampleIntoDrawForDraw) {
@@ -107,7 +108,9 @@ TEST(SamplingTables, SampleMatchesSampleIntoDrawForDraw) {
     f.pfa.sample_into(direct, scratch, rng_into, options);
     EXPECT_EQ(wrapped.symbols, direct.symbols) << "seed " << seed;
     EXPECT_EQ(wrapped.edges, direct.edges) << "seed " << seed;
-    EXPECT_EQ(wrapped.probability, direct.probability) << "seed " << seed;
+    EXPECT_EQ(walk_probability(f.pfa, wrapped),
+              walk_probability(f.pfa, direct))
+        << "seed " << seed;
     EXPECT_EQ(rng_wrap.next(), rng_into.next()) << "seed " << seed;
   }
 }

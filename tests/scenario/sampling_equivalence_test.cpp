@@ -20,18 +20,27 @@
 #include "ptest/pfa/pfa.hpp"
 #include "ptest/scenario/registry.hpp"
 #include "ptest/support/rng.hpp"
+#include "pfa/walk_probability.hpp"
 
 namespace ptest {
 namespace {
 
+/// What the legacy Pfa::sample returned: the walk and the product of its
+/// transition probabilities, multiplied as it sampled.
+struct ReferenceWalk {
+  pfa::Walk walk;
+  double probability = 1.0;
+};
+
 /// The legacy Pfa::sample, reimplemented against the public API.
-pfa::Walk reference_sample(const pfa::Pfa& pfa, support::Rng& rng,
-                           const pfa::WalkOptions& options) {
+ReferenceWalk reference_sample(const pfa::Pfa& pfa, support::Rng& rng,
+                               const pfa::WalkOptions& options) {
   const auto& states = pfa.states();
   const std::vector<std::uint32_t> accept_distance =
       pfa.dfa().distance_to_accept();
 
-  pfa::Walk walk;
+  ReferenceWalk result;
+  pfa::Walk& walk = result.walk;
   pfa::StateId current = pfa.start();
 
   std::vector<double> weights;
@@ -45,7 +54,7 @@ pfa::Walk reference_sample(const pfa::Pfa& pfa, support::Rng& rng,
     walk.symbols.push_back(t.symbol);
     walk.edges.push_back(pfa.offsets()[current] +
                          static_cast<std::uint32_t>(pick));
-    walk.probability *= t.probability;
+    result.probability *= t.probability;
     current = t.target;
   };
 
@@ -78,12 +87,12 @@ pfa::Walk reference_sample(const pfa::Pfa& pfa, support::Rng& rng,
       walk.symbols.push_back(t.symbol);
       walk.edges.push_back(pfa.offsets()[current] +
                            static_cast<std::uint32_t>(pick));
-      walk.probability *= t.probability;
+      result.probability *= t.probability;
       current = t.target;
     }
   }
   walk.accepted = states[current].accepting;
-  return walk;
+  return result;
 }
 
 /// Asserts reference, sample(), and sample_into() agree on the walk AND
@@ -96,7 +105,8 @@ void expect_equivalent(const pfa::Pfa& pfa, std::uint64_t seed,
   support::Rng cdf_rng(seed);
   support::Rng into_rng(seed);
 
-  const pfa::Walk reference = reference_sample(pfa, ref_rng, options);
+  const ReferenceWalk legacy = reference_sample(pfa, ref_rng, options);
+  const pfa::Walk& reference = legacy.walk;
   const pfa::Walk via_sample = pfa.sample(cdf_rng, options);
   pfa::Walk via_into;
   pfa::WalkScratch scratch;
@@ -107,12 +117,15 @@ void expect_equivalent(const pfa::Pfa& pfa, std::uint64_t seed,
   EXPECT_EQ(via_sample.accepted, reference.accepted) << label;
   // Both multiply the identical picks in the identical order, so the
   // probability product must be bit-equal, not just close.
-  EXPECT_EQ(via_sample.probability, reference.probability) << label;
+  EXPECT_EQ(pfa::walk_probability(pfa, via_sample), legacy.probability)
+      << label;
 
   EXPECT_EQ(via_into.symbols, via_sample.symbols) << label;
   EXPECT_EQ(via_into.edges, via_sample.edges) << label;
   EXPECT_EQ(via_into.accepted, via_sample.accepted) << label;
-  EXPECT_EQ(via_into.probability, via_sample.probability) << label;
+  EXPECT_EQ(pfa::walk_probability(pfa, via_into),
+            pfa::walk_probability(pfa, via_sample))
+      << label;
 
   const std::uint64_t ref_next = ref_rng.next();
   EXPECT_EQ(cdf_rng.next(), ref_next) << label << ": draw count diverged";

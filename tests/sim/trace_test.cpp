@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace ptest::sim {
@@ -109,6 +111,63 @@ TEST(TraceLogTest, ClearResets) {
   log.clear();
   EXPECT_EQ(log.size(), 0u);
   EXPECT_EQ(log.total_recorded(), 0u);
+}
+
+// --- reuse after clear() ---------------------------------------------------------
+//
+// clear() keeps the slots and their text buffers.  A log filled, cleared
+// and refilled must read exactly like a fresh log given the same events.
+
+/// Records `count` events starting at `first`: every third one a "%t"
+/// event whose text is `text_length` characters long.
+void play(TraceLog& log, std::uint32_t first, std::uint32_t count,
+          std::size_t text_length) {
+  for (std::uint32_t i = first; i < first + count; ++i) {
+    if (i % 3 == 0) {
+      log.record(i, TraceCategory::kFault, TraceCode::kKernelPanic,
+                 std::string(text_length, static_cast<char>('a' + i % 26)));
+    } else {
+      log.record(i, TraceCategory::kBridge, TraceCode::kCommandTD, i, i + 1);
+    }
+  }
+}
+
+void expect_same_log(const TraceLog& reused, const TraceLog& fresh) {
+  EXPECT_EQ(reused.size(), fresh.size());
+  EXPECT_EQ(reused.total_recorded(), fresh.total_recorded());
+  std::vector<TraceEvent> a;
+  std::vector<TraceEvent> b;
+  for (std::size_t skip = 0; skip <= fresh.size() + 1; ++skip) {
+    for (std::size_t count = 0; count <= fresh.size() + 1; ++count) {
+      reused.tail_into(count, a, skip);
+      fresh.tail_into(count, b, skip);
+      EXPECT_EQ(a, b) << "count " << count << " skip " << skip;
+    }
+  }
+}
+
+TEST(TraceLogTest, AClearedLogReadsLikeAFreshOne) {
+  constexpr std::size_t kCapacity = 7;
+  // (events, text length) of each refill: fewer events than slots, as
+  // many, past capacity, and again fewer; texts shorter and longer than
+  // the occupants they overwrite.
+  const std::vector<std::pair<std::uint32_t, std::size_t>> refills = {
+      {4, 2}, {7, 40}, {19, 1}, {3, 64}, {12, 0}, {1, 5}, {0, 0}, {30, 33}};
+  TraceLog reused(kCapacity);
+  play(reused, 100, 11, 48);  // wrapped, long texts in its slots
+  std::uint32_t first = 0;
+  for (const auto& [count, text_length] : refills) {
+    SCOPED_TRACE("refill of " + std::to_string(count) + " events, text " +
+                 std::to_string(text_length));
+    reused.clear();
+    EXPECT_EQ(reused.size(), 0u);
+    EXPECT_EQ(reused.total_recorded(), 0u);
+    play(reused, first, count, text_length);
+    TraceLog fresh(kCapacity);
+    play(fresh, first, count, text_length);
+    expect_same_log(reused, fresh);
+    first += count;
+  }
 }
 
 TEST(TraceCategoryTest, Names) {
